@@ -49,20 +49,21 @@
 // requests drain, the periodic scheduler stops, and a final checkpoint
 // compacts the log before exit.
 //
-// With -hubs the server runs hub-sharded: each declared hub gets its own
-// graph shard (single-writer store + WAL stream), writes name their hub and
-// commit in parallel across hubs, and /query executes cross-shard over a
-// lock-free multi-shard view — a MATCH crossing a knowledge bridge binds it
-// exactly once, with no per-hub fan-out:
+// With -hubs the knowledge base gets one graph shard per declared hub
+// (single-writer store + WAL stream each): writes name their hub and commit
+// in parallel across hubs, and /query executes cross-shard over a lock-free
+// multi-shard view — a MATCH crossing a knowledge bridge binds it exactly
+// once, with no per-hub fan-out. Everything else — rules, composite events,
+// the async pipeline, -data-dir persistence (one shard-NNN/ subdirectory per
+// hub), /stats, /checkpoint — is the same server:
 //
-//	rkm-server -hubs 'people:Person+Admin,places:City' -shard-dir ./data
+//	rkm-server -hubs 'people:Person+Admin,places:City' -data-dir ./data
 //
 //	POST /query    {"query": "...", "hub": "people"}   optional hub pins one shard
-//	POST /execute  {"query": "...", "hub": "people"}   hub is required (writes are per-shard)
-//	GET  /stats                                        per-shard blocks + planCache
+//	POST /execute  {"query": "...", "hub": "people"}   hub is required with more than one shard
 //
-// -shard-dir persists the sharded graph (one WAL stream per shard);
-// -data-dir, -demo, -fed-name and -replica-of are incompatible with -hubs.
+// -demo, -fed-name and -replica-of act on a single graph store and are
+// incompatible with -hubs; a durable -hubs server mounts no /wal endpoints.
 package main
 
 import (
@@ -89,11 +90,7 @@ import (
 )
 
 type server struct {
-	kb *reactive.KnowledgeBase
-	// skb is set instead of kb when the server runs hub-sharded (-hubs);
-	// handlers branch on it. Reads without a hub go cross-shard, writes name
-	// their hub.
-	skb   *reactive.ShardedKB
+	kb    *reactive.KnowledgeBase
 	clock *reactive.ManualClock // nil when running on the wall clock
 	fed   *fednet.Node          // nil unless -fed-name was given
 	// leader serves the /wal replication endpoints of a durable server;
@@ -113,223 +110,239 @@ type server struct {
 	ready atomic.Bool
 }
 
+// options are the command-line settings that shape the serving instance.
+type options struct {
+	demo     bool
+	dataDir  string
+	fsync    string
+	fedName  string
+	fedPeers string
+	fedSync  time.Duration
+
+	asyncWorkers int
+	asyncQueue   int
+	asyncBP      string
+
+	cepDrain time.Duration
+
+	replicaOf string
+	maxLag    time.Duration
+
+	hubs string
+}
+
 func main() {
 	var (
+		o         options
 		addr      = flag.String("addr", ":8080", "listen address")
-		demo      = flag.Bool("demo", false, "load the four-hub COVID-19 demo (uses a simulated clock)")
-		dataDir   = flag.String("data-dir", "", "persist the graph under this directory (empty = in-memory)")
-		fsync     = flag.String("fsync", "always", "WAL fsync policy: always, interval or none")
 		withPprof = flag.Bool("pprof", false, "serve runtime profiles under /debug/pprof/")
-		fedName   = flag.String("fed-name", "", "federation participant name (enables the /fed endpoints)")
-		fedPeers  = flag.String("fed-peers", "", "comma-separated peers to push alerts to, as name=baseURL")
-		fedSync   = flag.Duration("fed-sync", 30*time.Second, "background federation sync period (0 = manual /fed/sync only)")
-
-		asyncWorkers = flag.Int("trigger-async-workers", 2, "async alert pipeline workers (0 = afterAsync rules evaluate synchronously)")
-		asyncQueue   = flag.Int("trigger-async-queue", 1024, "async pending-queue bound")
-		asyncBP      = flag.String("trigger-async-backpressure", "block", "behavior at a full async queue: block or shed")
-
-		cepDrain = flag.Duration("cep-drain", time.Second, "composite-event drain period: how often done/expired partial matches are materialized or evicted (0 = drain only on /tick)")
-
-		replicaOf = flag.String("replica-of", "", "run as a read replica of the leader at this base URL (writes are rejected)")
-		maxLag    = flag.Duration("max-lag", 10*time.Second, "replica staleness bound: /healthz degrades to 503 beyond this time lag (0 = no bound)")
-
-		hubsSpec = flag.String("hubs", "", "run hub-sharded: comma-separated hub declarations, name:Label1+Label2 (one shard per hub)")
-		shardDir = flag.String("shard-dir", "", "persist the sharded graph under this directory, one WAL stream per shard (requires -hubs)")
 	)
+	flag.BoolVar(&o.demo, "demo", false, "load the four-hub COVID-19 demo (uses a simulated clock)")
+	flag.StringVar(&o.dataDir, "data-dir", "", "persist the graph under this directory (empty = in-memory)")
+	flag.StringVar(&o.fsync, "fsync", "always", "WAL fsync policy: always, interval or none")
+	flag.StringVar(&o.fedName, "fed-name", "", "federation participant name (enables the /fed endpoints)")
+	flag.StringVar(&o.fedPeers, "fed-peers", "", "comma-separated peers to push alerts to, as name=baseURL")
+	flag.DurationVar(&o.fedSync, "fed-sync", 30*time.Second, "background federation sync period (0 = manual /fed/sync only)")
+	flag.IntVar(&o.asyncWorkers, "trigger-async-workers", 2, "async alert pipeline workers (0 = afterAsync rules evaluate synchronously)")
+	flag.IntVar(&o.asyncQueue, "trigger-async-queue", 1024, "async pending-queue bound")
+	flag.StringVar(&o.asyncBP, "trigger-async-backpressure", "block", "behavior at a full async queue: block or shed")
+	flag.DurationVar(&o.cepDrain, "cep-drain", time.Second, "composite-event drain period: how often done/expired partial matches are materialized or evicted (0 = drain only on /tick)")
+	flag.StringVar(&o.replicaOf, "replica-of", "", "run as a read replica of the leader at this base URL (writes are rejected)")
+	flag.DurationVar(&o.maxLag, "max-lag", 10*time.Second, "replica staleness bound: /healthz degrades to 503 beyond this time lag (0 = no bound)")
+	flag.StringVar(&o.hubs, "hubs", "", "one graph shard per hub: comma-separated hub declarations, name:Label1+Label2")
 	flag.Parse()
 
-	srv := &server{maxLag: *maxLag}
+	srv, err := start(o)
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv.serve(*addr, *withPprof)
+}
+
+// start opens the knowledge base the options describe and brings up
+// everything that runs beside the HTTP listener; the returned server is
+// ready to serve. Every mode runs the same sequence — open (recovering a
+// durable directory), composite events, demo, federation, async pipeline,
+// replication leader — except a follower, which only mirrors its leader.
+func start(o options) (*server, error) {
+	srv := &server{maxLag: o.maxLag}
 	cfg := reactive.Config{}
-	if *hubsSpec != "" {
-		// Sharded mode: the graph is partitioned by hub; features that assume
-		// one store (demo seeding, federation, replication, the single-store
-		// WAL directory) don't apply to it.
+	var defs []reactive.HubShard
+	if o.hubs != "" {
+		// Demo seeding (schema + Essential Summary), federation and
+		// replication act on one graph store; see reactive.ErrMultiShard.
 		switch {
-		case *demo:
-			log.Fatal("-hubs is incompatible with -demo")
-		case *fedName != "" || *fedPeers != "":
-			log.Fatal("-hubs is incompatible with -fed-name/-fed-peers")
-		case *replicaOf != "":
-			log.Fatal("-hubs is incompatible with -replica-of")
-		case *dataDir != "":
-			log.Fatal("-hubs persists with -shard-dir, not -data-dir")
+		case o.demo:
+			return nil, errors.New("-hubs is incompatible with -demo")
+		case o.fedName != "" || o.fedPeers != "":
+			return nil, errors.New("-hubs is incompatible with -fed-name/-fed-peers")
+		case o.replicaOf != "":
+			return nil, errors.New("-hubs is incompatible with -replica-of")
 		}
-		defs, err := parseHubShards(*hubsSpec)
-		if err != nil {
-			log.Fatalf("-hubs: %v", err)
+		var err error
+		if defs, err = parseHubShards(o.hubs); err != nil {
+			return nil, fmt.Errorf("-hubs: %w", err)
 		}
-		if *shardDir != "" {
-			policy, err := reactive.ParseFsyncPolicy(*fsync)
-			if err != nil {
-				log.Fatalf("-fsync: %v", err)
-			}
-			skb, infos, err := reactive.OpenShardedDurable(*shardDir, cfg, defs, reactive.WALOptions{Fsync: policy})
-			if err != nil {
-				log.Fatalf("open %s: %v", *shardDir, err)
-			}
-			srv.skb = skb
-			for i, info := range infos {
-				if info == nil {
-					continue
-				}
-				log.Printf("recovered shard %d (%s): snapshot seq %d, %d records replayed, last seq %d",
-					i, skb.HubOfShard(i), info.SnapshotSeq, info.RecordsReplayed, info.LastSeq)
-			}
-		} else {
-			skb, err := reactive.NewSharded(cfg, defs)
-			if err != nil {
-				log.Fatalf("-hubs: %v", err)
-			}
-			srv.skb = skb
-		}
-		srv.skb.EnforceHubOwnership()
-		log.Printf("sharded: %d hub(s), one shard each", srv.skb.NumShards())
-		srv.ready.Store(true)
-		srv.serve(*addr, *withPprof)
-		return
 	}
-	if *shardDir != "" {
-		log.Fatal("-shard-dir requires -hubs")
+	policy, err := reactive.ParseFsyncPolicy(o.fsync)
+	if err != nil {
+		return nil, fmt.Errorf("-fsync: %w", err)
 	}
-	if *demo {
+	wopts := reactive.WALOptions{Fsync: policy}
+	if o.demo {
 		srv.clock = reactive.NewManualClock(time.Date(2023, 4, 1, 8, 0, 0, 0, time.UTC))
 		cfg.Clock = srv.clock
 	}
-	if *replicaOf != "" {
+	if o.replicaOf != "" {
 		// A follower mirrors the leader's record stream verbatim: it cannot
 		// seed demo data, join a federation as a distinct participant, or run
 		// local rule evaluation — those all write.
-		if *demo || *fedName != "" {
-			log.Fatal("-replica-of is incompatible with -demo and -fed-name (followers are read-only)")
+		if o.demo || o.fedName != "" {
+			return nil, errors.New("-replica-of is incompatible with -demo and -fed-name (followers are read-only)")
 		}
-		policy, err := reactive.ParseFsyncPolicy(*fsync)
-		if err != nil {
-			log.Fatalf("-fsync: %v", err)
-		}
-		fol, err := replica.OpenFollower(*dataDir, *replicaOf, cfg, replica.Options{
-			WAL:  reactive.WALOptions{Fsync: policy},
+		fol, err := replica.OpenFollower(o.dataDir, o.replicaOf, cfg, replica.Options{
+			WAL:  wopts,
 			Logf: log.Printf,
 		})
 		if err != nil {
-			log.Fatalf("replica of %s: %v", *replicaOf, err)
+			return nil, fmt.Errorf("replica of %s: %w", o.replicaOf, err)
 		}
 		srv.kb = fol.KB()
 		srv.follower = fol
 		fol.Start()
 		log.Printf("replica: following %s from seq %d (durable=%v, max-lag %v)",
-			*replicaOf, fol.KB().ReplicaAppliedSeq(), *dataDir != "", *maxLag)
+			o.replicaOf, fol.KB().ReplicaAppliedSeq(0), o.dataDir != "", o.maxLag)
 		srv.ready.Store(true)
-		srv.serve(*addr, *withPprof)
-		return
+		return srv, nil
+	}
+
+	var infos []*reactive.RecoveryInfo
+	switch {
+	case o.dataDir == "" && defs == nil:
+		srv.kb = reactive.New(cfg)
+	case o.dataDir == "":
+		srv.kb, err = reactive.NewSharded(cfg, defs)
+	case defs == nil:
+		var info *reactive.RecoveryInfo
+		srv.kb, info, err = reactive.OpenDurable(o.dataDir, cfg, wopts)
+		infos = []*reactive.RecoveryInfo{info}
+	default:
+		srv.kb, infos, err = reactive.OpenShardedDurable(o.dataDir, cfg, defs, wopts)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("open knowledge base: %w", err)
 	}
 	recovered := false
-	if *dataDir != "" {
-		policy, err := reactive.ParseFsyncPolicy(*fsync)
-		if err != nil {
-			log.Fatalf("-fsync: %v", err)
+	for i, info := range infos {
+		what := o.dataDir
+		if hub := srv.kb.HubOfShard(i); hub != "" {
+			what = fmt.Sprintf("shard %d (%s)", i, hub)
 		}
-		kb, info, err := reactive.OpenDurable(*dataDir, cfg, reactive.WALOptions{Fsync: policy})
-		if err != nil {
-			log.Fatalf("open %s: %v", *dataDir, err)
-		}
-		srv.kb = kb
-		recovered = info.LastSeq > 0
 		log.Printf("recovered %s: snapshot seq %d, %d records replayed, last seq %d",
-			*dataDir, info.SnapshotSeq, info.RecordsReplayed, info.LastSeq)
+			what, info.SnapshotSeq, info.RecordsReplayed, info.LastSeq)
 		if info.DiscardedBytes > 0 {
 			log.Printf("discarded %d bytes of torn log tail at %s",
 				info.DiscardedBytes, info.DiscardedPath)
 		}
-	} else {
-		srv.kb = reactive.New(cfg)
+		recovered = recovered || info.LastSeq > 0
+	}
+	if defs != nil {
+		// Declared hubs place nodes: an owned label must carry its hub.
+		srv.kb.EnforceHubOwnership()
+		log.Printf("hubs: %d declared, one shard each", srv.kb.NumShards())
 	}
 	// Composite-event rules hook the trigger engine before any demo rules
 	// install; Enable also recovers partial-match state left in the graph by
 	// a previous run.
 	cm, err := cep.Enable(srv.kb, cep.Options{Logf: log.Printf})
 	if err != nil {
-		log.Fatalf("composite events: %v", err)
+		return nil, fmt.Errorf("composite events: %w", err)
 	}
 	srv.cep = cm
 	if n := cm.Recovered(); n > 0 {
 		log.Printf("composite events: recovered %d open partial match(es)", n)
 	}
 
-	if *demo {
+	if o.demo {
 		if err := democovid.Setup(srv.kb); err != nil {
-			log.Fatalf("demo setup: %v", err)
+			return nil, fmt.Errorf("demo setup: %w", err)
 		}
 		// Seed data is regular graph content: after a recovery it is already
 		// there (and re-seeding would duplicate it). Setup above is pure
 		// configuration (hubs, schema, rules) and always reapplies.
 		if !recovered {
 			if err := democovid.Seed(srv.kb); err != nil {
-				log.Fatalf("demo seed: %v", err)
+				return nil, fmt.Errorf("demo seed: %w", err)
 			}
 		}
 	}
 
-	if *fedName != "" {
-		node, err := fednet.NewNode(*fedName, srv.kb, fednet.Options{Logf: log.Printf})
+	if o.fedName != "" {
+		node, err := fednet.NewNode(o.fedName, srv.kb, fednet.Options{Logf: log.Printf})
 		if err != nil {
-			log.Fatalf("federation: %v", err)
+			return nil, fmt.Errorf("federation: %w", err)
 		}
-		peers, err := parseFedPeers(*fedPeers)
+		peers, err := parseFedPeers(o.fedPeers)
 		if err != nil {
-			log.Fatalf("-fed-peers: %v", err)
+			return nil, fmt.Errorf("-fed-peers: %w", err)
 		}
 		for _, p := range peers {
 			if err := node.Subscribe(p.name, p.url); err != nil {
-				log.Fatalf("federation peer %s: %v", p.name, err)
+				return nil, fmt.Errorf("federation peer %s: %w", p.name, err)
 			}
 		}
 		srv.fed = node
-		if *fedSync > 0 {
-			if err := node.Start(*fedSync); err != nil {
-				log.Fatalf("federation sync loop: %v", err)
+		if o.fedSync > 0 {
+			if err := node.Start(o.fedSync); err != nil {
+				return nil, fmt.Errorf("federation sync loop: %w", err)
 			}
 		}
-		log.Printf("federation: participating as %q with %d peer(s)", *fedName, len(peers))
-	} else if *fedPeers != "" {
-		log.Fatal("-fed-peers requires -fed-name")
+		log.Printf("federation: participating as %q with %d peer(s)", o.fedName, len(peers))
+	} else if o.fedPeers != "" {
+		return nil, errors.New("-fed-peers requires -fed-name")
 	}
 
-	if *asyncWorkers > 0 {
-		bp, err := reactive.ParseBackpressure(*asyncBP)
+	if o.asyncWorkers > 0 {
+		bp, err := reactive.ParseBackpressure(o.asyncBP)
 		if err != nil {
-			log.Fatalf("-trigger-async-backpressure: %v", err)
+			return nil, fmt.Errorf("-trigger-async-backpressure: %w", err)
 		}
 		opts := reactive.AsyncOptions{
-			Workers: *asyncWorkers, QueueLimit: *asyncQueue, Backpressure: bp,
+			Workers: o.asyncWorkers, QueueLimit: o.asyncQueue, Backpressure: bp,
 		}
 		if err := srv.kb.StartAsync(opts); err != nil {
-			log.Fatalf("async pipeline: %v", err)
+			return nil, fmt.Errorf("async pipeline: %w", err)
 		}
 		if pending := srv.kb.AsyncDepth(); pending > 0 {
 			log.Printf("async pipeline: draining %d pending alert(s) recovered from the log", pending)
 		}
 		log.Printf("async pipeline: %d worker(s), queue %d, %s backpressure",
-			*asyncWorkers, *asyncQueue, bp)
+			o.asyncWorkers, o.asyncQueue, bp)
 	}
 
 	if srv.kb.Durable() {
 		// Every durable server is a potential replication leader: followers
 		// attach with -replica-of pointed at this server's /wal endpoints.
+		// Shipping several shard streams is not ported yet.
 		ld, err := replica.NewLeader(srv.kb, replica.Options{Logf: log.Printf})
-		if err != nil {
-			log.Fatalf("replication leader: %v", err)
+		switch {
+		case errors.Is(err, reactive.ErrMultiShard):
+			log.Printf("replication: /wal endpoints not mounted: %v", err)
+		case err != nil:
+			return nil, fmt.Errorf("replication leader: %w", err)
+		default:
+			srv.leader = ld
 		}
-		srv.leader = ld
 	}
 
-	if *cepDrain > 0 {
-		if err := cm.Start(*cepDrain); err != nil {
-			log.Fatalf("composite-event drain loop: %v", err)
+	if o.cepDrain > 0 {
+		if err := cm.Start(o.cepDrain); err != nil {
+			return nil, fmt.Errorf("composite-event drain loop: %w", err)
 		}
 	}
 
 	srv.ready.Store(true) // recovery and seeding are done; serving can begin
-	srv.serve(*addr, *withPprof)
+	return srv, nil
 }
 
 // serve runs the HTTP server, the scheduler driver and the graceful
@@ -343,42 +356,24 @@ func (s *server) serve(addr string, withPprof bool) {
 	hs := &http.Server{Addr: addr, Handler: mux}
 
 	// On the wall clock the summary scheduler needs a driver; with -demo the
-	// clock is manual and /tick drives it instead. A sharded server has no
-	// scheduler — instead its afterAsync pending queue needs a drain loop
-	// (the unsharded async pipeline's workers play that role).
+	// clock is manual and /tick drives it instead.
 	stopSched := make(chan struct{})
 	schedDone := make(chan struct{})
-	switch {
-	case s.skb != nil:
-		go func() {
-			defer close(schedDone)
-			t := time.NewTicker(time.Second)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopSched:
-					return
-				case <-t.C:
-					if _, err := s.skb.DrainAsync(); err != nil {
-						log.Printf("async drain: %v", err)
-					}
-				}
-			}
-		}()
-	case s.clock == nil:
+	if s.clock == nil {
 		go func() {
 			defer close(schedDone)
 			if err := s.kb.Scheduler().Run(stopSched, time.Second); err != nil {
 				log.Printf("scheduler: %v", err)
 			}
 		}()
-	default:
+	} else {
 		close(schedDone)
 	}
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.ListenAndServe() }()
-	log.Printf("rkm-server listening on %s (role=%s, durable=%v)", addr, s.role(), s.durable())
+	log.Printf("rkm-server listening on %s (role=%s, shards=%d, durable=%v)",
+		addr, s.kb.Role(), s.kb.NumShards(), s.kb.Durable())
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
@@ -396,6 +391,11 @@ func (s *server) serve(addr string, withPprof bool) {
 	}
 	close(stopSched)
 	<-schedDone
+	s.stop()
+}
+
+// stop halts what start brought up and leaves a durable directory compacted.
+func (s *server) stop() {
 	// Stop the replication stream before the final checkpoint so no apply
 	// batch races the log compaction; the durable apply cursor resumes the
 	// stream on the next start.
@@ -407,17 +407,6 @@ func (s *server) serve(addr string, withPprof bool) {
 	// stay in the graph and recover on the next start.
 	if s.cep != nil {
 		s.cep.Stop()
-	}
-	if s.skb != nil {
-		if s.skb.Durable() {
-			if err := s.skb.Checkpoint(); err != nil {
-				log.Printf("final checkpoint: %v", err)
-			}
-			if err := s.skb.Close(); err != nil {
-				log.Printf("close: %v", err)
-			}
-		}
-		return
 	}
 	// Stop the async workers before the final checkpoint so no follow-up
 	// transaction races the log compaction; unprocessed pending entries stay
@@ -431,22 +420,6 @@ func (s *server) serve(addr string, withPprof bool) {
 			log.Printf("close: %v", err)
 		}
 	}
-}
-
-// role and durable read the serving instance — sharded or not — so shared
-// code paths don't branch on which one is set.
-func (s *server) role() string {
-	if s.skb != nil {
-		return s.skb.Role()
-	}
-	return s.kb.Role()
-}
-
-func (s *server) durable() bool {
-	if s.skb != nil {
-		return s.skb.Durable()
-	}
-	return s.kb.Durable()
 }
 
 func (s *server) register(mux *http.ServeMux) {
@@ -553,9 +526,9 @@ func registerPprof(mux *http.ServeMux) {
 type statementRequest struct {
 	Query  string         `json:"query"`
 	Params map[string]any `json:"params"`
-	// Hub pins a statement to one hub's shard on a sharded server: required
-	// for /execute (writes are per-shard), optional for /query (absent means
-	// cross-shard). Ignored on an unsharded server.
+	// Hub pins a statement to one hub's shard: required for /execute once
+	// there is more than one shard (writes are per-shard), optional for
+	// /query (absent means the whole graph).
 	Hub string `json:"hub"`
 }
 
@@ -627,12 +600,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var res *reactive.Result
-	switch {
-	case s.skb != nil && req.Hub != "":
-		res, err = s.skb.QueryInHub(req.Hub, req.Query, reactive.Params(req.Params))
-	case s.skb != nil:
-		res, err = s.skb.Query(req.Query, reactive.Params(req.Params))
-	default:
+	if req.Hub != "" {
+		res, err = s.kb.QueryInHub(req.Hub, req.Query, reactive.Params(req.Params))
+	} else {
 		res, err = s.kb.Query(req.Query, reactive.Params(req.Params))
 	}
 	if err != nil {
@@ -652,12 +622,8 @@ func (s *server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		res *reactive.Result
 		rep *reactive.Report
 	)
-	if s.skb != nil {
-		if req.Hub == "" {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf(`sharded execute requires "hub" (writes are per-shard)`))
-			return
-		}
-		res, rep, err = s.skb.ExecuteInHub(req.Hub, req.Query, reactive.Params(req.Params))
+	if req.Hub != "" {
+		res, rep, err = s.kb.ExecuteInHub(req.Hub, req.Query, reactive.Params(req.Params))
 	} else {
 		res, rep, err = s.kb.ExecuteReport(req.Query, reactive.Params(req.Params))
 	}
@@ -681,15 +647,7 @@ func (s *server) handleExecute(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	var (
-		alerts []reactive.Alert
-		err    error
-	)
-	if s.skb != nil {
-		alerts, err = s.skb.Alerts()
-	} else {
-		alerts, err = s.kb.Alerts()
-	}
+	alerts, err := s.kb.Alerts()
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -741,14 +699,8 @@ func (s *server) handleRulesList(w http.ResponseWriter, r *http.Request) {
 		Composite bool   `json:"composite,omitempty"`
 		Text      string `json:"text,omitempty"`
 	}
-	infos := func() []reactive.RuleInfo {
-		if s.skb != nil {
-			return s.skb.Rules()
-		}
-		return s.kb.Rules()
-	}()
 	var out []ruleJSON
-	for _, info := range infos {
+	for _, info := range s.kb.Rules() {
 		if s.cep != nil && s.cep.Owns(info.Name) {
 			continue // internal per-step rule of a composite; listed below
 		}
@@ -796,7 +748,7 @@ func (s *server) handleRuleInstall(w http.ResponseWriter, r *http.Request) {
 		// manager; anything else is an ordinary trigger.
 		if cep.IsCompositeStatement(req.Text) {
 			if s.cep == nil {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("composite rules are not available on a %s", s.role()))
+				writeErr(w, http.StatusBadRequest, fmt.Errorf("composite rules are not available on a %s", s.kb.Role()))
 				return
 			}
 			rule, err := s.cep.InstallText(req.Text)
@@ -807,15 +759,7 @@ func (s *server) handleRuleInstall(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusCreated, map[string]any{"installed": rule.Name, "composite": true})
 			return
 		}
-		var (
-			rule reactive.Rule
-			err  error
-		)
-		if s.skb != nil {
-			rule, err = s.skb.InstallRuleText(req.Text)
-		} else {
-			rule, err = s.kb.InstallRuleText(req.Text)
-		}
+		rule, err := s.kb.InstallRuleText(req.Text)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
@@ -842,12 +786,7 @@ func (s *server) handleRuleInstall(w http.ResponseWriter, r *http.Request) {
 		Alert:  req.Alert,
 		Action: req.Action,
 	}
-	if s.skb != nil {
-		err = s.skb.InstallRule(rule)
-	} else {
-		err = s.kb.InstallRule(rule)
-	}
-	if err != nil {
+	if err := s.kb.InstallRule(rule); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -868,13 +807,7 @@ func (s *server) handleRuleDrop(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"dropped": name})
 		return
 	}
-	var err error
-	if s.skb != nil {
-		err = s.skb.DropRule(name)
-	} else {
-		err = s.kb.DropRule(name)
-	}
-	if err != nil {
+	if err := s.kb.DropRule(name); err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
@@ -884,12 +817,7 @@ func (s *server) handleRuleDrop(w http.ResponseWriter, r *http.Request) {
 // handleRulesAPOC exports the rule set as Neo4j APOC trigger calls
 // (Fig. 6/7 translation).
 func (s *server) handleRulesAPOC(w http.ResponseWriter, r *http.Request) {
-	var translated, skipped []string
-	if s.skb != nil {
-		translated, skipped = s.skb.TranslateRulesAPOC("neo4j", "before")
-	} else {
-		translated, skipped = s.kb.TranslateRulesAPOC("neo4j", "before")
-	}
+	translated, skipped := s.kb.TranslateRulesAPOC("neo4j", "before")
 	if s.cep != nil {
 		// The composite manager's internal per-step rules translate as part
 		// of the composite export below, not as standalone triggers.
@@ -927,12 +855,7 @@ func (s *server) handleHubs(w http.ResponseWriter, r *http.Request) {
 		Labels      []string `json:"labels"`
 	}
 	var out []hubJSON
-	reg := func() *reactive.HubRegistry {
-		if s.skb != nil {
-			return s.skb.Hubs()
-		}
-		return s.kb.Hubs()
-	}()
+	reg := s.kb.Hubs()
 	for _, h := range reg.Hubs() {
 		out = append(out, hubJSON{Name: h.Name, Description: h.Description,
 			Labels: reg.OwnedLabels(h.Name)})
@@ -940,16 +863,34 @@ func (s *server) handleHubs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// handleStats reports graph totals (a knowledge bridge counts once although
+// both endpoint shards store it), the hub partitioning, one block per shard,
+// and the queue and plan-cache counters — the same keys whatever the number
+// of shards.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if s.skb != nil {
-		s.handleShardedStats(w)
-		return
-	}
 	g := s.kb.GraphStats()
 	hs, err := s.kb.HubStats()
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
+	}
+	perShard := make([]map[string]any, s.kb.NumShards())
+	for i := range perShard {
+		st := s.kb.Shards().Shard(i).Stats()
+		perShard[i] = map[string]any{
+			"shard":         i,
+			"hub":           s.kb.HubOfShard(i),
+			"nodes":         st.Nodes,
+			"relationships": st.Relationships,
+			"labels":        st.Labels,
+			"relTypes":      st.RelTypes,
+			"indexes":       st.Indexes,
+		}
+	}
+	pc := s.kb.PlanCacheStats()
+	ratio := 0.0
+	if total := pc.Hits + pc.Misses; total > 0 {
+		ratio = float64(pc.Hits) / float64(total)
 	}
 	out := map[string]any{
 		"nodes":         g.Nodes,
@@ -961,21 +902,18 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"unassigned":    hs.Unassigned,
 		"intraHubEdges": hs.IntraEdges,
 		"interHubEdges": hs.InterEdges,
+		"shards":        len(perShard),
+		"perShard":      perShard,
 		"asyncPending":  s.kb.AsyncDepth(),
 		"time":          s.kb.Now().Format(time.RFC3339),
 		"role":          s.kb.Role(),
-	}
-	pc := s.kb.PlanCacheStats()
-	ratio := 0.0
-	if total := pc.Hits + pc.Misses; total > 0 {
-		ratio = float64(pc.Hits) / float64(total)
-	}
-	out["planCache"] = map[string]any{
-		"size":      pc.Size,
-		"hits":      pc.Hits,
-		"misses":    pc.Misses,
-		"evictions": pc.Evictions,
-		"hitRatio":  ratio,
+		"planCache": map[string]any{
+			"size":      pc.Size,
+			"hits":      pc.Hits,
+			"misses":    pc.Misses,
+			"evictions": pc.Evictions,
+			"hitRatio":  ratio,
+		},
 	}
 	if s.cep != nil {
 		out["cepPartials"] = s.cep.Depth()
@@ -987,67 +925,11 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleShardedStats is /stats on a sharded server: aggregate totals, one
-// block per shard (its hub, store sizes), and the shared plan cache's
-// counters.
-func (s *server) handleShardedStats(w http.ResponseWriter) {
-	kb := s.skb
-	// Totals come from the multi-shard view's mirror-aware counters: a
-	// knowledge bridge stores a half in both endpoint shards, so summing
-	// the raw per-shard record counts would count it twice.
-	var totalNodes, totalRels int
-	_ = kb.View(func(v *reactive.MultiView) error {
-		totalNodes, totalRels = v.NodeCount(), v.RelCount()
-		return nil
-	})
-	perShard := make([]map[string]any, 0, kb.NumShards())
-	for i := 0; i < kb.NumShards(); i++ {
-		st := kb.Store().Shard(i).Stats()
-		perShard = append(perShard, map[string]any{
-			"shard":         i,
-			"hub":           kb.HubOfShard(i),
-			"nodes":         st.Nodes,
-			"relationships": st.Relationships,
-			"labels":        st.Labels,
-			"relTypes":      st.RelTypes,
-			"indexes":       st.Indexes,
-		})
-	}
-	out := map[string]any{
-		"nodes":         totalNodes,
-		"relationships": totalRels,
-		"shards":        kb.NumShards(),
-		"perShard":      perShard,
-		"asyncPending":  kb.AsyncDepth(),
-		"time":          kb.Now().Format(time.RFC3339),
-		"role":          kb.Role(),
-	}
-	pc := kb.PlanCacheStats()
-	ratio := 0.0
-	if total := pc.Hits + pc.Misses; total > 0 {
-		ratio = float64(pc.Hits) / float64(total)
-	}
-	out["planCache"] = map[string]any{
-		"size":      pc.Size,
-		"hits":      pc.Hits,
-		"misses":    pc.Misses,
-		"evictions": pc.Evictions,
-		"hitRatio":  ratio,
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
 // handleMetrics serves the Prometheus text exposition of every registered
 // metric (see OBSERVABILITY.md for the catalog).
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	reg := func() *reactive.MetricsRegistry {
-		if s.skb != nil {
-			return s.skb.Metrics()
-		}
-		return s.kb.Metrics()
-	}()
-	if err := reg.WritePrometheus(w); err != nil {
+	if err := s.kb.Metrics().WritePrometheus(w); err != nil {
 		log.Printf("metrics: %v", err)
 	}
 }
@@ -1059,11 +941,11 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "starting", "role": s.role(),
+			"status": "starting", "role": s.kb.Role(),
 		})
 		return
 	}
-	out := map[string]any{"status": "ok", "role": s.role()}
+	out := map[string]any{"status": "ok", "role": s.kb.Role()}
 	if s.follower != nil {
 		recs, secs := s.follower.Lag()
 		out["lagRecords"] = recs
@@ -1078,34 +960,26 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// handleCheckpoint snapshots every shard at one consistent cut and replies
+// with each stream's position; lastSeq repeats it for the one-stream case.
 func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if !s.durable() {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("checkpoint requires -data-dir or -shard-dir (durable mode)"))
-		return
-	}
-	if s.skb != nil {
-		if err := s.skb.Checkpoint(); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		seqs := make([]uint64, s.skb.NumShards())
-		for i := range seqs {
-			seqs[i] = s.skb.WAL().Log(i).LastSeq()
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"checkpointed": true,
-			"lastSeqs":     seqs,
-		})
+	if !s.kb.Durable() {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("checkpoint requires -data-dir (durable mode)"))
 		return
 	}
 	if err := s.kb.Checkpoint(); err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"checkpointed": true,
-		"lastSeq":      s.kb.WAL().LastSeq(),
-	})
+	seqs := make([]uint64, s.kb.NumShards())
+	for i := range seqs {
+		seqs[i] = s.kb.WALSet().Log(i).LastSeq()
+	}
+	out := map[string]any{"checkpointed": true, "lastSeqs": seqs}
+	if len(seqs) == 1 {
+		out["lastSeq"] = seqs[0]
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *server) handleTick(w http.ResponseWriter, r *http.Request) {

@@ -3,7 +3,7 @@ package bench
 // XShard series: reading across hub borders. The same bridge-heavy sharded
 // graph is queried two ways:
 //
-//   - cross:  one ShardedKB.Query — the engine pins every shard's snapshot,
+//   - cross:  one cross-shard Query — the engine pins every shard's snapshot,
 //     plans against cardinalities aggregated over all shards, and executes
 //     once over the multi-shard view. A knowledge bridge is stored in both
 //     endpoint shards but bound exactly once.
@@ -94,7 +94,7 @@ const xshardQuery = "MATCH (:Item)-[r:LINK]->() RETURN id(r)"
 // buildXShard seeds a sharded knowledge base: per shard, NodesPerHub
 // :Item nodes and IntraRels intra-shard LINKs; between each adjacent shard
 // pair, Bridges LINK bridges.
-func buildXShard(cfg XShardConfig, hubs int) (*core.ShardedKB, error) {
+func buildXShard(cfg XShardConfig, hubs int) (*core.KnowledgeBase, error) {
 	kb, err := core.NewSharded(
 		core.Config{Clock: periodic.NewManualClock(simStart)}, shardHubs(hubs))
 	if err != nil {
@@ -146,7 +146,7 @@ func buildXShard(cfg XShardConfig, hubs int) (*core.ShardedKB, error) {
 
 // xshardFanout runs the query once per hub and merges, deduping by the
 // returned relationship ID.
-func xshardFanout(kb *core.ShardedKB, hubs int) (int, error) {
+func xshardFanout(kb *core.KnowledgeBase, hubs int) (int, error) {
 	seen := make(map[string]bool)
 	for s := 0; s < hubs; s++ {
 		res, err := kb.QueryInHub(fmt.Sprintf("H%d", s), xshardQuery, nil)

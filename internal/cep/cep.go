@@ -12,8 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cypher"
 	"repro/internal/graph"
-	"repro/internal/metrics"
-	"repro/internal/periodic"
 	"repro/internal/trigger"
 	"repro/internal/value"
 )
@@ -57,73 +55,11 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// host abstracts the per-queue surface the manager needs, so one automaton
-// serves both a KnowledgeBase (one queue) and a ShardedKB (one queue per
-// hub shard, with per-shard partial state — composite rules correlate
-// within a shard, as the async pipeline does).
-type host interface {
-	queues() int
-	view(q int, fn func(tx *graph.Tx) error) error
-	update(q int, fn func(tx *graph.Tx) error) error
-	engine() *trigger.Engine
-	clock() periodic.Clock
-	registry() *metrics.Registry
-	createIndex(label, prop string) error
-	partialCount() int
-}
-
-type kbHost struct{ kb *core.KnowledgeBase }
-
-func (h kbHost) queues() int { return 1 }
-func (h kbHost) view(_ int, fn func(tx *graph.Tx) error) error {
-	return h.kb.Store().View(fn)
-}
-func (h kbHost) update(_ int, fn func(tx *graph.Tx) error) error {
-	_, err := h.kb.WriteTx(fn)
-	return err
-}
-func (h kbHost) engine() *trigger.Engine     { return h.kb.Engine() }
-func (h kbHost) clock() periodic.Clock       { return h.kb.Clock() }
-func (h kbHost) registry() *metrics.Registry { return h.kb.Metrics() }
-func (h kbHost) createIndex(label, prop string) error {
-	return h.kb.CreateIndex(label, prop)
-}
-func (h kbHost) partialCount() int { return h.kb.Store().LabelCount(PartialLabel) }
-
-type shardHost struct{ kb *core.ShardedKB }
-
-func (h shardHost) queues() int { return h.kb.NumShards() }
-func (h shardHost) view(q int, fn func(tx *graph.Tx) error) error {
-	return h.kb.ViewShard(q, fn)
-}
-func (h shardHost) update(q int, fn func(tx *graph.Tx) error) error {
-	_, err := h.kb.UpdateShard(q, fn)
-	return err
-}
-func (h shardHost) engine() *trigger.Engine     { return h.kb.Engine() }
-func (h shardHost) clock() periodic.Clock       { return h.kb.Clock() }
-func (h shardHost) registry() *metrics.Registry { return h.kb.Metrics() }
-func (h shardHost) createIndex(label, prop string) error {
-	for i := 0; i < h.kb.Store().NumShards(); i++ {
-		if err := h.kb.Store().Shard(i).CreateIndex(label, prop); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-func (h shardHost) partialCount() int {
-	n := 0
-	for i := 0; i < h.kb.Store().NumShards(); i++ {
-		n += h.kb.Store().Shard(i).LabelCount(PartialLabel)
-	}
-	return n
-}
-
 // Manager runs composite-event rules over one knowledge base: it installs
 // their compiled step rules, advances durable partial-match state from the
 // engine's StepSink, and drains completed or expired partials into alerts.
 type Manager struct {
-	h    host
+	kb   *core.KnowledgeBase
 	opts Options
 	m    cepMetrics
 
@@ -142,42 +78,33 @@ type Manager struct {
 // Enable attaches composite-event support to a knowledge base: it
 // registers the CEPPartial skip label and lookup index, wires the
 // rkm_cep_* metrics, installs the engine StepSink, and counts any partial
-// matches recovered from a previous run. Call it after New/OpenDurable and
-// before the first write (the sink and skip label must not change under
-// concurrent transactions); refused on replication followers, whose
-// partial state arrives from the leader.
+// matches recovered from a previous run. Call it after the knowledge base
+// is opened and before the first write (the sink and skip label must not
+// change under concurrent transactions); refused on replication followers,
+// whose partial state arrives from the leader.
+//
+// Partial-match state lives in the shard whose transaction wrote the
+// occurrence, so with more than one shard a composite rule correlates
+// within a shard — as the async pipeline's queue does — and the drain
+// visits every shard.
 func Enable(kb *core.KnowledgeBase, opts Options) (*Manager, error) {
-	if kb.Role() == "follower" {
-		return nil, core.ErrFollower
-	}
-	return newManager(kbHost{kb}, opts)
-}
-
-// EnableSharded is Enable for a hub-sharded knowledge base. Partial-match
-// state is kept per shard (each occurrence correlates within the shard its
-// transaction wrote), mirroring the per-shard async queues.
-func EnableSharded(kb *core.ShardedKB, opts Options) (*Manager, error) {
 	if kb.Follower() {
 		return nil, core.ErrFollower
 	}
-	return newManager(shardHost{kb}, opts)
-}
-
-func newManager(h host, opts Options) (*Manager, error) {
-	eng := h.engine()
+	eng := kb.Engine()
 	if eng.StepSink != nil {
 		return nil, ErrEnabled
 	}
-	m := &Manager{h: h, opts: opts, rules: make(map[string]*compiledRule)}
+	m := &Manager{kb: kb, opts: opts, rules: make(map[string]*compiledRule)}
 	if eng.SkipLabels == nil {
 		eng.SkipLabels = make(map[string]bool)
 	}
 	eng.SkipLabels[PartialLabel] = true
-	if err := h.createIndex(PartialLabel, propPKey); err != nil {
+	if err := kb.CreateIndex(PartialLabel, propPKey); err != nil {
 		return nil, fmt.Errorf("cep: create partial index: %w", err)
 	}
-	m.wireMetrics(h.registry())
-	m.recovered = h.partialCount()
+	m.wireMetrics(kb.Metrics())
+	m.recovered = m.Depth()
 	m.m.recovered.Add(int64(m.recovered))
 	eng.StepSink = m.step
 	return m, nil
@@ -205,7 +132,7 @@ func (m *Manager) Recovered() int { return m.recovered }
 
 // Depth returns the number of partial-match nodes currently on the graph
 // (open and completed-but-undrained).
-func (m *Manager) Depth() int { return m.h.partialCount() }
+func (m *Manager) Depth() int { return m.kb.Shards().LabelCount(PartialLabel) }
 
 // ---- rule management ----
 
@@ -221,7 +148,7 @@ func (m *Manager) Install(r Rule) error {
 	if _, dup := m.rules[r.Name]; dup {
 		return fmt.Errorf("%w: %s", ErrRuleExists, r.Name)
 	}
-	eng := m.h.engine()
+	eng := m.kb.Engine()
 	installed := make([]string, 0, len(cr.Steps))
 	for _, sr := range cr.stepRules() {
 		if err := eng.Install(sr); err != nil {
@@ -257,7 +184,7 @@ func (m *Manager) Drop(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrRuleNotFound, name)
 	}
-	eng := m.h.engine()
+	eng := m.kb.Engine()
 	for i := range cr.Steps {
 		_ = eng.Drop(stepRuleName(name, i))
 	}
@@ -320,7 +247,7 @@ func (m *Manager) step(tx *graph.Tx, item trigger.StepItem) error {
 	}
 	m.onCommit(tx, func() { m.m.steps.Inc() })
 
-	now := m.h.clock().Now()
+	now := m.kb.Now()
 	key := ""
 	if ke := cr.keys[item.Step]; ke != nil {
 		v, err := ke.Eval(tx, &cypher.Options{
@@ -635,7 +562,7 @@ func pruneTimes(times []int64, cutoff time.Time) []int64 {
 // ---- the drain: resolving completed and expired partials ----
 
 // DrainOnce resolves every completed or expired partial match across all
-// queues, each in its own follow-up transaction that deletes the partial
+// shards, each in its own follow-up transaction that deletes the partial
 // node and (for completions) materializes the composite alert atomically.
 // It returns the number of partials resolved. Safe to call concurrently
 // with writers and with the background loop; deterministic tests drive it
@@ -643,8 +570,8 @@ func pruneTimes(times []int64, cutoff time.Time) []int64 {
 func (m *Manager) DrainOnce() (int, error) {
 	processed := 0
 	var errs []error
-	for q := 0; q < m.h.queues(); q++ {
-		now := m.h.clock().Now()
+	for q := 0; q < m.kb.NumShards(); q++ {
+		now := m.kb.Now()
 		ids, err := m.collect(q, now)
 		if err != nil {
 			errs = append(errs, err)
@@ -661,11 +588,11 @@ func (m *Manager) DrainOnce() (int, error) {
 	return processed, errors.Join(errs...)
 }
 
-// collect lists the partials of one queue that are ready to resolve:
+// collect lists the partials of one shard that are ready to resolve:
 // completed, past their window, or orphaned by a dropped rule.
 func (m *Manager) collect(q int, now time.Time) ([]graph.NodeID, error) {
 	var out []graph.NodeID
-	err := m.h.view(q, func(tx *graph.Tx) error {
+	err := m.kb.ViewShard(q, func(tx *graph.Tx) error {
 		for _, id := range tx.NodesByLabel(PartialLabel) {
 			if m.boolProp(tx, id, propDone) {
 				out = append(out, id)
@@ -694,11 +621,11 @@ func (m *Manager) collect(q int, now time.Time) ([]graph.NodeID, error) {
 // to still be live (e.g. a count window that merely slid).
 func (m *Manager) resolve(q int, id graph.NodeID) (int, error) {
 	n := 0
-	err := m.h.update(q, func(tx *graph.Tx) error {
+	_, err := m.kb.UpdateShard(q, func(tx *graph.Tx) error {
 		if !tx.NodeExists(id) {
 			return nil // another drain got here first
 		}
-		now := m.h.clock().Now()
+		now := m.kb.Now()
 		ruleName := m.strProp(tx, id, propRule)
 		m.mu.RLock()
 		cr := m.rules[ruleName]
@@ -787,7 +714,7 @@ func (m *Manager) complete(tx *graph.Tx, cr *compiledRule, id graph.NodeID) erro
 		return err
 	}
 
-	now := m.h.clock().Now()
+	now := m.kb.Now()
 	bind := trigger.Binding{
 		"RULE":      value.Str(cr.Name),
 		"KEY":       key,

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/periodic"
 	"repro/internal/trigger"
+	"repro/internal/wal"
 )
 
 var cepT0 = time.Date(2023, 4, 1, 8, 0, 0, 0, time.UTC)
@@ -565,7 +566,7 @@ func TestCEPSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := EnableSharded(kb, Options{})
+	m, err := Enable(kb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,17 +610,18 @@ func TestCEPSharded(t *testing.T) {
 }
 
 func TestCEPShardedFollowerRefused(t *testing.T) {
-	kb, err := core.NewSharded(core.Config{Clock: periodic.NewManualClock(cepT0)},
+	kb, _, err := core.OpenShardedDurableFollower(t.TempDir(),
+		core.Config{Clock: periodic.NewManualClock(cepT0)},
 		[]core.HubShard{
 			{Hub: "P", Description: "payments", Labels: []string{"Txn"}},
 			{Hub: "M", Description: "merchants", Labels: []string{"Merchant"}},
-		})
+		}, wal.Options{Fsync: wal.FsyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kb.SetFollowerMode(true)
-	if _, err := EnableSharded(kb, Options{}); !errors.Is(err, core.ErrFollower) {
-		t.Fatalf("EnableSharded on follower = %v, want ErrFollower", err)
+	defer kb.Close()
+	if _, err := Enable(kb, Options{}); !errors.Is(err, core.ErrFollower) {
+		t.Fatalf("Enable on a sharded follower = %v, want ErrFollower", err)
 	}
 }
 

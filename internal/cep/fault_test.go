@@ -275,7 +275,7 @@ func TestCEPFaultShardedCrashRecovery(t *testing.T) {
 		{Hub: "P", Description: "payments", Labels: []string{"E0", "E1"}},
 		{Hub: "M", Description: "merchants", Labels: []string{"Merchant"}},
 	}
-	open := func(dir string, at time.Time) (*core.ShardedKB, *Manager) {
+	open := func(dir string, at time.Time) (*core.KnowledgeBase, *Manager) {
 		t.Helper()
 		kb, _, err := core.OpenShardedDurable(dir,
 			core.Config{Clock: periodic.NewManualClock(at)}, hubs,
@@ -284,7 +284,7 @@ func TestCEPFaultShardedCrashRecovery(t *testing.T) {
 			t.Fatalf("OpenShardedDurable: %v", err)
 		}
 		t.Cleanup(func() { _ = kb.Close() })
-		m, err := EnableSharded(kb, Options{})
+		m, err := Enable(kb, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,7 +43,7 @@ func (m *Manager) wireMetrics(reg *metrics.Registry) {
 	}
 	reg.GaugeFunc(mPartialsOpen,
 		"Durable partial-match nodes currently on the graph (open and completed-but-undrained).",
-		func() float64 { return float64(m.h.partialCount()) })
+		func() float64 { return float64(m.Depth()) })
 	m.m.opened = reg.Counter(mOpened, "Partial matches opened.")
 	m.m.steps = reg.Counter(mSteps, "Composite-step occurrences handled by the automaton.")
 	m.m.completed = reg.Counter(mCompleted, "Partial matches completed (composite event detected).")

@@ -26,6 +26,11 @@ package core
 // to the same worker — so alerts of a given rule materialize in the order
 // their activations committed (per-rule ordered delivery). No ordering is
 // guaranteed across rules.
+//
+// Shards: an entry lives in the shard whose transaction staged it, rides
+// that shard's WAL stream, and is evaluated against and consumed in that
+// shard (identifier bands name it). The scanner, DrainAsync, the queue
+// bound and the depth gauge all span every shard's queue.
 
 import (
 	"errors"
@@ -99,8 +104,9 @@ const (
 type AsyncOptions struct {
 	// Workers is the number of evaluation goroutines. 0 means
 	// DefaultAsyncWorkers; negative means enqueue-only — activations are
-	// staged durably but nothing drains them until a later StartAsync with
-	// workers (fault-injection tests freeze the queue this way).
+	// staged durably but nothing drains them until DrainAsync or a later
+	// StartAsync with workers (fault-injection tests freeze the queue this
+	// way).
 	Workers int
 	// QueueLimit bounds the pending queue (0 = DefaultAsyncQueueLimit).
 	QueueLimit int
@@ -111,7 +117,8 @@ type AsyncOptions struct {
 // ErrAsyncRunning is returned by StartAsync when the pipeline already runs.
 var ErrAsyncRunning = errors.New("core: async pipeline already running")
 
-// pendingEntry is one dequeued PendingAlert node.
+// pendingEntry is one dequeued PendingAlert node; its identifier's band
+// names the shard it is queued in.
 type pendingEntry struct {
 	id      graph.NodeID
 	rule    string
@@ -125,7 +132,6 @@ type pendingEntry struct {
 type asyncPipeline struct {
 	kb   *KnowledgeBase
 	opts AsyncOptions
-	m    asyncMetrics
 
 	wake chan struct{} // coalesced scanner kick
 	stop chan struct{}
@@ -163,7 +169,6 @@ func (kb *KnowledgeBase) StartAsync(opts AsyncOptions) error {
 	p := &asyncPipeline{
 		kb:       kb,
 		opts:     opts,
-		m:        kb.asyncM,
 		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		inflight: make(map[graph.NodeID]bool),
@@ -173,8 +178,8 @@ func (kb *KnowledgeBase) StartAsync(opts AsyncOptions) error {
 	if !kb.async.CompareAndSwap(nil, p) {
 		return ErrAsyncRunning
 	}
-	if recovered := kb.store.LabelCount(PendingAlertLabel); recovered > 0 {
-		p.m.recovered.Add(int64(recovered))
+	if recovered := kb.AsyncDepth(); recovered > 0 {
+		kb.asyncM.recovered.Add(int64(recovered))
 	}
 	if opts.Workers > 0 {
 		p.workers = make([]chan pendingEntry, opts.Workers)
@@ -208,7 +213,8 @@ func (kb *KnowledgeBase) StopAsync() {
 	p.wg.Wait()
 }
 
-// AsyncDepth returns the number of PendingAlert entries on the queue.
+// AsyncDepth returns the number of PendingAlert entries queued across all
+// shards.
 func (kb *KnowledgeBase) AsyncDepth() int {
 	return kb.store.LabelCount(PendingAlertLabel)
 }
@@ -237,8 +243,7 @@ func (kb *KnowledgeBase) WaitAsyncIdle(timeout time.Duration) error {
 func (p *asyncPipeline) idle() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.inflight) == 0 &&
-		p.kb.store.LabelCount(PendingAlertLabel) <= len(p.parked)
+	return len(p.inflight) == 0 && p.kb.AsyncDepth() <= len(p.parked)
 }
 
 // asyncEnqueue is the engine's AsyncSink: called inside the writing
@@ -250,9 +255,8 @@ func (kb *KnowledgeBase) asyncEnqueue(tx *graph.Tx, item trigger.AsyncItem) (boo
 	if p == nil {
 		return false, trigger.ErrAsyncFallback
 	}
-	if p.opts.Backpressure == ShedOnFull &&
-		tx.CountByLabel(PendingAlertLabel) >= p.opts.QueueLimit {
-		p.m.shed.Inc()
+	if p.opts.Backpressure == ShedOnFull && kb.pendingDepth(tx) >= p.opts.QueueLimit {
+		kb.asyncM.shed.Inc()
 		return false, nil
 	}
 	enc, err := trigger.EncodeBinding(item.Binding)
@@ -268,10 +272,23 @@ func (kb *KnowledgeBase) asyncEnqueue(tx *graph.Tx, item trigger.AsyncItem) (boo
 		return false, err
 	}
 	return true, tx.OnCommitted(func() error {
-		p.m.enqueued.Inc()
+		kb.asyncM.enqueued.Inc()
 		p.kick()
 		return nil
 	})
+}
+
+// pendingDepth is the queue depth a writing transaction sees: its own
+// shard's entries including the ones it is staging, plus the other shards'
+// committed entries.
+func (kb *KnowledgeBase) pendingDepth(tx *graph.Tx) int {
+	n := tx.CountByLabel(PendingAlertLabel)
+	for i := 0; i < kb.store.NumShards(); i++ {
+		if s := kb.store.Shard(i); tx.StoreKey() != any(s) {
+			n += s.LabelCount(PendingAlertLabel)
+		}
+	}
+	return n
 }
 
 // throttleAsync applies BlockOnFull backpressure: called after a commit that
@@ -283,16 +300,16 @@ func (kb *KnowledgeBase) throttleAsync() {
 	if p == nil || p.opts.Backpressure != BlockOnFull || p.opts.Workers <= 0 {
 		return
 	}
-	if kb.store.LabelCount(PendingAlertLabel) < p.opts.QueueLimit {
+	if kb.AsyncDepth() < p.opts.QueueLimit {
 		return
 	}
 	t0 := time.Now()
 	p.mu.Lock()
-	for !p.stopped && p.kb.store.LabelCount(PendingAlertLabel) >= p.opts.QueueLimit {
+	for !p.stopped && kb.AsyncDepth() >= p.opts.QueueLimit {
 		p.cond.Wait()
 	}
 	p.mu.Unlock()
-	p.m.blockSeconds.ObserveSince(t0)
+	kb.asyncM.blockSeconds.ObserveSince(t0)
 }
 
 func (p *asyncPipeline) kick() {
@@ -336,34 +353,44 @@ func (p *asyncPipeline) route(rule string) int {
 }
 
 // collect reads the committed pending entries that are neither in flight nor
-// parked, marks them in flight, and returns them in node-id order.
+// parked, marks them in flight, and returns them in node-id order per shard.
 func (p *asyncPipeline) collect() []pendingEntry {
-	var out []pendingEntry
-	_ = p.kb.store.View(func(tx *graph.Tx) error {
-		ids := tx.NodesByLabel(PendingAlertLabel)
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		for _, id := range ids {
-			if p.inflight[id] || p.parked[id] {
-				continue
-			}
-			n, ok := tx.Node(id)
-			if !ok {
-				continue
-			}
-			en := pendingEntry{id: id}
-			if v, ok := n.Props[pendingRuleProp]; ok {
-				en.rule, _ = v.AsString()
-			}
-			if v, ok := n.Props[pendingBindingProp]; ok {
-				en.binding, _ = v.AsString()
-			}
-			p.inflight[id] = true
-			out = append(out, en)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.kb.pendingEntries(func(id graph.NodeID) bool {
+		if p.inflight[id] || p.parked[id] {
+			return false
 		}
-		return nil
+		p.inflight[id] = true
+		return true
 	})
+}
+
+// pendingEntries reads every shard's committed PendingAlert entries that
+// take accepts, shard by shard in node-id (= enqueue) order.
+func (kb *KnowledgeBase) pendingEntries(take func(graph.NodeID) bool) []pendingEntry {
+	var out []pendingEntry
+	for i := 0; i < kb.store.NumShards(); i++ {
+		_ = kb.store.Shard(i).View(func(tx *graph.Tx) error {
+			ids := tx.NodesByLabel(PendingAlertLabel)
+			sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+			for _, id := range ids {
+				n, ok := tx.Node(id)
+				if !ok || !take(id) {
+					continue
+				}
+				en := pendingEntry{id: id}
+				if v, ok := n.Props[pendingRuleProp]; ok {
+					en.rule, _ = v.AsString()
+				}
+				if v, ok := n.Props[pendingBindingProp]; ok {
+					en.binding, _ = v.AsString()
+				}
+				out = append(out, en)
+			}
+			return nil
+		})
+	}
 	return out
 }
 
@@ -374,85 +401,110 @@ func (p *asyncPipeline) worker(ch chan pendingEntry) {
 		case <-p.stop:
 			return
 		case en := <-ch:
-			p.process(en)
+			_, err := p.kb.consumePending(en)
+			p.mu.Lock()
+			if err != nil {
+				// A failed entry stays on the durable queue but out of this
+				// pipeline's rotation; the next StartAsync retries it.
+				p.parked[en.id] = true
+			}
+			delete(p.inflight, en.id)
+			p.cond.Broadcast()
+			p.mu.Unlock()
 		}
 	}
 }
 
-// process evaluates one entry: alert query against a pinned committed
-// snapshot, then one follow-up write transaction that deletes the
-// PendingAlert node and materializes the alert nodes — atomically, so a
-// crash either replays the whole entry (the node is still queued) or none of
-// it (the alerts are already committed). The follow-up cascades through
-// Process like any write, so rules can react to async alerts too.
-func (p *asyncPipeline) process(en pendingEntry) {
-	kb := p.kb
-	defer p.finish(en.id)
-	t0 := time.Now()
+// DrainAsync synchronously evaluates and materializes every queued entry in
+// one pass, shard by shard in enqueue order, until the queues are empty —
+// what the workers of a running pipeline do in the background. It returns
+// how many entries it materialized; entries that fail stay queued and are
+// reported joined, corrupt or orphaned ones are discarded. Callers without
+// workers (enqueue-only pipelines, tests, a drain before shutdown) use it.
+func (kb *KnowledgeBase) DrainAsync() (int, error) {
+	if kb.follower {
+		return 0, ErrFollower
+	}
+	done := 0
+	var errs []error
+	failed := make(map[graph.NodeID]bool)
+	for {
+		entries := kb.pendingEntries(func(id graph.NodeID) bool { return !failed[id] })
+		if len(entries) == 0 {
+			return done, errors.Join(errs...)
+		}
+		for _, en := range entries {
+			ok, err := kb.consumePending(en)
+			if err != nil {
+				failed[en.id] = true
+				errs = append(errs, fmt.Errorf("core: pending %d: %w", en.id, err))
+			} else if ok {
+				done++
+			}
+		}
+	}
+}
 
+// consumePending evaluates one entry: alert query against a pinned committed
+// snapshot of the entry's shard, then one follow-up write transaction there
+// that deletes the PendingAlert node and materializes the alert nodes —
+// atomically, so a crash either replays the whole entry (the node is still
+// queued) or none of it (the alerts are already committed). The follow-up
+// cascades through the rule engine like any write, so rules can react to
+// async alerts too. It reports whether this call materialized the entry;
+// false with a nil error means the entry was discarded (corrupt payload,
+// dropped rule) or an earlier incarnation had already consumed it.
+func (kb *KnowledgeBase) consumePending(en pendingEntry) (bool, error) {
+	t0 := time.Now()
+	shard := graph.ShardOfNode(en.id)
 	bind, err := trigger.DecodeBinding(en.binding)
 	if err != nil {
 		// Corrupt payload: nothing can ever evaluate it. Drop it.
-		p.m.failed.Inc()
-		p.discard(en.id)
-		return
+		kb.asyncM.failed.Inc()
+		return false, kb.discardPending(en.id)
 	}
-	ro := kb.store.Begin(graph.ReadOnly)
+	ro := kb.store.Shard(shard).Begin(graph.ReadOnly)
 	cols, rows, err := kb.engine.EvaluateAsync(ro, en.rule, bind)
 	ro.Rollback()
 	switch {
 	case errors.Is(err, trigger.ErrRuleNotFound):
 		// The rule was dropped after the activation was staged.
-		p.m.orphaned.Inc()
-		p.discard(en.id)
-		return
+		kb.asyncM.orphaned.Inc()
+		return false, kb.discardPending(en.id)
 	case err != nil:
-		p.m.failed.Inc()
-		p.park(en.id)
-		return
+		kb.asyncM.failed.Inc()
+		return false, err
 	}
-
-	err = kb.write(func(tx *graph.Tx) error {
+	consumed := false
+	_, err = kb.write(shard, func(tx *graph.Tx) error {
 		if !tx.NodeExists(en.id) {
-			return nil // already consumed by an earlier incarnation
+			return nil
 		}
 		if err := tx.DeleteNode(en.id, true); err != nil {
 			return err
 		}
+		consumed = true
 		_, err := kb.engine.MaterializeAsync(tx, en.rule, bind, cols, rows)
 		return err
-	}, nil, false)
+	}, false)
 	if err != nil {
-		p.m.failed.Inc()
-		p.park(en.id)
-		return
+		kb.asyncM.failed.Inc()
+		return false, err
 	}
-	p.m.evaluated.Inc()
-	p.m.evalSeconds.ObserveSince(t0)
+	if consumed {
+		kb.asyncM.evaluated.Inc()
+		kb.asyncM.evalSeconds.ObserveSince(t0)
+	}
+	return consumed, nil
 }
 
-func (p *asyncPipeline) finish(id graph.NodeID) {
-	p.mu.Lock()
-	delete(p.inflight, id)
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// discard removes a pending entry that can never be processed (corrupt
-// payload, dropped rule) without firing rules.
-func (p *asyncPipeline) discard(id graph.NodeID) {
-	_ = p.kb.store.Update(func(tx *graph.Tx) error {
+// discardPending removes an entry that can never be processed, without
+// firing rules.
+func (kb *KnowledgeBase) discardPending(id graph.NodeID) error {
+	return kb.store.Shard(graph.ShardOfNode(id)).Update(func(tx *graph.Tx) error {
 		if !tx.NodeExists(id) {
 			return nil
 		}
 		return tx.DeleteNode(id, true)
 	})
-}
-
-// park keeps a failed entry on the durable queue but out of this pipeline's
-// rotation; the next StartAsync retries it.
-func (p *asyncPipeline) park(id graph.NodeID) {
-	p.mu.Lock()
-	p.parked[id] = true
-	p.mu.Unlock()
 }

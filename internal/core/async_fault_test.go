@@ -5,7 +5,9 @@ package core_test
 // leaves) with pending queue entries at every stage of their life cycle —
 // enqueued, mid-evaluation, alert-created-but-uncommitted, and fully
 // processed — and after reopening, every staged activation must materialize
-// exactly one Alert node: none lost, none duplicated.
+// exactly one Alert node: none lost, none duplicated. Every durable row of
+// the constructor table runs every stage; on the four-shard rows the queue
+// lives in the last shard's stream.
 
 import (
 	"fmt"
@@ -16,24 +18,17 @@ import (
 	"repro/internal/graph"
 	"repro/internal/periodic"
 	"repro/internal/trigger"
-	"repro/internal/wal"
 )
 
 const asyncFaultRule = "aecho"
 
-// openAsyncKB opens a durable knowledge base and re-installs the AfterAsync
-// rule (rules are configuration, re-installed on every open). The pipeline
-// is NOT started; tests start it in the mode each stage needs.
-func openAsyncKB(t *testing.T, dir string) *core.KnowledgeBase {
+// openAsyncKB opens row v's durable knowledge base and re-installs the
+// AfterAsync rule (rules are configuration, re-installed on every open). The
+// pipeline is NOT started; tests start it in the mode each stage needs.
+func openAsyncKB(t *testing.T, v core.Variant, dir string) *core.KnowledgeBase {
 	t.Helper()
-	kb, _, err := core.OpenDurable(dir,
-		core.Config{Clock: periodic.NewManualClock(simStart)},
-		wal.Options{Fsync: wal.FsyncAlways})
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
-	t.Cleanup(func() { _ = kb.Close() })
-	err = kb.InstallRule(trigger.Rule{
+	kb := v.Open(t, dir, core.Config{Clock: periodic.NewManualClock(simStart)})
+	err := kb.InstallRule(trigger.Rule{
 		Name:  asyncFaultRule,
 		Hub:   "H",
 		Event: trigger.Event{Kind: trigger.CreateNode, Label: "Reading"},
@@ -48,26 +43,36 @@ func openAsyncKB(t *testing.T, dir string) *core.KnowledgeBase {
 
 // stageEnqueued writes n Reading nodes with the pipeline in enqueue-only
 // mode, freezing the durable queue at depth n.
-func stageEnqueued(t *testing.T, kb *core.KnowledgeBase, n int) {
+func stageEnqueued(t *testing.T, v core.Variant, kb *core.KnowledgeBase, n int) {
 	t.Helper()
 	if err := kb.StartAsync(core.AsyncOptions{Workers: -1}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if _, err := kb.Execute(fmt.Sprintf("CREATE (:Reading {v: %d})", i), nil); err != nil {
-			t.Fatal(err)
-		}
+		createReading(t, v, kb, i)
 	}
 	if d := kb.AsyncDepth(); d != n {
 		t.Fatalf("queue depth = %d, want %d", d, n)
 	}
 }
 
+func createReading(t *testing.T, v core.Variant, kb *core.KnowledgeBase, i int) {
+	t.Helper()
+	if _, _, err := kb.ExecuteInHub(v.LastHub(), fmt.Sprintf("CREATE (:Reading {v: %d})", i), nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// queueStore is the store holding the staged queue: the last shard's.
+func queueStore(kb *core.KnowledgeBase) *graph.Store {
+	return kb.Shards().Shard(kb.NumShards() - 1)
+}
+
 // assertExactlyOnce reopens dir, drains the queue and asserts each of the n
 // staged activations materialized exactly one alert.
-func assertExactlyOnce(t *testing.T, dir string, n int) {
+func assertExactlyOnce(t *testing.T, v core.Variant, dir string, n int) {
 	t.Helper()
-	kb := openAsyncKB(t, dir)
+	kb := openAsyncKB(t, v, dir)
 	if err := kb.StartAsync(core.AsyncOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +116,7 @@ func readPending(t *testing.T, kb *core.KnowledgeBase) []struct {
 		rule    string
 		binding trigger.Binding
 	}
-	err := kb.Store().View(func(tx *graph.Tx) error {
+	err := queueStore(kb).View(func(tx *graph.Tx) error {
 		for _, id := range tx.NodesByLabel(core.PendingAlertLabel) {
 			node, ok := tx.Node(id)
 			if !ok {
@@ -138,82 +143,90 @@ func readPending(t *testing.T, kb *core.KnowledgeBase) []struct {
 }
 
 func TestAsyncCrashWhileEnqueued(t *testing.T) {
-	dir := t.TempDir()
-	kb := openAsyncKB(t, dir)
-	stageEnqueued(t, kb, 3)
-	// Crash with all three entries enqueued, none evaluated.
-	assertExactlyOnce(t, copyDir(t, dir), 3)
+	core.ForEachDurableVariant(t, func(t *testing.T, v core.Variant) {
+		dir := v.Dir(t)
+		kb := openAsyncKB(t, v, dir)
+		stageEnqueued(t, v, kb, 3)
+		// Crash with all three entries enqueued, none evaluated.
+		assertExactlyOnce(t, v, copyDir(t, dir), 3)
+	})
 }
 
 func TestAsyncCrashMidEvaluation(t *testing.T) {
-	dir := t.TempDir()
-	kb := openAsyncKB(t, dir)
-	stageEnqueued(t, kb, 3)
-	crash := copyDir(t, dir)
+	core.ForEachDurableVariant(t, func(t *testing.T, v core.Variant) {
+		dir := v.Dir(t)
+		kb := openAsyncKB(t, v, dir)
+		stageEnqueued(t, v, kb, 3)
+		crash := copyDir(t, dir)
 
-	// Reopen and crash again mid-evaluation: a worker has run the alert
-	// query against its pinned snapshot but not yet committed the follow-up.
-	// Evaluation is read-only, so the durable image must be unchanged — the
-	// entry must still be on the queue, neither lost nor half-applied.
-	kb2 := openAsyncKB(t, crash)
-	pend := readPending(t, kb2)
-	if len(pend) != 3 {
-		t.Fatalf("%d pending after reopen, want 3", len(pend))
-	}
-	ro := kb2.Store().Begin(graph.ReadOnly)
-	_, rows, err := kb2.Engine().EvaluateAsync(ro, pend[0].rule, pend[0].binding)
-	ro.Rollback()
-	if err != nil || len(rows) != 1 {
-		t.Fatalf("mid-flight evaluation: rows=%d err=%v", len(rows), err)
-	}
-	assertExactlyOnce(t, copyDir(t, crash), 3)
+		// Reopen and crash again mid-evaluation: a worker has run the alert
+		// query against its pinned snapshot but not yet committed the
+		// follow-up. Evaluation is read-only, so the durable image must be
+		// unchanged — the entry must still be on the queue, neither lost nor
+		// half-applied.
+		kb2 := openAsyncKB(t, v, crash)
+		pend := readPending(t, kb2)
+		if len(pend) != 3 {
+			t.Fatalf("%d pending after reopen, want 3", len(pend))
+		}
+		ro := queueStore(kb2).Begin(graph.ReadOnly)
+		_, rows, err := kb2.Engine().EvaluateAsync(ro, pend[0].rule, pend[0].binding)
+		ro.Rollback()
+		if err != nil || len(rows) != 1 {
+			t.Fatalf("mid-flight evaluation: rows=%d err=%v", len(rows), err)
+		}
+		assertExactlyOnce(t, v, copyDir(t, crash), 3)
+	})
 }
 
 func TestAsyncCrashAlertCreatedUncommitted(t *testing.T) {
-	dir := t.TempDir()
-	kb := openAsyncKB(t, dir)
-	stageEnqueued(t, kb, 3)
-	crash := copyDir(t, dir)
+	core.ForEachDurableVariant(t, func(t *testing.T, v core.Variant) {
+		dir := v.Dir(t)
+		kb := openAsyncKB(t, v, dir)
+		stageEnqueued(t, v, kb, 3)
+		crash := copyDir(t, dir)
 
-	// Reopen and replay a worker up to the brink of its commit: pending
-	// entry deleted and alert node created inside the follow-up transaction
-	// — then crash (rollback). Nothing may reach the log, so recovery must
-	// still see the entry queued and deliver it exactly once.
-	kb2 := openAsyncKB(t, crash)
-	pend := readPending(t, kb2)
-	ro := kb2.Store().Begin(graph.ReadOnly)
-	cols, rows, err := kb2.Engine().EvaluateAsync(ro, pend[0].rule, pend[0].binding)
-	ro.Rollback()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wtx := kb2.Store().Begin(graph.ReadWrite)
-	if err := wtx.DeleteNode(pend[0].id, true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := kb2.Engine().MaterializeAsync(wtx, pend[0].rule, pend[0].binding, cols, rows); err != nil {
-		t.Fatal(err)
-	}
-	wtx.Rollback() // the crash: follow-up transaction never commits
+		// Reopen and replay a worker up to the brink of its commit: pending
+		// entry deleted and alert node created inside the follow-up
+		// transaction — then crash (rollback). Nothing may reach the log, so
+		// recovery must still see the entry queued and deliver it exactly
+		// once.
+		kb2 := openAsyncKB(t, v, crash)
+		pend := readPending(t, kb2)
+		ro := queueStore(kb2).Begin(graph.ReadOnly)
+		cols, rows, err := kb2.Engine().EvaluateAsync(ro, pend[0].rule, pend[0].binding)
+		ro.Rollback()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wtx := queueStore(kb2).Begin(graph.ReadWrite)
+		if err := wtx.DeleteNode(pend[0].id, true); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := kb2.Engine().MaterializeAsync(wtx, pend[0].rule, pend[0].binding, cols, rows); err != nil {
+			t.Fatal(err)
+		}
+		wtx.Rollback() // the crash: follow-up transaction never commits
 
-	assertExactlyOnce(t, copyDir(t, crash), 3)
+		assertExactlyOnce(t, v, copyDir(t, crash), 3)
+	})
 }
 
 func TestAsyncCrashAfterProcessingNoDuplicates(t *testing.T) {
-	dir := t.TempDir()
-	kb := openAsyncKB(t, dir)
-	if err := kb.StartAsync(core.AsyncOptions{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := kb.Execute(fmt.Sprintf("CREATE (:Reading {v: %d})", i), nil); err != nil {
+	core.ForEachDurableVariant(t, func(t *testing.T, v core.Variant) {
+		dir := v.Dir(t)
+		kb := openAsyncKB(t, v, dir)
+		if err := kb.StartAsync(core.AsyncOptions{Workers: 2}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := kb.WaitAsyncIdle(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// Crash after the follow-up transactions committed: recovery must not
-	// re-evaluate anything (the queue is empty in the log).
-	assertExactlyOnce(t, copyDir(t, dir), 3)
+		for i := 0; i < 3; i++ {
+			createReading(t, v, kb, i)
+		}
+		if err := kb.WaitAsyncIdle(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		// Crash after the follow-up transactions committed: recovery must not
+		// re-evaluate anything (the queue is empty in the log).
+		assertExactlyOnce(t, v, copyDir(t, dir), 3)
+	})
 }

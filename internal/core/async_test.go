@@ -37,7 +37,11 @@ func drainAsync(t *testing.T, kb *KnowledgeBase) {
 }
 
 func TestAsyncFallbackWithoutPipeline(t *testing.T) {
-	kb, _ := newSimKB(t)
+	ForEachVariant(t, testAsyncFallbackWithoutPipeline)
+}
+
+func testAsyncFallbackWithoutPipeline(t *testing.T, v Variant) {
+	kb, _ := v.OpenSim(t)
 	installAsyncEcho(t, kb, "echo")
 	rep := exec(t, kb, "CREATE (:Reading {v: 1})")
 	if rep.AsyncEnqueued != 0 {
@@ -51,8 +55,10 @@ func TestAsyncFallbackWithoutPipeline(t *testing.T) {
 	}
 }
 
-func TestAsyncDeferralAndDrain(t *testing.T) {
-	kb, _ := newSimKB(t)
+func TestAsyncDeferralAndDrain(t *testing.T) { ForEachVariant(t, testAsyncDeferralAndDrain) }
+
+func testAsyncDeferralAndDrain(t *testing.T, v Variant) {
+	kb, _ := v.OpenSim(t)
 	installAsyncEcho(t, kb, "echo")
 	// Enqueue-only: the queue freezes so the deferred state is observable.
 	if err := kb.StartAsync(AsyncOptions{Workers: -1}); err != nil {
@@ -102,7 +108,11 @@ func TestAsyncDeferralAndDrain(t *testing.T) {
 }
 
 func TestAsyncPerRuleOrderedDelivery(t *testing.T) {
-	kb, _ := newSimKB(t)
+	ForEachVariant(t, testAsyncPerRuleOrderedDelivery)
+}
+
+func testAsyncPerRuleOrderedDelivery(t *testing.T, v Variant) {
+	kb, _ := v.OpenSim(t)
 	installAsyncEcho(t, kb, "echoA")
 	err := kb.InstallRule(trigger.Rule{
 		Name:  "echoB",
@@ -150,8 +160,10 @@ func TestAsyncPerRuleOrderedDelivery(t *testing.T) {
 	}
 }
 
-func TestAsyncShedBackpressure(t *testing.T) {
-	kb, _ := newSimKB(t)
+func TestAsyncShedBackpressure(t *testing.T) { ForEachVariant(t, testAsyncShedBackpressure) }
+
+func testAsyncShedBackpressure(t *testing.T, v Variant) {
+	kb, _ := v.OpenSim(t)
 	installAsyncEcho(t, kb, "echo")
 	err := kb.StartAsync(AsyncOptions{
 		Workers: -1, QueueLimit: 3, Backpressure: ShedOnFull,
@@ -178,9 +190,22 @@ func TestAsyncShedBackpressure(t *testing.T) {
 	}
 }
 
-func TestAsyncBlockBackpressure(t *testing.T) {
-	kb, _ := newSimKB(t)
+func TestAsyncBlockBackpressure(t *testing.T) { ForEachVariant(t, testAsyncBlockBackpressure) }
+
+func testAsyncBlockBackpressure(t *testing.T, v Variant) {
+	kb, _ := v.OpenSim(t)
 	installAsyncEcho(t, kb, "echo")
+	// Stage a backlog with the queue frozen, so that when the one worker
+	// starts it has far more commits to do than the writer below: the writer
+	// finds the queue over the limit whatever a commit costs on this row.
+	const backlog = 64
+	if err := kb.StartAsync(AsyncOptions{Workers: -1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < backlog; i++ {
+		exec(t, kb, fmt.Sprintf("CREATE (:Reading {v: %d})", i))
+	}
+	kb.StopAsync()
 	err := kb.StartAsync(AsyncOptions{
 		Workers: 1, QueueLimit: 1, Backpressure: BlockOnFull,
 	})
@@ -188,26 +213,29 @@ func TestAsyncBlockBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer kb.StopAsync()
-	const n = 5
-	for i := 0; i < n; i++ {
-		exec(t, kb, fmt.Sprintf("CREATE (:Reading {v: %d})", i))
+	exec(t, kb, fmt.Sprintf("CREATE (:Reading {v: %d})", backlog))
+	// The writer came back only once the workers had the queue under the
+	// limit again.
+	if d := kb.AsyncDepth(); d != 0 {
+		t.Fatalf("writer returned with %d entries queued, limit 1", d)
+	}
+	if got := kb.asyncM.blockSeconds.Snapshot().Count; got != 1 {
+		t.Fatalf("block histogram count = %d, want 1", got)
 	}
 	drainAsync(t, kb)
 	// Nothing shed: every activation materialized.
 	if got := kb.asyncM.shed.Value(); got != 0 {
 		t.Fatalf("shed counter = %d, want 0", got)
 	}
-	if got := queryInt(t, kb, "MATCH (a:Alert) RETURN count(a) AS n"); got != n {
-		t.Fatalf("alerts = %d, want %d", got, n)
-	}
-	// With limit 1, each committing writer found the queue full and waited.
-	if got := kb.asyncM.blockSeconds.Snapshot().Count; got < 1 {
-		t.Fatalf("block histogram count = %d, want >= 1", got)
+	if got := queryInt(t, kb, "MATCH (a:Alert) RETURN count(a) AS n"); got != backlog+1 {
+		t.Fatalf("alerts = %d, want %d", got, backlog+1)
 	}
 }
 
-func TestAsyncOrphanedRuleDiscarded(t *testing.T) {
-	kb, _ := newSimKB(t)
+func TestAsyncOrphanedRuleDiscarded(t *testing.T) { ForEachVariant(t, testAsyncOrphanedRuleDiscarded) }
+
+func testAsyncOrphanedRuleDiscarded(t *testing.T, v Variant) {
+	kb, _ := v.OpenSim(t)
 	installAsyncEcho(t, kb, "echo")
 	if err := kb.StartAsync(AsyncOptions{Workers: -1}); err != nil {
 		t.Fatal(err)
@@ -233,8 +261,10 @@ func TestAsyncOrphanedRuleDiscarded(t *testing.T) {
 	}
 }
 
-func TestAsyncAlertCascades(t *testing.T) {
-	kb, _ := newSimKB(t)
+func TestAsyncAlertCascades(t *testing.T) { ForEachVariant(t, testAsyncAlertCascades) }
+
+func testAsyncAlertCascades(t *testing.T, v Variant) {
+	kb, _ := v.OpenSim(t)
 	installAsyncEcho(t, kb, "echo")
 	// A synchronous rule reacting to the async rule's Alert nodes: the
 	// worker's follow-up transaction must cascade through Process.
@@ -336,7 +366,11 @@ func TestAsyncBindingRoundTrip(t *testing.T) {
 }
 
 func TestAsyncConcurrentWritersExactlyOnce(t *testing.T) {
-	kb, _ := newSimKB(t)
+	ForEachVariant(t, testAsyncConcurrentWritersExactlyOnce)
+}
+
+func testAsyncConcurrentWritersExactlyOnce(t *testing.T, v Variant) {
+	kb, _ := v.OpenSim(t)
 	installAsyncEcho(t, kb, "echo")
 	if err := kb.StartAsync(AsyncOptions{Workers: 4}); err != nil {
 		t.Fatal(err)
@@ -349,7 +383,9 @@ func TestAsyncConcurrentWritersExactlyOnce(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if _, err := kb.Execute(
+				// Writers spread over the shards: each shard's queue fills
+				// and drains concurrently.
+				if _, _, err := kb.ExecuteInHub(v.Hub(w%v.Shards),
 					fmt.Sprintf("CREATE (:Reading {v: %d})", w*per+i), nil); err != nil {
 					t.Errorf("write: %v", err)
 					return

@@ -23,13 +23,34 @@ func newSimKB(t *testing.T) (*KnowledgeBase, *periodic.ManualClock) {
 	return kb, clock
 }
 
+// writeHub is where the shared helpers send writes: the hub of the highest
+// shard (a non-zero identifier band once there are several), or "" for a
+// knowledge base built without hub declarations, which writes hub-less.
+func writeHub(kb *KnowledgeBase) string { return kb.HubOfShard(kb.NumShards() - 1) }
+
+func execute(kb *KnowledgeBase, query string, params map[string]value.Value) (*trigger.Report, error) {
+	if hub := writeHub(kb); hub != "" {
+		_, rep, err := kb.ExecuteInHub(hub, query, params)
+		return rep, err
+	}
+	_, rep, err := kb.ExecuteReport(query, params)
+	return rep, err
+}
+
 func exec(t *testing.T, kb *KnowledgeBase, query string) *trigger.Report {
 	t.Helper()
-	_, rep, err := kb.ExecuteReport(query, nil)
+	rep, err := execute(kb, query, nil)
 	if err != nil {
 		t.Fatalf("execute %q: %v", query, err)
 	}
 	return rep
+}
+
+func update(kb *KnowledgeBase, fn func(tx *graph.Tx) error) (*trigger.Report, error) {
+	if hub := writeHub(kb); hub != "" {
+		return kb.UpdateInHub(hub, fn)
+	}
+	return kb.WriteTx(fn)
 }
 
 func queryInt(t *testing.T, kb *KnowledgeBase, query string) int64 {
@@ -47,7 +68,11 @@ func queryInt(t *testing.T, kb *KnowledgeBase, query string) int64 {
 }
 
 func TestExecuteFiresRulesAndCommits(t *testing.T) {
-	kb, _ := newSimKB(t)
+	ForEachVariant(t, testExecuteFiresRulesAndCommits)
+}
+
+func testExecuteFiresRulesAndCommits(t *testing.T, v Variant) {
+	kb, _ := v.OpenSim(t)
 	if err := kb.InstallRule(trigger.Rule{
 		Name:  "watch",
 		Hub:   "E",
@@ -75,8 +100,10 @@ func TestExecuteFiresRulesAndCommits(t *testing.T) {
 	}
 }
 
-func TestQueryIsReadOnly(t *testing.T) {
-	kb, _ := newSimKB(t)
+func TestQueryIsReadOnly(t *testing.T) { ForEachVariant(t, testQueryIsReadOnly) }
+
+func testQueryIsReadOnly(t *testing.T, v Variant) {
+	kb, _ := v.OpenSim(t)
 	if _, err := kb.Query("CREATE (:X)", nil); err == nil {
 		t.Error("write through Query should fail")
 	}
@@ -85,8 +112,10 @@ func TestQueryIsReadOnly(t *testing.T) {
 	}
 }
 
-func TestStatementCache(t *testing.T) {
-	kb, _ := newSimKB(t)
+func TestStatementCache(t *testing.T) { ForEachVariant(t, testStatementCache) }
+
+func testStatementCache(t *testing.T, v Variant) {
+	kb, _ := v.OpenSim(t)
 	for i := 0; i < 3; i++ {
 		exec(t, kb, "CREATE (:N)")
 	}
@@ -102,14 +131,16 @@ func TestStatementCache(t *testing.T) {
 	}
 }
 
-func TestWriteTxFiresRules(t *testing.T) {
-	kb, _ := newSimKB(t)
+func TestWriteTxFiresRules(t *testing.T) { ForEachVariant(t, testWriteTxFiresRules) }
+
+func testWriteTxFiresRules(t *testing.T, v Variant) {
+	kb, _ := v.OpenSim(t)
 	_ = kb.InstallRule(trigger.Rule{
 		Name:  "bulk",
 		Event: trigger.Event{Kind: trigger.CreateNode, Label: "Item"},
 		Alert: "RETURN 1 AS x",
 	})
-	rep, err := kb.WriteTx(func(tx *graph.Tx) error {
+	rep, err := update(kb, func(tx *graph.Tx) error {
 		for i := 0; i < 5; i++ {
 			if _, err := tx.CreateNode([]string{"Item"}, nil); err != nil {
 				return err
@@ -126,14 +157,18 @@ func TestWriteTxFiresRules(t *testing.T) {
 }
 
 func TestRuleErrorRollsBackStatement(t *testing.T) {
-	kb, _ := newSimKB(t)
+	ForEachVariant(t, testRuleErrorRollsBackStatement)
+}
+
+func testRuleErrorRollsBackStatement(t *testing.T, v Variant) {
+	kb, _ := v.OpenSim(t)
 	kb.Engine().MaxCascadeDepth = 3
 	_ = kb.InstallRule(trigger.Rule{
 		Name:   "loop",
 		Event:  trigger.Event{Kind: trigger.CreateNode, Label: "Ping"},
 		Action: "CREATE (:Ping)",
 	})
-	_, err := kb.Execute("CREATE (:Ping)", nil)
+	_, err := execute(kb, "CREATE (:Ping)", nil)
 	if !errors.Is(err, trigger.ErrCascadeDepth) {
 		t.Fatalf("expected cascade error, got %v", err)
 	}
@@ -290,8 +325,10 @@ func TestSummariesDisabledErrors(t *testing.T) {
 	}
 }
 
-func TestAlertsOrderedByTime(t *testing.T) {
-	kb, clock := newSimKB(t)
+func TestAlertsOrderedByTime(t *testing.T) { ForEachVariant(t, testAlertsOrderedByTime) }
+
+func testAlertsOrderedByTime(t *testing.T, v Variant) {
+	kb, clock := v.OpenSim(t)
 	_ = kb.InstallRule(trigger.Rule{
 		Name:  "t",
 		Event: trigger.Event{Kind: trigger.CreateNode, Label: "X"},
@@ -464,23 +501,29 @@ func TestPaperRunningExample(t *testing.T) {
 	}
 }
 
-func TestAlertsEmptyStore(t *testing.T) {
-	kb, _ := newSimKB(t)
+func TestAlertsEmptyStore(t *testing.T) { ForEachVariant(t, testAlertsEmptyStore) }
+
+func testAlertsEmptyStore(t *testing.T, v Variant) {
+	kb, _ := v.OpenSim(t)
 	alerts, err := kb.Alerts()
 	if err != nil || len(alerts) != 0 {
 		t.Error("empty store alerts")
 	}
 }
 
-func TestExecuteParseError(t *testing.T) {
-	kb, _ := newSimKB(t)
-	if _, err := kb.Execute("BOGUS", nil); err == nil || !strings.Contains(err.Error(), "cypher") {
+func TestExecuteParseError(t *testing.T) { ForEachVariant(t, testExecuteParseError) }
+
+func testExecuteParseError(t *testing.T, v Variant) {
+	kb, _ := v.OpenSim(t)
+	if _, err := execute(kb, "BOGUS", nil); err == nil || !strings.Contains(err.Error(), "cypher") {
 		t.Errorf("parse error: %v", err)
 	}
 }
 
-func TestCreateIndexAndFastCount(t *testing.T) {
-	kb, _ := newSimKB(t)
+func TestCreateIndexAndFastCount(t *testing.T) { ForEachVariant(t, testCreateIndexAndFastCount) }
+
+func testCreateIndexAndFastCount(t *testing.T, v Variant) {
+	kb, _ := v.OpenSim(t)
 	if err := kb.CreateIndex("Patient", "day"); err != nil {
 		t.Fatal(err)
 	}
@@ -548,8 +591,10 @@ func TestFig4SchemaGovernsSummaries(t *testing.T) {
 	}
 }
 
-func TestInstallRuleTextOnKB(t *testing.T) {
-	kb, _ := newSimKB(t)
+func TestInstallRuleTextOnKB(t *testing.T) { ForEachVariant(t, testInstallRuleTextOnKB) }
+
+func testInstallRuleTextOnKB(t *testing.T, v Variant) {
+	kb, _ := v.OpenSim(t)
 	r, err := kb.InstallRuleText(`CREATE TRIGGER dsl ON HUB E
 AFTER CREATE OF NODE Mutation
 ALERT RETURN NEW.id AS mid`)
@@ -597,8 +642,10 @@ func TestSaveLoadGraphOnKB(t *testing.T) {
 	}
 }
 
-func TestConcurrentExecutes(t *testing.T) {
-	kb, _ := newSimKB(t)
+func TestConcurrentExecutes(t *testing.T) { ForEachVariant(t, testConcurrentExecutes) }
+
+func testConcurrentExecutes(t *testing.T, v Variant) {
+	kb, _ := v.OpenSim(t)
 	_ = kb.InstallRule(trigger.Rule{
 		Name:  "cc",
 		Event: trigger.Event{Kind: trigger.CreateNode, Label: "Evt"},
@@ -612,7 +659,8 @@ func TestConcurrentExecutes(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if _, err := kb.Execute("CREATE (:Evt {i: $i})",
+				// Writers spread over the shards and commit in parallel.
+				if _, _, err := kb.ExecuteInHub(v.Hub(w%v.Shards), "CREATE (:Evt {i: $i})",
 					map[string]value.Value{"i": value.Int(int64(w*each + i))}); err != nil {
 					errs <- err
 					return

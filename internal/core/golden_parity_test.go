@@ -1,17 +1,19 @@
 package core
 
-// Sharded golden-corpus parity: every case of the shared Cypher corpus
-// (internal/cypher/cyphertest) runs against a single-store KnowledgeBase and
-// against a four-hub ShardedKB whose fixture includes knowledge bridges
-// (LIVES_IN relationships spanning the people and places shards), and the
-// two must produce identical results. Reads go through ShardedKB.Query —
-// the cross-shard path over a MultiView — so bridge traversal, aggregated
-// planner statistics and the per-store plan-variant cache are all exercised;
-// writes go through ExecuteInHub on the owning hub. Entity identifiers
-// differ between the two builds (sharded IDs carry the shard band in their
-// high bits), so rows are compared after rank-normalizing Node()/Rel()
-// renderings and final graph states are compared by an ID-free canonical
-// form.
+// Golden-corpus parity over the constructor table: every case of the shared
+// Cypher corpus (internal/cypher/cyphertest) runs against each row — one
+// shard and four, in memory and recovered-from-a-log layouts — and all rows
+// must produce identical results. The four-hub rows spread the fixture over
+// the shards with the LIVES_IN relationships as knowledge bridges between
+// people and places, and reads without a hub go through the cross-shard
+// MultiView, so bridge traversal, aggregated planner statistics and the
+// per-store plan-variant cache are all exercised; writes go through
+// ExecuteInHub on the owning hub in every row. (internal/cypher's TestGolden
+// pins the same corpus to its recorded results on a bare store.) Entity
+// identifiers differ between rows (identifiers carry the shard band in
+// their high bits), so rows are compared after rank-normalizing
+// Node()/Rel() renderings and final graph states are compared by an ID-free
+// canonical form.
 
 import (
 	"fmt"
@@ -27,7 +29,7 @@ import (
 	"repro/internal/value"
 )
 
-// parityHubs is the sharded layout: three hubs own the fixture labels, the
+// parityHubs is the hub layout: three hubs own the fixture labels, the
 // fourth catches labels created by write cases.
 func parityHubs() []HubShard {
 	return []HubShard{
@@ -76,93 +78,23 @@ func parityCityProps() []map[string]value.Value {
 	}
 }
 
-// parityUnsharded builds the corpus fixture in a single-store knowledge base.
-func parityUnsharded(t testing.TB) *KnowledgeBase {
+// parityKB builds the corpus fixture on one row of the constructor table:
+// persons and their intra-hub relationships in people, cities and routes in
+// places, widgets in things, and the four LIVES_IN relationships from
+// people to places — knowledge bridges when the two hubs live in different
+// shards, ordinary relationships when they share the one shard.
+func parityKB(t testing.TB, v Variant) *KnowledgeBase {
 	t.Helper()
-	kb := New(Config{Clock: periodic.NewManualClock(cyphertest.Now)})
+	kb := v.OpenHubs(t, v.Dir(t), Config{Clock: periodic.NewManualClock(cyphertest.Now)}, parityHubs())
+	// Cross-shard planning requires the index on every shard; per-shard
+	// writes (MERGE on misc, for instance) need it locally anyway.
 	for _, ix := range [][2]string{{"Person", "name"}, {"City", "code"}} {
 		if err := kb.CreateIndex(ix[0], ix[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, err := kb.WriteTx(func(tx *graph.Tx) error {
-		var persons, cities []graph.NodeID
-		for i, props := range parityPersonProps() {
-			labels := []string{"Person"}
-			if i == 2 { // Cyd is also an Admin
-				labels = []string{"Person", "Admin"}
-			}
-			id, err := tx.CreateNode(labels, props)
-			if err != nil {
-				return err
-			}
-			persons = append(persons, id)
-		}
-		for _, props := range parityCityProps() {
-			id, err := tx.CreateNode([]string{"City"}, props)
-			if err != nil {
-				return err
-			}
-			cities = append(cities, id)
-		}
-		ada, bob, cyd, dee := persons[0], persons[1], persons[2], persons[3]
-		lon, par, rey := cities[0], cities[1], cities[2]
-		rels := []struct {
-			a, b  graph.NodeID
-			typ   string
-			props map[string]value.Value
-		}{
-			{ada, bob, "KNOWS", map[string]value.Value{"since": value.Int(2019)}},
-			{bob, cyd, "KNOWS", map[string]value.Value{"since": value.Int(2021)}},
-			{cyd, dee, "KNOWS", nil},
-			{ada, cyd, "WORKS_WITH", map[string]value.Value{"hours": value.Int(12)}},
-			{ada, lon, "LIVES_IN", nil},
-			{bob, par, "LIVES_IN", nil},
-			{cyd, par, "LIVES_IN", nil},
-			{dee, rey, "LIVES_IN", nil},
-			{lon, par, "ROUTE", map[string]value.Value{"km": value.Int(344)}},
-			{par, rey, "ROUTE", map[string]value.Value{"km": value.Int(2237)}},
-		}
-		for _, r := range rels {
-			if _, err := tx.CreateRel(r.a, r.b, r.typ, r.props); err != nil {
-				return err
-			}
-		}
-		for i := 0; i < 5; i++ {
-			if _, err := tx.CreateNode([]string{"Widget"}, map[string]value.Value{"n": value.Int(int64(i))}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return kb
-}
-
-// paritySharded builds the same fixture across four shards: persons and
-// their intra-hub relationships in people, cities and routes in places,
-// widgets in things, and the four LIVES_IN relationships as knowledge
-// bridges between people and places.
-func paritySharded(t testing.TB) *ShardedKB {
-	t.Helper()
-	kb, err := NewSharded(Config{Clock: periodic.NewManualClock(cyphertest.Now)}, parityHubs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := kb.Store()
-	// Cross-shard planning requires the index on every shard; per-shard
-	// writes (MERGE on misc, for instance) need it locally anyway.
-	for i := 0; i < ss.NumShards(); i++ {
-		for _, ix := range [][2]string{{"Person", "name"}, {"City", "code"}} {
-			if err := ss.Shard(i).CreateIndex(ix[0], ix[1]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	var persons, cities []graph.NodeID
-	if _, err := kb.UpdateShard(0, func(tx *graph.Tx) error {
+	if _, err := kb.UpdateInHub("people", func(tx *graph.Tx) error {
 		for i, props := range parityPersonProps() {
 			labels := []string{"Person"}
 			if i == 2 { // Cyd is also an Admin
@@ -189,7 +121,7 @@ func paritySharded(t testing.TB) *ShardedKB {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := kb.UpdateShard(1, func(tx *graph.Tx) error {
+	if _, err := kb.UpdateInHub("places", func(tx *graph.Tx) error {
 		for _, props := range parityCityProps() {
 			id, err := tx.CreateNode([]string{"City"}, props)
 			if err != nil {
@@ -205,7 +137,7 @@ func paritySharded(t testing.TB) *ShardedKB {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := kb.UpdateShard(2, func(tx *graph.Tx) error {
+	if _, err := kb.UpdateInHub("things", func(tx *graph.Tx) error {
 		for i := 0; i < 5; i++ {
 			if _, err := tx.CreateNode([]string{"Widget"}, map[string]value.Value{"n": value.Int(int64(i))}); err != nil {
 				return err
@@ -215,25 +147,33 @@ func paritySharded(t testing.TB) *ShardedKB {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := kb.UpdateBridgeShards(0, 1, func(bt *graph.BridgeTx) error {
-		for i, city := range []graph.NodeID{cities[0], cities[1], cities[1], cities[2]} {
-			if _, err := bt.CreateRel(persons[i], city, "LIVES_IN", nil); err != nil {
-				return err
+	homes := []graph.NodeID{cities[0], cities[1], cities[1], cities[2]}
+	people, _ := kb.ShardOf("people")
+	places, _ := kb.ShardOf("places")
+	var err error
+	if people != places {
+		_, err = kb.UpdateBridgeShards(people, places, func(bt *graph.BridgeTx) error {
+			for i, city := range homes {
+				if _, err := bt.CreateRel(persons[i], city, "LIVES_IN", nil); err != nil {
+					return err
+				}
 			}
-		}
-		return nil
-	}); err != nil {
+			return nil
+		})
+	} else {
+		_, err = kb.UpdateInHub("people", func(tx *graph.Tx) error {
+			for i, city := range homes {
+				if _, err := tx.CreateRel(persons[i], city, "LIVES_IN", nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	return kb
-}
-
-// parityView is the read surface the normalizers need: the ReadView
-// contract plus full relationship enumeration (both *graph.Tx and
-// *graph.MultiView provide it).
-type parityView interface {
-	graph.ReadView
-	AllRels() []graph.RelID
 }
 
 var (
@@ -246,7 +186,7 @@ var (
 // the view's (sorted) live IDs, and rounds floats to 12 significant digits:
 // sharded IDs carry the shard band, and shard-by-shard enumeration can
 // accumulate float aggregates in a different order.
-func parityNormalize(s string, v parityView) string {
+func parityNormalize(s string, v graph.ReadView) string {
 	s = parityFloatTok.ReplaceAllStringFunc(s, func(tok string) string {
 		f, err := strconv.ParseFloat(tok, 64)
 		if err != nil {
@@ -282,7 +222,7 @@ func parityNormalize(s string, v parityView) string {
 	})
 }
 
-func parityRows(res *cypher.Result, ordered bool, v parityView) []string {
+func parityRows(res *cypher.Result, ordered bool, v graph.ReadView) []string {
 	rows := make([]string, len(res.Rows))
 	for i, r := range res.Rows {
 		s := "["
@@ -306,7 +246,7 @@ func parityRows(res *cypher.Result, ordered bool, v parityView) []string {
 // helper asserts, so the form identifies the graph up to isomorphism. On a
 // MultiView each bridge contributes exactly one line: it is outgoing from
 // its start node only, regardless of which shard serves the lookup.
-func parityState(t testing.TB, v parityView) []string {
+func parityState(t testing.TB, v graph.ReadView) []string {
 	t.Helper()
 	ids := v.AllNodes()
 	key := make(map[graph.NodeID]string, len(ids))
@@ -342,40 +282,10 @@ type parityOutcome struct {
 	state   []string
 }
 
-func runParityUnsharded(t *testing.T, c cyphertest.Case) parityOutcome {
+// runParity runs one corpus case against a fresh fixture on row v.
+func runParity(t *testing.T, v Variant, c cyphertest.Case) parityOutcome {
 	t.Helper()
-	kb := parityUnsharded(t)
-	var out parityOutcome
-	var res *cypher.Result
-	var err error
-	switch {
-	case c.Write:
-		res, err = kb.Execute(c.Query, c.Params)
-	case c.Bind != nil:
-		tx := kb.Store().Begin(graph.ReadOnly)
-		defer tx.Rollback()
-		res, err = cypher.Run(tx, c.Query, &cypher.Options{
-			Params: c.Params, Bindings: c.Bind, Now: kb.Clock().Now})
-	default:
-		res, err = kb.Query(c.Query, c.Params)
-	}
-	if err != nil {
-		t.Fatalf("%s (unsharded): %v", c.Name, err)
-	}
-	tx := kb.Store().Begin(graph.ReadOnly)
-	defer tx.Rollback()
-	out.columns = res.Columns
-	out.rows = parityRows(res, c.Ordered, tx)
-	if c.Write {
-		out.stats = fmt.Sprintf("%+v", res.Stats)
-		out.state = parityState(t, tx)
-	}
-	return out
-}
-
-func runParitySharded(t *testing.T, c cyphertest.Case) parityOutcome {
-	t.Helper()
-	kb := paritySharded(t)
+	kb := parityKB(t, v)
 	var out parityOutcome
 	var res *cypher.Result
 	var err error
@@ -387,46 +297,48 @@ func runParitySharded(t *testing.T, c cyphertest.Case) parityOutcome {
 		}
 		res, _, err = kb.ExecuteInHub(hubName, c.Query, c.Params)
 	case c.Bind != nil:
-		v := kb.Store().View()
-		defer v.Rollback()
-		res, err = cypher.Run(v, c.Query, &cypher.Options{
+		rv := kb.view(allShards)
+		defer rv.Rollback()
+		res, err = cypher.Run(rv, c.Query, &cypher.Options{
 			Params: c.Params, Bindings: c.Bind, Now: kb.Clock().Now})
 	default:
 		res, err = kb.Query(c.Query, c.Params)
 	}
 	if err != nil {
-		t.Fatalf("%s (sharded): %v", c.Name, err)
+		t.Fatalf("%s (%s): %v", c.Name, v.Name, err)
 	}
-	v := kb.Store().View()
-	defer v.Rollback()
+	rv := kb.view(allShards)
+	defer rv.Rollback()
 	out.columns = res.Columns
-	out.rows = parityRows(res, c.Ordered, v)
+	out.rows = parityRows(res, c.Ordered, rv)
 	if c.Write {
 		out.stats = fmt.Sprintf("%+v", res.Stats)
-		out.state = parityState(t, v)
+		out.state = parityState(t, rv)
 	}
 	return out
 }
 
-// TestShardedGoldenParity runs the full golden corpus against both builds
-// and requires identical columns, rows, update counters and final state.
-func TestShardedGoldenParity(t *testing.T) {
+// TestGoldenParity runs the full golden corpus on every row of the
+// constructor table and requires identical columns, rows, update counters
+// and final state across rows; the first row is the reference.
+func TestGoldenParity(t *testing.T) {
 	for _, c := range cyphertest.Cases() {
-		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			want := runParityUnsharded(t, c)
-			got := runParitySharded(t, c)
-			if fmt.Sprintf("%v", got.columns) != fmt.Sprintf("%v", want.columns) {
-				t.Errorf("columns: sharded %v unsharded %v", got.columns, want.columns)
-			}
-			if fmt.Sprintf("%v", got.rows) != fmt.Sprintf("%v", want.rows) {
-				t.Errorf("rows:\n  sharded %v\nunsharded %v", got.rows, want.rows)
-			}
-			if got.stats != want.stats {
-				t.Errorf("stats: sharded %s unsharded %s", got.stats, want.stats)
-			}
-			if fmt.Sprintf("%v", got.state) != fmt.Sprintf("%v", want.state) {
-				t.Errorf("state:\n  sharded %v\nunsharded %v", got.state, want.state)
+			want := runParity(t, Variants[0], c)
+			for _, v := range Variants[1:] {
+				got := runParity(t, v, c)
+				if fmt.Sprintf("%v", got.columns) != fmt.Sprintf("%v", want.columns) {
+					t.Errorf("columns: %s %v, %s %v", v.Name, got.columns, Variants[0].Name, want.columns)
+				}
+				if fmt.Sprintf("%v", got.rows) != fmt.Sprintf("%v", want.rows) {
+					t.Errorf("rows:\n%s %v\n%s %v", v.Name, got.rows, Variants[0].Name, want.rows)
+				}
+				if got.stats != want.stats {
+					t.Errorf("stats: %s %s, %s %s", v.Name, got.stats, Variants[0].Name, want.stats)
+				}
+				if fmt.Sprintf("%v", got.state) != fmt.Sprintf("%v", want.state) {
+					t.Errorf("state:\n%s %v\n%s %v", v.Name, got.state, Variants[0].Name, want.state)
+				}
 			}
 		})
 	}

@@ -96,14 +96,37 @@ type asyncMetrics struct {
 func (kb *KnowledgeBase) Metrics() *metrics.Registry { return kb.metrics }
 
 // wireMetrics registers the knowledge base's instruments on reg and
-// installs them into the store, the rule engine and the scheduler. It runs
-// once per KnowledgeBase (New and Fork), before any rule is installed, so
-// per-rule counters resolve at install time. Registration is idempotent, so
-// a shared registry (Config.Metrics) across knowledge bases is safe —
-// instruments are then also shared and counts aggregate.
+// installs them into the shards, the rule engine and the scheduler. It runs
+// once per KnowledgeBase (from assemble, so forks too), before any rule is
+// installed, so per-rule counters resolve at install time. Registration is
+// idempotent, so a shared registry (Config.Metrics) across knowledge bases
+// is safe — instruments are then also shared and counts aggregate.
 func (kb *KnowledgeBase) wireMetrics(reg *metrics.Registry) {
 	kb.metrics = reg
-	kb.store.SetMetrics(kb.storeMetrics())
+	shared := graph.Metrics{
+		TxRollbacks: reg.Counter(mTxRollbacks,
+			"Rolled-back read-write transactions (explicit and aborted commits)."),
+		TxSeconds: reg.Histogram(mTxSeconds,
+			"Read-write transaction latency (write-lock hold time), in seconds.", nil),
+		SnapshotsPublished: reg.Counter(mSnapPublished,
+			"Committed snapshot versions published (write commits, index changes, imports)."),
+		SnapshotReads: reg.Counter(mSnapReads,
+			"Read-only transactions served lock-free from a published snapshot."),
+		RecordsCloned: reg.Counter(mSnapCloned,
+			"Node and relationship records cloned copy-on-write by write transactions."),
+	}
+	for i := 0; i < kb.store.NumShards(); i++ {
+		// Commits are counted per shard once there is more than one; the
+		// other store instruments aggregate over shards.
+		gm := shared
+		if kb.store.NumShards() > 1 {
+			kb.shardStoreMetrics(i, &gm)
+		} else {
+			gm.TxCommits = reg.Counter(mTxCommits,
+				"Committed read-write transactions.")
+		}
+		kb.store.Shard(i).SetMetrics(gm)
+	}
 	kb.engine.Metrics = trigger.EngineMetrics{
 		RuleFired: reg.CounterVec(mRuleFired, "rule",
 			"Guard passes (rule activations), by rule."),
@@ -157,47 +180,31 @@ func (kb *KnowledgeBase) wireMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(cypher.PlansCompiled()) })
 	reg.GaugeFunc(mAsyncQueueDepth,
 		"PendingAlert entries currently on the async queue.",
-		func() float64 { return float64(kb.store.LabelCount(PendingAlertLabel)) })
+		func() float64 { return float64(kb.AsyncDepth()) })
 	reg.GaugeFunc(mNodes, "Nodes currently in the graph.",
 		func() float64 { return float64(kb.store.Stats().Nodes) })
 	reg.GaugeFunc(mRels, "Relationships currently in the graph.",
 		func() float64 { return float64(kb.store.Stats().Relationships) })
 	reg.GaugeFunc(mAlertNodes, "Alert nodes currently in the graph.",
 		func() float64 { return float64(kb.store.LabelCount(kb.engine.AlertLabel)) })
+	kb.mCross = reg.Counter(mShardCrossCommits,
+		"Committed two-shard bridge transactions.")
+	kb.mXQuery = reg.Counter(mShardQueries,
+		"Cross-shard read-only queries executed over a multi-shard view.")
+	kb.mXQuerySecs = reg.Histogram(mShardQuerySeconds,
+		"Latency of cross-shard read-only queries, in seconds.", nil)
 }
 
-// storeMetrics resolves the graph-store instruments from the registry.
-// Called again after OpenDurable swaps in the recovered store.
-func (kb *KnowledgeBase) storeMetrics() graph.Metrics {
+// wireWALMetrics instruments the write-ahead logs and records the recovery
+// outcome; called by attachWAL.
+func (kb *KnowledgeBase) wireWALMetrics(policy wal.FsyncPolicy, infos []*wal.RecoveryInfo) {
 	reg := kb.metrics
-	return graph.Metrics{
-		TxCommits: reg.Counter(mTxCommits,
-			"Committed read-write transactions."),
-		TxRollbacks: reg.Counter(mTxRollbacks,
-			"Rolled-back read-write transactions (explicit and aborted commits)."),
-		TxSeconds: reg.Histogram(mTxSeconds,
-			"Read-write transaction latency (write-lock hold time), in seconds.", nil),
-		SnapshotsPublished: reg.Counter(mSnapPublished,
-			"Committed snapshot versions published (write commits, index changes, imports)."),
-		SnapshotReads: reg.Counter(mSnapReads,
-			"Read-only transactions served lock-free from a published snapshot."),
-		RecordsCloned: reg.Counter(mSnapCloned,
-			"Node and relationship records cloned copy-on-write by write transactions."),
-	}
-}
-
-// wireWALMetrics instruments the write-ahead log and records the recovery
-// outcome; called by OpenDurable.
-func (kb *KnowledgeBase) wireWALMetrics(l *wal.Log, policy wal.FsyncPolicy, info *wal.RecoveryInfo) {
-	reg := kb.metrics
-	l.SetMetrics(wal.Metrics{
+	n := kb.wal.NumShards()
+	shared := wal.Metrics{
 		RecordsAppended: reg.Counter(mWALRecords,
 			"Records appended to the write-ahead log."),
 		BytesAppended: reg.Counter(mWALBytes,
 			"Framed bytes appended to the write-ahead log."),
-		FsyncSeconds: reg.HistogramVec(mWALFsync, "policy",
-			"Latency of write-ahead-log fsyncs, in seconds, by fsync policy.", nil).
-			With(policy.String()),
 		SegmentsOpened: reg.Counter(mWALSegments,
 			"Write-ahead-log segment files opened (first open and rotations)."),
 		CheckpointSeconds: reg.Histogram(mWALCheckpoint,
@@ -209,14 +216,37 @@ func (kb *KnowledgeBase) wireWALMetrics(l *wal.Log, policy wal.FsyncPolicy, info
 		GroupCommitBatchTxs: reg.Histogram(mWALGroupBatch,
 			"Transactions made durable by each shared group-commit fsync.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128}),
-	})
+	}
+	for i := 0; i < n; i++ {
+		// Fsync latency is per stream once there is more than one.
+		wm := shared
+		if n > 1 {
+			kb.shardWALMetrics(i, &wm)
+		} else {
+			wm.FsyncSeconds = reg.HistogramVec(mWALFsync, "policy",
+				"Latency of write-ahead-log fsyncs, in seconds, by fsync policy.", nil).
+				With(policy.String())
+		}
+		kb.wal.Log(i).SetMetrics(wm)
+	}
 	reg.GaugeFunc(mWALLastSeq,
-		"Sequence number of the most recently appended or recovered record.",
-		func() float64 { return float64(l.LastSeq()) })
+		"Sequence number of the most recently appended or recovered record (summed over shard streams).",
+		func() float64 {
+			var sum uint64
+			for i := 0; i < n; i++ {
+				sum += kb.wal.Log(i).LastSeq()
+			}
+			return float64(sum)
+		})
+	replayed, discarded := 0, int64(0)
+	for _, info := range infos {
+		replayed += info.RecordsReplayed
+		discarded += info.DiscardedBytes
+	}
 	reg.Gauge(mWALReplayed,
 		"Records replayed on top of the snapshot during the last recovery.").
-		Set(float64(info.RecordsReplayed))
+		Set(float64(replayed))
 	reg.Gauge(mWALDiscarded,
 		"Bytes of torn log tail discarded during the last recovery.").
-		Set(float64(info.DiscardedBytes))
+		Set(float64(discarded))
 }

@@ -73,7 +73,7 @@ func TestInMemoryFollowerBootstrapAndApply(t *testing.T) {
 	if err := fol.BootstrapReplica(strings.NewReader(string(snap)), seq); err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
-	if got := fol.ReplicaAppliedSeq(); got != seq {
+	if got := fol.ReplicaAppliedSeq(0); got != seq {
 		t.Fatalf("applied seq after bootstrap = %d, want %d", got, seq)
 	}
 
@@ -84,18 +84,18 @@ func TestInMemoryFollowerBootstrapAndApply(t *testing.T) {
 	if len(recs) != 7 {
 		t.Fatalf("pulled %d records, want 7", len(recs))
 	}
-	if err := fol.ApplyReplicated(recs); err != nil {
+	if err := fol.ApplyReplicated(0, recs); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
 	if got, want := saveGraph(t, fol), saveGraph(t, leader); got != want {
 		t.Fatalf("follower export differs from leader:\n%s\nvs\n%s", got, want)
 	}
-	if got := fol.ReplicaAppliedSeq(); got != leader.WAL().LastSeq() {
+	if got := fol.ReplicaAppliedSeq(0); got != leader.WAL().LastSeq() {
 		t.Fatalf("applied seq = %d, want %d", got, leader.WAL().LastSeq())
 	}
 
 	// Non-contiguous batches are refused outright.
-	if err := fol.ApplyReplicated(recs); err == nil {
+	if err := fol.ApplyReplicated(0, recs); err == nil {
 		t.Fatal("re-applying an old batch succeeded")
 	}
 }
@@ -118,8 +118,8 @@ func TestDurableFollowerSeedApplyRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenFollowerDurable: %v", err)
 	}
-	if info.SnapshotSeq != seq || fol.ReplicaAppliedSeq() != seq {
-		t.Fatalf("recovered seq %d/%d, want %d", info.SnapshotSeq, fol.ReplicaAppliedSeq(), seq)
+	if info.SnapshotSeq != seq || fol.ReplicaAppliedSeq(0) != seq {
+		t.Fatalf("recovered seq %d/%d, want %d", info.SnapshotSeq, fol.ReplicaAppliedSeq(0), seq)
 	}
 	if _, err := fol.Execute("CREATE (:X)", nil); !errors.Is(err, core.ErrFollower) {
 		t.Fatalf("durable follower accepted a write: %v", err)
@@ -128,13 +128,13 @@ func TestDurableFollowerSeedApplyRestart(t *testing.T) {
 	for i := 6; i < 10; i++ {
 		leaderWrite(t, leader, i)
 	}
-	if err := fol.ApplyReplicated(pullRecords(t, leader, fol.ReplicaAppliedSeq())); err != nil {
+	if err := fol.ApplyReplicated(0, pullRecords(t, leader, fol.ReplicaAppliedSeq(0))); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
 	if got, want := saveGraph(t, fol), saveGraph(t, leader); got != want {
 		t.Fatal("follower export differs from leader after apply")
 	}
-	cursorBefore := fol.ReplicaAppliedSeq()
+	cursorBefore := fol.ReplicaAppliedSeq(0)
 	if err := fol.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -145,8 +145,8 @@ func TestDurableFollowerSeedApplyRestart(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer fol2.Close()
-	if fol2.ReplicaAppliedSeq() != cursorBefore {
-		t.Fatalf("restart cursor %d, want %d", fol2.ReplicaAppliedSeq(), cursorBefore)
+	if fol2.ReplicaAppliedSeq(0) != cursorBefore {
+		t.Fatalf("restart cursor %d, want %d", fol2.ReplicaAppliedSeq(0), cursorBefore)
 	}
 	if info2.RecordsReplayed != 4 {
 		t.Fatalf("replayed %d records, want 4", info2.RecordsReplayed)
@@ -157,7 +157,7 @@ func TestDurableFollowerSeedApplyRestart(t *testing.T) {
 
 	// And continues applying fresh leader records.
 	leaderWrite(t, leader, 10)
-	if err := fol2.ApplyReplicated(pullRecords(t, leader, fol2.ReplicaAppliedSeq())); err != nil {
+	if err := fol2.ApplyReplicated(0, pullRecords(t, leader, fol2.ReplicaAppliedSeq(0))); err != nil {
 		t.Fatalf("apply after restart: %v", err)
 	}
 	if got, want := saveGraph(t, fol2), saveGraph(t, leader); got != want {

@@ -1,10 +1,10 @@
 package core
 
-// Planner behavior on sharded stores: the plan cache is shared by every
-// shard (one parse per query text), but compiled variants carry
-// statistics-driven anchor choices, so they must be cached per executing
-// store. These tests pin that contract and race cross-shard reads against
-// per-shard and bridge writers.
+// Planner behavior over shards: the plan cache is shared by every shard (one
+// parse per query text), but compiled variants carry statistics-driven
+// anchor choices, so they must be cached per executing store. These tests
+// pin that contract and race cross-shard reads against per-shard and bridge
+// writers.
 
 import (
 	"fmt"
@@ -17,20 +17,17 @@ import (
 	"repro/internal/value"
 )
 
-// skewedSharded builds a two-hub knowledge base with opposite label skews:
-// shard 0 holds 50 :X and 1 :Y, shard 1 holds 1 :X and 50 :Y, each with one
-// X->Y relationship. A cost-based planner must anchor MATCH (x:X)-->(y:Y)
-// at :Y on shard 0 and at :X on shard 1.
-func skewedSharded(t *testing.T) *ShardedKB {
+// fillSkewed gives consecutive shards opposite label skews: even shards
+// hold 50 :X and 1 :Y, odd shards 1 :X and 50 :Y, each with one X->Y
+// relationship. A cost-based planner must anchor MATCH (x:X)-->(y:Y) at the
+// shard's rare label.
+func fillSkewed(t *testing.T, kb *KnowledgeBase) {
 	t.Helper()
-	kb, err := NewSharded(Config{}, []HubShard{
-		{Hub: "a", Description: "x-heavy"},
-		{Hub: "b", Description: "y-heavy"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill := func(shard, nx, ny int) {
+	for shard := 0; shard < kb.NumShards(); shard++ {
+		nx, ny := 50, 1
+		if shard%2 == 1 {
+			nx, ny = 1, 50
+		}
 		if _, err := kb.UpdateShard(shard, func(tx *graph.Tx) error {
 			var x0, y0 graph.NodeID
 			for i := 0; i < nx; i++ {
@@ -57,20 +54,22 @@ func skewedSharded(t *testing.T) *ShardedKB {
 			t.Fatal(err)
 		}
 	}
-	fill(0, 50, 1)
-	fill(1, 1, 50)
-	return kb
 }
 
 var anchorLine = regexp.MustCompile(`anchor: node \d+ via label scan :(\w+)`)
 
-// TestShardedPlanVariantsPerStore checks that one shared plan yields one
-// compiled variant per executing store — per-hub executions on skewed
-// shards must each be costed against their own statistics, and the
-// cross-shard view is a fourth store with aggregated statistics, not a
-// reuse of whichever shard prepared the plan first.
-func TestShardedPlanVariantsPerStore(t *testing.T) {
-	kb := skewedSharded(t)
+// TestPlanVariantsPerStore checks, on every row of the constructor table,
+// that one shared plan yields one compiled variant per executing store —
+// per-hub executions on skewed shards must each be costed against their own
+// statistics, and with several shards the cross-shard view is one more
+// store with aggregated statistics, not a reuse of whichever shard prepared
+// the plan first. With one shard the whole-graph read is that shard's own
+// store: one variant in total.
+func TestPlanVariantsPerStore(t *testing.T) { ForEachVariant(t, testPlanVariantsPerStore) }
+
+func testPlanVariantsPerStore(t *testing.T, v Variant) {
+	kb, _ := v.OpenSim(t)
+	fillSkewed(t, kb)
 	const q = "MATCH (x:X)-[:R]->(y:Y) RETURN count(*)"
 
 	// The anchor choice really is statistics-dependent: explain against
@@ -79,24 +78,26 @@ func TestShardedPlanVariantsPerStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anchors := make([]string, 2)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < v.Shards; i++ {
+		want := "Y"
+		if i%2 == 1 {
+			want = "X"
+		}
 		if err := kb.ViewShard(i, func(tx *graph.Tx) error {
 			m := anchorLine.FindStringSubmatch(cypher.Explain(tx, stmt))
 			if m == nil {
 				t.Fatalf("shard %d explain has no label-scan anchor:\n%s", i, cypher.Explain(tx, stmt))
 			}
-			anchors[i] = m[1]
+			if m[1] != want {
+				t.Fatalf("shard %d anchors :%s, want its rare label :%s", i, m[1], want)
+			}
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if anchors[0] != "Y" || anchors[1] != "X" {
-		t.Fatalf("anchors = %v, want [Y X] (each shard anchors its rare label)", anchors)
-	}
 
-	run := func(exec func() (*cypher.Result, error), want int64, where string) {
+	run := func(exec func() (*cypher.Result, error), want int, where string) {
 		t.Helper()
 		res, err := exec()
 		if err != nil {
@@ -106,25 +107,28 @@ func TestShardedPlanVariantsPerStore(t *testing.T) {
 			t.Fatalf("%s: count = %s, want %d", where, got, want)
 		}
 	}
-	inHub := func(hub string) func() (*cypher.Result, error) {
-		return func() (*cypher.Result, error) { return kb.QueryInHub(hub, q, nil) }
+	all := func(round string) {
+		for i := 0; i < v.Shards; i++ {
+			run(func() (*cypher.Result, error) { return kb.QueryInHub(v.Hub(i), q, nil) },
+				1, fmt.Sprintf("hub %s, %s", v.Hub(i), round))
+		}
+		run(func() (*cypher.Result, error) { return kb.Query(q, nil) }, v.Shards, "whole graph, "+round)
 	}
-	cross := func() (*cypher.Result, error) { return kb.Query(q, nil) }
+	stores := v.Shards
+	if v.Shards > 1 {
+		stores++ // the cross-shard view
+	}
 
 	before := cypher.PlansCompiled()
-	run(inHub("a"), 1, "hub a, first")
-	run(inHub("b"), 1, "hub b, first")
-	run(cross, 2, "cross-shard, first")
-	if d := cypher.PlansCompiled() - before; d != 3 {
-		t.Fatalf("first executions compiled %d variants, want 3 (one per store)", d)
+	all("first")
+	if d := cypher.PlansCompiled() - before; d != int64(stores) {
+		t.Fatalf("first executions compiled %d variants, want %d (one per store)", d, stores)
 	}
 	// Re-executions must hit each store's cached variant, not recompile —
 	// and not cross-contaminate: the counts stay right on every store.
-	run(inHub("a"), 1, "hub a, repeat")
-	run(inHub("b"), 1, "hub b, repeat")
-	run(cross, 2, "cross-shard, repeat")
-	if d := cypher.PlansCompiled() - before; d != 3 {
-		t.Fatalf("repeat executions recompiled: %d variants total, want 3", d)
+	all("repeat")
+	if d := cypher.PlansCompiled() - before; d != int64(stores) {
+		t.Fatalf("repeat executions recompiled: %d variants total, want %d", d, stores)
 	}
 }
 
@@ -134,7 +138,7 @@ func TestShardedPlanVariantsPerStore(t *testing.T) {
 // bridge bound exactly once, never a torn half. Run under -race by the CI
 // concurrency sweeps.
 func TestShardedCrossQueryConcurrentWithWriters(t *testing.T) {
-	kb := paritySharded(t)
+	kb := parityKB(t, Variants[2]) // N=4 in-memory
 	const readers = 4
 	const rounds = 50
 

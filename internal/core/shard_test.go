@@ -1,20 +1,23 @@
 package core
 
-// Behavior tests for the hub-sharded knowledge base: layout and routing,
-// rules firing on per-shard and bridge writes, hub-ownership enforcement on
-// every shard, durable round trips, cross-shard-consistent checkpoints, the
-// per-shard async pending queue, and replication follower apply.
+// Behavior tests for what is genuinely multi-shard: the hub-to-shard layout
+// and routing, bridge writes, hub-ownership enforcement on both sides of a
+// bridge, per-shard checkpoints, and the typed error single-store features
+// return once there is more than one shard. Everything that behaves the same
+// for any number of shards runs over the constructor table instead (see
+// variants_test.go and table_test.go).
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/hub"
 	"repro/internal/periodic"
 	"repro/internal/trigger"
-	"repro/internal/value"
 	"repro/internal/wal"
 )
 
@@ -25,27 +28,13 @@ func twoHubs() []HubShard {
 	}
 }
 
-func newShardedKB(t *testing.T) *ShardedKB {
+func newShardedKB(t *testing.T) *KnowledgeBase {
 	t.Helper()
 	kb, err := NewSharded(Config{Clock: periodic.NewManualClock(sim0)}, twoHubs())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return kb
-}
-
-func shardQueryInt(t *testing.T, kb *ShardedKB, hubName, query string) int64 {
-	t.Helper()
-	res, err := kb.QueryInHub(hubName, query, nil)
-	if err != nil {
-		t.Fatalf("query %q in %s: %v", query, hubName, err)
-	}
-	v, ok := res.Value()
-	if !ok {
-		t.Fatalf("query %q: expected single value, got %d rows", query, len(res.Rows))
-	}
-	n, _ := v.AsInt()
-	return n
 }
 
 func TestShardedLayoutAndErrors(t *testing.T) {
@@ -85,46 +74,6 @@ func TestShardedLayoutAndErrors(t *testing.T) {
 	}
 }
 
-func TestShardedRulesFire(t *testing.T) {
-	kb := newShardedKB(t)
-	if err := kb.InstallRule(trigger.Rule{
-		Name:  "watch",
-		Hub:   "A",
-		Event: trigger.Event{Kind: trigger.CreateNode, Label: "Sequence"},
-		Alert: "RETURN NEW.id AS sid",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := kb.UpdateInHub("A", func(tx *graph.Tx) error {
-		_, err := tx.CreateNode([]string{"Sequence"}, map[string]value.Value{"id": value.Str("S1")})
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.AlertNodes != 1 {
-		t.Fatalf("report = %+v, want one alert node", rep)
-	}
-	// The alert materializes in the triggering shard; the other shard's
-	// snapshot is untouched.
-	if n := shardQueryInt(t, kb, "A", "MATCH (a:Alert) RETURN count(a) AS n"); n != 1 {
-		t.Fatalf("alerts in A = %d, want 1", n)
-	}
-	if n := shardQueryInt(t, kb, "B", "MATCH (a:Alert) RETURN count(a) AS n"); n != 0 {
-		t.Fatalf("alerts in B = %d, want 0", n)
-	}
-
-	// ExecuteInHub drives the same path through the query layer.
-	if _, rep, err := kb.ExecuteInHub("A", "CREATE (:Sequence {id: 'S2'})", nil); err != nil {
-		t.Fatal(err)
-	} else if rep.AlertNodes != 1 {
-		t.Fatalf("ExecuteInHub report = %+v", rep)
-	}
-	if n := shardQueryInt(t, kb, "A", "MATCH (s:Sequence) RETURN count(s) AS n"); n != 2 {
-		t.Fatalf("sequences = %d, want 2", n)
-	}
-}
-
 func TestShardedBridgeWrite(t *testing.T) {
 	kb := newShardedKB(t)
 	if err := kb.InstallRule(trigger.Rule{
@@ -154,16 +103,11 @@ func TestShardedBridgeWrite(t *testing.T) {
 	if rep.AlertNodes != 1 {
 		t.Fatalf("bridge report = %+v, want one alert node", rep)
 	}
-	if err := kb.View(func(v *graph.MultiView) error {
-		if got := v.RelCount(); got != 1 {
-			t.Errorf("RelCount = %d, want 1", got)
-		}
-		if got := v.CountByLabel("Sequence"); got != 1 {
-			t.Errorf("sequences = %d, want 1", got)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	if st := kb.GraphStats(); st.Relationships != 1 {
+		t.Errorf("relationships = %d, want 1 (both halves of the bridge count once)", st.Relationships)
+	}
+	if got := kb.Shards().LabelCount("Sequence"); got != 1 {
+		t.Errorf("sequences = %d, want 1", got)
 	}
 	if _, err := kb.UpdateBridge("A", "nope", func(bt *graph.BridgeTx) error { return nil }); !errors.Is(err, ErrUnknownShardHub) {
 		t.Fatalf("UpdateBridge(nope) err = %v", err)
@@ -207,97 +151,13 @@ func TestShardedHubOwnershipEnforced(t *testing.T) {
 	}
 }
 
-func shardedExports(t *testing.T, kb *ShardedKB) []string {
-	t.Helper()
-	out := make([]string, kb.NumShards())
-	for i := range out {
-		var b strings.Builder
-		if err := kb.ExportShard(i, &b); err != nil {
-			t.Fatal(err)
-		}
-		out[i] = b.String()
-	}
-	return out
-}
-
-// seedShardedDurable populates a durable sharded kb with intra-hub writes on
-// both shards and one bridge.
-func seedShardedDurable(t *testing.T, kb *ShardedKB) {
-	t.Helper()
-	for i := 0; i < 2; i++ {
-		i := i
-		if _, err := kb.UpdateShard(i, func(tx *graph.Tx) error {
-			_, err := tx.CreateNode([]string{"Doc"}, map[string]value.Value{"shard": value.Int(int64(i))})
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := kb.UpdateBridgeShards(0, 1, func(bt *graph.BridgeTx) error {
-		a, err := bt.CreateNodeIn(0, []string{"Sequence"}, nil)
-		if err != nil {
-			return err
-		}
-		b, err := bt.CreateNodeIn(1, []string{"Trial"}, nil)
-		if err != nil {
-			return err
-		}
-		_, err = bt.CreateRel(a, b, "TESTED_IN", nil)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShardedDurableRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	kb, infos, err := OpenShardedDurable(dir, Config{}, twoHubs(), wal.Options{Fsync: wal.FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 2 {
-		t.Fatalf("recovery infos = %d, want 2", len(infos))
-	}
-	seedShardedDurable(t, kb)
-	want := shardedExports(t, kb)
-	if err := kb.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	kb2, infos2, err := OpenShardedDurable(dir, Config{}, twoHubs(), wal.Options{Fsync: wal.FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer kb2.Close()
-	got := shardedExports(t, kb2)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("shard %d: recovered export differs", i)
-		}
-	}
-	if infos2[0].RecordsReplayed == 0 || infos2[1].RecordsReplayed == 0 {
-		t.Fatalf("infos = %+v, %+v: expected replayed records", infos2[0], infos2[1])
-	}
-	// The recovered kb keeps allocating in band: a new node in shard 1 must
-	// carry shard 1's identifier band.
-	if _, err := kb2.UpdateShard(1, func(tx *graph.Tx) error {
-		id, err := tx.CreateNode([]string{"Doc"}, nil)
-		if err == nil && graph.ShardOfNode(id) != 1 {
-			t.Errorf("post-recovery allocation landed in band %d", graph.ShardOfNode(id))
-		}
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestShardedCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	kb, _, err := OpenShardedDurable(dir, Config{}, twoHubs(), wal.Options{Fsync: wal.FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedShardedDurable(t, kb)
+	SeedShards(t, kb)
 	if err := kb.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +171,7 @@ func TestShardedCheckpoint(t *testing.T) {
 	if err := kb.CheckpointShard(0); err != nil {
 		t.Fatal(err)
 	}
-	want := shardedExports(t, kb)
+	want := Exports(t, kb)
 	if err := kb.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +181,7 @@ func TestShardedCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer kb2.Close()
-	got := shardedExports(t, kb2)
+	got := Exports(t, kb2)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("shard %d: export differs after checkpointed recovery", i)
@@ -334,207 +194,42 @@ func TestShardedCheckpoint(t *testing.T) {
 	}
 }
 
-func TestShardedDrainAsync(t *testing.T) {
+// TestShardedSingleStoreFeaturesTypedError pins the N>1 feature matrix:
+// everything that acts on one graph store refuses with ErrMultiShard
+// instead of silently acting on shard 0.
+func TestShardedSingleStoreFeaturesTypedError(t *testing.T) {
 	kb := newShardedKB(t)
-	if err := kb.InstallRule(trigger.Rule{
-		Name:  "echo",
-		Hub:   "A",
-		Event: trigger.Event{Kind: trigger.CreateNode, Label: "Reading"},
-		Alert: "RETURN NEW.v AS v",
-		Phase: trigger.AfterAsync,
-	}); err != nil {
-		t.Fatal(err)
+	calls := map[string]func() error{
+		"Execute": func() error { _, err := kb.Execute("CREATE (:X)", nil); return err },
+		"WriteTx": func() error {
+			_, err := kb.WriteTx(func(tx *graph.Tx) error { return nil })
+			return err
+		},
+		"EnableSummaries": func() error { return kb.EnableSummaries(24 * time.Hour) },
+		"Fork":            func() error { _, err := kb.Fork(nil); return err },
+		"ApplySchema": func() error {
+			_, err := kb.ApplySchema("CREATE GRAPH TYPE G STRICT { (xt: X {id STRING}) }")
+			return err
+		},
+		"SaveGraph": func() error { return kb.SaveGraph(io.Discard) },
+		"LoadGraph": func() error { return kb.LoadGraph(strings.NewReader("{}")) },
 	}
-	rep, err := kb.UpdateShard(0, func(tx *graph.Tx) error {
-		_, err := tx.CreateNode([]string{"Reading"}, map[string]value.Value{"v": value.Int(7)})
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
+	for name, call := range calls {
+		if err := call(); !errors.Is(err, ErrMultiShard) {
+			t.Errorf("%s on two shards: err = %v, want ErrMultiShard", name, err)
+		}
 	}
-	if rep.AsyncEnqueued != 1 || rep.AlertNodes != 0 {
-		t.Fatalf("report = %+v, want one staged activation and no sync alert", rep)
+	if n := kb.GraphStats().Nodes; n != 0 {
+		t.Errorf("refused operations left %d node(s) behind", n)
 	}
-	if kb.AsyncDepth() != 1 {
-		t.Fatalf("AsyncDepth = %d, want 1", kb.AsyncDepth())
-	}
-	done, err := kb.DrainAsync()
-	if err != nil || done != 1 {
-		t.Fatalf("DrainAsync = (%d, %v), want (1, nil)", done, err)
-	}
-	if kb.AsyncDepth() != 0 {
-		t.Fatalf("AsyncDepth after drain = %d, want 0", kb.AsyncDepth())
-	}
-	if n := shardQueryInt(t, kb, "A", "MATCH (a:Alert) RETURN count(a) AS n"); n != 1 {
-		t.Fatalf("alerts = %d, want 1", n)
-	}
-	// Draining again is a no-op.
-	if done, err := kb.DrainAsync(); err != nil || done != 0 {
-		t.Fatalf("second DrainAsync = (%d, %v)", done, err)
-	}
-}
 
-// TestShardedPendingSurvivesRecovery stages an AfterAsync activation, crashes
-// before the drain, and checks the recovered queue drains to the same alert.
-func TestShardedPendingSurvivesRecovery(t *testing.T) {
 	dir := t.TempDir()
-	installEcho := func(kb *ShardedKB) {
-		t.Helper()
-		if err := kb.InstallRule(trigger.Rule{
-			Name:  "echo",
-			Hub:   "B",
-			Event: trigger.Event{Kind: trigger.CreateNode, Label: "Reading"},
-			Alert: "RETURN NEW.v AS v",
-			Phase: trigger.AfterAsync,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	kb, _, err := OpenShardedDurable(dir, Config{}, twoHubs(), wal.Options{Fsync: wal.FsyncAlways})
+	dkb, _, err := OpenShardedDurable(dir, Config{}, twoHubs(), wal.Options{Fsync: wal.FsyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
-	installEcho(kb)
-	if _, err := kb.UpdateShard(1, func(tx *graph.Tx) error {
-		_, err := tx.CreateNode([]string{"Reading"}, map[string]value.Value{"v": value.Int(9)})
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := kb.Close(); err != nil { // crash before draining
-		t.Fatal(err)
-	}
-
-	kb2, _, err := OpenShardedDurable(dir, Config{}, twoHubs(), wal.Options{Fsync: wal.FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer kb2.Close()
-	installEcho(kb2)
-	if kb2.AsyncDepth() != 1 {
-		t.Fatalf("recovered AsyncDepth = %d, want 1", kb2.AsyncDepth())
-	}
-	if done, err := kb2.DrainAsync(); err != nil || done != 1 {
-		t.Fatalf("DrainAsync after recovery = (%d, %v), want (1, nil)", done, err)
-	}
-	if n := shardQueryInt(t, kb2, "B", "MATCH (a:Alert) RETURN count(a) AS n"); n != 1 {
-		t.Fatalf("alerts after recovered drain = %d, want 1", n)
-	}
-}
-
-func TestShardedFollowerApply(t *testing.T) {
-	ldir := t.TempDir()
-	leader, _, err := OpenShardedDurable(ldir, Config{}, twoHubs(), wal.Options{Fsync: wal.FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leader.Close()
-	seedShardedDurable(t, leader)
-	want := shardedExports(t, leader)
-
-	fdir := t.TempDir()
-	fol, _, err := OpenShardedDurableFollower(fdir, Config{}, twoHubs(), wal.Options{Fsync: wal.FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fol.Close()
-	if !fol.Follower() {
-		t.Fatal("follower mode not reported")
-	}
-	if _, err := fol.UpdateShard(0, func(tx *graph.Tx) error { return nil }); !errors.Is(err, ErrFollower) {
-		t.Fatalf("follower UpdateShard err = %v, want ErrFollower", err)
-	}
-	if _, err := fol.DrainAsync(); !errors.Is(err, ErrFollower) {
-		t.Fatalf("follower DrainAsync err = %v, want ErrFollower", err)
-	}
-	if err := leader.ApplyReplicatedShard(0, nil); err == nil {
-		t.Fatal("leader accepted ApplyReplicatedShard")
-	}
-
-	// Ship each shard's stream independently, as the replica layer would.
-	for i := 0; i < 2; i++ {
-		cur := leader.WAL().Log(i).Cursor(fol.ShardAppliedSeq(i))
-		var recs []*wal.Record
-		for {
-			batch, err := cur.Next(0)
-			if err != nil {
-				t.Fatalf("shard %d cursor: %v", i, err)
-			}
-			if len(batch) == 0 {
-				break
-			}
-			recs = append(recs, batch...)
-		}
-		cur.Close()
-		if len(recs) == 0 {
-			t.Fatalf("shard %d: no records to ship", i)
-		}
-		if err := fol.ApplyReplicatedShard(i, recs); err != nil {
-			t.Fatalf("shard %d apply: %v", i, err)
-		}
-		if got := fol.ShardAppliedSeq(i); got != recs[len(recs)-1].Seq {
-			t.Fatalf("shard %d applied seq = %d, want %d", i, got, recs[len(recs)-1].Seq)
-		}
-		// Replays of the same batch are rejected as non-contiguous.
-		if err := fol.ApplyReplicatedShard(i, recs); err == nil {
-			t.Fatalf("shard %d: duplicate batch accepted", i)
-		}
-	}
-	got := shardedExports(t, fol)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("shard %d: follower export differs from leader", i)
-		}
-	}
-
-	// The follower's mirrored logs recover the same state stand-alone.
-	if err := fol.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fol2, _, err := OpenShardedDurable(fdir, Config{}, twoHubs(), wal.Options{Fsync: wal.FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fol2.Close()
-	got2 := shardedExports(t, fol2)
-	for i := range want {
-		if got2[i] != want[i] {
-			t.Fatalf("shard %d: recovered follower export differs from leader", i)
-		}
-	}
-}
-
-// TestShardedInMemoryFollower covers the replicaSeqs cursor path (no WAL).
-func TestShardedInMemoryFollower(t *testing.T) {
-	ldir := t.TempDir()
-	leader, _, err := OpenShardedDurable(ldir, Config{}, twoHubs(), wal.Options{Fsync: wal.FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leader.Close()
-	seedShardedDurable(t, leader)
-
-	fol := newShardedKB(t)
-	fol.SetFollowerMode(true)
-	for i := 0; i < 2; i++ {
-		cur := leader.WAL().Log(i).Cursor(0)
-		recs, err := cur.Next(0)
-		cur.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fol.ApplyReplicatedShard(i, recs); err != nil {
-			t.Fatalf("shard %d apply: %v", i, err)
-		}
-		if fol.ShardAppliedSeq(i) != recs[len(recs)-1].Seq {
-			t.Fatalf("shard %d applied seq = %d", i, fol.ShardAppliedSeq(i))
-		}
-	}
-	want := shardedExports(t, leader)
-	got := shardedExports(t, fol)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("shard %d: in-memory follower export differs", i)
-		}
+	defer dkb.Close()
+	if _, _, err := dkb.ReplicaSnapshotView(); !errors.Is(err, ErrMultiShard) {
+		t.Errorf("ReplicaSnapshotView on two shards: err = %v, want ErrMultiShard", err)
 	}
 }

@@ -91,8 +91,8 @@ func goldenFixture(t testing.TB) *graph.Store {
 }
 
 // goldenCase aliases the shared corpus entry; the table itself lives in the
-// cyphertest package so internal/core's sharded parity test can run the same
-// corpus against a multi-hub ShardedKB.
+// cyphertest package so internal/core's golden parity test can run the same
+// corpus against one-shard and multi-hub knowledge bases.
 type goldenCase = cyphertest.Case
 
 func goldenCases() []goldenCase { return cyphertest.Cases() }

@@ -25,7 +25,7 @@ func PlansCompiled() int64 { return plansCompiled.Load() }
 // Compilation happens on first Execute (it needs a read view to cost access
 // paths against); the compiled variant is cached inside the Plan and
 // recompiled only when the statistics it was costed on drift. Variants are
-// keyed per store because shared plans (a ShardedKB's cache serves every
+// keyed per store because shared plans (a knowledge base's cache serves every
 // shard) execute against stores with independent cardinalities: one shard's
 // anchor order can be pessimal — and its drift check meaningless — on
 // another. Plans are safe for concurrent use.

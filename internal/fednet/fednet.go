@@ -206,6 +206,10 @@ func NewNode(name string, kb *core.KnowledgeBase, opts Options) (*Node, error) {
 	if name == "" {
 		return nil, fmt.Errorf("fednet: node name must not be empty")
 	}
+	if kb.NumShards() > 1 {
+		// The outbox marks and the RemoteAlert log live in one store.
+		return nil, fmt.Errorf("fednet: node %s: %w", name, core.ErrMultiShard)
+	}
 	opts = opts.withDefaults()
 	if err := federation.EnsureRemoteAlertIndex(kb); err != nil {
 		return nil, err

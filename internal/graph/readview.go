@@ -40,6 +40,10 @@ type ReadView interface {
 
 	NodeCount() int
 	AllNodes() []NodeID
+	// RelCount and AllRels report a knowledge bridge once on a MultiView;
+	// a single shard's Tx reports every half it stores.
+	RelCount() int
+	AllRels() []RelID
 
 	// StoreKey identifies the backing store (the *Store of a Tx, the
 	// *ShardedStore of a MultiView). Two views with equal keys read the

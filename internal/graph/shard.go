@@ -129,6 +129,43 @@ func (ss *ShardedStore) Update(shard int, fn func(tx *Tx) error) error {
 	return ss.shards[shard].Update(fn)
 }
 
+// LabelCount sums the label's committed membership over all shards.
+// Lock-free.
+func (ss *ShardedStore) LabelCount(label string) int {
+	n := 0
+	for _, s := range ss.shards {
+		n += s.LabelCount(label)
+	}
+	return n
+}
+
+// Stats returns the size counters of the whole graph, lock-free: nodes sum
+// over shards, a knowledge bridge counts once (by its home half) although
+// both endpoint shards store it, and labels, relationship types and indexes
+// count distinct names across shards.
+func (ss *ShardedStore) Stats() Stats {
+	var st Stats
+	labels := make(map[string]struct{})
+	relTypes := make(map[string]struct{})
+	indexes := make(map[indexKey]struct{})
+	for _, s := range ss.shards {
+		sn := s.snap.Load()
+		st.Nodes += len(sn.nodes)
+		st.Relationships += len(sn.rels) - sn.mirrorRels
+		for l := range sn.byLabel {
+			labels[l] = struct{}{}
+		}
+		for t := range sn.byRelType {
+			relTypes[t] = struct{}{}
+		}
+		for ik := range sn.indexes {
+			indexes[ik] = struct{}{}
+		}
+	}
+	st.Labels, st.RelTypes, st.Indexes = len(labels), len(relTypes), len(indexes)
+	return st
+}
+
 // ---- Cross-shard read views ----
 
 // MultiView is a read view spanning every shard: one lock-free read-only

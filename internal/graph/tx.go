@@ -80,12 +80,6 @@ func newWork() *work {
 // not mutate the returned record.
 func (tx *Tx) Data() *TxData { return tx.data }
 
-// IsApply reports whether this is a replication-apply transaction
-// (BeginApply). Commit hooks that derive log records from transactions use
-// it to skip applied batches, which the apply path mirrors into the local
-// log itself with the leader's sequence numbers.
-func (tx *Tx) IsApply() bool { return tx.apply }
-
 // ResetData replaces the change record with an empty one and returns the
 // previous record. Rule engines use this to process changes in rounds while
 // the transaction stays open.

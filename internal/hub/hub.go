@@ -140,7 +140,7 @@ func (r *Registry) OwnedLabels(hubName string) []string {
 
 // OwnerOfNode determines the hub owning a node, preferring the node's hub
 // property and falling back to label ownership.
-func (r *Registry) OwnerOfNode(tx *graph.Tx, id graph.NodeID) (string, bool) {
+func (r *Registry) OwnerOfNode(tx graph.ReadView, id graph.NodeID) (string, bool) {
 	if v, ok := tx.NodeProp(id, r.propKey); ok {
 		if s, isStr := v.AsString(); isStr {
 			return s, true
@@ -184,7 +184,7 @@ func (s EdgeScope) String() string {
 
 // ClassifyEdge reports whether a relationship stays within one hub or
 // bridges two.
-func (r *Registry) ClassifyEdge(tx *graph.Tx, id graph.RelID) EdgeScope {
+func (r *Registry) ClassifyEdge(tx graph.ReadView, id graph.RelID) EdgeScope {
 	_, start, end, ok := tx.RelEndpoints(id)
 	if !ok {
 		return ScopeUnknown
@@ -295,8 +295,9 @@ type Bridge struct {
 	Count   int
 }
 
-// ComputeStats scans the graph and summarizes the partitioning.
-func (r *Registry) ComputeStats(tx *graph.Tx) Stats {
+// ComputeStats scans the graph and summarizes the partitioning. Over a
+// cross-shard view each knowledge bridge is counted once.
+func (r *Registry) ComputeStats(tx graph.ReadView) Stats {
 	st := Stats{NodesPerHub: make(map[string]int)}
 	for _, id := range tx.AllNodes() {
 		if h, ok := r.OwnerOfNode(tx, id); ok {

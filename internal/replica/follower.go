@@ -130,10 +130,10 @@ func OpenFollower(dataDir, leaderURL string, cfg core.Config, opts Options) (*Fo
 	if err != nil {
 		return nil, err
 	}
-	if serr == nil && kb.ReplicaAppliedSeq() < st.TailStart {
+	if serr == nil && kb.ReplicaAppliedSeq(0) < st.TailStart {
 		// The leader compacted past our cursor while we were down. Local
 		// state is unrecoverable for streaming; start over from a snapshot.
-		opts.Logf("replica: cursor %d behind leader tail %d; re-bootstrapping", kb.ReplicaAppliedSeq(), st.TailStart)
+		opts.Logf("replica: cursor %d behind leader tail %d; re-bootstrapping", kb.ReplicaAppliedSeq(0), st.TailStart)
 		if err := kb.Close(); err != nil {
 			return nil, err
 		}
@@ -226,7 +226,7 @@ func (f *Follower) State() string {
 // cut off from its leader cannot know the record lag, but it always knows
 // how old its view is.
 func (f *Follower) Lag() (records uint64, seconds float64) {
-	applied := f.kb.ReplicaAppliedSeq()
+	applied := f.kb.ReplicaAppliedSeq(0)
 	leader := f.leaderSeq.Load()
 	if leader > applied {
 		records = leader - applied
@@ -244,7 +244,7 @@ func (f *Follower) Status() FollowerStatus {
 	return FollowerStatus{
 		LeaderURL:  f.leaderURL,
 		State:      f.State(),
-		AppliedSeq: f.kb.ReplicaAppliedSeq(),
+		AppliedSeq: f.kb.ReplicaAppliedSeq(0),
 		LeaderSeq:  f.leaderSeq.Load(),
 		LagRecords: recs,
 		LagSeconds: secs,
@@ -312,7 +312,7 @@ func (f *Follower) backoff(failures int) time.Duration {
 // applies chunks until the leader closes the window (nil) or the connection
 // errors. A 410 maps to *TruncatedStreamError.
 func (f *Follower) streamOnce(ctx context.Context) error {
-	after := f.kb.ReplicaAppliedSeq()
+	after := f.kb.ReplicaAppliedSeq(0)
 	url := fmt.Sprintf("%s/wal/stream?after=%d", f.leaderURL, after)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -353,14 +353,14 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 		}
 		if len(ch.Records) > 0 {
 			// Drop any prefix a reconnect redelivered; apply is exactly-once.
-			applied := f.kb.ReplicaAppliedSeq()
+			applied := f.kb.ReplicaAppliedSeq(0)
 			recs := ch.Records
 			for len(recs) > 0 && recs[0].Seq <= applied {
 				recs = recs[1:]
 			}
 			if len(recs) > 0 {
 				t0 := time.Now()
-				err := f.kb.ApplyReplicated(recs)
+				err := f.kb.ApplyReplicated(0, recs)
 				f.m.applySeconds.ObserveSince(t0)
 				if err != nil {
 					return err
@@ -369,7 +369,7 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 				f.m.batches.Inc()
 			}
 		}
-		if f.kb.ReplicaAppliedSeq() >= f.leaderSeq.Load() {
+		if f.kb.ReplicaAppliedSeq(0) >= f.leaderSeq.Load() {
 			f.caughtUp.Store(f.opts.Now().UnixNano())
 		}
 	}

@@ -318,6 +318,25 @@ type Report struct {
 	CompositeSteps int
 }
 
+// Merge folds src into r: counters sum, activations concatenate. A write
+// that runs Process once per side (a two-shard bridge commit) reports the
+// merged total. A nil src is a no-op.
+func (r *Report) Merge(src *Report) {
+	if src == nil {
+		return
+	}
+	r.Rounds += src.Rounds
+	r.GuardChecks += src.GuardChecks
+	r.GuardPasses += src.GuardPasses
+	r.AlertRuns += src.AlertRuns
+	r.AlertNodes += src.AlertNodes
+	r.Activations = append(r.Activations, src.Activations...)
+	r.RulesConsidered += src.RulesConsidered
+	r.AsyncEnqueued += src.AsyncEnqueued
+	r.AsyncShed += src.AsyncShed
+	r.CompositeSteps += src.CompositeSteps
+}
+
 // dispatchIndex buckets compiled rules by the (EventKind, Label) pairs their
 // selectors can match; the "" bucket of a kind holds its wildcard selectors.
 // Rebuilt on Install/Drop under the engine lock and read immutably by

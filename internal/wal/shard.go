@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -57,7 +56,6 @@ func ShardDir(dir string, shard int) string {
 // transactions. Per-shard appends go straight to Log(i); only AppendBridge
 // spans streams.
 type ShardSet struct {
-	dir  string
 	logs []*Log
 }
 
@@ -143,104 +141,16 @@ func (s *ShardSet) AppendBridge(lo, hi int, loRec, hiRec *Record) (committed boo
 	return true, nil
 }
 
-// shardScan is the pre-replay state of one shard: its snapshot-restored
-// store and the intact live records of its stream, torn tails already
-// truncated on disk.
-type shardScan struct {
-	store   *graph.Store
-	records []*Record
-	info    *RecoveryInfo
-}
-
-// scanShard restores shard snapshot state and collects the stream's intact
-// records without applying them — the sharded recovery needs every
-// stream's records before it can classify any prepare record.
-func scanShard(dir string, opts Options) (*shardScan, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("wal: open shard: %w", err)
-	}
-	segments, snapshots, err := scanDir(dir)
+// OpenFlat opens dir itself as a one-stream set: the unsharded layout,
+// whose segments and snapshots sit at the directory root rather than under
+// shard-000/. A single stream carries no bridge records, so recovery is
+// exactly Open's.
+func OpenFlat(dir string, opts Options) (*ShardSet, []*graph.Store, []*RecoveryInfo, error) {
+	l, store, info, err := Open(dir, opts)
 	if err != nil {
-		return nil, fmt.Errorf("wal: open shard: %w", err)
+		return nil, nil, nil, err
 	}
-	sc := &shardScan{store: graph.NewStore(), info: &RecoveryInfo{}}
-	for _, snap := range snapshots {
-		f, err := os.Open(snap.path)
-		if err != nil {
-			opts.Logf("wal: skipping snapshot %s: %v", snap.path, err)
-			continue
-		}
-		err = sc.store.Import(f)
-		f.Close()
-		if err != nil {
-			opts.Logf("wal: skipping snapshot %s: %v", snap.path, err)
-			sc.store = graph.NewStore()
-			continue
-		}
-		sc.info.SnapshotSeq = snap.seq
-		sc.info.SnapshotPath = snap.path
-		break
-	}
-	sc.info.LastSeq = sc.info.SnapshotSeq
-
-	for i, seg := range segments {
-		res, err := scanSegment(seg.path)
-		if err != nil {
-			return nil, fmt.Errorf("wal: open shard: %w", err)
-		}
-		sc.info.SegmentsScanned++
-		for _, rec := range res.records {
-			if rec.Seq <= sc.info.SnapshotSeq {
-				continue
-			}
-			if rec.Seq != sc.info.LastSeq+1 {
-				opts.Logf("wal: %s: sequence gap (want %d, got %d); discarding from there",
-					seg.path, sc.info.LastSeq+1, rec.Seq)
-				res.torn = true
-				res.tornReason = "sequence gap"
-				break
-			}
-			sc.records = append(sc.records, rec)
-			sc.info.LastSeq = rec.Seq
-		}
-		if res.torn {
-			st, err := os.Stat(seg.path)
-			if err != nil {
-				return nil, fmt.Errorf("wal: open shard: %w", err)
-			}
-			sc.info.DiscardedBytes = st.Size() - res.goodLen
-			sc.info.DiscardedPath = seg.path
-			for _, later := range segments[i+1:] {
-				st, err := os.Stat(later.path)
-				if err == nil {
-					sc.info.DiscardedBytes += st.Size()
-				}
-				if err := os.Remove(later.path); err != nil {
-					return nil, fmt.Errorf("wal: open shard: drop %s: %w", later.path, err)
-				}
-			}
-			opts.Logf("wal: %s: %s at offset %d; discarded %d byte(s) of torn tail",
-				seg.path, res.tornReason, res.goodLen, sc.info.DiscardedBytes)
-			if res.goodLen <= int64(len(segMagic)) {
-				if err := os.Remove(seg.path); err != nil {
-					return nil, fmt.Errorf("wal: open shard: drop %s: %w", seg.path, err)
-				}
-			} else if err := os.Truncate(seg.path, res.goodLen); err != nil {
-				return nil, fmt.Errorf("wal: open shard: truncate %s: %w", seg.path, err)
-			}
-			break
-		}
-	}
-	return sc, nil
-}
-
-func applyToStore(store *graph.Store, rec *Record) error {
-	tx := store.Begin(graph.ReadWrite)
-	if err := ApplyRecord(tx, rec); err != nil {
-		tx.Rollback()
-		return err
-	}
-	return tx.Commit()
+	return &ShardSet{logs: []*Log{l}}, []*graph.Store{store}, []*RecoveryInfo{info}, nil
 }
 
 // OpenShardSet recovers an n-shard data directory: every shard's stream is
@@ -260,11 +170,17 @@ func OpenShardSet(dir string, n int, opts Options) (*ShardSet, []*graph.Store, [
 		return nil, nil, nil, fmt.Errorf("wal: open shard set: %w", err)
 	}
 
-	scans := make([]*shardScan, n)
+	// Every stream's records are collected before any is replayed: a
+	// prepare record can only be classified against all streams' evidence.
+	scans := make([]*streamScan, n)
+	records := make([][]*Record, n)
 	for i := range scans {
-		sc, err := scanShard(ShardDir(dir, i), opts)
+		sc, err := scanStream(ShardDir(dir, i), opts, func(_ *streamScan, rec *Record) error {
+			records[i] = append(records[i], rec)
+			return nil
+		})
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("wal: shard %d: %w", i, err)
+			return nil, nil, nil, fmt.Errorf("wal: open shard %d: %w", i, err)
 		}
 		scans[i] = sc
 	}
@@ -278,8 +194,8 @@ func OpenShardSet(dir string, n int, opts Options) (*ShardSet, []*graph.Store, [
 	for i := range committed {
 		committed[i] = make(map[uint64]bool)
 	}
-	for i, sc := range scans {
-		for _, rec := range sc.records {
+	for i := range scans {
+		for _, rec := range records[i] {
 			b := rec.Bridge
 			if b == nil {
 				continue
@@ -306,7 +222,7 @@ func OpenShardSet(dir string, n int, opts Options) (*ShardSet, []*graph.Store, [
 		hasMarker[i] = make(map[uint64]bool)
 	}
 	for i, sc := range scans {
-		for _, rec := range sc.records {
+		for _, rec := range records[i] {
 			stage := ""
 			if rec.Bridge != nil {
 				stage = rec.Bridge.Stage
@@ -326,26 +242,23 @@ func OpenShardSet(dir string, n int, opts Options) (*ShardSet, []*graph.Store, [
 				hasEffect[i][rec.Bridge.PrepareSeq] = true
 				hasMarker[i][rec.Bridge.PrepareSeq] = true
 			}
-			if err := applyToStore(sc.store, rec); err != nil {
-				return nil, nil, nil, fmt.Errorf("wal: shard %d: replay: %w", i, err)
+			if err := sc.replay(rec); err != nil {
+				return nil, nil, nil, fmt.Errorf("wal: shard %d: %w", i, err)
 			}
-			sc.info.RecordsReplayed++
 		}
 	}
 
 	logs := make([]*Log, n)
 	for i, sc := range scans {
-		l := &Log{dir: ShardDir(dir, i), opts: opts, lastSeq: sc.info.LastSeq, synced: sc.info.LastSeq}
-		l.syncCond = sync.NewCond(&l.mu)
-		logs[i] = l
+		logs[i] = newLog(ShardDir(dir, i), opts, sc.info.LastSeq)
 	}
-	set := &ShardSet{dir: dir, logs: logs}
+	set := &ShardSet{logs: logs}
 
 	// Reconciliation: a live commit record whose peer stream shows neither
 	// the prepare's effect (snapshot coverage or replay) nor a marker lost
 	// that prepare to a torn tail — reapply the embedded half and log it.
-	for _, sc := range scans {
-		for _, rec := range sc.records {
+	for i := range scans {
+		for _, rec := range records[i] {
 			b := rec.Bridge
 			if b == nil || b.Stage != BridgeCommit || b.PeerShard < 0 || b.PeerShard >= n {
 				continue
@@ -381,7 +294,7 @@ func OpenShardSet(dir string, n int, opts Options) (*ShardSet, []*graph.Store, [
 	// marker (the crash hit between the commit fsync and the marker append)
 	// gets its marker now, restoring the compaction license.
 	for i, sc := range scans {
-		for _, rec := range sc.records {
+		for _, rec := range records[i] {
 			if rec.Bridge == nil || rec.Bridge.Stage != BridgePrepare {
 				continue
 			}
@@ -401,12 +314,8 @@ func OpenShardSet(dir string, n int, opts Options) (*ShardSet, []*graph.Store, [
 	}
 
 	// Background fsync loops start only after recovery appends are durable.
-	if opts.Fsync == FsyncInterval {
-		for _, l := range logs {
-			l.stopSync = make(chan struct{})
-			l.syncDone = make(chan struct{})
-			go l.syncLoop()
-		}
+	for _, l := range logs {
+		l.startSyncLoop()
 	}
 
 	stores := make([]*graph.Store, n)

@@ -194,105 +194,147 @@ func (l *Log) SetMetrics(m Metrics) {
 // nonexistent or empty directory yields an empty store.
 func Open(dir string, opts Options) (*Log, *graph.Store, *RecoveryInfo, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, nil, fmt.Errorf("wal: open: %w", err)
-	}
-	segments, snapshots, err := scanDir(dir)
+	// One stream has no cross-stream evidence to wait for, so each record
+	// replays as soon as it is scanned; memory stays bounded by one segment.
+	sc, err := scanStream(dir, opts, (*streamScan).replay)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("wal: open: %w", err)
 	}
-	info := &RecoveryInfo{}
+	l := newLog(dir, opts, sc.info.LastSeq)
+	l.startSyncLoop()
+	return l, sc.store, sc.info, nil
+}
 
-	// Restore the newest snapshot that loads; an unreadable one (e.g. the
-	// machine died while a checkpoint was finalizing) falls back to the
-	// previous snapshot plus the still-present WAL segments.
-	store := graph.NewStore()
+// newLog returns a log over dir positioned after lastSeq, which recovery
+// found durable.
+func newLog(dir string, opts Options, lastSeq uint64) *Log {
+	l := &Log{dir: dir, opts: opts, lastSeq: lastSeq, synced: lastSeq}
+	l.syncCond = sync.NewCond(&l.mu)
+	return l
+}
+
+// startSyncLoop launches the background fsync goroutine of the
+// FsyncInterval policy; a no-op under the other policies.
+func (l *Log) startSyncLoop() {
+	if l.opts.Fsync != FsyncInterval {
+		return
+	}
+	l.stopSync = make(chan struct{})
+	l.syncDone = make(chan struct{})
+	go l.syncLoop()
+}
+
+// streamScan is the recovery state of one segment stream: its
+// snapshot-restored store and what the scan found.
+type streamScan struct {
+	store *graph.Store
+	info  *RecoveryInfo
+}
+
+// scanStream restores the newest loadable snapshot under dir and hands each
+// of the stream's intact live records, in order, to each; torn tails are
+// truncated on disk. An unreadable snapshot (e.g. the machine died while a
+// checkpoint was finalizing) falls back to the previous one plus the
+// still-present segments.
+func scanStream(dir string, opts Options, each func(sc *streamScan, rec *Record) error) (*streamScan, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	segments, snapshots, err := scanDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	sc := &streamScan{store: graph.NewStore(), info: &RecoveryInfo{}}
 	for _, snap := range snapshots {
 		f, err := os.Open(snap.path)
 		if err != nil {
 			opts.Logf("wal: skipping snapshot %s: %v", snap.path, err)
 			continue
 		}
-		err = store.Import(f)
+		err = sc.store.Import(f)
 		f.Close()
 		if err != nil {
 			opts.Logf("wal: skipping snapshot %s: %v", snap.path, err)
-			store = graph.NewStore()
+			sc.store = graph.NewStore()
 			continue
 		}
-		info.SnapshotSeq = snap.seq
-		info.SnapshotPath = snap.path
+		sc.info.SnapshotSeq = snap.seq
+		sc.info.SnapshotPath = snap.path
 		break
 	}
-	info.LastSeq = info.SnapshotSeq
+	sc.info.LastSeq = sc.info.SnapshotSeq
 
-	// Replay segments in order, skipping records the snapshot already
-	// covers, stopping at the first corruption.
+	// Segments in order, skipping records the snapshot already covers,
+	// stopping at the first corruption.
 	for i, seg := range segments {
 		res, err := scanSegment(seg.path)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("wal: open: %w", err)
+			return nil, err
 		}
-		info.SegmentsScanned++
+		sc.info.SegmentsScanned++
 		for _, rec := range res.records {
-			if rec.Seq <= info.SnapshotSeq {
+			if rec.Seq <= sc.info.SnapshotSeq {
 				continue
 			}
-			if rec.Seq != info.LastSeq+1 {
+			if rec.Seq != sc.info.LastSeq+1 {
 				opts.Logf("wal: %s: sequence gap (want %d, got %d); discarding from there",
-					seg.path, info.LastSeq+1, rec.Seq)
+					seg.path, sc.info.LastSeq+1, rec.Seq)
 				res.torn = true
 				res.tornReason = "sequence gap"
 				break
 			}
-			tx := store.Begin(graph.ReadWrite)
-			if err := ApplyRecord(tx, rec); err != nil {
-				tx.Rollback()
-				return nil, nil, nil, fmt.Errorf("wal: open: replay: %w", err)
+			if err := each(sc, rec); err != nil {
+				return nil, err
 			}
-			if err := tx.Commit(); err != nil {
-				return nil, nil, nil, fmt.Errorf("wal: open: replay: %w", err)
-			}
-			info.RecordsReplayed++
-			info.LastSeq = rec.Seq
+			sc.info.LastSeq = rec.Seq
 		}
 		if res.torn {
 			st, err := os.Stat(seg.path)
 			if err != nil {
-				return nil, nil, nil, fmt.Errorf("wal: open: %w", err)
+				return nil, err
 			}
-			info.DiscardedBytes = st.Size() - res.goodLen
-			info.DiscardedPath = seg.path
+			sc.info.DiscardedBytes = st.Size() - res.goodLen
+			sc.info.DiscardedPath = seg.path
 			for _, later := range segments[i+1:] {
 				st, err := os.Stat(later.path)
 				if err == nil {
-					info.DiscardedBytes += st.Size()
+					sc.info.DiscardedBytes += st.Size()
 				}
 				if err := os.Remove(later.path); err != nil {
-					return nil, nil, nil, fmt.Errorf("wal: open: drop %s: %w", later.path, err)
+					return nil, fmt.Errorf("drop %s: %w", later.path, err)
 				}
 			}
 			opts.Logf("wal: %s: %s at offset %d; discarded %d byte(s) of torn tail",
-				seg.path, res.tornReason, res.goodLen, info.DiscardedBytes)
+				seg.path, res.tornReason, res.goodLen, sc.info.DiscardedBytes)
 			if res.goodLen <= int64(len(segMagic)) {
 				if err := os.Remove(seg.path); err != nil {
-					return nil, nil, nil, fmt.Errorf("wal: open: drop %s: %w", seg.path, err)
+					return nil, fmt.Errorf("drop %s: %w", seg.path, err)
 				}
 			} else if err := os.Truncate(seg.path, res.goodLen); err != nil {
-				return nil, nil, nil, fmt.Errorf("wal: open: truncate %s: %w", seg.path, err)
+				return nil, fmt.Errorf("truncate %s: %w", seg.path, err)
 			}
 			break
 		}
 	}
+	return sc, nil
+}
 
-	l := &Log{dir: dir, opts: opts, lastSeq: info.LastSeq, synced: info.LastSeq}
-	l.syncCond = sync.NewCond(&l.mu)
-	if opts.Fsync == FsyncInterval {
-		l.stopSync = make(chan struct{})
-		l.syncDone = make(chan struct{})
-		go l.syncLoop()
+// replay applies one of the stream's own records to the recovering store.
+func (sc *streamScan) replay(rec *Record) error {
+	if err := applyToStore(sc.store, rec); err != nil {
+		return fmt.Errorf("replay: %w", err)
 	}
-	return l, store, info, nil
+	sc.info.RecordsReplayed++
+	return nil
+}
+
+func applyToStore(store *graph.Store, rec *Record) error {
+	tx := store.Begin(graph.ReadWrite)
+	if err := ApplyRecord(tx, rec); err != nil {
+		tx.Rollback()
+		return err
+	}
+	return tx.Commit()
 }
 
 // LastSeq returns the sequence number of the most recently appended (or

@@ -93,33 +93,32 @@ func OpenDurable(dir string, cfg Config, wopts WALOptions) (*KnowledgeBase, *Rec
 	return core.OpenDurable(dir, cfg, wopts)
 }
 
-// ShardedKB is a knowledge base whose graph is sharded by hub: each hub
-// gets its own single-writer store and WAL stream, so intra-hub
-// transactions on different hubs commit fully in parallel, and knowledge
-// bridges take a two-shard commit path. See DESIGN.md §13.
-type ShardedKB = core.ShardedKB
+// ErrMultiShard is returned, on a knowledge base with more than one shard,
+// by the operations that act on one graph store (Essential Summary, Fork,
+// schema binding, federation, replication, writes that name no hub). See
+// DESIGN.md §13 for the feature matrix.
+var ErrMultiShard = core.ErrMultiShard
 
-// HubShard declares one hub (and the labels it owns) of a sharded
+// HubShard declares one hub (and the labels it owns) of a hub-sharded
 // knowledge base; the slice order fixes the shard indexes.
 type HubShard = core.HubShard
 
 // BridgeTx is a two-shard transaction for writes that cross hub borders.
 type BridgeTx = graph.BridgeTx
 
-// MultiView is a read-only view spanning every shard of a sharded store.
-type MultiView = graph.MultiView
-
-// NewSharded creates an empty in-memory sharded knowledge base with one
-// shard per declared hub.
-func NewSharded(cfg Config, hubs []HubShard) (*ShardedKB, error) {
+// NewSharded creates an empty in-memory knowledge base with one graph shard
+// per declared hub: each hub gets its own single-writer store, so intra-hub
+// transactions on different hubs commit fully in parallel, and knowledge
+// bridges take a two-shard commit path. See DESIGN.md §13.
+func NewSharded(cfg Config, hubs []HubShard) (*KnowledgeBase, error) {
 	return core.NewSharded(cfg, hubs)
 }
 
-// OpenShardedDurable opens (or creates) a durable sharded knowledge base:
-// each shard persists to its own WAL stream under dir and recovers
+// OpenShardedDurable opens (or creates) a durable hub-sharded knowledge
+// base: each shard persists to its own WAL stream under dir and recovers
 // independently, with torn cross-shard bridge commits reconciled from the
 // surviving commit records.
-func OpenShardedDurable(dir string, cfg Config, hubs []HubShard, wopts WALOptions) (*ShardedKB, []*RecoveryInfo, error) {
+func OpenShardedDurable(dir string, cfg Config, hubs []HubShard, wopts WALOptions) (*KnowledgeBase, []*RecoveryInfo, error) {
 	return core.OpenShardedDurable(dir, cfg, hubs, wopts)
 }
 
