@@ -1,22 +1,12 @@
 // Command rkm-bench regenerates the paper's evaluation figures on the pure
-// Go reactive knowledge management system.
+// Go reactive knowledge management system. The figures are the rows of
+// bench.Figures; `rkm-bench -h` lists their names.
 //
 // Usage:
 //
 //	rkm-bench -fig 9                 # Fig. 9: naive per-patient triggers
-//	rkm-bench -fig 10                # Fig. 10: summary-based design
-//	rkm-bench -fig ablation          # naive vs summary across region counts
-//	rkm-bench -fig wal               # durable vs in-memory ingest overhead
-//	rkm-bench -fig fed               # federated replication lag over HTTP
-//	rkm-bench -fig conc              # snapshot reads + group commit under contention
-//	rkm-bench -fig conc -smoke       # tiny CI-sized version of the same
-//	rkm-bench -fig async             # sync vs async alert evaluation on the write path
-//	rkm-bench -fig replica           # aggregate read QPS vs replica count
-//	rkm-bench -fig shard             # hub-sharded write scaling + bridge mix
-//	rkm-bench -fig xshard            # cross-shard MATCH vs per-hub fan-out + merge
-//	rkm-bench -fig cep               # composite-event rules vs naive re-scan
-//	rkm-bench -fig plan              # prepared plans + plan cache vs per-event parse
-//	rkm-bench -fig all               # everything
+//	rkm-bench -fig all               # every figure, in table order
+//	rkm-bench -fig all -smoke        # the same at CI size
 //	rkm-bench -fig 9 -full           # paper-scale sweep (up to 10^6 patients)
 //	rkm-bench -fig 9 -patients 500,5000 -regions 10
 //
@@ -36,7 +26,7 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 9, 10, ablation, rules, wal, fed, conc, async, replica, shard, xshard, cep, plan, all")
+		fig      = flag.String("fig", "all", "figure to regenerate: "+bench.Names()+", or all")
 		patients = flag.String("patients", "", "comma-separated patient counts (overrides defaults)")
 		regions  = flag.Int("regions", 20, "number of regions")
 		days     = flag.Int("days", 2, "days the admissions are spread over")
@@ -44,11 +34,12 @@ func main() {
 		batch    = flag.Int("batch", 1, "patients per transaction")
 		full     = flag.Bool("full", false, "paper-scale sweep (10^2..10^6 patients; slow)")
 		reps     = flag.Int("reps", 1, "repetitions per measurement (median reported)")
-		smoke    = flag.Bool("smoke", false, "tiny sweep for CI (conc, async, replica, shard, xshard, cep, plan figures)")
+		smoke    = flag.Bool("smoke", false, "tiny sweep for CI; overrides the size flags")
 	)
 	flag.Parse()
 
-	counts := []int{100, 1000, 10000}
+	// No -patients and no -full leaves the sweep to each figure's default.
+	var counts []int
 	if *full {
 		counts = []int{100, 1000, 10000, 100000, 1000000}
 	}
@@ -71,263 +62,16 @@ func main() {
 		Reps:          *reps,
 	}
 
-	switch *fig {
-	case "9":
-		runFig9(cfg)
-	case "10":
-		runFig10(cfg)
-	case "ablation":
-		runAblation(cfg)
-	case "rules":
-		runRuleScaling(cfg)
-	case "wal":
-		runWAL(cfg)
-	case "fed":
-		runFed(cfg)
-	case "conc":
-		runConc(cfg, *smoke)
-	case "async":
-		runAsync(*smoke)
-	case "replica":
-		runReplica(*smoke)
-	case "shard":
-		runShard(cfg, *smoke)
-	case "xshard":
-		runXShard(cfg, *smoke)
-	case "cep":
-		runCEP(cfg, *smoke)
-	case "plan":
-		runPlan(*smoke)
-	case "all":
-		runFig9(cfg)
-		fmt.Println()
-		runFig10(cfg)
-		fmt.Println()
-		runAblation(cfg)
-		fmt.Println()
-		runRuleScaling(cfg)
-		fmt.Println()
-		runWAL(cfg)
-		fmt.Println()
-		runFed(cfg)
-		fmt.Println()
-		runConc(cfg, *smoke)
-		fmt.Println()
-		runAsync(*smoke)
-		fmt.Println()
-		runReplica(*smoke)
-		fmt.Println()
-		runShard(cfg, *smoke)
-		fmt.Println()
-		runXShard(cfg, *smoke)
-		fmt.Println()
-		runCEP(cfg, *smoke)
-		fmt.Println()
-		runPlan(*smoke)
-	default:
-		fatalf("unknown -fig %q (want 9, 10, ablation, rules, wal, fed, conc, async, replica, shard, xshard, cep, plan or all)", *fig)
-	}
-}
-
-func runFig9(cfg bench.Config) {
-	pts, err := bench.RunFig9(cfg)
+	figs, err := bench.Select(*fig)
 	if err != nil {
-		fatalf("fig 9: %v", err)
+		fatalf("-fig: %v", err)
 	}
-	bench.WriteFig9(os.Stdout, pts)
-}
-
-func runFig10(cfg bench.Config) {
-	pts, err := bench.RunFig10(cfg)
-	if err != nil {
-		fatalf("fig 10: %v", err)
-	}
-	bench.WriteFig10(os.Stdout, pts)
-}
-
-func runAblation(cfg bench.Config) {
-	n := 2000
-	if len(cfg.PatientCounts) > 0 {
-		n = cfg.PatientCounts[len(cfg.PatientCounts)-1]
-	}
-	pts, err := bench.RunAblation(n, []int{5, 20, 100}, cfg.Seed)
-	if err != nil {
-		fatalf("ablation: %v", err)
-	}
-	bench.WriteAblation(os.Stdout, pts)
-}
-
-func runRuleScaling(cfg bench.Config) {
-	n := 2000
-	if len(cfg.PatientCounts) > 0 {
-		n = cfg.PatientCounts[0]
-	}
-	pts, err := bench.RunRuleScaling(n, []int{1, 4, 16, 64}, cfg.Seed)
-	if err != nil {
-		fatalf("rule scaling: %v", err)
-	}
-	bench.WriteRuleScaling(os.Stdout, pts)
-}
-
-func runWAL(cfg bench.Config) {
-	// The default sweep is sized down: fsync-per-commit at 10k patients is
-	// all disk latency and teaches nothing new over 1k.
-	if len(cfg.PatientCounts) == 3 && cfg.PatientCounts[2] == 10000 {
-		cfg.PatientCounts = cfg.PatientCounts[:2]
-	}
-	pts, err := bench.RunWALOverhead(cfg)
-	if err != nil {
-		fatalf("wal: %v", err)
-	}
-	bench.WriteWAL(os.Stdout, pts)
-}
-
-func runFed(cfg bench.Config) {
-	// The backlog build-up (one rule firing per admission) dominates at 10k;
-	// two sizes already show how batching amortizes the HTTP hop.
-	if len(cfg.PatientCounts) == 3 && cfg.PatientCounts[2] == 10000 {
-		cfg.PatientCounts = cfg.PatientCounts[:2]
-	}
-	pts, err := bench.RunFedLag(cfg, nil)
-	if err != nil {
-		fatalf("fed: %v", err)
-	}
-	bench.WriteFed(os.Stdout, pts)
-}
-
-func runPlan(smoke bool) {
-	ruleCounts := []int{10, 100, 250}
-	events, reps := 0, 3
-	if smoke {
-		ruleCounts = []int{100}
-		events, reps = 200, 1
-	}
-	pts, err := bench.RunPlan(ruleCounts, events, reps)
-	if err != nil {
-		fatalf("plan: %v", err)
-	}
-	bench.WritePlan(os.Stdout, pts)
-}
-
-func runConc(cfg bench.Config, smoke bool) {
-	ccfg := bench.ConcConfig{Seed: cfg.Seed}
-	if smoke {
-		ccfg = bench.SmokeConcConfig()
-	}
-	reads, err := bench.RunConcReads(ccfg)
-	if err != nil {
-		fatalf("conc reads: %v", err)
-	}
-	commits, err := bench.RunConcCommits(ccfg)
-	if err != nil {
-		fatalf("conc commits: %v", err)
-	}
-	bench.WriteConc(os.Stdout, reads, commits)
-}
-
-func runAsync(smoke bool) {
-	acfg := bench.AsyncConfig{}
-	if smoke {
-		acfg = bench.SmokeAsyncConfig()
-	}
-	pts, err := bench.RunAsyncPipeline(acfg)
-	if err != nil {
-		fatalf("async: %v", err)
-	}
-	bench.WriteAsync(os.Stdout, pts)
-}
-
-func runReplica(smoke bool) {
-	rcfg := bench.ReplicaConfig{}
-	if smoke {
-		rcfg = bench.SmokeReplicaConfig()
-	}
-	pts, err := bench.RunReplicaScaling(rcfg)
-	if err != nil {
-		fatalf("replica: %v", err)
-	}
-	bench.WriteReplica(os.Stdout, pts)
-}
-
-func runShard(cfg bench.Config, smoke bool) {
-	scfg := bench.ShardConfig{Seed: cfg.Seed}
-	if smoke {
-		scfg = bench.SmokeShardConfig()
-	}
-	scaling, err := bench.RunShardScaling(scfg)
-	if err != nil {
-		fatalf("shard scaling: %v", err)
-	}
-	mix, err := bench.RunShardBridgeMix(scfg)
-	if err != nil {
-		fatalf("shard bridge mix: %v", err)
-	}
-	bench.WriteShard(os.Stdout, scaling, mix)
-	if smoke {
-		// CI gate: the invariants, not the absolute numbers.
-		for _, p := range scaling {
-			if p.Txs == 0 {
-				fatalf("shard smoke: no commits at hubs=%d writers=%d", p.Hubs, p.Writers)
-			}
+	for i, f := range figs {
+		if i > 0 {
+			fmt.Println()
 		}
-		for _, p := range mix {
-			if p.Txs == 0 {
-				fatalf("shard smoke: no commits at bridge fraction %.0f%%", p.BridgeFrac*100)
-			}
-			if p.BridgeFrac > 0 && p.BridgeTxs == 0 {
-				fatalf("shard smoke: no bridge commits at bridge fraction %.0f%%", p.BridgeFrac*100)
-			}
-			if p.BridgeTxs > p.Txs {
-				fatalf("shard smoke: bridge commits exceed total commits")
-			}
-		}
-	}
-}
-
-func runXShard(cfg bench.Config, smoke bool) {
-	xcfg := bench.XShardConfig{Seed: cfg.Seed}
-	if smoke {
-		xcfg = bench.SmokeXShardConfig()
-	}
-	pts, err := bench.RunXShard(xcfg)
-	if err != nil {
-		// RunXShard already fails hard if the two strategies disagree or a
-		// bridge binds twice — the correctness half of the CI gate.
-		fatalf("xshard: %v", err)
-	}
-	bench.WriteXShard(os.Stdout, pts)
-	if smoke {
-		for _, p := range pts {
-			if p.Queries == 0 {
-				fatalf("xshard smoke: no queries completed at hubs=%d strategy=%s", p.Hubs, p.Strategy)
-			}
-			if p.Rows == 0 {
-				fatalf("xshard smoke: empty result at hubs=%d strategy=%s", p.Hubs, p.Strategy)
-			}
-		}
-	}
-}
-
-func runCEP(cfg bench.Config, smoke bool) {
-	ccfg := bench.CEPConfig{}
-	ccfg.Fraud.Seed = cfg.Seed
-	if smoke {
-		ccfg = bench.SmokeCEPConfig()
-	}
-	pts, err := bench.RunCEP(ccfg)
-	if err != nil {
-		fatalf("cep: %v", err)
-	}
-	bench.WriteCEP(os.Stdout, pts)
-	if smoke {
-		// CI gate: the invariants, not the absolute numbers.
-		for _, p := range pts {
-			if p.Events == 0 {
-				fatalf("cep smoke: no events at window=%s mode=%s", p.Window, p.Mode)
-			}
-			if p.Mode == "cep" && p.Alerts == 0 {
-				fatalf("cep smoke: composite rules produced no alerts at window=%s", p.Window)
-			}
+		if err := f.Run(cfg, *smoke, os.Stdout); err != nil {
+			fatalf("fig %s: %v", f.Name, err)
 		}
 	}
 }

@@ -63,11 +63,6 @@ func (c AsyncConfig) withDefaults() AsyncConfig {
 	return c
 }
 
-// SmokeAsyncConfig shrinks the series for CI.
-func SmokeAsyncConfig() AsyncConfig {
-	return AsyncConfig{Writes: 300, Interval: time.Millisecond, RefNodes: 60, Workers: 2}
-}
-
 // AsyncPoint is one mode's measurement.
 type AsyncPoint struct {
 	Mode     string // "baseline", "sync" or "async"

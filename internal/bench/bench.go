@@ -47,20 +47,9 @@ type Config struct {
 	Reps int
 }
 
-// DefaultConfig is a laptop-scale sweep.
-func DefaultConfig() Config {
-	return Config{
-		PatientCounts: []int{100, 1000, 10000},
-		Regions:       20,
-		Days:          2,
-		Seed:          1,
-		Batch:         1,
-	}
-}
-
 func (c Config) withDefaults() Config {
 	if len(c.PatientCounts) == 0 {
-		c.PatientCounts = DefaultConfig().PatientCounts
+		c.PatientCounts = []int{100, 1000, 10000} // a laptop-scale sweep
 	}
 	if c.Regions <= 0 {
 		c.Regions = 20
@@ -346,12 +335,7 @@ func runBaseline(cfg Config, n int) (time.Duration, error) {
 // off (§V: "data summarization in rule design may lead to significant
 // global savings"). Every cell is measured reps times and medians are
 // reported: the overhead subtraction amplifies machine noise otherwise.
-func RunAblation(patients int, regionSweep []int, seed int64) ([]AblationPoint, error) {
-	return RunAblationReps(patients, regionSweep, seed, 3)
-}
-
-// RunAblationReps is RunAblation with an explicit repetition count.
-func RunAblationReps(patients int, regionSweep []int, seed int64, reps int) ([]AblationPoint, error) {
+func RunAblation(patients int, regionSweep []int, seed int64, reps int) ([]AblationPoint, error) {
 	if len(regionSweep) == 0 {
 		regionSweep = []int{5, 20, 100}
 	}

@@ -52,7 +52,7 @@ func TestRunFig10ShapeSmall(t *testing.T) {
 }
 
 func TestRunAblation(t *testing.T) {
-	pts, err := RunAblation(300, []int{2, 6}, 1)
+	pts, err := RunAblation(300, []int{2, 6}, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +88,25 @@ func TestWriters(t *testing.T) {
 	WriteAblation(&sb, []AblationPoint{{Regions: 5, Patients: 100, Naive: time.Second, Summary: time.Millisecond, Speedup: 1000}})
 	if !strings.Contains(sb.String(), "Ablation") || !strings.Contains(sb.String(), "1000.0x") {
 		t.Error("ablation output")
+	}
+	for _, c := range []struct {
+		write func()
+		want  []string
+	}{
+		{func() { WriteAsync(&sb, []AsyncPoint{{Mode: "baseline"}, {Mode: "sync"}, {Mode: "async"}}) },
+			[]string{"mode", "baseline", "sync", "async", "drain"}},
+		{func() { WriteReplica(&sb, []ReplicaPoint{{Followers: 1}}) },
+			[]string{"reads/sec", "followers", "lag-recs", "caught-up"}},
+		{func() { WriteFed(&sb, []FedPoint{{Alerts: 20, Batch: 4, PushHist: "count=5"}}) },
+			[]string{"Federated replication", "batch", "push latency"}},
+	} {
+		sb.Reset()
+		c.write()
+		for _, want := range c.want {
+			if !strings.Contains(sb.String(), want) {
+				t.Errorf("output missing %q:\n%s", want, sb.String())
+			}
+		}
 	}
 }
 

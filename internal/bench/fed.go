@@ -45,9 +45,6 @@ var fedRule = trigger.Rule{
 // into a fresh receiver over a real HTTP hop (httptest, loopback).
 func RunFedLag(cfg Config, batches []int) ([]FedPoint, error) {
 	cfg = cfg.withDefaults()
-	if len(batches) == 0 {
-		batches = []int{1, 32, 256}
-	}
 	var out []FedPoint
 	for _, n := range cfg.PatientCounts {
 		for _, batch := range batches {
@@ -120,11 +117,17 @@ func runFedOnce(n, batch int) (FedPoint, error) {
 	if received != n {
 		return FedPoint{}, fmt.Errorf("fed bench: receiver materialized %d of %d alerts", received, n)
 	}
+	// A retried or split push would be timed as lag: one request per batch.
+	reqs := requests.Load()
+	if want := int64((n + batch - 1) / batch); reqs != want {
+		return FedPoint{}, fmt.Errorf("fed bench: %d push requests for %d alerts in batches of %d, want %d",
+			reqs, n, batch, want)
+	}
 	return FedPoint{
 		Alerts:   n,
 		Batch:    batch,
 		Elapsed:  d,
-		Requests: requests.Load(),
+		Requests: reqs,
 		Received: received,
 		PushHist: histSummary(src, "rkm_fed_push_seconds"),
 	}, nil

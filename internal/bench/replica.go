@@ -63,17 +63,6 @@ func (c ReplicaConfig) withDefaults() ReplicaConfig {
 	return c
 }
 
-// SmokeReplicaConfig shrinks the sweep for CI: it proves a follower can
-// bootstrap, stream and serve reads under write load, not absolute numbers.
-func SmokeReplicaConfig() ReplicaConfig {
-	return ReplicaConfig{
-		Nodes:              200,
-		Followers:          []int{0, 1},
-		ReadersPerInstance: 2,
-		Window:             80 * time.Millisecond,
-	}
-}
-
 // ReplicaPoint is one follower-count measurement.
 type ReplicaPoint struct {
 	Followers     int
@@ -108,6 +97,19 @@ func RunReplicaScaling(cfg ReplicaConfig) ([]ReplicaPoint, error) {
 		out = append(out, p)
 	}
 	return out, nil
+}
+
+// seedPersons creates n Person nodes in one transaction.
+func seedPersons(kb *core.KnowledgeBase, n int) error {
+	return kb.Store().Update(func(tx *graph.Tx) error {
+		for i := 0; i < n; i++ {
+			if _, err := tx.CreateNode([]string{"Person"},
+				map[string]value.Value{"i": value.Int(int64(i))}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 func runReplicaOnce(cfg ReplicaConfig, followers int) (ReplicaPoint, error) {

@@ -84,18 +84,6 @@ func (c ShardConfig) withDefaults() ShardConfig {
 	return c
 }
 
-// SmokeShardConfig shrinks the sweep for CI.
-func SmokeShardConfig() ShardConfig {
-	return ShardConfig{
-		Hubs:       []int{1, 4},
-		Writers:    []int{4},
-		Window:     80 * time.Millisecond,
-		BridgeMix:  []float64{0, 0.25},
-		MixHubs:    4,
-		MixWriters: 4,
-	}
-}
-
 // ShardPoint is one (hubs, writers) durable-commit measurement.
 type ShardPoint struct {
 	Hubs     int

@@ -62,17 +62,6 @@ func (c XShardConfig) withDefaults() XShardConfig {
 	return c
 }
 
-// SmokeXShardConfig shrinks the sweep for CI.
-func SmokeXShardConfig() XShardConfig {
-	return XShardConfig{
-		Hubs:        []int{2, 4},
-		NodesPerHub: 200,
-		IntraRels:   200,
-		Bridges:     50,
-		Window:      60 * time.Millisecond,
-	}
-}
-
 // XShardPoint is one (hubs, strategy) measurement.
 type XShardPoint struct {
 	Hubs     int

@@ -2,7 +2,6 @@ package cypher
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/graph"
@@ -77,58 +76,13 @@ func (ex *executor) writer() (*graph.Tx, error) {
 	return tx, nil
 }
 
-// Execute runs a parsed statement in the given read view through its
-// compiled plan (compiling on first use).
-func Execute(tx graph.ReadView, stmt *Statement, opts *Options) (*Result, error) {
-	return stmt.Prepared().Execute(tx, opts)
-}
-
-// Run parses and executes a query.
+// Run parses and executes a query through its compiled plan.
 func Run(tx graph.ReadView, query string, opts *Options) (*Result, error) {
 	stmt, err := Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return Execute(tx, stmt, opts)
-}
-
-// EvalPredicate evaluates a standalone parsed expression (a rule guard)
-// against the supplied bindings, returning its truth value under ternary
-// semantics (NULL/unknown evaluates to false).
-func EvalPredicate(tx graph.ReadView, expr Expr, opts *Options) (bool, error) {
-	v, err := EvalExpr(tx, expr, opts)
-	if err != nil {
-		return false, err
-	}
-	b, known := v.Truthy()
-	return known && b, nil
-}
-
-// EvalExpr evaluates a standalone parsed expression with the supplied
-// bindings visible as variables and returns its value. The expression is
-// compiled transiently; hot paths should hold a CompiledExpr instead.
-func EvalExpr(tx graph.ReadView, expr Expr, opts *Options) (value.Value, error) {
-	if opts == nil {
-		opts = &Options{}
-	}
-	en := newEnv()
-	var r row
-	names := make([]string, 0, len(opts.Bindings))
-	for name := range opts.Bindings {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		en.add(name)
-		r = append(r, opts.Bindings[name])
-	}
-	cc := &compileCtx{tx: tx, snap: newStatsSnapshot()}
-	fn, err := compileExpr(cc, en, expr)
-	if err != nil {
-		return value.Null, err
-	}
-	ctx := &evalCtx{tx: tx, params: opts.Params, now: opts.Now}
-	return fn(ctx, r)
+	return stmt.Prepared().Execute(tx, opts)
 }
 
 // ---- compiled-op runtime helpers ----

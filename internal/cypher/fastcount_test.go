@@ -124,7 +124,7 @@ func BenchmarkFastCount(b *testing.B) {
 	defer tx.Rollback()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Execute(tx, stmt, nil); err != nil {
+		if _, err := stmt.Prepared().Execute(tx, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -149,7 +149,7 @@ func BenchmarkScanCount(b *testing.B) {
 	defer tx.Rollback()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Execute(tx, stmt, nil); err != nil {
+		if _, err := stmt.Prepared().Execute(tx, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,8 +9,8 @@ package workload
 // high-value transactions whose confirmation never arrives — each the
 // target of one composite rule in CompositeRulePack.
 //
-// NaiveVelocityRuleSpec is the single-event strawman the cep benchmark
-// compares against: a plain trigger that fires on every flagged transaction
+// NaiveVelocityRuleSpec is the single-event strawman `lib-rules-fanout` runs
+// beside the pack: a plain trigger that fires on every flagged transaction
 // and re-scans the account's recent history with an aggregate query, paying
 // the scan on the write path instead of keeping O(1) durable partial state.
 
@@ -48,21 +48,6 @@ type FraudConfig struct {
 	// FlagNoise is the fraction of baseline transactions flagged at random
 	// (below-threshold noise for the velocity rule).
 	FlagNoise float64
-}
-
-// DefaultFraudConfig is sized so a few hundred minutes of stream contain
-// every anomaly several times.
-func DefaultFraudConfig() FraudConfig {
-	return FraudConfig{
-		Seed:               1,
-		Accounts:           50,
-		Merchants:          10,
-		TxnsPerMinute:      20,
-		BurstChance:        0.10,
-		PairChance:         0.10,
-		MissingConfirmRate: 0.25,
-		FlagNoise:          0.01,
-	}
 }
 
 func (c FraudConfig) withDefaults() FraudConfig {

@@ -29,7 +29,10 @@ func TestFraudStreamDeterministic(t *testing.T) {
 }
 
 func TestFraudStreamSeedsAnomalies(t *testing.T) {
-	s, err := BuildFraud(newKB(), DefaultFraudConfig())
+	// Rates sized so 200 minutes of stream contain every anomaly.
+	s, err := BuildFraud(newKB(), FraudConfig{
+		Seed: 1, BurstChance: 0.10, PairChance: 0.10, MissingConfirmRate: 0.25, FlagNoise: 0.01,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
