@@ -781,7 +781,9 @@ func (kb *KnowledgeBase) SaveGraph(w io.Writer) error {
 	return kb.Store().Export(w)
 }
 
-// LoadGraph restores a SaveGraph document into an empty knowledge base.
+// LoadGraph restores a SaveGraph document into an empty knowledge base. The
+// load commits as one transaction without firing rules, so a durable
+// knowledge base logs it (and a leader ships it) like any other commit.
 func (kb *KnowledgeBase) LoadGraph(r io.Reader) error {
 	if err := kb.single("LoadGraph"); err != nil {
 		return err

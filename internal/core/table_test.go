@@ -8,6 +8,7 @@ package core
 // async_fault_test.go, shard_plan_test.go and golden_parity_test.go.
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -185,6 +186,44 @@ func TestDurableReopen(t *testing.T) {
 		kb3 := v.Open(t, dir, Config{})
 		if got := Exports(t, kb3); !equalStrings(got, want) {
 			t.Fatal("exports differ after a checkpointed recovery")
+		}
+	})
+}
+
+// TestDurableReopenAfterLoadGraph checks that a graph loaded into a durable
+// knowledge base is in its log: a later logged write that refers to loaded
+// entities must replay on reopen (LoadGraph used to publish without a log
+// record, leaving a directory that no longer opened). Rows with several
+// shards refuse LoadGraph with ErrMultiShard, which is the durable answer
+// there.
+func TestDurableReopenAfterLoadGraph(t *testing.T) {
+	src := New(Config{})
+	exec(t, src, "CREATE (:A {k: 1})-[:R]->(:A {k: 1})")
+	var doc bytes.Buffer
+	if err := src.SaveGraph(&doc); err != nil {
+		t.Fatal(err)
+	}
+	ForEachDurableVariant(t, func(t *testing.T, v Variant) {
+		dir := v.Dir(t)
+		kb := v.Open(t, dir, Config{})
+		err := kb.LoadGraph(bytes.NewReader(doc.Bytes()))
+		if v.Shards > 1 {
+			if !errors.Is(err, ErrMultiShard) {
+				t.Fatalf("LoadGraph on %d shards: err = %v, want ErrMultiShard", v.Shards, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec(t, kb, "MATCH (a:A) SET a.k = 2")
+		want := Exports(t, kb)
+		if err := kb.Close(); err != nil {
+			t.Fatal(err)
+		}
+		kb2 := v.Open(t, dir, Config{})
+		if got := Exports(t, kb2); !equalStrings(got, want) {
+			t.Fatal("recovered exports differ from the pre-close ones")
 		}
 	})
 }

@@ -13,12 +13,13 @@
 // Concurrency: the store is single-writer, multi-version. The committed
 // state is an immutable snapshot published through an atomic pointer. A
 // read-write transaction serializes on the store's write lock from Begin
-// until Commit or Rollback and builds a private working copy of exactly what
-// it touches — dirty node/relationship records, label and relationship-type
-// sets, and property-index postings are cloned copy-on-write; untouched
+// until Commit or Rollback and edits a private fork of the committed
+// snapshot: exactly what it touches — tables, node/relationship records,
+// label and relationship-type sets, property-index postings — is cloned on
+// first touch by the one copy-on-write mechanism in cow.go; untouched
 // structure stays shared with the committed snapshot. Commit publishes the
-// working copy as the next snapshot in one atomic store; Rollback just
-// discards it. A read-write transaction always reads its own writes.
+// fork as the next snapshot in one atomic store; Rollback just discards it.
+// A read-write transaction always reads its own writes.
 //
 // Read-only transactions (Begin(ReadOnly), View) grab the current snapshot
 // pointer and take no lock at all: readers never block behind writers, never
@@ -104,10 +105,10 @@ func (r Rel) Other(id NodeID) NodeID {
 	return r.Start
 }
 
-// nodeRec is one version of a node. Once a record has been published in a
-// committed snapshot it is immutable; a write transaction that touches it
-// first installs a private clone in its working copy (copy-on-write).
+// nodeRec is one version of a node. It is mutated only by the snapshot
+// builder named in by (see cow.go); any other builder clones it first.
 type nodeRec struct {
+	by     *owner
 	id     NodeID
 	labels map[string]struct{}
 	props  map[string]value.Value
@@ -115,8 +116,12 @@ type nodeRec struct {
 	in     map[RelID]*relRec
 }
 
-func (n *nodeRec) clone() *nodeRec {
+func (n *nodeRec) ownerOf() *owner { return n.by }
+
+func (n *nodeRec) clone(o *owner) *nodeRec {
+	o.recordsCloned.Inc()
 	return &nodeRec{
+		by:     o,
 		id:     n.id,
 		labels: maps.Clone(n.labels),
 		props:  maps.Clone(n.props),
@@ -129,6 +134,7 @@ func (n *nodeRec) clone() *nodeRec {
 // not pointer, so a record stays valid however its endpoint nodes are
 // copy-on-write cloned across versions.
 type relRec struct {
+	by    *owner
 	id    RelID
 	typ   string
 	start NodeID
@@ -136,62 +142,63 @@ type relRec struct {
 	props map[string]value.Value
 }
 
-func (r *relRec) clone() *relRec {
+func (r *relRec) ownerOf() *owner { return r.by }
+
+func (r *relRec) clone(o *owner) *relRec {
+	o.recordsCloned.Inc()
 	c := *r
+	c.by = o
 	c.props = maps.Clone(r.props)
 	return &c
 }
 
-// snapshot is one committed version of the whole store. Every snapshot
-// reachable from Store.snap (or pinned by a read-only transaction or a
-// clone) is immutable: write transactions clone what they touch and publish
-// a fresh snapshot at commit.
+// Posting sets and property indexes. A propIndex maps a property value (by
+// hash key) to the nodes of the indexed label carrying that value.
+type (
+	nodeSet   = cowMap[NodeID, struct{}]
+	relSet    = cowMap[RelID, struct{}]
+	propIndex = cowMap[string, *nodeSet]
+)
+
+// snapshot is one version of the whole store. A snapshot reachable from
+// Store.snap (or pinned by a read-only transaction or a clone) is immutable;
+// the next version is a fork that its builder edits through the
+// copy-on-write containers of cow.go and then publishes. The zero value is
+// the empty store.
 type snapshot struct {
-	nodes     map[NodeID]*nodeRec
-	rels      map[RelID]*relRec
-	byLabel   map[string]map[NodeID]struct{}
-	byRelType map[string]map[RelID]struct{}
-	indexes   map[indexKey]*propIndex
+	// by is the token of the builder that made (or is making) this version.
+	by        *owner
+	nodes     cowMap[NodeID, *nodeRec]
+	rels      cowMap[RelID, *relRec]
+	byLabel   cowMap[string, *nodeSet]
+	byRelType cowMap[string, *relSet]
+	indexes   cowMap[indexKey, *propIndex]
 	nextNode  NodeID
 	nextRel   RelID
 	// mirrorRels counts the bridge mirror halves held by this store:
 	// relationship records whose identifier belongs to another shard's
-	// allocation band. It is maintained on every bridge-half install and
-	// delete (and by Import), so home-relationship counts — len(rels) minus
-	// mirrorRels — are O(1) instead of an O(E) band scan. Always zero on an
-	// unsharded store.
+	// allocation band. It is maintained on every relationship install and
+	// delete, so home-relationship counts — rels.len() minus mirrorRels —
+	// are O(1) instead of an O(E) band scan. Always zero on an unsharded
+	// store.
 	mirrorRels int
 }
 
-func emptySnapshot() *snapshot {
-	return &snapshot{
-		nodes:     make(map[NodeID]*nodeRec),
-		rels:      make(map[RelID]*relRec),
-		byLabel:   make(map[string]map[NodeID]struct{}),
-		byRelType: make(map[string]map[RelID]struct{}),
-		indexes:   make(map[indexKey]*propIndex),
-	}
+// fork returns a private copy of sn for a new builder: every table is still
+// shared with sn and is copied when the builder first writes to it.
+func (sn *snapshot) fork(recordsCloned *metrics.Counter) *snapshot {
+	next := *sn
+	next.by = &owner{recordsCloned: recordsCloned}
+	return &next
 }
 
-// labelSet and relTypeSet are construction helpers for private (not yet
-// published) snapshots; Import uses them. Published snapshots are never
-// mutated.
-func (sn *snapshot) labelSet(label string) map[NodeID]struct{} {
-	set, ok := sn.byLabel[label]
-	if !ok {
-		set = make(map[NodeID]struct{})
-		sn.byLabel[label] = set
+// publish makes a builder's snapshot the committed one, unless the builder
+// wrote nothing. The caller holds writeMu.
+func (s *Store) publish(sn *snapshot) {
+	if sn.by.dirty {
+		s.snap.Store(sn)
+		s.metrics.Load().SnapshotsPublished.Inc()
 	}
-	return set
-}
-
-func (sn *snapshot) relTypeSet(typ string) map[RelID]struct{} {
-	set, ok := sn.byRelType[typ]
-	if !ok {
-		set = make(map[RelID]struct{})
-		sn.byRelType[typ] = set
-	}
-	return set
 }
 
 // Validator is invoked at commit time with the committing transaction; a
@@ -214,7 +221,8 @@ type CommitHook func(tx *Tx) error
 // nil (instrument methods on nil receivers no-op), so an unwired store pays
 // only a nil check per transaction.
 type Metrics struct {
-	// TxCommits counts committed read-write transactions.
+	// TxCommits counts committed read-write transactions (an Import is
+	// one).
 	TxCommits *metrics.Counter
 	// TxRollbacks counts rolled-back read-write transactions (explicit
 	// rollbacks plus validator- and hook-aborted commits).
@@ -230,6 +238,8 @@ type Metrics struct {
 	SnapshotReads *metrics.Counter
 	// RecordsCloned counts node and relationship records cloned
 	// copy-on-write by write transactions — the per-commit COW footprint.
+	// A record counts once per transaction that touches it; records a
+	// transaction created itself never count.
 	RecordsCloned *metrics.Counter
 	// LockWaitSeconds observes how long Begin(ReadWrite) waited for the
 	// store's write lock. On a sharded store this is the per-shard writer
@@ -262,7 +272,7 @@ type Store struct {
 // NewStore returns an empty store.
 func NewStore() *Store {
 	s := &Store{}
-	s.snap.Store(emptySnapshot())
+	s.snap.Store(&snapshot{})
 	s.metrics.Store(&Metrics{})
 	return s
 }
@@ -322,7 +332,7 @@ func (s *Store) BeginApply() *Tx {
 // lock-free map-size read on the committed snapshot, so scrape-time
 // cardinality gauges never stall behind a writer.
 func (s *Store) LabelCount(label string) int {
-	return len(s.snap.Load().byLabel[label])
+	return s.snap.Load().byLabel.at(label).len()
 }
 
 // Mode selects the access mode of a transaction.
@@ -349,9 +359,7 @@ func (s *Store) Begin(mode Mode) *Tx {
 		if !w0.IsZero() {
 			m.LockWaitSeconds.ObserveSince(w0)
 		}
-		base := s.snap.Load()
-		view := *base // struct copy: maps stay shared until copied-on-write
-		tx := &Tx{s: s, mode: mode, data: &TxData{}, view: &view, w: newWork(), metrics: m}
+		tx := &Tx{s: s, mode: mode, data: &TxData{}, view: s.snap.Load().fork(m.RecordsCloned), metrics: m}
 		if m.TxSeconds != nil {
 			tx.start = time.Now()
 		}
@@ -431,11 +439,11 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	sn := s.snap.Load()
 	return Stats{
-		Nodes:         len(sn.nodes),
-		Relationships: len(sn.rels),
-		Labels:        len(sn.byLabel),
-		RelTypes:      len(sn.byRelType),
-		Indexes:       len(sn.indexes),
+		Nodes:         sn.nodes.len(),
+		Relationships: sn.rels.len(),
+		Labels:        sn.byLabel.len(),
+		RelTypes:      sn.byRelType.len(),
+		Indexes:       sn.indexes.len(),
 	}
 }
 

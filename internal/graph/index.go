@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"maps"
 
 	"repro/internal/value"
 )
@@ -10,14 +9,6 @@ import (
 type indexKey struct {
 	label string
 	prop  string
-}
-
-// propIndex maps a property value (by hash key) to the set of nodes of the
-// indexed label carrying that value. Like every other snapshot component it
-// is immutable once published; write transactions clone the byValue table
-// and the touched posting sets copy-on-write.
-type propIndex struct {
-	byValue map[string]map[NodeID]struct{}
 }
 
 // CreateIndex creates a property index on (label, prop), populates it from
@@ -28,22 +19,18 @@ type propIndex struct {
 func (s *Store) CreateIndex(label, prop string) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	base := s.snap.Load()
+	next := s.snap.Load().fork(nil)
 	key := indexKey{label, prop}
-	if _, exists := base.indexes[key]; exists {
+	if _, exists := next.indexes.get(key); exists {
 		return fmt.Errorf("%w: %s.%s", ErrIndexExists, label, prop)
 	}
-	idx := &propIndex{byValue: make(map[string]map[NodeID]struct{})}
-	for id := range base.byLabel[label] {
-		if v, ok := base.nodes[id].props[prop]; ok {
-			idx.insert(v, id)
+	next.indexes.set(next.by, key, &propIndex{by: next.by})
+	for _, id := range next.byLabel.at(label).keys() {
+		if v, ok := next.nodes.at(id).props[prop]; ok {
+			next.indexNode(key, v, id, true)
 		}
 	}
-	next := *base
-	next.indexes = maps.Clone(base.indexes)
-	next.indexes[key] = idx
-	s.snap.Store(&next)
-	s.metrics.Load().SnapshotsPublished.Inc()
+	s.publish(next)
 	return nil
 }
 
@@ -51,23 +38,20 @@ func (s *Store) CreateIndex(label, prop string) error {
 func (s *Store) DropIndex(label, prop string) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	base := s.snap.Load()
+	next := s.snap.Load().fork(nil)
 	key := indexKey{label, prop}
-	if _, exists := base.indexes[key]; !exists {
+	if _, exists := next.indexes.get(key); !exists {
 		return fmt.Errorf("%w: %s.%s", ErrIndexNotFound, label, prop)
 	}
-	next := *base
-	next.indexes = maps.Clone(base.indexes)
-	delete(next.indexes, key)
-	s.snap.Store(&next)
-	s.metrics.Load().SnapshotsPublished.Inc()
+	next.indexes.del(next.by, key)
+	s.publish(next)
 	return nil
 }
 
 // HasIndex reports whether an index exists on (label, prop) in the
 // transaction's view.
 func (tx *Tx) HasIndex(label, prop string) bool {
-	_, ok := tx.view.indexes[indexKey{label, prop}]
+	_, ok := tx.view.indexes.get(indexKey{label, prop})
 	return ok
 }
 
@@ -75,50 +59,20 @@ func (tx *Tx) HasIndex(label, prop string) bool {
 // using the property index. The second result is false when no index exists
 // on (label, prop), in which case the caller must fall back to a scan.
 func (tx *Tx) NodesByProp(label, prop string, v value.Value) ([]NodeID, bool) {
-	idx, ok := tx.view.indexes[indexKey{label, prop}]
+	idx, ok := tx.view.indexes.get(indexKey{label, prop})
 	if !ok {
 		return nil, false
 	}
-	set := idx.byValue[v.HashKey()]
-	out := make([]NodeID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	return out, true
+	return idx.at(v.HashKey()).keys(), true
 }
 
 // CountByProp returns the number of nodes of the given label whose property
 // equals v, in O(1) via the property index — the analog of a graph
 // database's count store. The second result is false when no index exists.
 func (tx *Tx) CountByProp(label, prop string, v value.Value) (int, bool) {
-	idx, ok := tx.view.indexes[indexKey{label, prop}]
+	idx, ok := tx.view.indexes.get(indexKey{label, prop})
 	if !ok {
 		return 0, false
 	}
-	return len(idx.byValue[v.HashKey()]), true
-}
-
-// insert and remove mutate the index directly; they are only valid on
-// private, not-yet-published indexes (CreateIndex population, Import).
-// In-transaction maintenance goes through Tx.idxInsert/idxRemove, which
-// clone copy-on-write first.
-func (idx *propIndex) insert(v value.Value, id NodeID) {
-	k := v.HashKey()
-	set, ok := idx.byValue[k]
-	if !ok {
-		set = make(map[NodeID]struct{})
-		idx.byValue[k] = set
-	}
-	set[id] = struct{}{}
-}
-
-// indexInsertNode updates, for every label of rec, the matching private
-// index for property (key, v). Only valid while building a not-yet-published
-// snapshot (Import).
-func (sn *snapshot) indexInsertNode(rec *nodeRec, key string, v value.Value) {
-	for label := range rec.labels {
-		if idx, ok := sn.indexes[indexKey{label, key}]; ok {
-			idx.insert(v, rec.id)
-		}
-	}
+	return idx.at(v.HashKey()).len(), true
 }

@@ -63,13 +63,10 @@ func (sn *snapshot) export(w io.Writer) error {
 		NextNode: int64(sn.nextNode),
 		NextRel:  int64(sn.nextRel),
 	}
-	nodeIDs := make([]NodeID, 0, len(sn.nodes))
-	for id := range sn.nodes {
-		nodeIDs = append(nodeIDs, id)
-	}
+	nodeIDs := sn.nodes.keys()
 	sort.Slice(nodeIDs, func(i, j int) bool { return nodeIDs[i] < nodeIDs[j] })
 	for _, id := range nodeIDs {
-		rec := sn.nodes[id]
+		rec := sn.nodes.at(id)
 		en := exportNode{ID: int64(id)}
 		for l := range rec.labels {
 			en.Labels = append(en.Labels, l)
@@ -83,13 +80,10 @@ func (sn *snapshot) export(w io.Writer) error {
 		}
 		doc.Nodes = append(doc.Nodes, en)
 	}
-	relIDs := make([]RelID, 0, len(sn.rels))
-	for id := range sn.rels {
-		relIDs = append(relIDs, id)
-	}
+	relIDs := sn.rels.keys()
 	sort.Slice(relIDs, func(i, j int) bool { return relIDs[i] < relIDs[j] })
 	for _, id := range relIDs {
-		rec := sn.rels[id]
+		rec := sn.rels.at(id)
 		er := exportRel{
 			ID: int64(id), Type: rec.typ,
 			Start: int64(rec.start), End: int64(rec.end),
@@ -109,11 +103,12 @@ func (sn *snapshot) export(w io.Writer) error {
 
 // Import loads a document produced by Export into the store, which must be
 // empty. Identifiers are preserved; indexes already created on the store
-// are populated as nodes arrive. Validators do NOT run during import (the
-// data was valid when exported); subsequent transactions are validated as
-// usual. The document is assembled into a private snapshot and published
-// atomically, so on error the store is left unchanged and concurrent
-// readers never observe a partial import.
+// are populated as nodes arrive. The load is one replication-style
+// transaction (BeginApply): validators do NOT run (the data was valid when
+// exported; subsequent transactions are validated as usual) and a follower
+// accepts it, but the commit hook does — a durable store logs an import like
+// any other commit. On error the transaction is rolled back, so the store is
+// left unchanged, and concurrent readers never observe a partial import.
 func (s *Store) Import(r io.Reader) error {
 	var doc exportDoc
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
@@ -122,100 +117,56 @@ func (s *Store) Import(r io.Reader) error {
 	if doc.Format != exportFormat {
 		return fmt.Errorf("graph: import: unknown format %q", doc.Format)
 	}
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	base := s.snap.Load()
-	if len(base.nodes) != 0 || len(base.rels) != 0 {
+	tx := s.BeginApply()
+	defer tx.Rollback()
+	if tx.NodeCount() != 0 || tx.RelCount() != 0 {
 		return fmt.Errorf("graph: import requires an empty store")
 	}
-	next := emptySnapshot()
-	for key := range base.indexes {
-		next.indexes[key] = &propIndex{byValue: make(map[string]map[NodeID]struct{})}
-	}
-	for _, en := range doc.Nodes {
-		rec := &nodeRec{
-			id:     NodeID(en.ID),
-			labels: make(map[string]struct{}, len(en.Labels)),
-			props:  make(map[string]value.Value, len(en.Props)),
-			out:    make(map[RelID]*relRec),
-			in:     make(map[RelID]*relRec),
-		}
-		for _, l := range en.Labels {
-			rec.labels[l] = struct{}{}
-			next.labelSet(l)[rec.id] = struct{}{}
-		}
-		for k, raw := range en.Props {
-			v, err := value.FromJSON(raw)
-			if err != nil {
-				return fmt.Errorf("graph: import node %d prop %s: %w", en.ID, k, err)
-			}
-			if !v.IsNull() {
-				rec.props[k] = v
-			}
-		}
-		next.nodes[rec.id] = rec
-		for k, v := range rec.props {
-			next.indexInsertNode(rec, k, v)
-		}
-	}
-	for _, er := range doc.Rels {
-		// A bridge half-relationship (exported from one shard of a sharded
-		// store) has one endpoint in another shard: tolerate a single missing
-		// endpoint and attach adjacency only on the locally present ones.
-		start, hasStart := next.nodes[NodeID(er.Start)]
-		end, hasEnd := next.nodes[NodeID(er.End)]
-		if !hasStart && !hasEnd {
-			return fmt.Errorf("graph: import rel %d: both endpoints (%d, %d) missing", er.ID, er.Start, er.End)
-		}
-		rec := &relRec{
-			id: RelID(er.ID), typ: er.Type, start: NodeID(er.Start), end: NodeID(er.End),
-			props: make(map[string]value.Value, len(er.Props)),
-		}
-		for k, raw := range er.Props {
-			v, err := value.FromJSON(raw)
-			if err != nil {
-				return fmt.Errorf("graph: import rel %d prop %s: %w", er.ID, k, err)
-			}
-			if !v.IsNull() {
-				rec.props[k] = v
-			}
-		}
-		next.rels[rec.id] = rec
-		if hasStart {
-			start.out[rec.id] = rec
-		}
-		if hasEnd {
-			end.in[rec.id] = rec
-		}
-		next.relTypeSet(rec.typ)[rec.id] = struct{}{}
-	}
-	next.nextNode = NodeID(doc.NextNode)
-	next.nextRel = RelID(doc.NextRel)
 	// The document's own counters fix the store's allocation band; raising a
 	// counter past an imported identifier must stay inside it. A shard's
 	// export can contain bridge mirror halves whose identifiers belong to the
 	// peer shard's band — letting one of those raise nextRel would drag the
 	// counter into a foreign band and corrupt every later allocation (and
-	// trip AttachShards' band check on reopen). Those foreign-band records
-	// are exactly the mirror halves, so the same band test rebuilds the
-	// mirrorRels counter.
-	band := ShardOfRel(next.nextRel)
+	// trip AttachShards' band check on reopen).
+	tx.view.nextNode, tx.view.nextRel = NodeID(doc.NextNode), RelID(doc.NextRel)
+	tx.view.by.dirty = true
 	for _, en := range doc.Nodes {
-		if id := NodeID(en.ID); ShardOfNode(id) == ShardOfNode(next.nextNode) && id > next.nextNode {
-			next.nextNode = id
+		props, err := importProps(en.Props)
+		if err != nil {
+			return fmt.Errorf("graph: import node %d: %w", en.ID, err)
 		}
+		id := NodeID(en.ID)
+		if ShardOfNode(id) == ShardOfNode(tx.view.nextNode) && id > tx.view.nextNode {
+			tx.view.nextNode = id
+		}
+		tx.createNode(id, en.Labels, props)
 	}
 	for _, er := range doc.Rels {
-		id := RelID(er.ID)
-		if ShardOfRel(id) != band {
-			next.mirrorRels++
-			continue
+		props, err := importProps(er.Props)
+		if err != nil {
+			return fmt.Errorf("graph: import rel %d: %w", er.ID, err)
 		}
-		if id > next.nextRel {
-			next.nextRel = id
+		// A bridge half-relationship (exported from one shard of a sharded
+		// store) has one endpoint in another shard: tolerate a single
+		// missing endpoint.
+		if err := tx.createRelWithID(RelID(er.ID), NodeID(er.Start), NodeID(er.End), er.Type, props, false); err != nil {
+			return fmt.Errorf("graph: import: %w", err)
 		}
 	}
-	s.snap.Store(next)
-	s.metrics.Load().SnapshotsPublished.Inc()
-	return nil
+	return tx.Commit()
+}
+
+// importProps decodes a document property map, dropping NULLs.
+func importProps(raw map[string]any) (map[string]value.Value, error) {
+	props := make(map[string]value.Value, len(raw))
+	for k, r := range raw {
+		v, err := value.FromJSON(r)
+		if err != nil {
+			return nil, fmt.Errorf("prop %s: %w", k, err)
+		}
+		if !v.IsNull() {
+			props[k] = v
+		}
+	}
+	return props, nil
 }

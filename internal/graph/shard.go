@@ -150,15 +150,15 @@ func (ss *ShardedStore) Stats() Stats {
 	indexes := make(map[indexKey]struct{})
 	for _, s := range ss.shards {
 		sn := s.snap.Load()
-		st.Nodes += len(sn.nodes)
-		st.Relationships += len(sn.rels) - sn.mirrorRels
-		for l := range sn.byLabel {
+		st.Nodes += sn.nodes.len()
+		st.Relationships += sn.rels.len() - sn.mirrorRels
+		for _, l := range sn.byLabel.keys() {
 			labels[l] = struct{}{}
 		}
-		for t := range sn.byRelType {
+		for _, t := range sn.byRelType.keys() {
 			relTypes[t] = struct{}{}
 		}
-		for ik := range sn.indexes {
+		for _, ik := range sn.indexes.keys() {
 			indexes[ik] = struct{}{}
 		}
 	}
@@ -570,12 +570,8 @@ func (bt *BridgeTx) CreateRel(start, end NodeID, typ string, props map[string]va
 	// half per shard under that identifier.
 	sTx.view.nextRel++
 	id := sTx.view.nextRel
-	if err := sTx.createBridgeHalf(id, start, end, typ, props); err != nil {
-		return 0, err
-	}
-	if err := eTx.createBridgeHalf(id, start, end, typ, props); err != nil {
-		return 0, err
-	}
+	sTx.installRel(id, start, end, typ, storedProps(props))
+	eTx.installRel(id, start, end, typ, storedProps(props))
 	return id, nil
 }
 
@@ -595,7 +591,7 @@ func (bt *BridgeTx) DeleteRel(id RelID) error {
 	if other == home {
 		other = bt.hi
 	}
-	if _, ok := other.view.rels[id]; ok {
+	if _, ok := other.view.rels.get(id); ok {
 		return other.DeleteRel(id)
 	}
 	return nil
@@ -619,7 +615,7 @@ func (bt *BridgeTx) DeleteNode(id NodeID, detach bool) error {
 			other = bt.hi
 		}
 		for _, r := range tx.RelsOf(id, Both, nil) {
-			if _, ok := other.view.rels[r.ID]; ok {
+			if _, ok := other.view.rels.get(r.ID); ok {
 				if err := other.DeleteRel(r.ID); err != nil {
 					return err
 				}
@@ -715,8 +711,8 @@ func (bt *BridgeTx) Commit(seal func(lo, hi *Tx) error) error {
 	return errors.Join(errs...)
 }
 
-// preCommitChecks runs the commit-time gates of Tx.Commit — follower mode
-// and validators — without the hook, publication or lock release, so a
+// preCommitChecks runs the commit-time gates — follower mode and
+// validators — without the hook, publication or lock release, so a
 // two-shard commit can check both sides before either publishes.
 func (tx *Tx) preCommitChecks() error {
 	if tx.done {
@@ -738,16 +734,13 @@ func (tx *Tx) preCommitChecks() error {
 	return nil
 }
 
-// publishAndUnlock is the tail of Tx.Commit for one side of a bridge
-// commit: publish the working copy (if anything was written), record
+// publishAndUnlock is the tail of a commit (Tx.Commit, and each side of a
+// bridge commit): publish the fork (if anything was written), record
 // metrics, release the write lock, and hand back the deferred OnCommitted
-// callbacks for the bridge to run once both shards are published.
+// callbacks for the caller to run once everything is published.
 func (tx *Tx) publishAndUnlock() []func() error {
 	tx.done = true
-	if tx.w.wrote {
-		tx.s.snap.Store(tx.view)
-		tx.metrics.SnapshotsPublished.Inc()
-	}
+	tx.s.publish(tx.view)
 	tx.metrics.TxCommits.Inc()
 	if !tx.start.IsZero() {
 		tx.metrics.TxSeconds.ObserveSince(tx.start)

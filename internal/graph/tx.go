@@ -3,7 +3,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"sort"
 	"time"
 
@@ -15,20 +14,18 @@ import (
 // transaction must be finished with Commit or Rollback exactly once;
 // Rollback after Commit is a no-op, which makes `defer tx.Rollback()` safe.
 //
-// A read-write transaction edits a private working copy of the committed
-// snapshot (copy-on-write, tracked by work) and publishes it at Commit;
-// Rollback simply discards the copy. A read-only transaction shares the
-// immutable committed snapshot and must never reach a write method.
+// A read-write transaction edits a private fork of the committed snapshot
+// (copy-on-write, see cow.go) and publishes it at Commit; Rollback simply
+// discards the fork. A read-only transaction shares the immutable committed
+// snapshot and must never reach a write method.
 type Tx struct {
 	s    *Store
 	mode Mode
 	done bool
 	data *TxData
 	// view is the state this transaction reads: the pinned committed
-	// snapshot for ReadOnly, the private working copy for ReadWrite.
+	// snapshot for ReadOnly, the private fork for ReadWrite.
 	view *snapshot
-	// w tracks what the working copy has cloned so far; nil for ReadOnly.
-	w *work
 	// apply marks a replication-apply transaction (BeginApply): it passes
 	// the follower-mode write gate and skips validators.
 	apply bool
@@ -39,41 +36,6 @@ type Tx struct {
 	// start is set at Begin when transaction-latency instrumentation is
 	// wired; zero otherwise.
 	start time.Time
-}
-
-// work records which parts of the working copy are already private to the
-// transaction, so each map and record is cloned at most once however many
-// times it is touched.
-type work struct {
-	// wrote is set by the first effective write; Commit publishes the
-	// working copy only when it is set.
-	wrote bool
-
-	nodesCloned    bool
-	relsCloned     bool
-	labelsCloned   bool
-	relTypesCloned bool
-	indexesCloned  bool
-
-	clonedNodes       map[NodeID]struct{}
-	clonedRels        map[RelID]struct{}
-	clonedLabelSets   map[string]struct{}
-	clonedRelTypeSets map[string]struct{}
-	clonedIdx         map[indexKey]struct{}
-	// clonedIdxSets maps an index (already cloned) to the set of value-hash
-	// posting sets cloned within it.
-	clonedIdxSets map[indexKey]map[string]struct{}
-}
-
-func newWork() *work {
-	return &work{
-		clonedNodes:       make(map[NodeID]struct{}),
-		clonedRels:        make(map[RelID]struct{}),
-		clonedLabelSets:   make(map[string]struct{}),
-		clonedRelTypeSets: make(map[string]struct{}),
-		clonedIdx:         make(map[indexKey]struct{}),
-		clonedIdxSets:     make(map[indexKey]map[string]struct{}),
-	}
 }
 
 // Data exposes the changes made so far by this transaction. The caller must
@@ -114,7 +76,7 @@ func (tx *Tx) OnCommitted(fn func() error) error {
 }
 
 // Commit runs the store validators and the commit hook, publishes the
-// transaction's working copy as the new committed snapshot, releases the
+// transaction's fork as the new committed snapshot, releases the
 // write lock, and then runs any OnCommitted callbacks. If a validator or
 // the hook fails, the transaction is rolled back and the error returned; a
 // callback error is returned too, but cannot undo the publication.
@@ -126,19 +88,9 @@ func (tx *Tx) Commit() error {
 		tx.done = true
 		return nil
 	}
-	if !tx.apply {
-		if tx.s.follower.Load() {
-			tx.rollbackWrite()
-			return ErrFollowerStore
-		}
-		if vs := tx.s.validators.Load(); vs != nil {
-			for _, v := range *vs {
-				if err := v(tx); err != nil {
-					tx.rollbackWrite()
-					return err
-				}
-			}
-		}
+	if err := tx.preCommitChecks(); err != nil {
+		tx.rollbackWrite()
+		return err
 	}
 	if h := tx.s.commitHook; h != nil {
 		if err := h(tx); err != nil {
@@ -146,28 +98,17 @@ func (tx *Tx) Commit() error {
 			return fmt.Errorf("graph: commit hook: %w", err)
 		}
 	}
-	tx.done = true
-	if tx.w.wrote {
-		tx.s.snap.Store(tx.view)
-		tx.metrics.SnapshotsPublished.Inc()
-	}
-	tx.metrics.TxCommits.Inc()
-	if !tx.start.IsZero() {
-		tx.metrics.TxSeconds.ObserveSince(tx.start)
-	}
-	tx.s.writeMu.Unlock()
 	var errs []error
-	for _, fn := range tx.deferred {
+	for _, fn := range tx.publishAndUnlock() {
 		if err := fn(); err != nil {
 			errs = append(errs, err)
 		}
 	}
-	tx.deferred = nil
 	return errors.Join(errs...)
 }
 
-// Rollback discards all changes made by the transaction — the working copy
-// is simply dropped, the committed snapshot was never touched. Calling it
+// Rollback discards all changes made by the transaction — the fork is
+// simply dropped, the committed snapshot was never touched. Calling it
 // after Commit (or twice) is a no-op.
 func (tx *Tx) Rollback() {
 	if tx.done {
@@ -200,197 +141,50 @@ func (tx *Tx) writable() error {
 	return nil
 }
 
-// ---- Copy-on-write helpers ----
-//
-// The working copy starts as a struct copy of the committed snapshot: every
-// map is still shared. The helpers below make one level at a time private —
-// first the top-level map (a clone of the pointer/set table), then the
-// individual record or set — each exactly once per transaction. Reads
-// always go through tx.view, so the transaction sees its own writes while
-// concurrent readers keep seeing the untouched committed snapshot.
-
-func (tx *Tx) wNodes() map[NodeID]*nodeRec {
-	if !tx.w.nodesCloned {
-		tx.view.nodes = maps.Clone(tx.view.nodes)
-		tx.w.nodesCloned = true
-	}
-	tx.w.wrote = true
-	return tx.view.nodes
-}
-
-// wNode returns a node record the transaction may mutate, cloning the
-// committed record on first touch.
-func (tx *Tx) wNode(id NodeID) (*nodeRec, bool) {
-	rec, ok := tx.view.nodes[id]
-	if !ok {
-		return nil, false
-	}
-	if _, private := tx.w.clonedNodes[id]; !private {
-		rec = rec.clone()
-		tx.wNodes()[id] = rec
-		tx.w.clonedNodes[id] = struct{}{}
-		tx.metrics.RecordsCloned.Inc()
-	}
-	return rec, true
-}
-
-// putNode installs a record created by this transaction (already private).
-func (tx *Tx) putNode(rec *nodeRec) {
-	tx.wNodes()[rec.id] = rec
-	tx.w.clonedNodes[rec.id] = struct{}{}
-}
-
-func (tx *Tx) wRels() map[RelID]*relRec {
-	if !tx.w.relsCloned {
-		tx.view.rels = maps.Clone(tx.view.rels)
-		tx.w.relsCloned = true
-	}
-	tx.w.wrote = true
-	return tx.view.rels
-}
-
-func (tx *Tx) wRel(id RelID) (*relRec, bool) {
-	rec, ok := tx.view.rels[id]
-	if !ok {
-		return nil, false
-	}
-	if _, private := tx.w.clonedRels[id]; !private {
-		rec = rec.clone()
-		tx.wRels()[id] = rec
-		tx.w.clonedRels[id] = struct{}{}
-		tx.metrics.RecordsCloned.Inc()
-	}
-	return rec, true
-}
-
-func (tx *Tx) putRel(rec *relRec) {
-	tx.wRels()[rec.id] = rec
-	tx.w.clonedRels[rec.id] = struct{}{}
-}
-
-// wLabelSet returns a mutable membership set for label, creating or cloning
-// it as needed.
-func (tx *Tx) wLabelSet(label string) map[NodeID]struct{} {
-	if !tx.w.labelsCloned {
-		tx.view.byLabel = maps.Clone(tx.view.byLabel)
-		tx.w.labelsCloned = true
-	}
-	tx.w.wrote = true
-	set, ok := tx.view.byLabel[label]
-	if !ok {
-		set = make(map[NodeID]struct{})
-		tx.view.byLabel[label] = set
-		tx.w.clonedLabelSets[label] = struct{}{}
-		return set
-	}
-	if _, private := tx.w.clonedLabelSets[label]; !private {
-		set = maps.Clone(set)
-		tx.view.byLabel[label] = set
-		tx.w.clonedLabelSets[label] = struct{}{}
-	}
-	return set
-}
-
-func (tx *Tx) wRelTypeSet(typ string) map[RelID]struct{} {
-	if !tx.w.relTypesCloned {
-		tx.view.byRelType = maps.Clone(tx.view.byRelType)
-		tx.w.relTypesCloned = true
-	}
-	tx.w.wrote = true
-	set, ok := tx.view.byRelType[typ]
-	if !ok {
-		set = make(map[RelID]struct{})
-		tx.view.byRelType[typ] = set
-		tx.w.clonedRelTypeSets[typ] = struct{}{}
-		return set
-	}
-	if _, private := tx.w.clonedRelTypeSets[typ]; !private {
-		set = maps.Clone(set)
-		tx.view.byRelType[typ] = set
-		tx.w.clonedRelTypeSets[typ] = struct{}{}
-	}
-	return set
-}
-
-// wIndex returns a mutable propIndex for ik, or nil when no such index
-// exists. The index's byValue table is cloned on first touch; individual
-// posting sets are cloned lazily by idxInsert/idxRemove.
-func (tx *Tx) wIndex(ik indexKey) *propIndex {
-	idx, ok := tx.view.indexes[ik]
-	if !ok {
-		return nil
-	}
-	if _, private := tx.w.clonedIdx[ik]; !private {
-		if !tx.w.indexesCloned {
-			tx.view.indexes = maps.Clone(tx.view.indexes)
-			tx.w.indexesCloned = true
-		}
-		idx = &propIndex{byValue: maps.Clone(idx.byValue)}
-		tx.view.indexes[ik] = idx
-		tx.w.clonedIdx[ik] = struct{}{}
-		tx.w.clonedIdxSets[ik] = make(map[string]struct{})
-	}
-	tx.w.wrote = true
-	return idx
-}
-
-func (tx *Tx) idxInsert(ik indexKey, v value.Value, id NodeID) {
-	idx := tx.wIndex(ik)
-	if idx == nil {
-		return
-	}
-	k := v.HashKey()
-	sets := tx.w.clonedIdxSets[ik]
-	set, ok := idx.byValue[k]
-	if !ok {
-		set = make(map[NodeID]struct{})
-		idx.byValue[k] = set
-		sets[k] = struct{}{}
-	} else if _, private := sets[k]; !private {
-		set = maps.Clone(set)
-		idx.byValue[k] = set
-		sets[k] = struct{}{}
-	}
-	set[id] = struct{}{}
-}
-
-func (tx *Tx) idxRemove(ik indexKey, v value.Value, id NodeID) {
-	idx := tx.wIndex(ik)
-	if idx == nil {
-		return
-	}
-	k := v.HashKey()
-	set, ok := idx.byValue[k]
-	if !ok {
-		return
-	}
-	sets := tx.w.clonedIdxSets[ik]
-	if _, private := sets[k]; !private {
-		set = maps.Clone(set)
-		idx.byValue[k] = set
-		sets[k] = struct{}{}
-	}
-	delete(set, id)
-	if len(set) == 0 {
-		delete(idx.byValue, k)
-	}
-}
-
-// indexInsertNode updates all indexes matching any of the node's labels for
-// property (key, v).
-func (tx *Tx) indexInsertNode(rec *nodeRec, key string, v value.Value) {
-	for label := range rec.labels {
-		tx.idxInsert(indexKey{label, key}, v, rec.id)
-	}
-}
-
-func (tx *Tx) indexRemoveNode(rec *nodeRec, key string, v value.Value) {
-	for label := range rec.labels {
-		tx.idxRemove(indexKey{label, key}, v, rec.id)
-	}
-}
-
 // ---- Write operations ----
+//
+// Every write goes through the copy-on-write containers of cow.go, stamped
+// with the fork's owner token: tables, posting sets and records are copied
+// the first time this transaction touches them and written in place after
+// that. Reads go through tx.view, so the transaction sees its own writes
+// while concurrent readers keep seeing the untouched committed snapshot.
+
+// editNode returns a node record the transaction may mutate.
+func (tx *Tx) editNode(id NodeID) (*nodeRec, bool) {
+	return edit(&tx.view.nodes, tx.view.by, id)
+}
+
+// indexNode files (member) or unfiles (!member) node id under value v in the
+// index on ik, if there is one.
+func (sn *snapshot) indexNode(ik indexKey, v value.Value, id NodeID, member bool) {
+	idx, ok := edit(&sn.indexes, sn.by, ik)
+	if !ok {
+		return
+	}
+	if member {
+		post(idx, sn.by, v.HashKey(), id)
+	} else {
+		unpost(idx, sn.by, v.HashKey(), id)
+	}
+}
+
+// indexProp updates, for every label of rec, the index on (label, key).
+func (sn *snapshot) indexProp(rec *nodeRec, key string, v value.Value, member bool) {
+	for label := range rec.labels {
+		sn.indexNode(indexKey{label, key}, v, rec.id, member)
+	}
+}
+
+// storedProps copies props without its NULL entries, which are not stored.
+func storedProps(props map[string]value.Value) map[string]value.Value {
+	out := make(map[string]value.Value, len(props))
+	for k, v := range props {
+		if !v.IsNull() {
+			out[k] = v
+		}
+	}
+	return out
+}
 
 // CreateNode creates a node with the given labels and properties and
 // returns its identifier. NULL-valued properties are not stored.
@@ -400,34 +194,33 @@ func (tx *Tx) CreateNode(labels []string, props map[string]value.Value) (NodeID,
 	}
 	tx.view.nextNode++
 	id := tx.view.nextNode
-	return id, tx.createNode(id, labels, props)
+	tx.createNode(id, labels, storedProps(props))
+	return id, nil
 }
 
-func (tx *Tx) createNode(id NodeID, labels []string, props map[string]value.Value) error {
+// createNode installs a new node; it takes ownership of props, which must be
+// free of NULLs.
+func (tx *Tx) createNode(id NodeID, labels []string, props map[string]value.Value) {
+	sn := tx.view
 	rec := &nodeRec{
+		by:     sn.by,
 		id:     id,
 		labels: make(map[string]struct{}, len(labels)),
-		props:  make(map[string]value.Value, len(props)),
+		props:  props,
 		out:    make(map[RelID]*relRec),
 		in:     make(map[RelID]*relRec),
 	}
 	for _, l := range labels {
 		rec.labels[l] = struct{}{}
 	}
-	for k, v := range props {
-		if !v.IsNull() {
-			rec.props[k] = v
-		}
-	}
-	tx.putNode(rec)
+	sn.nodes.set(sn.by, id, rec)
 	for l := range rec.labels {
-		tx.wLabelSet(l)[id] = struct{}{}
+		post(&sn.byLabel, sn.by, l, id)
 	}
 	for k, v := range rec.props {
-		tx.indexInsertNode(rec, k, v)
+		sn.indexProp(rec, k, v, true)
 	}
 	tx.data.CreatedNodes = append(tx.data.CreatedNodes, id)
-	return nil
 }
 
 // DeleteNode removes a node. If the node still has relationships the call
@@ -437,7 +230,8 @@ func (tx *Tx) DeleteNode(id NodeID, detach bool) error {
 	if err := tx.writable(); err != nil {
 		return err
 	}
-	rec, ok := tx.view.nodes[id]
+	sn := tx.view
+	rec, ok := sn.nodes.get(id)
 	if !ok {
 		return fmtErrNode(id)
 	}
@@ -459,16 +253,16 @@ func (tx *Tx) DeleteNode(id NodeID, detach bool) error {
 				return err
 			}
 		}
-		rec = tx.view.nodes[id] // detach replaced the record copy-on-write
+		rec = sn.nodes.at(id) // detach replaced the record copy-on-write
 	}
 	snap := snapshotNode(rec)
 	for l := range rec.labels {
-		delete(tx.wLabelSet(l), id)
+		unpost(&sn.byLabel, sn.by, l, id)
 	}
 	for k, v := range rec.props {
-		tx.indexRemoveNode(rec, k, v)
+		sn.indexProp(rec, k, v, false)
 	}
-	delete(tx.wNodes(), id)
+	sn.nodes.del(sn.by, id)
 	tx.data.DeletedNodes = append(tx.data.DeletedNodes, snap)
 	return nil
 }
@@ -478,33 +272,38 @@ func (tx *Tx) CreateRel(start, end NodeID, typ string, props map[string]value.Va
 	if err := tx.writable(); err != nil {
 		return 0, err
 	}
-	if _, ok := tx.view.nodes[start]; !ok {
+	if !tx.NodeExists(start) {
 		return 0, fmtErrNode(start)
 	}
-	if _, ok := tx.view.nodes[end]; !ok {
+	if !tx.NodeExists(end) {
 		return 0, fmtErrNode(end)
 	}
 	tx.view.nextRel++
 	id := tx.view.nextRel
-	return id, tx.createRel(id, start, end, typ, props)
+	tx.installRel(id, start, end, typ, storedProps(props))
+	return id, nil
 }
 
-func (tx *Tx) createRel(id RelID, start, end NodeID, typ string, props map[string]value.Value) error {
-	rec := &relRec{id: id, typ: typ, start: start, end: end,
-		props: make(map[string]value.Value, len(props))}
-	for k, v := range props {
-		if !v.IsNull() {
-			rec.props[k] = v
-		}
+// installRel is the one relationship installer: the record itself, the
+// type-set entry and adjacency for whichever endpoints are locally present
+// (the mirror half of a bridge has one endpoint in another shard; callers
+// that require both check first). It takes ownership of props, which must
+// be free of NULLs.
+func (tx *Tx) installRel(id RelID, start, end NodeID, typ string, props map[string]value.Value) {
+	sn := tx.view
+	rec := &relRec{by: sn.by, id: id, typ: typ, start: start, end: end, props: props}
+	sn.rels.set(sn.by, id, rec)
+	if sRec, ok := tx.editNode(start); ok {
+		sRec.out[id] = rec
 	}
-	tx.putRel(rec)
-	sRec, _ := tx.wNode(start)
-	sRec.out[id] = rec
-	eRec, _ := tx.wNode(end)
-	eRec.in[id] = rec
-	tx.wRelTypeSet(typ)[id] = struct{}{}
+	if eRec, ok := tx.editNode(end); ok {
+		eRec.in[id] = rec
+	}
+	post(&sn.byRelType, sn.by, typ, id)
+	if tx.relIsMirror(id) {
+		sn.mirrorRels++
+	}
 	tx.data.CreatedRels = append(tx.data.CreatedRels, id)
-	return nil
 }
 
 // DeleteRel removes a relationship.
@@ -512,23 +311,24 @@ func (tx *Tx) DeleteRel(id RelID) error {
 	if err := tx.writable(); err != nil {
 		return err
 	}
-	rec, ok := tx.view.rels[id]
+	sn := tx.view
+	rec, ok := sn.rels.get(id)
 	if !ok {
 		return fmtErrRel(id)
 	}
 	snap := snapshotRel(rec)
-	delete(tx.wRels(), id)
+	sn.rels.del(sn.by, id)
 	// A bridge half-relationship (sharded stores) has one endpoint in another
 	// shard; only locally present endpoints carry adjacency entries.
-	if sRec, ok := tx.wNode(rec.start); ok {
+	if sRec, ok := tx.editNode(rec.start); ok {
 		delete(sRec.out, id)
 	}
-	if eRec, ok := tx.wNode(rec.end); ok {
+	if eRec, ok := tx.editNode(rec.end); ok {
 		delete(eRec.in, id)
 	}
-	delete(tx.wRelTypeSet(rec.typ), id)
+	unpost(&sn.byRelType, sn.by, rec.typ, id)
 	if tx.relIsMirror(id) {
-		tx.view.mirrorRels--
+		sn.mirrorRels--
 	}
 	tx.data.DeletedRels = append(tx.data.DeletedRels, snap)
 	return nil
@@ -540,16 +340,16 @@ func (tx *Tx) SetLabel(id NodeID, label string) error {
 	if err := tx.writable(); err != nil {
 		return err
 	}
-	if rec, ok := tx.view.nodes[id]; !ok {
+	if rec, ok := tx.view.nodes.get(id); !ok {
 		return fmtErrNode(id)
 	} else if _, has := rec.labels[label]; has {
 		return nil
 	}
-	rec, _ := tx.wNode(id)
+	rec, _ := tx.editNode(id)
 	rec.labels[label] = struct{}{}
-	tx.wLabelSet(label)[id] = struct{}{}
+	post(&tx.view.byLabel, tx.view.by, label, id)
 	for k, v := range rec.props {
-		tx.idxInsert(indexKey{label, k}, v, id)
+		tx.view.indexNode(indexKey{label, k}, v, id, true)
 	}
 	tx.data.AssignedLabels = append(tx.data.AssignedLabels, LabelChange{Node: id, Label: label})
 	return nil
@@ -561,16 +361,16 @@ func (tx *Tx) RemoveLabel(id NodeID, label string) error {
 	if err := tx.writable(); err != nil {
 		return err
 	}
-	if rec, ok := tx.view.nodes[id]; !ok {
+	if rec, ok := tx.view.nodes.get(id); !ok {
 		return fmtErrNode(id)
 	} else if _, has := rec.labels[label]; !has {
 		return nil
 	}
-	rec, _ := tx.wNode(id)
+	rec, _ := tx.editNode(id)
 	delete(rec.labels, label)
-	delete(tx.wLabelSet(label), id)
+	unpost(&tx.view.byLabel, tx.view.by, label, id)
 	for k, v := range rec.props {
-		tx.idxRemove(indexKey{label, k}, v, id)
+		tx.view.indexNode(indexKey{label, k}, v, id, false)
 	}
 	tx.data.RemovedLabels = append(tx.data.RemovedLabels, LabelChange{Node: id, Label: label})
 	return nil
@@ -582,7 +382,7 @@ func (tx *Tx) SetNodeProp(id NodeID, key string, v value.Value) error {
 	if err := tx.writable(); err != nil {
 		return err
 	}
-	cur, ok := tx.view.nodes[id]
+	cur, ok := tx.view.nodes.get(id)
 	if !ok {
 		return fmtErrNode(id)
 	}
@@ -591,19 +391,19 @@ func (tx *Tx) SetNodeProp(id NodeID, key string, v value.Value) error {
 		if !had {
 			return nil
 		}
-		rec, _ := tx.wNode(id)
+		rec, _ := tx.editNode(id)
 		delete(rec.props, key)
-		tx.indexRemoveNode(rec, key, old)
+		tx.view.indexProp(rec, key, old, false)
 		tx.data.RemovedProps = append(tx.data.RemovedProps,
 			PropChange{Kind: NodeEntity, Node: id, Key: key, Old: old, New: value.Null})
 		return nil
 	}
-	rec, _ := tx.wNode(id)
+	rec, _ := tx.editNode(id)
 	rec.props[key] = v
 	if had {
-		tx.indexRemoveNode(rec, key, old)
+		tx.view.indexProp(rec, key, old, false)
 	}
-	tx.indexInsertNode(rec, key, v)
+	tx.view.indexProp(rec, key, v, true)
 	oldRecorded := value.Null
 	if had {
 		oldRecorded = old
@@ -624,7 +424,7 @@ func (tx *Tx) SetRelProp(id RelID, key string, v value.Value) error {
 	if err := tx.writable(); err != nil {
 		return err
 	}
-	cur, ok := tx.view.rels[id]
+	cur, ok := tx.view.rels.get(id)
 	if !ok {
 		return fmtErrRel(id)
 	}
@@ -633,13 +433,13 @@ func (tx *Tx) SetRelProp(id RelID, key string, v value.Value) error {
 		if !had {
 			return nil
 		}
-		rec, _ := tx.wRel(id)
+		rec, _ := edit(&tx.view.rels, tx.view.by, id)
 		delete(rec.props, key)
 		tx.data.RemovedProps = append(tx.data.RemovedProps,
 			PropChange{Kind: RelEntity, Rel: id, Key: key, Old: old, New: value.Null})
 		return nil
 	}
-	rec, _ := tx.wRel(id)
+	rec, _ := edit(&tx.view.rels, tx.view.by, id)
 	rec.props[key] = v
 	oldRecorded := value.Null
 	if had {
@@ -668,33 +468,19 @@ func (tx *Tx) CreateNodeWithID(id NodeID, labels []string, props map[string]valu
 	if err := tx.writable(); err != nil {
 		return err
 	}
-	if _, exists := tx.view.nodes[id]; exists {
+	if tx.NodeExists(id) {
 		return fmt.Errorf("graph: node %d already exists", id)
 	}
 	if id > tx.view.nextNode {
 		tx.view.nextNode = id
 	}
-	return tx.createNode(id, labels, props)
+	tx.createNode(id, labels, storedProps(props))
+	return nil
 }
 
 // CreateRelWithID creates a relationship under a caller-chosen identifier.
 func (tx *Tx) CreateRelWithID(id RelID, start, end NodeID, typ string, props map[string]value.Value) error {
-	if err := tx.writable(); err != nil {
-		return err
-	}
-	if _, exists := tx.view.rels[id]; exists {
-		return fmt.Errorf("graph: relationship %d already exists", id)
-	}
-	if _, ok := tx.view.nodes[start]; !ok {
-		return fmtErrNode(start)
-	}
-	if _, ok := tx.view.nodes[end]; !ok {
-		return fmtErrNode(end)
-	}
-	if id > tx.view.nextRel {
-		tx.view.nextRel = id
-	}
-	return tx.createRel(id, start, end, typ, props)
+	return tx.createRelWithID(id, start, end, typ, storedProps(props), true)
 }
 
 // CreateBridgeRelWithID creates the local half of a cross-shard
@@ -705,52 +491,34 @@ func (tx *Tx) CreateRelWithID(id RelID, start, end NodeID, typ string, props map
 // sharded engine (ShardedStore.BridgeTx) and write-ahead-log replay of
 // bridge operations are the intended callers; on an unsharded store every
 // endpoint is local and CreateRelWithID is the right primitive.
-//
-// The relationship-identifier counter is advanced only when id belongs to
-// this store's allocation band: the mirror half carries the home shard's
-// identifier, which must never drag a foreign shard's counter into another
-// band.
 func (tx *Tx) CreateBridgeRelWithID(id RelID, start, end NodeID, typ string, props map[string]value.Value) error {
+	return tx.createRelWithID(id, start, end, typ, storedProps(props), false)
+}
+
+// createRelWithID advances the relationship-identifier counter only when id
+// belongs to this store's allocation band: a mirror half carries the home
+// shard's identifier, which must never drag a foreign shard's counter into
+// another band. Like installRel it takes ownership of props.
+func (tx *Tx) createRelWithID(id RelID, start, end NodeID, typ string, props map[string]value.Value, bothLocal bool) error {
 	if err := tx.writable(); err != nil {
 		return err
 	}
-	if _, exists := tx.view.rels[id]; exists {
+	if _, exists := tx.view.rels.get(id); exists {
 		return fmt.Errorf("graph: relationship %d already exists", id)
 	}
-	_, hasStart := tx.view.nodes[start]
-	_, hasEnd := tx.view.nodes[end]
-	if !hasStart && !hasEnd {
+	hasStart, hasEnd := tx.NodeExists(start), tx.NodeExists(end)
+	switch {
+	case bothLocal && !hasStart:
+		return fmtErrNode(start)
+	case bothLocal && !hasEnd:
+		return fmtErrNode(end)
+	case !hasStart && !hasEnd:
 		return fmt.Errorf("graph: bridge relationship %d: neither endpoint (%d, %d) is local", id, start, end)
 	}
-	if ShardOfRel(id) == ShardOfRel(tx.view.nextRel) && id > tx.view.nextRel {
+	if !tx.relIsMirror(id) && id > tx.view.nextRel {
 		tx.view.nextRel = id
 	}
-	return tx.createBridgeHalf(id, start, end, typ, props)
-}
-
-// createBridgeHalf installs one shard's half of a bridge relationship:
-// the record itself, the type-set entry and adjacency for whichever
-// endpoints are locally present.
-func (tx *Tx) createBridgeHalf(id RelID, start, end NodeID, typ string, props map[string]value.Value) error {
-	rec := &relRec{id: id, typ: typ, start: start, end: end,
-		props: make(map[string]value.Value, len(props))}
-	for k, v := range props {
-		if !v.IsNull() {
-			rec.props[k] = v
-		}
-	}
-	tx.putRel(rec)
-	if sRec, ok := tx.wNode(start); ok {
-		sRec.out[id] = rec
-	}
-	if eRec, ok := tx.wNode(end); ok {
-		eRec.in[id] = rec
-	}
-	tx.wRelTypeSet(typ)[id] = struct{}{}
-	if tx.relIsMirror(id) {
-		tx.view.mirrorRels++
-	}
-	tx.data.CreatedRels = append(tx.data.CreatedRels, id)
+	tx.installRel(id, start, end, typ, props)
 	return nil
 }
 
@@ -767,7 +535,7 @@ func (tx *Tx) relIsMirror(id RelID) bool {
 // store: every record except bridge mirror halves. Summing it across the
 // shards of a sharded store counts each bridge exactly once, in O(1) per
 // shard.
-func (tx *Tx) HomeRelCount() int { return len(tx.view.rels) - tx.view.mirrorRels }
+func (tx *Tx) HomeRelCount() int { return tx.view.rels.len() - tx.view.mirrorRels }
 
 // Counters returns the identifier-allocation counters (the identifiers of
 // the most recently created node and relationship).
@@ -783,11 +551,11 @@ func (tx *Tx) EnsureCounters(nextNode NodeID, nextRel RelID) error {
 	}
 	if nextNode > tx.view.nextNode {
 		tx.view.nextNode = nextNode
-		tx.w.wrote = true
+		tx.view.by.dirty = true
 	}
 	if nextRel > tx.view.nextRel {
 		tx.view.nextRel = nextRel
-		tx.w.wrote = true
+		tx.view.by.dirty = true
 	}
 	return nil
 }
@@ -796,13 +564,13 @@ func (tx *Tx) EnsureCounters(nextNode NodeID, nextRel RelID) error {
 
 // NodeExists reports whether the node is present.
 func (tx *Tx) NodeExists(id NodeID) bool {
-	_, ok := tx.view.nodes[id]
+	_, ok := tx.view.nodes.get(id)
 	return ok
 }
 
 // Node returns a snapshot of the node.
 func (tx *Tx) Node(id NodeID) (Node, bool) {
-	rec, ok := tx.view.nodes[id]
+	rec, ok := tx.view.nodes.get(id)
 	if !ok {
 		return Node{}, false
 	}
@@ -811,7 +579,7 @@ func (tx *Tx) Node(id NodeID) (Node, bool) {
 
 // Rel returns a snapshot of the relationship.
 func (tx *Tx) Rel(id RelID) (Rel, bool) {
-	rec, ok := tx.view.rels[id]
+	rec, ok := tx.view.rels.get(id)
 	if !ok {
 		return Rel{}, false
 	}
@@ -820,7 +588,7 @@ func (tx *Tx) Rel(id RelID) (Rel, bool) {
 
 // NodeLabels returns the labels of a node, sorted.
 func (tx *Tx) NodeLabels(id NodeID) ([]string, bool) {
-	rec, ok := tx.view.nodes[id]
+	rec, ok := tx.view.nodes.get(id)
 	if !ok {
 		return nil, false
 	}
@@ -834,7 +602,7 @@ func (tx *Tx) NodeLabels(id NodeID) ([]string, bool) {
 
 // NodeHasLabel reports whether the node carries the label.
 func (tx *Tx) NodeHasLabel(id NodeID, label string) bool {
-	rec, ok := tx.view.nodes[id]
+	rec, ok := tx.view.nodes.get(id)
 	if !ok {
 		return false
 	}
@@ -845,7 +613,7 @@ func (tx *Tx) NodeHasLabel(id NodeID, label string) bool {
 // NodeProp returns a node property value; the second result is false if the
 // node does not exist or lacks the property.
 func (tx *Tx) NodeProp(id NodeID, key string) (value.Value, bool) {
-	rec, ok := tx.view.nodes[id]
+	rec, ok := tx.view.nodes.get(id)
 	if !ok {
 		return value.Null, false
 	}
@@ -855,7 +623,7 @@ func (tx *Tx) NodeProp(id NodeID, key string) (value.Value, bool) {
 
 // NodePropKeys returns the property keys of a node, sorted.
 func (tx *Tx) NodePropKeys(id NodeID) []string {
-	rec, ok := tx.view.nodes[id]
+	rec, ok := tx.view.nodes.get(id)
 	if !ok {
 		return nil
 	}
@@ -869,7 +637,7 @@ func (tx *Tx) NodePropKeys(id NodeID) []string {
 
 // RelProp returns a relationship property value.
 func (tx *Tx) RelProp(id RelID, key string) (value.Value, bool) {
-	rec, ok := tx.view.rels[id]
+	rec, ok := tx.view.rels.get(id)
 	if !ok {
 		return value.Null, false
 	}
@@ -879,7 +647,7 @@ func (tx *Tx) RelProp(id RelID, key string) (value.Value, bool) {
 
 // RelPropKeys returns the property keys of a relationship, sorted.
 func (tx *Tx) RelPropKeys(id RelID) []string {
-	rec, ok := tx.view.rels[id]
+	rec, ok := tx.view.rels.get(id)
 	if !ok {
 		return nil
 	}
@@ -894,7 +662,7 @@ func (tx *Tx) RelPropKeys(id RelID) []string {
 // RelEndpoints returns the type, start and end of a relationship without
 // copying its properties.
 func (tx *Tx) RelEndpoints(id RelID) (typ string, start, end NodeID, ok bool) {
-	rec, found := tx.view.rels[id]
+	rec, found := tx.view.rels.get(id)
 	if !found {
 		return "", 0, 0, false
 	}
@@ -921,7 +689,7 @@ func (r RelHandle) Other(id NodeID) NodeID {
 // direction, optionally filtered to a set of types (nil means all types).
 // For Direction Both, self-loops are reported once.
 func (tx *Tx) RelsOf(id NodeID, dir Direction, types []string) []RelHandle {
-	rec, ok := tx.view.nodes[id]
+	rec, ok := tx.view.nodes.get(id)
 	if !ok {
 		return nil
 	}
@@ -960,7 +728,7 @@ func (tx *Tx) RelsOf(id NodeID, dir Direction, types []string) []RelHandle {
 // Degree returns the number of relationships incident to a node in the
 // given direction.
 func (tx *Tx) Degree(id NodeID, dir Direction) int {
-	rec, ok := tx.view.nodes[id]
+	rec, ok := tx.view.nodes.get(id)
 	if !ok {
 		return 0
 	}
@@ -982,50 +750,28 @@ func (tx *Tx) Degree(id NodeID, dir Direction) int {
 
 // NodesByLabel returns the identifiers of all nodes carrying the label.
 func (tx *Tx) NodesByLabel(label string) []NodeID {
-	set := tx.view.byLabel[label]
-	out := make([]NodeID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	return out
+	return tx.view.byLabel.at(label).keys()
 }
 
 // CountByLabel returns the number of nodes carrying the label without
 // materializing their identifiers.
 func (tx *Tx) CountByLabel(label string) int {
-	return len(tx.view.byLabel[label])
+	return tx.view.byLabel.at(label).len()
 }
 
 // AllNodes returns the identifiers of every node.
-func (tx *Tx) AllNodes() []NodeID {
-	out := make([]NodeID, 0, len(tx.view.nodes))
-	for id := range tx.view.nodes {
-		out = append(out, id)
-	}
-	return out
-}
+func (tx *Tx) AllNodes() []NodeID { return tx.view.nodes.keys() }
 
 // AllRels returns the identifiers of every relationship.
-func (tx *Tx) AllRels() []RelID {
-	out := make([]RelID, 0, len(tx.view.rels))
-	for id := range tx.view.rels {
-		out = append(out, id)
-	}
-	return out
-}
+func (tx *Tx) AllRels() []RelID { return tx.view.rels.keys() }
 
 // RelsByType returns the identifiers of all relationships of the type.
 func (tx *Tx) RelsByType(typ string) []RelID {
-	set := tx.view.byRelType[typ]
-	out := make([]RelID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	return out
+	return tx.view.byRelType.at(typ).keys()
 }
 
 // NodeCount returns the number of nodes.
-func (tx *Tx) NodeCount() int { return len(tx.view.nodes) }
+func (tx *Tx) NodeCount() int { return tx.view.nodes.len() }
 
 // RelCount returns the number of relationships.
-func (tx *Tx) RelCount() int { return len(tx.view.rels) }
+func (tx *Tx) RelCount() int { return tx.view.rels.len() }
