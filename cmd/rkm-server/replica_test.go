@@ -12,6 +12,7 @@ import (
 	"time"
 
 	reactive "repro"
+	"repro/internal/backoff"
 	"repro/internal/replica"
 )
 
@@ -46,8 +47,7 @@ func newFollowerServer(t *testing.T, leaderURL string, maxLag time.Duration) (*s
 		PollInterval:      2 * time.Millisecond,
 		HeartbeatInterval: 10 * time.Millisecond,
 		StreamWindow:      250 * time.Millisecond,
-		BackoffBase:       5 * time.Millisecond,
-		BackoffMax:        25 * time.Millisecond,
+		Policy:            backoff.Policy{BackoffBase: 5 * time.Millisecond, BackoffMax: 25 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

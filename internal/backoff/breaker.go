@@ -1,75 +1,74 @@
-package fednet
+package backoff
 
 import (
 	"sync"
 	"time"
 )
 
-// breakerState enumerates the circuit-breaker states. The numeric values
+// State enumerates the circuit-breaker states. The numeric values
 // are exported as the rkm_fed_breaker_state gauge, ordered by severity.
-type breakerState int
+type State int
 
+// Breaker states.
 const (
-	breakerClosed breakerState = iota
-	breakerHalfOpen
-	breakerOpen
+	Closed State = iota
+	HalfOpen
+	Open
 )
 
 // String returns the conventional state name.
-func (s breakerState) String() string {
+func (s State) String() string {
 	switch s {
-	case breakerClosed:
+	case Closed:
 		return "closed"
-	case breakerHalfOpen:
+	case HalfOpen:
 		return "half-open"
-	case breakerOpen:
+	case Open:
 		return "open"
 	default:
 		return "unknown"
 	}
 }
 
-// breaker is a per-peer circuit breaker: after threshold consecutive
+// Breaker is a per-peer circuit breaker: after threshold consecutive
 // failures the circuit opens and pushes to the peer are refused locally
 // (fail-fast, no network traffic) until cooldown elapses; then a single
 // half-open probe is let through — its success closes the circuit, its
 // failure reopens it for another cooldown.
-type breaker struct {
+type Breaker struct {
 	now       func() time.Time
 	threshold int
 	cooldown  time.Duration
 
 	mu       sync.Mutex
-	state    breakerState
+	state    State
 	failures int       // consecutive failures while closed
 	openedAt time.Time // when the circuit last opened
 	probing  bool      // a half-open probe is in flight
 }
 
-func newBreaker(threshold int, cooldown time.Duration, now func() time.Time) *breaker {
-	if now == nil {
-		now = time.Now
-	}
-	return &breaker{now: now, threshold: threshold, cooldown: cooldown}
+// NewBreaker returns a closed breaker reading the time from now.
+func NewBreaker(threshold int, cooldown time.Duration, now func() time.Time) *Breaker {
+	return &Breaker{now: now, threshold: threshold, cooldown: cooldown}
 }
 
-// allow reports whether a push attempt may proceed. In the open state it
+// Allow reports whether a push attempt may proceed. In the open state it
 // transitions to half-open once the cooldown has elapsed and admits exactly
 // one probe; concurrent callers are refused until that probe settles.
-func (b *breaker) allow() bool {
+func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
-	case breakerClosed:
+	case Closed:
 		return true
-	case breakerOpen:
+	case Open:
 		if b.now().Sub(b.openedAt) < b.cooldown {
 			return false
 		}
-		b.state = breakerHalfOpen
+		b.state = HalfOpen
 		b.probing = true
 		return true
-	case breakerHalfOpen:
+	case HalfOpen:
 		if b.probing {
 			return false
 		}
@@ -79,36 +78,36 @@ func (b *breaker) allow() bool {
 	return false
 }
 
-// success records a successful push and closes the circuit.
-func (b *breaker) success() {
+// Success records a successful push and closes the circuit.
+func (b *Breaker) Success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.state = breakerClosed
+	b.state = Closed
 	b.failures = 0
 	b.probing = false
 }
 
-// failure records a failed push: a half-open probe reopens the circuit
+// Failure records a failed push: a half-open probe reopens the circuit
 // immediately, a closed circuit opens after threshold consecutive failures.
-func (b *breaker) failure() {
+func (b *Breaker) Failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probing = false
 	switch b.state {
-	case breakerHalfOpen:
-		b.state = breakerOpen
+	case HalfOpen:
+		b.state = Open
 		b.openedAt = b.now()
-	case breakerClosed:
+	case Closed:
 		b.failures++
 		if b.failures >= b.threshold {
-			b.state = breakerOpen
+			b.state = Open
 			b.openedAt = b.now()
 		}
 	}
 }
 
-// current returns the state for status reports and the breaker gauge.
-func (b *breaker) current() breakerState {
+// Current returns the state for status reports and the breaker gauge.
+func (b *Breaker) Current() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state

@@ -1,4 +1,4 @@
-package fednet
+package backoff
 
 import (
 	"testing"
@@ -12,74 +12,74 @@ func (m *manualNow) now() time.Time { return m.t }
 
 func TestBreakerTransitions(t *testing.T) {
 	clk := &manualNow{t: time.Unix(0, 0)}
-	b := newBreaker(3, 5*time.Second, clk.now)
+	b := NewBreaker(3, 5*time.Second, clk.now)
 
-	if got := b.current(); got != breakerClosed {
+	if got := b.Current(); got != Closed {
 		t.Fatalf("initial state %v", got)
 	}
 	// Failures below the threshold keep the circuit closed.
-	b.failure()
-	b.failure()
-	if !b.allow() {
+	b.Failure()
+	b.Failure()
+	if !b.Allow() {
 		t.Fatal("closed circuit refused a push")
 	}
 	// A success resets the consecutive-failure count.
-	b.success()
-	b.failure()
-	b.failure()
-	if got := b.current(); got != breakerClosed {
+	b.Success()
+	b.Failure()
+	b.Failure()
+	if got := b.Current(); got != Closed {
 		t.Fatalf("state after reset+2 failures = %v", got)
 	}
 	// The threshold-th consecutive failure opens the circuit.
-	b.failure()
-	if got := b.current(); got != breakerOpen {
+	b.Failure()
+	if got := b.Current(); got != Open {
 		t.Fatalf("state after 3 consecutive failures = %v", got)
 	}
-	if b.allow() {
+	if b.Allow() {
 		t.Fatal("open circuit allowed a push before cooldown")
 	}
 
 	// After the cooldown, exactly one half-open probe is admitted.
 	clk.t = clk.t.Add(5 * time.Second)
-	if !b.allow() {
+	if !b.Allow() {
 		t.Fatal("cooldown elapsed but probe refused")
 	}
-	if got := b.current(); got != breakerHalfOpen {
+	if got := b.Current(); got != HalfOpen {
 		t.Fatalf("state during probe = %v", got)
 	}
-	if b.allow() {
+	if b.Allow() {
 		t.Fatal("second concurrent probe admitted in half-open")
 	}
 
 	// A failed probe reopens for another full cooldown.
-	b.failure()
-	if got := b.current(); got != breakerOpen {
+	b.Failure()
+	if got := b.Current(); got != Open {
 		t.Fatalf("state after failed probe = %v", got)
 	}
 	clk.t = clk.t.Add(4 * time.Second)
-	if b.allow() {
+	if b.Allow() {
 		t.Fatal("reopened circuit admitted a push before its new cooldown")
 	}
 	clk.t = clk.t.Add(time.Second)
-	if !b.allow() {
+	if !b.Allow() {
 		t.Fatal("second probe refused after cooldown")
 	}
 
 	// A successful probe closes the circuit.
-	b.success()
-	if got := b.current(); got != breakerClosed {
+	b.Success()
+	if got := b.Current(); got != Closed {
 		t.Fatalf("state after successful probe = %v", got)
 	}
-	if !b.allow() {
+	if !b.Allow() {
 		t.Fatal("closed circuit refused a push")
 	}
 }
 
 func TestBreakerStateStrings(t *testing.T) {
-	for s, want := range map[breakerState]string{
-		breakerClosed:   "closed",
-		breakerHalfOpen: "half-open",
-		breakerOpen:     "open",
+	for s, want := range map[State]string{
+		Closed:   "closed",
+		HalfOpen: "half-open",
+		Open:     "open",
 	} {
 		if got := s.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", s, got, want)

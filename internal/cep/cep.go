@@ -7,19 +7,21 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/cypher"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/trigger"
 	"repro/internal/value"
 )
 
 // PartialLabel is the label of the durable partial-match bookkeeping
-// nodes. Like PendingAlert, the label is registered in the engine's
-// SkipLabels, so automaton churn is invisible to user rule matching while
-// still riding the WAL, snapshots, recovery and replication.
+// nodes (core.Bookkeeping). Like PendingAlert, the label is hidden from rule
+// matching, so automaton churn is invisible to user rules while still riding
+// the WAL, snapshots, recovery and replication.
 const PartialLabel = "CEPPartial"
 
 // CEPPartial node properties.
@@ -47,10 +49,6 @@ var ErrEnabled = errors.New("cep: composite events already enabled on this knowl
 
 // Options configures a Manager.
 type Options struct {
-	// AlertLabel is the default label of composite alert nodes; empty
-	// means the trigger engine's default ("Alert"). Individual rules can
-	// override it.
-	AlertLabel string
 	// Logf receives background drain-loop errors; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -67,12 +65,8 @@ type Manager struct {
 	rules map[string]*compiledRule
 	seq   int
 
-	recovered int
-
-	workerMu sync.Mutex
-	wake     chan struct{}
-	stop     chan struct{}
-	done     chan struct{}
+	partials *core.Bookkeeping
+	driver   atomic.Pointer[core.Driver] // the background drain loop; nil unless started
 }
 
 // Enable attaches composite-event support to a knowledge base: it
@@ -95,29 +89,16 @@ func Enable(kb *core.KnowledgeBase, opts Options) (*Manager, error) {
 	if eng.StepSink != nil {
 		return nil, ErrEnabled
 	}
-	m := &Manager{kb: kb, opts: opts, rules: make(map[string]*compiledRule)}
-	if eng.SkipLabels == nil {
-		eng.SkipLabels = make(map[string]bool)
-	}
-	eng.SkipLabels[PartialLabel] = true
+	m := &Manager{kb: kb, opts: opts, rules: make(map[string]*compiledRule),
+		partials: kb.Bookkeeping(PartialLabel)}
+	m.partials.Hide()
 	if err := kb.CreateIndex(PartialLabel, propPKey); err != nil {
 		return nil, fmt.Errorf("cep: create partial index: %w", err)
 	}
 	m.wireMetrics(kb.Metrics())
-	m.recovered = m.Depth()
-	m.m.recovered.Add(int64(m.recovered))
+	m.m.recovered.Add(int64(m.Recovered()))
 	eng.StepSink = m.step
 	return m, nil
-}
-
-func (m *Manager) alertLabel(cr *compiledRule) string {
-	if cr.AlertLabel != "" {
-		return cr.AlertLabel
-	}
-	if m.opts.AlertLabel != "" {
-		return m.opts.AlertLabel
-	}
-	return trigger.DefaultAlertLabel
 }
 
 func (m *Manager) logf(format string, args ...any) {
@@ -128,11 +109,11 @@ func (m *Manager) logf(format string, args ...any) {
 
 // Recovered returns the number of partial matches found on the graph when
 // the manager was enabled — state a previous process left behind.
-func (m *Manager) Recovered() int { return m.recovered }
+func (m *Manager) Recovered() int { return m.partials.Recovered() }
 
 // Depth returns the number of partial-match nodes currently on the graph
 // (open and completed-but-undrained).
-func (m *Manager) Depth() int { return m.kb.Shards().LabelCount(PartialLabel) }
+func (m *Manager) Depth() int { return m.partials.Depth() }
 
 // ---- rule management ----
 
@@ -149,6 +130,15 @@ func (m *Manager) Install(r Rule) error {
 		return fmt.Errorf("%w: %s", ErrRuleExists, r.Name)
 	}
 	eng := m.kb.Engine()
+	// The completion is an ordinary reaction reached later: the engine
+	// compiles it (resolving the alert label like any rule's) and, at the
+	// drain, runs and materializes it like any rule's.
+	cr.alert, err = eng.Compile(trigger.Rule{Name: r.Name, Hub: r.Hub,
+		Alert: r.Alert, AlertLabel: r.AlertLabel, Composite: r.Name})
+	if err != nil {
+		return fmt.Errorf("cep: rule %s: %w", r.Name, err)
+	}
+	cr.AlertLabel = cr.alert.AlertLabel
 	installed := make([]string, 0, len(cr.Steps))
 	for _, sr := range cr.stepRules() {
 		if err := eng.Install(sr); err != nil {
@@ -298,14 +288,14 @@ func (m *Manager) stepSequence(tx *graph.Tx, cr *compiledRule, item trigger.Step
 			}
 			// Timed out mid-sequence: evict, then treat the incoming
 			// occurrence as a fresh opener below.
-			if err := m.evict(tx, id); err != nil {
+			if err := m.remove(tx, id, m.m.expired); err != nil {
 				return err
 			}
 			open = false
 		case st.Negated && item.Step == final:
 			if state == final {
 				// The forbidden event occurred while armed: kill the match.
-				return m.kill(tx, id)
+				return m.remove(tx, id, m.m.killed)
 			}
 			return nil // NOT only guards the tail of a full prefix match
 		case item.Step == state:
@@ -343,7 +333,7 @@ func (m *Manager) stepAll(tx *graph.Tx, cr *compiledRule, item trigger.StepItem,
 	if open {
 		deadline, _ := m.timeProp(tx, id, propDeadline)
 		if !now.Before(deadline) {
-			if err := m.evict(tx, id); err != nil {
+			if err := m.remove(tx, id, m.m.expired); err != nil {
 				return err
 			}
 			open = false
@@ -408,20 +398,12 @@ func (m *Manager) stepCount(tx *graph.Tx, cr *compiledRule, item trigger.StepIte
 // ---- durable partial-node primitives ----
 
 func (m *Manager) lookup(tx *graph.Tx, rule, key string) (graph.NodeID, bool) {
-	pk := partialKey(rule, key)
-	if ids, ok := tx.NodesByProp(PartialLabel, propPKey, value.Str(pk)); ok {
-		if len(ids) == 0 {
-			return 0, false
-		}
-		return ids[0], true
+	// Enable created the (CEPPartial, pkey) index before installing the sink.
+	ids, _ := tx.NodesByProp(PartialLabel, propPKey, value.Str(partialKey(rule, key)))
+	if len(ids) == 0 {
+		return 0, false
 	}
-	// No index (not Enable-d storage, e.g. a fork): scan.
-	for _, id := range tx.NodesByLabel(PartialLabel) {
-		if m.strProp(tx, id, propPKey) == pk {
-			return id, true
-		}
-	}
-	return 0, false
+	return ids[0], true
 }
 
 func (m *Manager) openPartial(tx *graph.Tx, cr *compiledRule, item trigger.StepItem,
@@ -481,25 +463,17 @@ func (m *Manager) markDone(tx *graph.Tx, cr *compiledRule, id graph.NodeID, at t
 	m.onCommit(tx, func() {
 		m.m.completed.Inc()
 		m.m.matchSeconds.Observe(at.Sub(started).Seconds())
-		m.kick()
+		m.driver.Load().Kick() // drain now, without waiting for the interval
 	})
 	return nil
 }
 
-func (m *Manager) evict(tx *graph.Tx, id graph.NodeID) error {
-	if err := tx.DeleteNode(id, true); err != nil {
-		return err
-	}
-	m.onCommit(tx, func() { m.m.expired.Inc() })
-	return nil
-}
-
-func (m *Manager) kill(tx *graph.Tx, id graph.NodeID) error {
-	if err := tx.DeleteNode(id, true); err != nil {
-		return err
-	}
-	m.onCommit(tx, func() { m.m.killed.Inc() })
-	return nil
+// remove deletes a partial without completing it and, on commit, counts
+// why: expired (window closed), killed (the negated event came) or orphaned
+// (rule dropped).
+func (m *Manager) remove(tx *graph.Tx, id graph.NodeID, why *metrics.Counter) error {
+	m.onCommit(tx, why.Inc)
+	return tx.DeleteNode(id, true)
 }
 
 func (m *Manager) onCommit(tx *graph.Tx, fn func()) {
@@ -562,137 +536,95 @@ func pruneTimes(times []int64, cutoff time.Time) []int64 {
 // ---- the drain: resolving completed and expired partials ----
 
 // DrainOnce resolves every completed or expired partial match across all
-// shards, each in its own follow-up transaction that deletes the partial
-// node and (for completions) materializes the composite alert atomically.
-// It returns the number of partials resolved. Safe to call concurrently
-// with writers and with the background loop; deterministic tests drive it
-// directly with a manual clock.
+// shards, oldest first, each in its own follow-up transaction that deletes
+// the partial node and (for completions) materializes the composite alert
+// atomically (core.Bookkeeping.FollowUp). It returns the number of partials
+// resolved. Safe to call concurrently with writers and with the background
+// loop; deterministic tests drive it directly with a manual clock.
 func (m *Manager) DrainOnce() (int, error) {
+	now := m.kb.Now()
 	processed := 0
 	var errs []error
-	for q := 0; q < m.kb.NumShards(); q++ {
-		now := m.kb.Now()
-		ids, err := m.collect(q, now)
+	for _, id := range m.partials.Scan(func(tx *graph.Tx, id graph.NodeID) bool {
+		return m.ready(tx, id, now)
+	}) {
+		resolved, err := m.partials.FollowUp(id, func(tx *graph.Tx) error { return m.resolve(tx, id) })
 		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		for _, id := range ids {
-			n, err := m.resolve(q, id)
-			processed += n
-			if err != nil {
-				errs = append(errs, err)
-			}
+			errs = append(errs, fmt.Errorf("cep: resolve partial %d: %w", id, err))
+		} else if resolved {
+			processed++
 		}
 	}
 	return processed, errors.Join(errs...)
 }
 
-// collect lists the partials of one shard that are ready to resolve:
-// completed, past their window, or orphaned by a dropped rule.
-func (m *Manager) collect(q int, now time.Time) ([]graph.NodeID, error) {
-	var out []graph.NodeID
-	err := m.kb.ViewShard(q, func(tx *graph.Tx) error {
-		for _, id := range tx.NodesByLabel(PartialLabel) {
-			if m.boolProp(tx, id, propDone) {
-				out = append(out, id)
-				continue
-			}
-			if !m.Has(m.strProp(tx, id, propRule)) {
-				out = append(out, id)
-				continue
-			}
-			if deadline, ok := m.timeProp(tx, id, propDeadline); ok && !now.Before(deadline) {
-				out = append(out, id)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// ready reports whether a partial is due for the drain: completed, past its
+// window, or orphaned by a dropped rule.
+func (m *Manager) ready(tx *graph.Tx, id graph.NodeID, now time.Time) bool {
+	if m.boolProp(tx, id, propDone) || !m.Has(m.strProp(tx, id, propRule)) {
+		return true
 	}
-	// Node IDs are assigned in commit order; resolve oldest first.
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	deadline, ok := m.timeProp(tx, id, propDeadline)
+	return ok && !now.Before(deadline)
 }
 
-// resolve handles one ready partial in its own follow-up transaction.
-// Returns 1 when the partial was resolved (deleted), 0 when it turned out
-// to still be live (e.g. a count window that merely slid).
-func (m *Manager) resolve(q int, id graph.NodeID) (int, error) {
-	n := 0
-	_, err := m.kb.UpdateShard(q, func(tx *graph.Tx) error {
-		if !tx.NodeExists(id) {
-			return nil // another drain got here first
-		}
-		now := m.kb.Now()
-		ruleName := m.strProp(tx, id, propRule)
-		m.mu.RLock()
-		cr := m.rules[ruleName]
-		m.mu.RUnlock()
-		if cr == nil {
-			// Orphaned by a dropped rule: discard.
-			if err := tx.DeleteNode(id, true); err != nil {
-				return err
-			}
-			m.onCommit(tx, func() { m.m.orphaned.Inc() })
-			n = 1
-			return nil
-		}
-		if m.boolProp(tx, id, propDone) {
-			n = 1
-			return m.complete(tx, cr, id)
-		}
-		deadline, _ := m.timeProp(tx, id, propDeadline)
-		if now.Before(deadline) {
-			return nil // no longer ready (clock moved, state advanced)
-		}
-		final := len(cr.Steps) - 1
-		if cr.Op == Sequence && cr.Steps[final].Negated &&
-			int(m.intProp(tx, id, propState)) == final {
-			// Absence detection: the window closed with the match armed and
-			// the forbidden event never came — that IS the composite event.
-			started, _ := m.timeProp(tx, id, propStartedAt)
-			if err := tx.SetNodeProp(id, propDoneAt, value.DateTime(deadline)); err != nil {
-				return err
-			}
-			m.onCommit(tx, func() {
-				m.m.completed.Inc()
-				m.m.matchSeconds.Observe(deadline.Sub(started).Seconds())
-			})
-			n = 1
-			return m.complete(tx, cr, id)
-		}
-		if cr.Op == Count {
-			times := m.times(tx, id)
-			kept := pruneTimes(times, now.Add(-cr.Window))
-			if ev := len(times) - len(kept); ev > 0 {
-				m.onCommit(tx, func() { m.m.evictions.Add(int64(ev)) })
-			}
-			if len(kept) > 0 {
-				// The window slid but occurrences remain: keep the partial.
-				if err := m.setTimes(tx, id, kept); err != nil {
-					return err
-				}
-				if err := tx.SetNodeProp(id, propState, value.Int(int64(len(kept)))); err != nil {
-					return err
-				}
-				return tx.SetNodeProp(id, propDeadline,
-					value.DateTime(time.Unix(0, kept[0]).UTC().Add(cr.Window)))
-			}
-		}
-		// Window closed without completing: evict.
-		n = 1
-		return m.evict(tx, id)
-	})
-	if err != nil {
-		return 0, fmt.Errorf("cep: resolve partial %d: %w", id, err)
+// resolve handles one ready partial inside its follow-up transaction. It
+// deletes the partial unless it turns out to be still live (the clock moved,
+// the state advanced, or a count window merely slid).
+func (m *Manager) resolve(tx *graph.Tx, id graph.NodeID) error {
+	now := m.kb.Now()
+	m.mu.RLock()
+	cr := m.rules[m.strProp(tx, id, propRule)]
+	m.mu.RUnlock()
+	if cr == nil {
+		return m.remove(tx, id, m.m.orphaned)
 	}
-	return n, nil
+	if m.boolProp(tx, id, propDone) {
+		return m.complete(tx, cr, id)
+	}
+	deadline, _ := m.timeProp(tx, id, propDeadline)
+	if now.Before(deadline) {
+		return nil // no longer ready (clock moved, state advanced)
+	}
+	final := len(cr.Steps) - 1
+	if cr.Op == Sequence && cr.Steps[final].Negated &&
+		int(m.intProp(tx, id, propState)) == final {
+		// Absence detection: the window closed with the match armed and
+		// the forbidden event never came — that IS the composite event.
+		if err := m.markDone(tx, cr, id, deadline); err != nil {
+			return err
+		}
+		return m.complete(tx, cr, id)
+	}
+	if cr.Op == Count {
+		times := m.times(tx, id)
+		kept := pruneTimes(times, now.Add(-cr.Window))
+		if ev := len(times) - len(kept); ev > 0 {
+			m.onCommit(tx, func() { m.m.evictions.Add(int64(ev)) })
+		}
+		if len(kept) > 0 {
+			// The window slid but occurrences remain: keep the partial.
+			if err := m.setTimes(tx, id, kept); err != nil {
+				return err
+			}
+			if err := tx.SetNodeProp(id, propState, value.Int(int64(len(kept)))); err != nil {
+				return err
+			}
+			return tx.SetNodeProp(id, propDeadline,
+				value.DateTime(time.Unix(0, kept[0]).UTC().Add(cr.Window)))
+		}
+	}
+	// Window closed without completing: evict.
+	return m.remove(tx, id, m.m.expired)
 }
 
-// complete deletes a done partial and materializes its composite alert —
-// one atomic follow-up transaction, the exactly-once point.
+// summaryCols are the payload columns of a composite alert whose rule has no
+// alert query: the match summary.
+var summaryCols = []string{"key", "matches", "window", "startedAt", "completedAt"}
+
+// complete deletes a done partial and materializes its composite alert
+// through the engine's one materializer — inside the drain's follow-up
+// transaction, the exactly-once point.
 func (m *Manager) complete(tx *graph.Tx, cr *compiledRule, id graph.NodeID) error {
 	key, _ := tx.NodeProp(id, propKey)
 	started, _ := m.timeProp(tx, id, propStartedAt)
@@ -708,13 +640,6 @@ func (m *Manager) complete(tx *graph.Tx, cr *compiledRule, id graph.NodeID) erro
 			}
 		}
 	}
-	firstBind := m.decodedBinding(tx, id, propFirst)
-	lastBind := m.decodedBinding(tx, id, propLast)
-	if err := tx.DeleteNode(id, true); err != nil {
-		return err
-	}
-
-	now := m.kb.Now()
 	bind := trigger.Binding{
 		"RULE":      value.Str(cr.Name),
 		"KEY":       key,
@@ -722,40 +647,28 @@ func (m *Manager) complete(tx *graph.Tx, cr *compiledRule, id graph.NodeID) erro
 		"WINDOW":    value.Duration(cr.Window),
 		"STARTEDAT": value.DateTime(started),
 		"DONEAT":    value.DateTime(doneAt),
-		"FIRST":     firstBind,
-		"LAST":      lastBind,
+		"FIRST":     m.decodedBinding(tx, id, propFirst),
+		"LAST":      m.decodedBinding(tx, id, propLast),
 	}
-	alerts := 0
-	if cr.alert != nil {
-		res, err := cr.alert.Execute(tx, &cypher.Options{
-			Bindings: bind,
-			Now:      func() time.Time { return now },
-		})
-		if err != nil {
-			return fmt.Errorf("cep: rule %s alert: %w", cr.Name, err)
-		}
-		for _, row := range res.Rows {
-			if err := m.createAlertNode(tx, cr, now, res.Columns, row); err != nil {
-				return err
-			}
-			alerts++
-		}
-	} else {
-		props := map[string]value.Value{
-			"key":         key,
-			"matches":     value.Int(matches),
-			"window":      value.Duration(cr.Window),
-			"startedAt":   value.DateTime(started),
-			"completedAt": value.DateTime(doneAt),
-		}
-		if err := m.createAlertNodeProps(tx, cr, now, props); err != nil {
-			return err
-		}
-		alerts = 1
+	if err := tx.DeleteNode(id, true); err != nil {
+		return err
 	}
-	na := alerts
-	m.onCommit(tx, func() { m.m.alerts.Add(int64(na)) })
-	return nil
+
+	now, eng := m.kb.Now(), m.kb.Engine()
+	var (
+		cols []string
+		rows [][]value.Value
+		err  error
+	)
+	if cr.Alert == "" {
+		cols = summaryCols
+		rows = [][]value.Value{{key, bind["MATCHES"], bind["WINDOW"], bind["STARTEDAT"], bind["DONEAT"]}}
+	} else if cols, rows, err = eng.RunAlert(tx, cr.alert, bind, now); err != nil {
+		return err
+	}
+	alerts, err := eng.Materialize(tx, cr.alert, bind, now, cols, rows)
+	m.onCommit(tx, func() { m.m.alerts.Add(int64(len(alerts))) })
+	return err
 }
 
 // decodedBinding returns the NEW transition value of a stored occurrence
@@ -775,87 +688,27 @@ func (m *Manager) decodedBinding(tx *graph.Tx, id graph.NodeID, prop string) val
 	return value.Null
 }
 
-func (m *Manager) createAlertNode(tx *graph.Tx, cr *compiledRule, now time.Time,
-	cols []string, row []value.Value) error {
-	props := map[string]value.Value{}
-	for i, c := range cols {
-		v := row[i]
-		if eid, ok := v.EntityID(); ok {
-			v = value.Int(eid) // entity references stored by identifier
-		}
-		props[c] = v
-	}
-	return m.createAlertNodeProps(tx, cr, now, props)
-}
-
-func (m *Manager) createAlertNodeProps(tx *graph.Tx, cr *compiledRule, now time.Time,
-	props map[string]value.Value) error {
-	props["rule"] = value.Str(cr.Name)
-	props["hub"] = value.Str(cr.Hub)
-	props["dateTime"] = value.DateTime(now)
-	_, err := tx.CreateNode([]string{m.alertLabel(cr)}, props)
-	return err
-}
-
 // ---- the background drain loop ----
 
-// Start launches the background drain loop: a ticker (plus completion
-// kicks) driving DrainOnce. A non-positive interval means
+// Start launches the background drain loop: a core.Driver running DrainOnce
+// every interval and on every completion kick. A non-positive interval means
 // DefaultDrainInterval. Returns an error if already running.
 func (m *Manager) Start(interval time.Duration) error {
 	if interval <= 0 {
 		interval = DefaultDrainInterval
 	}
-	m.workerMu.Lock()
-	defer m.workerMu.Unlock()
-	if m.stop != nil {
+	d := core.Drive(interval, func() {
+		if _, err := m.DrainOnce(); err != nil {
+			m.logf("cep: drain: %v", err)
+		}
+	})
+	if !m.driver.CompareAndSwap(nil, d) {
+		d.Stop()
 		return errors.New("cep: drain loop already running")
 	}
-	m.wake = make(chan struct{}, 1)
-	m.stop = make(chan struct{})
-	m.done = make(chan struct{})
-	go m.loop(interval, m.wake, m.stop, m.done)
 	return nil
 }
 
 // Stop halts the background drain loop, finishing any in-flight drain.
-func (m *Manager) Stop() {
-	m.workerMu.Lock()
-	defer m.workerMu.Unlock()
-	if m.stop == nil {
-		return
-	}
-	close(m.stop)
-	<-m.done
-	m.stop, m.done, m.wake = nil, nil, nil
-}
-
-func (m *Manager) loop(interval time.Duration, wake, stop, done chan struct{}) {
-	defer close(done)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-wake:
-		case <-t.C:
-		}
-		if _, err := m.DrainOnce(); err != nil {
-			m.logf("cep: drain: %v", err)
-		}
-	}
-}
-
-// kick nudges the background loop after a completion commit.
-func (m *Manager) kick() {
-	m.workerMu.Lock()
-	wake := m.wake
-	m.workerMu.Unlock()
-	if wake != nil {
-		select {
-		case wake <- struct{}{}:
-		default:
-		}
-	}
-}
+// No-op if it is not running.
+func (m *Manager) Stop() { m.driver.Swap(nil).Stop() }

@@ -108,7 +108,7 @@ type Rule struct {
 type compiledRule struct {
 	Rule
 	keys  []*cypher.CompiledExpr // prepared BY expressions, index-aligned with Steps
-	alert *cypher.Plan
+	alert *trigger.Compiled      // the completion reaction, compiled by the engine at Install
 	seq   int
 }
 
@@ -186,13 +186,6 @@ func compile(r Rule) (*compiledRule, error) {
 			}
 			cr.keys[i] = ke
 		}
-	}
-	if r.Alert != "" {
-		plan, err := cypher.Prepare(r.Alert)
-		if err != nil {
-			return nil, fmt.Errorf("cep: rule %s alert: %w", r.Name, err)
-		}
-		cr.alert = plan
 	}
 	return cr, nil
 }

@@ -31,12 +31,15 @@ package core
 // that shard's WAL stream, and is evaluated against and consumed in that
 // shard (identifier bands name it). The scanner, DrainAsync, the queue
 // bound and the depth gauge all span every shard's queue.
+//
+// The queue mechanics are the bookkeeping idiom of bookkeeping.go; this file
+// keeps what is specific to the pipeline: per-rule worker routing, the
+// in-flight and parked sets, backpressure.
 
 import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 	"time"
 
@@ -125,17 +128,17 @@ type pendingEntry struct {
 	binding string
 }
 
-// asyncPipeline drains the PendingAlert queue: one scanner goroutine
-// collects committed entries in node-id order and routes them by rule hash
-// to per-worker channels; workers evaluate against pinned read snapshots and
-// materialize in follow-up transactions.
+// asyncPipeline drains the PendingAlert queue: the scanner (a Driver kicked
+// by every enqueuing commit) collects committed entries in node-id order and
+// routes them by rule hash to per-worker channels; workers evaluate against
+// pinned read snapshots and materialize in follow-up transactions.
 type asyncPipeline struct {
 	kb   *KnowledgeBase
 	opts AsyncOptions
 
-	wake chan struct{} // coalesced scanner kick
-	stop chan struct{}
-	wg   sync.WaitGroup
+	scanner *Driver // nil for an enqueue-only pipeline
+	stop    chan struct{}
+	wg      sync.WaitGroup
 
 	mu       sync.Mutex
 	cond     *sync.Cond // signaled when an entry finishes (throttle/idle waiters)
@@ -169,29 +172,28 @@ func (kb *KnowledgeBase) StartAsync(opts AsyncOptions) error {
 	p := &asyncPipeline{
 		kb:       kb,
 		opts:     opts,
-		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		inflight: make(map[graph.NodeID]bool),
 		parked:   make(map[graph.NodeID]bool),
 	}
 	p.cond = sync.NewCond(&p.mu)
-	if !kb.async.CompareAndSwap(nil, p) {
-		return ErrAsyncRunning
-	}
-	if recovered := kb.AsyncDepth(); recovered > 0 {
-		kb.asyncM.recovered.Add(int64(recovered))
-	}
 	if opts.Workers > 0 {
 		p.workers = make([]chan pendingEntry, opts.Workers)
 		for i := range p.workers {
 			p.workers[i] = make(chan pendingEntry, 16)
-			p.wg.Add(1)
-			go p.worker(p.workers[i])
 		}
-		p.wg.Add(1)
-		go p.scanner()
-		p.kick()
+		p.scanner = Drive(0, p.dispatch)
 	}
+	if !kb.async.CompareAndSwap(nil, p) {
+		p.scanner.Stop()
+		return ErrAsyncRunning
+	}
+	kb.asyncM.recovered.Add(int64(kb.AsyncDepth()))
+	for _, ch := range p.workers {
+		p.wg.Add(1)
+		go p.worker(ch)
+	}
+	p.scanner.Kick()
 	return nil
 }
 
@@ -210,14 +212,13 @@ func (kb *KnowledgeBase) StopAsync() {
 	p.stopped = true
 	p.cond.Broadcast()
 	p.mu.Unlock()
+	p.scanner.Stop()
 	p.wg.Wait()
 }
 
 // AsyncDepth returns the number of PendingAlert entries queued across all
 // shards.
-func (kb *KnowledgeBase) AsyncDepth() int {
-	return kb.store.LabelCount(PendingAlertLabel)
-}
+func (kb *KnowledgeBase) AsyncDepth() int { return kb.pending.Depth() }
 
 // WaitAsyncIdle blocks until the pending queue is drained and no evaluation
 // is in flight (failed entries parked for the next restart excepted), or the
@@ -273,7 +274,7 @@ func (kb *KnowledgeBase) asyncEnqueue(tx *graph.Tx, item trigger.AsyncItem) (boo
 	}
 	return true, tx.OnCommitted(func() error {
 		kb.asyncM.enqueued.Inc()
-		p.kick()
+		p.scanner.Kick()
 		return nil
 	})
 }
@@ -312,85 +313,52 @@ func (kb *KnowledgeBase) throttleAsync() {
 	kb.asyncM.blockSeconds.ObserveSince(t0)
 }
 
-func (p *asyncPipeline) kick() {
-	select {
-	case p.wake <- struct{}{}:
-	default:
-	}
-}
-
-// scanner routes committed pending entries to the workers. Entries of the
-// same rule always land on the same worker, and each pass dispatches in
-// node-id (= commit) order, which together give per-rule ordered delivery.
-func (p *asyncPipeline) scanner() {
-	defer p.wg.Done()
+// dispatch is the scanner's pass: it routes committed pending entries to the
+// workers until none are left. Entries of the same rule always land on the
+// same worker, and each batch dispatches in node-id (= commit) order, which
+// together give per-rule ordered delivery.
+func (p *asyncPipeline) dispatch() {
 	for {
-		select {
-		case <-p.stop:
-			return
-		case <-p.wake:
-		}
-		for {
-			batch := p.collect()
-			if len(batch) == 0 {
-				break
+		p.mu.Lock()
+		batch := p.kb.readPending(func(id graph.NodeID) bool {
+			if p.inflight[id] || p.parked[id] {
+				return false
 			}
-			for _, en := range batch {
-				select {
-				case p.workers[p.route(en.rule)] <- en:
-				case <-p.stop:
-					return
-				}
+			p.inflight[id] = true
+			return true
+		})
+		p.mu.Unlock()
+		if len(batch) == 0 {
+			return
+		}
+		for _, en := range batch {
+			h := fnv.New32a()
+			h.Write([]byte(en.rule))
+			select {
+			case p.workers[h.Sum32()%uint32(len(p.workers))] <- en:
+			case <-p.stop:
+				return
 			}
 		}
 	}
 }
 
-func (p *asyncPipeline) route(rule string) int {
-	h := fnv.New32a()
-	h.Write([]byte(rule))
-	return int(h.Sum32() % uint32(len(p.workers)))
-}
-
-// collect reads the committed pending entries that are neither in flight nor
-// parked, marks them in flight, and returns them in node-id order per shard.
-func (p *asyncPipeline) collect() []pendingEntry {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.kb.pendingEntries(func(id graph.NodeID) bool {
-		if p.inflight[id] || p.parked[id] {
+// readPending decodes the committed queue entries take accepts (see
+// Bookkeeping.Scan for the order).
+func (kb *KnowledgeBase) readPending(take func(graph.NodeID) bool) []pendingEntry {
+	var out []pendingEntry
+	kb.pending.Scan(func(tx *graph.Tx, id graph.NodeID) bool {
+		if !take(id) {
 			return false
 		}
-		p.inflight[id] = true
+		rule, _ := tx.NodeProp(id, pendingRuleProp)
+		binding, _ := tx.NodeProp(id, pendingBindingProp)
+		en := pendingEntry{id: id}
+		en.rule, _ = rule.AsString()
+		en.binding, _ = binding.AsString()
+		out = append(out, en)
 		return true
 	})
-}
-
-// pendingEntries reads every shard's committed PendingAlert entries that
-// take accepts, shard by shard in node-id (= enqueue) order.
-func (kb *KnowledgeBase) pendingEntries(take func(graph.NodeID) bool) []pendingEntry {
-	var out []pendingEntry
-	for i := 0; i < kb.store.NumShards(); i++ {
-		_ = kb.store.Shard(i).View(func(tx *graph.Tx) error {
-			ids := tx.NodesByLabel(PendingAlertLabel)
-			sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-			for _, id := range ids {
-				n, ok := tx.Node(id)
-				if !ok || !take(id) {
-					continue
-				}
-				en := pendingEntry{id: id}
-				if v, ok := n.Props[pendingRuleProp]; ok {
-					en.rule, _ = v.AsString()
-				}
-				if v, ok := n.Props[pendingBindingProp]; ok {
-					en.binding, _ = v.AsString()
-				}
-				out = append(out, en)
-			}
-			return nil
-		})
-	}
 	return out
 }
 
@@ -429,7 +397,7 @@ func (kb *KnowledgeBase) DrainAsync() (int, error) {
 	var errs []error
 	failed := make(map[graph.NodeID]bool)
 	for {
-		entries := kb.pendingEntries(func(id graph.NodeID) bool { return !failed[id] })
+		entries := kb.readPending(func(id graph.NodeID) bool { return !failed[id] })
 		if len(entries) == 0 {
 			return done, errors.Join(errs...)
 		}
@@ -446,47 +414,38 @@ func (kb *KnowledgeBase) DrainAsync() (int, error) {
 }
 
 // consumePending evaluates one entry: alert query against a pinned committed
-// snapshot of the entry's shard, then one follow-up write transaction there
-// that deletes the PendingAlert node and materializes the alert nodes —
-// atomically, so a crash either replays the whole entry (the node is still
-// queued) or none of it (the alerts are already committed). The follow-up
-// cascades through the rule engine like any write, so rules can react to
-// async alerts too. It reports whether this call materialized the entry;
-// false with a nil error means the entry was discarded (corrupt payload,
-// dropped rule) or an earlier incarnation had already consumed it.
+// snapshot of the entry's shard, then the follow-up write transaction there
+// that deletes the PendingAlert node and materializes the alert nodes. It
+// reports whether this call materialized the entry; false with a nil error
+// means the entry was discarded (corrupt payload, dropped rule) or an earlier
+// incarnation had already consumed it.
 func (kb *KnowledgeBase) consumePending(en pendingEntry) (bool, error) {
 	t0 := time.Now()
-	shard := graph.ShardOfNode(en.id)
 	bind, err := trigger.DecodeBinding(en.binding)
 	if err != nil {
 		// Corrupt payload: nothing can ever evaluate it. Drop it.
 		kb.asyncM.failed.Inc()
-		return false, kb.discardPending(en.id)
+		return false, kb.pending.Discard(en.id)
 	}
-	ro := kb.store.Shard(shard).Begin(graph.ReadOnly)
+	ro := kb.store.Shard(graph.ShardOfNode(en.id)).Begin(graph.ReadOnly)
 	cols, rows, err := kb.engine.EvaluateAsync(ro, en.rule, bind)
 	ro.Rollback()
 	switch {
 	case errors.Is(err, trigger.ErrRuleNotFound):
 		// The rule was dropped after the activation was staged.
 		kb.asyncM.orphaned.Inc()
-		return false, kb.discardPending(en.id)
+		return false, kb.pending.Discard(en.id)
 	case err != nil:
 		kb.asyncM.failed.Inc()
 		return false, err
 	}
-	consumed := false
-	_, err = kb.write(shard, func(tx *graph.Tx) error {
-		if !tx.NodeExists(en.id) {
-			return nil
-		}
+	consumed, err := kb.pending.FollowUp(en.id, func(tx *graph.Tx) error {
 		if err := tx.DeleteNode(en.id, true); err != nil {
 			return err
 		}
-		consumed = true
 		_, err := kb.engine.MaterializeAsync(tx, en.rule, bind, cols, rows)
 		return err
-	}, false)
+	})
 	if err != nil {
 		kb.asyncM.failed.Inc()
 		return false, err
@@ -496,15 +455,4 @@ func (kb *KnowledgeBase) consumePending(en pendingEntry) (bool, error) {
 		kb.asyncM.evalSeconds.ObserveSince(t0)
 	}
 	return consumed, nil
-}
-
-// discardPending removes an entry that can never be processed, without
-// firing rules.
-func (kb *KnowledgeBase) discardPending(id graph.NodeID) error {
-	return kb.store.Shard(graph.ShardOfNode(id)).Update(func(tx *graph.Tx) error {
-		if !tx.NodeExists(id) {
-			return nil
-		}
-		return tx.DeleteNode(id, true)
-	})
 }

@@ -99,8 +99,9 @@ type KnowledgeBase struct {
 	// until StartAsync. asyncM holds its instruments, wired once at
 	// construction so restarts of the pipeline accumulate into the same
 	// counters.
-	async  atomic.Pointer[asyncPipeline]
-	asyncM asyncMetrics
+	async   atomic.Pointer[asyncPipeline]
+	asyncM  asyncMetrics
+	pending *Bookkeeping
 
 	// metrics is wired once at construction (see metrics.go); the rollover
 	// instruments are published by EnableSummaries under mu and are nil
@@ -220,9 +221,10 @@ func assemble(cfg Config, hubs *hub.Registry, defs []HubShard, ss *graph.Sharded
 	// running (the sink falls back to synchronous evaluation otherwise).
 	// Both are wired here, before any write, so the engine's lock-free
 	// reads of these fields are race-free.
-	e.SkipLabels = map[string]bool{PendingAlertLabel: true}
 	e.AsyncSink = kb.asyncEnqueue
 	kb.engine = e
+	kb.pending = kb.Bookkeeping(PendingAlertLabel)
+	kb.pending.Hide()
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -704,10 +706,7 @@ type Alert struct {
 
 // Alerts lists all alert nodes, oldest first (by dateTime, then id).
 func (kb *KnowledgeBase) Alerts() ([]Alert, error) {
-	out, err := kb.collectAlerts(0)
-	if err != nil {
-		return nil, err
-	}
+	out := kb.collectAlerts(0)
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].DateTime.Equal(out[j].DateTime) {
 			return out[i].DateTime.Before(out[j].DateTime)
@@ -718,22 +717,41 @@ func (kb *KnowledgeBase) Alerts() ([]Alert, error) {
 }
 
 // AlertsAfter lists the alert nodes whose id is greater than after, sorted
-// by id. Node ids are assigned in creation order, so this is the incremental
-// read replication cursors (the in-process federation's high-water marks and
-// fednet's durable outbox) page the alert log with.
+// by id. Node ids are assigned in creation order, so this pages the alert
+// log incrementally.
 func (kb *KnowledgeBase) AlertsAfter(after graph.NodeID) ([]Alert, error) {
-	out, err := kb.collectAlerts(after)
-	if err != nil {
-		return nil, err
-	}
+	out := kb.collectAlerts(after)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
+}
+
+// AlertCursor is the read every replication cursor (the in-process
+// federation's high-water marks, fednet's durable outbox) advances by: the
+// alerts after a mark that the rule filter admits (empty = all rules), in id
+// order, plus the highest alert id scanned — which can exceed the last fresh
+// one, so filtered-out alerts are not rescanned forever.
+func (kb *KnowledgeBase) AlertCursor(after graph.NodeID, rules map[string]bool) (fresh []Alert, scanned graph.NodeID, err error) {
+	alerts, err := kb.AlertsAfter(after)
+	if err != nil {
+		return nil, after, err
+	}
+	scanned = after
+	if len(alerts) > 0 {
+		scanned = alerts[len(alerts)-1].ID
+	}
+	fresh = alerts[:0]
+	for _, a := range alerts {
+		if len(rules) == 0 || rules[a.Rule] {
+			fresh = append(fresh, a)
+		}
+	}
+	return fresh, scanned, nil
 }
 
 // collectAlerts extracts the alert nodes with id greater than after
 // (unsorted) from every shard: an alert node lives in the shard of the hub
 // whose rule fired.
-func (kb *KnowledgeBase) collectAlerts(after graph.NodeID) ([]Alert, error) {
+func (kb *KnowledgeBase) collectAlerts(after graph.NodeID) []Alert {
 	label := kb.engine.AlertLabel
 	if label == "" {
 		label = trigger.DefaultAlertLabel
@@ -745,26 +763,25 @@ func (kb *KnowledgeBase) collectAlerts(after graph.NodeID) ([]Alert, error) {
 		if id <= after {
 			continue
 		}
-		n, ok := v.Node(id)
-		if !ok {
-			continue
+		if n, ok := v.Node(id); ok {
+			out = append(out, DecodeAlert(n))
 		}
-		a := Alert{ID: id, Props: make(map[string]value.Value)}
-		for k, pv := range n.Props {
-			switch k {
-			case "rule":
-				a.Rule, _ = pv.AsString()
-			case "hub":
-				a.Hub, _ = pv.AsString()
-			case "dateTime":
-				a.DateTime, _ = pv.AsDateTime()
-			default:
-				a.Props[k] = pv
-			}
-		}
-		out = append(out, a)
 	}
-	return out, nil
+	return out
+}
+
+// DecodeAlert reads an alert node — or a RemoteAlert, which carries the same
+// mandatory properties — into an Alert. It takes over n.Props as the
+// payload, so n must be a snapshot the caller owns (Tx.Node returns one).
+func DecodeAlert(n graph.Node) Alert {
+	a := Alert{ID: n.ID, Props: n.Props}
+	a.Rule, _ = n.Props["rule"].AsString()
+	a.Hub, _ = n.Props["hub"].AsString()
+	a.DateTime, _ = n.Props["dateTime"].AsDateTime()
+	delete(n.Props, "rule")
+	delete(n.Props, "hub")
+	delete(n.Props, "dateTime")
+	return a
 }
 
 // GraphStats returns graph-size counters over all shards; a knowledge

@@ -139,14 +139,6 @@ func (kb *KnowledgeBase) QueryInHub(hubName, query string, params map[string]val
 	return kb.query(i, query, params)
 }
 
-// ViewShard runs fn over one shard's committed snapshot.
-func (kb *KnowledgeBase) ViewShard(i int, fn func(tx *graph.Tx) error) error {
-	if err := kb.checkShard(i); err != nil {
-		return err
-	}
-	return kb.store.Shard(i).View(fn)
-}
-
 // ExportShard writes one shard's content as a deterministic JSON document.
 // Two recoveries of the same committed state export byte-identical
 // documents per shard; the crash tests rely on this.

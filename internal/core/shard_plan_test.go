@@ -83,7 +83,7 @@ func testPlanVariantsPerStore(t *testing.T, v Variant) {
 		if i%2 == 1 {
 			want = "X"
 		}
-		if err := kb.ViewShard(i, func(tx *graph.Tx) error {
+		if err := kb.Shards().Shard(i).View(func(tx *graph.Tx) error {
 			m := anchorLine.FindStringSubmatch(cypher.Explain(tx, stmt))
 			if m == nil {
 				t.Fatalf("shard %d explain has no label-scan anchor:\n%s", i, cypher.Explain(tx, stmt))

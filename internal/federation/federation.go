@@ -168,20 +168,9 @@ func (f *Federation) syncOne(prts map[string]*Participant, sub *subscription) (i
 	f.mu.Lock()
 	mark := sub.highWater
 	f.mu.Unlock()
-	alerts, err := src.KB.AlertsAfter(mark)
+	fresh, maxID, err := src.KB.AlertCursor(mark, sub.rules)
 	if err != nil {
 		return 0, err
-	}
-	var fresh []core.Alert
-	maxID := mark
-	for _, a := range alerts {
-		if a.ID > maxID {
-			maxID = a.ID
-		}
-		if len(sub.rules) > 0 && !sub.rules[a.Rule] {
-			continue
-		}
-		fresh = append(fresh, a)
 	}
 	applied, _, err := ApplyRemoteAlerts(dst.KB, src.Name, fresh)
 	if err != nil {
@@ -280,54 +269,28 @@ func remoteAlertExists(tx *graph.Tx, origin string, originID graph.NodeID) bool 
 // from the given origin — the replication mark a rebuilt subscription (or a
 // restarted sender without its own outbox state) resumes from.
 func HighWaterFor(kb *core.KnowledgeBase, origin string) (graph.NodeID, error) {
+	alerts, err := RemoteAlerts(kb)
 	var mark graph.NodeID
-	err := kb.Store().View(func(tx *graph.Tx) error {
-		for _, id := range tx.NodesByLabel(RemoteAlertLabel) {
-			n, ok := tx.Node(id)
-			if !ok {
-				continue
-			}
-			if got, _ := n.Props[OriginProp].AsString(); got != origin {
-				continue
-			}
-			oid, _ := n.Props[OriginIDProp].AsInt()
-			if graph.NodeID(oid) > mark {
-				mark = graph.NodeID(oid)
-			}
+	for _, a := range alerts {
+		if got, _ := a.Props[OriginProp].AsString(); got == origin && a.ID > mark {
+			mark = a.ID
 		}
-		return nil
-	})
+	}
 	return mark, err
 }
 
 // RemoteAlerts lists the replicated alerts present in a participant's
-// knowledge base, sorted by origin alert id.
+// knowledge base, sorted by origin alert id (which is also each one's ID).
 func RemoteAlerts(kb *core.KnowledgeBase) ([]core.Alert, error) {
 	var out []core.Alert
 	err := kb.Store().View(func(tx *graph.Tx) error {
 		for _, id := range tx.NodesByLabel(RemoteAlertLabel) {
-			n, ok := tx.Node(id)
-			if !ok {
-				continue
+			if n, ok := tx.Node(id); ok {
+				a := core.DecodeAlert(n)
+				oid, _ := a.Props[OriginIDProp].AsInt()
+				a.ID = graph.NodeID(oid)
+				out = append(out, a)
 			}
-			a := core.Alert{Props: make(map[string]value.Value)}
-			for k, v := range n.Props {
-				switch k {
-				case "rule":
-					a.Rule, _ = v.AsString()
-				case "hub":
-					a.Hub, _ = v.AsString()
-				case "dateTime":
-					a.DateTime, _ = v.AsDateTime()
-				case OriginIDProp:
-					oid, _ := v.AsInt()
-					a.ID = graph.NodeID(oid)
-					a.Props[k] = v
-				default:
-					a.Props[k] = v
-				}
-			}
-			out = append(out, a)
 		}
 		return nil
 	})

@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"sort"
@@ -41,9 +40,11 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/graph"
+	"repro/internal/value"
 )
 
 // SyncTaskName is the periodic-scheduler task Start registers.
@@ -84,17 +85,9 @@ type Options struct {
 	// MaxAttempts is the per-batch attempt budget, first try included
 	// (default 4).
 	MaxAttempts int
-	// BackoffBase is the delay before the first retry; it doubles per
-	// attempt with ±50% jitter (default 50ms).
-	BackoffBase time.Duration
-	// BackoffMax caps the backoff delay (default 2s).
-	BackoffMax time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens a peer's
-	// circuit (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit refuses pushes before
-	// letting a half-open probe through (default 5s).
-	BreakerCooldown time.Duration
+	// Policy paces retries of a failed push (BackoffBase, BackoffMax) and
+	// sizes each peer's circuit breaker (BreakerThreshold, BreakerCooldown).
+	backoff.Policy
 	// BatchSize is the maximum alerts per push request (default 256).
 	BatchSize int
 	// Client overrides the HTTP client (tests inject httptest clients);
@@ -118,18 +111,7 @@ func (o Options) withDefaults() Options {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 4
 	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 50 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 2 * time.Second
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 5 * time.Second
-	}
+	o.Policy = o.Policy.WithDefaults()
 	if o.BatchSize <= 0 {
 		o.BatchSize = 256
 	}
@@ -138,9 +120,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
-	}
-	if o.Seed == 0 {
-		o.Seed = time.Now().UnixNano()
 	}
 	return o
 }
@@ -153,7 +132,7 @@ type peerLink struct {
 	baseURL string
 	rules   map[string]bool // empty = all rules
 	outbox  graph.NodeID
-	breaker *breaker
+	breaker *backoff.Breaker
 
 	mu    sync.Mutex
 	acked graph.NodeID
@@ -173,10 +152,6 @@ func (p *peerLink) setMark(id graph.NodeID) {
 	}
 }
 
-func (p *peerLink) wants(rule string) bool {
-	return len(p.rules) == 0 || p.rules[rule]
-}
-
 // Node is one federation participant on the network: the sender and
 // receiver half of the wire protocol around a single KnowledgeBase. All
 // methods are safe for concurrent use.
@@ -185,9 +160,7 @@ type Node struct {
 	kb     *core.KnowledgeBase
 	opts   Options
 	client *http.Client
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	jitter *backoff.Jitter
 
 	mu    sync.Mutex
 	peers map[string]*peerLink
@@ -219,7 +192,7 @@ func NewNode(name string, kb *core.KnowledgeBase, opts Options) (*Node, error) {
 		kb:     kb,
 		opts:   opts,
 		client: opts.Client,
-		rng:    rand.New(rand.NewSource(opts.Seed)),
+		jitter: backoff.NewJitter(opts.Policy, opts.Seed),
 		peers:  make(map[string]*peerLink),
 	}
 	if n.client == nil {
@@ -247,6 +220,11 @@ func (n *Node) Subscribe(peer, baseURL string, rules ...string) error {
 	if err != nil || u.Scheme == "" || u.Host == "" {
 		return fmt.Errorf("fednet: bad peer URL %q", baseURL)
 	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if _, dup := n.peers[peer]; dup {
+		return fmt.Errorf("%w: %s", ErrPeerExists, peer)
+	}
 	node, acked, err := loadOrCreateOutbox(n.kb, peer)
 	if err != nil {
 		return fmt.Errorf("fednet: outbox for %s: %w", peer, err)
@@ -257,15 +235,10 @@ func (n *Node) Subscribe(peer, baseURL string, rules ...string) error {
 		rules:   make(map[string]bool),
 		outbox:  node,
 		acked:   acked,
-		breaker: newBreaker(n.opts.BreakerThreshold, n.opts.BreakerCooldown, n.opts.Now),
+		breaker: backoff.NewBreaker(n.opts.BreakerThreshold, n.opts.BreakerCooldown, n.opts.Now),
 	}
 	for _, r := range rules {
 		p.rules[r] = true
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, dup := n.peers[peer]; dup {
-		return fmt.Errorf("%w: %s", ErrPeerExists, peer)
 	}
 	n.peers[peer] = p
 	return nil
@@ -309,19 +282,9 @@ func (n *Node) SyncAll(ctx context.Context) (int, error) {
 // re-sends at most one batch (which the receiver deduplicates).
 func (n *Node) syncPeer(ctx context.Context, p *peerLink) (int, error) {
 	acked := p.mark()
-	alerts, err := n.kb.AlertsAfter(acked)
+	fresh, maxScanned, err := n.kb.AlertCursor(acked, p.rules)
 	if err != nil {
 		return 0, err
-	}
-	maxScanned := acked
-	fresh := alerts[:0]
-	for _, a := range alerts {
-		if a.ID > maxScanned {
-			maxScanned = a.ID
-		}
-		if p.wants(a.Rule) {
-			fresh = append(fresh, a)
-		}
 	}
 	if len(fresh) == 0 {
 		// Nothing to send, but filtered-out alerts still advance the mark
@@ -340,7 +303,7 @@ func (n *Node) syncPeer(ctx context.Context, p *peerLink) (int, error) {
 			end = len(fresh)
 		}
 		chunk := fresh[start:end]
-		if !p.breaker.allow() {
+		if !p.breaker.Allow() {
 			return sent, fmt.Errorf("%w: %s", ErrPeerUnavailable, p.name)
 		}
 		if _, err := n.pushBatch(ctx, p, chunk); err != nil {
@@ -358,8 +321,13 @@ func (n *Node) syncPeer(ctx context.Context, p *peerLink) (int, error) {
 	return sent, nil
 }
 
+// persistMark durably advances the peer's outbox node, then the in-memory
+// copy of its acknowledged mark.
 func (n *Node) persistMark(p *peerLink, mark graph.NodeID) error {
-	if err := saveMark(n.kb, p.outbox, mark); err != nil {
+	err := n.kb.Bookkeeping(OutboxLabel).Update(0, func(tx *graph.Tx) error {
+		return tx.SetNodeProp(p.outbox, outboxAckedProp, value.Int(int64(mark)))
+	})
+	if err != nil {
 		return fmt.Errorf("persist mark: %w", err)
 	}
 	p.setMark(mark)
@@ -382,21 +350,21 @@ func (n *Node) pushBatch(ctx context.Context, p *peerLink, chunk []core.Alert) (
 		resp, err := n.doPush(ctx, p, body)
 		n.nm.pushSeconds.ObserveSince(t0)
 		if err == nil {
-			p.breaker.success()
+			p.breaker.Success()
 			n.nm.push.With(p.name).Inc()
 			return resp, nil
 		}
-		p.breaker.failure()
+		p.breaker.Failure()
 		n.nm.pushErrors.With(p.name).Inc()
 		if attempt >= n.opts.MaxAttempts || !retryable(err) {
 			return nil, err
 		}
-		if !p.breaker.allow() {
+		if !p.breaker.Allow() {
 			return nil, fmt.Errorf("%w: %s (after %v)", ErrPeerUnavailable, p.name, err)
 		}
 		n.nm.retries.With(p.name).Inc()
 		n.opts.Logf("fednet: %s→%s: attempt %d failed (%v), retrying", n.name, p.name, attempt, err)
-		if err := n.sleepBackoff(ctx, attempt); err != nil {
+		if err := backoff.Sleep(ctx, n.jitter.Delay(attempt)); err != nil {
 			return nil, err
 		}
 	}
@@ -427,30 +395,6 @@ func (n *Node) doPush(ctx context.Context, p *peerLink, body []byte) (*PushRespo
 	return &out, nil
 }
 
-// sleepBackoff waits the capped exponential backoff for the given attempt
-// number, with ±50% jitter, honoring ctx cancellation.
-func (n *Node) sleepBackoff(ctx context.Context, attempt int) error {
-	d := n.opts.BackoffBase
-	for i := 1; i < attempt && d < n.opts.BackoffMax; i++ {
-		d *= 2
-	}
-	if d > n.opts.BackoffMax {
-		d = n.opts.BackoffMax
-	}
-	// Jitter to d/2 .. d so synchronized senders spread out.
-	n.rngMu.Lock()
-	d = d/2 + time.Duration(n.rng.Int63n(int64(d/2)+1))
-	n.rngMu.Unlock()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // Start schedules the background sync loop on the knowledge base's periodic
 // scheduler (internal/periodic): one SyncAll every interval. Push failures
 // are logged and retried on the next round instead of erroring the
@@ -466,17 +410,8 @@ func (n *Node) Start(every time.Duration) error {
 
 // pendingFor counts the alerts not yet acknowledged by p.
 func (n *Node) pendingFor(p *peerLink) int {
-	alerts, err := n.kb.AlertsAfter(p.mark())
-	if err != nil {
-		return 0
-	}
-	pending := 0
-	for _, a := range alerts {
-		if p.wants(a.Rule) {
-			pending++
-		}
-	}
-	return pending
+	fresh, _, _ := n.kb.AlertCursor(p.mark(), p.rules)
+	return len(fresh)
 }
 
 // Status reports the node's identity, its outbox per peer and the remote
@@ -493,7 +428,7 @@ func (n *Node) Status() (Status, error) {
 			URL:     p.baseURL,
 			Acked:   int64(p.mark()),
 			Pending: n.pendingFor(p),
-			Breaker: p.breaker.current().String(),
+			Breaker: p.breaker.Current().String(),
 		})
 	}
 	return st, nil
@@ -501,22 +436,13 @@ func (n *Node) Status() (Status, error) {
 
 // remoteCounts tallies RemoteAlert nodes by origin.
 func remoteCounts(kb *core.KnowledgeBase) (map[string]int, error) {
+	alerts, err := federation.RemoteAlerts(kb)
 	counts := make(map[string]int)
-	err := kb.Store().View(func(tx *graph.Tx) error {
-		for _, id := range tx.NodesByLabel(federation.RemoteAlertLabel) {
-			n, ok := tx.Node(id)
-			if !ok {
-				continue
-			}
-			origin, _ := n.Props[federation.OriginProp].AsString()
-			counts[origin]++
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	for _, a := range alerts {
+		origin, _ := a.Props[federation.OriginProp].AsString()
+		counts[origin]++
 	}
-	return counts, nil
+	return counts, err
 }
 
 // KBInfo is the federation-relevant state visible in a knowledge graph
@@ -536,9 +462,9 @@ func Inspect(kb *core.KnowledgeBase) (KBInfo, error) {
 	if err != nil {
 		return KBInfo{}, err
 	}
-	marks, err := Outboxes(kb)
-	if err != nil {
-		return KBInfo{}, err
+	info := KBInfo{RemoteByOrigin: counts, OutboxMarks: make(map[string]int64)}
+	for peer, box := range outboxMarks(kb) {
+		info.OutboxMarks[peer] = int64(box.acked)
 	}
-	return KBInfo{RemoteByOrigin: counts, OutboxMarks: marks}, nil
+	return info, nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/periodic"
@@ -61,11 +62,15 @@ func admit(t *testing.T, kb *core.KnowledgeBase, region string) {
 func testOpts() Options {
 	return Options{
 		RequestTimeout: 2 * time.Second,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     4 * time.Millisecond,
+		Policy:         backoff.Policy{BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond},
 		Seed:           1,
 	}
 }
+
+// manualNow is a settable breaker clock (Options.Now).
+type manualNow struct{ t time.Time }
+
+func (m *manualNow) now() time.Time { return m.t }
 
 // swapHandler lets a test "restart" a receiver behind a stable URL: the
 // httptest server stays up while the node (and knowledge base) behind it is

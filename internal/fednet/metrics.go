@@ -1,6 +1,7 @@
 package fednet
 
 import (
+	"repro/internal/backoff"
 	"repro/internal/metrics"
 )
 
@@ -54,9 +55,9 @@ func (n *Node) wireMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc(mBreakerState,
 		"Most severe per-peer circuit-breaker state (0 closed, 1 half-open, 2 open).",
 		func() float64 {
-			worst := breakerClosed
+			worst := backoff.Closed
 			for _, p := range n.peerList() {
-				if s := p.breaker.current(); s > worst {
+				if s := p.breaker.Current(); s > worst {
 					worst = s
 				}
 			}

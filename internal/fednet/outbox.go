@@ -26,61 +26,38 @@ const (
 )
 
 // loadOrCreateOutbox returns the outbox node for peer, creating it with an
-// empty mark on first subscription. Outbox writes go directly through the
-// store — replication bookkeeping is not knowledge, so rules must not fire
-// on it — but still commit through the write-ahead log.
+// empty mark on first subscription. The outbox is engine bookkeeping kept as
+// graph nodes (core.Bookkeeping): replication state is not knowledge, so its
+// writes are rule-free updates — but still commit through the write-ahead
+// log. Callers serialize per node (Subscribe holds n.mu), which keeps the
+// find and the create from interleaving.
 func loadOrCreateOutbox(kb *core.KnowledgeBase, peer string) (node graph.NodeID, acked graph.NodeID, err error) {
-	err = kb.Store().Update(func(tx *graph.Tx) error {
-		for _, id := range tx.NodesByLabel(OutboxLabel) {
-			n, ok := tx.Node(id)
-			if !ok {
-				continue
-			}
-			if got, _ := n.Props[outboxPeerProp].AsString(); got == peer {
-				node = id
-				mark, _ := n.Props[outboxAckedProp].AsInt()
-				acked = graph.NodeID(mark)
-				return nil
-			}
-		}
-		id, err := tx.CreateNode([]string{OutboxLabel}, map[string]value.Value{
+	if box, ok := outboxMarks(kb)[peer]; ok {
+		return box.node, box.acked, nil
+	}
+	err = kb.Bookkeeping(OutboxLabel).Update(0, func(tx *graph.Tx) error {
+		var err error
+		node, err = tx.CreateNode([]string{OutboxLabel}, map[string]value.Value{
 			outboxPeerProp:  value.Str(peer),
 			outboxAckedProp: value.Int(0),
 		})
-		if err != nil {
-			return err
-		}
-		node, acked = id, 0
-		return nil
+		return err
 	})
-	return node, acked, err
+	return node, 0, err
 }
 
-// saveMark durably advances the outbox node's acknowledged mark.
-func saveMark(kb *core.KnowledgeBase, node graph.NodeID, mark graph.NodeID) error {
-	return kb.Store().Update(func(tx *graph.Tx) error {
-		return tx.SetNodeProp(node, outboxAckedProp, value.Int(int64(mark)))
-	})
-}
+type outboxMark struct{ node, acked graph.NodeID }
 
-// Outboxes lists the persisted outbox marks of a knowledge base, for status
-// displays (rkm-shell's :fed) that inspect a graph without a running node.
-func Outboxes(kb *core.KnowledgeBase) (map[string]int64, error) {
-	out := make(map[string]int64)
-	err := kb.Store().View(func(tx *graph.Tx) error {
-		for _, id := range tx.NodesByLabel(OutboxLabel) {
-			n, ok := tx.Node(id)
-			if !ok {
-				continue
-			}
-			peer, _ := n.Props[outboxPeerProp].AsString()
-			mark, _ := n.Props[outboxAckedProp].AsInt()
-			out[peer] = mark
-		}
-		return nil
+// outboxMarks reads every persisted outbox node, keyed by peer.
+func outboxMarks(kb *core.KnowledgeBase) map[string]outboxMark {
+	out := make(map[string]outboxMark)
+	kb.Bookkeeping(OutboxLabel).Scan(func(tx *graph.Tx, id graph.NodeID) bool {
+		peer, _ := tx.NodeProp(id, outboxPeerProp)
+		mark, _ := tx.NodeProp(id, outboxAckedProp)
+		name, _ := peer.AsString()
+		acked, _ := mark.AsInt()
+		out[name] = outboxMark{node: id, acked: graph.NodeID(acked)}
+		return false
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out
 }

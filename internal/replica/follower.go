@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/core"
 	"repro/internal/wal"
 )
@@ -256,6 +257,7 @@ func (f *Follower) Status() FollowerStatus {
 // BreakerThreshold of them), stop for good on terminal conditions.
 func (f *Follower) run(ctx context.Context) {
 	defer close(f.done)
+	jitter := backoff.NewJitter(f.opts.Policy, 0)
 	failures := 0
 	for {
 		if ctx.Err() != nil {
@@ -284,28 +286,15 @@ func (f *Follower) run(ctx context.Context) {
 		failures++
 		f.m.streamErrors.Inc()
 		f.opts.Logf("replica: stream attempt failed (%v), retrying", err)
-		delay := f.backoff(failures)
+		delay := jitter.Delay(failures)
 		if failures >= f.opts.BreakerThreshold {
 			delay = f.opts.BreakerCooldown
 			failures = 0
 		}
-		select {
-		case <-ctx.Done():
+		if backoff.Sleep(ctx, delay) != nil {
 			return
-		case <-time.After(delay):
 		}
 	}
-}
-
-func (f *Follower) backoff(failures int) time.Duration {
-	d := f.opts.BackoffBase
-	for i := 1; i < failures && d < f.opts.BackoffMax; i++ {
-		d *= 2
-	}
-	if d > f.opts.BackoffMax {
-		d = f.opts.BackoffMax
-	}
-	return d
 }
 
 // streamOnce opens one stream request at the current apply cursor and

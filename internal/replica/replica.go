@@ -36,6 +36,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/wal"
 )
 
@@ -126,17 +127,10 @@ type Options struct {
 	// StreamWindow bounds one stream response; the follower transparently
 	// reconnects, picking up any retention change (default 30s).
 	StreamWindow time.Duration
-	// BackoffBase is the follower's delay after the first failed connect or
-	// stream; it doubles per consecutive failure (default 50ms).
-	BackoffBase time.Duration
-	// BackoffMax caps the backoff delay (default 2s).
-	BackoffMax time.Duration
-	// BreakerThreshold is the consecutive-failure count after which the
-	// follower stops hammering the leader and cools down (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is the cooldown after BreakerThreshold consecutive
-	// failures (default 5s).
-	BreakerCooldown time.Duration
+	// Policy paces the follower's reconnects after a failed connect or
+	// stream (BackoffBase, BackoffMax, jittered) and, after BreakerThreshold
+	// consecutive failures, makes it stay away for BreakerCooldown.
+	backoff.Policy
 	// Client overrides the HTTP client (tests inject httptest clients).
 	Client *http.Client
 	// Now overrides the clock for deterministic tests (default time.Now).
@@ -161,18 +155,7 @@ func (o Options) withDefaults() Options {
 	if o.StreamWindow <= 0 {
 		o.StreamWindow = 30 * time.Second
 	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 50 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 2 * time.Second
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 5 * time.Second
-	}
+	o.Policy = o.Policy.WithDefaults()
 	if o.Now == nil {
 		o.Now = time.Now
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/value"
@@ -22,11 +23,13 @@ func testOpts() Options {
 		PollInterval:      2 * time.Millisecond,
 		HeartbeatInterval: 10 * time.Millisecond,
 		StreamWindow:      250 * time.Millisecond,
-		BackoffBase:       5 * time.Millisecond,
-		BackoffMax:        25 * time.Millisecond,
-		BreakerThreshold:  3,
-		BreakerCooldown:   30 * time.Millisecond,
-		BatchSize:         64,
+		Policy: backoff.Policy{
+			BackoffBase:      5 * time.Millisecond,
+			BackoffMax:       25 * time.Millisecond,
+			BreakerThreshold: 3,
+			BreakerCooldown:  30 * time.Millisecond,
+		},
+		BatchSize: 64,
 	}
 }
 

@@ -3,9 +3,7 @@ package trigger
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
-	"repro/internal/cypher"
 	"repro/internal/graph"
 	"repro/internal/value"
 )
@@ -45,75 +43,35 @@ func DecodeBinding(s string) (Binding, error) {
 
 // EvaluateAsync runs the alert query of an AfterAsync rule against tx —
 // typically a read-only transaction pinned to a committed snapshot — with
-// the recorded binding's transition variables bound. It performs no writes.
-// Rules without an alert query return a single nil row: the recorded guard
-// pass is itself the critical situation.
+// the recorded binding's transition variables bound (see RunAlert).
 func (e *Engine) EvaluateAsync(tx *graph.Tx, ruleName string, bind Binding) (cols []string, rows [][]value.Value, err error) {
-	e.mu.RLock()
-	cr, ok := e.rules[ruleName]
-	e.mu.RUnlock()
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", ErrRuleNotFound, ruleName)
-	}
-	if cr.alert == nil {
-		return nil, [][]value.Value{nil}, nil
-	}
-	now := e.now()
-	var t0 time.Time
-	if e.Metrics.AlertQuerySeconds != nil {
-		t0 = time.Now()
-	}
-	res, err := cr.alert.Execute(tx, &cypher.Options{
-		Bindings: bind,
-		Now:      func() time.Time { return now },
-	})
-	if !t0.IsZero() {
-		e.Metrics.AlertQuerySeconds.ObserveSince(t0)
-	}
+	cr, err := e.lookup(ruleName)
 	if err != nil {
-		return nil, nil, fmt.Errorf("trigger: rule %s alert: %w", ruleName, err)
+		return nil, nil, err
 	}
-	return res.Columns, res.Rows, nil
+	return e.RunAlert(tx, cr, bind, e.now())
 }
 
 // MaterializeAsync produces the alert nodes (or runs the rule's Action) for
 // the critical rows EvaluateAsync returned, inside the follow-up write
-// transaction tx. The caller is expected to delete the pending-queue entry
-// in the same transaction, making dequeue and materialization atomic.
+// transaction tx (see Materialize). The caller is expected to delete the
+// pending-queue entry in the same transaction, making dequeue and
+// materialization atomic.
 func (e *Engine) MaterializeAsync(tx *graph.Tx, ruleName string, bind Binding,
 	cols []string, rows [][]value.Value) ([]graph.NodeID, error) {
+	cr, err := e.lookup(ruleName)
+	if err != nil {
+		return nil, err
+	}
+	return e.Materialize(tx, cr, bind, e.now(), cols, rows)
+}
+
+func (e *Engine) lookup(name string) (*Compiled, error) {
 	e.mu.RLock()
-	cr, ok := e.rules[ruleName]
-	e.mu.RUnlock()
+	defer e.mu.RUnlock()
+	cr, ok := e.rules[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrRuleNotFound, ruleName)
+		return nil, fmt.Errorf("%w: %s", ErrRuleNotFound, name)
 	}
-	now := e.now()
-	var alerts []graph.NodeID
-	for _, rowVals := range rows {
-		if cr.action != nil {
-			actBind := make(Binding, len(bind)+len(rowVals))
-			for k, v := range bind {
-				actBind[k] = v
-			}
-			for i, c := range cols {
-				actBind[c] = rowVals[i]
-			}
-			if _, err := cr.action.Execute(tx, &cypher.Options{
-				Bindings: actBind,
-				Now:      func() time.Time { return now },
-			}); err != nil {
-				return alerts, fmt.Errorf("trigger: rule %s action: %w", cr.Name, err)
-			}
-			continue
-		}
-		id, err := e.createAlertNode(tx, cr, now, cols, rowVals)
-		if err != nil {
-			return alerts, fmt.Errorf("trigger: rule %s: %w", cr.Name, err)
-		}
-		alerts = append(alerts, id)
-		cr.nAlertNodes.Add(1)
-		e.Metrics.AlertsCreated.Inc()
-	}
-	return alerts, nil
+	return cr, nil
 }

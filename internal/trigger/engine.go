@@ -84,7 +84,7 @@ type StepSink func(tx *graph.Tx, item StepItem) error
 type Engine struct {
 	mu sync.RWMutex
 
-	rules   map[string]*compiledRule
+	rules   map[string]*Compiled
 	index   dispatchIndex
 	nextSeq int
 
@@ -131,9 +131,10 @@ type Engine struct {
 // NewEngine returns an engine with default settings.
 func NewEngine() *Engine {
 	return &Engine{
-		rules:      make(map[string]*compiledRule),
+		rules:      make(map[string]*Compiled),
 		index:      make(dispatchIndex),
 		AlertLabel: DefaultAlertLabel,
+		SkipLabels: make(map[string]bool),
 	}
 }
 
@@ -158,10 +159,16 @@ func (e *Engine) now() time.Time {
 	return time.Now()
 }
 
+// Compile prepares a rule without installing it, resolving an empty
+// AlertLabel to the engine's. The result feeds RunAlert and Materialize.
+func (e *Engine) Compile(r Rule) (*Compiled, error) {
+	return compileRule(r, e.alertLabel())
+}
+
 // Install compiles and registers a rule. With StrictTermination set, the
 // rule is rejected if it would make the triggering graph cyclic.
 func (e *Engine) Install(r Rule) error {
-	cr, err := compileRule(r, e.alertLabel())
+	cr, err := e.Compile(r)
 	if err != nil {
 		return err
 	}
@@ -225,11 +232,9 @@ func (e *Engine) Pause(name string) error { return e.setPaused(name, true) }
 func (e *Engine) Resume(name string) error { return e.setPaused(name, false) }
 
 func (e *Engine) setPaused(name string, paused bool) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cr, ok := e.rules[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrRuleNotFound, name)
+	cr, err := e.lookup(name)
+	if err != nil {
+		return err
 	}
 	cr.paused.Store(paused)
 	return nil
@@ -272,17 +277,15 @@ func (e *Engine) Rules() []RuleInfo {
 
 // ClassifyRule returns the classification of one installed rule.
 func (e *Engine) ClassifyRule(name string) (Classification, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	cr, ok := e.rules[name]
-	if !ok {
-		return Classification{}, fmt.Errorf("%w: %s", ErrRuleNotFound, name)
+	cr, err := e.lookup(name)
+	if err != nil {
+		return Classification{}, err
 	}
 	return Classify(cr, e.Resolver, e.StateLabels), nil
 }
 
-func (e *Engine) ruleListLocked() []*compiledRule {
-	out := make([]*compiledRule, 0, len(e.rules))
+func (e *Engine) ruleListLocked() []*Compiled {
+	out := make([]*Compiled, 0, len(e.rules))
 	for _, cr := range e.rules {
 		out = append(out, cr)
 	}
@@ -342,14 +345,14 @@ func (r *Report) Merge(src *Report) {
 // Rebuilt on Install/Drop under the engine lock and read immutably by
 // Process, it lets a round skip every rule whose selector cannot possibly
 // match the round's changes.
-type dispatchIndex map[EventKind]map[string][]*compiledRule
+type dispatchIndex map[EventKind]map[string][]*Compiled
 
-func buildDispatch(rules map[string]*compiledRule) dispatchIndex {
+func buildDispatch(rules map[string]*Compiled) dispatchIndex {
 	idx := make(dispatchIndex)
 	for _, cr := range rules {
 		byLabel := idx[cr.Event.Kind]
 		if byLabel == nil {
-			byLabel = make(map[string][]*compiledRule)
+			byLabel = make(map[string][]*Compiled)
 			idx[cr.Event.Kind] = byLabel
 		}
 		byLabel[cr.Event.Label] = append(byLabel[cr.Event.Label], cr)
@@ -360,9 +363,9 @@ func buildDispatch(rules map[string]*compiledRule) dispatchIndex {
 // candidates returns, in installation order, the rules whose selector could
 // match at least one change in data. Label-selective rules are matched
 // against the labels (or relationship types) the changed entities carry.
-func (idx dispatchIndex) candidates(tx *graph.Tx, data *graph.TxData) []*compiledRule {
+func (idx dispatchIndex) candidates(tx *graph.Tx, data *graph.TxData) []*Compiled {
 	seen := make(map[int]bool)
-	var out []*compiledRule
+	var out []*Compiled
 	add := func(kind EventKind, label string) {
 		for _, cr := range idx[kind][label] {
 			if !seen[cr.seq] {
@@ -563,7 +566,7 @@ func (e *Engine) Process(tx *graph.Tx, data *graph.TxData) (*Report, error) {
 	return report, nil
 }
 
-func (e *Engine) fireRule(tx *graph.Tx, cr *compiledRule, data *graph.TxData,
+func (e *Engine) fireRule(tx *graph.Tx, cr *Compiled, data *graph.TxData,
 	round int, report *Report) error {
 	occ := cr.Event.occurrences(tx, data)
 	if len(occ) == 0 {
@@ -619,90 +622,105 @@ func (e *Engine) fireRule(tx *graph.Tx, cr *compiledRule, data *graph.TxData,
 				continue
 			}
 		}
-		act := Activation{Rule: cr.Name, Round: round}
-
-		var rows [][]value.Value
-		var cols []string
 		if cr.alert != nil {
 			report.AlertRuns++
-			var t0 time.Time
-			if e.Metrics.AlertQuerySeconds != nil {
-				t0 = time.Now()
-			}
-			res, err := cr.alert.Execute(tx, &cypher.Options{
-				Bindings: bind,
-				Now:      func() time.Time { return now },
-			})
-			if !t0.IsZero() {
-				e.Metrics.AlertQuerySeconds.ObserveSince(t0)
-			}
-			if err != nil {
-				return fmt.Errorf("trigger: rule %s alert: %w", cr.Name, err)
-			}
-			rows, cols = res.Rows, res.Columns
-		} else {
-			// No alert query: a passing guard is itself critical.
-			rows = [][]value.Value{nil}
 		}
-
-		for _, rowVals := range rows {
-			if cr.action != nil {
-				actBind := make(Binding, len(bind)+len(rowVals))
-				for k, v := range bind {
-					actBind[k] = v
-				}
-				for i, c := range cols {
-					actBind[c] = rowVals[i]
-				}
-				if _, err := cr.action.Execute(tx, &cypher.Options{
-					Bindings: actBind,
-					Now:      func() time.Time { return now },
-				}); err != nil {
-					return fmt.Errorf("trigger: rule %s action: %w", cr.Name, err)
-				}
-				continue
-			}
-			id, err := e.createAlertNode(tx, cr, now, cols, rowVals)
-			if err != nil {
-				return fmt.Errorf("trigger: rule %s: %w", cr.Name, err)
-			}
-			act.Alerts = append(act.Alerts, id)
-			report.AlertNodes++
-			cr.nAlertNodes.Add(1)
-			e.Metrics.AlertsCreated.Inc()
+		cols, rows, err := e.RunAlert(tx, cr, bind, now)
+		if err != nil {
+			return err
 		}
-		if cr.alert != nil || cr.action != nil || len(act.Alerts) > 0 {
-			report.Activations = append(report.Activations, act)
+		alerts, err := e.Materialize(tx, cr, bind, now, cols, rows)
+		if err != nil {
+			return err
+		}
+		report.AlertNodes += len(alerts)
+		if cr.alert != nil || cr.action != nil || len(alerts) > 0 {
+			report.Activations = append(report.Activations,
+				Activation{Rule: cr.Name, Round: round, Alerts: alerts})
 		}
 	}
 	return nil
 }
 
-// createAlertNode materializes one alert node with the mandatory rule, hub
-// and dateTime properties (§III-B) plus the alert query's columns.
-func (e *Engine) createAlertNode(tx *graph.Tx, cr *compiledRule, now time.Time,
-	cols []string, rowVals []value.Value) (graph.NodeID, error) {
-	props := map[string]value.Value{
-		"rule":     value.Str(cr.Name),
-		"hub":      value.Str(cr.Hub),
-		"dateTime": value.DateTime(now),
+// oneNilRow is the critical-row set of a rule without an alert query: the
+// passing guard is itself the critical situation. Shared and never written.
+var oneNilRow = [][]value.Value{nil}
+
+// RunAlert runs cr's alert query against tx with the activation's transition
+// variables bound, observing AlertQuerySeconds. It performs no writes of its
+// own. Every coupling mode comes through here: immediate (fireRule, inside
+// the writing transaction), detached (EvaluateAsync, against a committed
+// snapshot) and composite (the CEP drain's follow-up transaction).
+func (e *Engine) RunAlert(tx *graph.Tx, cr *Compiled, bind Binding, now time.Time) ([]string, [][]value.Value, error) {
+	if cr.alert == nil {
+		return nil, oneNilRow, nil
 	}
-	for i, c := range cols {
-		v := rowVals[i]
-		// Entity references are stored by identifier.
-		if id, ok := v.EntityID(); ok {
-			v = value.Int(id)
-		}
-		props[c] = v
+	var t0 time.Time
+	if e.Metrics.AlertQuerySeconds != nil {
+		t0 = time.Now()
 	}
-	id, err := tx.CreateNode([]string{cr.AlertLabel}, props)
+	res, err := cr.alert.Execute(tx, &cypher.Options{
+		Bindings: bind,
+		Now:      func() time.Time { return now },
+	})
+	if !t0.IsZero() {
+		e.Metrics.AlertQuerySeconds.ObserveSince(t0)
+	}
 	if err != nil {
-		return 0, err
+		return nil, nil, fmt.Errorf("trigger: rule %s alert: %w", cr.Name, err)
 	}
-	if e.OnAlert != nil {
-		if err := e.OnAlert(tx, id); err != nil {
-			return 0, err
+	return res.Columns, res.Rows, nil
+}
+
+// Materialize is the only place an alert node is born. For every critical
+// row it creates one node labeled cr.AlertLabel carrying the mandatory rule,
+// hub and dateTime properties (§III-B) plus the row's columns, hands it to
+// OnAlert (the Essential Summary's has edge) and counts it — or, when the
+// rule has an Action, runs that instead with the row's columns and the
+// transition variables bound. It returns the alert nodes created.
+func (e *Engine) Materialize(tx *graph.Tx, cr *Compiled, bind Binding, now time.Time,
+	cols []string, rows [][]value.Value) ([]graph.NodeID, error) {
+	var alerts []graph.NodeID
+	for _, rowVals := range rows {
+		if cr.action != nil {
+			actBind := make(Binding, len(bind)+len(rowVals))
+			for k, v := range bind {
+				actBind[k] = v
+			}
+			for i, c := range cols {
+				actBind[c] = rowVals[i]
+			}
+			if _, err := cr.action.Execute(tx, &cypher.Options{
+				Bindings: actBind,
+				Now:      func() time.Time { return now },
+			}); err != nil {
+				return alerts, fmt.Errorf("trigger: rule %s action: %w", cr.Name, err)
+			}
+			continue
 		}
+		props := map[string]value.Value{
+			"rule":     value.Str(cr.Name),
+			"hub":      value.Str(cr.Hub),
+			"dateTime": value.DateTime(now),
+		}
+		for i, c := range cols {
+			v := rowVals[i]
+			// Entity references are stored by identifier.
+			if id, ok := v.EntityID(); ok {
+				v = value.Int(id)
+			}
+			props[c] = v
+		}
+		id, err := tx.CreateNode([]string{cr.AlertLabel}, props)
+		if err == nil && e.OnAlert != nil {
+			err = e.OnAlert(tx, id)
+		}
+		if err != nil {
+			return alerts, fmt.Errorf("trigger: rule %s: %w", cr.Name, err)
+		}
+		alerts = append(alerts, id)
+		cr.nAlertNodes.Add(1)
+		e.Metrics.AlertsCreated.Inc()
 	}
-	return id, nil
+	return alerts, nil
 }

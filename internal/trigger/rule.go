@@ -113,11 +113,13 @@ type Rule struct {
 	StepIndex int
 }
 
-// compiledRule holds the rule's prepared artifacts: the guard as a
+// Compiled holds the rule's prepared artifacts: the guard as a
 // CompiledExpr and the alert/action as Plans. All three are compiled once
 // at install time; steady-state evaluation binds NEW/OLD and runs closures,
-// with no per-event parsing or AST walking.
-type compiledRule struct {
+// with no per-event parsing or AST walking. Engine.Install keeps one per
+// rule; Engine.Compile hands one out uninstalled, for a reaction that is
+// reached by other means than event dispatch (a composite completion).
+type Compiled struct {
 	Rule
 	guard  *cypher.CompiledExpr
 	alert  *cypher.Plan
@@ -136,7 +138,7 @@ type compiledRule struct {
 	mRejected *metrics.Counter
 }
 
-func compileRule(r Rule, defaultAlertLabel string) (*compiledRule, error) {
+func compileRule(r Rule, defaultAlertLabel string) (*Compiled, error) {
 	if r.Name == "" {
 		return nil, fmt.Errorf("trigger: rule needs a name")
 	}
@@ -148,7 +150,7 @@ func compileRule(r Rule, defaultAlertLabel string) (*compiledRule, error) {
 	if r.AlertLabel == "" {
 		r.AlertLabel = defaultAlertLabel
 	}
-	cr := &compiledRule{Rule: r}
+	cr := &Compiled{Rule: r}
 	if r.Guard != "" {
 		g, err := cypher.PrepareExpr(r.Guard)
 		if err != nil {
@@ -186,7 +188,7 @@ type footprint struct {
 	deletes      bool
 }
 
-func (cr *compiledRule) footprint() footprint {
+func (cr *Compiled) footprint() footprint {
 	var fp footprint
 	add := func(info *cypher.StatementInfo, write bool) {
 		fp.readLabels = append(fp.readLabels, info.MatchedNodeLabels...)
@@ -295,7 +297,7 @@ var defaultStateLabels = map[string]bool{
 // of its guard, alert and action. resolve maps labels to hubs; nil means no
 // hub information (scope stays unknown unless only the rule's own hub is
 // involved). stateLabels overrides the default {Summary, Current, Alert}.
-func Classify(cr *compiledRule, resolve LabelHubResolver, stateLabels map[string]bool) Classification {
+func Classify(cr *Compiled, resolve LabelHubResolver, stateLabels map[string]bool) Classification {
 	if stateLabels == nil {
 		stateLabels = defaultStateLabels
 	}

@@ -18,7 +18,7 @@ type TriggeringEdge struct {
 
 // canTrigger reports whether the actions of a can generate an event that
 // activates b, with an explanation.
-func canTrigger(a, b *compiledRule) (bool, string) {
+func canTrigger(a, b *Compiled) (bool, string) {
 	fa := a.footprint()
 	ev := b.Event
 	switch ev.Kind {
@@ -74,7 +74,7 @@ func canTrigger(a, b *compiledRule) (bool, string) {
 }
 
 // TriggeringGraph computes all edges among the given rules.
-func triggeringGraph(rules []*compiledRule) []TriggeringEdge {
+func triggeringGraph(rules []*Compiled) []TriggeringEdge {
 	var edges []TriggeringEdge
 	for _, a := range rules {
 		for _, b := range rules {
@@ -89,7 +89,7 @@ func triggeringGraph(rules []*compiledRule) []TriggeringEdge {
 // findCycles returns the elementary cycles (as rule-name paths) reachable
 // in the triggering graph of the rules; an empty result certifies
 // termination.
-func findCycles(rules []*compiledRule) [][]string {
+func findCycles(rules []*Compiled) [][]string {
 	adj := make(map[string][]string)
 	for _, e := range triggeringGraph(rules) {
 		adj[e.From] = append(adj[e.From], e.To)
