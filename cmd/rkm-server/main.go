@@ -673,17 +673,6 @@ func (s *server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-var eventKinds = map[string]reactive.EventKind{
-	"createNode":         reactive.CreateNode,
-	"deleteNode":         reactive.DeleteNode,
-	"createRelationship": reactive.CreateRelationship,
-	"deleteRelationship": reactive.DeleteRelationship,
-	"setLabel":           reactive.SetLabel,
-	"removeLabel":        reactive.RemoveLabel,
-	"setProperty":        reactive.SetProperty,
-	"removeProperty":     reactive.RemoveProperty,
-}
-
 func (s *server) handleRulesList(w http.ResponseWriter, r *http.Request) {
 	type ruleJSON struct {
 		Name      string `json:"name"`
@@ -701,8 +690,8 @@ func (s *server) handleRulesList(w http.ResponseWriter, r *http.Request) {
 	}
 	var out []ruleJSON
 	for _, info := range s.kb.Rules() {
-		if s.cep != nil && s.cep.Owns(info.Name) {
-			continue // internal per-step rule of a composite; listed below
+		if info.Composite != "" {
+			continue // a step of a composite rule; the composite is listed below
 		}
 		out = append(out, ruleJSON{
 			Name: info.Name, Hub: info.Hub, Event: info.Event.String(),
@@ -767,7 +756,7 @@ func (s *server) handleRuleInstall(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusCreated, map[string]string{"installed": rule.Name})
 		return
 	}
-	kind, ok := eventKinds[req.Event]
+	kind, ok := reactive.ParseEventKind(req.Event)
 	if !ok {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown event %q", req.Event))
 		return
@@ -818,12 +807,6 @@ func (s *server) handleRuleDrop(w http.ResponseWriter, r *http.Request) {
 // (Fig. 6/7 translation).
 func (s *server) handleRulesAPOC(w http.ResponseWriter, r *http.Request) {
 	translated, skipped := s.kb.TranslateRulesAPOC("neo4j", "before")
-	if s.cep != nil {
-		// The composite manager's internal per-step rules translate as part
-		// of the composite export below, not as standalone triggers.
-		translated = dropCEPInternal(translated)
-		skipped = dropCEPInternal(skipped)
-	}
 	out := map[string]any{
 		"triggers": translated,
 		"skipped":  skipped,
@@ -834,18 +817,6 @@ func (s *server) handleRulesAPOC(w http.ResponseWriter, r *http.Request) {
 		out["compositeSkipped"] = cskipped
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// dropCEPInternal filters the composite manager's per-step engine rules
-// (named "cep:<rule>#<i>") out of an APOC export list.
-func dropCEPInternal(in []string) []string {
-	out := in[:0]
-	for _, s := range in {
-		if !strings.Contains(s, "cep:") {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 func (s *server) handleHubs(w http.ResponseWriter, r *http.Request) {

@@ -12,19 +12,9 @@ package cep
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/trigger"
 )
-
-// apocSources mirrors the trigger package's Fig. 6 sources: the APOC
-// transaction-data parameter each event kind UNWINDs.
-var apocSources = map[trigger.EventKind]string{
-	trigger.CreateNode:         "$createdNodes",
-	trigger.DeleteNode:         "$deletedNodes",
-	trigger.CreateRelationship: "$createdRelationships",
-	trigger.DeleteRelationship: "$deletedRelationships",
-}
 
 // TranslateAPOC renders a composite rule as apoc.trigger.install
 // statements — one per step atom — plus an apoc.periodic.repeat drain job.
@@ -45,7 +35,7 @@ func TranslateAPOC(r Rule, dbName string) ([]string, error) {
 		}
 		out = append(out, fmt.Sprintf(
 			"CALL apoc.trigger.install('%s', '%s',\n%s,\n{phase: 'before'});",
-			dbName, stepRuleName(cr.Name, i), apocQuote(stmt)))
+			dbName, stepRuleName(cr.Name, i), trigger.APOCQuote(stmt)))
 	}
 	out = append(out, apocDrain(cr))
 	return out, nil
@@ -53,32 +43,17 @@ func TranslateAPOC(r Rule, dbName string) ([]string, error) {
 
 // apocStep renders the trigger statement of one step atom.
 func apocStep(cr *compiledRule, i int, st Step) (string, error) {
-	source, ok := apocSources[st.Event.Kind]
+	source, where, ok := st.Event.APOC(st.Guard)
 	if !ok {
 		return "", fmt.Errorf("cep: rule %s step %d: APOC export covers creation and deletion events, not %s",
 			cr.Name, i, st.Event.Kind)
 	}
-	conds := []string{}
-	switch st.Event.Kind {
-	case trigger.CreateNode, trigger.DeleteNode:
-		if st.Event.Label != "" {
-			conds = append(conds, fmt.Sprintf("'%s' IN labels(NEW)", st.Event.Label))
-		}
-	default:
-		if st.Event.Label != "" {
-			conds = append(conds, fmt.Sprintf("type(NEW) = '%s'", st.Event.Label))
-		}
-	}
-	if st.Guard != "" {
-		conds = append(conds, "("+collapseSpace(st.Guard)+")")
-	}
-	where := ""
-	if len(conds) > 0 {
-		where = "\nWHERE " + strings.Join(conds, " AND ")
+	if where != "" {
+		where = "\nWHERE " + where
 	}
 	key := "''"
 	if st.Key != "" {
-		key = "toString(" + collapseSpace(st.Key) + ")"
+		key = "toString(" + trigger.CollapseSpace(st.Key) + ")"
 	}
 	winMs := cr.Window.Milliseconds()
 
@@ -137,7 +112,7 @@ func apocDrain(cr *compiledRule) string {
 		"MATCH (p:CEPPartial {rule: '%s'})\nWITH p, p.done OR (p.state = %d AND timestamp() >= p.deadline) AS completed\nFOREACH (_ IN CASE WHEN completed THEN [1] ELSE [] END |\n  CREATE (:%s {rule: '%s', hub: '%s', dateTime: datetime(), key: p.key}))\nWITH p, completed\nWHERE completed OR timestamp() >= p.deadline\nDETACH DELETE p",
 		cr.Name, armedState(cr), alertLabel, cr.Name, cr.Hub)
 	return fmt.Sprintf("CALL apoc.periodic.repeat('%s', %s, 1);",
-		"cep-drain:"+cr.Name, apocQuote(stmt))
+		"cep-drain:"+cr.Name, trigger.APOCQuote(stmt))
 }
 
 // armedState is the state value at which an absence rule waits for its
@@ -162,16 +137,4 @@ func (m *Manager) TranslateAllAPOC(dbName string) (translated []string, skipped 
 		translated = append(translated, out...)
 	}
 	return translated, skipped
-}
-
-// apocQuote renders s as a double-quoted Cypher string literal.
-func apocQuote(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, `"`, `\"`)
-	return `"` + s + `"`
-}
-
-// collapseSpace normalizes embedded Cypher whitespace.
-func collapseSpace(s string) string {
-	return strings.Join(strings.Fields(s), " ")
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -203,13 +202,6 @@ func (m *Manager) Rules() []RuleInfo {
 		out[i] = RuleInfo{Rule: cr.Rule, Text: cr.Rule.Text()}
 	}
 	return out
-}
-
-// Owns reports whether an engine rule name is an internal per-step rule
-// installed by the composite manager (they are implementation detail and
-// rule listings usually hide them).
-func (m *Manager) Owns(name string) bool {
-	return strings.HasPrefix(name, "cep:")
 }
 
 // Has reports whether a composite rule with the given name is installed.

@@ -27,8 +27,9 @@ package cep
 // KEY, RULE, MATCHES, WINDOW, STARTEDAT, DONEAT, FIRST and LAST bound.
 //
 // Keywords are case insensitive and recognized only outside parentheses,
-// brackets and quotes, so guards and alert queries may use them freely.
-// Parse errors carry the byte offset and text of the offending clause.
+// brackets, quotes and CASE … END (the trigger package's scanner), so guards
+// and alert queries may use them freely. Parse errors carry the byte offset
+// and text of the offending clause.
 
 import (
 	"fmt"
@@ -39,16 +40,8 @@ import (
 	"repro/internal/trigger"
 )
 
-// cepErrf builds a parse error carrying the offending clause and its byte
-// offset within the declaration source.
-func cepErrf(off int, clause, format string, args ...any) error {
-	c := strings.Join(strings.Fields(clause), " ")
-	if len(c) > 60 {
-		c = c[:57] + "..."
-	}
-	msg := fmt.Sprintf(format, args...)
-	return fmt.Errorf("cep dsl: %s (byte %d: %q)", msg, off, c)
-}
+// dsl labels the parse errors of this package's declarations "cep dsl:".
+const dsl trigger.Dialect = "cep"
 
 // IsCompositeStatement reports whether src looks like a composite CREATE
 // TRIGGER declaration — one whose WHEN clause opens with a composite
@@ -58,7 +51,7 @@ func IsCompositeStatement(src string) bool {
 	if !trigger.IsTriggerStatement(src) {
 		return false
 	}
-	wi := findKeyword(src, 0, "WHEN")
+	wi := trigger.FindKeyword(src, 0, "WHEN")
 	if wi < 0 {
 		return false
 	}
@@ -76,15 +69,16 @@ func IsCompositeStatement(src string) bool {
 // still needs Manager.Install (which compiles the embedded Cypher).
 func ParseRule(src string) (Rule, error) {
 	var r Rule
-	wi := findKeyword(src, 0, "WHEN")
+	wi := trigger.FindKeyword(src, 0, "WHEN")
 	if wi < 0 {
-		return r, cepErrf(0, src, "missing WHEN clause")
+		return r, dsl.Errorf(0, src, "missing WHEN clause")
 	}
-	if err := parseHeader(src[:wi], &r); err != nil {
+	var err error
+	if r.Name, r.Hub, err = dsl.ParseHeader(src[:wi], 0); err != nil {
 		return r, err
 	}
 	whenEnd := len(src)
-	ti := findKeyword(src, wi+len("WHEN"), "THEN")
+	ti := trigger.FindKeyword(src, wi+len("WHEN"), "THEN")
 	if ti >= 0 {
 		whenEnd = ti
 	}
@@ -97,32 +91,11 @@ func ParseRule(src string) (Rule, error) {
 			alert = rest
 		}
 		if alert == "" {
-			return r, cepErrf(ti, src[ti:], "THEN needs an alert query")
+			return r, dsl.Errorf(ti, src[ti:], "THEN needs an alert query")
 		}
 		r.Alert = alert
 	}
 	return r, nil
-}
-
-func parseHeader(header string, r *Rule) error {
-	fields := strings.Fields(header)
-	if len(fields) < 3 || !strings.EqualFold(fields[0], "CREATE") ||
-		!strings.EqualFold(fields[1], "TRIGGER") {
-		return cepErrf(0, header, "expected CREATE TRIGGER <name>")
-	}
-	r.Name = fields[2]
-	rest := fields[3:]
-	if len(rest) == 0 {
-		return nil
-	}
-	if len(rest) >= 3 && strings.EqualFold(rest[0], "ON") && strings.EqualFold(rest[1], "HUB") {
-		r.Hub = rest[2]
-		rest = rest[3:]
-	}
-	if len(rest) != 0 {
-		return cepErrf(0, header, "unexpected %q after trigger header", strings.Join(rest, " "))
-	}
-	return nil
 }
 
 // parseWhen parses src[start:end): `<OP>(atom, …) [>= k] WITHIN <dur>`.
@@ -134,28 +107,28 @@ func parseWhen(src string, start, end int, r *Rule) error {
 	var op Op
 	var opWord string
 	switch {
-	case hasWordPrefix(rest, "SEQUENCE"):
+	case trigger.WordAt(rest, 0, "SEQUENCE"):
 		op, opWord = Sequence, "SEQUENCE"
-	case hasWordPrefix(rest, "AND"):
+	case trigger.WordAt(rest, 0, "AND"):
 		op, opWord = All, "AND"
-	case hasWordPrefix(rest, "COUNT"):
+	case trigger.WordAt(rest, 0, "COUNT"):
 		op, opWord = Count, "COUNT"
 	default:
-		return cepErrf(opStart, rest, "expected SEQUENCE(, AND( or COUNT( after WHEN")
+		return dsl.Errorf(opStart, rest, "expected SEQUENCE(, AND( or COUNT( after WHEN")
 	}
 	r.Op = op
 	parenRel := strings.Index(rest, "(")
 	if parenRel < 0 || strings.TrimSpace(rest[len(opWord):parenRel]) != "" {
-		return cepErrf(opStart, rest, "expected ( after %s", opWord)
+		return dsl.Errorf(opStart, rest, "expected ( after %s", opWord)
 	}
 	openAbs := opStart + parenRel
-	closeAbs := matchParen(src, openAbs, end)
+	closeAbs := trigger.MatchParen(src, openAbs, end)
 	if closeAbs < 0 {
-		return cepErrf(openAbs, src[openAbs:end], "unclosed ( in %s", opWord)
+		return dsl.Errorf(openAbs, src[openAbs:end], "unclosed ( in %s", opWord)
 	}
-	atoms, offs := splitTopLevel(src, openAbs+1, closeAbs)
+	atoms, offs := trigger.SplitTopLevel(src, openAbs+1, closeAbs)
 	if len(atoms) == 0 {
-		return cepErrf(openAbs, src[openAbs:closeAbs+1], "%s needs at least one atom", opWord)
+		return dsl.Errorf(openAbs, src[openAbs:closeAbs+1], "%s needs at least one atom", opWord)
 	}
 	for i, atom := range atoms {
 		st, err := parseAtom(atom, offs[i])
@@ -171,18 +144,18 @@ func parseWhen(src string, start, end int, r *Rule) error {
 	tail, tailOff = tail[lead:], tailOff+lead
 	if op == Count {
 		if !strings.HasPrefix(tail, ">=") {
-			return cepErrf(tailOff, tail, "COUNT needs >= <threshold> after the atom")
+			return dsl.Errorf(tailOff, tail, "COUNT needs >= <threshold> after the atom")
 		}
 		numStr := tail[2:]
 		lead = len(numStr) - len(strings.TrimLeft(numStr, " \t\r\n"))
 		numStr = numStr[lead:]
 		fields := strings.Fields(numStr)
 		if len(fields) == 0 {
-			return cepErrf(tailOff, tail, "COUNT needs >= <threshold>")
+			return dsl.Errorf(tailOff, tail, "COUNT needs >= <threshold>")
 		}
 		k, err := strconv.Atoi(fields[0])
 		if err != nil || k < 1 {
-			return cepErrf(tailOff, tail, "bad COUNT threshold %q", fields[0])
+			return dsl.Errorf(tailOff, tail, "bad COUNT threshold %q", fields[0])
 		}
 		r.Threshold = k
 		cut := strings.Index(numStr, fields[0]) + len(fields[0])
@@ -191,20 +164,20 @@ func parseWhen(src string, start, end int, r *Rule) error {
 		lead = len(tail) - len(strings.TrimLeft(tail, " \t\r\n"))
 		tail, tailOff = tail[lead:], tailOff+lead
 	}
-	if !hasWordPrefix(tail, "WITHIN") {
-		return cepErrf(tailOff, tail, "expected WITHIN <duration> after the atom list")
+	if !trigger.WordAt(tail, 0, "WITHIN") {
+		return dsl.Errorf(tailOff, tail, "expected WITHIN <duration> after the atom list")
 	}
 	fields := strings.Fields(tail[len("WITHIN"):])
 	if len(fields) == 0 {
-		return cepErrf(tailOff, tail, "WITHIN needs a duration (e.g. 5m, 90s, 1h)")
+		return dsl.Errorf(tailOff, tail, "WITHIN needs a duration (e.g. 5m, 90s, 1h)")
 	}
 	d, err := time.ParseDuration(fields[0])
 	if err != nil || d <= 0 {
-		return cepErrf(tailOff, tail, "bad WITHIN duration %q", fields[0])
+		return dsl.Errorf(tailOff, tail, "bad WITHIN duration %q", fields[0])
 	}
 	r.Window = d
 	if len(fields) > 1 {
-		return cepErrf(tailOff, tail, "unexpected %q after WITHIN duration",
+		return dsl.Errorf(tailOff, tail, "unexpected %q after WITHIN duration",
 			strings.Join(fields[1:], " "))
 	}
 	return nil
@@ -220,8 +193,8 @@ func parseAtom(atom string, off int) (Step, error) {
 		st.Negated = true
 		text = rest
 	}
-	ifIdx := findKeyword(text, 0, "IF")
-	byIdx := findKeyword(text, 0, "BY")
+	ifIdx := trigger.FindKeyword(text, 0, "IF")
+	byIdx := trigger.FindKeyword(text, 0, "BY")
 	specEnd := len(text)
 	if ifIdx >= 0 {
 		specEnd = ifIdx
@@ -231,11 +204,11 @@ func parseAtom(atom string, off int) (Step, error) {
 	}
 	spec := strings.TrimSpace(text[:specEnd])
 	if spec == "" {
-		return st, cepErrf(off, atom, "atom needs an event (e.g. CREATE NODE Txn)")
+		return st, dsl.Errorf(off, atom, "atom needs an event (e.g. CREATE NODE Txn)")
 	}
 	ev, err := trigger.ParseEventSpec(spec)
 	if err != nil {
-		return st, cepErrf(off, atom, "%s", err)
+		return st, dsl.Errorf(off, atom, "%s", err)
 	}
 	st.Event = ev
 	if ifIdx >= 0 {
@@ -245,16 +218,16 @@ func parseAtom(atom string, off int) (Step, error) {
 		}
 		st.Guard = strings.TrimSpace(text[ifIdx+len("IF") : guardEnd])
 		if st.Guard == "" {
-			return st, cepErrf(off+ifIdx, atom, "IF needs a predicate")
+			return st, dsl.Errorf(off+ifIdx, atom, "IF needs a predicate")
 		}
 	}
 	if byIdx >= 0 {
 		if byIdx < ifIdx {
-			return st, cepErrf(off+byIdx, atom, "BY must follow IF")
+			return st, dsl.Errorf(off+byIdx, atom, "BY must follow IF")
 		}
 		st.Key = strings.TrimSpace(text[byIdx+len("BY"):])
 		if st.Key == "" {
-			return st, cepErrf(off+byIdx, atom, "BY needs a key expression")
+			return st, dsl.Errorf(off+byIdx, atom, "BY needs a key expression")
 		}
 	}
 	return st, nil
@@ -298,7 +271,7 @@ func atomText(st Step) string {
 	if st.Negated {
 		b.WriteString("NOT ")
 	}
-	b.WriteString(eventSpecText(st.Event))
+	b.WriteString(st.Event.String())
 	if st.Guard != "" {
 		b.WriteString(" IF ")
 		b.WriteString(st.Guard)
@@ -308,41 +281,6 @@ func atomText(st Step) string {
 		b.WriteString(st.Key)
 	}
 	return b.String()
-}
-
-// eventSpecText renders a trigger event in the DSL's spec grammar.
-func eventSpecText(ev trigger.Event) string {
-	verb, target, sel := "", "", ev.Label
-	switch ev.Kind {
-	case trigger.CreateNode:
-		verb, target = "CREATE", "NODE"
-	case trigger.DeleteNode:
-		verb, target = "DELETE", "NODE"
-	case trigger.CreateRelationship:
-		verb, target = "CREATE", "RELATIONSHIP"
-	case trigger.DeleteRelationship:
-		verb, target = "DELETE", "RELATIONSHIP"
-	case trigger.SetLabel:
-		verb, target = "SET", "LABEL"
-	case trigger.RemoveLabel:
-		verb, target = "REMOVE", "LABEL"
-	case trigger.SetProperty, trigger.RemoveProperty:
-		verb, target = "SET", "PROPERTY"
-		if ev.Kind == trigger.RemoveProperty {
-			verb = "REMOVE"
-		}
-		switch {
-		case ev.Label != "" && ev.PropKey != "":
-			sel = ev.Label + "." + ev.PropKey
-		case ev.PropKey != "":
-			sel = ev.PropKey
-		}
-	}
-	out := verb + " " + target
-	if sel != "" {
-		out += " " + sel
-	}
-	return out
 }
 
 // FormatDuration renders a duration the way the DSL reads it: "5m" rather
@@ -358,136 +296,10 @@ func FormatDuration(d time.Duration) string {
 	return s
 }
 
-// ---- keyword scanning ----
-
-// findKeyword returns the byte index of the first occurrence of word at or
-// after from — case insensitive, at word boundaries, outside parentheses,
-// brackets, braces and quotes — or -1.
-func findKeyword(src string, from int, word string) int {
-	depth := 0
-	var quote byte
-	for i := from; i < len(src); i++ {
-		c := src[i]
-		if quote != 0 {
-			if c == '\\' {
-				i++
-			} else if c == quote {
-				quote = 0
-			}
-			continue
-		}
-		switch c {
-		case '\'', '"', '`':
-			quote = c
-			continue
-		case '(', '[', '{':
-			depth++
-			continue
-		case ')', ']', '}':
-			depth--
-			continue
-		}
-		if depth != 0 {
-			continue
-		}
-		if len(src)-i >= len(word) && strings.EqualFold(src[i:i+len(word)], word) &&
-			wordBoundary(src, i-1) && wordBoundary(src, i+len(word)) {
-			return i
-		}
-	}
-	return -1
-}
-
-func wordBoundary(src string, i int) bool {
-	if i < 0 || i >= len(src) {
-		return true
-	}
-	c := src[i]
-	return !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' ||
-		c >= '0' && c <= '9' || c == '_' || c == '.')
-}
-
-// hasWordPrefix reports whether s starts with word at a word boundary.
-func hasWordPrefix(s, word string) bool {
-	return len(s) >= len(word) && strings.EqualFold(s[:len(word)], word) &&
-		wordBoundary(s, len(word))
-}
-
 // cutKeyword strips a leading keyword (and following space) from s.
 func cutKeyword(s, word string) (string, bool) {
-	if hasWordPrefix(s, word) {
+	if trigger.WordAt(s, 0, word) {
 		return strings.TrimSpace(s[len(word):]), true
 	}
 	return s, false
-}
-
-// matchParen returns the index of the ) matching the ( at open, scanning
-// no further than end; -1 if unbalanced.
-func matchParen(src string, open, end int) int {
-	depth := 0
-	var quote byte
-	for i := open; i < end && i < len(src); i++ {
-		c := src[i]
-		if quote != 0 {
-			if c == '\\' {
-				i++
-			} else if c == quote {
-				quote = 0
-			}
-			continue
-		}
-		switch c {
-		case '\'', '"', '`':
-			quote = c
-		case '(':
-			depth++
-		case ')':
-			depth--
-			if depth == 0 {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
-// splitTopLevel splits src[start:end) on top-level commas, returning the
-// pieces and their absolute byte offsets.
-func splitTopLevel(src string, start, end int) (parts []string, offs []int) {
-	depth := 0
-	var quote byte
-	last := start
-	flush := func(to int) {
-		piece := src[last:to]
-		if strings.TrimSpace(piece) != "" {
-			parts = append(parts, piece)
-			offs = append(offs, last)
-		}
-		last = to + 1
-	}
-	for i := start; i < end && i < len(src); i++ {
-		c := src[i]
-		if quote != 0 {
-			if c == '\\' {
-				i++
-			} else if c == quote {
-				quote = 0
-			}
-			continue
-		}
-		switch c {
-		case '\'', '"', '`':
-			quote = c
-		case '(', '[', '{':
-			depth++
-		case ')', ']', '}':
-			depth--
-		case ',':
-			if depth == 0 {
-				flush(i)
-			}
-		}
-	}
-	flush(end)
-	return parts, offs
 }

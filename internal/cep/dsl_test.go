@@ -6,6 +6,7 @@ package cep
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -236,6 +237,49 @@ func TestCEPTextRoundTrip(t *testing.T) {
 		for i := range r1.Steps {
 			if r1.Steps[i] != r2.Steps[i] {
 				t.Fatalf("step %d drifted: %+v vs %+v", i, r1.Steps[i], r2.Steps[i])
+			}
+		}
+	}
+}
+
+// TestCEPEventSpecRoundTrip: for every event kind and selector shape, the
+// canonical spec (Event.String), its OF form and the EDGE alias all parse
+// back to the event, and a composite rule over it survives Text → ParseRule.
+func TestCEPEventSpecRoundTrip(t *testing.T) {
+	kinds := []trigger.EventKind{
+		trigger.CreateNode, trigger.DeleteNode, trigger.CreateRelationship, trigger.DeleteRelationship,
+		trigger.SetLabel, trigger.RemoveLabel, trigger.SetProperty, trigger.RemoveProperty,
+	}
+	for _, kind := range kinds {
+		for _, sel := range []trigger.Event{{}, {Label: "Case"}, {Label: "Case", PropKey: "status"}, {PropKey: "status"}} {
+			ev := trigger.Event{Kind: kind, Label: sel.Label, PropKey: sel.PropKey}
+			verb, target, _ := strings.Cut(kind.String(), " ")
+			switch {
+			case target == "LABEL" && ev.Label == "":
+				if _, err := trigger.ParseEventSpec(ev.String()); err == nil {
+					t.Errorf("%q parsed; a label event needs a label", ev.String())
+				}
+				continue
+			case target != "PROPERTY" && ev.PropKey != "":
+				continue // only property events select on a key
+			}
+			spec := ev.String()
+			forms := []string{spec, verb + " OF" + strings.TrimPrefix(spec, verb)}
+			if target == "RELATIONSHIP" {
+				forms = append(forms, strings.Replace(spec, "RELATIONSHIP", "EDGE", 1),
+					strings.Replace(forms[1], "RELATIONSHIP", "edge", 1))
+			}
+			for _, form := range forms {
+				got, err := trigger.ParseEventSpec(form)
+				if err != nil || got != ev {
+					t.Errorf("ParseEventSpec(%q) = %+v, %v; want %+v", form, got, err, ev)
+				}
+			}
+			rule := Rule{Name: "r", Op: Sequence, Window: 5 * time.Minute,
+				Steps: []Step{{Event: ev, Guard: "NEW.x > 1", Key: "NEW.k"}}}
+			back, err := ParseRule(rule.Text())
+			if err != nil || !reflect.DeepEqual(back, rule) {
+				t.Errorf("ParseRule(Text()) = %+v, %v\ntext: %s\nwant %+v", back, err, rule.Text(), rule)
 			}
 		}
 	}

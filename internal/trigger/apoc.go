@@ -15,17 +15,6 @@ import (
 	"repro/internal/cypher"
 )
 
-// apocSources maps event kinds to the APOC transaction-data parameter the
-// Fig. 6 scheme UNWINDs. Label/property events use map-shaped parameters in
-// APOC and are outside the paper's translation, which covers creation and
-// deletion events.
-var apocSources = map[EventKind]string{
-	CreateNode:         "$createdNodes",
-	DeleteNode:         "$deletedNodes",
-	CreateRelationship: "$createdRelationships",
-	DeleteRelationship: "$deletedRelationships",
-}
-
 // TranslateAPOC renders the rule as a CALL apoc.trigger.install statement
 // following the paper's syntax-directed translation. dbName is the target
 // database ("neo4j" by convention); phase is the APOC action time
@@ -38,10 +27,15 @@ func TranslateAPOC(r Rule, dbName, phase string) (string, error) {
 	if phase == "" {
 		phase = r.Phase.String()
 	}
-	source, ok := apocSources[r.Event.Kind]
+	// The do.when condition: the changed entity carries the selected label,
+	// plus the rule's guard.
+	source, condition, ok := r.Event.APOC(r.Guard)
 	if !ok {
 		return "", fmt.Errorf("trigger: APOC translation covers creation and deletion events, not %s",
 			r.Event.Kind)
+	}
+	if condition == "" {
+		condition = "true"
 	}
 	if r.Action != "" {
 		return "", fmt.Errorf("trigger: APOC translation covers alert-node rules; rule %s has a custom action", r.Name)
@@ -54,27 +48,6 @@ func TranslateAPOC(r Rule, dbName, phase string) (string, error) {
 		alertLabel = DefaultAlertLabel
 	}
 
-	// The do.when condition: the changed entity carries the selected label
-	// (the paper's "NEW:Sequence" check), plus the rule's guard.
-	conds := []string{}
-	switch r.Event.Kind {
-	case CreateNode, DeleteNode:
-		if r.Event.Label != "" {
-			conds = append(conds, fmt.Sprintf("'%s' IN labels(NEW)", r.Event.Label))
-		}
-	case CreateRelationship, DeleteRelationship:
-		if r.Event.Label != "" {
-			conds = append(conds, fmt.Sprintf("type(NEW) = '%s'", r.Event.Label))
-		}
-	}
-	if r.Guard != "" {
-		conds = append(conds, "("+collapseSpace(r.Guard)+")")
-	}
-	condition := "true"
-	if len(conds) > 0 {
-		condition = strings.Join(conds, " AND ")
-	}
-
 	// The do.when action: the alert query extended with the Alert-node
 	// creation carrying the mandatory properties and the alert columns.
 	action, err := buildAPOCAction(r, alertLabel)
@@ -84,10 +57,10 @@ func TranslateAPOC(r Rule, dbName, phase string) (string, error) {
 
 	statement := fmt.Sprintf(
 		"UNWIND %s AS cNode\nWITH cNode AS NEW\nCALL apoc.do.when(\n  %s,\n  %s,\n  '',\n  {NEW: NEW}\n) YIELD value RETURN *",
-		source, condition, apocQuote(action))
+		source, condition, APOCQuote(action))
 
 	return fmt.Sprintf("CALL apoc.trigger.install(%s, %s,\n%s,\n{phase: '%s'});",
-		"'"+dbName+"'", "'"+r.Name+"'", apocQuote(statement), phase), nil
+		"'"+dbName+"'", "'"+r.Name+"'", APOCQuote(statement), phase), nil
 }
 
 // buildAPOCAction assembles the alert query plus alert-node creation. The
@@ -109,7 +82,7 @@ func buildAPOCAction(r Rule, alertLabel string) (string, error) {
 	}
 	// Strip the final RETURN and replace it with WITH + CREATE, as the
 	// Fig. 7 trigger does.
-	alertText := collapseSpace(r.Alert)
+	alertText := CollapseSpace(r.Alert)
 	idx := strings.LastIndex(strings.ToUpper(alertText), "RETURN ")
 	if idx < 0 {
 		return "", fmt.Errorf("trigger: rule %s alert has no RETURN clause", r.Name)
@@ -129,24 +102,28 @@ func buildAPOCAction(r Rule, alertLabel string) (string, error) {
 		body, projection, alertLabel, strings.Join(props, ", ")), nil
 }
 
-// apocQuote renders s as a double-quoted Cypher string literal.
-func apocQuote(s string) string {
+// APOCQuote renders s as a double-quoted Cypher string literal.
+func APOCQuote(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	s = strings.ReplaceAll(s, `"`, `\"`)
 	return `"` + s + `"`
 }
 
-// collapseSpace normalizes the whitespace of embedded Cypher so the emitted
+// CollapseSpace normalizes the whitespace of embedded Cypher so the emitted
 // trigger stays on few lines, like the paper's Fig. 7 listing.
-func collapseSpace(s string) string {
+func CollapseSpace(s string) string {
 	return strings.Join(strings.Fields(s), " ")
 }
 
 // TranslateAllAPOC renders every installed rule that the Fig. 6 scheme
 // covers; rules with unsupported event kinds are skipped and reported in
-// the second return value.
+// the second return value. The steps of a composite rule are not rules of
+// their own and are not listed (the cep manager exports the composite).
 func (e *Engine) TranslateAllAPOC(dbName, phase string) (translated []string, skipped []string) {
 	for _, info := range e.Rules() {
+		if info.Composite != "" {
+			continue
+		}
 		out, err := TranslateAPOC(info.Rule, dbName, phase)
 		if err != nil {
 			skipped = append(skipped, fmt.Sprintf("%s: %v", info.Name, err))

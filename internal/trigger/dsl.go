@@ -19,7 +19,9 @@ package trigger
 // insensitive): the header (CREATE TRIGGER … [ON HUB …]), the event
 // (AFTER …), then optionally WHEN (guard), ALERT (alert query) and DO
 // (action statement). The guard ends where the next section begins, so
-// multi-line guards and alerts need no delimiters.
+// multi-line guards and alerts need no delimiters. A keyword inside quotes,
+// brackets or CASE … END is Cypher, not a section: a guard or alert may
+// break CASE and WHEN across lines.
 //
 // Event forms:
 //
@@ -29,8 +31,8 @@ package trigger
 //	AFTER DELETE OF RELATIONSHIP [Type]
 //	AFTER SET OF LABEL Label
 //	AFTER REMOVE OF LABEL Label
-//	AFTER SET OF PROPERTY [Label.]key | AFTER SET OF PROPERTY [Label]
-//	AFTER REMOVE OF PROPERTY [Label.]key
+//	AFTER SET OF PROPERTY [Label.][key]
+//	AFTER REMOVE OF PROPERTY [Label.][key]
 //
 // Inserting ASYNC after AFTER (e.g. AFTER ASYNC CREATE OF NODE Sequence)
 // installs the rule with Phase AfterAsync: the guard still runs in the
@@ -45,15 +47,22 @@ import (
 	"strings"
 )
 
-// dslErrf builds a parse error that names the offending clause and its
-// byte offset within the declaration source.
-func dslErrf(off int, clause, format string, args ...any) error {
-	c := collapseSpace(clause)
+// Dialect names the DSL a declaration is written in — this package's
+// "trigger", or internal/cep's "cep" — in the parse errors of what the two
+// share.
+type Dialect string
+
+const dsl Dialect = "trigger"
+
+// Errorf builds a parse error that names the offending clause and its byte
+// offset within the declaration source.
+func (d Dialect) Errorf(off int, clause, format string, args ...any) error {
+	c := CollapseSpace(clause)
 	if len(c) > 60 {
 		c = c[:57] + "..."
 	}
 	msg := fmt.Sprintf(format, args...)
-	return fmt.Errorf("trigger dsl: %s (byte %d: %q)", msg, off, c)
+	return fmt.Errorf("%s dsl: %s (byte %d: %q)", d, msg, off, c)
 }
 
 // ParseRule parses one CREATE TRIGGER declaration into a Rule. The result
@@ -64,7 +73,7 @@ func ParseRule(src string) (Rule, error) {
 	if err != nil {
 		return r, err
 	}
-	if err := parseHeader(sections.header, &r); err != nil {
+	if r.Name, r.Hub, err = dsl.ParseHeader(sections.header.text, sections.header.off); err != nil {
 		return r, err
 	}
 	if sections.event.text == "" {
@@ -110,86 +119,74 @@ type ruleSections struct {
 	do     section
 }
 
-// splitSections cuts the source into sections at lines beginning with the
-// section keywords, tracking the byte offset where each section's text
-// starts.
+// splitSections cuts the source at the section keywords that open a line
+// outside quotes, brackets and CASE … END. The event section keeps its AFTER;
+// the others start behind their keyword.
 func splitSections(src string) (ruleSections, error) {
 	var out ruleSections
-	name := "header"
-	bufs := map[string]*strings.Builder{
-		"header": {}, "event": {}, "when": {}, "alert": {}, "do": {},
-	}
-	offs := map[string]int{}
-	seen := map[string]bool{}
-	lineStart := 0
-	for _, line := range strings.Split(src, "\n") {
-		nextStart := lineStart + len(line) + 1
-		indent := len(line) - len(strings.TrimLeft(line, " \t\r"))
-		trimmed := strings.TrimSpace(line)
-		first := ""
-		if f := strings.Fields(trimmed); len(f) > 0 {
-			first = strings.ToUpper(f[0])
+	var err error
+	cur := &out.header
+	keywords := []struct {
+		word string
+		sec  *section
+	}{{"AFTER", &out.event}, {"WHEN", &out.when}, {"ALERT", &out.alert}, {"DO", &out.do}}
+	seen := map[*section]bool{}
+	topLevel(src, 0, len(src), func(i int) bool {
+		line := strings.LastIndexByte(src[:i], '\n') + 1
+		if strings.TrimSpace(src[line:i]) != "" {
+			return false
 		}
-		contentOff := lineStart + indent
-		switch first {
-		case "AFTER":
-			name = "event"
-		case "WHEN", "ALERT", "DO":
-			name = strings.ToLower(first)
-			rest := trimmed[len(first):]
-			contentOff += len(first) + (len(rest) - len(strings.TrimLeft(rest, " \t")))
-			trimmed = strings.TrimSpace(rest)
-			line = trimmed
-		}
-		if first == "AFTER" || first == "WHEN" || first == "ALERT" || first == "DO" {
-			if seen[name] {
-				return out, dslErrf(lineStart+indent, line,
-					"duplicate %s section", strings.ToUpper(name))
+		for _, kw := range keywords {
+			if !WordAt(src, i, kw.word) {
+				continue
 			}
-			seen[name] = true
-			offs[name] = contentOff
+			start := i
+			if kw.sec != &out.event {
+				start += len(kw.word)
+				start += len(src[start:]) - len(strings.TrimLeft(src[start:], " \t"))
+			}
+			if seen[kw.sec] {
+				rest, _, _ := strings.Cut(src[start:], "\n")
+				err = dsl.Errorf(i, rest, "duplicate %s section", kw.word)
+				return true
+			}
+			seen[kw.sec] = true
+			cur.text = strings.TrimSpace(src[cur.off:i])
+			cur = kw.sec
+			cur.off = start
+			return false
 		}
-		bufs[name].WriteString(line)
-		bufs[name].WriteByte('\n')
-		lineStart = nextStart
-	}
-	trim := func(name string) section {
-		return section{text: strings.TrimSpace(bufs[name].String()), off: offs[name]}
-	}
-	out.header = trim("header")
-	out.event = trim("event")
-	out.when = trim("when")
-	out.alert = trim("alert")
-	out.do = trim("do")
-	return out, nil
+		return false
+	})
+	cur.text = strings.TrimSpace(src[cur.off:])
+	return out, err
 }
 
-func parseHeader(header section, r *Rule) error {
-	fields := strings.Fields(header.text)
+// ParseHeader parses `CREATE TRIGGER <name> [ON HUB <hub>]`, the header both
+// DSLs open with; off is where header starts in the declaration source.
+func (d Dialect) ParseHeader(header string, off int) (name, hub string, err error) {
+	fields := strings.Fields(header)
 	if len(fields) < 3 || !strings.EqualFold(fields[0], "CREATE") ||
 		!strings.EqualFold(fields[1], "TRIGGER") {
-		return dslErrf(header.off, header.text, "expected CREATE TRIGGER <name>")
+		return "", "", d.Errorf(off, header, "expected CREATE TRIGGER <name>")
 	}
-	r.Name = fields[2]
+	name = fields[2]
 	rest := fields[3:]
-	if len(rest) == 0 {
-		return nil
-	}
 	if len(rest) >= 3 && strings.EqualFold(rest[0], "ON") && strings.EqualFold(rest[1], "HUB") {
-		r.Hub = rest[2]
+		hub = rest[2]
 		rest = rest[3:]
 	}
 	if len(rest) != 0 {
-		return dslErrf(header.off, header.text,
+		return "", "", d.Errorf(off, header,
 			"unexpected %q after trigger header", strings.Join(rest, " "))
 	}
-	return nil
+	return name, hub, nil
 }
 
 func parseEventClause(clause section) (Event, Phase, error) {
 	fields := strings.Fields(clause.text)
 	if len(fields) < 2 || !strings.EqualFold(fields[0], "AFTER") {
-		return Event{}, Before, dslErrf(clause.off, clause.text,
+		return Event{}, Before, dsl.Errorf(clause.off, clause.text,
 			"expected AFTER <verb> OF <target>")
 	}
 	phase := Before
@@ -199,85 +196,9 @@ func parseEventClause(clause section) (Event, Phase, error) {
 	}
 	ev, err := parseEventFields(fields[1:], true)
 	if err != nil {
-		return Event{}, phase, dslErrf(clause.off, clause.text, "%s", err)
+		return Event{}, phase, dsl.Errorf(clause.off, clause.text, "%s", err)
 	}
 	return ev, phase, nil
-}
-
-// ParseEventSpec parses the verb/target part of an event clause — e.g.
-// "CREATE OF NODE Sequence", or the shorthand "CREATE NODE Sequence"
-// without OF — as it appears after AFTER in trigger declarations and
-// inside composite-event atoms (internal/cep).
-func ParseEventSpec(spec string) (Event, error) {
-	return parseEventFields(strings.Fields(spec), false)
-}
-
-func parseEventFields(fields []string, requireOF bool) (Event, error) {
-	hasOF := len(fields) >= 2 && strings.EqualFold(fields[1], "OF")
-	if hasOF {
-		fields = append(fields[:1:1], fields[2:]...)
-	} else if requireOF {
-		if len(fields) == 0 {
-			return Event{}, fmt.Errorf("expected <verb> OF <target>")
-		}
-		return Event{}, fmt.Errorf("expected OF after %s", strings.ToUpper(fields[0]))
-	}
-	if len(fields) < 2 {
-		return Event{}, fmt.Errorf("expected <verb> OF <target>")
-	}
-	verb := strings.ToUpper(fields[0])
-	target := strings.ToUpper(fields[1])
-	selector := ""
-	if len(fields) >= 3 {
-		selector = fields[2]
-	}
-	if len(fields) > 3 {
-		return Event{}, fmt.Errorf("unexpected %q in event clause",
-			strings.Join(fields[3:], " "))
-	}
-
-	switch target {
-	case "NODE":
-		switch verb {
-		case "CREATE":
-			return Event{Kind: CreateNode, Label: selector}, nil
-		case "DELETE":
-			return Event{Kind: DeleteNode, Label: selector}, nil
-		}
-	case "RELATIONSHIP", "EDGE":
-		switch verb {
-		case "CREATE":
-			return Event{Kind: CreateRelationship, Label: selector}, nil
-		case "DELETE":
-			return Event{Kind: DeleteRelationship, Label: selector}, nil
-		}
-	case "LABEL":
-		if selector == "" {
-			return Event{}, fmt.Errorf("SET/REMOVE OF LABEL needs a label name")
-		}
-		switch verb {
-		case "SET":
-			return Event{Kind: SetLabel, Label: selector}, nil
-		case "REMOVE":
-			return Event{Kind: RemoveLabel, Label: selector}, nil
-		}
-	case "PROPERTY":
-		label, key := "", ""
-		if selector != "" {
-			if i := strings.IndexByte(selector, '.'); i >= 0 {
-				label, key = selector[:i], selector[i+1:]
-			} else {
-				key = selector
-			}
-		}
-		switch verb {
-		case "SET":
-			return Event{Kind: SetProperty, Label: label, PropKey: key}, nil
-		case "REMOVE":
-			return Event{Kind: RemoveProperty, Label: label, PropKey: key}, nil
-		}
-	}
-	return Event{}, fmt.Errorf("unsupported event %s OF %s", verb, target)
 }
 
 // InstallText parses a CREATE TRIGGER declaration and installs it.
@@ -287,4 +208,117 @@ func (e *Engine) InstallText(src string) (Rule, error) {
 		return r, err
 	}
 	return r, e.Install(r)
+}
+
+// ---- keyword scanning, shared with the composite DSL (internal/cep) ----
+
+// topLevel calls visit(i) for each byte of src[from:end) that is outside
+// quotes and not nested inside (…), […], {…} or CASE … END, until visit
+// returns true; it returns that i, or -1. The brackets and the words CASE and
+// END themselves count as outside when nothing else encloses them.
+func topLevel(src string, from, end int, visit func(i int) bool) int {
+	var open []byte // the enclosing brackets, 'C' for a CASE
+	var quote byte
+	for i := from; i < end && i < len(src); i++ {
+		c := src[i]
+		if quote != 0 {
+			if c == '\\' {
+				i++
+			} else if c == quote {
+				quote = 0
+			}
+			continue
+		}
+		switch {
+		case c == '\'' || c == '"' || c == '`':
+			quote = c
+			continue
+		case c == ')' || c == ']' || c == '}':
+			// Close through any CASE left open inside the bracket (a label
+			// or map key spelled "case").
+			for len(open) > 0 {
+				top := open[len(open)-1]
+				open = open[:len(open)-1]
+				if top != 'C' {
+					break
+				}
+			}
+		case len(open) > 0 && open[len(open)-1] == 'C' && WordAt(src, i, "END"):
+			open = open[:len(open)-1]
+		}
+		if len(open) == 0 && visit(i) {
+			return i
+		}
+		switch {
+		case c == '(' || c == '[' || c == '{':
+			open = append(open, c)
+		case WordAt(src, i, "CASE") && !isName(src, i):
+			open = append(open, 'C')
+		}
+	}
+	return -1
+}
+
+// isName reports whether the word at src[i:] is a name the DSL asks for — a
+// trigger's, a hub's, or an event selector — rather than Cypher: it follows
+// one of the words that introduce a name, which no Cypher expression can
+// follow. A label spelled Case opens no CASE.
+func isName(src string, i int) bool {
+	prev := strings.TrimRight(src[:i], " \t\r\n")
+	for _, w := range []string{"TRIGGER", "HUB", "NODE", "RELATIONSHIP", "EDGE", "LABEL", "PROPERTY"} {
+		if len(prev) >= len(w) && WordAt(prev, len(prev)-len(w), w) {
+			return true
+		}
+	}
+	return false
+}
+
+// WordAt reports whether word stands at src[i:] as a whole word, case
+// insensitive. Letters, digits, '_' and '.' continue a word, so a property
+// access like x.end is not the word END.
+func WordAt(src string, i int, word string) bool {
+	return len(src)-i >= len(word) && strings.EqualFold(src[i:i+len(word)], word) &&
+		wordBoundary(src, i-1) && wordBoundary(src, i+len(word))
+}
+
+func wordBoundary(src string, i int) bool {
+	if i < 0 || i >= len(src) {
+		return true
+	}
+	c := src[i]
+	return !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' ||
+		c >= '0' && c <= '9' || c == '_' || c == '.')
+}
+
+// FindKeyword returns the byte index of the first top-level occurrence of
+// word at or after from, or -1.
+func FindKeyword(src string, from int, word string) int {
+	return topLevel(src, from, len(src), func(i int) bool { return WordAt(src, i, word) })
+}
+
+// MatchParen returns the index of the ) matching the ( at open, scanning no
+// further than end; -1 if unbalanced.
+func MatchParen(src string, open, end int) int {
+	return topLevel(src, open, end, func(i int) bool { return src[i] == ')' })
+}
+
+// SplitTopLevel splits src[start:end) on top-level commas, returning the
+// non-blank pieces and their absolute byte offsets.
+func SplitTopLevel(src string, start, end int) (parts []string, offs []int) {
+	last := start
+	flush := func(to int) {
+		if strings.TrimSpace(src[last:to]) != "" {
+			parts = append(parts, src[last:to])
+			offs = append(offs, last)
+		}
+		last = to + 1
+	}
+	topLevel(src, start, end, func(i int) bool {
+		if src[i] == ',' {
+			flush(i)
+		}
+		return false
+	})
+	flush(end)
+	return parts, offs
 }

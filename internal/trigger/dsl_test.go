@@ -9,31 +9,63 @@ import (
 )
 
 func TestParseRuleFull(t *testing.T) {
-	src := `CREATE TRIGGER R2 ON HUB A
+	sequence := Event{Kind: CreateNode, Label: "Sequence"}
+	cases := []struct {
+		name string
+		src  string
+		want Rule
+	}{
+		{
+			name: "guard and multi-line alert",
+			src: `CREATE TRIGGER R2 ON HUB A
 AFTER CREATE OF NODE Sequence
 WHEN NEW.variant IS NULL
 ALERT
   MATCH (u:Sequence) WHERE u.variant IS NULL
   WITH count(u) AS unassigned WHERE unassigned > 2
-  RETURN unassigned`
-	r, err := ParseRule(src)
-	if err != nil {
-		t.Fatal(err)
+  RETURN unassigned`,
+			want: Rule{Name: "R2", Hub: "A", Event: sequence, Guard: "NEW.variant IS NULL",
+				Alert: "MATCH (u:Sequence) WHERE u.variant IS NULL\n  WITH count(u) AS unassigned WHERE unassigned > 2\n  RETURN unassigned"},
+		},
+		{
+			// A WHEN that opens a line inside CASE … END is Cypher, not the
+			// guard section.
+			name: "CASE and WHEN broken across lines in the alert",
+			src: `CREATE TRIGGER t ON HUB A
+AFTER CREATE OF NODE Sequence
+ALERT
+  MATCH (u:Sequence) RETURN CASE
+    WHEN u.variant IS NULL THEN 'unassigned' ELSE 'ok' END AS state`,
+			want: Rule{Name: "t", Hub: "A", Event: sequence,
+				Alert: "MATCH (u:Sequence) RETURN CASE\n    WHEN u.variant IS NULL THEN 'unassigned' ELSE 'ok' END AS state"},
+		},
+		{
+			name: "the same beside a real WHEN section",
+			src: `CREATE TRIGGER t ON HUB A
+AFTER CREATE OF NODE Sequence
+WHEN NEW.lab IS NOT NULL
+ALERT
+  MATCH (u:Sequence) RETURN CASE
+    WHEN u.variant IS NULL THEN 'unassigned' ELSE 'ok' END AS state
+DO
+  CREATE (:Note {text: 'AFTER
+WHEN ALERT', state: [
+    state]})`,
+			want: Rule{Name: "t", Hub: "A", Event: sequence, Guard: "NEW.lab IS NOT NULL",
+				Alert:  "MATCH (u:Sequence) RETURN CASE\n    WHEN u.variant IS NULL THEN 'unassigned' ELSE 'ok' END AS state",
+				Action: "CREATE (:Note {text: 'AFTER\nWHEN ALERT', state: [\n    state]})"},
+		},
 	}
-	if r.Name != "R2" || r.Hub != "A" {
-		t.Errorf("header: %+v", r)
-	}
-	if r.Event.Kind != CreateNode || r.Event.Label != "Sequence" {
-		t.Errorf("event: %+v", r.Event)
-	}
-	if r.Guard != "NEW.variant IS NULL" {
-		t.Errorf("guard: %q", r.Guard)
-	}
-	if !strings.Contains(r.Alert, "RETURN unassigned") {
-		t.Errorf("alert: %q", r.Alert)
-	}
-	if r.Action != "" {
-		t.Errorf("action: %q", r.Action)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r, err := ParseRule(c.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r != c.want {
+				t.Errorf("parsed %+v\nwant   %+v", r, c.want)
+			}
+		})
 	}
 }
 
@@ -44,6 +76,7 @@ func TestParseRuleEventForms(t *testing.T) {
 	}{
 		{"AFTER CREATE OF NODE Patient", Event{Kind: CreateNode, Label: "Patient"}},
 		{"AFTER CREATE OF NODE", Event{Kind: CreateNode}},
+		{"AFTER CREATE OF NODE Case", Event{Kind: CreateNode, Label: "Case"}}, // a label, not a CASE hiding the WHEN
 		{"AFTER DELETE OF NODE Doc", Event{Kind: DeleteNode, Label: "Doc"}},
 		{"AFTER CREATE OF RELATIONSHIP LINKS", Event{Kind: CreateRelationship, Label: "LINKS"}},
 		{"AFTER DELETE OF EDGE LINKS", Event{Kind: DeleteRelationship, Label: "LINKS"}},
@@ -78,6 +111,8 @@ func TestParseRuleErrors(t *testing.T) {
 		"CREATE TRIGGER x\nAFTER SET OF LABEL\nWHEN true",    // label required
 		"CREATE TRIGGER x\nAFTER CREATE OF NODE A B\nWHEN true",
 		"CREATE TRIGGER x\nAFTER CREATE OF NODE\nWHEN true\nWHEN false",
+		// A WHEN inside CASE … END is no section, so the two real ones clash.
+		"CREATE TRIGGER x\nAFTER CREATE OF NODE\nWHEN CASE\nWHEN true THEN 1 END = 1\nWHEN false",
 	}
 	for _, src := range bad {
 		if _, err := ParseRule(src); err == nil {

@@ -308,9 +308,9 @@ type Report struct {
 	AlertRuns   int
 	AlertNodes  int
 	Activations []Activation
-	// RulesConsidered counts rules examined across all rounds after the
-	// (EventKind, Label) dispatch index filtered out rules that trivially
-	// cannot match the round's changes.
+	// RulesConsidered counts, summed over rounds, the rules the dispatch
+	// index handed a round: those whose (EventKind, Label) bucket at least
+	// one of the round's events reaches, paused rules included.
 	RulesConsidered int
 	// AsyncEnqueued counts AfterAsync activations handed to the AsyncSink;
 	// AsyncShed counts those the sink dropped under backpressure.
@@ -340,193 +340,14 @@ func (r *Report) Merge(src *Report) {
 	r.CompositeSteps += src.CompositeSteps
 }
 
-// dispatchIndex buckets compiled rules by the (EventKind, Label) pairs their
-// selectors can match; the "" bucket of a kind holds its wildcard selectors.
-// Rebuilt on Install/Drop under the engine lock and read immutably by
-// Process, it lets a round skip every rule whose selector cannot possibly
-// match the round's changes.
-type dispatchIndex map[EventKind]map[string][]*Compiled
-
-func buildDispatch(rules map[string]*Compiled) dispatchIndex {
-	idx := make(dispatchIndex)
-	for _, cr := range rules {
-		byLabel := idx[cr.Event.Kind]
-		if byLabel == nil {
-			byLabel = make(map[string][]*Compiled)
-			idx[cr.Event.Kind] = byLabel
-		}
-		byLabel[cr.Event.Label] = append(byLabel[cr.Event.Label], cr)
-	}
-	return idx
-}
-
-// candidates returns, in installation order, the rules whose selector could
-// match at least one change in data. Label-selective rules are matched
-// against the labels (or relationship types) the changed entities carry.
-func (idx dispatchIndex) candidates(tx *graph.Tx, data *graph.TxData) []*Compiled {
-	seen := make(map[int]bool)
-	var out []*Compiled
-	add := func(kind EventKind, label string) {
-		for _, cr := range idx[kind][label] {
-			if !seen[cr.seq] {
-				seen[cr.seq] = true
-				out = append(out, cr)
-			}
-		}
-	}
-	entity := func(kind EventKind, labels []string) {
-		add(kind, "")
-		for _, l := range labels {
-			add(kind, l)
-		}
-	}
-	for _, id := range data.CreatedNodes {
-		if ls, ok := tx.NodeLabels(id); ok {
-			entity(CreateNode, ls)
-		}
-	}
-	for _, snap := range data.DeletedNodes {
-		entity(DeleteNode, snap.Labels)
-	}
-	for _, id := range data.CreatedRels {
-		if typ, _, _, ok := tx.RelEndpoints(id); ok {
-			entity(CreateRelationship, []string{typ})
-		}
-	}
-	for _, snap := range data.DeletedRels {
-		entity(DeleteRelationship, []string{snap.Type})
-	}
-	for _, lc := range data.AssignedLabels {
-		entity(SetLabel, []string{lc.Label})
-	}
-	for _, lc := range data.RemovedLabels {
-		entity(RemoveLabel, []string{lc.Label})
-	}
-	propChange := func(kind EventKind, pc graph.PropChange) {
-		if pc.Kind == graph.NodeEntity {
-			if ls, ok := tx.NodeLabels(pc.Node); ok {
-				entity(kind, ls)
-			}
-		} else if typ, _, _, ok := tx.RelEndpoints(pc.Rel); ok {
-			entity(kind, []string{typ})
-		}
-	}
-	for _, pc := range data.AssignedProps {
-		propChange(SetProperty, pc)
-	}
-	for _, pc := range data.RemovedProps {
-		propChange(RemoveProperty, pc)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
-}
-
-// filterSkipped returns data minus the changes that touch nodes carrying a
-// label in SkipLabels: their create/delete events, and the property and
-// label changes on them (partial-match bookkeeping nodes are updated in
-// place as composite automata advance). The returned record is a copy when
-// anything was filtered; the original stays complete for commit validators
-// and the WAL.
-func (e *Engine) filterSkipped(tx *graph.Tx, data *graph.TxData) *graph.TxData {
-	if len(e.SkipLabels) == 0 {
-		return data
-	}
-	skip := func(labels []string) bool {
-		for _, l := range labels {
-			if e.SkipLabels[l] {
-				return true
-			}
-		}
-		return false
-	}
-	skipNode := func(id graph.NodeID) bool {
-		ls, ok := tx.NodeLabels(id)
-		return ok && skip(ls)
-	}
-	skipProp := func(pc graph.PropChange) bool {
-		return pc.Kind == graph.NodeEntity && skipNode(pc.Node)
-	}
-	n := 0
-	for _, id := range data.CreatedNodes {
-		if skipNode(id) {
-			n++
-		}
-	}
-	for _, snap := range data.DeletedNodes {
-		if skip(snap.Labels) {
-			n++
-		}
-	}
-	for _, pc := range data.AssignedProps {
-		if skipProp(pc) {
-			n++
-		}
-	}
-	for _, pc := range data.RemovedProps {
-		if skipProp(pc) {
-			n++
-		}
-	}
-	for _, lc := range data.AssignedLabels {
-		if skipNode(lc.Node) {
-			n++
-		}
-	}
-	for _, lc := range data.RemovedLabels {
-		if skipNode(lc.Node) {
-			n++
-		}
-	}
-	if n == 0 {
-		return data
-	}
-	out := *data
-	out.CreatedNodes = make([]graph.NodeID, 0, len(data.CreatedNodes))
-	for _, id := range data.CreatedNodes {
-		if skipNode(id) {
-			continue
-		}
-		out.CreatedNodes = append(out.CreatedNodes, id)
-	}
-	out.DeletedNodes = make([]graph.Node, 0, len(data.DeletedNodes))
-	for _, snap := range data.DeletedNodes {
-		if skip(snap.Labels) {
-			continue
-		}
-		out.DeletedNodes = append(out.DeletedNodes, snap)
-	}
-	filterProps := func(in []graph.PropChange) []graph.PropChange {
-		outp := make([]graph.PropChange, 0, len(in))
-		for _, pc := range in {
-			if skipProp(pc) {
-				continue
-			}
-			outp = append(outp, pc)
-		}
-		return outp
-	}
-	out.AssignedProps = filterProps(data.AssignedProps)
-	out.RemovedProps = filterProps(data.RemovedProps)
-	filterLabels := func(in []graph.LabelChange) []graph.LabelChange {
-		outl := make([]graph.LabelChange, 0, len(in))
-		for _, lc := range in {
-			if skipNode(lc.Node) {
-				continue
-			}
-			outl = append(outl, lc)
-		}
-		return outl
-	}
-	out.AssignedLabels = filterLabels(data.AssignedLabels)
-	out.RemovedLabels = filterLabels(data.RemovedLabels)
-	return &out
-}
-
 // Process fires the installed rules against the changes in data, cascading
 // over the changes the rules themselves make until quiescence or the depth
-// bound. It must be called with the transaction's change record already
-// extracted (tx.ResetData()); on return the transaction's record again
-// contains every change, so commit-time validators see the full picture.
+// bound. Each round enumerates its change record once (events), looks the
+// events up in the dispatch index, and fires the candidate rules in
+// installation order, each over the events it selects. It must be called with
+// the transaction's change record already extracted (tx.ResetData()); on
+// return the transaction's record again contains every change, so commit-time
+// validators see the full picture.
 func (e *Engine) Process(tx *graph.Tx, data *graph.TxData) (*Report, error) {
 	e.mu.RLock()
 	idx := e.index
@@ -544,15 +365,23 @@ func (e *Engine) Process(tx *graph.Tx, data *graph.TxData) (*Report, error) {
 			return report, fmt.Errorf("%w (%d rounds)", ErrCascadeDepth, round)
 		}
 		report.Rounds = round + 1
-		match := e.filterSkipped(tx, cur)
-		if !match.Empty() {
-			cands := idx.candidates(tx, match)
-			report.RulesConsidered += len(cands)
-			for _, cr := range cands {
-				if cr.paused.Load() {
+		evs := events(tx, cur, e.SkipLabels)
+		cands := idx.candidates(evs)
+		report.RulesConsidered += len(cands)
+		for _, cr := range cands {
+			if cr.paused.Load() {
+				continue
+			}
+			var now time.Time
+			for i := range evs {
+				ev := &evs[i]
+				if !cr.Event.selects(ev) || !ev.live(tx, cr.Event.Label) {
 					continue
 				}
-				if err := e.fireRule(tx, cr, match, round, report); err != nil {
+				if now.IsZero() {
+					now = e.now()
+				}
+				if err := e.fire(tx, cr, ev.binding(), now, round, report); err != nil {
 					tx.MergeData(total)
 					return report, err
 				}
@@ -566,78 +395,73 @@ func (e *Engine) Process(tx *graph.Tx, data *graph.TxData) (*Report, error) {
 	return report, nil
 }
 
-func (e *Engine) fireRule(tx *graph.Tx, cr *Compiled, data *graph.TxData,
+// fire evaluates cr for one event occurrence: the guard, then whichever
+// coupling mode the rule has.
+func (e *Engine) fire(tx *graph.Tx, cr *Compiled, bind Binding, now time.Time,
 	round int, report *Report) error {
-	occ := cr.Event.occurrences(tx, data)
-	if len(occ) == 0 {
+	report.GuardChecks++
+	cr.nChecks.Add(1)
+	if cr.guard != nil {
+		ok, err := cr.guard.EvalBool(tx, &cypher.Options{
+			Bindings: bind,
+			Now:      func() time.Time { return now },
+		})
+		if err != nil {
+			return fmt.Errorf("trigger: rule %s guard: %w", cr.Name, err)
+		}
+		if !ok {
+			cr.mRejected.Inc()
+			return nil
+		}
+	}
+	report.GuardPasses++
+	cr.nActivations.Add(1)
+	cr.mFired.Inc()
+	if cr.Composite != "" {
+		if e.StepSink == nil {
+			return nil // no automaton attached (forks): steps are inert
+		}
+		if err := e.StepSink(tx, StepItem{
+			Composite: cr.Composite, Step: cr.StepIndex,
+			Rule: cr.Name, Hub: cr.Hub, Binding: bind,
+		}); err != nil {
+			return fmt.Errorf("trigger: rule %s step: %w", cr.Name, err)
+		}
+		report.CompositeSteps++
 		return nil
 	}
-	now := e.now()
-	for _, bind := range occ {
-		report.GuardChecks++
-		cr.nChecks.Add(1)
-		if cr.guard != nil {
-			ok, err := cr.guard.EvalBool(tx, &cypher.Options{
-				Bindings: bind,
-				Now:      func() time.Time { return now },
-			})
-			if err != nil {
-				return fmt.Errorf("trigger: rule %s guard: %w", cr.Name, err)
-			}
-			if !ok {
-				cr.mRejected.Inc()
-				continue
-			}
+	if cr.Phase == AfterAsync && e.AsyncSink != nil {
+		enqueued, err := e.AsyncSink(tx, AsyncItem{
+			Rule: cr.Name, Hub: cr.Hub, Binding: bind,
+		})
+		switch {
+		case errors.Is(err, ErrAsyncFallback):
+			// No pipeline attached: evaluate synchronously below.
+		case err != nil:
+			return fmt.Errorf("trigger: rule %s async enqueue: %w", cr.Name, err)
+		case enqueued:
+			report.AsyncEnqueued++
+			return nil
+		default:
+			report.AsyncShed++
+			return nil
 		}
-		report.GuardPasses++
-		cr.nActivations.Add(1)
-		cr.mFired.Inc()
-		if cr.Composite != "" {
-			if e.StepSink == nil {
-				continue // no automaton attached (forks): steps are inert
-			}
-			if err := e.StepSink(tx, StepItem{
-				Composite: cr.Composite, Step: cr.StepIndex,
-				Rule: cr.Name, Hub: cr.Hub, Binding: bind,
-			}); err != nil {
-				return fmt.Errorf("trigger: rule %s step: %w", cr.Name, err)
-			}
-			report.CompositeSteps++
-			continue
-		}
-		if cr.Phase == AfterAsync && e.AsyncSink != nil {
-			enqueued, err := e.AsyncSink(tx, AsyncItem{
-				Rule: cr.Name, Hub: cr.Hub, Binding: bind,
-			})
-			switch {
-			case errors.Is(err, ErrAsyncFallback):
-				// No pipeline attached: evaluate synchronously below.
-			case err != nil:
-				return fmt.Errorf("trigger: rule %s async enqueue: %w", cr.Name, err)
-			case enqueued:
-				report.AsyncEnqueued++
-				continue
-			default:
-				report.AsyncShed++
-				continue
-			}
-		}
-		if cr.alert != nil {
-			report.AlertRuns++
-		}
-		cols, rows, err := e.RunAlert(tx, cr, bind, now)
-		if err != nil {
-			return err
-		}
-		alerts, err := e.Materialize(tx, cr, bind, now, cols, rows)
-		if err != nil {
-			return err
-		}
-		report.AlertNodes += len(alerts)
-		if cr.alert != nil || cr.action != nil || len(alerts) > 0 {
-			report.Activations = append(report.Activations,
-				Activation{Rule: cr.Name, Round: round, Alerts: alerts})
-		}
+	}
+	if cr.alert != nil {
+		report.AlertRuns++
+	}
+	cols, rows, err := e.RunAlert(tx, cr, bind, now)
+	if err != nil {
+		return err
+	}
+	alerts, err := e.Materialize(tx, cr, bind, now, cols, rows)
+	if err != nil {
+		return err
+	}
+	report.AlertNodes += len(alerts)
+	if cr.alert != nil || cr.action != nil || len(alerts) > 0 {
+		report.Activations = append(report.Activations,
+			Activation{Rule: cr.Name, Round: round, Alerts: alerts})
 	}
 	return nil
 }
@@ -648,7 +472,7 @@ var oneNilRow = [][]value.Value{nil}
 
 // RunAlert runs cr's alert query against tx with the activation's transition
 // variables bound, observing AlertQuerySeconds. It performs no writes of its
-// own. Every coupling mode comes through here: immediate (fireRule, inside
+// own. Every coupling mode comes through here: immediate (fire, inside
 // the writing transaction), detached (EvaluateAsync, against a committed
 // snapshot) and composite (the CEP drain's follow-up transaction).
 func (e *Engine) RunAlert(tx *graph.Tx, cr *Compiled, bind Binding, now time.Time) ([]string, [][]value.Value, error) {

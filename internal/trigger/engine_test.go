@@ -3,6 +3,9 @@ package trigger
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -920,4 +923,401 @@ func BenchmarkDispatchManyIrrelevantRules(b *testing.B) {
 		}
 		tx.ResetData()
 	}
+}
+
+// alertTrace lists the store's alert nodes in creation order as "rule:src",
+// src being the column the test rules return (the activating node's id
+// property).
+func alertTrace(t *testing.T, s *graph.Store) []string {
+	t.Helper()
+	var out []string
+	err := s.View(func(tx *graph.Tx) error {
+		res, err := cypher.Run(tx, "MATCH (a:Alert) RETURN a.rule, a.src ORDER BY id(a)", nil)
+		if err != nil {
+			return err
+		}
+		for _, r := range res.Rows {
+			rule, _ := r[0].AsString()
+			out = append(out, fmt.Sprintf("%s:%s", rule, r[1]))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestProcessSameRoundVisibility pins what a rule sees of a round whose
+// earlier rules already wrote: an event reaches a rule when the entity
+// carried the selecting label at round start and still exists and carries it
+// when the rule fires; rules fire in installation order, each over its
+// events in change-record order; SkipLabels entities reach no rule.
+func TestProcessSameRoundVisibility(t *testing.T) {
+	// Alert nodes have no id property, so this guard keeps wildcard rules
+	// from cascading on the alerts the round produces.
+	const real = "NEW.id IS NOT NULL"
+	const src = "RETURN NEW.id AS src"
+	hiddenRules := func() []Rule {
+		var out []Rule
+		for _, k := range []EventKind{CreateNode, DeleteNode, SetLabel, RemoveLabel, SetProperty, RemoveProperty} {
+			out = append(out, Rule{Name: "any-" + k.String(), Event: Event{Kind: k}, Alert: "RETURN 1 AS src"})
+		}
+		return out
+	}
+	cases := []struct {
+		name   string
+		skip   string // a SkipLabels entry
+		rules  []Rule // installed in this order
+		paused string
+		seed   string // committed without the engine before query runs
+		query  string
+		want   []string // alert trace after query
+		check  func(t *testing.T, rep *Report, data *graph.TxData)
+	}{
+		{
+			name: "earlier rule deletes the node",
+			rules: []Rule{
+				{Name: "kill", Event: Event{Kind: CreateNode, Label: "X"}, Action: "DETACH DELETE NEW"},
+				{Name: "late", Event: Event{Kind: CreateNode, Label: "X"}, Alert: src},
+				{Name: "wild", Event: Event{Kind: CreateNode}, Guard: real, Alert: src},
+			},
+			query: "CREATE (:X {id: 1})",
+			check: func(t *testing.T, rep *Report, _ *graph.TxData) {
+				if rep.GuardChecks != 1 {
+					t.Errorf("GuardChecks = %d, want 1 (only kill saw the node)", rep.GuardChecks)
+				}
+			},
+		},
+		{
+			name: "earlier rule removes the selecting label; a wildcard still fires",
+			rules: []Rule{
+				{Name: "strip", Event: Event{Kind: CreateNode, Label: "X"}, Action: "REMOVE NEW:X"},
+				{Name: "late", Event: Event{Kind: CreateNode, Label: "X"}, Alert: src},
+				{Name: "lateProp", Event: Event{Kind: SetProperty, Label: "X"}, Alert: src},
+				{Name: "wild", Event: Event{Kind: CreateNode}, Guard: real, Alert: src},
+			},
+			query: "CREATE (n:X {id: 1}) SET n.v = 2",
+			want:  []string{"wild:1"},
+		},
+		{
+			name: "earlier rule adds a label: seen as SET LABEL next round, not as CREATE NODE",
+			rules: []Rule{
+				{Name: "add", Event: Event{Kind: CreateNode, Label: "X"}, Action: "SET NEW:Y"},
+				{Name: "createY", Event: Event{Kind: CreateNode, Label: "Y"}, Alert: src},
+				{Name: "setY", Event: Event{Kind: SetLabel, Label: "Y"}, Alert: src},
+			},
+			query: "CREATE (:X {id: 1})",
+			want:  []string{"setY:1"},
+			check: func(t *testing.T, rep *Report, _ *graph.TxData) {
+				if len(rep.Activations) != 2 || rep.Activations[1].Rule != "setY" || rep.Activations[1].Round != 1 {
+					t.Errorf("activations = %+v, want add in round 0 then setY in round 1", rep.Activations)
+				}
+			},
+		},
+		{
+			name: "rule-major installation order, change-record order within a rule",
+			rules: []Rule{
+				{Name: "r1", Event: Event{Kind: CreateNode, Label: "X"}, Alert: src},
+				{Name: "r2", Event: Event{Kind: CreateNode}, Guard: real, Alert: src},
+				{Name: "r3", Event: Event{Kind: CreateNode, Label: "X"}, Alert: src},
+			},
+			query: "CREATE (:X {id: 1}), (:Z {id: 2}), (:X:Z {id: 3})",
+			want:  []string{"r1:1", "r1:3", "r2:1", "r2:2", "r2:3", "r3:1", "r3:3"},
+		},
+		{
+			name: "paused rule is skipped",
+			rules: []Rule{
+				{Name: "off", Event: Event{Kind: CreateNode, Label: "X"}, Alert: src},
+				{Name: "on", Event: Event{Kind: CreateNode, Label: "X"}, Alert: src},
+			},
+			paused: "off",
+			query:  "CREATE (:X {id: 1})",
+			want:   []string{"on:1"},
+		},
+		{
+			name:  "hidden node: create reaches no rule",
+			skip:  "Hidden",
+			rules: hiddenRules(),
+			query: "CREATE (:Hidden:X {id: 1})",
+			check: func(t *testing.T, _ *Report, data *graph.TxData) {
+				if len(data.CreatedNodes) != 1 {
+					t.Errorf("tx.Data() after Process = %+v, want the hidden create kept", data)
+				}
+			},
+		},
+		{
+			name:  "hidden node: property and label changes reach no rule",
+			skip:  "Hidden",
+			rules: hiddenRules(),
+			seed:  "CREATE (:Hidden:X {id: 1, w: 1})",
+			query: "MATCH (h:Hidden) SET h.v = 2, h:Extra REMOVE h.w, h:X",
+			check: func(t *testing.T, _ *Report, data *graph.TxData) {
+				if len(data.AssignedProps) != 1 || len(data.RemovedProps) != 1 ||
+					len(data.AssignedLabels) != 1 || len(data.RemovedLabels) != 1 {
+					t.Errorf("tx.Data() after Process = %+v, want the hidden changes kept", data)
+				}
+			},
+		},
+		{
+			name:  "hidden node: delete reaches no rule",
+			skip:  "Hidden",
+			rules: hiddenRules(),
+			seed:  "CREATE (:Hidden:X {id: 1})",
+			query: "MATCH (h:Hidden) DELETE h",
+			check: func(t *testing.T, _ *Report, data *graph.TxData) {
+				if len(data.DeletedNodes) != 1 {
+					t.Errorf("tx.Data() after Process = %+v, want the hidden delete kept", data)
+				}
+			},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := graph.NewStore()
+			e := newTestEngine()
+			if c.skip != "" {
+				e.SkipLabels[c.skip] = true
+			}
+			for _, r := range c.rules {
+				if err := e.Install(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c.paused != "" {
+				if err := e.Pause(c.paused); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c.seed != "" {
+				run(t, s, NewEngine(), c.seed)
+			}
+			tx := s.Begin(graph.ReadWrite)
+			defer tx.Rollback()
+			if _, err := cypher.Run(tx, c.query, nil); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := e.Process(tx, tx.ResetData())
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := tx.Data()
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if c.skip != "" && (rep.GuardChecks != 0 || rep.RulesConsidered != 0) {
+				t.Errorf("hidden entity reached a rule: %+v", rep)
+			}
+			if got := alertTrace(t, s); strings.Join(got, " ") != strings.Join(c.want, " ") {
+				t.Errorf("alert trace = %v, want %v", got, c.want)
+			}
+			if c.check != nil {
+				c.check(t, rep, data)
+			}
+		})
+	}
+}
+
+// TestEventsGeneratedAgainstReference drives seeded random transactions —
+// all eight change kinds, multi-label nodes, relationships, hidden labels —
+// through rules with random selectors and compares the engine's activation
+// multiset with refActivations, a brute-force matcher that tests every rule
+// against every change. Two leading rules write mid-round (one deletes the
+// nodes it sees, one strips their label), so a rule fired without rechecking
+// the entity shows up as an extra activation.
+func TestEventsGeneratedAgainstReference(t *testing.T) {
+	labels := []string{"A", "B", "Doomed", "Fickle", "Hidden"}
+	types := []string{"R", "S"}
+	keys := []string{"p", "q"}
+	kindsList := []EventKind{CreateNode, DeleteNode, CreateRelationship, DeleteRelationship,
+		SetLabel, RemoveLabel, SetProperty, RemoveProperty}
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pick := func(pool []string) string { return pool[rng.Intn(len(pool))] }
+		maybe := func(pool []string) string {
+			if rng.Intn(3) == 0 {
+				return ""
+			}
+			return pick(pool)
+		}
+		s := graph.NewStore()
+		e := newTestEngine()
+		e.SkipLabels["Hidden"] = true
+		got := map[string]int{}
+		e.AsyncSink = func(_ *graph.Tx, item AsyncItem) (bool, error) {
+			got[activationKey(item.Rule, item.Binding)]++
+			return true, nil
+		}
+		rules := []Rule{
+			{Name: "reap", Event: Event{Kind: CreateNode, Label: "Doomed"}, Action: "DETACH DELETE NEW"},
+			{Name: "strip", Event: Event{Kind: CreateNode, Label: "Fickle"}, Action: "REMOVE NEW:Fickle"},
+		}
+		for i := 0; i < 24; i++ {
+			ev := Event{Kind: kindsList[rng.Intn(len(kindsList))]}
+			switch ev.Kind {
+			case CreateRelationship, DeleteRelationship:
+				ev.Label = maybe(types)
+			case SetProperty, RemoveProperty:
+				ev.Label, ev.PropKey = maybe(append(labels[:len(labels):len(labels)], types...)), maybe(keys)
+			default:
+				ev.Label = maybe(labels)
+			}
+			rules = append(rules, Rule{Name: fmt.Sprintf("r%d", i), Event: ev, Guard: "true", Phase: AfterAsync})
+		}
+		for _, r := range rules {
+			if err := e.Install(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// Two transactions: the first populates, the second also mutates and
+		// deletes what the first committed.
+		uid := 0
+		for round := 0; round < 2; round++ {
+			tx := s.Begin(graph.ReadWrite)
+			nodes, rels := tx.AllNodes(), tx.AllRels()
+			for op := 0; op < 40; op++ {
+				var err error
+				switch k := rng.Intn(9); {
+				case k < 2 || len(nodes) == 0:
+					var ls []string
+					for _, l := range labels {
+						if rng.Intn(4) == 0 {
+							ls = append(ls, l)
+						}
+					}
+					uid++
+					var id graph.NodeID
+					id, err = tx.CreateNode(ls, map[string]value.Value{"uid": value.Int(int64(uid))})
+					nodes = append(nodes, id)
+				case k == 2:
+					uid++
+					var id graph.RelID
+					id, err = tx.CreateRel(nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))],
+						pick(types), map[string]value.Value{"uid": value.Int(int64(uid))})
+					if err == nil {
+						rels = append(rels, id)
+					}
+				case k == 3:
+					err = tx.SetLabel(nodes[rng.Intn(len(nodes))], pick(labels))
+				case k == 4:
+					err = tx.RemoveLabel(nodes[rng.Intn(len(nodes))], pick(labels))
+				case k == 5:
+					err = tx.SetNodeProp(nodes[rng.Intn(len(nodes))], pick(keys), value.Int(int64(op)))
+				case k == 6:
+					err = tx.RemoveNodeProp(nodes[rng.Intn(len(nodes))], pick(keys))
+				case k == 7 && len(rels) > 0:
+					if id := rels[rng.Intn(len(rels))]; rng.Intn(3) == 0 {
+						err = tx.DeleteRel(id)
+					} else if rng.Intn(2) == 0 {
+						err = tx.SetRelProp(id, pick(keys), value.Int(int64(op)))
+					} else {
+						err = tx.RemoveRelProp(id, pick(keys))
+					}
+				case k == 8:
+					err = tx.DeleteNode(nodes[rng.Intn(len(nodes))], true)
+				}
+				_ = err // operations on entities deleted earlier in the transaction fail; that is fine
+			}
+			for k := range got {
+				delete(got, k)
+			}
+			if _, err := e.Process(tx, tx.ResetData()); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			want := refActivations(tx, tx.Data(), e.SkipLabels, rules[2:])
+			if !reflect.DeepEqual(got, want) {
+				for k, n := range want {
+					if got[k] != n {
+						t.Errorf("seed %d tx %d: %s fired %d times, reference says %d", seed, round, k, got[k], n)
+					}
+				}
+				for k, n := range got {
+					if _, ok := want[k]; !ok {
+						t.Errorf("seed %d tx %d: %s fired %d times, reference says 0", seed, round, k, n)
+					}
+				}
+				t.FailNow()
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// activationKey identifies one activation: rule, entity (a live reference,
+// or a deleted snapshot's uid), property key and label.
+func activationKey(rule string, b Binding) string {
+	ent := "old:" + b["OLD"].String()
+	if id, ok := b["NEW"].EntityID(); ok {
+		ent = fmt.Sprintf("%s:%d", b["NEW"].Kind(), id)
+	} else if m, ok := b["OLD"].AsMap(); ok {
+		ent = "old:" + m["uid"].String()
+	}
+	return fmt.Sprintf("%s %s key=%s label=%s", rule, ent, b["KEY"], b["LABEL"])
+}
+
+// refActivations is the reference matcher: for every rule and every change
+// of the transaction's complete record, does the selector match? It runs
+// after Process against the final state, which for the rules behind the two
+// mid-round writers is the state they fired in; those writers only delete
+// and strip, so carrying a label now implies carrying it at round start.
+func refActivations(tx *graph.Tx, data *graph.TxData, skip map[string]bool, rules []Rule) map[string]int {
+	out := map[string]int{}
+	match := func(kind EventKind, on []string, hiddenBy []string, key string, b Binding) {
+		for _, l := range hiddenBy {
+			if skip[l] {
+				return
+			}
+		}
+		for _, r := range rules {
+			ev := r.Event
+			if ev.Kind == kind && (ev.Label == "" || slices.Contains(on, ev.Label)) &&
+				(ev.PropKey == "" || ev.PropKey == key) {
+				out[activationKey(r.Name, b)]++
+			}
+		}
+	}
+	for _, id := range data.CreatedNodes {
+		if ls, ok := tx.NodeLabels(id); ok {
+			match(CreateNode, ls, ls, "", Binding{"NEW": value.Node(int64(id))})
+		}
+	}
+	for _, n := range data.DeletedNodes {
+		match(DeleteNode, n.Labels, n.Labels, "", Binding{"OLD": value.Map(n.Props)})
+	}
+	for _, id := range data.CreatedRels {
+		if typ, _, _, ok := tx.RelEndpoints(id); ok {
+			match(CreateRelationship, []string{typ}, nil, "", Binding{"NEW": value.Relationship(int64(id))})
+		}
+	}
+	for _, r := range data.DeletedRels {
+		match(DeleteRelationship, []string{r.Type}, nil, "", Binding{"OLD": value.Map(r.Props)})
+	}
+	label := func(kind EventKind, changes []graph.LabelChange) {
+		for _, lc := range changes {
+			if ls, ok := tx.NodeLabels(lc.Node); ok {
+				match(kind, []string{lc.Label}, ls, "",
+					Binding{"NEW": value.Node(int64(lc.Node)), "LABEL": value.Str(lc.Label)})
+			}
+		}
+	}
+	label(SetLabel, data.AssignedLabels)
+	label(RemoveLabel, data.RemovedLabels)
+	prop := func(kind EventKind, changes []graph.PropChange) {
+		for _, pc := range changes {
+			b := Binding{"KEY": value.Str(pc.Key)}
+			if ls, ok := tx.NodeLabels(pc.Node); pc.Kind == graph.NodeEntity && ok {
+				b["NEW"] = value.Node(int64(pc.Node))
+				match(kind, ls, ls, pc.Key, b)
+			} else if typ, _, _, ok := tx.RelEndpoints(pc.Rel); pc.Kind == graph.RelEntity && ok {
+				b["NEW"] = value.Relationship(int64(pc.Rel))
+				match(kind, []string{typ}, nil, pc.Key, b)
+			}
+		}
+	}
+	prop(SetProperty, data.AssignedProps)
+	prop(RemoveProperty, data.RemovedProps)
+	return out
 }

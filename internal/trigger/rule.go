@@ -221,10 +221,9 @@ func (cr *Compiled) footprint() footprint {
 	}
 	// The event selector is also part of the read set.
 	if cr.Event.Label != "" {
-		switch cr.Event.Kind {
-		case CreateRelationship, DeleteRelationship:
+		if cr.Event.Kind.row().onRel {
 			fp.readRelTypes = append(fp.readRelTypes, cr.Event.Label)
-		default:
+		} else {
 			fp.readLabels = append(fp.readLabels, cr.Event.Label)
 		}
 	}

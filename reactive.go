@@ -144,6 +144,9 @@ const (
 	RemoveProperty     = trigger.RemoveProperty
 )
 
+// ParseEventKind resolves an event kind's JSON name ("createNode").
+func ParseEventKind(name string) (EventKind, bool) { return trigger.ParseEventKind(name) }
+
 // Phase selects when a rule's alert query runs relative to the triggering
 // transaction: synchronously inside it (PhaseBefore, the default) or
 // asynchronously against a committed snapshot (PhaseAfterAsync), mirroring
