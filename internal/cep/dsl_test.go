@@ -105,6 +105,27 @@ func TestCEPParseRuleForms(t *testing.T) {
 				}
 			},
 		},
+		{
+			// An apostrophe in a comment opens no quote; keywords in one are
+			// prose.
+			name: "comments in the atom list",
+			src: "CREATE TRIGGER commented ON HUB P\n" +
+				"WHEN COUNT(CREATE NODE Txn IF NEW.amount > 1 // don't count small ones\n" +
+				"           BY NEW.account /* BY WITHIN THEN */) >= 2 WITHIN 5m\n" +
+				"THEN RETURN KEY AS k",
+			want: func(t *testing.T, r Rule) {
+				st := r.Steps[0]
+				if st.Guard != "NEW.amount > 1 // don't count small ones" {
+					t.Fatalf("guard = %q", st.Guard)
+				}
+				if st.Key != "NEW.account /* BY WITHIN THEN */" {
+					t.Fatalf("key = %q", st.Key)
+				}
+				if r.Threshold != 2 || r.Window != 5*time.Minute || r.Alert != "RETURN KEY AS k" {
+					t.Fatalf("rule = %+v", r)
+				}
+			},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -13,26 +13,10 @@ type aggregator interface {
 	result() value.Value
 }
 
+// newAggregator builds the accumulator of one aggregate call (resolved by
+// the parser to its function-table row) for one group.
 func newAggregator(call *FuncCall) aggregator {
-	var inner aggregator
-	switch call.Name {
-	case "count":
-		inner = &countAgg{star: call.Star}
-	case "sum":
-		inner = &sumAgg{}
-	case "avg":
-		inner = &avgAgg{}
-	case "min":
-		inner = &minMaxAgg{min: true}
-	case "max":
-		inner = &minMaxAgg{}
-	case "collect":
-		inner = &collectAgg{}
-	case "stdev":
-		inner = &stdevAgg{}
-	default:
-		inner = &countAgg{}
-	}
+	inner := call.def.agg()
 	if call.Distinct {
 		return &distinctAgg{inner: inner, seen: make(map[string]bool)}
 	}
@@ -58,13 +42,13 @@ func (a *distinctAgg) add(v value.Value) error {
 
 func (a *distinctAgg) result() value.Value { return a.inner.result() }
 
+// countAgg counts non-NULL values; count(*) is fed TRUE once per row.
 type countAgg struct {
-	star bool
-	n    int64
+	n int64
 }
 
 func (a *countAgg) add(v value.Value) error {
-	if a.star || !v.IsNull() {
+	if !v.IsNull() {
 		a.n++
 	}
 	return nil

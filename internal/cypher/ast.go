@@ -286,6 +286,7 @@ type FuncCall struct {
 	Distinct bool
 	Star     bool
 	Args     []Expr
+	def      *funcDef // the function-table row the parser resolved Name to
 	pos      int
 }
 
@@ -371,3 +372,75 @@ func (*ListComp) exprNode()      {}
 func (*ListPredicate) exprNode() {}
 func (*ReduceExpr) exprNode()    {}
 func (*PatternExpr) exprNode()   {}
+
+// walkExpr is the one recursion over the expression AST. It calls visit for
+// e and then, unless visit returned false, for each sub-expression in source
+// order: operands, arguments, CASE arms, list and map elements, the parts of
+// comprehensions, quantifiers and reduce, and the property maps of a pattern
+// predicate's nodes and relationships. body is true for the root of a body
+// evaluated per list element under a variable the enclosing expression binds
+// (a comprehension's WHERE and projection, a quantifier's WHERE, reduce's
+// body), so a visitor can skip inner scopes.
+func walkExpr(e Expr, visit func(x Expr, body bool) bool) {
+	walkNode(e, false, visit)
+}
+
+func walkNode(e Expr, body bool, visit func(Expr, bool) bool) {
+	if e == nil || !visit(e, body) {
+		return
+	}
+	sub := func(xs ...Expr) {
+		for _, x := range xs {
+			walkNode(x, false, visit)
+		}
+	}
+	inner := func(xs ...Expr) {
+		for _, x := range xs {
+			walkNode(x, true, visit)
+		}
+	}
+	switch x := e.(type) {
+	case *PropAccess:
+		sub(x.X)
+	case *IndexExpr:
+		sub(x.X, x.Idx)
+	case *SliceExpr:
+		sub(x.X, x.From, x.To)
+	case *UnaryOp:
+		sub(x.X)
+	case *BinaryOp:
+		sub(x.L, x.R)
+	case *FuncCall:
+		sub(x.Args...)
+	case *CaseExpr:
+		sub(x.Test)
+		for _, w := range x.Whens {
+			sub(w.Cond, w.Then)
+		}
+		sub(x.Else)
+	case *ListLit:
+		sub(x.Elems...)
+	case *MapLit:
+		sub(x.Vals...)
+	case *ListComp:
+		sub(x.List)
+		inner(x.Where, x.Proj)
+	case *ListPredicate:
+		sub(x.List)
+		inner(x.Where)
+	case *ReduceExpr:
+		sub(x.Init, x.List)
+		inner(x.Body)
+	case *PatternExpr:
+		for _, n := range x.Pattern.Nodes {
+			for _, k := range sortedPropKeys(n.Props) {
+				sub(n.Props[k])
+			}
+		}
+		for _, r := range x.Pattern.Rels {
+			for _, k := range sortedPropKeys(r.Props) {
+				sub(r.Props[k])
+			}
+		}
+	}
+}

@@ -1,11 +1,84 @@
 package cypher
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/graph"
 	"repro/internal/metrics"
 )
+
+// variantCache holds the compiled variants of one prepared artifact — a
+// statement's plans, a standalone expression's closures — one per binding
+// shape and executing store. Lookups are lock-free over a copy-on-write map;
+// a missing variant, or one whose statistics have drifted, is compiled under
+// the lock.
+type variantCache[V any] struct {
+	m  atomic.Pointer[map[variantKey]cachedVariant[V]]
+	mu sync.Mutex
+}
+
+// variantKey addresses one compiled variant: the sorted binding-name shape
+// joined with \x1f, plus the identity of the store the variant was costed
+// against (graph.ReadView.StoreKey).
+type variantKey struct {
+	shape string
+	store any
+}
+
+// cachedVariant stamps a variant with the statistics it was costed on.
+type cachedVariant[V any] struct {
+	v    V
+	snap *statsSnapshot
+}
+
+// get returns the variant for bindNames on tx's store, calling compile —
+// which records the statistics it consults in the snapshot it is handed —
+// when there is none or it is stale.
+func (c *variantCache[V]) get(tx graph.ReadView, bindNames []string, compile func(*statsSnapshot) (V, error)) (V, error) {
+	key := variantKey{shape: strings.Join(bindNames, "\x1f"), store: tx.StoreKey()}
+	if v, ok := c.lookup(key, tx); ok {
+		return v, nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.lookup(key, tx); ok {
+		return v, nil
+	}
+	snap := newStatsSnapshot()
+	v, err := compile(snap)
+	if err != nil {
+		return v, err
+	}
+	next := make(map[variantKey]cachedVariant[V], c.len()+1)
+	if old := c.m.Load(); old != nil {
+		for k, ov := range *old {
+			next[k] = ov
+		}
+	}
+	next[key] = cachedVariant[V]{v: v, snap: snap}
+	c.m.Store(&next)
+	return v, nil
+}
+
+func (c *variantCache[V]) lookup(key variantKey, tx graph.ReadView) (V, bool) {
+	if m := c.m.Load(); m != nil {
+		if e, ok := (*m)[key]; ok && !e.snap.stale(tx) {
+			return e.v, true
+		}
+	}
+	var zero V
+	return zero, false
+}
+
+// len reports how many variants the cache holds.
+func (c *variantCache[V]) len() int {
+	if m := c.m.Load(); m != nil {
+		return len(*m)
+	}
+	return 0
+}
 
 const cacheShards = 16
 

@@ -422,11 +422,12 @@ func compileLogic(cc *compileCtx, en *env, x *BinaryOp) (exprFn, error) {
 	}, nil
 }
 
-// compileFuncCall compiles function invocation. Aggregate calls compile to a
-// lookup of the pre-computed group value (set by the projection machinery
-// during finalization); anywhere else they are a compile-time error.
+// compileFuncCall compiles function invocation against the function-table
+// row the parser resolved. Aggregate calls compile to a lookup of the
+// pre-computed group value (set by the projection machinery during
+// finalization); anywhere else they are an evaluation error.
 func compileFuncCall(cc *compileCtx, en *env, x *FuncCall) (exprFn, error) {
-	if isAggregateFunc(x.Name) {
+	if x.def.agg != nil {
 		call, pos, name, query := x, x.pos, x.Name, cc.query
 		return func(ctx *evalCtx, _ row) (value.Value, error) {
 			if ctx.aggSub != nil {
@@ -445,7 +446,7 @@ func compileFuncCall(cc *compileCtx, en *env, x *FuncCall) (exprFn, error) {
 		}
 		fns[i] = f
 	}
-	call := x
+	impl := x.def.scalar
 	return func(ctx *evalCtx, r row) (value.Value, error) {
 		args := make([]value.Value, len(fns))
 		for i, f := range fns {
@@ -455,7 +456,7 @@ func compileFuncCall(cc *compileCtx, en *env, x *FuncCall) (exprFn, error) {
 			}
 			args[i] = v
 		}
-		return applyFunc(ctx, call, args)
+		return impl(ctx, args)
 	}, nil
 }
 

@@ -82,11 +82,9 @@ func drifted(old, cur int) bool {
 	return hi > 2*lo
 }
 
-// accessPlan records the statically chosen way to enumerate anchor
+// accessPlan records the compile-time choice of how to enumerate anchor
 // candidates for one pattern part, plus the cardinality estimate that drove
-// the choice (surfaced by EXPLAIN). At runtime a node variable already bound
-// by an earlier clause always overrides it, since a single bound node beats
-// any scan.
+// the choice (surfaced by EXPLAIN).
 type accessPlan struct {
 	anchor int        // node position in the pattern chain
 	kind   accessKind // how candidates are produced
@@ -96,21 +94,24 @@ type accessPlan struct {
 	est    int        // estimated candidate count at plan time
 }
 
+// cost ranks the plan for ordering a MATCH's parts: an index lookup, then a
+// label scan, then a full scan, each by its estimate.
+func (ap *accessPlan) cost() int64 {
+	switch ap.kind {
+	case accessIndex:
+		return 1
+	case accessLabel:
+		return 2 + int64(ap.est)
+	default:
+		return 2 + 2*int64(ap.est)
+	}
+}
+
 type accessKind int
 
 const (
-	accessScan accessKind = iota
-	accessLabel
-	accessIndex
+	accessScan  accessKind = iota
+	accessLabel            // nodes with the label
+	accessIndex            // nodes with the indexed (label, key) value
+	accessBound            // the one node the anchor's variable is bound to
 )
-
-func (k accessKind) String() string {
-	switch k {
-	case accessIndex:
-		return "index"
-	case accessLabel:
-		return "label scan"
-	default:
-		return "full scan"
-	}
-}

@@ -8,51 +8,49 @@ import (
 	"repro/internal/value"
 )
 
-// Explain renders a description of the physical plan the compiler chooses
-// for a statement against the store's current indexes and statistics: the
-// clause pipeline, and for each MATCH the pattern execution order and the
-// access path (index lookup, label scan, or full scan) with its estimated
-// cardinality. The same costing code that plans execution produces the
-// description.
+// Explain renders the physical plan Execute runs for a statement (with no
+// bindings) against the store's current indexes and statistics: the clause
+// pipeline, and for each MATCH the pattern execution order and each part's
+// anchor (bound variable, index lookup, label scan, or full scan) with its
+// estimated cardinality. It is a rendering of the statement's compiled
+// variant, not a second planner.
 func Explain(tx graph.ReadView, stmt *Statement) string {
-	lines := explainLines(tx, stmt)
-	return strings.Join(lines, "\n") + "\n"
+	v, err := stmt.Prepared().variant(tx, nil)
+	if err != nil {
+		return "plan error: " + err.Error() + "\n"
+	}
+	return strings.Join(v.explain(), "\n") + "\n"
 }
 
 // explainResult is what executing an EXPLAIN-prefixed statement returns:
 // one "plan" column with a line per row.
-func (p *Plan) explainResult(tx graph.ReadView, v *planVariant) *Result {
-	lines := explainLines(tx, p.stmt)
-	lines = append(lines, fmt.Sprintf("plan variants compiled: %d", p.Variants()))
+func (p *Plan) explainResult(v *planVariant) *Result {
+	lines := append(v.explain(), fmt.Sprintf("plan variants compiled: %d", p.Variants()))
 	rows := make([][]value.Value, len(lines))
 	for i, l := range lines {
 		rows[i] = []value.Value{value.Str(l)}
 	}
-	_ = v
 	return &Result{Columns: []string{"plan"}, Rows: rows}
 }
 
-func explainLines(tx graph.ReadView, stmt *Statement) []string {
-	var lines []string
-	lines = append(lines, explainBranch(tx, stmt, stmt.Clauses)...)
-	for i, b := range stmt.Unions {
+func (v *planVariant) explain() []string {
+	lines := v.main.explain()
+	for i, ub := range v.unions {
 		joint := "UNION"
-		if b.All {
+		if ub.all {
 			joint = "UNION ALL"
 		}
 		lines = append(lines, fmt.Sprintf("%s (branch %d)", joint, i+2))
-		lines = append(lines, explainBranch(tx, stmt, b.Clauses)...)
+		lines = append(lines, ub.cb.explain()...)
 	}
 	return lines
 }
 
-// explainBranch walks one clause pipeline with the same slot assignment and
-// access-path planning the compiler performs, emitting a line per step.
-func explainBranch(tx graph.ReadView, stmt *Statement, clauses []Clause) []string {
-	cc := &compileCtx{query: stmt.Query, tx: tx, snap: newStatsSnapshot()}
-	en := newEnv()
+// explain numbers the branch's steps, each followed by its decisions, after
+// the count-store shortcut when one applies.
+func (cb *compiledBranch) explain() []string {
 	var lines []string
-	if fc := compileFastCount(cc, clauses); fc != nil {
+	if fc := cb.fast; fc != nil {
 		switch fc.kind {
 		case fcTotal:
 			lines = append(lines, "fast count: total nodes (count store)")
@@ -62,86 +60,18 @@ func explainBranch(tx graph.ReadView, stmt *Statement, clauses []Clause) []strin
 			lines = append(lines, fmt.Sprintf("fast count: :%s.%s (property count store)", fc.label, fc.key))
 		}
 	}
-	for i, cl := range clauses {
-		prefix := fmt.Sprintf("%d. ", i+1)
-		switch c := cl.(type) {
-		case *MatchClause:
-			kw := "MATCH"
-			if c.Optional {
-				kw = "OPTIONAL MATCH"
-			}
-			lines = append(lines, prefix+kw)
-			parent := en
-			en = en.clone()
-			cps := make([]*compiledPattern, len(c.Patterns))
-			for j, p := range c.Patterns {
-				cps[j] = patternSlots(en, p)
-			}
-			planned := true
-			for _, cp := range cps {
-				if err := compilePatternBody(cc, en, cp); err != nil {
-					lines = append(lines, "   plan error: "+err.Error())
-					planned = false
-					break
-				}
-			}
-			if !planned {
-				continue
-			}
-			order := orderPatterns(parent, en, cps)
-			for rank, idx := range order {
-				cp := cps[idx]
-				lines = append(lines, fmt.Sprintf("   pattern %d/%d %s",
-					rank+1, len(order), describePattern(cp.part)))
-				lines = append(lines, "   "+describeAccess(&cp.access))
-			}
-			if c.Where != nil {
-				lines = append(lines, "   filter: WHERE")
-			}
-		case *UnwindClause:
-			lines = append(lines, fmt.Sprintf("%sUNWIND … AS %s", prefix, c.Var))
-			en = en.clone()
-			en.add(c.Var)
-		case *WithClause:
-			lines = append(lines, fmt.Sprintf("%sWITH (%s)", prefix,
-				describeProjection(c.Items, c.Star, c.Distinct, c.OrderBy != nil)))
-			en = projectionEnv(en, c.Items, c.Star)
-		case *ReturnClause:
-			lines = append(lines, fmt.Sprintf("%sRETURN (%s)", prefix,
-				describeProjection(c.Items, c.Star, c.Distinct, c.OrderBy != nil)))
-		case *CreateClause:
-			lines = append(lines, fmt.Sprintf("%sCREATE %d pattern(s)", prefix, len(c.Patterns)))
-			en = en.clone()
-			for _, p := range c.Patterns {
-				patternSlots(en, p)
-			}
-		case *MergeClause:
-			lines = append(lines, fmt.Sprintf("%sMERGE %s", prefix, describePattern(c.Pattern)))
-			en = en.clone()
-			cp := patternSlots(en, c.Pattern)
-			if err := compilePatternBody(cc, en, cp); err == nil {
-				lines = append(lines, "   "+describeAccess(&cp.access))
-			}
-		case *DeleteClause:
-			kw := "DELETE"
-			if c.Detach {
-				kw = "DETACH DELETE"
-			}
-			lines = append(lines, fmt.Sprintf("%s%s %d expression(s)", prefix, kw, len(c.Exprs)))
-		case *ForeachClause:
-			lines = append(lines, fmt.Sprintf("%sFOREACH %s IN … (%d update clause(s))",
-				prefix, c.Var, len(c.Body)))
-		case *SetClause:
-			lines = append(lines, fmt.Sprintf("%sSET %d item(s)", prefix, len(c.Items)))
-		case *RemoveClause:
-			lines = append(lines, fmt.Sprintf("%sREMOVE %d item(s)", prefix, len(c.Items)))
-		}
+	for i, st := range cb.steps {
+		lines = append(lines, fmt.Sprintf("%d. %s", i+1, st.explain[0]))
+		lines = append(lines, st.explain[1:]...)
 	}
 	return lines
 }
 
-func describeAccess(ap *accessPlan) string {
+func (cp *compiledPattern) describeAccess() string {
+	ap := &cp.access
 	switch ap.kind {
+	case accessBound:
+		return fmt.Sprintf("anchor: node %d via bound variable %s, est 1 row", ap.anchor, cp.part.Nodes[ap.anchor].Var)
 	case accessIndex:
 		return fmt.Sprintf("anchor: node %d via index (%s.%s), est 1 row", ap.anchor, ap.label, ap.key)
 	case accessLabel:
@@ -149,19 +79,6 @@ func describeAccess(ap *accessPlan) string {
 	default:
 		return fmt.Sprintf("anchor: node %d via full scan, est %d rows", ap.anchor, ap.est)
 	}
-}
-
-func projectionEnv(en *env, items []*ReturnItem, star bool) *env {
-	ne := newEnv()
-	if star {
-		for _, n := range en.names {
-			ne.add(n)
-		}
-	}
-	for _, it := range items {
-		ne.add(itemName(it))
-	}
-	return ne
 }
 
 func describeProjection(items []*ReturnItem, star, distinct, ordered bool) string {

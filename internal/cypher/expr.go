@@ -1,10 +1,6 @@
 package cypher
 
 import (
-	"strings"
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/graph"
 	"repro/internal/value"
 )
@@ -17,14 +13,7 @@ import (
 type CompiledExpr struct {
 	src      string
 	expr     Expr
-	variants atomic.Pointer[map[variantKey]*exprVariant]
-	mu       sync.Mutex
-}
-
-type exprVariant struct {
-	names []string
-	fn    exprFn
-	snap  *statsSnapshot
+	variants variantCache[exprFn]
 }
 
 // PrepareExpr parses and wraps a standalone expression.
@@ -39,10 +28,7 @@ func PrepareExpr(src string) (*CompiledExpr, error) {
 // NewCompiledExpr wraps an already parsed expression. src is used for
 // positioned error messages and may be empty.
 func NewCompiledExpr(e Expr, src string) *CompiledExpr {
-	ce := &CompiledExpr{src: src, expr: e}
-	empty := make(map[variantKey]*exprVariant)
-	ce.variants.Store(&empty)
-	return ce
+	return &CompiledExpr{src: src, expr: e}
 }
 
 // Expr returns the parsed AST (for footprint inspection).
@@ -57,7 +43,7 @@ func (ce *CompiledExpr) Eval(tx graph.ReadView, opts *Options) (value.Value, err
 		opts = &Options{}
 	}
 	names := sortedBindingNames(opts.Bindings)
-	v, err := ce.variant(tx, names)
+	fn, err := ce.variant(tx, names)
 	if err != nil {
 		return value.Null, err
 	}
@@ -66,7 +52,7 @@ func (ce *CompiledExpr) Eval(tx graph.ReadView, opts *Options) (value.Value, err
 		r[i] = opts.Bindings[n]
 	}
 	ctx := &evalCtx{tx: tx, params: opts.Params, now: opts.Now, query: ce.src}
-	return v.fn(ctx, r)
+	return fn(ctx, r)
 }
 
 // EvalBool evaluates the expression under ternary guard semantics: only an
@@ -80,37 +66,12 @@ func (ce *CompiledExpr) EvalBool(tx graph.ReadView, opts *Options) (bool, error)
 	return known && b, nil
 }
 
-func (ce *CompiledExpr) variant(tx graph.ReadView, names []string) (*exprVariant, error) {
-	key := variantKey{shape: strings.Join(names, "\x1f"), store: tx.StoreKey()}
-	if m := ce.variants.Load(); m != nil {
-		if v, ok := (*m)[key]; ok && !v.snap.stale(tx) {
-			return v, nil
+func (ce *CompiledExpr) variant(tx graph.ReadView, names []string) (exprFn, error) {
+	return ce.variants.get(tx, names, func(snap *statsSnapshot) (exprFn, error) {
+		en := newEnv()
+		for _, n := range names {
+			en.add(n)
 		}
-	}
-	ce.mu.Lock()
-	defer ce.mu.Unlock()
-	if m := ce.variants.Load(); m != nil {
-		if v, ok := (*m)[key]; ok && !v.snap.stale(tx) {
-			return v, nil
-		}
-	}
-	snap := newStatsSnapshot()
-	cc := &compileCtx{query: ce.src, tx: tx, snap: snap}
-	en := newEnv()
-	for _, n := range names {
-		en.add(n)
-	}
-	fn, err := compileExpr(cc, en, ce.expr)
-	if err != nil {
-		return nil, err
-	}
-	v := &exprVariant{names: names, fn: fn, snap: snap}
-	old := ce.variants.Load()
-	next := make(map[variantKey]*exprVariant, len(*old)+1)
-	for k, ov := range *old {
-		next[k] = ov
-	}
-	next[key] = v
-	ce.variants.Store(&next)
-	return v, nil
+		return compileExpr(&compileCtx{query: ce.src, tx: tx, snap: snap}, en, ce.expr)
+	})
 }

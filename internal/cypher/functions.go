@@ -3,123 +3,223 @@ package cypher
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/value"
 )
 
-// isAggregateFunc reports whether name is an aggregation function handled by
-// the projection machinery rather than by plain evaluation.
-func isAggregateFunc(name string) bool {
-	switch name {
-	case "count", "sum", "avg", "min", "max", "collect", "stdev":
-		return true
-	}
-	return false
+// funcDef is one row of the function table: the argument counts a function
+// accepts, whether it takes f(*) and f(DISTINCT x), and its implementation —
+// a scalar function of the evaluated arguments, or for an aggregate the
+// constructor of its per-group accumulator. The parser resolves every call
+// against the table, so an unknown name, a wrong argument count, or a * or
+// DISTINCT the function does not take is a parse error with an offset.
+type funcDef struct {
+	arity    uint64 // bit n set: n arguments accepted (bit 63: 63 or more)
+	star     bool
+	distinct bool
+	scalar   func(ctx *evalCtx, args []value.Value) (value.Value, error)
+	agg      func() aggregator
 }
 
-func arity(call *FuncCall, args []value.Value, min, max int) error {
-	if len(args) < min || (max >= 0 && len(args) > max) {
-		return fmt.Errorf("cypher: wrong number of arguments to %s()", call.Name)
+// accepts reports whether the function takes n arguments.
+func (d *funcDef) accepts(n int) bool { return d.arity&(1<<min(n, 63)) != 0 }
+
+// counts is the arity of a function taking exactly one of ns arguments;
+// atLeast(n) that of one taking n or more.
+func counts(ns ...int) uint64 {
+	var m uint64
+	for _, n := range ns {
+		m |= 1 << n
 	}
-	return nil
+	return m
 }
 
-func applyFunc(ctx *evalCtx, call *FuncCall, args []value.Value) (value.Value, error) {
-	name := call.Name
-	switch name {
-	case "id":
-		if err := arity(call, args, 1, 1); err != nil {
-			return value.Null, err
-		}
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
-		id, ok := args[0].EntityID()
-		if !ok {
-			return value.Null, fmt.Errorf("cypher: id() requires a node or relationship")
-		}
-		return value.Int(id), nil
+func atLeast(n int) uint64 { return ^uint64(0) << n }
 
-	case "labels":
-		if err := arity(call, args, 1, 1); err != nil {
-			return value.Null, err
-		}
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
-		if args[0].Kind() != value.KindNode {
-			return value.Null, fmt.Errorf("cypher: labels() requires a node")
-		}
-		id, _ := args[0].EntityID()
-		labels, ok := ctx.tx.NodeLabels(graph.NodeID(id))
-		if !ok {
-			return value.Null, nil
-		}
-		out := make([]value.Value, len(labels))
-		for i, l := range labels {
-			out[i] = value.Str(l)
-		}
-		return value.ListOf(out), nil
+// functions is the function table, keyed by lower-cased name.
+var functions = map[string]*funcDef{
+	// Aggregates: the projection feeds each one argument value per row
+	// (count(*) feeds TRUE).
+	"count":   {arity: counts(1), star: true, distinct: true, agg: func() aggregator { return &countAgg{} }},
+	"sum":     {arity: counts(1), distinct: true, agg: func() aggregator { return &sumAgg{} }},
+	"avg":     {arity: counts(1), distinct: true, agg: func() aggregator { return &avgAgg{} }},
+	"min":     {arity: counts(1), distinct: true, agg: func() aggregator { return &minMaxAgg{min: true} }},
+	"max":     {arity: counts(1), distinct: true, agg: func() aggregator { return &minMaxAgg{} }},
+	"collect": {arity: counts(1), distinct: true, agg: func() aggregator { return &collectAgg{} }},
+	"stdev":   {arity: counts(1), distinct: true, agg: func() aggregator { return &stdevAgg{} }},
 
-	case "type":
-		if err := arity(call, args, 1, 1); err != nil {
-			return value.Null, err
-		}
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
-		if args[0].Kind() != value.KindRelationship {
-			return value.Null, fmt.Errorf("cypher: type() requires a relationship")
-		}
-		id, _ := args[0].EntityID()
-		typ, _, _, ok := ctx.tx.RelEndpoints(graph.RelID(id))
-		if !ok {
-			return value.Null, nil
-		}
-		return value.Str(typ), nil
+	// Entities.
+	"id":         {arity: counts(1), scalar: nullIn(fnID)},
+	"labels":     {arity: counts(1), scalar: nullIn(fnLabels)},
+	"type":       {arity: counts(1), scalar: nullIn(fnType)},
+	"startnode":  {arity: counts(1), scalar: nullIn(endpoint("startnode", true))},
+	"endnode":    {arity: counts(1), scalar: nullIn(endpoint("endnode", false))},
+	"properties": {arity: counts(1), scalar: fnProperties},
+	"keys":       {arity: counts(1), scalar: keysOf},
+	"degree":     {arity: counts(1, 2), scalar: nullIn(fnDegree)},
+	"countnodes": {arity: counts(1, 3), scalar: fnCountNodes},
 
-	case "startnode", "endnode":
-		if err := arity(call, args, 1, 1); err != nil {
-			return value.Null, err
-		}
-		if args[0].IsNull() {
+	// Lists and strings.
+	"size":      {arity: counts(1), scalar: nullIn(sizeOf("size"))},
+	"length":    {arity: counts(1), scalar: nullIn(sizeOf("length"))},
+	"head":      {arity: counts(1), scalar: nullIn(listPick(0))},
+	"last":      {arity: counts(1), scalar: nullIn(listPick(-1))},
+	"tail":      {arity: counts(1), scalar: nullIn(fnTail)},
+	"reverse":   {arity: counts(1), scalar: nullIn(fnReverse)},
+	"range":     {arity: counts(2, 3), scalar: fnRange},
+	"coalesce":  {arity: atLeast(1), scalar: fnCoalesce},
+	"tolower":   {arity: counts(1), scalar: nullIn(strFn("tolower", strings.ToLower))},
+	"toupper":   {arity: counts(1), scalar: nullIn(strFn("toupper", strings.ToUpper))},
+	"trim":      {arity: counts(1), scalar: nullIn(strFn("trim", strings.TrimSpace))},
+	"ltrim":     {arity: counts(1), scalar: nullIn(strFn("ltrim", func(s string) string { return strings.TrimLeft(s, " \t\r\n") }))},
+	"rtrim":     {arity: counts(1), scalar: nullIn(strFn("rtrim", func(s string) string { return strings.TrimRight(s, " \t\r\n") }))},
+	"substring": {arity: counts(2, 3), scalar: nullIn(fnSubstring)},
+	"replace":   {arity: counts(3), scalar: fnReplace},
+	"split":     {arity: counts(2), scalar: fnSplit},
+	"left":      {arity: counts(2), scalar: nullIn(side("left", true))},
+	"right":     {arity: counts(2), scalar: nullIn(side("right", false))},
+
+	// Numbers and conversions.
+	"abs":       {arity: counts(1), scalar: nullIn(fnAbs)},
+	"ceil":      {arity: counts(1), scalar: nullIn(floatFn("ceil", math.Ceil))},
+	"floor":     {arity: counts(1), scalar: nullIn(floatFn("floor", math.Floor))},
+	"round":     {arity: counts(1), scalar: nullIn(floatFn("round", math.Round))},
+	"sqrt":      {arity: counts(1), scalar: nullIn(floatFn("sqrt", math.Sqrt))},
+	"sign":      {arity: counts(1), scalar: nullIn(fnSign)},
+	"tofloat":   {arity: counts(1), scalar: conv(value.ToFloat)},
+	"tointeger": {arity: counts(1), scalar: conv(value.ToInteger)},
+	"toint":     {arity: counts(1), scalar: conv(value.ToInteger)},
+	"tostring":  {arity: counts(1), scalar: conv(value.ToString)},
+	"toboolean": {arity: counts(1), scalar: conv(value.ToBoolean)},
+
+	// Time.
+	"datetime":  {arity: counts(0, 1), scalar: nullIn(fnDateTime)},
+	"timestamp": {arity: counts(0), scalar: fnTimestamp},
+	"duration":  {arity: counts(1), scalar: nullIn(fnDuration)},
+}
+
+type scalarFn = func(ctx *evalCtx, args []value.Value) (value.Value, error)
+
+// nullIn makes f return NULL when its first argument is NULL.
+func nullIn(f scalarFn) scalarFn {
+	return func(ctx *evalCtx, args []value.Value) (value.Value, error) {
+		if len(args) > 0 && args[0].IsNull() {
 			return value.Null, nil
 		}
+		return f(ctx, args)
+	}
+}
+
+func conv(f func(value.Value) (value.Value, error)) scalarFn {
+	return func(_ *evalCtx, args []value.Value) (value.Value, error) { return f(args[0]) }
+}
+
+func fnID(_ *evalCtx, args []value.Value) (value.Value, error) {
+	id, ok := args[0].EntityID()
+	if !ok {
+		return value.Null, fmt.Errorf("cypher: id() requires a node or relationship")
+	}
+	return value.Int(id), nil
+}
+
+func fnLabels(ctx *evalCtx, args []value.Value) (value.Value, error) {
+	if args[0].Kind() != value.KindNode {
+		return value.Null, fmt.Errorf("cypher: labels() requires a node")
+	}
+	id, _ := args[0].EntityID()
+	labels, ok := ctx.tx.NodeLabels(graph.NodeID(id))
+	if !ok {
+		return value.Null, nil
+	}
+	out := make([]value.Value, len(labels))
+	for i, l := range labels {
+		out[i] = value.Str(l)
+	}
+	return value.ListOf(out), nil
+}
+
+func fnType(ctx *evalCtx, args []value.Value) (value.Value, error) {
+	if args[0].Kind() != value.KindRelationship {
+		return value.Null, fmt.Errorf("cypher: type() requires a relationship")
+	}
+	id, _ := args[0].EntityID()
+	typ, _, _, ok := ctx.tx.RelEndpoints(graph.RelID(id))
+	if !ok {
+		return value.Null, nil
+	}
+	return value.Str(typ), nil
+}
+
+// endpoint is startNode(r) (start set) or endNode(r).
+func endpoint(name string, start bool) scalarFn {
+	return func(ctx *evalCtx, args []value.Value) (value.Value, error) {
 		if args[0].Kind() != value.KindRelationship {
 			return value.Null, fmt.Errorf("cypher: %s() requires a relationship", name)
 		}
 		id, _ := args[0].EntityID()
-		_, start, end, ok := ctx.tx.RelEndpoints(graph.RelID(id))
+		_, from, to, ok := ctx.tx.RelEndpoints(graph.RelID(id))
 		if !ok {
 			return value.Null, nil
 		}
-		if name == "startnode" {
-			return value.Node(int64(start)), nil
+		if start {
+			return value.Node(int64(from)), nil
 		}
-		return value.Node(int64(end)), nil
+		return value.Node(int64(to)), nil
+	}
+}
 
-	case "properties":
-		if err := arity(call, args, 1, 1); err != nil {
-			return value.Null, err
+// fnDegree is degree(node [, type]), an extension used by rule diagnostics.
+func fnDegree(ctx *evalCtx, args []value.Value) (value.Value, error) {
+	if args[0].Kind() != value.KindNode {
+		return value.Null, fmt.Errorf("cypher: degree() requires a node")
+	}
+	id, _ := args[0].EntityID()
+	if len(args) == 2 {
+		typ, ok := args[1].AsString()
+		if !ok {
+			return value.Null, fmt.Errorf("cypher: degree() type must be a string")
 		}
-		return propertiesOf(ctx, args[0])
+		return value.Int(int64(len(ctx.tx.RelsOf(graph.NodeID(id), graph.Both, []string{typ})))), nil
+	}
+	return value.Int(int64(ctx.tx.Degree(graph.NodeID(id), graph.Both))), nil
+}
 
-	case "keys":
-		if err := arity(call, args, 1, 1); err != nil {
-			return value.Null, err
+// fnCountNodes is countNodes(label) or countNodes(label, key, value) —
+// count-store access: O(1) when a property index exists on (label, key), the
+// analog of Neo4j's count store. Falls back to a label scan.
+func fnCountNodes(ctx *evalCtx, args []value.Value) (value.Value, error) {
+	label, ok := args[0].AsString()
+	if !ok {
+		return value.Null, fmt.Errorf("cypher: countNodes() label must be a string")
+	}
+	if len(args) == 1 {
+		return value.Int(int64(ctx.tx.CountByLabel(label))), nil
+	}
+	key, ok := args[1].AsString()
+	if !ok {
+		return value.Null, fmt.Errorf("cypher: countNodes() key must be a string")
+	}
+	if n, indexed := ctx.tx.CountByProp(label, key, args[2]); indexed {
+		return value.Int(int64(n)), nil
+	}
+	var n int64
+	for _, id := range ctx.tx.NodesByLabel(label) {
+		if v, has := ctx.tx.NodeProp(id, key); has {
+			if eq, known := value.Equal(v, args[2]); known && eq {
+				n++
+			}
 		}
-		return keysOf(ctx, args[0])
+	}
+	return value.Int(n), nil
+}
 
-	case "size", "length":
-		if err := arity(call, args, 1, 1); err != nil {
-			return value.Null, err
-		}
+func sizeOf(name string) scalarFn {
+	return func(_ *evalCtx, args []value.Value) (value.Value, error) {
 		v := args[0]
 		switch v.Kind() {
-		case value.KindNull:
-			return value.Null, nil
 		case value.KindList:
 			l, _ := v.AsList()
 			return value.Int(int64(len(l))), nil
@@ -132,190 +232,163 @@ func applyFunc(ctx *evalCtx, call *FuncCall, args []value.Value) (value.Value, e
 		default:
 			return value.Null, fmt.Errorf("cypher: %s() of %s", name, v.Kind())
 		}
+	}
+}
 
-	case "head":
-		if err := arity(call, args, 1, 1); err != nil {
-			return value.Null, err
-		}
-		return listPick(args[0], 0)
-	case "last":
-		if err := arity(call, args, 1, 1); err != nil {
-			return value.Null, err
-		}
-		return listPick(args[0], -1)
-	case "tail":
-		if err := arity(call, args, 1, 1); err != nil {
-			return value.Null, err
-		}
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
+func listPick(idx int) scalarFn {
+	return func(_ *evalCtx, args []value.Value) (value.Value, error) {
 		l, ok := args[0].AsList()
 		if !ok {
-			return value.Null, fmt.Errorf("cypher: tail() of %s", args[0].Kind())
+			return value.Null, fmt.Errorf("cypher: head()/last() of %s", args[0].Kind())
 		}
 		if len(l) == 0 {
-			return value.List(), nil
-		}
-		return value.ListOf(append([]value.Value(nil), l[1:]...)), nil
-	case "reverse":
-		if err := arity(call, args, 1, 1); err != nil {
-			return value.Null, err
-		}
-		if args[0].IsNull() {
 			return value.Null, nil
 		}
-		if s, ok := args[0].AsString(); ok {
-			runes := []rune(s)
-			for i, j := 0, len(runes)-1; i < j; i, j = i+1, j-1 {
-				runes[i], runes[j] = runes[j], runes[i]
-			}
-			return value.Str(string(runes)), nil
+		if idx < 0 {
+			return l[len(l)-1], nil
 		}
-		l, ok := args[0].AsList()
-		if !ok {
-			return value.Null, fmt.Errorf("cypher: reverse() of %s", args[0].Kind())
-		}
-		out := make([]value.Value, len(l))
-		for i, v := range l {
-			out[len(l)-1-i] = v
-		}
-		return value.ListOf(out), nil
+		return l[idx], nil
+	}
+}
 
-	case "coalesce":
-		for _, v := range args {
-			if !v.IsNull() {
-				return v, nil
-			}
-		}
-		return value.Null, nil
+func fnTail(_ *evalCtx, args []value.Value) (value.Value, error) {
+	l, ok := args[0].AsList()
+	if !ok {
+		return value.Null, fmt.Errorf("cypher: tail() of %s", args[0].Kind())
+	}
+	if len(l) == 0 {
+		return value.List(), nil
+	}
+	return value.ListOf(append([]value.Value(nil), l[1:]...)), nil
+}
 
-	case "abs", "ceil", "floor", "round", "sqrt", "sign":
-		if err := arity(call, args, 1, 1); err != nil {
-			return value.Null, err
+func fnReverse(_ *evalCtx, args []value.Value) (value.Value, error) {
+	if s, ok := args[0].AsString(); ok {
+		runes := []rune(s)
+		for i, j := 0, len(runes)-1; i < j; i, j = i+1, j-1 {
+			runes[i], runes[j] = runes[j], runes[i]
 		}
-		return mathFunc(name, args[0])
+		return value.Str(string(runes)), nil
+	}
+	l, ok := args[0].AsList()
+	if !ok {
+		return value.Null, fmt.Errorf("cypher: reverse() of %s", args[0].Kind())
+	}
+	out := make([]value.Value, len(l))
+	for i, v := range l {
+		out[len(l)-1-i] = v
+	}
+	return value.ListOf(out), nil
+}
 
-	case "tofloat":
-		if err := arity(call, args, 1, 1); err != nil {
-			return value.Null, err
+func fnRange(_ *evalCtx, args []value.Value) (value.Value, error) {
+	start, ok1 := args[0].AsInt()
+	end, ok2 := args[1].AsInt()
+	if !ok1 || !ok2 {
+		return value.Null, fmt.Errorf("cypher: range() requires integers")
+	}
+	step := int64(1)
+	if len(args) == 3 {
+		var ok bool
+		step, ok = args[2].AsInt()
+		if !ok || step == 0 {
+			return value.Null, fmt.Errorf("cypher: range() step must be a non-zero integer")
 		}
-		return value.ToFloat(args[0])
-	case "tointeger", "toint":
-		if err := arity(call, args, 1, 1); err != nil {
-			return value.Null, err
+	}
+	var out []value.Value
+	if step > 0 {
+		for i := start; i <= end; i += step {
+			out = append(out, value.Int(i))
 		}
-		return value.ToInteger(args[0])
-	case "tostring":
-		if err := arity(call, args, 1, 1); err != nil {
-			return value.Null, err
+	} else {
+		for i := start; i >= end; i += step {
+			out = append(out, value.Int(i))
 		}
-		return value.ToString(args[0])
-	case "toboolean":
-		if err := arity(call, args, 1, 1); err != nil {
-			return value.Null, err
-		}
-		return value.ToBoolean(args[0])
+	}
+	return value.ListOf(out), nil
+}
 
-	case "tolower", "toupper", "trim", "ltrim", "rtrim":
-		if err := arity(call, args, 1, 1); err != nil {
-			return value.Null, err
+func fnCoalesce(_ *evalCtx, args []value.Value) (value.Value, error) {
+	for _, v := range args {
+		if !v.IsNull() {
+			return v, nil
 		}
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
+	}
+	return value.Null, nil
+}
+
+func strFn(name string, f func(string) string) scalarFn {
+	return func(_ *evalCtx, args []value.Value) (value.Value, error) {
 		s, ok := args[0].AsString()
 		if !ok {
 			return value.Null, fmt.Errorf("cypher: %s() of %s", name, args[0].Kind())
 		}
-		switch name {
-		case "tolower":
-			return value.Str(strings.ToLower(s)), nil
-		case "toupper":
-			return value.Str(strings.ToUpper(s)), nil
-		case "trim":
-			return value.Str(strings.TrimSpace(s)), nil
-		case "ltrim":
-			return value.Str(strings.TrimLeft(s, " \t\r\n")), nil
-		default:
-			return value.Str(strings.TrimRight(s, " \t\r\n")), nil
-		}
+		return value.Str(f(s)), nil
+	}
+}
 
-	case "substring":
-		if err := arity(call, args, 2, 3); err != nil {
-			return value.Null, err
-		}
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
-		s, ok := args[0].AsString()
+func fnSubstring(_ *evalCtx, args []value.Value) (value.Value, error) {
+	s, ok := args[0].AsString()
+	if !ok {
+		return value.Null, fmt.Errorf("cypher: substring() of %s", args[0].Kind())
+	}
+	start, ok := args[1].AsInt()
+	if !ok {
+		return value.Null, fmt.Errorf("cypher: substring() start must be integer")
+	}
+	runes := []rune(s)
+	if start < 0 || start > int64(len(runes)) {
+		return value.Str(""), nil
+	}
+	end := int64(len(runes))
+	if len(args) == 3 {
+		n, ok := args[2].AsInt()
 		if !ok {
-			return value.Null, fmt.Errorf("cypher: substring() of %s", args[0].Kind())
+			return value.Null, fmt.Errorf("cypher: substring() length must be integer")
 		}
-		start, ok := args[1].AsInt()
-		if !ok {
-			return value.Null, fmt.Errorf("cypher: substring() start must be integer")
+		if start+n < end {
+			end = start + n
 		}
-		runes := []rune(s)
-		if start < 0 || start > int64(len(runes)) {
-			return value.Str(""), nil
-		}
-		end := int64(len(runes))
-		if len(args) == 3 {
-			n, ok := args[2].AsInt()
-			if !ok {
-				return value.Null, fmt.Errorf("cypher: substring() length must be integer")
-			}
-			if start+n < end {
-				end = start + n
-			}
-		}
-		if end < start {
-			end = start
-		}
-		return value.Str(string(runes[start:end])), nil
+	}
+	if end < start {
+		end = start
+	}
+	return value.Str(string(runes[start:end])), nil
+}
 
-	case "replace":
-		if err := arity(call, args, 3, 3); err != nil {
-			return value.Null, err
-		}
-		if args[0].IsNull() || args[1].IsNull() || args[2].IsNull() {
-			return value.Null, nil
-		}
-		s, ok1 := args[0].AsString()
-		from, ok2 := args[1].AsString()
-		to, ok3 := args[2].AsString()
-		if !ok1 || !ok2 || !ok3 {
-			return value.Null, fmt.Errorf("cypher: replace() requires strings")
-		}
-		return value.Str(strings.ReplaceAll(s, from, to)), nil
+func fnReplace(_ *evalCtx, args []value.Value) (value.Value, error) {
+	if args[0].IsNull() || args[1].IsNull() || args[2].IsNull() {
+		return value.Null, nil
+	}
+	s, ok1 := args[0].AsString()
+	from, ok2 := args[1].AsString()
+	to, ok3 := args[2].AsString()
+	if !ok1 || !ok2 || !ok3 {
+		return value.Null, fmt.Errorf("cypher: replace() requires strings")
+	}
+	return value.Str(strings.ReplaceAll(s, from, to)), nil
+}
 
-	case "split":
-		if err := arity(call, args, 2, 2); err != nil {
-			return value.Null, err
-		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return value.Null, nil
-		}
-		s, ok1 := args[0].AsString()
-		sep, ok2 := args[1].AsString()
-		if !ok1 || !ok2 {
-			return value.Null, fmt.Errorf("cypher: split() requires strings")
-		}
-		parts := strings.Split(s, sep)
-		out := make([]value.Value, len(parts))
-		for i, p := range parts {
-			out[i] = value.Str(p)
-		}
-		return value.ListOf(out), nil
+func fnSplit(_ *evalCtx, args []value.Value) (value.Value, error) {
+	if args[0].IsNull() || args[1].IsNull() {
+		return value.Null, nil
+	}
+	s, ok1 := args[0].AsString()
+	sep, ok2 := args[1].AsString()
+	if !ok1 || !ok2 {
+		return value.Null, fmt.Errorf("cypher: split() requires strings")
+	}
+	parts := strings.Split(s, sep)
+	out := make([]value.Value, len(parts))
+	for i, p := range parts {
+		out[i] = value.Str(p)
+	}
+	return value.ListOf(out), nil
+}
 
-	case "left", "right":
-		if err := arity(call, args, 2, 2); err != nil {
-			return value.Null, err
-		}
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
+// side is left(s, n) (left set) or right(s, n).
+func side(name string, left bool) scalarFn {
+	return func(_ *evalCtx, args []value.Value) (value.Value, error) {
 		s, ok := args[0].AsString()
 		if !ok {
 			return value.Null, fmt.Errorf("cypher: %s() of %s", name, args[0].Kind())
@@ -328,156 +401,83 @@ func applyFunc(ctx *evalCtx, call *FuncCall, args []value.Value) (value.Value, e
 		if n > int64(len(runes)) {
 			n = int64(len(runes))
 		}
-		if name == "left" {
+		if left {
 			return value.Str(string(runes[:n])), nil
 		}
 		return value.Str(string(runes[len(runes)-int(n):])), nil
-
-	case "datetime":
-		if err := arity(call, args, 0, 1); err != nil {
-			return value.Null, err
-		}
-		if len(args) == 0 {
-			return value.DateTime(ctx.timeNow()), nil
-		}
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
-		if args[0].Kind() == value.KindDateTime {
-			return args[0], nil
-		}
-		s, ok := args[0].AsString()
-		if !ok {
-			return value.Null, fmt.Errorf("cypher: datetime() requires a string")
-		}
-		return value.ParseDateTime(s)
-
-	case "timestamp":
-		if err := arity(call, args, 0, 0); err != nil {
-			return value.Null, err
-		}
-		return value.Int(ctx.timeNow().UnixMilli()), nil
-
-	case "duration":
-		if err := arity(call, args, 1, 1); err != nil {
-			return value.Null, err
-		}
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
-		if args[0].Kind() == value.KindDuration {
-			return args[0], nil
-		}
-		s, ok := args[0].AsString()
-		if !ok {
-			return value.Null, fmt.Errorf("cypher: duration() requires a string")
-		}
-		return value.ParseDuration(s)
-
-	case "range":
-		if err := arity(call, args, 2, 3); err != nil {
-			return value.Null, err
-		}
-		start, ok1 := args[0].AsInt()
-		end, ok2 := args[1].AsInt()
-		if !ok1 || !ok2 {
-			return value.Null, fmt.Errorf("cypher: range() requires integers")
-		}
-		step := int64(1)
-		if len(args) == 3 {
-			var ok bool
-			step, ok = args[2].AsInt()
-			if !ok || step == 0 {
-				return value.Null, fmt.Errorf("cypher: range() step must be a non-zero integer")
-			}
-		}
-		var out []value.Value
-		if step > 0 {
-			for i := start; i <= end; i += step {
-				out = append(out, value.Int(i))
-			}
-		} else {
-			for i := start; i >= end; i += step {
-				out = append(out, value.Int(i))
-			}
-		}
-		return value.ListOf(out), nil
-
-	case "countnodes":
-		// countNodes(label) or countNodes(label, key, value) — count-store
-		// access: O(1) when a property index exists on (label, key), the
-		// analog of Neo4j's count store. Falls back to a label scan.
-		if err := arity(call, args, 1, 3); err != nil {
-			return value.Null, err
-		}
-		label, ok := args[0].AsString()
-		if !ok {
-			return value.Null, fmt.Errorf("cypher: countNodes() label must be a string")
-		}
-		if len(args) == 1 {
-			return value.Int(int64(ctx.tx.CountByLabel(label))), nil
-		}
-		if len(args) != 3 {
-			return value.Null, fmt.Errorf("cypher: countNodes() takes 1 or 3 arguments")
-		}
-		key, ok := args[1].AsString()
-		if !ok {
-			return value.Null, fmt.Errorf("cypher: countNodes() key must be a string")
-		}
-		if n, indexed := ctx.tx.CountByProp(label, key, args[2]); indexed {
-			return value.Int(int64(n)), nil
-		}
-		var n int64
-		for _, id := range ctx.tx.NodesByLabel(label) {
-			if v, has := ctx.tx.NodeProp(id, key); has {
-				if eq, known := value.Equal(v, args[2]); known && eq {
-					n++
-				}
-			}
-		}
-		return value.Int(n), nil
-
-	case "degree":
-		// degree(node [, type]) — extension used by rule diagnostics.
-		if err := arity(call, args, 1, 2); err != nil {
-			return value.Null, err
-		}
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
-		if args[0].Kind() != value.KindNode {
-			return value.Null, fmt.Errorf("cypher: degree() requires a node")
-		}
-		id, _ := args[0].EntityID()
-		if len(args) == 2 {
-			typ, ok := args[1].AsString()
-			if !ok {
-				return value.Null, fmt.Errorf("cypher: degree() type must be a string")
-			}
-			return value.Int(int64(len(ctx.tx.RelsOf(graph.NodeID(id), graph.Both, []string{typ})))), nil
-		}
-		return value.Int(int64(ctx.tx.Degree(graph.NodeID(id), graph.Both))), nil
-
-	default:
-		return value.Null, fmt.Errorf("cypher: unknown function %s()", name)
 	}
 }
 
-func listPick(v value.Value, idx int) (value.Value, error) {
-	if v.IsNull() {
-		return value.Null, nil
+func fnAbs(_ *evalCtx, args []value.Value) (value.Value, error) {
+	if i, ok := args[0].AsInt(); ok {
+		if i < 0 {
+			i = -i
+		}
+		return value.Int(i), nil
 	}
-	l, ok := v.AsList()
+	f, ok := args[0].NumberAsFloat()
 	if !ok {
-		return value.Null, fmt.Errorf("cypher: head()/last() of %s", v.Kind())
+		return value.Null, fmt.Errorf("cypher: abs() of %s", args[0].Kind())
 	}
-	if len(l) == 0 {
-		return value.Null, nil
+	return value.Float(math.Abs(f)), nil
+}
+
+func floatFn(name string, f func(float64) float64) scalarFn {
+	return func(_ *evalCtx, args []value.Value) (value.Value, error) {
+		x, ok := args[0].NumberAsFloat()
+		if !ok {
+			return value.Null, fmt.Errorf("cypher: %s() of %s", name, args[0].Kind())
+		}
+		return value.Float(f(x)), nil
 	}
-	if idx < 0 {
-		return l[len(l)-1], nil
+}
+
+func fnSign(_ *evalCtx, args []value.Value) (value.Value, error) {
+	f, ok := args[0].NumberAsFloat()
+	if !ok {
+		return value.Null, fmt.Errorf("cypher: sign() of %s", args[0].Kind())
 	}
-	return l[idx], nil
+	switch {
+	case f > 0:
+		return value.Int(1), nil
+	case f < 0:
+		return value.Int(-1), nil
+	default:
+		return value.Int(0), nil
+	}
+}
+
+func fnDateTime(ctx *evalCtx, args []value.Value) (value.Value, error) {
+	if len(args) == 0 {
+		return value.DateTime(ctx.timeNow()), nil
+	}
+	if args[0].Kind() == value.KindDateTime {
+		return args[0], nil
+	}
+	s, ok := args[0].AsString()
+	if !ok {
+		return value.Null, fmt.Errorf("cypher: datetime() requires a string")
+	}
+	return value.ParseDateTime(s)
+}
+
+func fnTimestamp(ctx *evalCtx, _ []value.Value) (value.Value, error) {
+	return value.Int(ctx.timeNow().UnixMilli()), nil
+}
+
+func fnDuration(_ *evalCtx, args []value.Value) (value.Value, error) {
+	if args[0].Kind() == value.KindDuration {
+		return args[0], nil
+	}
+	s, ok := args[0].AsString()
+	if !ok {
+		return value.Null, fmt.Errorf("cypher: duration() requires a string")
+	}
+	return value.ParseDuration(s)
+}
+
+func fnProperties(ctx *evalCtx, args []value.Value) (value.Value, error) {
+	return propertiesOf(ctx, args[0])
 }
 
 func propertiesOf(ctx *evalCtx, v value.Value) (value.Value, error) {
@@ -505,7 +505,8 @@ func propertiesOf(ctx *evalCtx, v value.Value) (value.Value, error) {
 	}
 }
 
-func keysOf(ctx *evalCtx, v value.Value) (value.Value, error) {
+func keysOf(ctx *evalCtx, args []value.Value) (value.Value, error) {
+	v := args[0]
 	var keys []string
 	switch v.Kind() {
 	case value.KindNull:
@@ -515,7 +516,7 @@ func keysOf(ctx *evalCtx, v value.Value) (value.Value, error) {
 		for k := range m {
 			keys = append(keys, k)
 		}
-		sortKeys(keys)
+		sort.Strings(keys)
 	case value.KindNode:
 		id, _ := v.EntityID()
 		keys = ctx.tx.NodePropKeys(graph.NodeID(id))
@@ -530,58 +531,4 @@ func keysOf(ctx *evalCtx, v value.Value) (value.Value, error) {
 		out[i] = value.Str(k)
 	}
 	return value.ListOf(out), nil
-}
-
-func sortKeys(ks []string) {
-	for i := 1; i < len(ks); i++ {
-		for j := i; j > 0 && ks[j] < ks[j-1]; j-- {
-			ks[j], ks[j-1] = ks[j-1], ks[j]
-		}
-	}
-}
-
-func mathFunc(name string, v value.Value) (value.Value, error) {
-	if v.IsNull() {
-		return value.Null, nil
-	}
-	if name == "abs" {
-		if i, ok := v.AsInt(); ok {
-			if i < 0 {
-				i = -i
-			}
-			return value.Int(i), nil
-		}
-	}
-	if name == "sign" {
-		f, ok := v.NumberAsFloat()
-		if !ok {
-			return value.Null, fmt.Errorf("cypher: sign() of %s", v.Kind())
-		}
-		switch {
-		case f > 0:
-			return value.Int(1), nil
-		case f < 0:
-			return value.Int(-1), nil
-		default:
-			return value.Int(0), nil
-		}
-	}
-	f, ok := v.NumberAsFloat()
-	if !ok {
-		return value.Null, fmt.Errorf("cypher: %s() of %s", name, v.Kind())
-	}
-	switch name {
-	case "abs":
-		return value.Float(math.Abs(f)), nil
-	case "ceil":
-		return value.Float(math.Ceil(f)), nil
-	case "floor":
-		return value.Float(math.Floor(f)), nil
-	case "round":
-		return value.Float(math.Round(f)), nil
-	case "sqrt":
-		return value.Float(math.Sqrt(f)), nil
-	default:
-		return value.Null, fmt.Errorf("cypher: unknown math function %s", name)
-	}
 }

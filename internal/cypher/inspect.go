@@ -19,25 +19,35 @@ type StatementInfo struct {
 	Deletes           bool
 }
 
-// Inspect computes the static footprint of a parsed statement.
+// Inspect computes the static footprint of a parsed statement, every UNION
+// branch included.
 func Inspect(stmt *Statement) *StatementInfo {
 	info := &StatementInfo{}
-	for _, cl := range stmt.Clauses {
+	info.addClauses(stmt.Clauses)
+	for _, b := range stmt.Unions {
+		info.addClauses(b.Clauses)
+	}
+	info.dedupe()
+	return info
+}
+
+func (info *StatementInfo) addClauses(clauses []Clause) {
+	for _, cl := range clauses {
 		switch c := cl.(type) {
 		case *MatchClause:
 			for _, p := range c.Patterns {
 				info.addMatchedPattern(p)
 			}
-			if c.Where != nil {
-				info.addExpr(c.Where)
-			}
+			info.addExpr(c.Where)
 		case *WithClause:
-			info.addItems(c.Items)
-			if c.Where != nil {
-				info.addExpr(c.Where)
+			for _, it := range c.Items {
+				info.addExpr(it.Expr)
 			}
+			info.addExpr(c.Where)
 		case *ReturnClause:
-			info.addItems(c.Items)
+			for _, it := range c.Items {
+				info.addExpr(it.Expr)
+			}
 		case *UnwindClause:
 			info.addExpr(c.List)
 		case *CreateClause:
@@ -63,22 +73,9 @@ func Inspect(stmt *Statement) *StatementInfo {
 			info.Deletes = true
 		case *ForeachClause:
 			info.addExpr(c.List)
-			sub := Inspect(&Statement{Clauses: c.Body})
-			info.MatchedNodeLabels = append(info.MatchedNodeLabels, sub.MatchedNodeLabels...)
-			info.MatchedRelTypes = append(info.MatchedRelTypes, sub.MatchedRelTypes...)
-			info.CreatedNodeLabels = append(info.CreatedNodeLabels, sub.CreatedNodeLabels...)
-			info.CreatedRelTypes = append(info.CreatedRelTypes, sub.CreatedRelTypes...)
-			info.SetLabels = append(info.SetLabels, sub.SetLabels...)
-			info.SetPropKeys = append(info.SetPropKeys, sub.SetPropKeys...)
-			info.RemovedLabels = append(info.RemovedLabels, sub.RemovedLabels...)
-			info.RemovedPropKeys = append(info.RemovedPropKeys, sub.RemovedPropKeys...)
-			if sub.Deletes {
-				info.Deletes = true
-			}
+			info.addClauses(c.Body)
 		}
 	}
-	info.dedupe()
-	return info
 }
 
 // ResultColumns returns the column names a statement's final RETURN
@@ -108,19 +105,10 @@ func InspectExpr(e Expr) *StatementInfo {
 	return info
 }
 
+// addMatchedPattern records a matched pattern: the same footprint as the
+// pattern used as a predicate.
 func (info *StatementInfo) addMatchedPattern(p *PatternPart) {
-	for _, n := range p.Nodes {
-		info.MatchedNodeLabels = append(info.MatchedNodeLabels, n.Labels...)
-		for _, e := range n.Props {
-			info.addExpr(e)
-		}
-	}
-	for _, r := range p.Rels {
-		info.MatchedRelTypes = append(info.MatchedRelTypes, r.Types...)
-		for _, e := range r.Props {
-			info.addExpr(e)
-		}
-	}
+	info.addExpr(&PatternExpr{Pattern: p})
 }
 
 func (info *StatementInfo) addCreatedPattern(p *PatternPart) {
@@ -137,85 +125,29 @@ func (info *StatementInfo) addSetItems(items []*SetItem) {
 		switch it.Kind {
 		case SetProp:
 			info.SetPropKeys = append(info.SetPropKeys, it.Key)
-			info.addExpr(it.Value)
 		case SetLabels:
 			info.SetLabels = append(info.SetLabels, it.Labels...)
 		case SetAllProps, SetMergeProps:
 			info.SetPropKeys = append(info.SetPropKeys, "*")
-			info.addExpr(it.Value)
 		}
+		info.addExpr(it.Value)
 	}
 }
 
-func (info *StatementInfo) addItems(items []*ReturnItem) {
-	for _, it := range items {
-		info.addExpr(it.Expr)
-	}
-}
-
+// addExpr records the labels and relationship types of every pattern
+// predicate in e, at any depth.
 func (info *StatementInfo) addExpr(e Expr) {
-	switch x := e.(type) {
-	case nil:
-		return
-	case *PatternExpr:
-		info.addMatchedPattern(x.Pattern)
-	case *PropAccess:
-		info.addExpr(x.X)
-	case *IndexExpr:
-		info.addExpr(x.X)
-		info.addExpr(x.Idx)
-	case *SliceExpr:
-		info.addExpr(x.X)
-		if x.From != nil {
-			info.addExpr(x.From)
+	walkExpr(e, func(x Expr, _ bool) bool {
+		if pe, ok := x.(*PatternExpr); ok {
+			for _, n := range pe.Pattern.Nodes {
+				info.MatchedNodeLabels = append(info.MatchedNodeLabels, n.Labels...)
+			}
+			for _, r := range pe.Pattern.Rels {
+				info.MatchedRelTypes = append(info.MatchedRelTypes, r.Types...)
+			}
 		}
-		if x.To != nil {
-			info.addExpr(x.To)
-		}
-	case *UnaryOp:
-		info.addExpr(x.X)
-	case *BinaryOp:
-		info.addExpr(x.L)
-		info.addExpr(x.R)
-	case *FuncCall:
-		for _, a := range x.Args {
-			info.addExpr(a)
-		}
-	case *CaseExpr:
-		if x.Test != nil {
-			info.addExpr(x.Test)
-		}
-		for _, w := range x.Whens {
-			info.addExpr(w.Cond)
-			info.addExpr(w.Then)
-		}
-		if x.Else != nil {
-			info.addExpr(x.Else)
-		}
-	case *ListLit:
-		for _, el := range x.Elems {
-			info.addExpr(el)
-		}
-	case *MapLit:
-		for _, v := range x.Vals {
-			info.addExpr(v)
-		}
-	case *ListComp:
-		info.addExpr(x.List)
-		if x.Where != nil {
-			info.addExpr(x.Where)
-		}
-		if x.Proj != nil {
-			info.addExpr(x.Proj)
-		}
-	case *ListPredicate:
-		info.addExpr(x.List)
-		info.addExpr(x.Where)
-	case *ReduceExpr:
-		info.addExpr(x.Init)
-		info.addExpr(x.List)
-		info.addExpr(x.Body)
-	}
+		return true
+	})
 }
 
 func (info *StatementInfo) dedupe() {

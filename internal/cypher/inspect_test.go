@@ -27,34 +27,44 @@ func TestInspectReadFootprint(t *testing.T) {
 }
 
 func TestInspectWriteFootprint(t *testing.T) {
-	stmt := mustParse(t, `MATCH (a:A)
-	                     CREATE (a)-[:Linked]->(b:B)
-	                     MERGE (c:Counter {id: 1}) ON CREATE SET c.v = 0 ON MATCH SET c:Seen
-	                     SET a.touched = true, a += {x: 1}
-	                     REMOVE a.old, a:Stale
-	                     DETACH DELETE b`)
-	info := Inspect(stmt)
-	if !reflect.DeepEqual(info.CreatedNodeLabels, []string{"B", "Counter"}) {
-		t.Errorf("created labels = %v", info.CreatedNodeLabels)
+	cases := []struct {
+		name  string
+		query string
+		want  StatementInfo
+	}{
+		{
+			name: "every write clause",
+			query: `MATCH (a:A)
+			        CREATE (a)-[:Linked]->(b:B)
+			        MERGE (c:Counter {id: 1}) ON CREATE SET c.v = 0 ON MATCH SET c:Seen
+			        SET a.touched = true, a += {x: 1}
+			        REMOVE a.old, a:Stale
+			        DETACH DELETE b`,
+			// SetProp keys: touched, v, and "*" from the += form.
+			want: StatementInfo{
+				MatchedNodeLabels: []string{"A", "Counter"},
+				CreatedNodeLabels: []string{"B", "Counter"},
+				CreatedRelTypes:   []string{"Linked"},
+				SetLabels:         []string{"Seen"},
+				SetPropKeys:       []string{"*", "touched", "v"},
+				RemovedLabels:     []string{"Stale"},
+				RemovedPropKeys:   []string{"old"},
+				Deletes:           true,
+			},
+		},
+		{
+			name:  "writes inside a UNION branch",
+			query: "MATCH (a:A) RETURN 1 AS k UNION MATCH (b:B) CREATE (c:C) RETURN 2 AS k",
+			want: StatementInfo{
+				MatchedNodeLabels: []string{"A", "B"},
+				CreatedNodeLabels: []string{"C"},
+			},
+		},
 	}
-	if !reflect.DeepEqual(info.CreatedRelTypes, []string{"Linked"}) {
-		t.Errorf("created rels = %v", info.CreatedRelTypes)
-	}
-	if !reflect.DeepEqual(info.SetLabels, []string{"Seen"}) {
-		t.Errorf("set labels = %v", info.SetLabels)
-	}
-	// SetProp keys: touched, v, and "*" from the += form.
-	if !reflect.DeepEqual(info.SetPropKeys, []string{"*", "touched", "v"}) {
-		t.Errorf("set props = %v", info.SetPropKeys)
-	}
-	if !reflect.DeepEqual(info.RemovedPropKeys, []string{"old"}) {
-		t.Errorf("removed props = %v", info.RemovedPropKeys)
-	}
-	if !reflect.DeepEqual(info.RemovedLabels, []string{"Stale"}) {
-		t.Errorf("removed labels = %v", info.RemovedLabels)
-	}
-	if !info.Deletes {
-		t.Error("DELETE not detected")
+	for _, c := range cases {
+		if info := Inspect(mustParse(t, c.query)); !reflect.DeepEqual(*info, c.want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", c.name, *info, c.want)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package cypher
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -93,12 +95,14 @@ func TestQuantifierOverGraphData(t *testing.T) {
 	}
 }
 
-func TestFuncNamedAllStillWorks(t *testing.T) {
+func TestFuncNamedAllIsPlainCall(t *testing.T) {
 	// all/any/none/single only get special parsing with the `v IN list`
-	// shape; anything else must be an unknown-function error at runtime,
-	// not a parse failure.
-	if _, err := Parse("RETURN all([1,2,3])"); err != nil {
-		t.Errorf("all() with plain args should parse: %v", err)
+	// shape; anything else is a plain call, which the function table
+	// rejects as an unknown function at the name's offset.
+	_, err := Parse("RETURN all([1,2,3])")
+	var pe *Error
+	if !errors.As(err, &pe) || pe.Pos != 7 || !strings.Contains(pe.Msg, "unknown function all()") {
+		t.Errorf("all() with plain args: %v, want unknown function at offset 7", err)
 	}
 }
 

@@ -23,14 +23,14 @@ type propsFn func(ctx *evalCtx, r row) (map[string]value.Value, error)
 
 // compiledPattern is the fully compiled form of one pattern part: variable
 // slots resolved against an environment, label/property predicates lowered
-// to closures, and a statically costed access plan for the anchor.
+// to closures, and — for a part that is matched — what is bound when it runs
+// and the anchor it starts from, both fixed at compile time by settle.
 type compiledPattern struct {
 	part      *PatternPart
-	nodeSlots []int  // slot per node pattern; -1 for anonymous
-	relSlots  []int  // slot per rel pattern; -1 for anonymous
-	nodePre   []bool // slot existed before this pattern (a reused variable)
-	relPre    []bool
-	pathSlot  int // -1 when the part has no path variable
+	nodeSlots []int // slot per node pattern; -1 for anonymous
+	relSlots  []int // slot per rel pattern; -1 for anonymous
+	pathSlot  int   // -1 when the part has no path variable
+	preBound  []int // node and rel slots bound before the part runs
 
 	nodeChecks []nodeCheckFn
 	relChecks  []relCheckFn
@@ -41,44 +41,29 @@ type compiledPattern struct {
 
 // patternSlots assigns slots in en (mutating it) for every named variable of
 // the pattern part. Pre-existing names are reused, which is how joins on
-// shared variables happen; whether a slot pre-existed is recorded so the
-// matcher can tell a fresh variable (free to bind) from a variable that an
-// earlier clause bound to NULL (which matches nothing, per Cypher).
+// shared variables happen.
 func patternSlots(en *env, part *PatternPart) *compiledPattern {
-	cp := &compiledPattern{part: part, pathSlot: -1}
-	introduced := make(map[string]bool)
-	for _, n := range part.Nodes {
-		if n.Var == "" {
-			cp.nodeSlots = append(cp.nodeSlots, -1)
-			cp.nodePre = append(cp.nodePre, false)
-		} else {
-			_, existed := en.lookup(n.Var)
-			cp.nodeSlots = append(cp.nodeSlots, en.add(n.Var))
-			cp.nodePre = append(cp.nodePre, existed && !introduced[n.Var])
-			introduced[n.Var] = true
+	cp := &compiledPattern{part: part}
+	slot := func(name string) int {
+		if name == "" {
+			return -1
 		}
+		return en.add(name)
+	}
+	for _, n := range part.Nodes {
+		cp.nodeSlots = append(cp.nodeSlots, slot(n.Var))
 	}
 	for _, r := range part.Rels {
-		if r.Var == "" {
-			cp.relSlots = append(cp.relSlots, -1)
-			cp.relPre = append(cp.relPre, false)
-		} else {
-			_, existed := en.lookup(r.Var)
-			cp.relSlots = append(cp.relSlots, en.add(r.Var))
-			cp.relPre = append(cp.relPre, existed && !introduced[r.Var])
-			introduced[r.Var] = true
-		}
+		cp.relSlots = append(cp.relSlots, slot(r.Var))
 	}
-	if part.Var != "" {
-		cp.pathSlot = en.add(part.Var)
-	}
+	cp.pathSlot = slot(part.Var)
 	return cp
 }
 
 // compilePatternBody lowers the pattern's predicates and property templates
-// to closures against en and plans the anchor access path. en must already
-// contain every slot the pattern (and its siblings in the same MATCH) binds,
-// so property expressions may reference any of them.
+// to closures against en. en must already contain every slot the pattern
+// (and its siblings in the same MATCH) binds, so property expressions may
+// reference any of them.
 func compilePatternBody(cc *compileCtx, en *env, cp *compiledPattern) error {
 	cp.nodeChecks = make([]nodeCheckFn, len(cp.part.Nodes))
 	cp.nodeProps = make([]propsFn, len(cp.part.Nodes))
@@ -108,17 +93,20 @@ func compilePatternBody(cc *compileCtx, en *env, cp *compiledPattern) error {
 		}
 		cp.relProps[i] = props
 	}
-	return planAccess(cc, en, cp)
+	return nil
 }
 
-// compileFullPattern combines slot assignment and body compilation for
-// single-pattern contexts (MERGE, pattern predicates).
+// compileFullPattern compiles a single matched part (MERGE, pattern
+// predicates): slots, body, and its anchor given that everything already in
+// en is bound.
 func compileFullPattern(cc *compileCtx, en *env, part *PatternPart) (*compiledPattern, error) {
+	width := len(en.names)
 	cp := patternSlots(en, part)
 	if err := compilePatternBody(cc, en, cp); err != nil {
 		return nil, err
 	}
-	return cp, nil
+	_, err := planParts(cc, en, width, []*compiledPattern{cp})
+	return cp, err
 }
 
 func compileNodeCheck(cc *compileCtx, en *env, np *NodePattern) (nodeCheckFn, error) {
@@ -240,11 +228,42 @@ func sortedPropKeys(props map[string]Expr) []string {
 	return keys
 }
 
+// settle fixes, given which slots are bound when the part runs, its
+// pre-bound slots and its anchor: the first bound node position when there is
+// one — expanding from one known node beats any scan — otherwise the
+// cost-based access path. It then marks the part's own slots bound for the
+// parts that run after it.
+func (cp *compiledPattern) settle(cc *compileCtx, en *env, bound []bool) error {
+	for _, s := range append(append([]int(nil), cp.nodeSlots...), cp.relSlots...) {
+		if s >= 0 && bound[s] {
+			cp.preBound = append(cp.preBound, s)
+		}
+	}
+	if i := cp.boundAnchor(bound); i >= 0 {
+		cp.access = accessPlan{anchor: i, kind: accessBound, est: 1}
+	} else if err := planAccess(cc, en, cp); err != nil {
+		return err
+	}
+	for _, s := range cp.slots() {
+		bound[s] = true
+	}
+	return nil
+}
+
+// boundAnchor returns the first node position whose variable is bound, or -1.
+func (cp *compiledPattern) boundAnchor(bound []bool) int {
+	for i, s := range cp.nodeSlots {
+		if s >= 0 && bound[s] {
+			return i
+		}
+	}
+	return -1
+}
+
 // planAccess chooses the anchor node position and its candidate source from
 // the statistics snapshot: index-backed equality beats the smallest label
-// scan beats a full scan. The decision is made once at plan time; the
-// snapshot records the statistics it read so Execute can cheaply detect
-// drift and trigger recompilation.
+// scan beats a full scan. The snapshot records the statistics it read so
+// Execute can cheaply detect drift and trigger recompilation.
 func planAccess(cc *compileCtx, en *env, cp *compiledPattern) error {
 	best := accessPlan{anchor: 0}
 	bestCost := int(^uint(0) >> 1)
@@ -287,16 +306,12 @@ func accessFor(cc *compileCtx, en *env, np *NodePattern, pos int) (accessPlan, i
 	return accessPlan{anchor: pos, kind: accessScan, est: total}, 2 + total*2, nil
 }
 
-// nullBound reports whether some pattern variable was bound to NULL by an
-// earlier clause, in which case the pattern matches nothing.
+// nullBound reports whether a variable bound before the part runs is NULL
+// (an unmatched OPTIONAL MATCH, a NULL binding), in which case the part
+// matches nothing, per Cypher.
 func (cp *compiledPattern) nullBound(r row) bool {
-	for i, slot := range cp.nodeSlots {
-		if slot >= 0 && slot < len(r) && cp.nodePre[i] && r[slot].IsNull() {
-			return true
-		}
-	}
-	for i, slot := range cp.relSlots {
-		if slot >= 0 && slot < len(r) && cp.relPre[i] && r[slot].IsNull() {
+	for _, s := range cp.preBound {
+		if r[s].IsNull() {
 			return true
 		}
 	}
@@ -343,28 +358,18 @@ func matchPart(ctx *evalCtx, base row, cp *compiledPattern,
 	}
 	m := &matcher{ctx: ctx, cp: cp, usedRels: usedRels, emit: emit}
 
-	anchor := m.chooseAnchor(base)
-	candidates, err := m.anchorCandidates(base, anchor)
+	anchor := cp.access.anchor
+	candidates, err := m.anchorCandidates(base)
 	if err != nil {
 		return err
 	}
 	for _, id := range candidates {
-		ok, err := cp.nodeChecks[anchor](ctx, base, id)
+		r, ok, err := m.bindNode(base, anchor, id)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			continue
-		}
-		r := append(row(nil), base...)
-		if slot := cp.nodeSlots[anchor]; slot >= 0 {
-			if bound := r[slot]; !bound.IsNull() {
-				bid, isEnt := bound.EntityID()
-				if !isEnt || graph.NodeID(bid) != id {
-					continue
-				}
-			}
-			r[slot] = value.Node(int64(id))
 		}
 		if err := m.expandRight(r, anchor, id, anchor, id); err != nil {
 			return err
@@ -376,49 +381,24 @@ func matchPart(ctx *evalCtx, base row, cp *compiledPattern,
 // boundNode returns the concrete node bound at pattern position i in r, if any.
 func (m *matcher) boundNode(r row, i int) (graph.NodeID, bool) {
 	slot := m.cp.nodeSlots[i]
-	if slot < 0 || slot >= len(r) {
+	if slot < 0 || r[slot].Kind() != value.KindNode {
 		return 0, false
 	}
-	v := r[slot]
-	if v.Kind() != value.KindNode {
-		return 0, false
-	}
-	id, _ := v.EntityID()
+	id, _ := r[slot].EntityID()
 	return graph.NodeID(id), true
 }
 
-// chooseAnchor picks the starting node position: a bound variable if any
-// (a single concrete node beats any planned scan), otherwise the position
-// the access plan selected at compile time.
-func (m *matcher) chooseAnchor(base row) int {
-	for i := range m.cp.part.Nodes {
-		if _, ok := m.boundNode(base, i); ok {
-			return i
-		}
-	}
-	return m.cp.access.anchor
-}
-
 // anchorCandidates enumerates candidate nodes for the anchor position using
-// the compiled access plan (unless the anchor is already bound).
-func (m *matcher) anchorCandidates(base row, anchor int) ([]graph.NodeID, error) {
-	if id, ok := m.boundNode(base, anchor); ok {
-		if !m.ctx.tx.NodeExists(id) {
+// the compiled access plan.
+func (m *matcher) anchorCandidates(base row) ([]graph.NodeID, error) {
+	ap := &m.cp.access
+	switch ap.kind {
+	case accessBound:
+		id, ok := m.boundNode(base, ap.anchor)
+		if !ok || !m.ctx.tx.NodeExists(id) {
 			return nil, nil
 		}
 		return []graph.NodeID{id}, nil
-	}
-	ap := &m.cp.access
-	if anchor != ap.anchor {
-		// A different position was forced (bound variable elsewhere released
-		// mid-chain is impossible, but be safe): scan by that node's label.
-		np := m.cp.part.Nodes[anchor]
-		if len(np.Labels) > 0 {
-			return m.ctx.tx.NodesByLabel(np.Labels[0]), nil
-		}
-		return m.ctx.tx.AllNodes(), nil
-	}
-	switch ap.kind {
 	case accessIndex:
 		want, err := ap.valFn(m.ctx, base)
 		if err != nil {
@@ -526,24 +506,24 @@ func traverseDir(d PatternDirection, reverse bool) graph.Direction {
 }
 
 // bindNode checks pattern constraints of node position idx against id and
-// returns the row with the binding applied (a fresh copy when modified).
+// returns the row with the binding applied (a fresh copy when modified). A
+// variable already bound — before the part ran, or at an earlier position of
+// it — joins: it must hold exactly that node.
 func (m *matcher) bindNode(r row, idx int, id graph.NodeID) (row, bool, error) {
-	if bound, ok := m.boundNode(r, idx); ok {
-		if bound != id {
+	slot := m.cp.nodeSlots[idx]
+	bound := slot >= 0 && !r[slot].IsNull()
+	if bound {
+		if b, ok := m.boundNode(r, idx); !ok || b != id {
 			return r, false, nil
 		}
-		return r, true, nil
 	}
 	ok, err := m.cp.nodeChecks[idx](m.ctx, r, id)
-	if err != nil || !ok {
+	if err != nil || !ok || bound || slot < 0 {
 		return r, ok, err
 	}
-	if slot := m.cp.nodeSlots[idx]; slot >= 0 {
-		nr := append(row(nil), r...)
-		nr[slot] = value.Node(int64(id))
-		return nr, true, nil
-	}
-	return r, true, nil
+	nr := append(row(nil), r...)
+	nr[slot] = value.Node(int64(id))
+	return nr, true, nil
 }
 
 // expandVarHops performs depth-first variable-length expansion.

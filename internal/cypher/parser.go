@@ -135,12 +135,7 @@ func validateClauseOrder(src string, clauses []Clause) error {
 			preds = append(preds, c.List)
 		}
 		for _, p := range preds {
-			if p == nil {
-				continue
-			}
-			var aggs []*FuncCall
-			collectAggregates(p, &aggs)
-			if len(aggs) > 0 {
+			if aggs := collectAggregates(p); len(aggs) > 0 {
 				return errAt(src, aggs[0].pos,
 					"aggregate function %s() is not allowed in this context", aggs[0].Name)
 			}
@@ -1303,8 +1298,15 @@ func (p *parser) parseFuncCall() (Expr, error) {
 	if lower == "reduce" {
 		return p.parseReduce()
 	}
-	call := &FuncCall{Name: lower, pos: name.pos}
+	def, ok := functions[lower]
+	if !ok {
+		return nil, errAt(p.src, name.pos, "unknown function %s()", name.text)
+	}
+	call := &FuncCall{Name: lower, def: def, pos: name.pos}
 	if p.at(tokStar) {
+		if !def.star {
+			return nil, p.errHere("%s() does not take *", name.text)
+		}
 		p.advance()
 		call.Star = true
 		if _, err := p.expect(tokRParen, ")"); err != nil {
@@ -1312,26 +1314,30 @@ func (p *parser) parseFuncCall() (Expr, error) {
 		}
 		return call, nil
 	}
-	call.Distinct = p.acceptKeyword("DISTINCT")
-	if p.at(tokRParen) {
+	if p.atKeyword("DISTINCT") {
+		if !def.distinct {
+			return nil, p.errHere("%s() does not take DISTINCT", name.text)
+		}
 		p.advance()
-		return call, nil
+		call.Distinct = true
 	}
-	for {
+	for !p.at(tokRParen) {
+		if len(call.Args) > 0 {
+			if _, err := p.expect(tokComma, ", or )"); err != nil {
+				return nil, err
+			}
+		}
 		arg, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		call.Args = append(call.Args, arg)
-		if p.at(tokComma) {
-			p.advance()
-			continue
-		}
-		if _, err := p.expect(tokRParen, ")"); err != nil {
-			return nil, err
-		}
-		return call, nil
 	}
+	p.advance() // )
+	if !def.accepts(len(call.Args)) {
+		return nil, errAt(p.src, name.pos, "wrong number of arguments to %s()", name.text)
+	}
+	return call, nil
 }
 
 func (p *parser) parseCase() (Expr, error) {

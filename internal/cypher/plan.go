@@ -3,8 +3,6 @@ package cypher
 import (
 	"fmt"
 	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -32,16 +30,7 @@ func PlansCompiled() int64 { return plansCompiled.Load() }
 type Plan struct {
 	query    string
 	stmt     *Statement
-	variants atomic.Pointer[map[variantKey]*planVariant]
-	mu       sync.Mutex // serializes variant compilation
-}
-
-// variantKey addresses one compiled physical plan: the sorted binding-name
-// shape joined with \x1f, plus the identity of the store the variant was
-// costed against (graph.ReadView.StoreKey).
-type variantKey struct {
-	shape string
-	store any
+	variants variantCache[*planVariant]
 }
 
 // Prepare parses a query into a reusable Plan. This is the entry point of
@@ -61,15 +50,8 @@ func (s *Statement) Prepared() *Plan {
 	if p := s.plan.Load(); p != nil {
 		return p
 	}
-	s.plan.CompareAndSwap(nil, newPlan(s))
+	s.plan.CompareAndSwap(nil, &Plan{query: s.Query, stmt: s})
 	return s.plan.Load()
-}
-
-func newPlan(stmt *Statement) *Plan {
-	p := &Plan{query: stmt.Query, stmt: stmt}
-	empty := make(map[variantKey]*planVariant)
-	p.variants.Store(&empty)
-	return p
 }
 
 // Statement returns the parsed AST backing the plan.
@@ -79,7 +61,7 @@ func (p *Plan) Statement() *Statement { return p.stmt }
 func (p *Plan) Query() string { return p.query }
 
 // Variants reports how many compiled binding-shape variants the plan holds.
-func (p *Plan) Variants() int { return len(*p.variants.Load()) }
+func (p *Plan) Variants() int { return p.variants.len() }
 
 // Execute runs the plan against the given read view — a *graph.Tx for
 // single-store execution (writes included), or a *graph.MultiView for
@@ -98,38 +80,21 @@ func (p *Plan) Execute(tx graph.ReadView, opts *Options) (*Result, error) {
 		return nil, err
 	}
 	if p.stmt.Explain {
-		return p.explainResult(tx, v), nil
+		return p.explainResult(v), nil
 	}
 	return v.run(tx, p.query, opts, names)
 }
 
+// variant returns the compiled variant for the binding shape on tx's store,
+// compiling it on first use or after statistics drift.
 func (p *Plan) variant(tx graph.ReadView, bindNames []string) (*planVariant, error) {
-	key := variantKey{shape: strings.Join(bindNames, "\x1f"), store: tx.StoreKey()}
-	if m := p.variants.Load(); m != nil {
-		if v, ok := (*m)[key]; ok && !v.snap.stale(tx) {
-			return v, nil
+	return p.variants.get(tx, bindNames, func(snap *statsSnapshot) (*planVariant, error) {
+		v, err := compileVariant(p.stmt, bindNames, &compileCtx{query: p.query, tx: tx, snap: snap})
+		if err == nil {
+			plansCompiled.Add(1)
 		}
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if m := p.variants.Load(); m != nil {
-		if v, ok := (*m)[key]; ok && !v.snap.stale(tx) {
-			return v, nil
-		}
-	}
-	v, err := compileVariant(p.stmt, bindNames, tx)
-	if err != nil {
-		return nil, err
-	}
-	old := p.variants.Load()
-	next := make(map[variantKey]*planVariant, len(*old)+1)
-	for k, ov := range *old {
-		next[k] = ov
-	}
-	next[key] = v
-	p.variants.Store(&next)
-	plansCompiled.Add(1)
-	return v, nil
+		return v, err
+	})
 }
 
 func sortedBindingNames(bindings map[string]value.Value) []string {
@@ -145,13 +110,11 @@ func sortedBindingNames(bindings map[string]value.Value) []string {
 }
 
 // planVariant is one compiled physical plan: the statement lowered to
-// closure pipelines for a specific binding shape, stamped with the
-// statistics snapshot its access paths were costed on.
+// closure pipelines for a specific binding shape. It is the only home of the
+// plan's decisions — EXPLAIN renders it, Execute runs it.
 type planVariant struct {
-	bindNames []string
-	main      *compiledBranch
-	unions    []unionBranchPlan
-	snap      *statsSnapshot
+	main   *compiledBranch
+	unions []unionBranchPlan
 }
 
 type unionBranchPlan struct {
@@ -159,14 +122,12 @@ type unionBranchPlan struct {
 	cb  *compiledBranch
 }
 
-func compileVariant(stmt *Statement, bindNames []string, tx graph.ReadView) (*planVariant, error) {
-	snap := newStatsSnapshot()
-	cc := &compileCtx{query: stmt.Query, tx: tx, snap: snap}
+func compileVariant(stmt *Statement, bindNames []string, cc *compileCtx) (*planVariant, error) {
 	main, err := compileBranch(cc, stmt.Clauses, bindNames)
 	if err != nil {
 		return nil, err
 	}
-	v := &planVariant{bindNames: bindNames, main: main, snap: snap}
+	v := &planVariant{main: main}
 	for _, b := range stmt.Unions {
 		cb, err := compileBranch(cc, b.Clauses, bindNames)
 		if err != nil {
@@ -223,11 +184,19 @@ func (v *planVariant) run(tx graph.ReadView, query string, opts *Options, names 
 // their result on the executor instead of forwarding rows.
 type clauseOp func(ex *executor, rows []row) ([]row, error)
 
+// step is a compiled clause together with what EXPLAIN prints for it: the
+// first line names the clause, the indented rest state the decisions its
+// compilation fixed (pattern order, each part's anchor).
+type step struct {
+	run     clauseOp
+	explain []string
+}
+
 // compiledBranch is one compiled clause pipeline (the main statement or one
 // UNION branch).
 type compiledBranch struct {
 	width0  int // base row width (number of pre-bound variables)
-	ops     []clauseOp
+	steps   []step
 	columns []string // RETURN column names; nil for result-less branches
 	fast    *fastCountPlan
 }
@@ -238,40 +207,51 @@ func compileBranch(cc *compileCtx, clauses []Clause, bindNames []string) (*compi
 		en.add(n)
 	}
 	cb := &compiledBranch{width0: len(bindNames)}
-	cb.fast = compileFastCount(cc, clauses)
+	cb.fast = compileFastCount(cc, en, clauses)
 	for _, cl := range clauses {
-		var op clauseOp
+		var st step
 		var err error
 		switch c := cl.(type) {
 		case *MatchClause:
-			en, op, err = compileMatch(cc, en, c)
+			en, st, err = compileMatch(cc, en, c)
 		case *UnwindClause:
-			en, op, err = compileUnwind(cc, en, c)
+			en, st, err = compileUnwind(cc, en, c)
 		case *WithClause:
-			en, op, err = compileWith(cc, en, c)
+			en, st, err = compileWith(cc, en, c)
 		case *ReturnClause:
-			op, cb.columns, err = compileReturn(cc, en, c)
-		case *CreateClause:
-			en, op, err = compileCreate(cc, en, c)
-		case *ForeachClause:
-			op, err = compileForeach(cc, en, c)
-		case *MergeClause:
-			en, op, err = compileMerge(cc, en, c)
-		case *DeleteClause:
-			op, err = compileDelete(cc, en, c)
-		case *SetClause:
-			op, err = compileSet(cc, en, c.Items)
-		case *RemoveClause:
-			op, err = compileRemove(cc, en, c)
+			st, cb.columns, err = compileReturn(cc, en, c)
 		default:
-			err = fmt.Errorf("cypher: unhandled clause %T", cl)
+			en, st, err = compileUpdate(cc, en, cl)
 		}
 		if err != nil {
 			return nil, err
 		}
-		cb.ops = append(cb.ops, op)
+		cb.steps = append(cb.steps, st)
 	}
 	return cb, nil
+}
+
+// compileUpdate compiles a write clause, the kinds a FOREACH body may hold.
+func compileUpdate(cc *compileCtx, en *env, cl Clause) (*env, step, error) {
+	var st step
+	var err error
+	switch c := cl.(type) {
+	case *CreateClause:
+		return compileCreate(cc, en, c)
+	case *MergeClause:
+		return compileMerge(cc, en, c)
+	case *ForeachClause:
+		st, err = compileForeach(cc, en, c)
+	case *DeleteClause:
+		st, err = compileDelete(cc, en, c)
+	case *SetClause:
+		st, err = compileSet(cc, en, c)
+	case *RemoveClause:
+		st, err = compileRemove(cc, en, c)
+	default:
+		err = fmt.Errorf("cypher: unhandled clause %T", cl)
+	}
+	return en, st, err
 }
 
 func (cb *compiledBranch) run(ex *executor, bindVals []value.Value) (*Result, error) {
@@ -287,8 +267,8 @@ func (cb *compiledBranch) run(ex *executor, bindVals []value.Value) (*Result, er
 	rows := []row{base}
 	ex.result = nil
 	var err error
-	for _, op := range cb.ops {
-		rows, err = op(ex, rows)
+	for _, st := range cb.steps {
+		rows, err = st.run(ex, rows)
 		if err != nil {
 			return nil, err
 		}
@@ -301,7 +281,7 @@ func (cb *compiledBranch) run(ex *executor, bindVals []value.Value) (*Result, er
 
 // ---- MATCH ----
 
-func compileMatch(cc *compileCtx, en *env, c *MatchClause) (*env, clauseOp, error) {
+func compileMatch(cc *compileCtx, en *env, c *MatchClause) (*env, step, error) {
 	newEn := en.clone()
 	cps := make([]*compiledPattern, len(c.Patterns))
 	for i, p := range c.Patterns {
@@ -312,17 +292,31 @@ func compileMatch(cc *compileCtx, en *env, c *MatchClause) (*env, clauseOp, erro
 	// to NULL while unbound, matching nothing — same as the interpreter).
 	for _, cp := range cps {
 		if err := compilePatternBody(cc, newEn, cp); err != nil {
-			return nil, nil, err
+			return nil, step{}, err
 		}
 	}
-	order := orderPatterns(en, newEn, cps)
+	order, err := planParts(cc, newEn, len(en.names), cps)
+	if err != nil {
+		return nil, step{}, err
+	}
 	var whereFn exprFn
 	if c.Where != nil {
-		var err error
 		whereFn, err = compileExpr(cc, newEn, c.Where)
 		if err != nil {
-			return nil, nil, err
+			return nil, step{}, err
 		}
+	}
+	explain := []string{"MATCH"}
+	if c.Optional {
+		explain[0] = "OPTIONAL MATCH"
+	}
+	for rank, i := range order {
+		explain = append(explain,
+			fmt.Sprintf("   pattern %d/%d %s", rank+1, len(order), describePattern(cps[i].part)),
+			"   "+cps[i].describeAccess())
+	}
+	if c.Where != nil {
+		explain = append(explain, "   filter: WHERE")
 	}
 	width := len(newEn.names)
 	optional := c.Optional
@@ -361,63 +355,23 @@ func compileMatch(cc *compileCtx, en *env, c *MatchClause) (*env, clauseOp, erro
 		}
 		return out, nil
 	}
-	return newEn, op, nil
+	return newEn, step{run: op, explain: explain}, nil
 }
 
-// orderPatterns picks the execution order of a MATCH clause's pattern parts
-// by estimated cost: parts sharing a variable with what is already bound run
-// as anchored joins (cheapest), then parts by their access-plan estimate.
-// If any part's property expressions reference a sibling part's variables,
-// source order is kept — reordering would change which references see bound
-// values and thus the result.
-func orderPatterns(parentEn, matchEn *env, cps []*compiledPattern) []int {
-	order := make([]int, 0, len(cps))
-	if len(cps) == 1 {
-		return append(order, 0)
-	}
-	parentWidth := len(parentEn.names)
-	siblingSlots := make(map[int]int) // slot → pattern index that introduces it
-	for i, cp := range cps {
-		for _, s := range cp.slots() {
-			if s >= parentWidth {
-				if _, ok := siblingSlots[s]; !ok {
-					siblingSlots[s] = i
-				}
-			}
-		}
-	}
-	for i, cp := range cps {
-		refs := make(map[string]bool)
-		for _, np := range cp.part.Nodes {
-			for _, e := range np.Props {
-				collectVarNames(e, refs)
-			}
-		}
-		for _, rp := range cp.part.Rels {
-			for _, e := range rp.Props {
-				collectVarNames(e, refs)
-			}
-		}
-		own := make(map[int]bool)
-		for _, s := range cp.slots() {
-			own[s] = true
-		}
-		for name := range refs {
-			if slot, ok := matchEn.lookup(name); ok {
-				if owner, sib := siblingSlots[slot]; sib && owner != i && !own[slot] {
-					// Cross-pattern property dependency: preserve source order.
-					for j := range cps {
-						order = append(order, j)
-					}
-					return order
-				}
-			}
-		}
-	}
-	bound := make([]bool, len(matchEn.names))
+// planParts decides, once, how a MATCH clause's parts run: their order, and
+// for each part what is bound when it runs (the first parentWidth slots of
+// en, plus the slots of the parts ordered before it) and hence its anchor
+// (see settle). Parts run cheapest first — one sharing a bound node is an
+// anchored join, then by access-path estimate — unless some part's property
+// expressions reference a sibling part's variables: then source order is
+// kept, since reordering would change which references see bound values.
+func planParts(cc *compileCtx, en *env, parentWidth int, cps []*compiledPattern) ([]int, error) {
+	bound := make([]bool, len(en.names))
 	for i := 0; i < parentWidth; i++ {
 		bound[i] = true
 	}
+	fixed := len(cps) == 1 || crossReferenced(en, parentWidth, cps)
+	order := make([]int, 0, len(cps))
 	used := make([]bool, len(cps))
 	for len(order) < len(cps) {
 		best, bestCost := -1, int64(1)<<62
@@ -425,125 +379,86 @@ func orderPatterns(parentEn, matchEn *env, cps []*compiledPattern) []int {
 			if used[i] {
 				continue
 			}
-			cost := patternOrderCost(cp, bound)
+			if fixed {
+				best = i
+				break
+			}
+			cost := int64(0) // an anchored join on an already bound node
+			if cp.boundAnchor(bound) < 0 {
+				if err := planAccess(cc, en, cp); err != nil {
+					return nil, err
+				}
+				cost = cp.access.cost()
+			}
 			if cost < bestCost {
 				best, bestCost = i, cost
 			}
 		}
-		order = append(order, best)
 		used[best] = true
-		for _, s := range cps[best].slots() {
-			bound[s] = true
+		order = append(order, best)
+		if err := cps[best].settle(cc, en, bound); err != nil {
+			return nil, err
 		}
 	}
-	return order
+	return order, nil
 }
 
-func patternOrderCost(cp *compiledPattern, bound []bool) int64 {
-	for _, s := range cp.nodeSlots {
-		if s >= 0 && s < len(bound) && bound[s] {
-			return 0 // anchored join on an already bound node
+// crossReferenced reports whether some part's property expressions reference
+// a variable that a sibling part introduces.
+func crossReferenced(en *env, parentWidth int, cps []*compiledPattern) bool {
+	owner := make(map[int]int) // slot → first part introducing it
+	for i, cp := range cps {
+		for _, s := range cp.slots() {
+			if _, ok := owner[s]; !ok && s >= parentWidth {
+				owner[s] = i
+			}
 		}
 	}
-	switch cp.access.kind {
-	case accessIndex:
-		return 1
-	case accessLabel:
-		return 2 + int64(cp.access.est)
-	default:
-		return 2 + 2*int64(cp.access.est)
+	for i, cp := range cps {
+		own := make(map[int]bool)
+		for _, s := range cp.slots() {
+			own[s] = true
+		}
+		for name := range collectVarNames(&PatternExpr{Pattern: cp.part}) {
+			slot, ok := en.lookup(name)
+			if o, sib := owner[slot]; ok && sib && o != i && !own[slot] {
+				return true
+			}
+		}
 	}
+	return false
 }
 
-// collectVarNames gathers every variable referenced anywhere in e. Shadowed
-// inner variables (comprehensions, reduce) are included; the over-
-// approximation only forces source order, never an invalid reorder.
-func collectVarNames(e Expr, out map[string]bool) {
-	switch x := e.(type) {
-	case *Variable:
-		out[x.Name] = true
-	case *PropAccess:
-		collectVarNames(x.X, out)
-	case *IndexExpr:
-		collectVarNames(x.X, out)
-		collectVarNames(x.Idx, out)
-	case *SliceExpr:
-		collectVarNames(x.X, out)
-		if x.From != nil {
-			collectVarNames(x.From, out)
-		}
-		if x.To != nil {
-			collectVarNames(x.To, out)
-		}
-	case *UnaryOp:
-		collectVarNames(x.X, out)
-	case *BinaryOp:
-		collectVarNames(x.L, out)
-		collectVarNames(x.R, out)
-	case *FuncCall:
-		for _, a := range x.Args {
-			collectVarNames(a, out)
-		}
-	case *CaseExpr:
-		if x.Test != nil {
-			collectVarNames(x.Test, out)
-		}
-		for _, w := range x.Whens {
-			collectVarNames(w.Cond, out)
-			collectVarNames(w.Then, out)
-		}
-		if x.Else != nil {
-			collectVarNames(x.Else, out)
-		}
-	case *ListLit:
-		for _, el := range x.Elems {
-			collectVarNames(el, out)
-		}
-	case *MapLit:
-		for _, v := range x.Vals {
-			collectVarNames(v, out)
-		}
-	case *ListComp:
-		collectVarNames(x.List, out)
-		if x.Where != nil {
-			collectVarNames(x.Where, out)
-		}
-		if x.Proj != nil {
-			collectVarNames(x.Proj, out)
-		}
-	case *ListPredicate:
-		collectVarNames(x.List, out)
-		collectVarNames(x.Where, out)
-	case *ReduceExpr:
-		collectVarNames(x.Init, out)
-		collectVarNames(x.List, out)
-		collectVarNames(x.Body, out)
-	case *PatternExpr:
-		for _, np := range x.Pattern.Nodes {
-			if np.Var != "" {
-				out[np.Var] = true
+// collectVarNames gathers every variable referenced anywhere in e, pattern
+// variables included. Shadowed inner variables (comprehensions, reduce) are
+// included too; the over-approximation only forces source order, never an
+// invalid reorder.
+func collectVarNames(e Expr) map[string]bool {
+	out := make(map[string]bool)
+	walkExpr(e, func(x Expr, _ bool) bool {
+		switch x := x.(type) {
+		case *Variable:
+			out[x.Name] = true
+		case *PatternExpr:
+			for _, n := range x.Pattern.Nodes {
+				out[n.Var] = true
 			}
-			for _, e := range np.Props {
-				collectVarNames(e, out)
+			for _, r := range x.Pattern.Rels {
+				out[r.Var] = true
 			}
 		}
-		for _, rp := range x.Pattern.Rels {
-			if rp.Var != "" {
-				out[rp.Var] = true
-			}
-			for _, e := range rp.Props {
-				collectVarNames(e, out)
-			}
-		}
-	}
+		return true
+	})
+	delete(out, "")
+	return out
 }
 
 // ---- UNWIND ----
 
-func compileUnwind(cc *compileCtx, en *env, c *UnwindClause) (*env, clauseOp, error) {
+func compileUnwind(cc *compileCtx, en *env, c *UnwindClause) (*env, step, error) {
 	listFn, err := compileExpr(cc, en, c.List)
 	if err != nil {
-		return nil, nil, err
+		return nil, step{}, err
 	}
 	newEn := en.clone()
 	slot := newEn.add(c.Var)
@@ -572,7 +487,7 @@ func compileUnwind(cc *compileCtx, en *env, c *UnwindClause) (*env, clauseOp, er
 		}
 		return out, nil
 	}
-	return newEn, op, nil
+	return newEn, step{run: op, explain: []string{"UNWIND … AS " + c.Var}}, nil
 }
 
 // ---- WITH / RETURN ----
@@ -595,21 +510,22 @@ func itemName(it *ReturnItem) string {
 	return it.Text
 }
 
-func compileWith(cc *compileCtx, en *env, c *WithClause) (*env, clauseOp, error) {
+func compileWith(cc *compileCtx, en *env, c *WithClause) (*env, step, error) {
 	items := c.Items
 	if c.Star {
 		items = append(starItems(en), c.Items...)
 	}
 	newEn, proj, err := compileProjection(cc, en, items, c.Distinct, c.OrderBy, c.Skip, c.Limit)
 	if err != nil {
-		return nil, nil, err
+		return nil, step{}, err
 	}
 	var whereFn exprFn
 	if c.Where != nil {
 		if whereFn, err = compileExpr(cc, newEn, c.Where); err != nil {
-			return nil, nil, err
+			return nil, step{}, err
 		}
 	}
+	explain := "WITH (" + describeProjection(c.Items, c.Star, c.Distinct, c.OrderBy != nil) + ")"
 	op := func(ex *executor, rows []row) ([]row, error) {
 		out, err := proj.run(ex, rows)
 		if err != nil {
@@ -630,17 +546,17 @@ func compileWith(cc *compileCtx, en *env, c *WithClause) (*env, clauseOp, error)
 		}
 		return out, nil
 	}
-	return newEn, op, nil
+	return newEn, step{run: op, explain: []string{explain}}, nil
 }
 
-func compileReturn(cc *compileCtx, en *env, c *ReturnClause) (clauseOp, []string, error) {
+func compileReturn(cc *compileCtx, en *env, c *ReturnClause) (step, []string, error) {
 	items := c.Items
 	if c.Star {
 		items = append(starItems(en), c.Items...)
 	}
 	_, proj, err := compileProjection(cc, en, items, c.Distinct, c.OrderBy, c.Skip, c.Limit)
 	if err != nil {
-		return nil, nil, err
+		return step{}, nil, err
 	}
 	cols := make([]string, len(items))
 	for i, it := range items {
@@ -658,7 +574,8 @@ func compileReturn(cc *compileCtx, en *env, c *ReturnClause) (clauseOp, []string
 		ex.result = &Result{Columns: cols, Rows: resRows}
 		return nil, nil
 	}
-	return op, cols, nil
+	explain := "RETURN (" + describeProjection(c.Items, c.Star, c.Distinct, c.OrderBy != nil) + ")"
+	return step{run: op, explain: []string{explain}}, cols, nil
 }
 
 // projPlan is a compiled projection: item closures, aggregation feeds, sort
@@ -701,10 +618,8 @@ func compileProjection(cc *compileCtx, en *env, items []*ReturnItem,
 	p := &projPlan{nItems: len(items), distinct: distinct}
 	itemAggs := make([][]*FuncCall, len(items))
 	for i, it := range items {
-		var calls []*FuncCall
-		collectAggregates(it.Expr, &calls)
-		itemAggs[i] = calls
-		if len(calls) > 0 {
+		itemAggs[i] = collectAggregates(it.Expr)
+		if len(itemAggs[i]) > 0 {
 			p.aggregates = true
 		}
 	}
@@ -726,9 +641,6 @@ func compileProjection(cc *compileCtx, en *env, items []*ReturnItem,
 				if call.Star {
 					p.aggArgs = append(p.aggArgs, nil)
 					continue
-				}
-				if len(call.Args) != 1 {
-					return nil, nil, fmt.Errorf("cypher: %s() takes exactly one argument", call.Name)
 				}
 				argFn, err := compileExpr(cc, en, call.Args[0])
 				if err != nil {
@@ -1033,78 +945,42 @@ func dedupeRows(rows []row) []row {
 	return out
 }
 
-// collectAggregates gathers the aggregate function calls inside an item.
-func collectAggregates(e Expr, out *[]*FuncCall) {
-	switch x := e.(type) {
-	case *FuncCall:
-		if isAggregateFunc(x.Name) {
-			*out = append(*out, x)
-			return // aggregates cannot nest
+// collectAggregates gathers the aggregate function calls inside an item,
+// outside per-element bodies and pattern predicates. Aggregates cannot nest.
+func collectAggregates(e Expr) []*FuncCall {
+	var out []*FuncCall
+	walkExpr(e, func(x Expr, body bool) bool {
+		if body {
+			return false
 		}
-		for _, a := range x.Args {
-			collectAggregates(a, out)
+		switch x := x.(type) {
+		case *FuncCall:
+			if x.def.agg != nil {
+				out = append(out, x)
+				return false
+			}
+		case *PatternExpr:
+			return false
 		}
-	case *PropAccess:
-		collectAggregates(x.X, out)
-	case *IndexExpr:
-		collectAggregates(x.X, out)
-		collectAggregates(x.Idx, out)
-	case *SliceExpr:
-		collectAggregates(x.X, out)
-		if x.From != nil {
-			collectAggregates(x.From, out)
-		}
-		if x.To != nil {
-			collectAggregates(x.To, out)
-		}
-	case *UnaryOp:
-		collectAggregates(x.X, out)
-	case *BinaryOp:
-		collectAggregates(x.L, out)
-		collectAggregates(x.R, out)
-	case *CaseExpr:
-		if x.Test != nil {
-			collectAggregates(x.Test, out)
-		}
-		for _, w := range x.Whens {
-			collectAggregates(w.Cond, out)
-			collectAggregates(w.Then, out)
-		}
-		if x.Else != nil {
-			collectAggregates(x.Else, out)
-		}
-	case *ListLit:
-		for _, el := range x.Elems {
-			collectAggregates(el, out)
-		}
-	case *MapLit:
-		for _, v := range x.Vals {
-			collectAggregates(v, out)
-		}
-	case *ListComp:
-		collectAggregates(x.List, out)
-	case *ListPredicate:
-		collectAggregates(x.List, out)
-	case *ReduceExpr:
-		collectAggregates(x.Init, out)
-		collectAggregates(x.List, out)
-	}
+		return true
+	})
+	return out
 }
 
 // ---- CREATE / MERGE / FOREACH ----
 
-func compileCreate(cc *compileCtx, en *env, c *CreateClause) (*env, clauseOp, error) {
+func compileCreate(cc *compileCtx, en *env, c *CreateClause) (*env, step, error) {
 	newEn := en.clone()
 	cps := make([]*compiledPattern, len(c.Patterns))
 	for i, p := range c.Patterns {
 		if p.Var != "" {
-			return nil, nil, fmt.Errorf("cypher: path variables are not supported in CREATE")
+			return nil, step{}, fmt.Errorf("cypher: path variables are not supported in CREATE")
 		}
 		cps[i] = patternSlots(newEn, p)
 	}
 	for _, cp := range cps {
 		if err := compilePatternBody(cc, newEn, cp); err != nil {
-			return nil, nil, err
+			return nil, step{}, err
 		}
 	}
 	width := len(newEn.names)
@@ -1124,22 +1000,22 @@ func compileCreate(cc *compileCtx, en *env, c *CreateClause) (*env, clauseOp, er
 		}
 		return out, nil
 	}
-	return newEn, op, nil
+	return newEn, step{run: op, explain: []string{fmt.Sprintf("CREATE %d pattern(s)", len(c.Patterns))}}, nil
 }
 
-func compileMerge(cc *compileCtx, en *env, c *MergeClause) (*env, clauseOp, error) {
+func compileMerge(cc *compileCtx, en *env, c *MergeClause) (*env, step, error) {
 	newEn := en.clone()
 	cp, err := compileFullPattern(cc, newEn, c.Pattern)
 	if err != nil {
-		return nil, nil, err
+		return nil, step{}, err
 	}
 	onMatch, err := compileSetItems(cc, newEn, c.OnMatchSet)
 	if err != nil {
-		return nil, nil, err
+		return nil, step{}, err
 	}
 	onCreate, err := compileSetItems(cc, newEn, c.OnCreateSet)
 	if err != nil {
-		return nil, nil, err
+		return nil, step{}, err
 	}
 	width := len(newEn.names)
 	op := func(ex *executor, rows []row) ([]row, error) {
@@ -1178,16 +1054,17 @@ func compileMerge(cc *compileCtx, en *env, c *MergeClause) (*env, clauseOp, erro
 		}
 		return out, nil
 	}
-	return newEn, op, nil
+	explain := []string{"MERGE " + describePattern(c.Pattern), "   " + cp.describeAccess()}
+	return newEn, step{run: op, explain: explain}, nil
 }
 
 // compileForeach compiles the nested update clauses once; at runtime the
 // body pipeline runs per list element per input row. Variables introduced
 // inside the body (and the loop variable) are not visible afterwards.
-func compileForeach(cc *compileCtx, en *env, c *ForeachClause) (clauseOp, error) {
+func compileForeach(cc *compileCtx, en *env, c *ForeachClause) (step, error) {
 	listFn, err := compileExpr(cc, en, c.List)
 	if err != nil {
-		return nil, err
+		return step{}, err
 	}
 	inner := en.clone()
 	slot := inner.add(c.Var)
@@ -1195,27 +1072,11 @@ func compileForeach(cc *compileCtx, en *env, c *ForeachClause) (clauseOp, error)
 	bodyEn := inner
 	var bodyOps []clauseOp
 	for _, cl := range c.Body {
-		var op clauseOp
-		switch bc := cl.(type) {
-		case *CreateClause:
-			bodyEn, op, err = compileCreate(cc, bodyEn, bc)
-		case *MergeClause:
-			bodyEn, op, err = compileMerge(cc, bodyEn, bc)
-		case *SetClause:
-			op, err = compileSet(cc, bodyEn, bc.Items)
-		case *RemoveClause:
-			op, err = compileRemove(cc, bodyEn, bc)
-		case *DeleteClause:
-			op, err = compileDelete(cc, bodyEn, bc)
-		case *ForeachClause:
-			op, err = compileForeach(cc, bodyEn, bc)
-		default:
-			err = fmt.Errorf("cypher: clause %T not allowed in FOREACH", cl)
+		var st step
+		if bodyEn, st, err = compileUpdate(cc, bodyEn, cl); err != nil {
+			return step{}, err
 		}
-		if err != nil {
-			return nil, err
-		}
-		bodyOps = append(bodyOps, op)
+		bodyOps = append(bodyOps, st.run)
 	}
 	op := func(ex *executor, rows []row) ([]row, error) {
 		for _, r := range rows {
@@ -1245,17 +1106,18 @@ func compileForeach(cc *compileCtx, en *env, c *ForeachClause) (clauseOp, error)
 		}
 		return rows, nil
 	}
-	return op, nil
+	explain := fmt.Sprintf("FOREACH %s IN … (%d update clause(s))", c.Var, len(c.Body))
+	return step{run: op, explain: []string{explain}}, nil
 }
 
 // ---- DELETE / SET / REMOVE ----
 
-func compileDelete(cc *compileCtx, en *env, c *DeleteClause) (clauseOp, error) {
+func compileDelete(cc *compileCtx, en *env, c *DeleteClause) (step, error) {
 	fns := make([]exprFn, len(c.Exprs))
 	for i, e := range c.Exprs {
 		fn, err := compileExpr(cc, en, e)
 		if err != nil {
-			return nil, err
+			return step{}, err
 		}
 		fns[i] = fn
 	}
@@ -1274,7 +1136,11 @@ func compileDelete(cc *compileCtx, en *env, c *DeleteClause) (clauseOp, error) {
 		}
 		return rows, nil
 	}
-	return op, nil
+	kw := "DELETE"
+	if detach {
+		kw = "DETACH DELETE"
+	}
+	return step{run: op, explain: []string{fmt.Sprintf("%s %d expression(s)", kw, len(c.Exprs))}}, nil
 }
 
 // setOp is one compiled SET item.
@@ -1307,10 +1173,10 @@ func compileSetItems(cc *compileCtx, en *env, items []*SetItem) ([]setOp, error)
 	return ops, nil
 }
 
-func compileSet(cc *compileCtx, en *env, items []*SetItem) (clauseOp, error) {
-	ops, err := compileSetItems(cc, en, items)
+func compileSet(cc *compileCtx, en *env, c *SetClause) (step, error) {
+	ops, err := compileSetItems(cc, en, c.Items)
 	if err != nil {
-		return nil, err
+		return step{}, err
 	}
 	op := func(ex *executor, rows []row) ([]row, error) {
 		for _, r := range rows {
@@ -1320,7 +1186,7 @@ func compileSet(cc *compileCtx, en *env, items []*SetItem) (clauseOp, error) {
 		}
 		return rows, nil
 	}
-	return op, nil
+	return step{run: op, explain: []string{fmt.Sprintf("SET %d item(s)", len(c.Items))}}, nil
 }
 
 // removeOp is one compiled REMOVE item.
@@ -1331,12 +1197,12 @@ type removeOp struct {
 	labels []string
 }
 
-func compileRemove(cc *compileCtx, en *env, c *RemoveClause) (clauseOp, error) {
+func compileRemove(cc *compileCtx, en *env, c *RemoveClause) (step, error) {
 	ops := make([]removeOp, 0, len(c.Items))
 	for _, it := range c.Items {
 		slot, ok := en.lookup(it.Target)
 		if !ok {
-			return nil, fmt.Errorf("cypher: variable `%s` not defined in REMOVE", it.Target)
+			return step{}, fmt.Errorf("cypher: variable `%s` not defined in REMOVE", it.Target)
 		}
 		ops = append(ops, removeOp{slot: slot, target: it.Target, key: it.Key, labels: it.Labels})
 	}
@@ -1350,7 +1216,7 @@ func compileRemove(cc *compileCtx, en *env, c *RemoveClause) (clauseOp, error) {
 		}
 		return rows, nil
 	}
-	return op, nil
+	return step{run: op, explain: []string{fmt.Sprintf("REMOVE %d item(s)", len(c.Items))}}, nil
 }
 
 // ---- fast count ----
@@ -1375,7 +1241,7 @@ const (
 	fcProp
 )
 
-func compileFastCount(cc *compileCtx, clauses []Clause) *fastCountPlan {
+func compileFastCount(cc *compileCtx, en *env, clauses []Clause) *fastCountPlan {
 	if len(clauses) != 2 {
 		return nil
 	}
@@ -1398,13 +1264,13 @@ func compileFastCount(cc *compileCtx, clauses []Clause) *fastCountPlan {
 		return nil
 	}
 	if !call.Star {
-		if len(call.Args) != 1 {
-			return nil
-		}
 		v, ok := call.Args[0].(*Variable)
 		if !ok || v.Name != np.Var {
 			return nil
 		}
+	}
+	if _, bound := en.lookup(np.Var); bound {
+		return nil // counts one given node, not a label
 	}
 	col := ret.Items[0].Alias
 	if col == "" {
@@ -1424,7 +1290,7 @@ func compileFastCount(cc *compileCtx, clauses []Clause) *fastCountPlan {
 			plan.key = k
 			// The constant must be expressible without row variables;
 			// otherwise the general path handles it.
-			fn, err := compileExpr(&compileCtx{query: cc.query, tx: cc.tx, snap: cc.snap}, newEnv(), e)
+			fn, err := compileExpr(cc, newEnv(), e)
 			if err != nil {
 				return nil
 			}

@@ -213,9 +213,10 @@ func (e *Engine) InstallText(src string) (Rule, error) {
 // ---- keyword scanning, shared with the composite DSL (internal/cep) ----
 
 // topLevel calls visit(i) for each byte of src[from:end) that is outside
-// quotes and not nested inside (…), […], {…} or CASE … END, until visit
-// returns true; it returns that i, or -1. The brackets and the words CASE and
-// END themselves count as outside when nothing else encloses them.
+// quotes and Cypher comments (// to end of line, /* … */) and not nested
+// inside (…), […], {…} or CASE … END, until visit returns true; it returns
+// that i, or -1. The brackets and the words CASE and END themselves count as
+// outside when nothing else encloses them.
 func topLevel(src string, from, end int, visit func(i int) bool) int {
 	var open []byte // the enclosing brackets, 'C' for a CASE
 	var quote byte
@@ -232,6 +233,20 @@ func topLevel(src string, from, end int, visit func(i int) bool) int {
 		switch {
 		case c == '\'' || c == '"' || c == '`':
 			quote = c
+			continue
+		case strings.HasPrefix(src[i:], "//"):
+			if n := strings.IndexByte(src[i:], '\n'); n >= 0 {
+				i += n - 1 // the newline itself is visited
+			} else {
+				i = len(src)
+			}
+			continue
+		case strings.HasPrefix(src[i:], "/*"):
+			if n := strings.Index(src[i+2:], "*/"); n >= 0 {
+				i += n + 3
+			} else {
+				i = len(src)
+			}
 			continue
 		case c == ')' || c == ']' || c == '}':
 			// Close through any CASE left open inside the bracket (a label

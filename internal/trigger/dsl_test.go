@@ -55,6 +55,26 @@ WHEN ALERT', state: [
 				Alert:  "MATCH (u:Sequence) RETURN CASE\n    WHEN u.variant IS NULL THEN 'unassigned' ELSE 'ok' END AS state",
 				Action: "CREATE (:Note {text: 'AFTER\nWHEN ALERT', state: [\n    state]})"},
 		},
+		{
+			// An apostrophe in a comment opens no quote.
+			name: "line comment in the guard",
+			src: `CREATE TRIGGER t ON HUB A
+AFTER CREATE OF NODE Sequence
+WHEN NEW.v > 3 // don't fire on small ones
+ALERT MATCH (u:Sequence) RETURN count(u) AS n`,
+			want: Rule{Name: "t", Hub: "A", Event: sequence, Guard: "NEW.v > 3 // don't fire on small ones",
+				Alert: "MATCH (u:Sequence) RETURN count(u) AS n"},
+		},
+		{
+			name: "section keyword inside a block comment",
+			src: `CREATE TRIGGER t ON HUB A
+AFTER CREATE OF NODE Sequence
+WHEN NEW.v > 3 /* it's
+ALERT here is prose */
+ALERT MATCH (u:Sequence) RETURN count(u) AS n`,
+			want: Rule{Name: "t", Hub: "A", Event: sequence, Guard: "NEW.v > 3 /* it's\nALERT here is prose */",
+				Alert: "MATCH (u:Sequence) RETURN count(u) AS n"},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

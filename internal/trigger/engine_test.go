@@ -354,6 +354,47 @@ func TestTerminationAnalysis(t *testing.T) {
 	}
 }
 
+// TestTerminationSeesUnionBranches: a write inside a UNION branch of an
+// action is part of the rule's footprint, so the cycle it closes is found.
+func TestTerminationSeesUnionBranches(t *testing.T) {
+	e := newTestEngine()
+	_ = e.Install(Rule{
+		Name:   "AtoB",
+		Event:  Event{Kind: CreateNode, Label: "A"},
+		Action: "MATCH (a:A) RETURN 1 AS k UNION MATCH (x:X) CREATE (:B) RETURN 2 AS k",
+	})
+	_ = e.Install(Rule{
+		Name:   "BtoA",
+		Event:  Event{Kind: CreateNode, Label: "B"},
+		Action: "CREATE (:A)",
+	})
+	if cycles := e.CheckTermination(); len(cycles) == 0 {
+		t.Fatal("A→B→A cycle through a UNION branch not detected")
+	}
+}
+
+// TestInstallRejectsBadFunctionCalls: a misspelled function or a wrong
+// argument count in a guard, alert or action fails Install, before any
+// event could reach it.
+func TestInstallRejectsBadFunctionCalls(t *testing.T) {
+	e := newTestEngine()
+	ev := Event{Kind: CreateNode, Label: "P"}
+	for _, r := range []Rule{
+		{Name: "g", Event: ev, Guard: "nosuch(NEW.v) > 1"},
+		{Name: "a", Event: ev, Alert: "MATCH (n:P) RETURN size(n, 1, 2)"},
+		{Name: "d", Event: ev, Action: "MATCH (n:P) SET n.s = toupper()"},
+	} {
+		err := e.Install(r)
+		var pe *cypher.Error
+		if !errors.As(err, &pe) {
+			t.Errorf("rule %s installed or failed without a position: %v", r.Name, err)
+		}
+	}
+	if len(e.Rules()) != 0 {
+		t.Errorf("rules installed: %+v", e.Rules())
+	}
+}
+
 func TestPauseResumeDropList(t *testing.T) {
 	s := graph.NewStore()
 	e := newTestEngine()
