@@ -10,7 +10,8 @@
 //	GET  /alerts                                       alert log
 //	GET  /rules                                        installed rules
 //	POST /rules    {"name","hub","event","label","guard","alert","action"}
-//	               or {"text": "CREATE TRIGGER …"} (PG-Triggers syntax)
+//	               or {"text": "CREATE TRIGGER …"} (PG-Triggers syntax,
+//	               single-event or composite)
 //	DELETE /rules?name=R9                              drop a rule
 //	GET  /hubs                                         hubs and owned labels
 //	GET  /stats                                        graph + hub statistics
@@ -97,9 +98,8 @@ type server struct {
 	// follower streams from -replica-of. At most one of the two is set.
 	leader   *replica.Leader
 	follower *replica.Follower
-	// cep manages composite-event rules and their durable partial-match
-	// state; nil on followers (composite rules replicate as graph state and
-	// fire on the leader).
+	// cep runs composite rules' durable partial-match automata; nil on
+	// followers, whose partial state replicates from the leader.
 	cep *cep.Manager
 	// maxLag is the -max-lag staleness bound a follower's /healthz enforces
 	// (0 = no bound).
@@ -690,25 +690,19 @@ func (s *server) handleRulesList(w http.ResponseWriter, r *http.Request) {
 	}
 	var out []ruleJSON
 	for _, info := range s.kb.Rules() {
-		if info.Composite != "" {
-			continue // a step of a composite rule; the composite is listed below
-		}
-		out = append(out, ruleJSON{
+		rj := ruleJSON{
 			Name: info.Name, Hub: info.Hub, Event: info.Event.String(),
 			Phase: info.Phase.String(),
 			Guard: info.Guard, Alert: info.Alert, Action: info.Action,
 			Paused: info.Paused,
 			Scope:  info.Classification.Scope.String(),
 			State:  info.Classification.State.String(),
-		})
-	}
-	if s.cep != nil {
-		for _, info := range s.cep.Rules() {
-			out = append(out, ruleJSON{
-				Name: info.Name, Hub: info.Hub, Event: info.Op.String(),
-				Alert: info.Alert, Composite: true, Text: info.Text,
-			})
+			Text:   info.Text(),
 		}
+		if info.Composite != nil {
+			rj.Event, rj.Composite = info.Op.String(), true
+		}
+		out = append(out, rj)
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -733,27 +727,16 @@ func (s *server) handleRuleInstall(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Text != "" {
-		// A WHEN SEQUENCE/ALL/COUNT declaration routes to the composite-event
-		// manager; anything else is an ordinary trigger.
-		if cep.IsCompositeStatement(req.Text) {
-			if s.cep == nil {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("composite rules are not available on a %s", s.kb.Role()))
-				return
-			}
-			rule, err := s.cep.InstallText(req.Text)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, err)
-				return
-			}
-			writeJSON(w, http.StatusCreated, map[string]any{"installed": rule.Name, "composite": true})
-			return
-		}
 		rule, err := s.kb.InstallRuleText(req.Text)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, map[string]string{"installed": rule.Name})
+		out := map[string]any{"installed": rule.Name}
+		if rule.Composite != nil {
+			out["composite"] = true
+		}
+		writeJSON(w, http.StatusCreated, out)
 		return
 	}
 	kind, ok := reactive.ParseEventKind(req.Event)
@@ -788,14 +771,6 @@ func (s *server) handleRuleDrop(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing ?name="))
 		return
 	}
-	if s.cep != nil && s.cep.Has(name) {
-		if err := s.cep.Drop(name); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"dropped": name})
-		return
-	}
 	if err := s.kb.DropRule(name); err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
@@ -806,17 +781,13 @@ func (s *server) handleRuleDrop(w http.ResponseWriter, r *http.Request) {
 // handleRulesAPOC exports the rule set as Neo4j APOC trigger calls
 // (Fig. 6/7 translation).
 func (s *server) handleRulesAPOC(w http.ResponseWriter, r *http.Request) {
-	translated, skipped := s.kb.TranslateRulesAPOC("neo4j", "before")
-	out := map[string]any{
-		"triggers": translated,
-		"skipped":  skipped,
-	}
-	if s.cep != nil {
-		composite, cskipped := s.cep.TranslateAllAPOC("neo4j")
-		out["composite"] = composite
-		out["compositeSkipped"] = cskipped
-	}
-	writeJSON(w, http.StatusOK, out)
+	exp := s.kb.TranslateRulesAPOC("neo4j", "before")
+	writeJSON(w, http.StatusOK, map[string]any{
+		"triggers":         exp.Triggers,
+		"skipped":          exp.Skipped,
+		"composite":        exp.Composite,
+		"compositeSkipped": exp.CompositeSkipped,
+	})
 }
 
 func (s *server) handleHubs(w http.ResponseWriter, r *http.Request) {
@@ -888,7 +859,13 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cep != nil {
 		out["cepPartials"] = s.cep.Depth()
-		out["cepRules"] = len(s.cep.Rules())
+		composites := 0
+		for _, info := range s.kb.Rules() {
+			if info.Composite != nil {
+				composites++
+			}
+		}
+		out["cepRules"] = composites
 	}
 	if s.follower != nil {
 		out["replica"] = s.follower.Status()

@@ -6,14 +6,17 @@ package main
 // /stats and /healthz, and rejects writes with 403.
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	reactive "repro"
 	"repro/internal/backoff"
 	"repro/internal/replica"
+	"repro/internal/trigger"
 )
 
 // newLeaderServer builds a durable leader rkm-server around dir.
@@ -138,6 +141,12 @@ func TestReplicaLeaderFollowerServers(t *testing.T) {
 		"query": "CREATE (:City {name: 'Turin'})",
 	}); resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("follower execute: %d %v, want 403", resp.StatusCode, out)
+	}
+	// Nor does it run composite rules: it has no composite-event runtime.
+	if resp, out := postJSON(t, folTS.URL+"/rules", map[string]any{
+		"text": "CREATE TRIGGER pair\nWHEN SEQUENCE(CREATE NODE A, CREATE NODE B) WITHIN 5m",
+	}); resp.StatusCode != http.StatusBadRequest || !strings.Contains(fmt.Sprint(out["error"]), trigger.ErrNoStepSink.Error()) {
+		t.Fatalf("follower composite install: %d %v, want 400 with %q", resp.StatusCode, out, trigger.ErrNoStepSink)
 	}
 
 	// Leader sees the follower count unchanged (the write really was

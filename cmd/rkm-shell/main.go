@@ -241,12 +241,12 @@ func meta(kb *reactive.KnowledgeBase, clock *reactive.ManualClock, cmd string) b
 		}
 		fmt.Print(plan)
 	case ":apoc":
-		translated, skipped := kb.TranslateRulesAPOC("neo4j", "before")
-		for _, t := range translated {
+		exp := kb.TranslateRulesAPOC("neo4j", "before")
+		for _, t := range append(exp.Triggers, exp.Composite...) {
 			fmt.Println(t)
 			fmt.Println()
 		}
-		for _, sk := range skipped {
+		for _, sk := range append(exp.Skipped, exp.CompositeSkipped...) {
 			fmt.Println("// skipped:", sk)
 		}
 	case ":check":

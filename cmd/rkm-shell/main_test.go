@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	reactive "repro"
+	"repro/internal/trigger"
 )
 
 func TestSplitStatements(t *testing.T) {
@@ -92,6 +94,25 @@ func TestRunStatementPrintsErrorsWithoutPanic(t *testing.T) {
 	runStatement(kb, "BOGUS QUERY")          // must not panic
 	runStatement(kb, "CREATE (:X)")          // write summary path
 	runStatement(kb, "MATCH (x:X) RETURN x") // result table path
+}
+
+// TestCompositeStatementRefusedByName: the shell runs no composite-event
+// runtime, so a composite declaration parses and is refused for that reason.
+func TestCompositeStatementRefusedByName(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	runStatement(reactive.New(reactive.Config{}),
+		"CREATE TRIGGER pair\nWHEN SEQUENCE(CREATE NODE A, CREATE NODE B) WITHIN 5m")
+	os.Stdout = stdout
+	w.Close()
+	out, _ := io.ReadAll(r)
+	if !strings.Contains(string(out), trigger.ErrNoStepSink.Error()) {
+		t.Fatalf("shell printed %q, want %q", out, trigger.ErrNoStepSink)
+	}
 }
 
 func TestInitScriptWithTriggers(t *testing.T) {

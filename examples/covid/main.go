@@ -101,8 +101,7 @@ func main() {
 	}
 
 	fmt.Println("\n== Fig. 7: the APOC translation of rule R2 ==")
-	translated, _ := kb.TranslateRulesAPOC("neo4j", "before")
-	for _, trg := range translated {
+	for _, trg := range kb.TranslateRulesAPOC("neo4j", "before").Triggers {
 		if strings.Contains(trg, "'R2'") {
 			fmt.Println(trg)
 		}

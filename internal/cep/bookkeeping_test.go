@@ -36,7 +36,7 @@ func TestCEPCompositeAlertAttachedToCurrentSummary(t *testing.T) {
 	if err := kb.InstallRule(plainE1); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Install(seq2("pair", 5*time.Minute)); err != nil {
+	if err := kb.InstallRule(seq2("pair", 5*time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	cepExec(t, kb, "CREATE (:E0 {k: 'a'})")
@@ -73,8 +73,8 @@ func TestCEPCompositeAlertHonoursConfigAlertLabel(t *testing.T) {
 	}
 	override := seq2("loud", 5*time.Minute)
 	override.AlertLabel = "Loud"
-	for _, r := range []Rule{seq2("pair", 5*time.Minute), override} {
-		if err := m.Install(r); err != nil {
+	for _, r := range []trigger.Rule{seq2("pair", 5*time.Minute), override} {
+		if err := kb.InstallRule(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,7 +93,8 @@ func TestCEPCompositeAlertHonoursConfigAlertLabel(t *testing.T) {
 		}
 	}
 	// The APOC drain job creates the same labels.
-	out, skipped := m.TranslateAllAPOC("neo4j")
+	exp := kb.TranslateRulesAPOC("neo4j", "")
+	out, skipped := exp.Composite, exp.CompositeSkipped
 	if len(skipped) != 0 {
 		t.Fatalf("skipped: %v", skipped)
 	}
@@ -107,7 +108,7 @@ func TestCEPCompositeAlertQueryObserved(t *testing.T) {
 	kb, _, m := newCEPKB(t)
 	r := seq2("pair", 5*time.Minute)
 	r.Alert = "RETURN KEY AS k, MATCHES AS n"
-	if err := m.Install(r); err != nil {
+	if err := kb.InstallRule(r); err != nil {
 		t.Fatal(err)
 	}
 	cepExec(t, kb, "CREATE (:E0 {k: 'a'})")
@@ -124,9 +125,10 @@ func TestCEPCompositeAlertQueryObserved(t *testing.T) {
 
 // eachTxn completes a match on every occurrence, so n writes leave n ready
 // partials.
-var eachTxn = Rule{
-	Name: "each", Hub: "P", Op: Count, Threshold: 1, Window: time.Hour,
-	Steps: []Step{{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Txn"}, Key: "NEW.k"}},
+var eachTxn = trigger.Rule{
+	Name: "each", Hub: "P",
+	Composite: &trigger.Composite{Op: trigger.Count, Threshold: 1, Window: time.Hour,
+		Steps: []trigger.Step{{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Txn"}, Key: "NEW.k"}}},
 }
 
 // bookkeepingHosts are the knowledge bases the contract runs over: one
@@ -156,7 +158,7 @@ func bookkeepingHosts(t *testing.T, fn func(t *testing.T, kb *core.KnowledgeBase
 // round-robin.
 func stageReady(t *testing.T, kb *core.KnowledgeBase, m *Manager, hubs []string, per int) {
 	t.Helper()
-	if err := m.Install(eachTxn); err != nil {
+	if err := kb.InstallRule(eachTxn); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < per; i++ {
@@ -198,7 +200,7 @@ func TestCEPBookkeepingScanOrderAndTake(t *testing.T) {
 		}
 		// An open partial of a rule that is still installed is not ready,
 		// and the scan skips it.
-		if err := m.Install(seq2("pair", 5*time.Minute)); err != nil {
+		if err := kb.InstallRule(seq2("pair", 5*time.Minute)); err != nil {
 			t.Fatal(err)
 		}
 		q := "CREATE (:E0 {k: 'open'})"

@@ -1,16 +1,28 @@
+// Package cep is the runtime of composite events — sequences, conjunctions,
+// absence (NOT … WITHIN) and sliding count windows, in the spirit of the
+// ECA-LP / Reaction RuleML composite-event algebra the paper's reaction
+// rules descend from. The rules themselves are trigger.Rules with a
+// composite event term, parsed, installed and exported by internal/trigger;
+// the engine fires each step atom like any rule and hands passing
+// activations to this package's StepSink.
+//
+// Partial-match state lives in durable, skip-labeled CEPPartial graph nodes
+// created inside the triggering transaction, so it rides the WAL,
+// snapshots, crash recovery, per-shard queues and replication exactly as the
+// async pipeline's PendingAlert nodes do. Completed or expired partials are
+// resolved by a drain (Manager.DrainOnce) whose follow-up transaction
+// deletes the partial node and materializes the composite alert atomically
+// — exactly-once across crashes.
 package cep
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cypher"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/trigger"
@@ -52,17 +64,13 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Manager runs composite-event rules over one knowledge base: it installs
-// their compiled step rules, advances durable partial-match state from the
-// engine's StepSink, and drains completed or expired partials into alerts.
+// Manager runs the composite rules of one knowledge base: it advances
+// durable partial-match state from the engine's StepSink and drains
+// completed or expired partials into alerts.
 type Manager struct {
 	kb   *core.KnowledgeBase
 	opts Options
 	m    cepMetrics
-
-	mu    sync.RWMutex
-	rules map[string]*compiledRule
-	seq   int
 
 	partials *core.Bookkeeping
 	driver   atomic.Pointer[core.Driver] // the background drain loop; nil unless started
@@ -88,8 +96,7 @@ func Enable(kb *core.KnowledgeBase, opts Options) (*Manager, error) {
 	if eng.StepSink != nil {
 		return nil, ErrEnabled
 	}
-	m := &Manager{kb: kb, opts: opts, rules: make(map[string]*compiledRule),
-		partials: kb.Bookkeeping(PartialLabel)}
+	m := &Manager{kb: kb, opts: opts, partials: kb.Bookkeeping(PartialLabel)}
 	m.partials.Hide()
 	if err := kb.CreateIndex(PartialLabel, propPKey); err != nil {
 		return nil, fmt.Errorf("cep: create partial index: %w", err)
@@ -114,156 +121,41 @@ func (m *Manager) Recovered() int { return m.partials.Recovered() }
 // (open and completed-but-undrained).
 func (m *Manager) Depth() int { return m.partials.Depth() }
 
-// ---- rule management ----
-
-// Install compiles a composite rule and installs its step rules on the
-// engine.
-func (m *Manager) Install(r Rule) error {
-	cr, err := compile(r)
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, dup := m.rules[r.Name]; dup {
-		return fmt.Errorf("%w: %s", ErrRuleExists, r.Name)
-	}
-	eng := m.kb.Engine()
-	// The completion is an ordinary reaction reached later: the engine
-	// compiles it (resolving the alert label like any rule's) and, at the
-	// drain, runs and materializes it like any rule's.
-	cr.alert, err = eng.Compile(trigger.Rule{Name: r.Name, Hub: r.Hub,
-		Alert: r.Alert, AlertLabel: r.AlertLabel, Composite: r.Name})
-	if err != nil {
-		return fmt.Errorf("cep: rule %s: %w", r.Name, err)
-	}
-	cr.AlertLabel = cr.alert.AlertLabel
-	installed := make([]string, 0, len(cr.Steps))
-	for _, sr := range cr.stepRules() {
-		if err := eng.Install(sr); err != nil {
-			for _, name := range installed {
-				_ = eng.Drop(name)
-			}
-			return fmt.Errorf("cep: rule %s: %w", r.Name, err)
-		}
-		installed = append(installed, sr.Name)
-	}
-	cr.seq = m.seq
-	m.seq++
-	m.rules[r.Name] = cr
-	return nil
-}
-
-// InstallText parses a composite CREATE TRIGGER declaration (see ParseRule)
-// and installs it.
-func (m *Manager) InstallText(src string) (Rule, error) {
-	r, err := ParseRule(src)
-	if err != nil {
-		return r, err
-	}
-	return r, m.Install(r)
-}
-
-// Drop removes a composite rule and its step rules. Partial matches the
-// rule left behind are discarded (as orphans) by the next drain.
-func (m *Manager) Drop(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cr, ok := m.rules[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrRuleNotFound, name)
-	}
-	eng := m.kb.Engine()
-	for i := range cr.Steps {
-		_ = eng.Drop(stepRuleName(name, i))
-	}
-	delete(m.rules, name)
-	return nil
-}
-
-// RuleInfo describes one installed composite rule.
-type RuleInfo struct {
-	Rule
-	// Text is the canonical DSL rendering of the rule.
-	Text string
-}
-
-// Rules lists installed composite rules in installation order.
-func (m *Manager) Rules() []RuleInfo {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	crs := make([]*compiledRule, 0, len(m.rules))
-	for _, cr := range m.rules {
-		crs = append(crs, cr)
-	}
-	sort.Slice(crs, func(i, j int) bool { return crs[i].seq < crs[j].seq })
-	out := make([]RuleInfo, len(crs))
-	for i, cr := range crs {
-		out[i] = RuleInfo{Rule: cr.Rule, Text: cr.Rule.Text()}
-	}
-	return out
-}
-
-// Has reports whether a composite rule with the given name is installed.
-func (m *Manager) Has(name string) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.rules[name]
-	return ok
-}
+// Install installs a composite rule: kb.InstallRule, kept for callers that
+// hold the manager.
+func (m *Manager) Install(r trigger.Rule) error { return m.kb.InstallRule(r) }
 
 // ---- the step sink: advancing partial matches in the writing tx ----
 
 func partialKey(rule, key string) string { return rule + "\x00" + key }
 
-// step is the engine StepSink: one passing step-rule activation, inside
-// the writing transaction. All state it touches is durable graph state, so
-// a crash either keeps the whole triggering transaction (with the advance)
-// or none of it.
+// step is the engine StepSink: one passing step activation, inside the
+// writing transaction. All state it touches is durable graph state, so a
+// crash either keeps the whole triggering transaction (with the advance) or
+// none of it.
 func (m *Manager) step(tx *graph.Tx, item trigger.StepItem) error {
-	m.mu.RLock()
-	cr := m.rules[item.Composite]
-	m.mu.RUnlock()
-	if cr == nil || item.Step < 0 || item.Step >= len(cr.Steps) {
-		return nil // dropped concurrently: the occurrence is inert
-	}
+	cr := item.Rule
 	m.onCommit(tx, func() { m.m.steps.Inc() })
 
 	now := m.kb.Now()
-	key := ""
-	if ke := cr.keys[item.Step]; ke != nil {
-		v, err := ke.Eval(tx, &cypher.Options{
-			Bindings: item.Binding,
-			Now:      func() time.Time { return now },
-		})
-		if err != nil {
-			return fmt.Errorf("cep: rule %s step %d BY: %w", cr.Name, item.Step, err)
-		}
-		if s, ok := v.AsString(); ok {
-			key = s // unquoted: the key is an identity, not a rendering
-		} else {
-			key = v.String()
-		}
-	}
-
-	id, open := m.lookup(tx, cr.Name, key)
+	id, open := m.lookup(tx, cr.Name, item.Key)
 	if open && m.boolProp(tx, id, propDone) {
 		// Completed, awaiting drain: the key is occupied until the
 		// follow-up transaction materializes the alert.
 		return nil
 	}
 	switch cr.Op {
-	case Sequence:
-		return m.stepSequence(tx, cr, item, id, open, key, now)
-	case All:
-		return m.stepAll(tx, cr, item, id, open, key, now)
+	case trigger.Sequence:
+		return m.stepSequence(tx, cr, item, id, open, now)
+	case trigger.All:
+		return m.stepAll(tx, cr, item, id, open, now)
 	default:
-		return m.stepCount(tx, cr, item, id, open, key, now)
+		return m.stepCount(tx, cr, item, id, open, now)
 	}
 }
 
-func (m *Manager) stepSequence(tx *graph.Tx, cr *compiledRule, item trigger.StepItem,
-	id graph.NodeID, open bool, key string, now time.Time) error {
+func (m *Manager) stepSequence(tx *graph.Tx, cr *trigger.Compiled, item trigger.StepItem,
+	id graph.NodeID, open bool, now time.Time) error {
 	final := len(cr.Steps) - 1
 	absence := cr.Steps[final].Negated
 	st := cr.Steps[item.Step]
@@ -307,7 +199,7 @@ func (m *Manager) stepSequence(tx *graph.Tx, cr *compiledRule, item trigger.Step
 		if item.Step != 0 || st.Negated {
 			return nil
 		}
-		id, err := m.openPartial(tx, cr, item, key, now, value.Int(1), "")
+		id, err := m.openPartial(tx, cr, item, now, value.Int(1), "")
 		if err != nil {
 			return err
 		}
@@ -318,8 +210,8 @@ func (m *Manager) stepSequence(tx *graph.Tx, cr *compiledRule, item trigger.Step
 	return nil
 }
 
-func (m *Manager) stepAll(tx *graph.Tx, cr *compiledRule, item trigger.StepItem,
-	id graph.NodeID, open bool, key string, now time.Time) error {
+func (m *Manager) stepAll(tx *graph.Tx, cr *trigger.Compiled, item trigger.StepItem,
+	id graph.NodeID, open bool, now time.Time) error {
 	full := int64(1)<<len(cr.Steps) - 1
 	bit := int64(1) << item.Step
 	if open {
@@ -341,7 +233,7 @@ func (m *Manager) stepAll(tx *graph.Tx, cr *compiledRule, item trigger.StepItem,
 		}
 	}
 	if !open {
-		id, err := m.openPartial(tx, cr, item, key, now, value.Int(bit), "")
+		id, err := m.openPartial(tx, cr, item, now, value.Int(bit), "")
 		if err != nil {
 			return err
 		}
@@ -352,8 +244,8 @@ func (m *Manager) stepAll(tx *graph.Tx, cr *compiledRule, item trigger.StepItem,
 	return nil
 }
 
-func (m *Manager) stepCount(tx *graph.Tx, cr *compiledRule, item trigger.StepItem,
-	id graph.NodeID, open bool, key string, now time.Time) error {
+func (m *Manager) stepCount(tx *graph.Tx, cr *trigger.Compiled, item trigger.StepItem,
+	id graph.NodeID, open bool, now time.Time) error {
 	if open {
 		times := m.times(tx, id)
 		kept := pruneTimes(times, now.Add(-cr.Window))
@@ -377,7 +269,7 @@ func (m *Manager) stepCount(tx *graph.Tx, cr *compiledRule, item trigger.StepIte
 		return nil
 	}
 	times := []int64{now.UnixNano()}
-	id, err := m.openPartial(tx, cr, item, key, now, value.Int(1), encodeTimes(times))
+	id, err := m.openPartial(tx, cr, item, now, value.Int(1), encodeTimes(times))
 	if err != nil {
 		return err
 	}
@@ -398,16 +290,16 @@ func (m *Manager) lookup(tx *graph.Tx, rule, key string) (graph.NodeID, bool) {
 	return ids[0], true
 }
 
-func (m *Manager) openPartial(tx *graph.Tx, cr *compiledRule, item trigger.StepItem,
-	key string, now time.Time, state value.Value, times string) (graph.NodeID, error) {
+func (m *Manager) openPartial(tx *graph.Tx, cr *trigger.Compiled, item trigger.StepItem,
+	now time.Time, state value.Value, times string) (graph.NodeID, error) {
 	enc, err := trigger.EncodeBinding(item.Binding)
 	if err != nil {
 		return 0, fmt.Errorf("cep: rule %s: %w", cr.Name, err)
 	}
 	props := map[string]value.Value{
 		propRule:      value.Str(cr.Name),
-		propKey:       value.Str(key),
-		propPKey:      value.Str(partialKey(cr.Name, key)),
+		propKey:       value.Str(item.Key),
+		propPKey:      value.Str(partialKey(cr.Name, item.Key)),
 		propState:     state,
 		propStartedAt: value.DateTime(now),
 		propUpdatedAt: value.DateTime(now),
@@ -444,7 +336,7 @@ func (m *Manager) advance(tx *graph.Tx, id graph.NodeID, item trigger.StepItem,
 
 // markDone flags a partial as completed; the drain's follow-up transaction
 // deletes it and materializes the alert, exactly-once.
-func (m *Manager) markDone(tx *graph.Tx, cr *compiledRule, id graph.NodeID, at time.Time) error {
+func (m *Manager) markDone(tx *graph.Tx, cr *trigger.Compiled, id graph.NodeID, at time.Time) error {
 	if err := tx.SetNodeProp(id, propDone, value.Bool(true)); err != nil {
 		return err
 	}
@@ -553,11 +445,17 @@ func (m *Manager) DrainOnce() (int, error) {
 // ready reports whether a partial is due for the drain: completed, past its
 // window, or orphaned by a dropped rule.
 func (m *Manager) ready(tx *graph.Tx, id graph.NodeID, now time.Time) bool {
-	if m.boolProp(tx, id, propDone) || !m.Has(m.strProp(tx, id, propRule)) {
+	if m.boolProp(tx, id, propDone) || m.rule(tx, id) == nil {
 		return true
 	}
 	deadline, ok := m.timeProp(tx, id, propDeadline)
 	return ok && !now.Before(deadline)
+}
+
+// rule returns the installed composite rule a partial belongs to; nil when
+// the rule was dropped.
+func (m *Manager) rule(tx *graph.Tx, id graph.NodeID) *trigger.Compiled {
+	return m.kb.Engine().CompositeRule(m.strProp(tx, id, propRule))
 }
 
 // resolve handles one ready partial inside its follow-up transaction. It
@@ -565,9 +463,7 @@ func (m *Manager) ready(tx *graph.Tx, id graph.NodeID, now time.Time) bool {
 // the state advanced, or a count window merely slid).
 func (m *Manager) resolve(tx *graph.Tx, id graph.NodeID) error {
 	now := m.kb.Now()
-	m.mu.RLock()
-	cr := m.rules[m.strProp(tx, id, propRule)]
-	m.mu.RUnlock()
+	cr := m.rule(tx, id)
 	if cr == nil {
 		return m.remove(tx, id, m.m.orphaned)
 	}
@@ -579,7 +475,7 @@ func (m *Manager) resolve(tx *graph.Tx, id graph.NodeID) error {
 		return nil // no longer ready (clock moved, state advanced)
 	}
 	final := len(cr.Steps) - 1
-	if cr.Op == Sequence && cr.Steps[final].Negated &&
+	if cr.Op == trigger.Sequence && cr.Steps[final].Negated &&
 		int(m.intProp(tx, id, propState)) == final {
 		// Absence detection: the window closed with the match armed and
 		// the forbidden event never came — that IS the composite event.
@@ -588,7 +484,7 @@ func (m *Manager) resolve(tx *graph.Tx, id graph.NodeID) error {
 		}
 		return m.complete(tx, cr, id)
 	}
-	if cr.Op == Count {
+	if cr.Op == trigger.Count {
 		times := m.times(tx, id)
 		kept := pruneTimes(times, now.Add(-cr.Window))
 		if ev := len(times) - len(kept); ev > 0 {
@@ -617,13 +513,13 @@ var summaryCols = []string{"key", "matches", "window", "startedAt", "completedAt
 // complete deletes a done partial and materializes its composite alert
 // through the engine's one materializer — inside the drain's follow-up
 // transaction, the exactly-once point.
-func (m *Manager) complete(tx *graph.Tx, cr *compiledRule, id graph.NodeID) error {
+func (m *Manager) complete(tx *graph.Tx, cr *trigger.Compiled, id graph.NodeID) error {
 	key, _ := tx.NodeProp(id, propKey)
 	started, _ := m.timeProp(tx, id, propStartedAt)
 	doneAt, _ := m.timeProp(tx, id, propDoneAt)
 	matches := int64(0)
 	switch cr.Op {
-	case Count:
+	case trigger.Count:
 		matches = m.intProp(tx, id, propState)
 	default:
 		for _, st := range cr.Steps {
@@ -655,10 +551,10 @@ func (m *Manager) complete(tx *graph.Tx, cr *compiledRule, id graph.NodeID) erro
 	if cr.Alert == "" {
 		cols = summaryCols
 		rows = [][]value.Value{{key, bind["MATCHES"], bind["WINDOW"], bind["STARTEDAT"], bind["DONEAT"]}}
-	} else if cols, rows, err = eng.RunAlert(tx, cr.alert, bind, now); err != nil {
+	} else if cols, rows, err = eng.RunAlert(tx, cr, bind, now); err != nil {
 		return err
 	}
-	alerts, err := eng.Materialize(tx, cr.alert, bind, now, cols, rows)
+	alerts, err := eng.Materialize(tx, cr, bind, now, cols, rows)
 	m.onCommit(tx, func() { m.m.alerts.Add(int64(len(alerts))) })
 	return err
 }

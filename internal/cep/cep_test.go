@@ -9,6 +9,7 @@ package cep
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -60,19 +61,20 @@ func drain(t *testing.T, m *Manager) int {
 }
 
 // seq2 is a two-step keyed sequence: E0 then E1, correlated by NEW.k.
-func seq2(name string, window time.Duration) Rule {
-	return Rule{
-		Name: name, Hub: "H", Op: Sequence, Window: window,
-		Steps: []Step{
-			{Event: trigger.Event{Kind: trigger.CreateNode, Label: "E0"}, Key: "NEW.k"},
-			{Event: trigger.Event{Kind: trigger.CreateNode, Label: "E1"}, Key: "NEW.k"},
-		},
+func seq2(name string, window time.Duration) trigger.Rule {
+	return trigger.Rule{
+		Name: name, Hub: "H",
+		Composite: &trigger.Composite{Op: trigger.Sequence, Window: window,
+			Steps: []trigger.Step{
+				{Event: trigger.Event{Kind: trigger.CreateNode, Label: "E0"}, Key: "NEW.k"},
+				{Event: trigger.Event{Kind: trigger.CreateNode, Label: "E1"}, Key: "NEW.k"},
+			}},
 	}
 }
 
 func TestCEPSequenceMatchAndDrain(t *testing.T) {
 	kb, _, m := newCEPKB(t)
-	if err := m.Install(seq2("pair", 5*time.Minute)); err != nil {
+	if err := kb.InstallRule(seq2("pair", 5*time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	rep := cepExec(t, kb, "CREATE (:E0 {k: 'a'})")
@@ -118,7 +120,7 @@ func TestCEPSequenceMatchAndDrain(t *testing.T) {
 
 func TestCEPSequenceOutOfOrderIgnored(t *testing.T) {
 	kb, _, m := newCEPKB(t)
-	if err := m.Install(seq2("pair", 5*time.Minute)); err != nil {
+	if err := kb.InstallRule(seq2("pair", 5*time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	// The second step without an open partial does not open one.
@@ -142,7 +144,7 @@ func TestCEPSequenceOutOfOrderIgnored(t *testing.T) {
 
 func TestCEPSequenceWindowExpiry(t *testing.T) {
 	kb, clock, m := newCEPKB(t)
-	if err := m.Install(seq2("pair", 5*time.Minute)); err != nil {
+	if err := kb.InstallRule(seq2("pair", 5*time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	cepExec(t, kb, "CREATE (:E0 {k: 'a'})")
@@ -180,7 +182,7 @@ func TestCEPSequenceWindowExpiry(t *testing.T) {
 
 func TestCEPSequenceDrainEvictsExpired(t *testing.T) {
 	kb, clock, m := newCEPKB(t)
-	if err := m.Install(seq2("pair", 5*time.Minute)); err != nil {
+	if err := kb.InstallRule(seq2("pair", 5*time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	cepExec(t, kb, "CREATE (:E0 {k: 'a'})")
@@ -199,13 +201,14 @@ func TestCEPSequenceDrainEvictsExpired(t *testing.T) {
 
 func TestCEPAndAnyOrder(t *testing.T) {
 	kb, _, m := newCEPKB(t)
-	err := m.Install(Rule{
-		Name: "conj", Hub: "H", Op: All, Window: 5 * time.Minute,
-		Steps: []Step{
-			{Event: trigger.Event{Kind: trigger.CreateNode, Label: "A0"}, Key: "NEW.k"},
-			{Event: trigger.Event{Kind: trigger.CreateNode, Label: "A1"}, Key: "NEW.k"},
-			{Event: trigger.Event{Kind: trigger.CreateNode, Label: "A2"}, Key: "NEW.k"},
-		},
+	err := kb.InstallRule(trigger.Rule{
+		Name: "conj", Hub: "H",
+		Composite: &trigger.Composite{Op: trigger.All, Window: 5 * time.Minute,
+			Steps: []trigger.Step{
+				{Event: trigger.Event{Kind: trigger.CreateNode, Label: "A0"}, Key: "NEW.k"},
+				{Event: trigger.Event{Kind: trigger.CreateNode, Label: "A1"}, Key: "NEW.k"},
+				{Event: trigger.Event{Kind: trigger.CreateNode, Label: "A2"}, Key: "NEW.k"},
+			}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,11 +235,12 @@ func TestCEPAndAnyOrder(t *testing.T) {
 
 func TestCEPCountSlidingWindow(t *testing.T) {
 	kb, clock, m := newCEPKB(t)
-	err := m.Install(Rule{
-		Name: "velocity", Hub: "H", Op: Count, Threshold: 3, Window: 5 * time.Minute,
-		Steps: []Step{
-			{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Txn"}, Key: "NEW.account"},
-		},
+	err := kb.InstallRule(trigger.Rule{
+		Name: "velocity", Hub: "H",
+		Composite: &trigger.Composite{Op: trigger.Count, Threshold: 3, Window: 5 * time.Minute,
+			Steps: []trigger.Step{
+				{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Txn"}, Key: "NEW.account"},
+			}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -281,11 +285,12 @@ func TestCEPCountSlidingWindow(t *testing.T) {
 
 func TestCEPCountDrainSlidesThenEvicts(t *testing.T) {
 	kb, clock, m := newCEPKB(t)
-	err := m.Install(Rule{
-		Name: "velocity", Hub: "H", Op: Count, Threshold: 3, Window: 5 * time.Minute,
-		Steps: []Step{
-			{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Txn"}, Key: "NEW.account"},
-		},
+	err := kb.InstallRule(trigger.Rule{
+		Name: "velocity", Hub: "H",
+		Composite: &trigger.Composite{Op: trigger.Count, Threshold: 3, Window: 5 * time.Minute,
+			Steps: []trigger.Step{
+				{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Txn"}, Key: "NEW.account"},
+			}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -316,19 +321,20 @@ func TestCEPCountDrainSlidesThenEvicts(t *testing.T) {
 }
 
 // absenceRule matches a Txn with no Confirmation inside the window.
-func absenceRule(window time.Duration) Rule {
-	return Rule{
-		Name: "unconfirmed", Hub: "H", Op: Sequence, Window: window,
-		Steps: []Step{
-			{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Txn"}, Key: "NEW.k"},
-			{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Confirmation"}, Key: "NEW.k", Negated: true},
-		},
+func absenceRule(window time.Duration) trigger.Rule {
+	return trigger.Rule{
+		Name: "unconfirmed", Hub: "H",
+		Composite: &trigger.Composite{Op: trigger.Sequence, Window: window,
+			Steps: []trigger.Step{
+				{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Txn"}, Key: "NEW.k"},
+				{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Confirmation"}, Key: "NEW.k", Negated: true},
+			}},
 	}
 }
 
 func TestCEPAbsenceDetected(t *testing.T) {
 	kb, clock, m := newCEPKB(t)
-	if err := m.Install(absenceRule(5 * time.Minute)); err != nil {
+	if err := kb.InstallRule(absenceRule(5 * time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	cepExec(t, kb, "CREATE (:Txn {k: 'a'})")
@@ -353,7 +359,7 @@ func TestCEPAbsenceDetected(t *testing.T) {
 
 func TestCEPAbsenceKilledByOccurrence(t *testing.T) {
 	kb, clock, m := newCEPKB(t)
-	if err := m.Install(absenceRule(5 * time.Minute)); err != nil {
+	if err := kb.InstallRule(absenceRule(5 * time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	cepExec(t, kb, "CREATE (:Txn {k: 'a'})")
@@ -379,7 +385,7 @@ func TestCEPAbsenceKilledByOccurrence(t *testing.T) {
 
 func TestCEPAbsenceLateDiscoveryStillCompletes(t *testing.T) {
 	kb, clock, m := newCEPKB(t)
-	if err := m.Install(absenceRule(5 * time.Minute)); err != nil {
+	if err := kb.InstallRule(absenceRule(5 * time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	cepExec(t, kb, "CREATE (:Txn {k: 'a'})")
@@ -395,7 +401,7 @@ func TestCEPAbsenceLateDiscoveryStillCompletes(t *testing.T) {
 
 func TestCEPKeyIsolation(t *testing.T) {
 	kb, _, m := newCEPKB(t)
-	if err := m.Install(seq2("pair", 5*time.Minute)); err != nil {
+	if err := kb.InstallRule(seq2("pair", 5*time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	cepExec(t, kb, "CREATE (:E0 {k: 'a'})")
@@ -422,12 +428,13 @@ func TestCEPKeyIsolation(t *testing.T) {
 
 func TestCEPGuardFilters(t *testing.T) {
 	kb, _, m := newCEPKB(t)
-	err := m.Install(Rule{
-		Name: "big-pair", Hub: "H", Op: Sequence, Window: 5 * time.Minute,
-		Steps: []Step{
-			{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Txn"}, Guard: "NEW.amount > 900", Key: "NEW.k"},
-			{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Txn"}, Guard: "NEW.amount > 900", Key: "NEW.k"},
-		},
+	err := kb.InstallRule(trigger.Rule{
+		Name: "big-pair", Hub: "H",
+		Composite: &trigger.Composite{Op: trigger.Sequence, Window: 5 * time.Minute,
+			Steps: []trigger.Step{
+				{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Txn"}, Guard: "NEW.amount > 900", Key: "NEW.k"},
+				{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Txn"}, Guard: "NEW.amount > 900", Key: "NEW.k"},
+			}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -449,7 +456,7 @@ func TestCEPAlertQueryBindings(t *testing.T) {
 	kb, _, m := newCEPKB(t)
 	r := seq2("pair", 5*time.Minute)
 	r.Alert = "RETURN KEY AS k, MATCHES AS hits, RULE AS r, LAST.v AS lastv"
-	if err := m.Install(r); err != nil {
+	if err := kb.InstallRule(r); err != nil {
 		t.Fatal(err)
 	}
 	cepExec(t, kb, "CREATE (:E0 {k: 'a', v: 1})")
@@ -476,20 +483,15 @@ func TestCEPAlertQueryBindings(t *testing.T) {
 
 func TestCEPDropOrphansPartials(t *testing.T) {
 	kb, _, m := newCEPKB(t)
-	if err := m.Install(seq2("pair", 5*time.Minute)); err != nil {
+	if err := kb.InstallRule(seq2("pair", 5*time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	cepExec(t, kb, "CREATE (:E0 {k: 'a'})")
-	if err := m.Drop("pair"); err != nil {
+	if err := kb.DropRule("pair"); err != nil {
 		t.Fatal(err)
 	}
-	if m.Has("pair") {
-		t.Fatal("rule still installed after Drop")
-	}
-	for _, info := range kb.Rules() {
-		if info.Composite != "" {
-			t.Fatalf("step rule %s survived Drop", info.Name)
-		}
+	if rules := kb.Rules(); len(rules) != 0 {
+		t.Fatalf("rule %s still installed after Drop", rules[0].Name)
 	}
 	// The stranded partial is discarded (not alerted) by the next drain.
 	if n := drain(t, m); n != 1 {
@@ -501,43 +503,46 @@ func TestCEPDropOrphansPartials(t *testing.T) {
 	if len(cepAlerts(t, kb)) != 0 {
 		t.Fatal("orphaned partial produced an alert")
 	}
-	if err := m.Drop("pair"); !errors.Is(err, ErrRuleNotFound) {
+	if err := kb.DropRule("pair"); !errors.Is(err, trigger.ErrRuleNotFound) {
 		t.Fatalf("double Drop = %v, want ErrRuleNotFound", err)
 	}
 }
 
 func TestCEPInstallValidation(t *testing.T) {
-	_, _, m := newCEPKB(t)
-	if err := m.Install(seq2("pair", 5*time.Minute)); err != nil {
+	kb, _, _ := newCEPKB(t)
+	if err := kb.InstallRule(seq2("pair", 5*time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Install(seq2("pair", time.Minute)); !errors.Is(err, ErrRuleExists) {
+	if err := kb.InstallRule(seq2("pair", time.Minute)); !errors.Is(err, trigger.ErrRuleExists) {
 		t.Fatalf("duplicate install = %v, want ErrRuleExists", err)
 	}
-	step := Step{Event: trigger.Event{Kind: trigger.CreateNode, Label: "X"}}
-	bad := []Rule{
-		{Name: "", Op: Sequence, Window: time.Minute, Steps: []Step{step}},
-		{Name: "w", Op: Sequence, Window: 0, Steps: []Step{step}},
-		{Name: "s", Op: Sequence, Window: time.Minute},
-		{Name: "n", Op: Sequence, Window: time.Minute,
-			Steps: []Step{{Event: step.Event, Negated: true}, step}}, // NOT not final
-		{Name: "o", Op: Sequence, Window: time.Minute,
-			Steps: []Step{{Event: step.Event, Negated: true}}}, // no positive step
-		{Name: "a1", Op: All, Window: time.Minute, Steps: []Step{step}},
-		{Name: "an", Op: All, Window: time.Minute,
-			Steps: []Step{step, {Event: step.Event, Negated: true}}},
-		{Name: "c2", Op: Count, Window: time.Minute, Steps: []Step{step, step}},
-		{Name: "c0", Op: Count, Window: time.Minute, Steps: []Step{step}, Threshold: 0},
-		{Name: "t", Op: Sequence, Window: time.Minute, Steps: []Step{step, step}, Threshold: 2},
-		{Name: "g", Op: Sequence, Window: time.Minute,
-			Steps: []Step{{Event: step.Event, Guard: "NEW.v >"}}}, // bad guard
-		{Name: "k", Op: Sequence, Window: time.Minute,
-			Steps: []Step{{Event: step.Event, Key: "NEW."}}}, // bad key
-		{Name: "q", Op: Sequence, Window: time.Minute, Steps: []Step{step},
-			Alert: "RETURN ("}, // bad alert query
+	step := trigger.Step{Event: trigger.Event{Kind: trigger.CreateNode, Label: "X"}}
+	not := trigger.Step{Event: step.Event, Negated: true}
+	term := func(op trigger.Op, window time.Duration, threshold int, steps ...trigger.Step) *trigger.Composite {
+		return &trigger.Composite{Op: op, Window: window, Threshold: threshold, Steps: steps}
+	}
+	seq, all, count, minute := trigger.Sequence, trigger.All, trigger.Count, time.Minute
+	bad := []trigger.Rule{
+		{Name: "", Composite: term(seq, minute, 0, step)},
+		{Name: "w", Composite: term(seq, 0, 0, step)},
+		{Name: "s", Composite: term(seq, minute, 0)},
+		{Name: "n", Composite: term(seq, minute, 0, not, step)}, // NOT not final
+		{Name: "o", Composite: term(seq, minute, 0, not)},       // no positive step
+		{Name: "a1", Composite: term(all, minute, 0, step)},
+		{Name: "an", Composite: term(all, minute, 0, step, not)},
+		{Name: "c2", Composite: term(count, minute, 1, step, step)},
+		{Name: "c0", Composite: term(count, minute, 0, step)},
+		{Name: "t", Composite: term(seq, minute, 2, step, step)},
+		{Name: "g", Composite: term(seq, minute, 0, trigger.Step{Event: step.Event, Guard: "NEW.v >"})}, // bad guard
+		{Name: "k", Composite: term(seq, minute, 0, trigger.Step{Event: step.Event, Key: "NEW."})},      // bad key
+		{Name: "q", Composite: term(seq, minute, 0, step), Alert: "RETURN ("},                           // bad alert query
+		{Name: "wg", Composite: term(seq, minute, 0, step), Guard: "true"},                              // guards belong to steps
+		{Name: "wa", Composite: term(seq, minute, 0, step), Phase: trigger.AfterAsync},
+		{Name: "do", Composite: term(seq, minute, 0, step), Action: "CREATE (:X)"}, // completions create alert nodes
+		{Name: "nul\x00", Composite: term(seq, minute, 0, step)},
 	}
 	for _, r := range bad {
-		if err := m.Install(r); err == nil {
+		if err := kb.InstallRule(r); err == nil {
 			t.Errorf("Install(%+v) should fail", r)
 		}
 	}
@@ -570,12 +575,13 @@ func TestCEPSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = m.Install(Rule{
-		Name: "pair", Hub: "P", Op: Sequence, Window: 5 * time.Minute,
-		Steps: []Step{
-			{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Txn"}, Key: "NEW.k"},
-			{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Confirmation"}, Key: "NEW.k"},
-		},
+	err = kb.InstallRule(trigger.Rule{
+		Name: "pair", Hub: "P",
+		Composite: &trigger.Composite{Op: trigger.Sequence, Window: 5 * time.Minute,
+			Steps: []trigger.Step{
+				{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Txn"}, Key: "NEW.k"},
+				{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Confirmation"}, Key: "NEW.k"},
+			}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -627,7 +633,7 @@ func TestCEPShardedFollowerRefused(t *testing.T) {
 
 func TestCEPBackgroundDrainLoop(t *testing.T) {
 	kb, _, m := newCEPKB(t)
-	if err := m.Install(seq2("pair", 5*time.Minute)); err != nil {
+	if err := kb.InstallRule(seq2("pair", 5*time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Start(10 * time.Millisecond); err != nil {
@@ -657,11 +663,12 @@ func TestCEPConcurrentWritersAndDrainRace(t *testing.T) {
 	kb, _, m := newCEPKB(t)
 	// Threshold-1 count: every occurrence is its own completed match, so
 	// the expected alert total is exact even with the drain racing writers.
-	err := m.Install(Rule{
-		Name: "each", Hub: "H", Op: Count, Threshold: 1, Window: time.Hour,
-		Steps: []Step{
-			{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Txn"}, Key: "NEW.k"},
-		},
+	err := kb.InstallRule(trigger.Rule{
+		Name: "each", Hub: "H",
+		Composite: &trigger.Composite{Op: trigger.Count, Threshold: 1, Window: time.Hour,
+			Steps: []trigger.Step{
+				{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Txn"}, Key: "NEW.k"},
+			}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -703,33 +710,34 @@ func TestCEPConcurrentWritersAndDrainRace(t *testing.T) {
 }
 
 func TestCEPRulesListingAndInstallText(t *testing.T) {
-	_, _, m := newCEPKB(t)
-	r, err := m.InstallText("CREATE TRIGGER velocity ON HUB P\n" +
+	kb, _, _ := newCEPKB(t)
+	r, err := kb.InstallRuleText("CREATE TRIGGER velocity ON HUB P\n" +
 		"WHEN COUNT(CREATE NODE Txn IF NEW.flagged BY NEW.account) >= 3 WITHIN 5m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Name != "velocity" || r.Op != Count || r.Threshold != 3 {
+	if r.Name != "velocity" || r.Op != trigger.Count || r.Threshold != 3 {
 		t.Fatalf("parsed rule = %+v", r)
 	}
-	if err := m.Install(seq2("pair", time.Minute)); err != nil {
+	if err := kb.InstallRule(seq2("pair", time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	infos := m.Rules()
+	infos := kb.Rules()
 	if len(infos) != 2 || infos[0].Name != "velocity" || infos[1].Name != "pair" {
 		t.Fatalf("Rules() = %+v, want installation order", infos)
 	}
-	if infos[0].Text == "" {
-		t.Fatal("RuleInfo.Text empty")
-	}
-	if _, err := ParseRule(infos[0].Text); err != nil {
+	back, err := trigger.ParseRule(infos[0].Text())
+	if err != nil {
 		t.Fatalf("canonical text does not re-parse: %v", err)
+	}
+	if !reflect.DeepEqual(back, r) {
+		t.Fatalf("canonical text parses to %+v, want %+v", back, r)
 	}
 }
 
 func TestCEPPartialsInvisibleToRules(t *testing.T) {
 	kb, _, m := newCEPKB(t)
-	if err := m.Install(seq2("pair", 5*time.Minute)); err != nil {
+	if err := kb.InstallRule(seq2("pair", 5*time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	// A rule watching CEPPartial creations must never fire: the automaton's

@@ -1,8 +1,8 @@
 package cep
 
-// Parser tests for the composite DSL: accepted forms, byte-offset error
-// reporting, statement routing, canonical-text round trips, and the APOC
-// export.
+// The composite form of the one rule language (internal/trigger), as
+// existing composite texts use it: accepted forms, byte-offset error
+// reporting, canonical-text round trips, and the APOC export.
 
 import (
 	"fmt"
@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/trigger"
 )
 
@@ -18,14 +19,14 @@ func TestCEPParseRuleForms(t *testing.T) {
 	cases := []struct {
 		name string
 		src  string
-		want func(t *testing.T, r Rule)
+		want func(t *testing.T, r trigger.Rule)
 	}{
 		{
 			name: "count with guard and key",
 			src: "CREATE TRIGGER velocity ON HUB P\n" +
 				"WHEN COUNT(CREATE NODE Txn IF NEW.flagged BY NEW.account) >= 3 WITHIN 5m",
-			want: func(t *testing.T, r Rule) {
-				if r.Name != "velocity" || r.Hub != "P" || r.Op != Count {
+			want: func(t *testing.T, r trigger.Rule) {
+				if r.Name != "velocity" || r.Hub != "P" || r.Op != trigger.Count {
 					t.Fatalf("header = %+v", r)
 				}
 				if r.Threshold != 3 || r.Window != 5*time.Minute {
@@ -46,8 +47,8 @@ func TestCEPParseRuleForms(t *testing.T) {
 				"WHEN SEQUENCE(CREATE NODE Txn IF NEW.amount > 900 BY NEW.account,\n" +
 				"              CREATE NODE Txn IF NEW.amount > 900 BY NEW.account)\n" +
 				"WITHIN 5m",
-			want: func(t *testing.T, r Rule) {
-				if r.Op != Sequence || len(r.Steps) != 2 {
+			want: func(t *testing.T, r trigger.Rule) {
+				if r.Op != trigger.Sequence || len(r.Steps) != 2 {
 					t.Fatalf("rule = %+v", r)
 				}
 				if r.Steps[1].Guard != "NEW.amount > 900" {
@@ -63,7 +64,7 @@ func TestCEPParseRuleForms(t *testing.T) {
 				"WITHIN 30m\n" +
 				"THEN ALERT\n" +
 				"  RETURN KEY AS account, MATCHES AS hits",
-			want: func(t *testing.T, r Rule) {
+			want: func(t *testing.T, r trigger.Rule) {
 				if !r.Steps[1].Negated {
 					t.Fatal("NOT atom not negated")
 				}
@@ -80,8 +81,8 @@ func TestCEPParseRuleForms(t *testing.T) {
 			src: "CREATE TRIGGER both\n" +
 				"WHEN AND(CREATE OF NODE A, DELETE OF NODE B) WITHIN 1h\n" +
 				"THEN RETURN RULE AS r",
-			want: func(t *testing.T, r Rule) {
-				if r.Hub != "" || r.Op != All || len(r.Steps) != 2 {
+			want: func(t *testing.T, r trigger.Rule) {
+				if r.Hub != "" || r.Op != trigger.All || len(r.Steps) != 2 {
 					t.Fatalf("rule = %+v", r)
 				}
 				if r.Steps[1].Event.Kind != trigger.DeleteNode {
@@ -96,7 +97,7 @@ func TestCEPParseRuleForms(t *testing.T) {
 			name: "keywords inside guard parens are opaque",
 			src: "CREATE TRIGGER tricky\n" +
 				"WHEN COUNT(CREATE NODE Txn IF (NEW.tag = 'WITHIN THEN BY') BY NEW.k) >= 2 WITHIN 90s",
-			want: func(t *testing.T, r Rule) {
+			want: func(t *testing.T, r trigger.Rule) {
 				if r.Steps[0].Guard != "(NEW.tag = 'WITHIN THEN BY')" {
 					t.Fatalf("guard = %q", r.Steps[0].Guard)
 				}
@@ -113,7 +114,7 @@ func TestCEPParseRuleForms(t *testing.T) {
 				"WHEN COUNT(CREATE NODE Txn IF NEW.amount > 1 // don't count small ones\n" +
 				"           BY NEW.account /* BY WITHIN THEN */) >= 2 WITHIN 5m\n" +
 				"THEN RETURN KEY AS k",
-			want: func(t *testing.T, r Rule) {
+			want: func(t *testing.T, r trigger.Rule) {
 				st := r.Steps[0]
 				if st.Guard != "NEW.amount > 1 // don't count small ones" {
 					t.Fatalf("guard = %q", st.Guard)
@@ -126,15 +127,65 @@ func TestCEPParseRuleForms(t *testing.T) {
 				}
 			},
 		},
+		// Which form a declaration is: WHEN opening with an operator is a
+		// composite term unless an AFTER clause makes WHEN the guard.
+		{
+			name: "lower case keywords",
+			src:  "  create trigger x\nwhen count(CREATE NODE A) >= 2 within 5m",
+			want: func(t *testing.T, r trigger.Rule) {
+				if r.Composite == nil || r.Op != trigger.Count || r.Threshold != 2 {
+					t.Fatalf("rule = %+v", r)
+				}
+			},
+		},
+		{
+			name: "AND of two atoms",
+			src:  "CREATE TRIGGER x\nWHEN AND(CREATE NODE A, CREATE NODE B) WITHIN 5m",
+			want: func(t *testing.T, r trigger.Rule) {
+				if r.Composite == nil || r.Op != trigger.All {
+					t.Fatalf("rule = %+v", r)
+				}
+			},
+		},
+		{
+			name: "term on the header's line",
+			src:  "CREATE TRIGGER x ON HUB P WHEN SEQUENCE(CREATE NODE A, CREATE NODE B) WITHIN 5m THEN RETURN KEY AS k",
+			want: func(t *testing.T, r trigger.Rule) {
+				if r.Name != "x" || r.Hub != "P" || r.Composite == nil || len(r.Steps) != 2 ||
+					r.Window != 5*time.Minute || r.Alert != "RETURN KEY AS k" {
+					t.Fatalf("rule = %+v", r)
+				}
+			},
+		},
+		{
+			name: "single-event WHEN is a guard",
+			src:  "CREATE TRIGGER x\nAFTER CREATE OF NODE A\nWHEN true",
+			want: func(t *testing.T, r trigger.Rule) {
+				if r.Composite != nil || r.Guard != "true" {
+					t.Fatalf("rule = %+v", r)
+				}
+			},
+		},
+		{
+			name: "AND as a guard conjunction",
+			src:  "CREATE TRIGGER x\nAFTER CREATE OF NODE A\nWHEN NEW.a AND NEW.b",
+			want: func(t *testing.T, r trigger.Rule) {
+				if r.Composite != nil || r.Guard != "NEW.a AND NEW.b" {
+					t.Fatalf("rule = %+v", r)
+				}
+			},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			r, err := ParseRule(c.src)
+			r, err := trigger.ParseRule(c.src)
 			if err != nil {
 				t.Fatalf("ParseRule: %v", err)
 			}
 			c.want(t, r)
-			if _, err := compile(r); err != nil {
+			e := trigger.NewEngine()
+			e.StepSink = func(*graph.Tx, trigger.StepItem) error { return nil }
+			if err := e.Install(r); err != nil {
 				t.Fatalf("parsed rule does not compile: %v", err)
 			}
 		})
@@ -147,7 +198,7 @@ func TestCEPParseRuleErrors(t *testing.T) {
 		src  string
 		want string // substring the error must contain
 	}{
-		{"no when", "CREATE TRIGGER x", "missing WHEN clause"},
+		{"no when", "CREATE TRIGGER x", "missing AFTER or WHEN clause"},
 		{"bad header", "WHEN SEQUENCE(CREATE NODE A) WITHIN 5m", "expected CREATE TRIGGER"},
 		{"header junk", "CREATE TRIGGER x y z\nWHEN SEQUENCE(CREATE NODE A) WITHIN 5m", `unexpected "y z"`},
 		{"bad op", "CREATE TRIGGER x\nWHEN MERGE(CREATE NODE A) WITHIN 5m", "expected SEQUENCE(, AND( or COUNT("},
@@ -168,10 +219,17 @@ func TestCEPParseRuleErrors(t *testing.T) {
 		{"negative duration", "CREATE TRIGGER x\nWHEN SEQUENCE(CREATE NODE A) WITHIN -5m", `bad WITHIN duration "-5m"`},
 		{"trailing junk", "CREATE TRIGGER x\nWHEN SEQUENCE(CREATE NODE A) WITHIN 5m junk", `unexpected "junk"`},
 		{"empty then", "CREATE TRIGGER x\nWHEN SEQUENCE(CREATE NODE A) WITHIN 5m\nTHEN ALERT", "THEN needs an alert query"},
+		{"two alerts", "CREATE TRIGGER x\nWHEN SEQUENCE(CREATE NODE A) WITHIN 5m THEN RETURN 1 AS a\nALERT RETURN 2 AS b", "THEN and ALERT both"},
+		{"two terms", "CREATE TRIGGER x WHEN SEQUENCE(CREATE NODE A) WITHIN 5m\nWHEN SEQUENCE(CREATE NODE B) WITHIN 5m", "duplicate WHEN section"},
+		// COUNTER is not COUNT at a word boundary; and neither a query nor a
+		// node creation is a declaration.
+		{"no operator", "CREATE TRIGGER x\nWHEN COUNTER(1) WITHIN 5m", "expected SEQUENCE(, AND( or COUNT("},
+		{"query", "MATCH (n) RETURN n", "expected CREATE TRIGGER"},
+		{"node creation", "CREATE (:Trigger)", "expected CREATE TRIGGER"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := ParseRule(c.src)
+			_, err := trigger.ParseRule(c.src)
 			if err == nil {
 				t.Fatalf("ParseRule(%q) should fail", c.src)
 			}
@@ -188,7 +246,7 @@ func TestCEPParseRuleErrors(t *testing.T) {
 func TestCEPParseErrorOffsets(t *testing.T) {
 	// The reported offset must point into the offending clause, not at 0.
 	src := "CREATE TRIGGER x\nWHEN COUNT(CREATE NODE A) >= 3 WITHIN fortnight"
-	_, err := ParseRule(src)
+	_, err := trigger.ParseRule(src)
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -207,30 +265,6 @@ func TestCEPParseErrorOffsets(t *testing.T) {
 	}
 }
 
-func TestCEPIsCompositeStatement(t *testing.T) {
-	cases := []struct {
-		src  string
-		want bool
-	}{
-		{"CREATE TRIGGER x\nWHEN SEQUENCE(CREATE NODE A) WITHIN 5m", true},
-		{"  create trigger x\nwhen count(CREATE NODE A) >= 2 within 5m", true},
-		{"CREATE TRIGGER x\nWHEN AND(CREATE NODE A, CREATE NODE B) WITHIN 5m", true},
-		// Single-event trigger DSL: WHEN holds a predicate, not an operator.
-		{"CREATE TRIGGER x\nAFTER CREATE OF NODE A\nWHEN true", false},
-		// AND as a predicate conjunction, not a call.
-		{"CREATE TRIGGER x\nAFTER CREATE OF NODE A\nWHEN NEW.a AND NEW.b", false},
-		// COUNTER is not COUNT at a word boundary.
-		{"CREATE TRIGGER x\nWHEN COUNTER(1) WITHIN 5m", false},
-		{"MATCH (n) RETURN n", false},
-		{"CREATE (:Trigger)", false},
-	}
-	for _, c := range cases {
-		if got := IsCompositeStatement(c.src); got != c.want {
-			t.Errorf("IsCompositeStatement(%q) = %v, want %v", c.src, got, c.want)
-		}
-	}
-}
-
 func TestCEPTextRoundTrip(t *testing.T) {
 	srcs := []string{
 		"CREATE TRIGGER velocity ON HUB P\n" +
@@ -239,14 +273,15 @@ func TestCEPTextRoundTrip(t *testing.T) {
 			"WHEN SEQUENCE(CREATE NODE Txn BY NEW.account, NOT CREATE NODE Confirmation BY NEW.account) WITHIN 30m\n" +
 			"THEN ALERT\n  RETURN KEY AS account",
 		"CREATE TRIGGER both\nWHEN AND(CREATE NODE A, DELETE NODE B) WITHIN 1h30m",
+		"CREATE TRIGGER x WHEN SEQUENCE(CREATE NODE A) WITHIN 5m",
 	}
 	for _, src := range srcs {
-		r1, err := ParseRule(src)
+		r1, err := trigger.ParseRule(src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
 		text := r1.Text()
-		r2, err := ParseRule(text)
+		r2, err := trigger.ParseRule(text)
 		if err != nil {
 			t.Fatalf("re-parse %q: %v", text, err)
 		}
@@ -263,6 +298,15 @@ func TestCEPTextRoundTrip(t *testing.T) {
 	}
 }
 
+// atomEvent parses spec as the one atom of a composite rule.
+func atomEvent(spec string) (trigger.Event, error) {
+	r, err := trigger.ParseRule("CREATE TRIGGER r\nWHEN SEQUENCE(" + spec + ") WITHIN 5m")
+	if err != nil {
+		return trigger.Event{}, err
+	}
+	return r.Steps[0].Event, nil
+}
+
 // TestCEPEventSpecRoundTrip: for every event kind and selector shape, the
 // canonical spec (Event.String), its OF form and the EDGE alias all parse
 // back to the event, and a composite rule over it survives Text → ParseRule.
@@ -277,7 +321,7 @@ func TestCEPEventSpecRoundTrip(t *testing.T) {
 			verb, target, _ := strings.Cut(kind.String(), " ")
 			switch {
 			case target == "LABEL" && ev.Label == "":
-				if _, err := trigger.ParseEventSpec(ev.String()); err == nil {
+				if _, err := atomEvent(ev.String()); err == nil {
 					t.Errorf("%q parsed; a label event needs a label", ev.String())
 				}
 				continue
@@ -291,14 +335,17 @@ func TestCEPEventSpecRoundTrip(t *testing.T) {
 					strings.Replace(forms[1], "RELATIONSHIP", "edge", 1))
 			}
 			for _, form := range forms {
-				got, err := trigger.ParseEventSpec(form)
+				got, err := atomEvent(form)
 				if err != nil || got != ev {
-					t.Errorf("ParseEventSpec(%q) = %+v, %v; want %+v", form, got, err, ev)
+					t.Errorf("atom %q = %+v, %v; want %+v", form, got, err, ev)
 				}
 			}
-			rule := Rule{Name: "r", Op: Sequence, Window: 5 * time.Minute,
-				Steps: []Step{{Event: ev, Guard: "NEW.x > 1", Key: "NEW.k"}}}
-			back, err := ParseRule(rule.Text())
+			rule := trigger.Rule{
+				Name: "r",
+				Composite: &trigger.Composite{Op: trigger.Sequence, Window: 5 * time.Minute,
+					Steps: []trigger.Step{{Event: ev, Guard: "NEW.x > 1", Key: "NEW.k"}}},
+			}
+			back, err := trigger.ParseRule(rule.Text())
 			if err != nil || !reflect.DeepEqual(back, rule) {
 				t.Errorf("ParseRule(Text()) = %+v, %v\ntext: %s\nwant %+v", back, err, rule.Text(), rule)
 			}
@@ -316,21 +363,22 @@ func TestCEPFormatDuration(t *testing.T) {
 		30 * time.Minute:             "30m",
 	}
 	for d, want := range cases {
-		if got := FormatDuration(d); got != want {
-			t.Errorf("FormatDuration(%v) = %q, want %q", d, got, want)
+		r := seq2("r", d)
+		if got := r.Text(); !strings.HasSuffix(got, ") WITHIN "+want) {
+			t.Errorf("window %v renders as %q, want WITHIN %s", d, got, want)
 		}
 	}
 }
 
 func TestCEPTranslateAPOC(t *testing.T) {
-	r, err := ParseRule("CREATE TRIGGER unconfirmed ON HUB P\n" +
+	r, err := trigger.ParseRule("CREATE TRIGGER unconfirmed ON HUB P\n" +
 		"WHEN SEQUENCE(CREATE NODE Txn IF NEW.amount > 900 BY NEW.account,\n" +
 		"              NOT CREATE NODE Confirmation BY NEW.account)\n" +
 		"WITHIN 30m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stmts, err := TranslateAPOC(r, "neo4j")
+	stmts, err := trigger.TranslateAPOC(r, "neo4j", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +389,7 @@ func TestCEPTranslateAPOC(t *testing.T) {
 		if !strings.Contains(stmts[i], "apoc.trigger.install") {
 			t.Fatalf("statement %d is not a trigger install:\n%s", i, stmts[i])
 		}
-		if !strings.Contains(stmts[i], stepRuleName("unconfirmed", i)) {
+		if !strings.Contains(stmts[i], fmt.Sprintf("'cep:unconfirmed#%d'", i)) {
 			t.Fatalf("statement %d misses its step name:\n%s", i, stmts[i])
 		}
 		if !strings.Contains(stmts[i], "CEPPartial") {
@@ -356,12 +404,12 @@ func TestCEPTranslateAPOC(t *testing.T) {
 	}
 
 	// COUNT renders the sliding-window list comprehension.
-	cnt, err := ParseRule("CREATE TRIGGER velocity\n" +
+	cnt, err := trigger.ParseRule("CREATE TRIGGER velocity\n" +
 		"WHEN COUNT(CREATE NODE Txn BY NEW.account) >= 3 WITHIN 5m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stmts, err = TranslateAPOC(cnt, "")
+	stmts, err = trigger.TranslateAPOC(cnt, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,28 +418,38 @@ func TestCEPTranslateAPOC(t *testing.T) {
 	}
 
 	// Property events are outside the Fig. 6 scheme.
-	bad := Rule{
-		Name: "x", Op: Sequence, Window: time.Minute,
-		Steps: []Step{{Event: trigger.Event{Kind: trigger.SetProperty, PropKey: "v"}}},
+	bad := trigger.Rule{
+		Name: "x",
+		Composite: &trigger.Composite{Op: trigger.Sequence, Window: time.Minute,
+			Steps: []trigger.Step{{Event: trigger.Event{Kind: trigger.SetProperty, PropKey: "v"}}}},
 	}
-	if _, err := TranslateAPOC(bad, ""); err == nil {
+	if _, err := trigger.TranslateAPOC(bad, "", ""); err == nil {
 		t.Fatal("property-event step should not translate")
+	}
+
+	// The drain job creates alert nodes; an action has no translation, as
+	// for a Fig. 6 rule.
+	cnt.Action = "CREATE (:X)"
+	if _, err := trigger.TranslateAPOC(cnt, "", ""); err == nil || !strings.Contains(err.Error(), "custom action") {
+		t.Fatalf("composite rule with an action: %v, want a custom-action refusal", err)
 	}
 }
 
 func TestCEPManagerTranslateAllAPOC(t *testing.T) {
-	_, _, m := newCEPKB(t)
-	if err := m.Install(seq2("pair", 5*time.Minute)); err != nil {
+	kb, _, _ := newCEPKB(t)
+	if err := kb.InstallRule(seq2("pair", 5*time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	err := m.Install(Rule{
-		Name: "props", Hub: "H", Op: Sequence, Window: time.Minute,
-		Steps: []Step{{Event: trigger.Event{Kind: trigger.SetProperty, PropKey: "v"}}},
+	err := kb.InstallRule(trigger.Rule{
+		Name: "props", Hub: "H",
+		Composite: &trigger.Composite{Op: trigger.Sequence, Window: time.Minute,
+			Steps: []trigger.Step{{Event: trigger.Event{Kind: trigger.SetProperty, PropKey: "v"}}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	translated, skipped := m.TranslateAllAPOC("neo4j")
+	exp := kb.TranslateRulesAPOC("neo4j", "")
+	translated, skipped := exp.Composite, exp.CompositeSkipped
 	if len(translated) != 3 { // pair's two steps + drain
 		t.Fatalf("translated = %d statements, want 3", len(translated))
 	}

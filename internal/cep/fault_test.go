@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/periodic"
+	"repro/internal/trigger"
 	"repro/internal/wal"
 )
 
@@ -60,7 +61,7 @@ func cepCopyInto(t *testing.T, src, dst string) {
 // openDurableCEP opens a durable knowledge base at dir with the clock set
 // to at, enables composite events and re-installs the rules (rules are
 // configuration, re-installed on every open).
-func openDurableCEP(t *testing.T, dir string, at time.Time, rules ...Rule) (*core.KnowledgeBase, *periodic.ManualClock, *Manager) {
+func openDurableCEP(t *testing.T, dir string, at time.Time, rules ...trigger.Rule) (*core.KnowledgeBase, *periodic.ManualClock, *Manager) {
 	t.Helper()
 	clock := periodic.NewManualClock(at)
 	kb, _, err := core.OpenDurable(dir,
@@ -75,7 +76,7 @@ func openDurableCEP(t *testing.T, dir string, at time.Time, rules ...Rule) (*cor
 		t.Fatalf("Enable: %v", err)
 	}
 	for _, r := range rules {
-		if err := m.Install(r); err != nil {
+		if err := kb.InstallRule(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,9 +178,7 @@ func TestCEPFaultCompletionTxMidWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2.mu.RLock()
-	cr := m2.rules["pair"]
-	m2.mu.RUnlock()
+	cr := kb2.Engine().CompositeRule("pair")
 	wtx := kb2.Store().Begin(graph.ReadWrite)
 	if err := m2.complete(wtx, cr, pid); err != nil {
 		t.Fatal(err)
@@ -290,7 +289,7 @@ func TestCEPFaultShardedCrashRecovery(t *testing.T) {
 		}
 		r := seq2("pair", time.Hour)
 		r.Hub = "P"
-		if err := m.Install(r); err != nil {
+		if err := kb.InstallRule(r); err != nil {
 			t.Fatal(err)
 		}
 		return kb, m

@@ -343,8 +343,9 @@ func (kb *KnowledgeBase) CreateIndex(label, prop string) error {
 // InstallRule compiles and installs a reactive rule.
 func (kb *KnowledgeBase) InstallRule(r trigger.Rule) error { return kb.engine.Install(r) }
 
-// InstallRuleText parses a PG-Triggers-style CREATE TRIGGER declaration and
-// installs it (see the trigger package for the syntax).
+// InstallRuleText parses a PG-Triggers-style CREATE TRIGGER declaration,
+// single-event or composite, and installs it (see the trigger package for
+// the syntax).
 func (kb *KnowledgeBase) InstallRuleText(src string) (trigger.Rule, error) {
 	return kb.engine.InstallText(src)
 }
@@ -381,9 +382,10 @@ func (kb *KnowledgeBase) TriggeringGraph() []trigger.TriggeringEdge {
 }
 
 // TranslateRulesAPOC renders the installed rules as Neo4j APOC trigger
-// installation calls using the paper's Fig. 6 syntax-directed translation;
-// rules outside the scheme are reported in skipped.
-func (kb *KnowledgeBase) TranslateRulesAPOC(dbName, phase string) (translated, skipped []string) {
+// installation calls using the paper's Fig. 6 syntax-directed translation
+// (composite rules as step triggers plus a drain job); rules outside the
+// schemes are reported as skipped.
+func (kb *KnowledgeBase) TranslateRulesAPOC(dbName, phase string) trigger.APOCExport {
 	return kb.engine.TranslateAllAPOC(dbName, phase)
 }
 
@@ -819,7 +821,8 @@ func (kb *KnowledgeBase) LoadGraph(r io.Reader) error {
 // attached to forks and their evolutions compared. The fork has no async
 // pipeline: its AfterAsync rules evaluate synchronously, keeping
 // hypothetical reasoning deterministic (call StartAsync on the fork to
-// change that).
+// change that). Nor has it a composite-event runtime, so composite rules are
+// left out.
 func (kb *KnowledgeBase) Fork(clock periodic.Clock) (*KnowledgeBase, error) {
 	if err := kb.single("Fork"); err != nil {
 		return nil, err
@@ -847,6 +850,9 @@ func (kb *KnowledgeBase) Fork(clock periodic.Clock) (*KnowledgeBase, error) {
 	e := nkb.engine
 	e.StateLabels = kb.engine.StateLabels
 	for _, info := range kb.engine.Rules() {
+		if info.Composite != nil {
+			continue
+		}
 		if err := e.Install(info.Rule); err != nil {
 			return nil, fmt.Errorf("core: fork rule %s: %w", info.Name, err)
 		}

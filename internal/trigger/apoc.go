@@ -7,6 +7,16 @@ package trigger
 // alert and create the Alert node. TranslateAPOC implements that
 // translation, so rules authored against this library can be exported to a
 // real Neo4j + APOC deployment.
+//
+// A composite rule gets the same partial-match design internal/cep runs
+// natively, rendered as Neo4j triggers: each step atom becomes one
+// apoc.trigger.install statement that maintains :CEPPartial nodes with
+// MERGE/CASE logic, and a final apoc.periodic.repeat job plays the drain: it
+// materializes alerts from completed partials and deletes expired ones. The
+// emitted statements are a porting aid for the operator semantics
+// documented in DESIGN.md §14 — review window arithmetic and alert payloads
+// before production use, as the paper advises for its own Fig. 6/7
+// translation.
 
 import (
 	"fmt"
@@ -15,14 +25,22 @@ import (
 	"repro/internal/cypher"
 )
 
-// TranslateAPOC renders the rule as a CALL apoc.trigger.install statement
-// following the paper's syntax-directed translation. dbName is the target
-// database ("neo4j" by convention); phase is the APOC action time
+// TranslateAPOC renders the rule as APOC statements: one CALL
+// apoc.trigger.install following the paper's syntax-directed translation
+// for a single-event rule; one per step atom plus an apoc.periodic.repeat
+// drain job for a composite rule. dbName is the target database ("neo4j"
+// by convention); phase is the APOC action time of a single-event rule
 // ("before", "after" or "afterAsync"; empty means the rule's own Phase, so
 // AfterAsync rules emit {phase: 'afterAsync'}).
-func TranslateAPOC(r Rule, dbName, phase string) (string, error) {
+func TranslateAPOC(r Rule, dbName, phase string) ([]string, error) {
 	if dbName == "" {
 		dbName = "neo4j"
+	}
+	if r.Action != "" {
+		return nil, fmt.Errorf("trigger: APOC translation covers alert-node rules; rule %s has a custom action", r.Name)
+	}
+	if r.Composite != nil {
+		return translateComposite(r, dbName)
 	}
 	if phase == "" {
 		phase = r.Phase.String()
@@ -31,36 +49,34 @@ func TranslateAPOC(r Rule, dbName, phase string) (string, error) {
 	// plus the rule's guard.
 	source, condition, ok := r.Event.APOC(r.Guard)
 	if !ok {
-		return "", fmt.Errorf("trigger: APOC translation covers creation and deletion events, not %s",
+		return nil, fmt.Errorf("trigger: APOC translation covers creation and deletion events, not %s",
 			r.Event.Kind)
 	}
 	if condition == "" {
 		condition = "true"
 	}
-	if r.Action != "" {
-		return "", fmt.Errorf("trigger: APOC translation covers alert-node rules; rule %s has a custom action", r.Name)
-	}
-	if r.Composite != "" {
-		return "", fmt.Errorf("trigger: rule %s is a step of composite rule %s; composite rules are exported by the cep manager", r.Name, r.Composite)
-	}
-	alertLabel := r.AlertLabel
-	if alertLabel == "" {
-		alertLabel = DefaultAlertLabel
-	}
 
 	// The do.when action: the alert query extended with the Alert-node
 	// creation carrying the mandatory properties and the alert columns.
-	action, err := buildAPOCAction(r, alertLabel)
+	action, err := buildAPOCAction(r, alertLabelOf(r))
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 
 	statement := fmt.Sprintf(
 		"UNWIND %s AS cNode\nWITH cNode AS NEW\nCALL apoc.do.when(\n  %s,\n  %s,\n  '',\n  {NEW: NEW}\n) YIELD value RETURN *",
-		source, condition, APOCQuote(action))
+		source, condition, apocQuote(action))
 
-	return fmt.Sprintf("CALL apoc.trigger.install(%s, %s,\n%s,\n{phase: '%s'});",
-		"'"+dbName+"'", "'"+r.Name+"'", APOCQuote(statement), phase), nil
+	return []string{fmt.Sprintf("CALL apoc.trigger.install(%s, %s,\n%s,\n{phase: '%s'});",
+		"'"+dbName+"'", "'"+r.Name+"'", apocQuote(statement), phase)}, nil
+}
+
+// alertLabelOf is the label of r's alert nodes.
+func alertLabelOf(r Rule) string {
+	if r.AlertLabel == "" {
+		return DefaultAlertLabel
+	}
+	return r.AlertLabel
 }
 
 // buildAPOCAction assembles the alert query plus alert-node creation. The
@@ -82,7 +98,7 @@ func buildAPOCAction(r Rule, alertLabel string) (string, error) {
 	}
 	// Strip the final RETURN and replace it with WITH + CREATE, as the
 	// Fig. 7 trigger does.
-	alertText := CollapseSpace(r.Alert)
+	alertText := collapseSpace(r.Alert)
 	idx := strings.LastIndex(strings.ToUpper(alertText), "RETURN ")
 	if idx < 0 {
 		return "", fmt.Errorf("trigger: rule %s alert has no RETURN clause", r.Name)
@@ -102,34 +118,128 @@ func buildAPOCAction(r Rule, alertLabel string) (string, error) {
 		body, projection, alertLabel, strings.Join(props, ", ")), nil
 }
 
-// APOCQuote renders s as a double-quoted Cypher string literal.
-func APOCQuote(s string) string {
+// translateComposite renders a composite rule's step triggers and drain job.
+func translateComposite(r Rule, dbName string) ([]string, error) {
+	if err := r.Composite.validate(); err != nil {
+		return nil, fmt.Errorf("trigger: rule %s: %w", r.Name, err)
+	}
+	out := make([]string, 0, len(r.Steps)+1)
+	for i, st := range r.Steps {
+		stmt, err := apocStep(r, i, st)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, fmt.Sprintf(
+			"CALL apoc.trigger.install('%s', '%s',\n%s,\n{phase: 'before'});",
+			dbName, stepName(r.Name, i), apocQuote(stmt)))
+	}
+	// The drain: materialize alerts from completed partials, evict expired
+	// ones. armed is the state at which an absence rule waits for its
+	// deadline; other rules record completion in their step triggers, so
+	// any sentinel works.
+	armed, final := -1, len(r.Steps)-1
+	if r.Op == Sequence && r.Steps[final].Negated {
+		armed = final
+	}
+	drain := fmt.Sprintf(
+		"MATCH (p:CEPPartial {rule: '%s'})\nWITH p, p.done OR (p.state = %d AND timestamp() >= p.deadline) AS completed\nFOREACH (_ IN CASE WHEN completed THEN [1] ELSE [] END |\n  CREATE (:%s {rule: '%s', hub: '%s', dateTime: datetime(), key: p.key}))\nWITH p, completed\nWHERE completed OR timestamp() >= p.deadline\nDETACH DELETE p",
+		r.Name, armed, alertLabelOf(r), r.Name, r.Hub)
+	return append(out, fmt.Sprintf("CALL apoc.periodic.repeat('%s', %s, 1);",
+		"cep-drain:"+r.Name, apocQuote(drain))), nil
+}
+
+// apocStep renders the trigger statement of one step atom.
+func apocStep(r Rule, i int, st Step) (string, error) {
+	source, where, ok := st.Event.APOC(st.Guard)
+	if !ok {
+		return "", fmt.Errorf("trigger: rule %s step %d: APOC export covers creation and deletion events, not %s",
+			r.Name, i, st.Event.Kind)
+	}
+	if where != "" {
+		where = "\nWHERE " + where
+	}
+	key := "''"
+	if st.Key != "" {
+		key = "toString(" + collapseSpace(st.Key) + ")"
+	}
+	winMs := r.Window.Milliseconds()
+
+	var body string
+	final := len(r.Steps) - 1
+	switch {
+	case r.Op == Sequence && st.Negated:
+		// Absence atom: an occurrence kills an armed partial in-window.
+		body = fmt.Sprintf(
+			"MATCH (p:CEPPartial {rule: '%s', key: ck})\nWHERE p.state = %d AND NOT p.done AND timestamp() < p.deadline\nDETACH DELETE p",
+			r.Name, final)
+	case r.Op == Sequence && i == 0 && final == 0:
+		// Degenerate single-step sequence completes on open.
+		body = fmt.Sprintf(
+			"MERGE (p:CEPPartial {rule: '%s', key: ck})\nON CREATE SET p.state = 1, p.done = true, p.startedAt = timestamp(), p.doneAt = timestamp(), p.deadline = timestamp() + %d",
+			r.Name, winMs)
+	case r.Op == Sequence && i == 0:
+		body = fmt.Sprintf(
+			"MERGE (p:CEPPartial {rule: '%s', key: ck})\nON CREATE SET p.state = 1, p.done = false, p.startedAt = timestamp(), p.deadline = timestamp() + %d\nON MATCH SET p.updatedAt = timestamp()",
+			r.Name, winMs)
+	case r.Op == Sequence:
+		set := fmt.Sprintf("p.state = %d, p.updatedAt = timestamp()", i+1)
+		if i == final {
+			set += ", p.done = true, p.doneAt = timestamp()"
+		}
+		body = fmt.Sprintf(
+			"MATCH (p:CEPPartial {rule: '%s', key: ck})\nWHERE p.state = %d AND NOT p.done AND timestamp() < p.deadline\nSET %s",
+			r.Name, i, set)
+	case r.Op == All:
+		bit := int64(1) << i
+		full := int64(1)<<len(r.Steps) - 1
+		body = fmt.Sprintf(
+			"MERGE (p:CEPPartial {rule: '%s', key: ck})\nON CREATE SET p.state = %d, p.done = %t, p.startedAt = timestamp(), p.deadline = timestamp() + %d\nON MATCH SET p.state = CASE WHEN NOT p.done AND timestamp() < p.deadline AND p.state / %d %% 2 = 0 THEN p.state + %d ELSE p.state END,\n  p.done = p.done OR p.state = %d, p.doneAt = CASE WHEN p.state = %d AND p.doneAt IS NULL THEN timestamp() ELSE p.doneAt END",
+			r.Name, bit, bit == full, winMs, bit, bit, full, full)
+	default: // Count
+		body = fmt.Sprintf(
+			"MERGE (p:CEPPartial {rule: '%s', key: ck})\nON CREATE SET p.times = [timestamp()], p.done = %t, p.startedAt = timestamp(), p.deadline = timestamp() + %d\nON MATCH SET p.times = [t IN coalesce(p.times, []) WHERE t >= timestamp() - %d] + timestamp(),\n  p.done = p.done OR size([t IN coalesce(p.times, []) WHERE t >= timestamp() - %d]) + 1 >= %d,\n  p.doneAt = CASE WHEN p.done AND p.doneAt IS NULL THEN timestamp() ELSE p.doneAt END",
+			r.Name, r.Threshold <= 1, winMs, winMs, winMs, r.Threshold)
+	}
+
+	return fmt.Sprintf("UNWIND %s AS cNode\nWITH cNode AS NEW%s\nWITH NEW, %s AS ck\n%s",
+		source, where, key, body), nil
+}
+
+// apocQuote renders s as a double-quoted Cypher string literal.
+func apocQuote(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	s = strings.ReplaceAll(s, `"`, `\"`)
 	return `"` + s + `"`
 }
 
-// CollapseSpace normalizes the whitespace of embedded Cypher so the emitted
+// collapseSpace normalizes the whitespace of embedded Cypher so the emitted
 // trigger stays on few lines, like the paper's Fig. 7 listing.
-func CollapseSpace(s string) string {
+func collapseSpace(s string) string {
 	return strings.Join(strings.Fields(s), " ")
 }
 
-// TranslateAllAPOC renders every installed rule that the Fig. 6 scheme
-// covers; rules with unsupported event kinds are skipped and reported in
-// the second return value. The steps of a composite rule are not rules of
-// their own and are not listed (the cep manager exports the composite).
-func (e *Engine) TranslateAllAPOC(dbName, phase string) (translated []string, skipped []string) {
+// APOCExport is the APOC rendering of an engine's rule set: single-event
+// rules as Fig. 6 triggers, composite rules as step triggers plus drain
+// jobs, and per scheme the rules it does not cover, with the reason.
+type APOCExport struct {
+	Triggers, Skipped           []string
+	Composite, CompositeSkipped []string
+}
+
+// TranslateAllAPOC renders every installed rule (see TranslateAPOC).
+func (e *Engine) TranslateAllAPOC(dbName, phase string) APOCExport {
+	var out APOCExport
 	for _, info := range e.Rules() {
-		if info.Composite != "" {
-			continue
+		done, skipped := &out.Triggers, &out.Skipped
+		if info.Composite != nil {
+			done, skipped = &out.Composite, &out.CompositeSkipped
 		}
-		out, err := TranslateAPOC(info.Rule, dbName, phase)
+		stmts, err := TranslateAPOC(info.Rule, dbName, phase)
 		if err != nil {
-			skipped = append(skipped, fmt.Sprintf("%s: %v", info.Name, err))
+			*skipped = append(*skipped, fmt.Sprintf("%s: %v", info.Name, err))
 			continue
 		}
-		translated = append(translated, out)
+		*done = append(*done, stmts...)
 	}
-	return translated, skipped
+	return out
 }

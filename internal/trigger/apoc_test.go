@@ -1,6 +1,7 @@
 package trigger
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -18,8 +19,20 @@ var fig3Rule = Rule{
 	        RETURN region, counter`,
 }
 
+// translateOne renders a single-event rule: one apoc.trigger.install call.
+func translateOne(r Rule, dbName, phase string) (string, error) {
+	out, err := TranslateAPOC(r, dbName, phase)
+	if err != nil {
+		return "", err
+	}
+	if len(out) != 1 {
+		return "", fmt.Errorf("%d statements for single-event rule %s", len(out), r.Name)
+	}
+	return out[0], nil
+}
+
 func TestTranslateAPOCFig7Shape(t *testing.T) {
-	out, err := TranslateAPOC(fig3Rule, "neo4j", "before")
+	out, err := translateOne(fig3Rule, "neo4j", "before")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +57,7 @@ func TestTranslateAPOCFig7Shape(t *testing.T) {
 }
 
 func TestTranslateAPOCDefaults(t *testing.T) {
-	out, err := TranslateAPOC(fig3Rule, "", "")
+	out, err := translateOne(fig3Rule, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +73,7 @@ func TestTranslateAPOCEventKinds(t *testing.T) {
 		Event: Event{Kind: DeleteNode, Label: "Doc"},
 		Alert: "RETURN 1 AS gone",
 	}
-	out, err := TranslateAPOC(del, "neo4j", "after")
+	out, err := translateOne(del, "neo4j", "after")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +85,7 @@ func TestTranslateAPOCEventKinds(t *testing.T) {
 		Event: Event{Kind: CreateRelationship, Label: "LINKS"},
 		Alert: "RETURN 1 AS linked",
 	}
-	out, err = TranslateAPOC(rel, "neo4j", "")
+	out, err = translateOne(rel, "neo4j", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +99,7 @@ func TestTranslateAPOCEventKinds(t *testing.T) {
 		Event: Event{Kind: CreateNode, Label: "X"},
 		Guard: "NEW.v > 1",
 	}
-	out, err = TranslateAPOC(guardOnly, "neo4j", "")
+	out, err = translateOne(guardOnly, "neo4j", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,21 +109,21 @@ func TestTranslateAPOCEventKinds(t *testing.T) {
 }
 
 func TestTranslateAPOCUnsupported(t *testing.T) {
-	if _, err := TranslateAPOC(Rule{
+	if _, err := translateOne(Rule{
 		Name:  "p",
 		Event: Event{Kind: SetProperty, PropKey: "x"},
 		Alert: "RETURN 1 AS one",
 	}, "", ""); err == nil {
 		t.Error("property events are outside the Fig. 6 scheme")
 	}
-	if _, err := TranslateAPOC(Rule{
+	if _, err := translateOne(Rule{
 		Name:   "a",
 		Event:  Event{Kind: CreateNode},
 		Action: "CREATE (:X)",
 	}, "", ""); err == nil {
 		t.Error("action rules are not alert-node rules")
 	}
-	if _, err := TranslateAPOC(Rule{
+	if _, err := translateOne(Rule{
 		Name:  "bad",
 		Event: Event{Kind: CreateNode},
 		Alert: "MATCH (n) DELETE n", // no RETURN
@@ -127,7 +140,8 @@ func TestTranslateAllAPOC(t *testing.T) {
 		Event: Event{Kind: SetProperty, PropKey: "status"},
 		Alert: "RETURN 1 AS one",
 	})
-	translated, skipped := e.TranslateAllAPOC("neo4j", "before")
+	exp := e.TranslateAllAPOC("neo4j", "before")
+	translated, skipped := exp.Triggers, exp.Skipped
 	if len(translated) != 1 || len(skipped) != 1 {
 		t.Fatalf("translated=%d skipped=%d", len(translated), len(skipped))
 	}
@@ -141,7 +155,7 @@ func TestTranslateAPOCRulePhase(t *testing.T) {
 	// APOC trigger phase: AfterAsync rules install as {phase: 'afterAsync'}.
 	async := fig3Rule
 	async.Phase = AfterAsync
-	out, err := TranslateAPOC(async, "", "")
+	out, err := translateOne(async, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +163,7 @@ func TestTranslateAPOCRulePhase(t *testing.T) {
 		t.Errorf("AfterAsync rule not translated to afterAsync phase:\n%s", out)
 	}
 	// An explicit phase argument still overrides.
-	out, err = TranslateAPOC(async, "", "before")
+	out, err = translateOne(async, "", "before")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,6 +35,20 @@ func eventOverlap(a, b Event) bool {
 	return true
 }
 
+// sharedEvent returns a selector of a (one of its step atoms', for a
+// composite rule) that some single graph change can activate together with
+// one of b's.
+func sharedEvent(a, b *Compiled) (Event, bool) {
+	for _, da := range a.dispatched() {
+		for _, db := range b.dispatched() {
+			if eventOverlap(da.Event, db.Event) {
+				return da.Event, true
+			}
+		}
+	}
+	return Event{}, false
+}
+
 // writesConflict reports whether the write footprint of a conflicts with
 // the read or write footprint of b, with an explanation.
 func writesConflict(a, b footprint) (bool, string) {
@@ -125,7 +139,8 @@ func (e *Engine) CheckConfluence() []ConfluenceWarning {
 	for i := 0; i < len(rules); i++ {
 		for j := i + 1; j < len(rules); j++ {
 			a, b := rules[i], rules[j]
-			if !eventOverlap(a.Event, b.Event) {
+			ev, ok := sharedEvent(a, b)
+			if !ok {
 				continue
 			}
 			fa, fb := a.footprint(), b.footprint()
@@ -139,14 +154,14 @@ func (e *Engine) CheckConfluence() []ConfluenceWarning {
 			if conflict, why := writesConflict(fa, fb); conflict {
 				out = append(out, ConfluenceWarning{
 					RuleA: a.Name, RuleB: b.Name,
-					Event: a.Event.String(), Why: why,
+					Event: ev.String(), Why: why,
 				})
 				continue
 			}
 			if conflict, why := writesConflict(fb, fa); conflict {
 				out = append(out, ConfluenceWarning{
 					RuleA: a.Name, RuleB: b.Name,
-					Event: a.Event.String(), Why: why,
+					Event: ev.String(), Why: why,
 				})
 			}
 		}

@@ -133,6 +133,9 @@ func TestParseRuleErrors(t *testing.T) {
 		"CREATE TRIGGER x\nAFTER CREATE OF NODE\nWHEN true\nWHEN false",
 		// A WHEN inside CASE … END is no section, so the two real ones clash.
 		"CREATE TRIGGER x\nAFTER CREATE OF NODE\nWHEN CASE\nWHEN true THEN 1 END = 1\nWHEN false",
+		// An open quote or CASE swallows what follows.
+		"CREATE TRIGGER x\nAFTER CREATE OF NODE\nALERT RETURN 1 AS one\nWHEN 'x",
+		"CREATE TRIGGER x\nAFTER CREATE OF NODE\nWHEN CASE WHEN true THEN true\nALERT RETURN 1 AS one",
 	}
 	for _, src := range bad {
 		if _, err := ParseRule(src); err == nil {
@@ -222,21 +225,21 @@ func TestParseRuleErrorOffsets(t *testing.T) {
 func TestParseEventSpecShorthand(t *testing.T) {
 	// The composite DSL's atoms accept the event grammar without OF; the
 	// AFTER clause stays strict.
-	ev, err := ParseEventSpec("CREATE NODE Txn")
+	ev, err := parseEventSpec("CREATE NODE Txn")
 	if err != nil {
 		t.Fatalf("ParseEventSpec: %v", err)
 	}
 	if ev.Kind != CreateNode || ev.Label != "Txn" {
 		t.Fatalf("event = %+v", ev)
 	}
-	ev, err = ParseEventSpec("SET OF PROPERTY Txn.amount")
+	ev, err = parseEventSpec("SET OF PROPERTY Txn.amount")
 	if err != nil {
 		t.Fatalf("ParseEventSpec: %v", err)
 	}
 	if ev.Kind != SetProperty || ev.Label != "Txn" || ev.PropKey != "amount" {
 		t.Fatalf("event = %+v", ev)
 	}
-	if _, err := ParseEventSpec("EXPLODE NODE"); err == nil {
+	if _, err := parseEventSpec("EXPLODE NODE"); err == nil {
 		t.Fatal("bad verb should fail")
 	}
 }

@@ -58,25 +58,22 @@ type AsyncItem struct {
 // (and no error) when the item was shed by backpressure.
 type AsyncSink func(tx *graph.Tx, item AsyncItem) (bool, error)
 
-// StepItem is one passing activation of a composite-rule step, handed to
-// the engine's StepSink so the composite automaton can advance its durable
-// partial-match state inside the writing transaction.
+// StepItem is one passing activation of a composite rule's step atom,
+// handed to the engine's StepSink so the composite automaton can advance
+// its durable partial-match state inside the writing transaction.
 type StepItem struct {
-	// Composite names the composite rule the step belongs to; Step is the
-	// step's index within it.
-	Composite string
-	Step      int
-	// Rule is the compiled step rule's own name; Hub its owning hub.
-	Rule string
-	Hub  string
+	// Rule is the composite rule; Step the index of the atom that fired.
+	Rule *Compiled
+	Step int
+	// Key is the atom's correlation key (its BY value), "" when it has none.
+	Key string
 	// Binding holds the transition variables of the activation.
 	Binding Binding
 }
 
 // StepSink advances one composite-rule step inside the writing
-// transaction. Installed by the CEP manager (internal/cep) before the
-// first write; when nil, rules carrying a Composite marker are inert (the
-// state fallback forks use).
+// transaction. Installed by the composite-event runtime (internal/cep)
+// before the first write; Install refuses composite rules without one.
 type StepSink func(tx *graph.Tx, item StepItem) error
 
 // Engine manages reactive rules and fires them against transaction change
@@ -115,9 +112,9 @@ type Engine struct {
 	// Nil means AfterAsync rules are evaluated synchronously, like Before
 	// rules (the fallback forks use). Set before the first write.
 	AsyncSink AsyncSink
-	// StepSink, when set, receives the passing bindings of composite step
-	// rules (Rule.Composite != ""); nil makes such rules inert. Set before
-	// the first write.
+	// StepSink, when set, receives the passing bindings of composite rules'
+	// step atoms; composite rules install only when it is. Set before the
+	// first write.
 	StepSink StepSink
 	// SkipLabels names node labels whose create/delete events are invisible
 	// to rule matching — the async pipeline's PendingAlert bookkeeping
@@ -159,18 +156,15 @@ func (e *Engine) now() time.Time {
 	return time.Now()
 }
 
-// Compile prepares a rule without installing it, resolving an empty
-// AlertLabel to the engine's. The result feeds RunAlert and Materialize.
-func (e *Engine) Compile(r Rule) (*Compiled, error) {
-	return compileRule(r, e.alertLabel())
-}
-
 // Install compiles and registers a rule. With StrictTermination set, the
 // rule is rejected if it would make the triggering graph cyclic.
 func (e *Engine) Install(r Rule) error {
-	cr, err := e.Compile(r)
+	cr, err := compileRule(r, e.alertLabel())
 	if err != nil {
 		return err
+	}
+	if cr.Composite != nil && e.StepSink == nil {
+		return fmt.Errorf("%w: %s", ErrNoStepSink, r.Name)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -183,19 +177,23 @@ func (e *Engine) Install(r Rule) error {
 			return fmt.Errorf("%w: %s (cycle: %v)", ErrNonTerminating, r.Name, cycles[0])
 		}
 	}
-	if e.EnforceIntraHubGuards && cr.guard != nil && e.Resolver != nil {
+	if e.EnforceIntraHubGuards && e.Resolver != nil {
 		state := e.StateLabels
 		if state == nil {
 			state = defaultStateLabels
 		}
-		info := cypher.InspectExpr(cr.guard.Expr())
-		for _, l := range info.MatchedNodeLabels {
-			if state[l] || l == cr.AlertLabel {
+		for _, d := range cr.dispatched() {
+			if d.guard == nil {
 				continue
 			}
-			if owner, ok := e.Resolver(l); ok && owner != cr.Hub {
-				return fmt.Errorf("%w: %s guard reads :%s (hub %s)",
-					ErrGuardNotIntraHub, r.Name, l, owner)
+			for _, l := range cypher.InspectExpr(d.guard.Expr()).MatchedNodeLabels {
+				if state[l] || l == cr.AlertLabel {
+					continue
+				}
+				if owner, ok := e.Resolver(l); ok && owner != cr.Hub {
+					return fmt.Errorf("%w: %s guard reads :%s (hub %s)",
+						ErrGuardNotIntraHub, r.Name, l, owner)
+				}
 			}
 		}
 	}
@@ -206,8 +204,11 @@ func (e *Engine) Install(r Rule) error {
 	// registry counters where they left off (Prometheus counters are
 	// cumulative by design). RuleStats, by contrast, live on the compiled
 	// rule and restart from zero on reinstall.
-	cr.mFired = e.Metrics.RuleFired.With(r.Name)
-	cr.mRejected = e.Metrics.GuardRejected.With(r.Name)
+	for _, d := range cr.dispatched() {
+		d.seq = cr.seq
+		d.mFired = e.Metrics.RuleFired.With(d.Name)
+		d.mRejected = e.Metrics.GuardRejected.With(d.Name)
+	}
 	e.rules[r.Name] = cr
 	e.index = buildDispatch(e.rules)
 	return nil
@@ -237,10 +238,24 @@ func (e *Engine) setPaused(name string, paused bool) error {
 		return err
 	}
 	cr.paused.Store(paused)
+	for _, st := range cr.steps {
+		st.paused.Store(paused)
+	}
 	return nil
 }
 
-// RuleStats counts a rule's lifetime firing activity.
+// CompositeRule returns the installed composite rule of that name, or nil:
+// how the composite runtime resolves the rule a partial match belongs to.
+func (e *Engine) CompositeRule(name string) *Compiled {
+	cr, err := e.lookup(name)
+	if err != nil || cr.Composite == nil {
+		return nil
+	}
+	return cr
+}
+
+// RuleStats counts a rule's lifetime firing activity; a composite rule's
+// checks and activations are its step atoms'.
 type RuleStats struct {
 	GuardChecks int64 // event occurrences evaluated
 	Activations int64 // guard passes
@@ -261,15 +276,18 @@ func (e *Engine) Rules() []RuleInfo {
 	defer e.mu.RUnlock()
 	out := make([]RuleInfo, 0, len(e.rules))
 	for _, cr := range e.ruleListLocked() {
+		stats := RuleStats{AlertNodes: cr.nAlertNodes.Load()}
+		for _, d := range cr.dispatched() {
+			stats.GuardChecks += d.nChecks.Load()
+			stats.Activations += d.nActivations.Load()
+		}
+		r := cr.Rule
+		r.Composite = r.Composite.clone() // the automata read the installed term
 		out = append(out, RuleInfo{
-			Rule:           cr.Rule,
+			Rule:           r,
 			Paused:         cr.paused.Load(),
 			Classification: Classify(cr, e.Resolver, e.StateLabels),
-			Stats: RuleStats{
-				GuardChecks: cr.nChecks.Load(),
-				Activations: cr.nActivations.Load(),
-				AlertNodes:  cr.nAlertNodes.Load(),
-			},
+			Stats:          stats,
 		})
 	}
 	return out
@@ -417,14 +435,12 @@ func (e *Engine) fire(tx *graph.Tx, cr *Compiled, bind Binding, now time.Time,
 	report.GuardPasses++
 	cr.nActivations.Add(1)
 	cr.mFired.Inc()
-	if cr.Composite != "" {
-		if e.StepSink == nil {
-			return nil // no automaton attached (forks): steps are inert
+	if cr.parent != nil {
+		key, err := cr.stepKey(tx, bind, now)
+		if err != nil {
+			return err
 		}
-		if err := e.StepSink(tx, StepItem{
-			Composite: cr.Composite, Step: cr.StepIndex,
-			Rule: cr.Name, Hub: cr.Hub, Binding: bind,
-		}); err != nil {
+		if err := e.StepSink(tx, StepItem{Rule: cr.parent, Step: cr.step, Key: key, Binding: bind}); err != nil {
 			return fmt.Errorf("trigger: rule %s step: %w", cr.Name, err)
 		}
 		report.CompositeSteps++

@@ -104,10 +104,10 @@ type Event struct {
 	PropKey string
 }
 
-// String renders the selector as the DSL spells it after AFTER, without the
-// optional OF: ParseEventSpec(e.String()) == e. A property selector reads
-// [Label.][key], so "Case." is any property of a Case node and "status" the
-// status property of anything.
+// String renders the selector as a composite atom spells it, the AFTER
+// clause without its OF: parseEventSpec(e.String()) == e. A property
+// selector reads [Label.][key], so "Case." is any property of a Case node
+// and "status" the status property of anything.
 func (e Event) String() string {
 	sel := e.Label
 	if e.Kind.row().target == "PROPERTY" {
@@ -122,11 +122,10 @@ func (e Event) String() string {
 	return e.Kind.String() + " " + sel
 }
 
-// ParseEventSpec parses the verb/target part of an event clause — e.g.
+// parseEventSpec parses the verb/target part of a composite atom — e.g.
 // "CREATE OF NODE Sequence", or the shorthand "CREATE NODE Sequence"
-// without OF — as it appears after AFTER in trigger declarations and
-// inside composite-event atoms (internal/cep).
-func ParseEventSpec(spec string) (Event, error) {
+// without OF.
+func parseEventSpec(spec string) (Event, error) {
 	return parseEventFields(strings.Fields(spec), false)
 }
 
@@ -195,7 +194,7 @@ func (e Event) APOC(guard string) (source, condition string, ok bool) {
 		conds = append(conds, fmt.Sprintf("'%s' IN labels(NEW)", e.Label))
 	}
 	if guard != "" {
-		conds = append(conds, "("+CollapseSpace(guard)+")")
+		conds = append(conds, "("+collapseSpace(guard)+")")
 	}
 	return row.apoc, strings.Join(conds, " AND "), row.apoc != ""
 }
@@ -364,19 +363,22 @@ type dispatchIndex map[EventKind]map[string][]*Compiled
 
 func buildDispatch(rules map[string]*Compiled) dispatchIndex {
 	idx := make(dispatchIndex)
-	for _, cr := range rules {
-		byLabel := idx[cr.Event.Kind]
-		if byLabel == nil {
-			byLabel = make(map[string][]*Compiled)
-			idx[cr.Event.Kind] = byLabel
+	for _, r := range rules {
+		for _, cr := range r.dispatched() {
+			byLabel := idx[cr.Event.Kind]
+			if byLabel == nil {
+				byLabel = make(map[string][]*Compiled)
+				idx[cr.Event.Kind] = byLabel
+			}
+			byLabel[cr.Event.Label] = append(byLabel[cr.Event.Label], cr)
 		}
-		byLabel[cr.Event.Label] = append(byLabel[cr.Event.Label], cr)
 	}
 	return idx
 }
 
-// candidates returns, in installation order, the rules at least one of the
-// events reaches by its kind and a label or type it carries.
+// candidates returns, in installation order (a composite rule's steps in
+// step order), the entries at least one of the events reaches by its kind
+// and a label or type it carries.
 func (idx dispatchIndex) candidates(evs []event) []*Compiled {
 	var out []*Compiled
 	seen := make(map[*Compiled]bool)
@@ -399,6 +401,9 @@ func (idx dispatchIndex) candidates(evs []event) []*Compiled {
 			reach(byLabel[l])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		return a.seq < b.seq || a.seq == b.seq && a.step < b.step
+	})
 	return out
 }

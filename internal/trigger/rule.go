@@ -3,10 +3,14 @@ package trigger
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/cypher"
+	"repro/internal/graph"
 	"repro/internal/metrics"
 )
 
@@ -23,6 +27,10 @@ var (
 	// synchronously, as if no sink were installed. Embedders use it while
 	// their pipeline is not (yet) running.
 	ErrAsyncFallback = errors.New("trigger: async pipeline not running")
+	// ErrNoStepSink refuses a composite rule on an engine without a
+	// StepSink: nothing would advance its automaton. internal/cep's Enable
+	// attaches one; followers and forks have none.
+	ErrNoStepSink = errors.New("trigger: composite rules need a composite-event runtime (cep.Enable)")
 )
 
 // Phase selects when a rule's alert query runs relative to the triggering
@@ -83,6 +91,10 @@ func ParsePhase(s string) (Phase, error) {
 //     plus one property per result column — unless Action is set, in which
 //     case the engine runs Action instead, with the row's columns and the
 //     transition variables bound.
+//
+// A composite rule has a composite event term (Composite) in place of Event,
+// Guard and Phase: its step atoms, each with its own guard, feed a
+// partial-match automaton, and the alert runs when the term completes.
 type Rule struct {
 	// Name identifies the rule (unique within an engine).
 	Name string
@@ -98,27 +110,134 @@ type Rule struct {
 	AlertLabel string
 	// Action, when set, replaces alert-node creation with a Cypher write
 	// statement executed once per critical row (or once per activation if
-	// Alert is empty).
+	// Alert is empty). Composite rules take none.
 	Action string
 	// Phase selects synchronous (Before, default) or asynchronous
 	// (AfterAsync) alert evaluation.
 	Phase Phase
-	// Composite, when non-empty, marks this rule as one compiled step of a
-	// composite (CEP) rule with that name: a passing guard does not run an
-	// alert query but is handed to the engine's StepSink, which advances
-	// the composite rule's durable partial-match automaton inside the same
-	// transaction (internal/cep compiles its operators down to such
-	// rules). StepIndex is the step's position within the composite rule.
-	Composite string
-	StepIndex int
+	// Composite, when set, makes this a composite rule; its fields are
+	// promoted (r.Op, r.Steps, r.Threshold, r.Window), so read them only
+	// when it is non-nil.
+	*Composite
+}
+
+// Op is a composite-event operator.
+type Op int
+
+// Composite-event operators.
+const (
+	// Sequence matches its steps in order, all within Window of the first
+	// match. A final negated step (NOT …) turns the rule into absence
+	// detection: the match completes when the window closes without the
+	// negated event occurring, and is killed if it does occur.
+	Sequence Op = iota
+	// All matches when every step has occurred, in any order, within
+	// Window of the first match (conjunction).
+	All
+	// Count matches when Threshold occurrences of its single step fall
+	// within a sliding Window; on completion the window resets.
+	Count
+)
+
+// opNames spells each operator in the DSL.
+var opNames = [...]string{Sequence: "SEQUENCE", All: "AND", Count: "COUNT"}
+
+// String returns the DSL operator name.
+func (o Op) String() string {
+	if o < 0 || int(o) >= len(opNames) {
+		return fmt.Sprintf("OP(%d)", int(o))
+	}
+	return opNames[o]
+}
+
+// Step is one atom of a composite event term.
+type Step struct {
+	// Event selects the graph changes that constitute this atom.
+	Event Event
+	// Guard is an optional Cypher predicate over the transition variables
+	// (IF clause); it runs synchronously in the triggering transaction.
+	Guard string
+	// Key is an optional Cypher expression (BY clause) whose value
+	// correlates occurrences: each distinct key tracks its own partial
+	// match. Steps of one rule should agree on the key expression's
+	// meaning (e.g. all keyed by account id).
+	Key string
+	// Negated marks the step as an absence atom (NOT …). Only valid as
+	// the final step of a Sequence.
+	Negated bool
+}
+
+// Composite is a composite event term: an operator over step atoms and the
+// window a match must fit in.
+type Composite struct {
+	Op Op
+	// Steps are the atoms. Count takes exactly one.
+	Steps []Step
+	// Threshold is the occurrence count for Count (≥ 1).
+	Threshold int
+	// Window bounds the time span of a match, measured on the engine's clock
+	// at the commit that carries each occurrence (event time = tx commit
+	// order).
+	Window time.Duration
+}
+
+// clone returns a copy of the term that shares no memory with c; nil for nil.
+func (c *Composite) clone() *Composite {
+	if c == nil {
+		return nil
+	}
+	d := *c
+	d.Steps = slices.Clone(c.Steps)
+	return &d
+}
+
+// validate checks the term's shape: what the automaton can run.
+func (c *Composite) validate() error {
+	if c.Window <= 0 {
+		return fmt.Errorf("needs WITHIN window > 0")
+	}
+	if len(c.Steps) == 0 {
+		return fmt.Errorf("needs at least one step")
+	}
+	for i, st := range c.Steps {
+		if st.Negated && (c.Op != Sequence || i != len(c.Steps)-1) {
+			return fmt.Errorf("NOT is only valid as the final SEQUENCE step")
+		}
+	}
+	switch c.Op {
+	case Sequence:
+		if c.Steps[0].Negated {
+			return fmt.Errorf("SEQUENCE needs a positive step before NOT")
+		}
+	case All:
+		if len(c.Steps) < 2 || len(c.Steps) > 62 {
+			return fmt.Errorf("AND takes 2 to 62 steps")
+		}
+	case Count:
+		if len(c.Steps) != 1 {
+			return fmt.Errorf("COUNT takes exactly one step")
+		}
+		if c.Threshold < 1 {
+			return fmt.Errorf("COUNT needs a threshold ≥ 1")
+		}
+	default:
+		return fmt.Errorf("unknown operator %d", c.Op)
+	}
+	if c.Op != Count && c.Threshold != 0 {
+		return fmt.Errorf("threshold is only valid with COUNT")
+	}
+	return nil
 }
 
 // Compiled holds the rule's prepared artifacts: the guard as a
 // CompiledExpr and the alert/action as Plans. All three are compiled once
 // at install time; steady-state evaluation binds NEW/OLD and runs closures,
-// with no per-event parsing or AST walking. Engine.Install keeps one per
-// rule; Engine.Compile hands one out uninstalled, for a reaction that is
-// reached by other means than event dispatch (a composite completion).
+// with no per-event parsing or AST walking.
+//
+// A composite rule compiles one more Compiled per step atom: an
+// engine-internal dispatch entry carrying the step's event, guard and BY
+// key. Entries are fired at the rule's installation position, in step
+// order, and labelled cep:<rule>#<i> in the per-rule metrics.
 type Compiled struct {
 	Rule
 	guard  *cypher.CompiledExpr
@@ -126,6 +245,11 @@ type Compiled struct {
 	action *cypher.Plan
 	paused atomic.Bool
 	seq    int
+
+	steps  []*Compiled          // a composite rule's step entries
+	parent *Compiled            // a step entry's composite rule
+	step   int                  // a step entry's index within parent
+	key    *cypher.CompiledExpr // a step entry's BY expression
 
 	// firing statistics, updated atomically outside the engine lock
 	nChecks      atomic.Int64
@@ -142,21 +266,22 @@ func compileRule(r Rule, defaultAlertLabel string) (*Compiled, error) {
 	if r.Name == "" {
 		return nil, fmt.Errorf("trigger: rule needs a name")
 	}
-	// Composite step rules may be bare selectors: the step event itself is
-	// the payload, delivered to the StepSink.
-	if r.Guard == "" && r.Alert == "" && r.Action == "" && r.Composite == "" {
+	// A composite rule may be bare: the completed match is itself the
+	// critical situation.
+	if r.Guard == "" && r.Alert == "" && r.Action == "" && r.Composite == nil {
 		return nil, fmt.Errorf("%w: %s", ErrEmptyRule, r.Name)
 	}
 	if r.AlertLabel == "" {
 		r.AlertLabel = defaultAlertLabel
 	}
 	cr := &Compiled{Rule: r}
-	if r.Guard != "" {
-		g, err := cypher.PrepareExpr(r.Guard)
-		if err != nil {
-			return nil, fmt.Errorf("trigger: rule %s guard: %w", r.Name, err)
+	var err error
+	if r.Composite != nil {
+		if err := cr.compileSteps(); err != nil {
+			return nil, err
 		}
-		cr.guard = g
+	} else if cr.guard, err = prepareExpr(r.Guard); err != nil {
+		return nil, fmt.Errorf("trigger: rule %s guard: %w", r.Name, err)
 	}
 	if r.Alert != "" {
 		plan, err := cypher.Prepare(r.Alert)
@@ -173,6 +298,80 @@ func compileRule(r Rule, defaultAlertLabel string) (*Compiled, error) {
 		cr.action = plan
 	}
 	return cr, nil
+}
+
+// prepareExpr compiles an optional expression; nil for "".
+func prepareExpr(src string) (*cypher.CompiledExpr, error) {
+	if src == "" {
+		return nil, nil
+	}
+	return cypher.PrepareExpr(src)
+}
+
+// compileSteps validates a composite rule and compiles its step entries. It
+// works on a copy of the term, so the caller's Steps slice stays theirs.
+func (cr *Compiled) compileSteps() error {
+	cr.Composite = cr.Composite.clone()
+	c := cr.Composite
+	if cr.Event != (Event{}) || cr.Guard != "" || cr.Phase != Before {
+		return fmt.Errorf("trigger: rule %s: a composite rule takes no Event, Guard or Phase (its steps carry them)", cr.Name)
+	}
+	if cr.Action != "" {
+		return fmt.Errorf("trigger: rule %s: a composite rule takes no DO action (its completion creates alert nodes)", cr.Name)
+	}
+	if strings.Contains(cr.Name, "\x00") {
+		return fmt.Errorf("trigger: rule %s: name must not contain NUL", cr.Name)
+	}
+	if err := c.validate(); err != nil {
+		return fmt.Errorf("trigger: rule %s: %w", cr.Name, err)
+	}
+	cr.steps = make([]*Compiled, len(c.Steps))
+	for i, st := range c.Steps {
+		s := &Compiled{
+			Rule:   Rule{Name: stepName(cr.Name, i), Hub: cr.Hub, Event: st.Event, Guard: st.Guard},
+			parent: cr,
+			step:   i,
+		}
+		var err error
+		if s.guard, err = prepareExpr(st.Guard); err != nil {
+			return fmt.Errorf("trigger: rule %s step %d IF: %w", cr.Name, i, err)
+		}
+		if s.key, err = prepareExpr(st.Key); err != nil {
+			return fmt.Errorf("trigger: rule %s step %d BY: %w", cr.Name, i, err)
+		}
+		cr.steps[i] = s
+	}
+	return nil
+}
+
+// stepName names a composite rule's i-th step in metrics and the APOC
+// export.
+func stepName(rule string, i int) string { return fmt.Sprintf("cep:%s#%d", rule, i) }
+
+// dispatched returns the entries the dispatch index holds for the rule: the
+// rule itself, or a composite rule's steps.
+func (cr *Compiled) dispatched() []*Compiled {
+	if cr.steps != nil {
+		return cr.steps
+	}
+	return []*Compiled{cr}
+}
+
+// stepKey evaluates a step entry's BY expression for one activation; "" when
+// it has none. A string key is used unquoted: it is an identity, not a
+// rendering.
+func (cr *Compiled) stepKey(tx *graph.Tx, bind Binding, now time.Time) (string, error) {
+	if cr.key == nil {
+		return "", nil
+	}
+	v, err := cr.key.Eval(tx, &cypher.Options{Bindings: bind, Now: func() time.Time { return now }})
+	if err != nil {
+		return "", fmt.Errorf("trigger: rule %s step %d BY: %w", cr.parent.Name, cr.step, err)
+	}
+	if s, ok := v.AsString(); ok {
+		return s, nil
+	}
+	return v.String(), nil
 }
 
 // footprint summarizes what the rule can read and write, for
@@ -204,8 +403,21 @@ func (cr *Compiled) footprint() footprint {
 			}
 		}
 	}
-	if cr.guard != nil {
-		add(cypher.InspectExpr(cr.guard.Expr()), false)
+	// The selectors, guards and BY keys a rule dispatches on are part of
+	// its read set.
+	for _, d := range cr.dispatched() {
+		for _, e := range []*cypher.CompiledExpr{d.guard, d.key} {
+			if e != nil {
+				add(cypher.InspectExpr(e.Expr()), false)
+			}
+		}
+		switch {
+		case d.Event.Label == "":
+		case d.Event.Kind.row().onRel:
+			fp.readRelTypes = append(fp.readRelTypes, d.Event.Label)
+		default:
+			fp.readLabels = append(fp.readLabels, d.Event.Label)
+		}
 	}
 	if cr.alert != nil {
 		// The alert query may itself contain write clauses in action-less
@@ -218,14 +430,6 @@ func (cr *Compiled) footprint() footprint {
 	if cr.action == nil {
 		// Alert-node mode always creates a node with the alert label.
 		fp.created = append(fp.created, cr.AlertLabel)
-	}
-	// The event selector is also part of the read set.
-	if cr.Event.Label != "" {
-		if cr.Event.Kind.row().onRel {
-			fp.readRelTypes = append(fp.readRelTypes, cr.Event.Label)
-		} else {
-			fp.readLabels = append(fp.readLabels, cr.Event.Label)
-		}
 	}
 	return fp
 }

@@ -17,10 +17,21 @@ type TriggeringEdge struct {
 }
 
 // canTrigger reports whether the actions of a can generate an event that
-// activates b, with an explanation.
+// activates b (one of b's step atoms, for a composite rule), with an
+// explanation.
 func canTrigger(a, b *Compiled) (bool, string) {
 	fa := a.footprint()
-	ev := b.Event
+	for _, d := range b.dispatched() {
+		if ok, why := fa.raises(d.Event); ok {
+			return true, why
+		}
+	}
+	return false, ""
+}
+
+// raises reports whether writes of footprint fa can generate an event ev
+// selects, with an explanation.
+func (fa footprint) raises(ev Event) (bool, string) {
 	switch ev.Kind {
 	case CreateNode:
 		for _, l := range fa.created {

@@ -19,7 +19,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/cep"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/trigger"
@@ -273,29 +272,32 @@ const (
 // CompositeRulePack returns the three composite rules the fraud stream is
 // seeded to trip: a flagged-transaction velocity count, a high-value
 // transaction pair sequence, and an unconfirmed-transaction absence.
-func CompositeRulePack(window time.Duration) []cep.Rule {
+func CompositeRulePack(window time.Duration) []trigger.Rule {
 	txn := trigger.Event{Kind: trigger.CreateNode, Label: "Txn"}
 	conf := trigger.Event{Kind: trigger.CreateNode, Label: "Confirmation"}
-	return []cep.Rule{
+	return []trigger.Rule{
 		{
-			Name: VelocityRule, Hub: "P", Op: cep.Count, Threshold: 3, Window: window,
-			Steps: []cep.Step{{Event: txn, Guard: "NEW.flagged", Key: "NEW.account"}},
+			Name: VelocityRule, Hub: "P",
+			Composite: &trigger.Composite{Op: trigger.Count, Threshold: 3, Window: window,
+				Steps: []trigger.Step{{Event: txn, Guard: "NEW.flagged", Key: "NEW.account"}}},
 			Alert: "RETURN KEY AS account, MATCHES AS hits",
 		},
 		{
-			Name: BigPairRule, Hub: "P", Op: cep.Sequence, Window: window,
-			Steps: []cep.Step{
-				{Event: txn, Guard: "NEW.amount > 900", Key: "NEW.account"},
-				{Event: txn, Guard: "NEW.amount > 900", Key: "NEW.account"},
-			},
+			Name: BigPairRule, Hub: "P",
+			Composite: &trigger.Composite{Op: trigger.Sequence, Window: window,
+				Steps: []trigger.Step{
+					{Event: txn, Guard: "NEW.amount > 900", Key: "NEW.account"},
+					{Event: txn, Guard: "NEW.amount > 900", Key: "NEW.account"},
+				}},
 			Alert: "RETURN KEY AS account, LAST.amount AS amount",
 		},
 		{
-			Name: UnconfirmedRule, Hub: "P", Op: cep.Sequence, Window: window,
-			Steps: []cep.Step{
-				{Event: txn, Guard: "NEW.amount > 900", Key: "NEW.account"},
-				{Event: conf, Key: "NEW.account", Negated: true},
-			},
+			Name: UnconfirmedRule, Hub: "P",
+			Composite: &trigger.Composite{Op: trigger.Sequence, Window: window,
+				Steps: []trigger.Step{
+					{Event: txn, Guard: "NEW.amount > 900", Key: "NEW.account"},
+					{Event: conf, Key: "NEW.account", Negated: true},
+				}},
 			Alert: "RETURN KEY AS account, FIRST.id AS txn",
 		},
 	}

@@ -82,7 +82,7 @@ func TestFraudCompositeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range CompositeRulePack(5 * time.Minute) {
-		if err := m.Install(r); err != nil {
+		if err := kb.InstallRule(r); err != nil {
 			t.Fatalf("install %s: %v", r.Name, err)
 		}
 	}

@@ -177,7 +177,8 @@ AFTER CREATE OF NODE Sequence
 ALERT RETURN NEW.id AS id`); err != nil {
 		t.Fatal(err)
 	}
-	translated, skipped := kb.TranslateRulesAPOC("neo4j", "before")
+	exp := kb.TranslateRulesAPOC("neo4j", "before")
+	translated, skipped := exp.Triggers, exp.Skipped
 	if len(translated) != 1 || len(skipped) != 0 {
 		t.Errorf("apoc export: %d/%d", len(translated), len(skipped))
 	}
