@@ -20,6 +20,9 @@
 //	GET  /metrics                                      Prometheus text exposition
 //	GET  /healthz                                      503 until recovery + seed done, then 200
 //
+// A JSON request body larger than 4 MiB is refused with 413, and a malformed
+// one with 400.
+//
 // With -fed-name the server joins a federation (see internal/fednet): it
 // accepts alert batches from peers and, when -fed-peers lists subscriptions,
 // pushes its own alerts to them with at-least-once delivery:
@@ -73,6 +76,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -549,15 +553,39 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func decodeStatement(r *http.Request) (statementRequest, error) {
+// maxBodyBytes bounds every JSON request body. The largest body the
+// benchmark sends, its 80-row base load, is a few KB.
+const maxBodyBytes = 4 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes. An
+// empty body leaves v as it is. On failure it answers the request itself —
+// 413 for an oversized body, 400 for a malformed one — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil || errors.Is(err, io.EOF) {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxBodyBytes))
+	} else {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	}
+	return false
+}
+
+// decodeStatement decodes a /query or /execute body, answering the request
+// itself and returning false when it is unusable.
+func decodeStatement(w http.ResponseWriter, r *http.Request) (statementRequest, bool) {
 	var req statementRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return req, fmt.Errorf("bad request body: %w", err)
+	if !decodeBody(w, r, &req) {
+		return req, false
 	}
 	if strings.TrimSpace(req.Query) == "" {
-		return req, fmt.Errorf("missing query")
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing query"))
+		return req, false
 	}
-	return req, nil
+	return req, true
 }
 
 func toResponse(res *reactive.Result) resultResponse {
@@ -594,12 +622,14 @@ func jsonValue(v reactive.Value) any {
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeStatement(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	req, ok := decodeStatement(w, r)
+	if !ok {
 		return
 	}
-	var res *reactive.Result
+	var (
+		res *reactive.Result
+		err error
+	)
 	if req.Hub != "" {
 		res, err = s.kb.QueryInHub(req.Hub, req.Query, reactive.Params(req.Params))
 	} else {
@@ -613,14 +643,14 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleExecute(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeStatement(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	req, ok := decodeStatement(w, r)
+	if !ok {
 		return
 	}
 	var (
 		res *reactive.Result
 		rep *reactive.Report
+		err error
 	)
 	if req.Hub != "" {
 		res, rep, err = s.kb.ExecuteInHub(req.Hub, req.Query, reactive.Params(req.Params))
@@ -722,8 +752,7 @@ func (s *server) handleRuleInstall(w http.ResponseWriter, r *http.Request) {
 		// structured fields.
 		Text string `json:"text"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Text != "" {
@@ -938,7 +967,9 @@ func (s *server) handleTick(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Hours int `json:"hours"`
 	}
-	_ = json.NewDecoder(r.Body).Decode(&req)
+	if !decodeBody(w, r, &req) {
+		return
+	}
 	if req.Hours <= 0 {
 		req.Hours = 24
 	}

@@ -207,6 +207,47 @@ func TestTickEndpoint(t *testing.T) {
 	}
 }
 
+// TestRequestBodyLimits: an oversized body is refused with 413 without
+// harming the next request, and a malformed /tick body is a 400 that leaves
+// the clock where it was.
+func TestRequestBodyLimits(t *testing.T) {
+	s, ts := newTestServer(t)
+	big := `{"query": "CREATE (:X {pad: '` + strings.Repeat("x", maxBodyBytes) + `'})"}`
+	resp, err := http.Post(ts.URL+"/execute", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized /execute: %d, want 413", resp.StatusCode)
+	}
+	if resp, out := postJSON(t, ts.URL+"/execute", map[string]any{"query": "CREATE (:X)"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after oversized body: %d %v", resp.StatusCode, out)
+	}
+
+	before := s.kb.Now()
+	resp, err = http.Post(ts.URL+"/tick", "application/json", strings.NewReader(`{"hours": "soon"`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed /tick: %d, want 400", resp.StatusCode)
+	}
+	if !s.kb.Now().Equal(before) {
+		t.Errorf("malformed /tick moved the clock from %v to %v", before, s.kb.Now())
+	}
+	// An empty body still advances the default day.
+	resp, err = http.Post(ts.URL+"/tick", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !s.kb.Now().Equal(before.Add(24*time.Hour)) {
+		t.Errorf("empty /tick: %d, clock %v", resp.StatusCode, s.kb.Now())
+	}
+}
+
 func TestValueJSONEncoding(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, out := postJSON(t, ts.URL+"/query", map[string]any{

@@ -1,19 +1,24 @@
 // Federated deployment (§V): each organization — a hospital network, a
 // sequencing consortium, a regional authority — runs its OWN knowledge
 // base on its own infrastructure; alerts propagate between them through
-// federation subscriptions, and the receiving organization's rules react
-// to the replicated knowledge. This is the paper's "reactive interaction
-// of several knowledge hubs" across administrative boundaries.
+// federation subscriptions over HTTP (internal/fednet), and the receiving
+// organization's rules react to the replicated knowledge. This is the
+// paper's "reactive interaction of several knowledge hubs" across
+// administrative boundaries. The authority listens on a loopback server
+// here; in production each organization runs rkm-server -fed-name.
 //
 //	go run ./examples/federation
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"net/http/httptest"
 	"time"
 
 	reactive "repro"
+	"repro/internal/fednet"
 )
 
 func main() {
@@ -65,13 +70,13 @@ func main() {
 		         CREATE (:Measure {region: region, kind: 'containment', hub: 'R'})-[:Active]->(r)`,
 	}))
 
-	// --- Wire the federation ---
-	fed := reactive.NewFederation()
-	_, _ = fed.Join("clinic", clinic)
-	_, _ = fed.Join("lab", lab)
-	_, _ = fed.Join("authority", authority)
-	must(fed.Subscribe("clinic", "authority"))
-	must(fed.Subscribe("lab", "authority"))
+	// --- Wire the federation: one node per organization ---
+	srv := httptest.NewServer(node("authority", authority).Handler())
+	defer srv.Close()
+	senders := []*fednet.Node{node("clinic", clinic), node("lab", lab)}
+	for _, s := range senders {
+		must(s.Subscribe("authority", srv.URL))
+	}
 
 	fmt.Println("federation: clinic → authority, lab → authority")
 
@@ -95,9 +100,13 @@ func main() {
 	report("lab", lab)
 	report("authority", authority)
 
-	// --- Periodic federation sync (in production: an exchange protocol) ---
-	n, err := fed.Sync()
-	must(err)
+	// --- One federation sync round (in production: fednet's periodic task) ---
+	n := 0
+	for _, s := range senders {
+		sent, err := s.SyncAll(context.Background())
+		must(err)
+		n += sent
+	}
 	fmt.Printf("\nsync propagated %d alerts to subscribers\n", n)
 
 	remote, err := reactive.RemoteAlerts(authority)
@@ -115,6 +124,12 @@ func main() {
 	for _, row := range res.Rows {
 		fmt.Printf("  %s for %s\n", row[0], row[1])
 	}
+}
+
+func node(name string, kb *reactive.KnowledgeBase) *fednet.Node {
+	n, err := fednet.NewNode(name, kb, fednet.Options{})
+	must(err)
+	return n
 }
 
 func must(err error) {

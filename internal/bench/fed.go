@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/federation"
 	"repro/internal/fednet"
 	"repro/internal/trigger"
 )
@@ -134,7 +133,7 @@ func runFedOnce(n, batch int) (FedPoint, error) {
 }
 
 func countRemote(kb *core.KnowledgeBase) (int, error) {
-	remote, err := federation.RemoteAlerts(kb)
+	remote, err := fednet.RemoteAlerts(kb)
 	if err != nil {
 		return 0, err
 	}

@@ -577,7 +577,7 @@ func (kb *KnowledgeBase) write(shard int, fn func(tx *graph.Tx) error, throttle 
 
 // EnableSummaries activates the Essential Summary with the given period of
 // observation: alert nodes are attached to the current summary as they are
-// produced, and a periodic task (driven by Tick or RunScheduler) rolls the
+// produced, and a periodic task (driven by Tick or Scheduler().Run) rolls the
 // summary over when a period elapses, exactly as Fig. 8 does with
 // apoc.periodic.repeat.
 func (kb *KnowledgeBase) EnableSummaries(period time.Duration) error {
@@ -685,14 +685,9 @@ func (kb *KnowledgeBase) Tick() error {
 	return err
 }
 
-// Scheduler exposes the periodic scheduler for user tasks.
+// Scheduler exposes the periodic scheduler for user tasks; its Run drives
+// them against the wall clock.
 func (kb *KnowledgeBase) Scheduler() *periodic.Scheduler { return kb.scheduler }
-
-// RunScheduler drives the scheduler against the wall clock until stop is
-// closed.
-func (kb *KnowledgeBase) RunScheduler(stop <-chan struct{}, resolution time.Duration) error {
-	return kb.scheduler.Run(stop, resolution)
-}
 
 // ---- Alerts ----
 
@@ -725,29 +720,6 @@ func (kb *KnowledgeBase) AlertsAfter(after graph.NodeID) ([]Alert, error) {
 	out := kb.collectAlerts(after)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
-}
-
-// AlertCursor is the read every replication cursor (the in-process
-// federation's high-water marks, fednet's durable outbox) advances by: the
-// alerts after a mark that the rule filter admits (empty = all rules), in id
-// order, plus the highest alert id scanned — which can exceed the last fresh
-// one, so filtered-out alerts are not rescanned forever.
-func (kb *KnowledgeBase) AlertCursor(after graph.NodeID, rules map[string]bool) (fresh []Alert, scanned graph.NodeID, err error) {
-	alerts, err := kb.AlertsAfter(after)
-	if err != nil {
-		return nil, after, err
-	}
-	scanned = after
-	if len(alerts) > 0 {
-		scanned = alerts[len(alerts)-1].ID
-	}
-	fresh = alerts[:0]
-	for _, a := range alerts {
-		if len(rules) == 0 || rules[a.Rule] {
-			fresh = append(fresh, a)
-		}
-	}
-	return fresh, scanned, nil
 }
 
 // collectAlerts extracts the alert nodes with id greater than after

@@ -34,9 +34,6 @@ func NewCompiledExpr(e Expr, src string) *CompiledExpr {
 // Expr returns the parsed AST (for footprint inspection).
 func (ce *CompiledExpr) Expr() Expr { return ce.expr }
 
-// Source returns the original expression text.
-func (ce *CompiledExpr) Source() string { return ce.src }
-
 // Eval evaluates the expression with opts.Bindings visible as variables.
 func (ce *CompiledExpr) Eval(tx graph.ReadView, opts *Options) (value.Value, error) {
 	if opts == nil {

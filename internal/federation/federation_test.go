@@ -1,12 +1,19 @@
-package federation
+// Package federation_test drives the paper's §V federated deployment end to
+// end: one knowledge base per organization, each wrapped in a fednet.Node,
+// alerts pushed between them over loopback HTTP. The transport itself, its
+// fault handling and its apply half are tested in internal/fednet; these
+// tests pin what a participant sees of the federation as a whole.
+package federation_test
 
 import (
+	"context"
 	"errors"
-	"sync"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fednet"
 	"repro/internal/periodic"
 	"repro/internal/trigger"
 )
@@ -40,48 +47,81 @@ func admit(t *testing.T, kb *core.KnowledgeBase, region string) {
 	}
 }
 
-func TestJoinAndSubscribeValidation(t *testing.T) {
-	f := New()
-	if _, err := f.Join("clinic", newKB()); err != nil {
+// join wraps kb as participant name; MaxAttempts 1 makes a push to an
+// absent peer fail at once instead of backing off.
+func join(t *testing.T, name string, kb *core.KnowledgeBase) *fednet.Node {
+	t.Helper()
+	n, err := fednet.NewNode(name, kb, fednet.Options{MaxAttempts: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Join("clinic", newKB()); !errors.Is(err, ErrNodeExists) {
-		t.Error("duplicate join")
+	return n
+}
+
+// serve mounts n's receiver endpoints on a loopback server and returns its
+// base URL.
+func serve(t *testing.T, n *fednet.Node) string {
+	t.Helper()
+	ts := httptest.NewServer(n.Handler())
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+func sync(t *testing.T, n *fednet.Node) int {
+	t.Helper()
+	sent, err := n.SyncAll(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := f.Subscribe("clinic", "clinic"); !errors.Is(err, ErrSelfLink) {
+	return sent
+}
+
+func TestJoinAndSubscribeValidation(t *testing.T) {
+	clinic := join(t, "clinic", clinicalKB(t))
+	if _, err := fednet.NewNode("", newKB(), fednet.Options{}); err == nil {
+		t.Error("nameless participant joined")
+	}
+	if err := clinic.Subscribe("clinic", "http://127.0.0.1:1"); err == nil {
 		t.Error("self link")
 	}
-	if err := f.Subscribe("clinic", "ghost"); !errors.Is(err, ErrNodeNotFound) {
-		t.Error("unknown target")
+	if err := clinic.Subscribe("region", "region"); err == nil {
+		t.Error("peer without an address")
 	}
-	if err := f.Subscribe("ghost", "clinic"); !errors.Is(err, ErrNodeNotFound) {
-		t.Error("unknown source")
+	if err := clinic.Subscribe("region", "http://127.0.0.1:1"); err != nil {
+		t.Fatal(err)
 	}
-	if got := len(f.Participants()); got != 1 {
-		t.Errorf("participants = %d", got)
+	if err := clinic.Subscribe("region", "http://127.0.0.1:1"); !errors.Is(err, fednet.ErrPeerExists) {
+		t.Errorf("duplicate subscription: %v", err)
+	}
+
+	// A subscription to a peer nobody serves fails its sync and keeps the
+	// alert pending for the next round.
+	admit(t, clinic.KB(), "Lombardy")
+	if sent, err := clinic.SyncAll(context.Background()); err == nil || sent != 0 {
+		t.Errorf("sync to an absent peer: sent=%d err=%v", sent, err)
+	}
+	st, err := clinic.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Peers) != 1 || st.Peers[0].Peer != "region" || st.Peers[0].Pending != 1 {
+		t.Errorf("peers = %+v", st.Peers)
 	}
 }
 
 func TestSyncReplicatesAlerts(t *testing.T) {
-	f := New()
-	clinic := clinicalKB(t)
-	region := newKB()
-	_, _ = f.Join("clinic", clinic)
-	_, _ = f.Join("region", region)
-	if err := f.Subscribe("clinic", "region"); err != nil {
+	clinic := join(t, "clinic", clinicalKB(t))
+	region := join(t, "region", newKB())
+	if err := clinic.Subscribe("region", serve(t, region)); err != nil {
 		t.Fatal(err)
 	}
 
-	admit(t, clinic, "Lombardy")
-	admit(t, clinic, "Veneto")
-	n, err := f.Sync()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
+	admit(t, clinic.KB(), "Lombardy")
+	admit(t, clinic.KB(), "Veneto")
+	if n := sync(t, clinic); n != 2 {
 		t.Fatalf("replicated = %d", n)
 	}
-	remote, err := RemoteAlerts(region)
+	remote, err := fednet.RemoteAlerts(region.KB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,245 +131,84 @@ func TestSyncReplicatesAlerts(t *testing.T) {
 	if remote[0].Rule != "icu" || remote[0].Hub != "C" {
 		t.Errorf("remote alert: %+v", remote[0])
 	}
-	if origin, _ := remote[0].Props["origin"].AsString(); origin != "clinic" {
+	if origin, _ := remote[0].Props[fednet.OriginProp].AsString(); origin != "clinic" {
 		t.Errorf("origin: %v", remote[0].Props)
 	}
 	// Sync is idempotent.
-	if n, _ := f.Sync(); n != 0 {
+	if n := sync(t, clinic); n != 0 {
 		t.Errorf("second sync replicated %d", n)
 	}
-	// New alerts after the high-water mark replicate.
-	admit(t, clinic, "Lombardy")
-	if n, _ := f.Sync(); n != 1 {
+	// New alerts after the acknowledged mark replicate.
+	admit(t, clinic.KB(), "Lombardy")
+	if n := sync(t, clinic); n != 1 {
 		t.Errorf("incremental sync replicated %d", n)
 	}
 }
 
 func TestRuleFilteredSubscription(t *testing.T) {
-	f := New()
-	src := clinicalKB(t)
-	if err := src.InstallRule(trigger.Rule{
+	src := join(t, "src", clinicalKB(t))
+	if err := src.KB().InstallRule(trigger.Rule{
 		Name:  "noise",
 		Event: trigger.Event{Kind: trigger.CreateNode, Label: "Misc"},
 		Alert: "RETURN 1 AS one",
 	}); err != nil {
 		t.Fatal(err)
 	}
-	dst := newKB()
-	_, _ = f.Join("src", src)
-	_, _ = f.Join("dst", dst)
-	if err := f.Subscribe("src", "dst", "icu"); err != nil {
+	dst := join(t, "dst", newKB())
+	if err := src.Subscribe("dst", serve(t, dst), "icu"); err != nil {
 		t.Fatal(err)
 	}
-	admit(t, src, "Lombardy")
-	if _, err := src.Execute("CREATE (:Misc)", nil); err != nil {
+	admit(t, src.KB(), "Lombardy")
+	if _, err := src.KB().Execute("CREATE (:Misc)", nil); err != nil {
 		t.Fatal(err)
 	}
-	n, err := f.Sync()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
+	if n := sync(t, src); n != 1 {
 		t.Fatalf("filtered sync replicated %d", n)
 	}
-	remote, _ := RemoteAlerts(dst)
+	remote, _ := fednet.RemoteAlerts(dst.KB())
 	if len(remote) != 1 || remote[0].Rule != "icu" {
 		t.Errorf("remote: %+v", remote)
 	}
-	// The skipped alert does not reappear on later syncs (high-water mark
-	// advanced past it).
-	if n, _ := f.Sync(); n != 0 {
+	// The skipped alert does not reappear on later syncs (the mark advanced
+	// past it).
+	if n := sync(t, src); n != 0 {
 		t.Errorf("skipped alert resurfaced: %d", n)
 	}
 }
 
-func TestRemoteAlertsTriggerTargetRules(t *testing.T) {
-	// The cross-organization reaction: the regional KB reacts to the
-	// clinical KB's replicated alerts.
-	f := New()
-	clinic := clinicalKB(t)
-	region := newKB()
-	if err := region.InstallRule(trigger.Rule{
-		Name:   "escalate",
-		Hub:    "R",
-		Event:  trigger.Event{Kind: trigger.CreateNode, Label: RemoteAlertLabel},
-		Guard:  "NEW.origin = 'clinic'",
-		Action: "CREATE (:PolicyReview {region: NEW.region, hub: 'R'})",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	_, _ = f.Join("clinic", clinic)
-	_, _ = f.Join("region", region)
-	_ = f.Subscribe("clinic", "region")
-
-	admit(t, clinic, "Lombardy")
-	if _, err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := region.Query("MATCH (p:PolicyReview) RETURN p.region", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].String() != `"Lombardy"` {
-		t.Errorf("cross-organization reaction: %v", res.Rows)
-	}
-}
-
-// TestConcurrentSync exercises the "safe for concurrent use" contract under
-// the race detector: several goroutines call Sync while admissions keep
-// producing fresh alerts. Whatever the interleaving, every alert must end up
-// in the target exactly once.
-func TestConcurrentSync(t *testing.T) {
-	f := New()
-	clinic := clinicalKB(t)
-	region := newKB()
-	_, _ = f.Join("clinic", clinic)
-	_, _ = f.Join("region", region)
-	if err := f.Subscribe("clinic", "region"); err != nil {
-		t.Fatal(err)
-	}
-
-	const writers, admitsPerWriter, syncers = 4, 25, 4
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < admitsPerWriter; i++ {
-				admit(t, clinic, "Lombardy")
-			}
-		}()
-	}
-	errCh := make(chan error, syncers)
-	for s := 0; s < syncers; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				if _, err := f.Sync(); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	if _, err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	remote, err := RemoteAlerts(region)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := writers * admitsPerWriter; len(remote) != want {
-		t.Fatalf("remote alerts = %d, want %d (lost or duplicated under concurrency)", len(remote), want)
-	}
-	seen := make(map[int64]bool, len(remote))
-	for _, a := range remote {
-		if seen[int64(a.ID)] {
-			t.Fatalf("origin id %d replicated twice", a.ID)
-		}
-		seen[int64(a.ID)] = true
-	}
-}
-
-// TestRebuildDoesNotRereplicate is the restart scenario: a fresh Federation
-// over the same knowledge bases (in-memory marks gone) must not replicate
-// already-delivered alerts again — Subscribe recovers the mark from the
-// target and the apply side refuses (origin, originId) duplicates.
+// TestRebuildDoesNotRereplicate is the restart scenario: fresh nodes over the
+// same knowledge bases (in-memory marks gone, the receiver on a new address)
+// must not replicate already-delivered alerts again — the sender recovers
+// its mark from the outbox in its own graph.
 func TestRebuildDoesNotRereplicate(t *testing.T) {
-	clinic := clinicalKB(t)
-	region := newKB()
+	clinicKB := clinicalKB(t)
+	regionKB := newKB()
 
-	f1 := New()
-	_, _ = f1.Join("clinic", clinic)
-	_, _ = f1.Join("region", region)
-	_ = f1.Subscribe("clinic", "region")
-	admit(t, clinic, "Lombardy")
-	admit(t, clinic, "Veneto")
-	if n, err := f1.Sync(); err != nil || n != 2 {
-		t.Fatalf("first sync: n=%d err=%v", n, err)
+	clinic := join(t, "clinic", clinicKB)
+	if err := clinic.Subscribe("region", serve(t, join(t, "region", regionKB))); err != nil {
+		t.Fatal(err)
+	}
+	admit(t, clinicKB, "Lombardy")
+	admit(t, clinicKB, "Veneto")
+	if n := sync(t, clinic); n != 2 {
+		t.Fatalf("first sync replicated %d", n)
 	}
 
-	// The process "restarts": a brand-new Federation over the same KBs.
-	f2 := New()
-	_, _ = f2.Join("clinic", clinic)
-	_, _ = f2.Join("region", region)
-	_ = f2.Subscribe("clinic", "region")
-	if n, err := f2.Sync(); err != nil || n != 0 {
-		t.Fatalf("rebuilt sync replicated %d (err=%v), want 0", n, err)
+	// Both processes "restart": brand-new nodes over the same knowledge bases.
+	clinic2 := join(t, "clinic", clinicKB)
+	if err := clinic2.Subscribe("region", serve(t, join(t, "region", regionKB))); err != nil {
+		t.Fatal(err)
+	}
+	if n := sync(t, clinic2); n != 0 {
+		t.Fatalf("rebuilt sync replicated %d, want 0", n)
 	}
 	// New alerts still flow.
-	admit(t, clinic, "Lazio")
-	if n, err := f2.Sync(); err != nil || n != 1 {
-		t.Fatalf("incremental sync after rebuild: n=%d err=%v", n, err)
+	admit(t, clinicKB, "Lazio")
+	if n := sync(t, clinic2); n != 1 {
+		t.Fatalf("incremental sync after rebuild replicated %d", n)
 	}
-	remote, _ := RemoteAlerts(region)
+	remote, _ := fednet.RemoteAlerts(regionKB)
 	if len(remote) != 3 {
 		t.Fatalf("remote alerts = %d, want 3", len(remote))
-	}
-}
-
-// TestApplyRemoteAlertsDedup checks the shared idempotent-apply primitive
-// directly: redelivery of the same batch, overlap across batches, and
-// duplicates within one batch all collapse to a single materialization.
-func TestApplyRemoteAlertsDedup(t *testing.T) {
-	kb := newKB()
-	if err := EnsureRemoteAlertIndex(kb); err != nil {
-		t.Fatal(err)
-	}
-	batch := []core.Alert{
-		{ID: 1, Rule: "icu", DateTime: fedStart},
-		{ID: 2, Rule: "icu", DateTime: fedStart},
-		{ID: 2, Rule: "icu", DateTime: fedStart}, // in-batch duplicate
-	}
-	applied, dups, err := ApplyRemoteAlerts(kb, "clinic", batch)
-	if err != nil || applied != 2 || dups != 1 {
-		t.Fatalf("first apply: applied=%d dups=%d err=%v", applied, dups, err)
-	}
-	// Full redelivery (sender never got the ack).
-	applied, dups, err = ApplyRemoteAlerts(kb, "clinic", batch[:2])
-	if err != nil || applied != 0 || dups != 2 {
-		t.Fatalf("redelivery: applied=%d dups=%d err=%v", applied, dups, err)
-	}
-	// Same originId from a different origin is distinct knowledge.
-	applied, _, err = ApplyRemoteAlerts(kb, "lab", batch[:1])
-	if err != nil || applied != 1 {
-		t.Fatalf("other origin: applied=%d err=%v", applied, err)
-	}
-	if mark, _ := HighWaterFor(kb, "clinic"); mark != 2 {
-		t.Fatalf("HighWaterFor = %d, want 2", mark)
-	}
-	remote, _ := RemoteAlerts(kb)
-	if len(remote) != 3 {
-		t.Fatalf("remote alerts = %d, want 3", len(remote))
-	}
-}
-
-func TestBidirectionalSubscriptions(t *testing.T) {
-	f := New()
-	a := clinicalKB(t)
-	b := clinicalKB(t)
-	_, _ = f.Join("a", a)
-	_, _ = f.Join("b", b)
-	_ = f.Subscribe("a", "b")
-	_ = f.Subscribe("b", "a")
-	admit(t, a, "north")
-	admit(t, b, "south")
-	n, err := f.Sync()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("bidirectional sync = %d", n)
-	}
-	ra, _ := RemoteAlerts(a)
-	rb, _ := RemoteAlerts(b)
-	if len(ra) != 1 || len(rb) != 1 {
-		t.Errorf("remote counts: a=%d b=%d", len(ra), len(rb))
 	}
 }

@@ -3,13 +3,80 @@ package fednet
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/federation"
 	"repro/internal/graph"
 	"repro/internal/value"
 )
+
+// TestConcurrentSyncAll races SyncAll callers against concurrent
+// admissions under the race detector. Whatever the interleaving, every alert
+// is delivered and materialized exactly once.
+func TestConcurrentSyncAll(t *testing.T) {
+	srcKB, dstKB := newMemKB(t), newMemKB(t)
+	_, url, _ := newReceiver(t, "region", dstKB)
+	src, err := NewNode("clinic", srcKB, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Subscribe("region", url); err != nil {
+		t.Fatal(err)
+	}
+
+	const writers, admitsPerWriter, syncers = 4, 25, 4
+	var (
+		wg   sync.WaitGroup
+		sent atomic.Int64
+	)
+	errCh := make(chan error, writers+syncers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < admitsPerWriter; i++ {
+				if _, err := srcKB.Execute("CREATE (:IcuPatient {region: 'Lombardy', hub: 'C'})", nil); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+	}
+	for s := 0; s < syncers; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				n, err := src.SyncAll(context.Background())
+				if err != nil {
+					errCh <- err
+					return
+				}
+				sent.Add(int64(n))
+			}
+		}()
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	n, err := src.SyncAll(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent.Add(int64(n))
+
+	const want = writers * admitsPerWriter
+	if got := sent.Load(); got != want {
+		t.Errorf("delivered %d alerts in total, want %d", got, want)
+	}
+	if ids := remoteIDs(t, dstKB); len(ids) != want {
+		t.Fatalf("remote alerts = %d, want %d (lost under concurrency)", len(ids), want)
+	}
+}
 
 // TestSyncDuringOpenWrite: federation sync scans the source's alerts from a
 // published snapshot, so delivery to the peer proceeds while a write
@@ -59,7 +126,7 @@ func TestSyncDuringOpenWrite(t *testing.T) {
 		// holds the source's write lock.
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			remote, err := federation.RemoteAlerts(dstKB)
+			remote, err := RemoteAlerts(dstKB)
 			if err != nil {
 				return err
 			}

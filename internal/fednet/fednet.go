@@ -1,6 +1,5 @@
-// Package fednet is the cross-process federation transport: it moves alert
-// nodes between rkm-server processes over HTTP with at-least-once delivery,
-// turning the in-process prototype of internal/federation into the networked
+// Package fednet is the federation transport: it moves alert nodes between
+// knowledge bases over HTTP with at-least-once delivery — the federated
 // deployment the paper's §V projects (each knowledge hub on its own
 // infrastructure, alerts as the cross-hub currency).
 //
@@ -14,8 +13,8 @@
 //     log and snapshot machinery — a restarted sender resumes from the last
 //     acknowledged batch, never from zero.
 //   - Receiver: Handler (or Register) mounts POST /fed/push and GET
-//     /fed/status. Apply is idempotent by (origin, originId) — the
-//     federation package's shared contract — so redelivered batches count as
+//     /fed/status. Each pushed alert becomes a RemoteAlert node, and apply is
+//     idempotent by (origin, originId), so redelivered batches count as
 //     duplicates instead of materializing twice. At-least-once delivery plus
 //     idempotent apply yields exactly-once materialization.
 //
@@ -42,7 +41,6 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/core"
-	"repro/internal/federation"
 	"repro/internal/graph"
 	"repro/internal/value"
 )
@@ -184,7 +182,7 @@ func NewNode(name string, kb *core.KnowledgeBase, opts Options) (*Node, error) {
 		return nil, fmt.Errorf("fednet: node %s: %w", name, core.ErrMultiShard)
 	}
 	opts = opts.withDefaults()
-	if err := federation.EnsureRemoteAlertIndex(kb); err != nil {
+	if err := ensureRemoteAlertIndex(kb); err != nil {
 		return nil, err
 	}
 	n := &Node{
@@ -282,7 +280,7 @@ func (n *Node) SyncAll(ctx context.Context) (int, error) {
 // re-sends at most one batch (which the receiver deduplicates).
 func (n *Node) syncPeer(ctx context.Context, p *peerLink) (int, error) {
 	acked := p.mark()
-	fresh, maxScanned, err := n.kb.AlertCursor(acked, p.rules)
+	fresh, maxScanned, err := alertCursor(n.kb, acked, p.rules)
 	if err != nil {
 		return 0, err
 	}
@@ -410,7 +408,7 @@ func (n *Node) Start(every time.Duration) error {
 
 // pendingFor counts the alerts not yet acknowledged by p.
 func (n *Node) pendingFor(p *peerLink) int {
-	fresh, _, _ := n.kb.AlertCursor(p.mark(), p.rules)
+	fresh, _, _ := alertCursor(n.kb, p.mark(), p.rules)
 	return len(fresh)
 }
 
@@ -436,10 +434,10 @@ func (n *Node) Status() (Status, error) {
 
 // remoteCounts tallies RemoteAlert nodes by origin.
 func remoteCounts(kb *core.KnowledgeBase) (map[string]int, error) {
-	alerts, err := federation.RemoteAlerts(kb)
+	alerts, err := RemoteAlerts(kb)
 	counts := make(map[string]int)
 	for _, a := range alerts {
-		origin, _ := a.Props[federation.OriginProp].AsString()
+		origin, _ := a.Props[OriginProp].AsString()
 		counts[origin]++
 	}
 	return counts, err

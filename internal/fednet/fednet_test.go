@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/core"
-	"repro/internal/federation"
 	"repro/internal/periodic"
 	"repro/internal/trigger"
 	"repro/internal/wal"
@@ -103,7 +102,7 @@ func newReceiver(t *testing.T, name string, kb *core.KnowledgeBase) (*Node, stri
 // the test on any duplicate — the exactly-once invariant.
 func remoteIDs(t *testing.T, kb *core.KnowledgeBase) []int64 {
 	t.Helper()
-	remote, err := federation.RemoteAlerts(kb)
+	remote, err := RemoteAlerts(kb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +143,8 @@ func TestPushEndToEnd(t *testing.T) {
 	if ids := remoteIDs(t, dstKB); len(ids) != 3 {
 		t.Fatalf("remote alerts = %d, want 3", len(ids))
 	}
-	remote, _ := federation.RemoteAlerts(dstKB)
-	if origin, _ := remote[0].Props[federation.OriginProp].AsString(); origin != "clinic" {
+	remote, _ := RemoteAlerts(dstKB)
+	if origin, _ := remote[0].Props[OriginProp].AsString(); origin != "clinic" {
 		t.Errorf("origin = %q", origin)
 	}
 	if region, _ := remote[0].Props["region"].AsString(); region != "Lombardy" {
@@ -221,7 +220,7 @@ func TestRuleFilteredSubscription(t *testing.T) {
 	if n, err := src.SyncAll(context.Background()); err != nil || n != 1 {
 		t.Fatalf("filtered sync: n=%d err=%v", n, err)
 	}
-	remote, _ := federation.RemoteAlerts(dstKB)
+	remote, _ := RemoteAlerts(dstKB)
 	if len(remote) != 1 || remote[0].Rule != "icu" {
 		t.Fatalf("remote: %+v", remote)
 	}

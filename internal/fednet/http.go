@@ -7,7 +7,6 @@ import (
 	"net/http"
 
 	"repro/internal/core"
-	"repro/internal/federation"
 )
 
 // maxPushBody bounds a push request body (1 MiB is hundreds of alerts; a
@@ -77,7 +76,7 @@ func (n *Node) handlePush(w http.ResponseWriter, r *http.Request) {
 			acked = wa.OriginID
 		}
 	}
-	applied, dups, err := federation.ApplyRemoteAlerts(n.kb, req.Origin, alerts)
+	applied, dups, err := applyRemoteAlerts(n.kb, req.Origin, alerts)
 	if err != nil {
 		fedWriteErr(w, http.StatusInternalServerError, err)
 		return

@@ -62,9 +62,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// PropertyKey returns the node property naming the owning hub.
-func (r *Registry) PropertyKey() string { return r.propKey }
-
 // Define registers a hub.
 func (r *Registry) Define(name, description string) (*Hub, error) {
 	r.mu.Lock()

@@ -46,16 +46,6 @@ type Config struct {
 	SkewedRegions bool
 }
 
-// DefaultConfig mirrors the paper's setting of 20 regions.
-func DefaultConfig() Config {
-	return Config{
-		Seed:               1,
-		Regions:            20,
-		HospitalsPerRegion: 2,
-		LabsPerRegion:      1,
-	}
-}
-
 func (c Config) withDefaults() Config {
 	if c.Regions <= 0 {
 		c.Regions = 20

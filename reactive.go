@@ -36,7 +36,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cypher"
-	"repro/internal/federation"
+	"repro/internal/fednet"
 	"repro/internal/graph"
 	"repro/internal/hub"
 	"repro/internal/metrics"
@@ -265,23 +265,12 @@ type SummaryManager = summary.Manager
 // WindowFilter selects alerts for Essential Summary window queries.
 type WindowFilter = summary.WindowFilter
 
-// Federation coordinates several knowledge bases run by distinct
-// organizations and propagates alerts along subscriptions (§V's federated
-// deployment).
-type Federation = federation.Federation
-
-// Participant is one organization's knowledge base inside a federation.
-type Participant = federation.Participant
-
 // RemoteAlertLabel is the label of alerts replicated from other federation
-// participants.
-const RemoteAlertLabel = federation.RemoteAlertLabel
-
-// NewFederation returns an empty federation.
-func NewFederation() *Federation { return federation.New() }
+// participants (§V's federated deployment, internal/fednet).
+const RemoteAlertLabel = fednet.RemoteAlertLabel
 
 // RemoteAlerts lists the alerts replicated into kb from other participants.
-func RemoteAlerts(kb *KnowledgeBase) ([]Alert, error) { return federation.RemoteAlerts(kb) }
+func RemoteAlerts(kb *KnowledgeBase) ([]Alert, error) { return fednet.RemoteAlerts(kb) }
 
 // MetricsRegistry holds a knowledge base's runtime instrumentation —
 // counters, gauges and latency histograms for the trigger engine, the graph
