@@ -349,15 +349,26 @@ func start(o options) (*server, error) {
 	return srv, nil
 }
 
-// serve runs the HTTP server, the scheduler driver and the graceful
-// shutdown sequence; leader and follower processes share it.
-func (s *server) serve(addr string, withPprof bool) {
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers. There is no read or write timeout: a /wal/stream response
+// legitimately lasts up to the replication StreamWindow.
+const readHeaderTimeout = 5 * time.Second
+
+// httpServer builds the HTTP server serve runs: every endpoint, pprof when
+// asked for, and the header deadline.
+func (s *server) httpServer(addr string, withPprof bool) *http.Server {
 	mux := http.NewServeMux()
 	s.register(mux)
 	if withPprof {
 		registerPprof(mux)
 	}
-	hs := &http.Server{Addr: addr, Handler: mux}
+	return &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
+}
+
+// serve runs the HTTP server, the scheduler driver and the graceful
+// shutdown sequence; leader and follower processes share it.
+func (s *server) serve(addr string, withPprof bool) {
+	hs := s.httpServer(addr, withPprof)
 
 	// On the wall clock the summary scheduler needs a driver; with -demo the
 	// clock is manual and /tick drives it instead.
@@ -959,6 +970,11 @@ func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// maxTickHours caps one /tick at a leap year. The request runs every
+// summary rollover check the advance spans, and the cap keeps the advance
+// far from overflowing time.Duration.
+const maxTickHours = 366 * 24
+
 func (s *server) handleTick(w http.ResponseWriter, r *http.Request) {
 	if s.clock == nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("tick requires -demo (simulated clock)"))
@@ -970,8 +986,12 @@ func (s *server) handleTick(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if req.Hours <= 0 {
+	if req.Hours == 0 {
 		req.Hours = 24
+	}
+	if req.Hours < 0 || req.Hours > maxTickHours {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("tick hours must be between 1 and %d, got %d", maxTickHours, req.Hours))
+		return
 	}
 	s.clock.Advance(time.Duration(req.Hours) * time.Hour)
 	if err := s.kb.Tick(); err != nil {

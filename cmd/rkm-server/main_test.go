@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -204,6 +205,70 @@ func TestTickEndpoint(t *testing.T) {
 	resp, _ = postJSON(t, ts2.URL+"/tick", map[string]any{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Error("tick without manual clock should 400")
+	}
+}
+
+// TestTickBounds: /tick accepts 1 to maxTickHours hours, and any other
+// count — negative, a million hourly rollover checks, or one whose product
+// with time.Hour wraps negative — is a 400 that leaves the clock where it
+// was.
+func TestTickBounds(t *testing.T) {
+	s, ts := newTestServer(t)
+	before := s.kb.Now()
+	for _, hours := range []int{-1, maxTickHours + 1, 1000000, 3000000} {
+		resp, out := postJSON(t, ts.URL+"/tick", map[string]any{"hours": hours})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("tick %d hours: %d %v, want 400", hours, resp.StatusCode, out)
+		}
+		if !s.kb.Now().Equal(before) {
+			t.Fatalf("tick %d hours moved the clock from %v to %v", hours, before, s.kb.Now())
+		}
+	}
+	resp, out := postJSON(t, ts.URL+"/tick", map[string]any{"hours": maxTickHours})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("tick %d hours: %d %v", maxTickHours, resp.StatusCode, out)
+	}
+	if want := before.Add(maxTickHours * time.Hour); !s.kb.Now().Equal(want) {
+		t.Errorf("clock = %v, want %v", s.kb.Now(), want)
+	}
+}
+
+// TestReadHeaderDeadline: the server serve runs closes a connection whose
+// request headers stop arriving, within readHeaderTimeout, and still
+// answers complete requests.
+func TestReadHeaderDeadline(t *testing.T) {
+	s, _ := newTestServer(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := s.httpServer("", false)
+	go func() { _ = hs.Serve(ln) }()
+	t.Cleanup(func() { _ = hs.Close() })
+
+	resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: %d", resp.StatusCode)
+	}
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: rkm\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 2*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection with unfinished headers still open after %v: %v", time.Since(start), err)
 	}
 }
 

@@ -85,8 +85,9 @@ func TestShardedServerEndToEnd(t *testing.T) {
 
 	// Bridge the shards programmatically (the HTTP write surface is
 	// per-shard; bridges are an embedding-API affair).
-	if _, err := s.kb.UpdateBridge("people", "places", func(bt *reactive.BridgeTx) error {
-		people, _ := s.kb.ShardOf("people")
+	people, _ := s.kb.ShardOf("people")
+	places, _ := s.kb.ShardOf("places")
+	if _, err := s.kb.UpdateBridgeShards(people, places, func(bt *reactive.BridgeTx) error {
 		ada, err := bt.ShardTx(people)
 		if err != nil {
 			return err
@@ -101,7 +102,6 @@ func TestShardedServerEndToEnd(t *testing.T) {
 			return 0
 		}
 		adaID := byProp(ada, "Person", "name", "Ada")
-		places, _ := s.kb.ShardOf("places")
 		ptx, err := bt.ShardTx(places)
 		if err != nil {
 			return err

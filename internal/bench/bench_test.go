@@ -97,8 +97,6 @@ func TestWriters(t *testing.T) {
 			[]string{"mode", "baseline", "sync", "async", "drain"}},
 		{func() { WriteReplica(&sb, []ReplicaPoint{{Followers: 1}}) },
 			[]string{"reads/sec", "followers", "lag-recs", "caught-up"}},
-		{func() { WriteFed(&sb, []FedPoint{{Alerts: 20, Batch: 4, PushHist: "count=5"}}) },
-			[]string{"Federated replication", "batch", "push latency"}},
 	} {
 		sb.Reset()
 		c.write()

@@ -23,7 +23,6 @@ var Figures = []Figure{
 	{"10", runFig10},
 	{"ablation", runAblation},
 	{"rules", runRules},
-	{"fed", runFed},
 	{"async", runAsync},
 	{"replica", runReplica},
 	{"shard", runShard},
@@ -113,34 +112,6 @@ func runRules(cfg Config, smoke bool, w io.Writer) error {
 		return err
 	}
 	WriteRuleScaling(w, pts)
-	return nil
-}
-
-func runFed(cfg Config, smoke bool, w io.Writer) error {
-	batches := []int{1, 32, 256}
-	if smoke {
-		cfg.PatientCounts, cfg.Reps, batches = []int{20}, 1, []int{4, 32}
-	} else if len(cfg.PatientCounts) == 0 {
-		// The backlog build-up (one rule firing per admission) dominates at
-		// 10k; two sizes already show how batching amortizes the HTTP hop.
-		cfg.PatientCounts = []int{100, 1000}
-	}
-	// Each round already failed unless every alert arrived, one push
-	// request per batch.
-	pts, err := RunFedLag(cfg, batches)
-	if err != nil {
-		return err
-	}
-	WriteFed(w, pts)
-	if want := len(cfg.PatientCounts) * len(batches); len(pts) != want {
-		return fmt.Errorf("%d points, want %d (one per backlog size and batch size)", len(pts), want)
-	}
-	for _, p := range pts {
-		if p.Elapsed <= 0 || p.PerAlert <= 0 {
-			return fmt.Errorf("alerts=%d batch=%d: non-positive timings %v, %v per alert",
-				p.Alerts, p.Batch, p.Elapsed, p.PerAlert)
-		}
-	}
 	return nil
 }
 

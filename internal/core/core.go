@@ -90,8 +90,8 @@ type KnowledgeBase struct {
 
 	// follower marks a replication follower (see replica.go): ordinary
 	// writes fail with ErrFollower and state arrives only through the
-	// replicated-apply path. replicaSeqs are the per-shard apply cursors of
-	// an in-memory follower; durable followers use each log's LastSeq.
+	// replicated-apply path. replicaSeqs are the per-shard apply cursors,
+	// advanced only once a batch is published (and, durably, persisted).
 	follower    bool
 	replicaSeqs []atomic.Uint64
 
@@ -122,7 +122,6 @@ type KnowledgeBase struct {
 
 	mu        sync.Mutex
 	summaries *summary.Manager
-	schemas   []*schema.GraphType
 }
 
 // New creates an empty in-memory knowledge base with one shard.
@@ -172,6 +171,9 @@ func open(dir string, cfg Config, hubs []HubShard, wopts wal.Options, follower b
 		kb.follower = true
 		for i := 0; i < ss.NumShards(); i++ {
 			ss.Shard(i).SetFollowerMode(true)
+			if set != nil {
+				kb.replicaSeqs[i].Store(set.Log(i).LastSeq())
+			}
 		}
 	}
 	if set != nil {
@@ -313,17 +315,7 @@ func (kb *KnowledgeBase) ApplyGraphType(g *schema.GraphType) error {
 	if err := g.Bind(kb.Store()); err != nil {
 		return err
 	}
-	kb.mu.Lock()
-	kb.schemas = append(kb.schemas, g)
-	kb.mu.Unlock()
 	return nil
-}
-
-// Schemas lists the bound graph types.
-func (kb *KnowledgeBase) Schemas() []*schema.GraphType {
-	kb.mu.Lock()
-	defer kb.mu.Unlock()
-	return append([]*schema.GraphType(nil), kb.schemas...)
 }
 
 // CreateIndex creates a property index usable by equality lookups, count
@@ -516,7 +508,7 @@ func (kb *KnowledgeBase) execute(shard int, query string, params map[string]valu
 // WriteTx runs fn inside a read-write transaction, then fires the reactive
 // rules over fn's changes and commits. It is the programmatic (non-Cypher)
 // write path; bulk loaders use it. With more than one shard the write must
-// name its shard: use UpdateInHub or UpdateShard.
+// name its shard: use UpdateShard (ShardOf resolves a hub name).
 func (kb *KnowledgeBase) WriteTx(fn func(tx *graph.Tx) error) (*trigger.Report, error) {
 	if err := kb.single("WriteTx without a hub"); err != nil {
 		return nil, err
@@ -836,7 +828,6 @@ func (kb *KnowledgeBase) Fork(clock periodic.Clock) (*KnowledgeBase, error) {
 	}
 
 	kb.mu.Lock()
-	nkb.schemas = append([]*schema.GraphType(nil), kb.schemas...)
 	var period time.Duration
 	if kb.summaries != nil {
 		period = kb.summaries.Period

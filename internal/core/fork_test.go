@@ -120,9 +120,6 @@ func TestForkCopiesIndexesAndValidators(t *testing.T) {
 	if n := queryIntOn(t, fork, "MATCH (r:Region {name: 'Lombardy'}) RETURN count(r)"); n != 1 {
 		t.Errorf("fork indexed count = %d", n)
 	}
-	if len(fork.Schemas()) != 1 {
-		t.Error("schemas not carried over")
-	}
 }
 
 func TestForkWithOwnClock(t *testing.T) {

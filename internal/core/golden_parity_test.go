@@ -94,7 +94,7 @@ func parityKB(t testing.TB, v Variant) *KnowledgeBase {
 		}
 	}
 	var persons, cities []graph.NodeID
-	if _, err := kb.UpdateInHub("people", func(tx *graph.Tx) error {
+	if _, err := kb.UpdateShard(shardOf(t, kb, "people"), func(tx *graph.Tx) error {
 		for i, props := range parityPersonProps() {
 			labels := []string{"Person"}
 			if i == 2 { // Cyd is also an Admin
@@ -121,7 +121,7 @@ func parityKB(t testing.TB, v Variant) *KnowledgeBase {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := kb.UpdateInHub("places", func(tx *graph.Tx) error {
+	if _, err := kb.UpdateShard(shardOf(t, kb, "places"), func(tx *graph.Tx) error {
 		for _, props := range parityCityProps() {
 			id, err := tx.CreateNode([]string{"City"}, props)
 			if err != nil {
@@ -137,7 +137,7 @@ func parityKB(t testing.TB, v Variant) *KnowledgeBase {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := kb.UpdateInHub("things", func(tx *graph.Tx) error {
+	if _, err := kb.UpdateShard(shardOf(t, kb, "things"), func(tx *graph.Tx) error {
 		for i := 0; i < 5; i++ {
 			if _, err := tx.CreateNode([]string{"Widget"}, map[string]value.Value{"n": value.Int(int64(i))}); err != nil {
 				return err
@@ -161,7 +161,7 @@ func parityKB(t testing.TB, v Variant) *KnowledgeBase {
 			return nil
 		})
 	} else {
-		_, err = kb.UpdateInHub("people", func(tx *graph.Tx) error {
+		_, err = kb.UpdateShard(shardOf(t, kb, "people"), func(tx *graph.Tx) error {
 			for i, city := range homes {
 				if _, err := tx.CreateRel(persons[i], city, "LIVES_IN", nil); err != nil {
 					return err

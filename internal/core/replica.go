@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -71,12 +70,9 @@ func (kb *KnowledgeBase) Role() string {
 
 // ReplicaAppliedSeq returns a follower shard's durable apply cursor: the
 // leader sequence number of the last record of that shard's stream applied
-// (and, for a durable follower, persisted). Streaming resumes at the next
-// record.
+// (and, for a durable follower, persisted). Reads already see every record
+// up to it. Streaming resumes at the next record.
 func (kb *KnowledgeBase) ReplicaAppliedSeq(shard int) uint64 {
-	if kb.wal != nil {
-		return kb.wal.Log(shard).LastSeq()
-	}
 	return kb.replicaSeqs[shard].Load()
 }
 
@@ -168,9 +164,8 @@ func (kb *KnowledgeBase) ApplyReplicated(shard int, recs []*wal.Record) error {
 		if err := l.WaitDurable(last); err != nil {
 			return fmt.Errorf("core: shard %d replicated batch durability: %v: %w", shard, err, ErrReplicaDiverged)
 		}
-	} else {
-		kb.replicaSeqs[shard].Store(last)
 	}
+	kb.replicaSeqs[shard].Store(last)
 	return nil
 }
 
@@ -200,19 +195,4 @@ func (kb *KnowledgeBase) ReplicaSnapshotView() (*graph.Tx, uint64, error) {
 		return nil, 0, err
 	}
 	return view, seq, nil
-}
-
-// ReplicaSnapshot serializes the pinned view of ReplicaSnapshotView into one
-// buffer (small deployments; the HTTP handler streams instead).
-func (kb *KnowledgeBase) ReplicaSnapshot() ([]byte, uint64, error) {
-	view, seq, err := kb.ReplicaSnapshotView()
-	if err != nil {
-		return nil, 0, err
-	}
-	defer view.Rollback()
-	var buf bytes.Buffer
-	if err := view.Export(&buf); err != nil {
-		return nil, 0, err
-	}
-	return buf.Bytes(), seq, nil
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -10,6 +11,22 @@ import (
 	"repro/internal/value"
 	"repro/internal/wal"
 )
+
+// replicaSnapshot exports the leader's pinned bootstrap view, as the
+// replication leader's snapshot handler does.
+func replicaSnapshot(t *testing.T, kb *core.KnowledgeBase) ([]byte, uint64) {
+	t.Helper()
+	view, seq, err := kb.ReplicaSnapshotView()
+	if err != nil {
+		t.Fatalf("ReplicaSnapshotView: %v", err)
+	}
+	defer view.Rollback()
+	var buf bytes.Buffer
+	if err := view.Export(&buf); err != nil {
+		t.Fatalf("export: %v", err)
+	}
+	return buf.Bytes(), seq
+}
 
 // pullRecords drains every durable record after seq from the leader's log.
 func pullRecords(t *testing.T, kb *core.KnowledgeBase, after uint64) []*wal.Record {
@@ -61,10 +78,7 @@ func TestInMemoryFollowerBootstrapAndApply(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		leaderWrite(t, leader, i)
 	}
-	snap, seq, err := leader.ReplicaSnapshot()
-	if err != nil {
-		t.Fatalf("ReplicaSnapshot: %v", err)
-	}
+	snap, seq := replicaSnapshot(t, leader)
 	if seq != 5 {
 		t.Fatalf("snapshot seq = %d, want 5", seq)
 	}
@@ -100,15 +114,60 @@ func TestInMemoryFollowerBootstrapAndApply(t *testing.T) {
 	}
 }
 
+// TestDurableFollowerCursorNeverAheadOfReads: a durable follower's apply
+// cursor covers only records whose effects a read already sees, so a caller
+// that waits for the cursor and then reads finds everything up to it.
+func TestDurableFollowerCursorNeverAheadOfReads(t *testing.T) {
+	leader, _ := openDurableKB(t, t.TempDir())
+	for i := 0; i < 200; i++ {
+		leaderWrite(t, leader, i)
+	}
+	recs := pullRecords(t, leader, 0)
+	fol, _, err := core.OpenFollowerDurable(t.TempDir(), core.Config{}, wal.Options{Fsync: wal.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close()
+	done := make(chan error, 1)
+	go func() {
+		for _, rec := range recs {
+			if err := fol.ApplyReplicated(0, []*wal.Record{rec}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for applied := false; !applied; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			applied = true // one last check below, at the final cursor
+		default:
+		}
+		seq := fol.ReplicaAppliedSeq(0)
+		res, err := fol.Query("MATCH (d:Doc) RETURN count(d) AS n", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every leader record creates one Doc.
+		if n, _ := res.Rows[0][0].AsInt(); uint64(n) < seq {
+			t.Fatalf("cursor at %d but a read sees %d docs", seq, n)
+		}
+	}
+	if got, want := fol.ReplicaAppliedSeq(0), recs[len(recs)-1].Seq; got != want {
+		t.Fatalf("cursor = %d after applying every record, want %d", got, want)
+	}
+}
+
 func TestDurableFollowerSeedApplyRestart(t *testing.T) {
 	leader, _ := openDurableKB(t, t.TempDir())
 	for i := 0; i < 6; i++ {
 		leaderWrite(t, leader, i)
 	}
-	snap, seq, err := leader.ReplicaSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap, seq := replicaSnapshot(t, leader)
 
 	fdir := t.TempDir()
 	if err := wal.SeedSnapshot(fdir, seq, snap); err != nil {

@@ -19,7 +19,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
 
 	"repro/internal/cypher"
@@ -110,15 +109,6 @@ func (kb *KnowledgeBase) shardOfHub(hubName string) (int, error) {
 	return i, nil
 }
 
-// UpdateInHub is WriteTx on the named hub's shard.
-func (kb *KnowledgeBase) UpdateInHub(hubName string, fn func(tx *graph.Tx) error) (*trigger.Report, error) {
-	i, err := kb.shardOfHub(hubName)
-	if err != nil {
-		return nil, err
-	}
-	return kb.write(i, fn, true)
-}
-
 // ExecuteInHub is ExecuteReport on the named hub's shard.
 func (kb *KnowledgeBase) ExecuteInHub(hubName, query string, params map[string]value.Value) (*cypher.Result, *trigger.Report, error) {
 	i, err := kb.shardOfHub(hubName)
@@ -139,25 +129,15 @@ func (kb *KnowledgeBase) QueryInHub(hubName, query string, params map[string]val
 	return kb.query(i, query, params)
 }
 
-// ExportShard writes one shard's content as a deterministic JSON document.
-// Two recoveries of the same committed state export byte-identical
-// documents per shard; the crash tests rely on this.
-func (kb *KnowledgeBase) ExportShard(i int, w io.Writer) error {
-	if err := kb.checkShard(i); err != nil {
-		return err
-	}
-	return kb.store.Shard(i).Export(w)
-}
-
 // ---- Bridge writes ----
 
-// UpdateBridge runs fn in a two-shard bridge transaction spanning the two
-// named hubs: both shard locks are taken in ascending index order (the
-// deterministic order that makes concurrent bridges deadlock-free), fn may
-// create knowledge bridges between the hubs through the BridgeTx, the
-// reactive rules fire over each side's changes, and the commit appends a
-// single durable commit record spanning both WAL streams before either
-// shard's snapshot is published.
+// UpdateBridgeShards runs fn in a two-shard bridge transaction spanning
+// shards a and b (ShardOf resolves a hub name to its shard): both shard
+// locks are taken in ascending index order (the deterministic order that
+// makes concurrent bridges deadlock-free), fn may create knowledge bridges
+// between the hubs through the BridgeTx, the reactive rules fire over each
+// side's changes, and the commit appends a single durable commit record
+// spanning both WAL streams before either shard's snapshot is published.
 //
 // The rule cascade runs per side: a rule triggered by the lower shard's
 // changes reads and writes the lower shard only (guards are intra-hub by
@@ -166,19 +146,6 @@ func (kb *KnowledgeBase) ExportShard(i int, w io.Writer) error {
 // A non-nil error with a non-nil report means the bridge committed but a
 // post-commit durability wait failed — the same contract as the group
 // commit path of a single-shard write.
-func (kb *KnowledgeBase) UpdateBridge(hubA, hubB string, fn func(bt *graph.BridgeTx) error) (*trigger.Report, error) {
-	a, err := kb.shardOfHub(hubA)
-	if err != nil {
-		return nil, err
-	}
-	b, err := kb.shardOfHub(hubB)
-	if err != nil {
-		return nil, err
-	}
-	return kb.UpdateBridgeShards(a, b, fn)
-}
-
-// UpdateBridgeShards is UpdateBridge by shard index.
 func (kb *KnowledgeBase) UpdateBridgeShards(a, b int, fn func(bt *graph.BridgeTx) error) (*trigger.Report, error) {
 	if err := kb.checkShard(a); err != nil {
 		return nil, err
@@ -263,37 +230,6 @@ func (kb *KnowledgeBase) appendOne(idx int, tx *graph.Tx, rec *wal.Record) error
 		return err
 	}
 	return tx.OnCommitted(func() error { return l.WaitDurable(seq) })
-}
-
-// ---- Per-shard checkpointing ----
-
-// CheckpointShard snapshots and compacts a single shard without touching
-// the others' write locks: per-hub checkpointing stays independent, so a
-// hot hub can compact on its own schedule. The SyncAll before compaction
-// carries the same bridge-marker invariant as Checkpoint.
-func (kb *KnowledgeBase) CheckpointShard(i int) error {
-	if kb.wal == nil {
-		return ErrNotDurable
-	}
-	if err := kb.checkShard(i); err != nil {
-		return err
-	}
-	kb.ckptMu.Lock()
-	defer kb.ckptMu.Unlock()
-	var seq uint64
-	view, err := kb.store.Shard(i).SnapshotView(func() error {
-		var err error
-		seq, err = kb.wal.Log(i).Cut()
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	defer view.Rollback()
-	if err := kb.wal.SyncAll(); err != nil {
-		return err
-	}
-	return kb.installSnapshot(i, view, seq)
 }
 
 // ---- Per-shard metric labels ----

@@ -60,8 +60,11 @@ func TestShardedLayoutAndErrors(t *testing.T) {
 	if _, err := NewSharded(Config{}, []HubShard{{Hub: "A"}, {Hub: "A"}}); err == nil {
 		t.Fatal("duplicate hub declaration accepted")
 	}
-	if _, err := kb.UpdateInHub("nope", func(tx *graph.Tx) error { return nil }); !errors.Is(err, ErrUnknownShardHub) {
-		t.Fatalf("UpdateInHub(nope) err = %v, want ErrUnknownShardHub", err)
+	if _, _, err := kb.ExecuteInHub("nope", "CREATE (:Doc)", nil); !errors.Is(err, ErrUnknownShardHub) {
+		t.Fatalf("ExecuteInHub(nope) err = %v, want ErrUnknownShardHub", err)
+	}
+	if _, err := kb.QueryInHub("nope", "MATCH (n) RETURN n", nil); !errors.Is(err, ErrUnknownShardHub) {
+		t.Fatalf("QueryInHub(nope) err = %v, want ErrUnknownShardHub", err)
 	}
 	if _, err := kb.UpdateShard(5, func(tx *graph.Tx) error { return nil }); err == nil {
 		t.Fatal("UpdateShard(5) accepted")
@@ -84,7 +87,7 @@ func TestShardedBridgeWrite(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := kb.UpdateBridge("A", "B", func(bt *graph.BridgeTx) error {
+	rep, err := kb.UpdateBridgeShards(shardOf(t, kb, "A"), shardOf(t, kb, "B"), func(bt *graph.BridgeTx) error {
 		a, err := bt.CreateNodeIn(0, []string{"Sequence"}, nil)
 		if err != nil {
 			return err
@@ -109,8 +112,8 @@ func TestShardedBridgeWrite(t *testing.T) {
 	if got := kb.Shards().LabelCount("Sequence"); got != 1 {
 		t.Errorf("sequences = %d, want 1", got)
 	}
-	if _, err := kb.UpdateBridge("A", "nope", func(bt *graph.BridgeTx) error { return nil }); !errors.Is(err, ErrUnknownShardHub) {
-		t.Fatalf("UpdateBridge(nope) err = %v", err)
+	if _, err := kb.UpdateBridgeShards(0, 5, func(bt *graph.BridgeTx) error { return nil }); err == nil {
+		t.Fatal("UpdateBridgeShards(0, 5) accepted")
 	}
 }
 
@@ -161,14 +164,15 @@ func TestShardedCheckpoint(t *testing.T) {
 	if err := kb.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// Write past the global checkpoint, then compact a single hot shard.
+	// Write past the first checkpoint, then checkpoint again: the second
+	// cut must cover the new write on its shard.
 	if _, err := kb.UpdateShard(0, func(tx *graph.Tx) error {
 		_, err := tx.CreateNode([]string{"Doc"}, nil)
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := kb.CheckpointShard(0); err != nil {
+	if err := kb.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	want := Exports(t, kb)
@@ -188,8 +192,8 @@ func TestShardedCheckpoint(t *testing.T) {
 		}
 	}
 	for i, info := range infos {
-		if info.SnapshotSeq == 0 {
-			t.Fatalf("shard %d recovered without a snapshot: %+v", i, info)
+		if info.SnapshotSeq == 0 || info.RecordsReplayed != 0 {
+			t.Fatalf("shard %d did not recover from the second checkpoint alone: %+v", i, info)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func testRuleFiresInWritingShard(t *testing.T, v Variant) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := kb.UpdateInHub(v.LastHub(), func(tx *graph.Tx) error {
+	rep, err := kb.UpdateShard(shardOf(t, kb, v.LastHub()), func(tx *graph.Tx) error {
 		_, err := tx.CreateNode([]string{"Sequence"}, map[string]value.Value{"id": value.Str("S1")})
 		return err
 	})

@@ -160,7 +160,7 @@ func Exports(t testing.TB, kb *KnowledgeBase) []string {
 	out := make([]string, kb.NumShards())
 	for i := range out {
 		var b strings.Builder
-		if err := kb.ExportShard(i, &b); err != nil {
+		if err := kb.Shards().Shard(i).Export(&b); err != nil {
 			t.Fatal(err)
 		}
 		out[i] = b.String()

@@ -15,46 +15,25 @@ import (
 	"repro/internal/value"
 )
 
-// Options tunes the demo thresholds; the zero value uses demo-scale
-// defaults (the paper's production thresholds, e.g. 100 unassigned
-// sequences, are impractical for an interactive demo).
-type Options struct {
-	// UnassignedThreshold is R2's critical number of unassigned sequences
-	// per region (default 3).
-	UnassignedThreshold int
-	// CriticalSequencesThreshold is R3's critical number of sequences
-	// assigned to variants with critical effects per region (default 3).
-	CriticalSequencesThreshold int
-	// IcuGrowthThreshold is R4's relative day-over-day ICU growth
-	// (default 0.1, the paper's 10%).
-	IcuGrowthThreshold float64
-	// SummaryPeriod is the Essential Summary period (default 24h).
-	SummaryPeriod time.Duration
-}
-
-func (o Options) withDefaults() Options {
-	if o.UnassignedThreshold <= 0 {
-		o.UnassignedThreshold = 3
-	}
-	if o.CriticalSequencesThreshold <= 0 {
-		o.CriticalSequencesThreshold = 3
-	}
-	if o.IcuGrowthThreshold <= 0 {
-		o.IcuGrowthThreshold = 0.1
-	}
-	if o.SummaryPeriod <= 0 {
-		o.SummaryPeriod = 24 * time.Hour
-	}
-	return o
-}
+// Demo-scale thresholds (the paper's production thresholds, e.g. 100
+// unassigned sequences, are impractical for an interactive demo).
+const (
+	// unassignedThreshold is R2's critical number of unassigned sequences
+	// per region.
+	unassignedThreshold = 3
+	// criticalSequencesThreshold is R3's critical number of sequences
+	// assigned to variants with critical effects per region.
+	criticalSequencesThreshold = 3
+	// icuGrowthThreshold is R4's relative day-over-day ICU growth (the
+	// paper's 10%).
+	icuGrowthThreshold = 0.1
+	// summaryPeriod is the Essential Summary period.
+	summaryPeriod = 24 * time.Hour
+)
 
 // Setup configures kb with the four hubs, helpful indexes, the Essential
-// Summary, and rules R1, R2, R3, R5 and R4' with default thresholds.
-func Setup(kb *core.KnowledgeBase) error { return SetupWith(kb, Options{}) }
-
-// SetupWith is Setup with explicit thresholds.
-func SetupWith(kb *core.KnowledgeBase, opt Options) error {
-	opt = opt.withDefaults()
+// Summary, and rules R1, R2, R3, R5 and R4'.
+func Setup(kb *core.KnowledgeBase) error {
 	for _, h := range []struct {
 		name, desc string
 		labels     []string
@@ -94,7 +73,7 @@ func SetupWith(kb *core.KnowledgeBase, opt Options) error {
 		return err
 	}
 	kb.EnforceHubOwnership()
-	if err := kb.EnableSummaries(opt.SummaryPeriod); err != nil {
+	if err := kb.EnableSummaries(summaryPeriod); err != nil {
 		return err
 	}
 
@@ -120,7 +99,7 @@ func SetupWith(kb *core.KnowledgeBase, opt Options) error {
 			        WHERE u.variant IS NULL
 			        WITH r.name AS region, count(u) AS counter
 			        WHERE counter > %d
-			        RETURN region, counter`, opt.UnassignedThreshold),
+			        RETURN region, counter`, unassignedThreshold),
 		},
 		// R3 (Analysis; inter-hub across A, E and R; single-state): shares
 		// R2's guard, but the alert counts the region's sequences assigned
@@ -136,7 +115,7 @@ func SetupWith(kb *core.KnowledgeBase, opt Options) error {
 			              -[:HasEffect]->(:Effect {level: 'critical'})
 			        WITH r.name AS region, count(DISTINCT s) AS critical
 			        WHERE critical > %d
-			        RETURN region, critical`, opt.CriticalSequencesThreshold),
+			        RETURN region, critical`, criticalSequencesThreshold),
 		},
 		// R5 (Clinical; auxiliary rule of the R4' walkthrough): each ICU
 		// admission records the region's current ICU count; the Essential
@@ -164,7 +143,7 @@ func SetupWith(kb *core.KnowledgeBase, opt Options) error {
 			        WHERE toFloat(TodayIcu - YesterdayIcu) / toFloat(TodayIcu) > %g
 			        RETURN Region, TodayIcu, YesterdayIcu,
 			               'Significant increase of ICU patients' AS description`,
-				opt.IcuGrowthThreshold),
+				icuGrowthThreshold),
 		},
 	}
 	for _, r := range rules {

@@ -211,20 +211,3 @@ func TestVenetoIndependentOfLombardy(t *testing.T) {
 		}
 	}
 }
-
-func TestSetupWithCustomThresholds(t *testing.T) {
-	clock := periodic.NewManualClock(time.Date(2023, 4, 1, 8, 0, 0, 0, time.UTC))
-	kb := core.New(core.Config{Clock: clock})
-	if err := SetupWith(kb, Options{UnassignedThreshold: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := Seed(kb); err != nil {
-		t.Fatal(err)
-	}
-	_ = AddSequence(kb, "MI-lab-1", "s0", "")
-	_ = AddSequence(kb, "MI-lab-1", "s1", "")
-	counts := alertsByRule(t, kb)
-	if counts["R2"] != 1 {
-		t.Errorf("lowered threshold should fire on the 2nd sequence: %v", counts)
-	}
-}

@@ -48,6 +48,9 @@ import (
 // SyncTaskName is the periodic-scheduler task Start registers.
 const SyncTaskName = "fednet-sync"
 
+// pushBatchSize is the maximum number of alerts per push request.
+const pushBatchSize = 256
+
 // Errors reported by a node.
 var (
 	ErrPeerExists      = errors.New("fednet: peer already subscribed")
@@ -86,12 +89,6 @@ type Options struct {
 	// Policy paces retries of a failed push (BackoffBase, BackoffMax) and
 	// sizes each peer's circuit breaker (BreakerThreshold, BreakerCooldown).
 	backoff.Policy
-	// BatchSize is the maximum alerts per push request (default 256).
-	BatchSize int
-	// Client overrides the HTTP client (tests inject httptest clients);
-	// nil builds one. Per-request timeouts come from RequestTimeout either
-	// way.
-	Client *http.Client
 	// Now overrides the breaker clock for deterministic tests (default
 	// time.Now).
 	Now func() time.Time
@@ -110,9 +107,6 @@ func (o Options) withDefaults() Options {
 		o.MaxAttempts = 4
 	}
 	o.Policy = o.Policy.WithDefaults()
-	if o.BatchSize <= 0 {
-		o.BatchSize = 256
-	}
 	if o.Now == nil {
 		o.Now = time.Now
 	}
@@ -157,7 +151,6 @@ type Node struct {
 	name   string
 	kb     *core.KnowledgeBase
 	opts   Options
-	client *http.Client
 	jitter *backoff.Jitter
 
 	mu    sync.Mutex
@@ -189,12 +182,8 @@ func NewNode(name string, kb *core.KnowledgeBase, opts Options) (*Node, error) {
 		name:   name,
 		kb:     kb,
 		opts:   opts,
-		client: opts.Client,
 		jitter: backoff.NewJitter(opts.Policy, opts.Seed),
 		peers:  make(map[string]*peerLink),
-	}
-	if n.client == nil {
-		n.client = &http.Client{}
 	}
 	n.wireMetrics(kb.Metrics())
 	return n, nil
@@ -295,8 +284,8 @@ func (n *Node) syncPeer(ctx context.Context, p *peerLink) (int, error) {
 		return 0, nil
 	}
 	sent := 0
-	for start := 0; start < len(fresh); start += n.opts.BatchSize {
-		end := start + n.opts.BatchSize
+	for start := 0; start < len(fresh); start += pushBatchSize {
+		end := start + pushBatchSize
 		if end > len(fresh) {
 			end = len(fresh)
 		}
@@ -377,7 +366,7 @@ func (n *Node) doPush(ctx context.Context, p *peerLink, body []byte) (*PushRespo
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

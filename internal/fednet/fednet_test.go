@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/periodic"
 	"repro/internal/trigger"
+	"repro/internal/value"
 	"repro/internal/wal"
 )
 
@@ -53,6 +54,19 @@ func openDurable(t *testing.T, dir string) *core.KnowledgeBase {
 func admit(t *testing.T, kb *core.KnowledgeBase, region string) {
 	t.Helper()
 	if _, err := kb.Execute("CREATE (:IcuPatient {region: '"+region+"', hub: 'C'})", nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// backlog is the alert count of the batching tests: one full push batch
+// plus a partial one.
+const backlog = pushBatchSize + 44
+
+// admitBacklog admits backlog patients in one statement, one alert each.
+func admitBacklog(t *testing.T, kb *core.KnowledgeBase) {
+	t.Helper()
+	if _, err := kb.Execute("UNWIND range(1, $n) AS i CREATE (:IcuPatient {region: 'R' + toString(i % 20), hub: 'C'})",
+		map[string]value.Value{"n": value.Int(backlog)}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -172,6 +186,45 @@ func TestPushEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPushBatching drains a backlog of more than one push batch in one
+// sync round: exactly one push request per batch, every alert materialised
+// exactly once on the receiver.
+func TestPushBatching(t *testing.T) {
+	srcKB, dstKB := newMemKB(t), newMemKB(t)
+	rcv, err := NewNode("region", dstKB, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var requests atomic.Int64
+	inner := rcv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/fed/push" {
+			requests.Add(1)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+
+	src, err := NewNode("clinic", srcKB, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Subscribe("region", ts.URL); err != nil {
+		t.Fatal(err)
+	}
+	admitBacklog(t, srcKB)
+	sent, err := src.SyncAll(context.Background())
+	if err != nil || sent != backlog {
+		t.Fatalf("sync: sent=%d err=%v, want %d", sent, err, backlog)
+	}
+	if got := requests.Load(); got != 2 {
+		t.Fatalf("push requests = %d, want 2 for %d alerts in batches of %d", got, backlog, pushBatchSize)
+	}
+	if ids := remoteIDs(t, dstKB); len(ids) != backlog {
+		t.Fatalf("remote alerts = %d, want %d", len(ids), backlog)
+	}
+}
+
 func TestStatusEndpoint(t *testing.T) {
 	srcKB, dstKB := newMemKB(t), newMemKB(t)
 	_, url, _ := newReceiver(t, "region", dstKB)
@@ -241,7 +294,6 @@ func TestReceiverRestartMidStream(t *testing.T) {
 	_, url, sh := newReceiver(t, "region", dstKB)
 
 	opts := testOpts()
-	opts.BatchSize = 2
 	opts.BreakerThreshold = 100 // breaker behaviour has its own tests
 	src, err := NewNode("clinic", srcKB, opts)
 	if err != nil {
@@ -250,9 +302,7 @@ func TestReceiverRestartMidStream(t *testing.T) {
 	if err := src.Subscribe("region", url); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []string{"a", "b", "c", "d", "e"} {
-		admit(t, srcKB, r)
-	}
+	admitBacklog(t, srcKB)
 
 	// Kill the receiver after the first batch commits: subsequent pushes die
 	// without a response, like a process crash mid-request.
@@ -268,8 +318,8 @@ func TestReceiverRestartMidStream(t *testing.T) {
 	if err == nil {
 		t.Fatal("sync succeeded against a dead receiver")
 	}
-	if sent != 2 {
-		t.Fatalf("delivered before crash = %d, want 2 (one batch)", sent)
+	if sent != pushBatchSize {
+		t.Fatalf("delivered before crash = %d, want %d (one batch)", sent, pushBatchSize)
 	}
 
 	// "Restart" the receiver: recover the knowledge base from its WAL and
@@ -284,16 +334,16 @@ func TestReceiverRestartMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh.set(dst2.Handler())
-	if ids := remoteIDs(t, dstKB2); len(ids) != 2 {
-		t.Fatalf("recovered remote alerts = %d, want 2 (first batch survived the crash)", len(ids))
+	if ids := remoteIDs(t, dstKB2); len(ids) != pushBatchSize {
+		t.Fatalf("recovered remote alerts = %d, want %d (first batch survived the crash)", len(ids), pushBatchSize)
 	}
 
 	// The sender just retries on its next round; nothing is lost or doubled.
-	if n, err := src.SyncAll(context.Background()); err != nil || n != 3 {
-		t.Fatalf("resumed sync: n=%d err=%v, want 3", n, err)
+	if n, err := src.SyncAll(context.Background()); err != nil || n != backlog-pushBatchSize {
+		t.Fatalf("resumed sync: n=%d err=%v, want %d", n, err, backlog-pushBatchSize)
 	}
-	if ids := remoteIDs(t, dstKB2); len(ids) != 5 {
-		t.Fatalf("final remote alerts = %d, want 5", len(ids))
+	if ids := remoteIDs(t, dstKB2); len(ids) != backlog {
+		t.Fatalf("final remote alerts = %d, want %d", len(ids), backlog)
 	}
 }
 
@@ -307,7 +357,6 @@ func TestSenderRestartAfterPartialPush(t *testing.T) {
 	_, url, sh := newReceiver(t, "region", dstKB)
 
 	opts := testOpts()
-	opts.BatchSize = 2
 	opts.MaxAttempts = 1 // fail fast; the restarted process is the retry
 	src, err := NewNode("clinic", srcKB, opts)
 	if err != nil {
@@ -316,9 +365,7 @@ func TestSenderRestartAfterPartialPush(t *testing.T) {
 	if err := src.Subscribe("region", url); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []string{"a", "b", "c", "d", "e"} {
-		admit(t, srcKB, r)
-	}
+	admitBacklog(t, srcKB)
 
 	// The peer vanishes after acknowledging the first batch.
 	live := sh.h.Load().(http.Handler)
@@ -330,8 +377,8 @@ func TestSenderRestartAfterPartialPush(t *testing.T) {
 		}
 		live.ServeHTTP(w, r)
 	}))
-	if sent, err := src.SyncAll(context.Background()); err == nil || sent != 2 {
-		t.Fatalf("partial push: sent=%d err=%v, want 2 and an error", sent, err)
+	if sent, err := src.SyncAll(context.Background()); err == nil || sent != pushBatchSize {
+		t.Fatalf("partial push: sent=%d err=%v, want %d and an error", sent, err, pushBatchSize)
 	}
 
 	// Sender process crashes and restarts: recover its graph (alert log and
@@ -350,13 +397,13 @@ func TestSenderRestartAfterPartialPush(t *testing.T) {
 	}
 	sh.set(live) // peer is back
 
-	// Only the three unacknowledged alerts go out — the recovered mark
-	// spares the first batch a redelivery.
-	if n, err := src2.SyncAll(context.Background()); err != nil || n != 3 {
-		t.Fatalf("resumed sync after sender restart: n=%d err=%v, want 3", n, err)
+	// Only the unacknowledged alerts go out — the recovered mark spares
+	// the first batch a redelivery.
+	if n, err := src2.SyncAll(context.Background()); err != nil || n != backlog-pushBatchSize {
+		t.Fatalf("resumed sync after sender restart: n=%d err=%v, want %d", n, err, backlog-pushBatchSize)
 	}
-	if ids := remoteIDs(t, dstKB); len(ids) != 5 {
-		t.Fatalf("final remote alerts = %d, want 5", len(ids))
+	if ids := remoteIDs(t, dstKB); len(ids) != backlog {
+		t.Fatalf("final remote alerts = %d, want %d", len(ids), backlog)
 	}
 	if n, err := src2.SyncAll(context.Background()); err != nil || n != 0 {
 		t.Fatalf("steady state: n=%d err=%v", n, err)

@@ -157,46 +157,6 @@ func (r *Registry) OwnerOfNode(tx graph.ReadView, id graph.NodeID) (string, bool
 	return "", false
 }
 
-// EdgeScope classifies a relationship as intra-hub or inter-hub (a
-// knowledge bridge).
-type EdgeScope int
-
-// Edge scopes.
-const (
-	ScopeUnknown EdgeScope = iota
-	ScopeIntraHub
-	ScopeInterHub
-)
-
-func (s EdgeScope) String() string {
-	switch s {
-	case ScopeIntraHub:
-		return "intra-hub"
-	case ScopeInterHub:
-		return "inter-hub"
-	default:
-		return "unknown"
-	}
-}
-
-// ClassifyEdge reports whether a relationship stays within one hub or
-// bridges two.
-func (r *Registry) ClassifyEdge(tx graph.ReadView, id graph.RelID) EdgeScope {
-	_, start, end, ok := tx.RelEndpoints(id)
-	if !ok {
-		return ScopeUnknown
-	}
-	h1, ok1 := r.OwnerOfNode(tx, start)
-	h2, ok2 := r.OwnerOfNode(tx, end)
-	if !ok1 || !ok2 {
-		return ScopeUnknown
-	}
-	if h1 == h2 {
-		return ScopeIntraHub
-	}
-	return ScopeInterHub
-}
-
 // Enforce installs a commit-time validator on the store: every created
 // node whose labels include an owned label must carry the hub property, and
 // that property must name the owning hub. Unowned labels are unconstrained,

@@ -97,32 +97,41 @@ func TestOwnerOfNode(t *testing.T) {
 	})
 }
 
+// TestClassifyEdge pins how ComputeStats scopes each relationship: both
+// endpoints in one hub is intra-hub, two hubs is inter-hub (a knowledge
+// bridge), and an edge touching an unowned node is neither.
 func TestClassifyEdge(t *testing.T) {
 	r := fourHubs(t)
-	s := graph.NewStore()
-	var intra, inter graph.RelID
-	_ = s.Update(func(tx *graph.Tx) error {
-		lab, _ := tx.CreateNode([]string{"Lab"}, HubProp("A"))
-		seq, _ := tx.CreateNode([]string{"Sequence"}, HubProp("A"))
-		region, _ := tx.CreateNode([]string{"Region"}, HubProp("R"))
-		intra, _ = tx.CreateRel(seq, lab, "SequencedAt", nil)
-		inter, _ = tx.CreateRel(lab, region, "LocatedIn", nil)
-		return nil
-	})
-	_ = s.View(func(tx *graph.Tx) error {
-		if got := r.ClassifyEdge(tx, intra); got != ScopeIntraHub {
-			t.Errorf("intra = %v", got)
+	cases := []struct {
+		name         string
+		from, to     string
+		intra, inter int
+	}{
+		{"intra", "A", "A", 1, 0},
+		{"inter", "A", "R", 0, 1},
+		{"unowned", "A", "", 0, 0},
+	}
+	labels := map[string]string{"A": "Lab", "R": "Region", "": "Loose"}
+	for _, c := range cases {
+		s := graph.NewStore()
+		_ = s.Update(func(tx *graph.Tx) error {
+			from, _ := tx.CreateNode([]string{"Sequence"}, HubProp(c.from))
+			var props map[string]value.Value
+			if c.to != "" {
+				props = HubProp(c.to)
+			}
+			to, _ := tx.CreateNode([]string{labels[c.to]}, props)
+			_, _ = tx.CreateRel(from, to, "Edge", nil)
+			return nil
+		})
+		var st Stats
+		_ = s.View(func(tx *graph.Tx) error {
+			st = r.ComputeStats(tx)
+			return nil
+		})
+		if st.IntraEdges != c.intra || st.InterEdges != c.inter {
+			t.Errorf("%s: intra=%d inter=%d, want %d/%d", c.name, st.IntraEdges, st.InterEdges, c.intra, c.inter)
 		}
-		if got := r.ClassifyEdge(tx, inter); got != ScopeInterHub {
-			t.Errorf("inter = %v", got)
-		}
-		if got := r.ClassifyEdge(tx, 999); got != ScopeUnknown {
-			t.Errorf("missing = %v", got)
-		}
-		return nil
-	})
-	if ScopeIntraHub.String() != "intra-hub" || ScopeInterHub.String() != "inter-hub" || ScopeUnknown.String() != "unknown" {
-		t.Error("scope strings")
 	}
 }
 

@@ -26,7 +26,6 @@ type Follower struct {
 	kb        *core.KnowledgeBase
 	leaderURL string
 	opts      Options
-	client    *http.Client
 	m         followerMetrics
 
 	// leaderSeq is the leader's durable position as of the last received
@@ -72,12 +71,8 @@ func OpenFollower(dataDir, leaderURL string, cfg core.Config, opts Options) (*Fo
 	f := &Follower{
 		leaderURL: trimURL(leaderURL),
 		opts:      opts,
-		client:    opts.Client,
 		state:     "stopped",
 		done:      make(chan struct{}),
-	}
-	if f.client == nil {
-		f.client = &http.Client{}
 	}
 
 	if dataDir == "" {
@@ -99,7 +94,7 @@ func OpenFollower(dataDir, leaderURL string, cfg core.Config, opts Options) (*Fo
 		f.kb = kb
 		f.wireMetrics()
 		f.m.bootstraps.Inc()
-		f.caughtUp.Store(opts.Now().UnixNano())
+		f.caughtUp.Store(time.Now().UnixNano())
 		return f, nil
 	}
 
@@ -158,7 +153,7 @@ func OpenFollower(dataDir, leaderURL string, cfg core.Config, opts Options) (*Fo
 	if bootstrapped {
 		f.m.bootstraps.Inc()
 	}
-	f.caughtUp.Store(opts.Now().UnixNano())
+	f.caughtUp.Store(time.Now().UnixNano())
 	return f, nil
 }
 
@@ -232,7 +227,7 @@ func (f *Follower) Lag() (records uint64, seconds float64) {
 	if leader > applied {
 		records = leader - applied
 	}
-	seconds = f.opts.Now().Sub(time.Unix(0, f.caughtUp.Load())).Seconds()
+	seconds = time.Since(time.Unix(0, f.caughtUp.Load())).Seconds()
 	if seconds < 0 {
 		seconds = 0
 	}
@@ -307,7 +302,7 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	resp, err := f.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -359,7 +354,7 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 			}
 		}
 		if f.kb.ReplicaAppliedSeq(0) >= f.leaderSeq.Load() {
-			f.caughtUp.Store(f.opts.Now().UnixNano())
+			f.caughtUp.Store(time.Now().UnixNano())
 		}
 	}
 }
@@ -372,7 +367,7 @@ func (f *Follower) fetchStatus(ctx context.Context) (*statusDoc, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := f.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -397,7 +392,7 @@ func (f *Follower) fetchSnapshot(ctx context.Context) ([]byte, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	resp, err := f.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, 0, err
 	}

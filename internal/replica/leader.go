@@ -113,10 +113,10 @@ func (ld *Leader) handleStream(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 
-	deadline := ld.opts.Now().Add(ld.opts.StreamWindow)
-	lastSent := ld.opts.Now()
+	deadline := time.Now().Add(ld.opts.StreamWindow)
+	lastSent := time.Now()
 	for {
-		now := ld.opts.Now()
+		now := time.Now()
 		if len(recs) > 0 || now.Sub(lastSent) >= ld.opts.HeartbeatInterval {
 			if err := enc.Encode(chunk{LeaderSeq: ld.kb.WAL().DurableSeq(), Records: recs}); err != nil {
 				return // follower hung up

@@ -32,7 +32,6 @@ package replica
 import (
 	"errors"
 	"fmt"
-	"net/http"
 	"strings"
 	"time"
 
@@ -131,10 +130,6 @@ type Options struct {
 	// stream (BackoffBase, BackoffMax, jittered) and, after BreakerThreshold
 	// consecutive failures, makes it stay away for BreakerCooldown.
 	backoff.Policy
-	// Client overrides the HTTP client (tests inject httptest clients).
-	Client *http.Client
-	// Now overrides the clock for deterministic tests (default time.Now).
-	Now func() time.Time
 	// Logf receives replication diagnostics; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -156,9 +151,6 @@ func (o Options) withDefaults() Options {
 		o.StreamWindow = 30 * time.Second
 	}
 	o.Policy = o.Policy.WithDefaults()
-	if o.Now == nil {
-		o.Now = time.Now
-	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}

@@ -112,7 +112,7 @@ type BridgeInfo struct {
 	PeerNextRel  int64 `json:"peerNextRel,omitempty"`
 }
 
-// Record is one committed transaction. Seq is assigned by Log.Append and is
+// Record is one committed transaction. Seq is assigned by Log.AppendAsync and is
 // strictly increasing across the life of a log directory. NextNode and
 // NextRel capture the store's identifier-allocation counters at commit, so
 // recovery reproduces identifier allocation exactly even when the

@@ -62,7 +62,7 @@ type ShardSet struct {
 // NumShards returns the number of shard streams.
 func (s *ShardSet) NumShards() int { return len(s.logs) }
 
-// Log returns shard i's write-ahead log — an ordinary Log: Append,
+// Log returns shard i's write-ahead log — an ordinary Log: AppendAsync,
 // WaitDurable, Cut, Checkpoint and Cursor all work per shard.
 func (s *ShardSet) Log(i int) *Log { return s.logs[i] }
 

@@ -81,8 +81,11 @@ func openShardHarness(t *testing.T, dir string, n int, opts Options) *shardHarne
 			if rec == nil {
 				return nil
 			}
-			_, err := l.Append(rec)
-			return err
+			seq, err := l.AppendAsync(rec)
+			if err != nil {
+				return err
+			}
+			return tx.OnCommitted(func() error { return l.WaitDurable(seq) })
 		})
 	}
 	h := &shardHarness{t: t, dir: dir, set: set, ss: ss, infos: infos}
@@ -409,8 +412,8 @@ func TestShardCheckpointKeepsBridgeEvidence(t *testing.T) {
 	h := openShardHarness(t, dir, 2, Options{Fsync: FsyncAlways})
 	_, post := buildBridgeWorkload(t, h)
 
-	// Checkpoint shard 0 the way core.CheckpointShard does: cut, SyncAll,
-	// export, compact.
+	// Checkpoint shard 0 alone, in the steps core.Checkpoint runs for each
+	// shard: cut, SyncAll, export, compact.
 	var seq uint64
 	view, err := h.ss.Shard(0).SnapshotView(func() error {
 		var err error

@@ -348,30 +348,6 @@ func (l *Log) LastSeq() uint64 {
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.dir }
 
-// Append assigns the next sequence number to rec and writes it to the
-// active segment, rotating first if the segment is full. Under FsyncAlways
-// the record is on stable storage when Append returns; a write error leaves
-// the record unassigned so the caller can abort the commit.
-func (l *Log) Append(rec *Record) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	seq, err := l.appendLocked(rec)
-	if err != nil {
-		return 0, err
-	}
-	switch l.opts.Fsync {
-	case FsyncAlways:
-		if err := l.flushLocked(true); err != nil {
-			rec.Seq = 0
-			l.lastSeq = seq - 1
-			return 0, err
-		}
-	case FsyncInterval:
-		l.dirty = true
-	}
-	return seq, nil
-}
-
 // AppendAsync assigns the next sequence number to rec and writes it to the
 // active segment WITHOUT forcing it to stable storage, whatever the fsync
 // policy. The caller makes it durable later with WaitDurable(seq); keeping

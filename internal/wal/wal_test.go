@@ -12,7 +12,9 @@ import (
 	"repro/internal/value"
 )
 
-// harness is a store wired to a log the way core.OpenDurable wires them.
+// harness is a store wired to a log the way core.OpenDurable wires them:
+// the commit hook appends without syncing and waits for the group-commit
+// fsync once the transaction is published.
 type harness struct {
 	t     *testing.T
 	dir   string
@@ -32,8 +34,11 @@ func openHarness(t *testing.T, dir string, opts Options) *harness {
 		if rec == nil {
 			return nil
 		}
-		_, err := l.Append(rec)
-		return err
+		seq, err := l.AppendAsync(rec)
+		if err != nil {
+			return err
+		}
+		return tx.OnCommitted(func() error { return l.WaitDurable(seq) })
 	})
 	h := &harness{t: t, dir: dir, log: l, store: store, info: info}
 	t.Cleanup(func() { _ = l.Close() })
