@@ -281,54 +281,9 @@ func compileBinary(cc *compileCtx, en *env, x *BinaryOp) (exprFn, error) {
 		apply = func(_ *evalCtx, l, rv value.Value) (value.Value, error) { return value.Mod(l, rv) }
 	case OpPow:
 		apply = func(_ *evalCtx, l, rv value.Value) (value.Value, error) { return value.Pow(l, rv) }
-	case OpEq:
-		apply = func(_ *evalCtx, l, rv value.Value) (value.Value, error) {
-			eq, known := value.Equal(l, rv)
-			if !known {
-				return value.Null, nil
-			}
-			return value.Bool(eq), nil
-		}
-	case OpNeq:
-		apply = func(_ *evalCtx, l, rv value.Value) (value.Value, error) {
-			eq, known := value.Equal(l, rv)
-			if !known {
-				return value.Null, nil
-			}
-			return value.Bool(!eq), nil
-		}
-	case OpLt:
-		apply = func(_ *evalCtx, l, rv value.Value) (value.Value, error) {
-			less, known := value.Less3(l, rv)
-			if !known {
-				return value.Null, nil
-			}
-			return value.Bool(less), nil
-		}
-	case OpGt:
-		apply = func(_ *evalCtx, l, rv value.Value) (value.Value, error) {
-			less, known := value.Less3(rv, l)
-			if !known {
-				return value.Null, nil
-			}
-			return value.Bool(less), nil
-		}
-	case OpLte:
-		apply = func(_ *evalCtx, l, rv value.Value) (value.Value, error) {
-			less, known := value.Less3(rv, l)
-			if !known {
-				return value.Null, nil
-			}
-			return value.Bool(!less), nil
-		}
-	case OpGte:
-		apply = func(_ *evalCtx, l, rv value.Value) (value.Value, error) {
-			less, known := value.Less3(l, rv)
-			if !known {
-				return value.Null, nil
-			}
-			return value.Bool(!less), nil
-		}
+	case OpEq, OpNeq, OpLt, OpGt, OpLte, OpGte:
+		op := x.Op
+		apply = func(_ *evalCtx, l, rv value.Value) (value.Value, error) { return Compare(op, l, rv), nil }
 	case OpIn:
 		apply = func(_ *evalCtx, l, rv value.Value) (value.Value, error) { return evalIn(l, rv) }
 	case OpStartsWith, OpEndsWith, OpContains:

@@ -246,3 +246,33 @@ func evalRegex(ctx *evalCtx, l, r value.Value) (value.Value, error) {
 	}
 	return value.Bool(re.MatchString(s)), nil
 }
+
+// Compare applies one of the six comparison operators (=, <>, <, >, <=, >=)
+// under ternary semantics: NULL when either operand is NULL or the operands
+// are incomparable, otherwise a BOOLEAN. Any other operator yields NULL. The
+// evaluator's comparisons and the trigger engine's shared guards both come
+// through here.
+func Compare(op BinaryOpKind, l, r value.Value) value.Value {
+	var res, known bool
+	switch op {
+	case OpEq:
+		res, known = value.Equal(l, r)
+	case OpNeq:
+		res, known = value.Equal(l, r)
+		res = !res
+	case OpLt:
+		res, known = value.Less3(l, r)
+	case OpGt:
+		res, known = value.Less3(r, l)
+	case OpLte:
+		res, known = value.Less3(r, l)
+		res = !res
+	case OpGte:
+		res, known = value.Less3(l, r)
+		res = !res
+	}
+	if !known {
+		return value.Null
+	}
+	return value.Bool(res)
+}

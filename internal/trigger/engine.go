@@ -82,7 +82,7 @@ type Engine struct {
 	mu sync.RWMutex
 
 	rules   map[string]*Compiled
-	index   dispatchIndex
+	index   *dispatchIndex
 	nextSeq int
 
 	// MaxCascadeDepth bounds rounds of cascading activations per
@@ -129,7 +129,7 @@ type Engine struct {
 func NewEngine() *Engine {
 	return &Engine{
 		rules:      make(map[string]*Compiled),
-		index:      make(dispatchIndex),
+		index:      buildDispatch(nil),
 		AlertLabel: DefaultAlertLabel,
 		SkipLabels: make(map[string]bool),
 	}
@@ -323,6 +323,10 @@ type Report struct {
 	Rounds      int
 	GuardChecks int
 	GuardPasses int
+	// GuardEvals counts the guard expressions actually evaluated: a guard
+	// family's shared path counts once per event it is read for, however
+	// many members then compare against it, so GuardEvals ≤ GuardChecks.
+	GuardEvals  int
 	AlertRuns   int
 	AlertNodes  int
 	Activations []Activation
@@ -349,6 +353,7 @@ func (r *Report) Merge(src *Report) {
 	r.Rounds += src.Rounds
 	r.GuardChecks += src.GuardChecks
 	r.GuardPasses += src.GuardPasses
+	r.GuardEvals += src.GuardEvals
 	r.AlertRuns += src.AlertRuns
 	r.AlertNodes += src.AlertNodes
 	r.Activations = append(r.Activations, src.Activations...)
@@ -362,10 +367,11 @@ func (r *Report) Merge(src *Report) {
 // over the changes the rules themselves make until quiescence or the depth
 // bound. Each round enumerates its change record once (events), looks the
 // events up in the dispatch index, and fires the candidate rules in
-// installation order, each over the events it selects. It must be called with
-// the transaction's change record already extracted (tx.ResetData()); on
-// return the transaction's record again contains every change, so commit-time
-// validators see the full picture.
+// installation order, each over the events it selects; a guard family's path
+// is read once per event until a passing guard clears the round's memo. It
+// must be called with the transaction's change record already extracted
+// (tx.ResetData()); on return the transaction's record again contains every
+// change, so commit-time validators see the full picture.
 func (e *Engine) Process(tx *graph.Tx, data *graph.TxData) (*Report, error) {
 	e.mu.RLock()
 	idx := e.index
@@ -386,7 +392,9 @@ func (e *Engine) Process(tx *graph.Tx, data *graph.TxData) (*Report, error) {
 		evs := events(tx, cur, e.SkipLabels)
 		cands := idx.candidates(evs)
 		report.RulesConsidered += len(cands)
-		for _, cr := range cands {
+		memo := newGuardMemo(idx.families, len(evs))
+		for _, d := range cands {
+			cr := d.cr
 			if cr.paused.Load() {
 				continue
 			}
@@ -399,7 +407,7 @@ func (e *Engine) Process(tx *graph.Tx, data *graph.TxData) (*Report, error) {
 				if now.IsZero() {
 					now = e.now()
 				}
-				if err := e.fire(tx, cr, ev.binding(), now, round, report); err != nil {
+				if err := e.fire(tx, d, &memo, i, ev.binding(), now, round, report); err != nil {
 					tx.MergeData(total)
 					return report, err
 				}
@@ -413,25 +421,23 @@ func (e *Engine) Process(tx *graph.Tx, data *graph.TxData) (*Report, error) {
 	return report, nil
 }
 
-// fire evaluates cr for one event occurrence: the guard, then whichever
-// coupling mode the rule has.
-func (e *Engine) fire(tx *graph.Tx, cr *Compiled, bind Binding, now time.Time,
-	round int, report *Report) error {
+// fire evaluates d's rule for the round's i-th event: the guard, then
+// whichever coupling mode the rule has.
+func (e *Engine) fire(tx *graph.Tx, d dispatchEntry, memo *guardMemo, i int, bind Binding,
+	now time.Time, round int, report *Report) error {
+	cr := d.cr
 	report.GuardChecks++
 	cr.nChecks.Add(1)
-	if cr.guard != nil {
-		ok, err := cr.guard.EvalBool(tx, &cypher.Options{
-			Bindings: bind,
-			Now:      func() time.Time { return now },
-		})
-		if err != nil {
-			return fmt.Errorf("trigger: rule %s guard: %w", cr.Name, err)
-		}
-		if !ok {
-			cr.mRejected.Inc()
-			return nil
-		}
+	ok, err := memo.check(tx, d, i, bind, now, report)
+	if err != nil {
+		return fmt.Errorf("trigger: rule %s guard: %w", cr.Name, err)
 	}
+	if !ok {
+		cr.mRejected.Inc()
+		return nil
+	}
+	// What follows may write: a later family member reads the path again.
+	memo.clear()
 	report.GuardPasses++
 	cr.nActivations.Add(1)
 	cr.mFired.Inc()

@@ -13,7 +13,6 @@ package trigger
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/graph"
@@ -356,43 +355,80 @@ func (ev *event) binding() Binding {
 
 // dispatchIndex buckets compiled rules by the (EventKind, Label) pairs their
 // selectors can match; the "" bucket of a kind holds its wildcard selectors.
+// Each bucket is sorted by installation order (a composite rule's steps in
+// step order), and every entry carries its guard family (see family.go).
 // Rebuilt on Install/Drop under the engine lock and read immutably by
 // Process, it lets a round skip every rule whose selector cannot possibly
 // match the round's changes.
-type dispatchIndex map[EventKind]map[string][]*Compiled
+type dispatchIndex struct {
+	byKind   map[EventKind]map[string][]dispatchEntry
+	families int
+}
 
-func buildDispatch(rules map[string]*Compiled) dispatchIndex {
-	idx := make(dispatchIndex)
+// dispatchEntry is one indexed rule or composite step, with the number of
+// the guard family it belongs to (-1 for none).
+type dispatchEntry struct {
+	cr  *Compiled
+	fam int
+}
+
+func buildDispatch(rules map[string]*Compiled) *dispatchIndex {
+	fam, n := numberFamilies(rules)
+	idx := &dispatchIndex{byKind: make(map[EventKind]map[string][]dispatchEntry), families: n}
 	for _, r := range rules {
 		for _, cr := range r.dispatched() {
-			byLabel := idx[cr.Event.Kind]
+			byLabel := idx.byKind[cr.Event.Kind]
 			if byLabel == nil {
-				byLabel = make(map[string][]*Compiled)
-				idx[cr.Event.Kind] = byLabel
+				byLabel = make(map[string][]dispatchEntry)
+				idx.byKind[cr.Event.Kind] = byLabel
 			}
-			byLabel[cr.Event.Label] = append(byLabel[cr.Event.Label], cr)
+			f, ok := fam[cr]
+			if !ok {
+				f = -1
+			}
+			byLabel[cr.Event.Label] = append(byLabel[cr.Event.Label], dispatchEntry{cr: cr, fam: f})
+		}
+	}
+	for _, byLabel := range idx.byKind {
+		for _, bucket := range byLabel {
+			slices.SortFunc(bucket, firingOrder)
 		}
 	}
 	return idx
 }
 
-// candidates returns, in installation order (a composite rule's steps in
-// step order), the entries at least one of the events reaches by its kind
-// and a label or type it carries.
-func (idx dispatchIndex) candidates(evs []event) []*Compiled {
-	var out []*Compiled
-	seen := make(map[*Compiled]bool)
-	reach := func(bucket []*Compiled) {
-		for _, cr := range bucket {
-			if !seen[cr] {
-				seen[cr] = true
-				out = append(out, cr)
+// firingOrder orders entries by installation, a composite rule's steps by
+// step.
+func firingOrder(a, b dispatchEntry) int {
+	if a.cr.seq != b.cr.seq {
+		return a.cr.seq - b.cr.seq
+	}
+	return a.cr.step - b.cr.step
+}
+
+// candidates returns, in firing order, the entries at least one of the
+// events reaches by its kind and a label or type it carries. Buckets are
+// disjoint, so a round that reaches one bucket fires it as it stands (the
+// caller only reads it); several are concatenated and sorted.
+func (idx *dispatchIndex) candidates(evs []event) []dispatchEntry {
+	var reached [][]dispatchEntry
+	reach := func(bucket []dispatchEntry) {
+		if len(bucket) == 0 {
+			return
+		}
+		for _, b := range reached {
+			if &b[0] == &bucket[0] {
+				return
 			}
 		}
+		reached = append(reached, bucket)
 	}
 	for i := range evs {
 		ev := &evs[i]
-		byLabel := idx[ev.kind]
+		byLabel := idx.byKind[ev.kind]
+		if byLabel == nil {
+			continue
+		}
 		reach(byLabel[""])
 		if ev.label != "" {
 			reach(byLabel[ev.label])
@@ -401,9 +437,16 @@ func (idx dispatchIndex) candidates(evs []event) []*Compiled {
 			reach(byLabel[l])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		return a.seq < b.seq || a.seq == b.seq && a.step < b.step
-	})
+	switch len(reached) {
+	case 0:
+		return nil
+	case 1:
+		return reached[0]
+	}
+	var out []dispatchEntry
+	for _, b := range reached {
+		out = append(out, b...)
+	}
+	slices.SortFunc(out, firingOrder)
 	return out
 }

@@ -241,6 +241,7 @@ func (c *Composite) validate() error {
 type Compiled struct {
 	Rule
 	guard  *cypher.CompiledExpr
+	cmp    *cmpGuard // the guard split for family sharing; nil if not family-shaped
 	alert  *cypher.Plan
 	action *cypher.Plan
 	paused atomic.Bool
@@ -283,6 +284,7 @@ func compileRule(r Rule, defaultAlertLabel string) (*Compiled, error) {
 	} else if cr.guard, err = prepareExpr(r.Guard); err != nil {
 		return nil, fmt.Errorf("trigger: rule %s guard: %w", r.Name, err)
 	}
+	cr.cmp = splitGuard(cr.guard, r.Guard)
 	if r.Alert != "" {
 		plan, err := cypher.Prepare(r.Alert)
 		if err != nil {
@@ -336,6 +338,7 @@ func (cr *Compiled) compileSteps() error {
 		if s.guard, err = prepareExpr(st.Guard); err != nil {
 			return fmt.Errorf("trigger: rule %s step %d IF: %w", cr.Name, i, err)
 		}
+		s.cmp = splitGuard(s.guard, st.Guard)
 		if s.key, err = prepareExpr(st.Key); err != nil {
 			return fmt.Errorf("trigger: rule %s step %d BY: %w", cr.Name, i, err)
 		}
