@@ -31,9 +31,10 @@
 //	GET  /fed/status                                   outbox, breakers, received origins
 //	POST /fed/sync                                     push pending alerts to all peers now
 //
-// A background sync round runs every -fed-sync (0 disables it; /fed/sync
-// still works). On a durable server the outbox marks live in the graph, so
-// replication resumes where it stopped after a restart.
+// A background sync round runs every -fed-sync of wall-clock time, -demo
+// included (0 disables it; /fed/sync still works). On a durable server the
+// outbox marks live in the graph, so replication resumes where it stopped
+// after a restart.
 //
 // Rules whose phase is afterAsync evaluate their alert queries off the write
 // path, on the async pipeline started with -trigger-async-workers (0 makes
@@ -50,7 +51,7 @@
 // appended to a write-ahead log under that directory and the pre-crash state
 // is recovered on startup. -fsync picks the log's durability/latency
 // trade-off. SIGINT/SIGTERM shut the server down gracefully: in-flight
-// requests drain, the periodic scheduler stops, and a final checkpoint
+// requests drain, the background loops stop, and a final checkpoint
 // compacts the log before exit.
 //
 // With -hubs the knowledge base gets one graph shard per declared hub
@@ -89,6 +90,7 @@ import (
 
 	reactive "repro"
 	"repro/internal/cep"
+	"repro/internal/core"
 	"repro/internal/democovid"
 	"repro/internal/fednet"
 	"repro/internal/replica"
@@ -365,24 +367,22 @@ func (s *server) httpServer(addr string, withPprof bool) *http.Server {
 	return &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 }
 
-// serve runs the HTTP server, the scheduler driver and the graceful
+// serve runs the HTTP server, the wall-clock tick driver and the graceful
 // shutdown sequence; leader and follower processes share it.
 func (s *server) serve(addr string, withPprof bool) {
 	hs := s.httpServer(addr, withPprof)
 
-	// On the wall clock the summary scheduler needs a driver; with -demo the
-	// clock is manual and /tick drives it instead.
-	stopSched := make(chan struct{})
-	schedDone := make(chan struct{})
+	// On the wall clock a driver ticks the knowledge base every second, so
+	// the Essential Summary rolls over; a failed check is logged and the
+	// next due one retries. With -demo the clock is manual and /tick
+	// advances it instead.
+	var ticker *core.Driver
 	if s.clock == nil {
-		go func() {
-			defer close(schedDone)
-			if err := s.kb.Scheduler().Run(stopSched, time.Second); err != nil {
-				log.Printf("scheduler: %v", err)
+		ticker = core.Drive(time.Second, func() {
+			if err := s.kb.Tick(); err != nil {
+				log.Printf("summary rollover check: %v", err)
 			}
-		}()
-	} else {
-		close(schedDone)
+		})
 	}
 
 	serveErr := make(chan error, 1)
@@ -404,8 +404,7 @@ func (s *server) serve(addr string, withPprof bool) {
 	if err := hs.Shutdown(ctx); err != nil {
 		log.Printf("shutdown: %v", err)
 	}
-	close(stopSched)
-	<-schedDone
+	ticker.Stop()
 	s.stop()
 }
 
@@ -422,6 +421,11 @@ func (s *server) stop() {
 	// stay in the graph and recover on the next start.
 	if s.cep != nil {
 		s.cep.Stop()
+	}
+	// Likewise the federation sync loop: its outbox-mark writes must not
+	// race the compaction; the marks resume the sync on the next start.
+	if s.fed != nil {
+		s.fed.Stop()
 	}
 	// Stop the async workers before the final checkpoint so no follow-up
 	// transaction races the log compaction; unprocessed pending entries stay
@@ -970,9 +974,9 @@ func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// maxTickHours caps one /tick at a leap year. The request runs every
-// summary rollover check the advance spans, and the cap keeps the advance
-// far from overflowing time.Duration.
+// maxTickHours caps one /tick at a leap year, which keeps the advance far
+// from overflowing time.Duration. The request runs at most one summary
+// rollover check, however long the advance.
 const maxTickHours = 366 * 24
 
 func (s *server) handleTick(w http.ResponseWriter, r *http.Request) {

@@ -3,24 +3,29 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
+	"repro/internal/graph"
+	"repro/internal/summary"
 	"repro/internal/trigger"
 	"repro/internal/value"
 )
 
 // TestComplexityContracts pins how the engine's work counters grow with
-// what it holds. Each row measures one counter after the same write at
-// several sizes and wants the same value at every size: a row whose counter
-// grows with the size has lost a shared evaluation or an index, whatever the
-// wall clock says.
+// what it holds. Each row measures one counter (or the allocations of one
+// call) after the same operation at several sizes and wants the same value
+// at every size: a row whose counter grows with the size has lost a shared
+// evaluation or an index, whatever the wall clock says.
 func TestComplexityContracts(t *testing.T) {
 	rows := []struct {
 		name  string
 		sizes []int
 		// measure builds a knowledge base of size n, performs the row's
-		// write and returns the counter the row constrains.
+		// operation and returns the counter the row constrains.
 		measure func(t *testing.T, n int) int
-		want    int
+		// want is the value at every size; -1 accepts whatever the
+		// smallest size gives.
+		want int
 	}{{
 		// n threshold rules NEW.account = 'acct-i' form one guard family:
 		// one Txn event reads NEW.account once, however many rules it
@@ -51,12 +56,58 @@ func TestComplexityContracts(t *testing.T) {
 			return rep.GuardEvals
 		},
 		want: 1,
+	}, {
+		// E2: a window of the last 3 periods walks 3 steps back from
+		// Current, however long the Essential Summary chain has grown.
+		name:  "summary window reads k periods",
+		sizes: []int{10, 1000},
+		measure: func(t *testing.T, n int) int {
+			kb, clock := newSimKB(t)
+			if err := kb.EnableSummaries(24 * time.Hour); err != nil {
+				t.Fatal(err)
+			}
+			mgr, _ := kb.Summaries()
+			if err := kb.Store().Update(func(tx *graph.Tx) error {
+				for i := 0; i < n; i++ {
+					if i > 0 {
+						if _, err := mgr.Rollover(tx, clock.Advance(24*time.Hour)); err != nil {
+							return err
+						}
+					}
+					id, err := tx.CreateNode([]string{"Alert"}, map[string]value.Value{
+						"rule": value.Str("R"), "cases": value.Int(int64(i)),
+					})
+					if err != nil {
+						return err
+					}
+					if err := mgr.AttachAlert(tx, id, clock.Now()); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			f := summary.WindowFilter{Rule: "R", Prop: "cases"}
+			tx := kb.Store().Begin(graph.ReadOnly)
+			defer tx.Rollback()
+			if w := mgr.Window(tx, 3, f); len(w) != 3 || w[2].String() != fmt.Sprint(n-1) {
+				t.Fatalf("n=%d: window %v", n, w)
+			}
+			return int(testing.AllocsPerRun(20, func() { mgr.Window(tx, 3, f) }))
+		},
+		want: -1,
 	}}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
+			want := row.want
 			for _, n := range row.sizes {
-				if got := row.measure(t, n); got != row.want {
-					t.Errorf("size %d: %d, want %d at every size", n, got, row.want)
+				got := row.measure(t, n)
+				if want < 0 {
+					want = got
+				}
+				if got != want {
+					t.Errorf("size %d: %d, want %d at every size", n, got, want)
 				}
 			}
 		})

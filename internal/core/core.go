@@ -3,7 +3,8 @@
 // governed by PG-Schema (internal/schema), queried through a Cypher subset
 // (internal/cypher), made reactive by Event–Guard–Alert rules
 // (internal/trigger), and given periodic memory by the Essential Summary
-// (internal/summary + internal/periodic).
+// (internal/summary), rolled over by Tick against an injectable clock
+// (internal/periodic).
 //
 // KnowledgeBase is the type downstream users interact with; the root
 // package of this module re-exports it as the public API.
@@ -30,16 +31,13 @@ import (
 	"repro/internal/wal"
 )
 
-// summaryTaskName is the scheduler task that rolls the Essential Summary.
-const summaryTaskName = "essential-summary-rollover"
-
 // ErrSummariesDisabled is returned by summary operations before
 // EnableSummaries.
 var ErrSummariesDisabled = errors.New("core: essential summaries not enabled")
 
 // Config tunes a KnowledgeBase.
 type Config struct {
-	// Clock drives datetime(), alert timestamps and the summary scheduler;
+	// Clock drives datetime(), alert timestamps and the summary rollover;
 	// nil means the wall clock. Simulations pass a periodic.ManualClock.
 	Clock periodic.Clock
 	// MaxCascadeDepth bounds cascading rule rounds per transaction
@@ -72,11 +70,10 @@ var ErrMultiShard = errors.New("core: operation needs a single-shard knowledge b
 // one metrics registry are shared by all shards — rules, hubs and schemas
 // are ontology, not data.
 type KnowledgeBase struct {
-	store     *graph.ShardedStore
-	engine    *trigger.Engine
-	hubs      *hub.Registry
-	scheduler *periodic.Scheduler
-	clock     periodic.Clock
+	store  *graph.ShardedStore
+	engine *trigger.Engine
+	hubs   *hub.Registry
+	clock  periodic.Clock
 
 	// shardOf and hubOf are the hub-to-shard layout of a knowledge base
 	// built from HubShard declarations; both are empty otherwise.
@@ -120,8 +117,12 @@ type KnowledgeBase struct {
 	plans    *cypher.PlanCache
 	mPrepare *metrics.Histogram
 
+	// mu guards the Essential Summary: its manager and the rollover check
+	// grid (the next check is due at nextCheck, then every check).
 	mu        sync.Mutex
 	summaries *summary.Manager
+	check     time.Duration
+	nextCheck time.Time
 }
 
 // New creates an empty in-memory knowledge base with one shard.
@@ -182,7 +183,7 @@ func open(dir string, cfg Config, hubs []HubShard, wopts wal.Options, follower b
 	return kb, infos, nil
 }
 
-// assemble wires rule engine, scheduler, plan cache and metrics around a
+// assemble wires rule engine, plan cache and metrics around a
 // sharded store and a hub registry, on which it declares defs.
 func assemble(cfg Config, hubs *hub.Registry, defs []HubShard, ss *graph.ShardedStore) (*KnowledgeBase, error) {
 	clock := cfg.Clock
@@ -193,7 +194,6 @@ func assemble(cfg Config, hubs *hub.Registry, defs []HubShard, ss *graph.Sharded
 		store:       ss,
 		hubs:        hubs,
 		clock:       clock,
-		scheduler:   periodic.NewScheduler(clock),
 		shardOf:     make(map[string]int, len(defs)),
 		hubOf:       make([]string, len(defs)),
 		replicaSeqs: make([]atomic.Uint64, ss.NumShards()),
@@ -569,12 +569,15 @@ func (kb *KnowledgeBase) write(shard int, fn func(tx *graph.Tx) error, throttle 
 
 // EnableSummaries activates the Essential Summary with the given period of
 // observation: alert nodes are attached to the current summary as they are
-// produced, and a periodic task (driven by Tick or Scheduler().Run) rolls the
-// summary over when a period elapses, exactly as Fig. 8 does with
-// apoc.periodic.repeat.
+// produced, and Tick checks every period/24 whether the period has elapsed
+// and rolls the summary over, exactly as Fig. 8 does with an hourly
+// apoc.periodic.repeat for a 24h period.
 func (kb *KnowledgeBase) EnableSummaries(period time.Duration) error {
 	if err := kb.single("Essential Summary"); err != nil {
 		return err
+	}
+	if period <= 0 {
+		return fmt.Errorf("core: summary period must be positive")
 	}
 	kb.mu.Lock()
 	if kb.summaries != nil {
@@ -583,6 +586,11 @@ func (kb *KnowledgeBase) EnableSummaries(period time.Duration) error {
 	}
 	mgr := summary.New(period)
 	kb.summaries = mgr
+	kb.check = period / 24
+	if kb.check == 0 {
+		kb.check = period
+	}
+	kb.nextCheck = kb.clock.Now().Add(kb.check)
 	// The rollover instruments are published inside the same critical
 	// section as kb.summaries, so any goroutine that can observe summaries
 	// as enabled (via Summaries, which locks kb.mu) also observes them.
@@ -594,21 +602,12 @@ func (kb *KnowledgeBase) EnableSummaries(period time.Duration) error {
 
 	kb.metrics.GaugeFunc(mChainLength,
 		"Summary nodes in the Essential Summary chain.",
-		func() float64 { return float64(kb.store.LabelCount(mgr.SummaryLabel)) })
+		func() float64 { return float64(kb.store.LabelCount(summary.SummaryLabel)) })
 
 	kb.engine.OnAlert = func(tx *graph.Tx, alert graph.NodeID) error {
 		return mgr.AttachAlert(tx, alert, kb.clock.Now())
 	}
-	// Check at a fraction of the period, like Fig. 8's hourly check for a
-	// 24h period; the rollover itself runs through the trigger pipeline so
-	// rules can react to new Summary nodes.
-	check := period / 24
-	if check <= 0 {
-		check = period
-	}
-	return kb.scheduler.Repeat(summaryTaskName, check, func(now time.Time) error {
-		return kb.RolloverIfDue()
-	})
+	return nil
 }
 
 // Summaries exposes the Essential Summary manager.
@@ -622,7 +621,8 @@ func (kb *KnowledgeBase) Summaries() (*summary.Manager, error) {
 }
 
 // RolloverIfDue closes the current observation period if it has elapsed.
-// Rule events for the created Summary node fire as usual.
+// The rollover runs through the trigger pipeline, so rules react to the new
+// Summary node as to any write.
 func (kb *KnowledgeBase) RolloverIfDue() error {
 	mgr, err := kb.Summaries()
 	if err != nil {
@@ -647,39 +647,25 @@ func (kb *KnowledgeBase) RolloverIfDue() error {
 	return err
 }
 
-// Rollover unconditionally starts a new observation period.
-func (kb *KnowledgeBase) Rollover() error {
-	mgr, err := kb.Summaries()
-	if err != nil {
-		return err
-	}
-	var t0 time.Time
-	if kb.mRolloverSeconds != nil {
-		t0 = time.Now()
-	}
-	_, err = kb.WriteTx(func(tx *graph.Tx) error {
-		_, err := mgr.Rollover(tx, kb.clock.Now())
-		return err
-	})
-	if err == nil {
-		kb.mRollovers.Inc()
-		if !t0.IsZero() {
-			kb.mRolloverSeconds.ObserveSince(t0)
-		}
-	}
-	return err
-}
-
-// Tick runs due scheduler tasks (summary rollovers and any user tasks).
-// Simulations call it after advancing a ManualClock.
+// Tick runs the rollover check if one is due — at most once per call, however
+// many checks the clock has skipped, since they would all see the same time
+// — and moves the next check past now. Simulations call it after advancing a
+// ManualClock; on the wall clock a driver calls it every second. It is a
+// no-op until EnableSummaries.
 func (kb *KnowledgeBase) Tick() error {
-	_, err := kb.scheduler.Tick()
-	return err
+	now := kb.clock.Now()
+	kb.mu.Lock()
+	due := kb.summaries != nil && !kb.nextCheck.After(now)
+	if due {
+		skipped := now.Sub(kb.nextCheck) / kb.check
+		kb.nextCheck = kb.nextCheck.Add((skipped + 1) * kb.check)
+	}
+	kb.mu.Unlock()
+	if !due {
+		return nil
+	}
+	return kb.RolloverIfDue()
 }
-
-// Scheduler exposes the periodic scheduler for user tasks; its Run drives
-// them against the wall clock.
-func (kb *KnowledgeBase) Scheduler() *periodic.Scheduler { return kb.scheduler }
 
 // ---- Alerts ----
 

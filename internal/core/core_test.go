@@ -325,11 +325,82 @@ func TestSummariesDisabledErrors(t *testing.T) {
 	if _, err := kb.Summaries(); !errors.Is(err, ErrSummariesDisabled) {
 		t.Error("Summaries before enable")
 	}
-	if err := kb.Rollover(); !errors.Is(err, ErrSummariesDisabled) {
-		t.Error("Rollover before enable")
-	}
 	if err := kb.RolloverIfDue(); !errors.Is(err, ErrSummariesDisabled) {
 		t.Error("RolloverIfDue before enable")
+	}
+}
+
+// Tick runs at most one rollover check however far the clock has moved:
+// each 24h advance costs one write transaction and closes one period.
+func TestTickRunsOneCheckPerCall(t *testing.T) {
+	kb, clock := newSimKB(t)
+	if err := kb.EnableSummaries(24 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	reg := kb.Metrics()
+	tick := func() (commits float64) {
+		t.Helper()
+		before := counterValue(reg, mTxCommits, "")
+		if err := kb.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		return counterValue(reg, mTxCommits, "") - before
+	}
+	// The first check is due an hour after EnableSummaries; it anchors the
+	// chain.
+	clock.Advance(59 * time.Minute)
+	if n := tick(); n != 0 {
+		t.Fatalf("Tick before the first check committed %v transactions", n)
+	}
+	clock.Advance(time.Minute)
+	if n := tick(); n != 1 || counterValue(reg, mChainLength, "") != 1 {
+		t.Fatalf("first check: %v commits, chain %v; want 1 and 1", n, counterValue(reg, mChainLength, ""))
+	}
+	for day := 1; day <= 3; day++ {
+		clock.Advance(24 * time.Hour)
+		if n := tick(); n != 1 {
+			t.Fatalf("day %d: Tick committed %v transactions, want 1", day, n)
+		}
+		if n := tick(); n != 0 {
+			t.Fatalf("day %d: a second Tick at the same time committed %v", day, n)
+		}
+		if got := counterValue(reg, mRollovers, ""); got != float64(day) {
+			t.Fatalf("day %d: %v rollovers", day, got)
+		}
+	}
+}
+
+// A failing rollover check returns its error, and the next due check rolls
+// over once the fault is gone.
+func TestRolloverCheckRetriesAfterError(t *testing.T) {
+	kb, clock := newSimKB(t)
+	if err := kb.EnableSummaries(24 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if err := kb.RolloverIfDue(); err != nil { // anchors the chain
+		t.Fatal(err)
+	}
+	if err := kb.InstallRule(trigger.Rule{
+		Name:  "broken",
+		Event: trigger.Event{Kind: trigger.CreateNode, Label: "Summary"},
+		Alert: "RETURN NEW.date.bogus AS x",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	chain := func() float64 { return counterValue(kb.Metrics(), mChainLength, "") }
+	clock.Advance(24 * time.Hour)
+	if err := kb.Tick(); err == nil || chain() != 1 {
+		t.Fatalf("failing check: err %v, chain %v; want an error and 1", err, chain())
+	}
+	if err := kb.DropRule("broken"); err != nil {
+		t.Fatal(err)
+	}
+	if err := kb.Tick(); err != nil || chain() != 1 {
+		t.Fatalf("Tick before the next check: err %v, chain %v", err, chain())
+	}
+	clock.Advance(time.Hour)
+	if err := kb.Tick(); err != nil || chain() != 2 {
+		t.Fatalf("next check: err %v, chain %v; want nil and 2", err, chain())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"repro/internal/cypher"
 	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/periodic"
 	"repro/internal/trigger"
 	"repro/internal/wal"
 )
@@ -28,10 +27,6 @@ const (
 	mGuardRejected = "rkm_trigger_guard_rejected_total"
 	mAlertQuery    = "rkm_trigger_alert_query_seconds"
 	mAlertsCreated = "rkm_trigger_alerts_created_total"
-
-	mTaskRuns    = "rkm_scheduler_task_runs_total"
-	mTaskSeconds = "rkm_scheduler_task_seconds"
-	mTaskErrors  = "rkm_scheduler_task_errors_total"
 
 	mRollovers       = "rkm_summary_rollovers_total"
 	mRolloverSeconds = "rkm_summary_rollover_seconds"
@@ -96,7 +91,7 @@ type asyncMetrics struct {
 func (kb *KnowledgeBase) Metrics() *metrics.Registry { return kb.metrics }
 
 // wireMetrics registers the knowledge base's instruments on reg and
-// installs them into the shards, the rule engine and the scheduler. It runs
+// installs them into the shards and the rule engine. It runs
 // once per KnowledgeBase (from assemble, so forks too), before any rule is
 // installed, so per-rule counters resolve at install time. Registration is
 // idempotent, so a shared registry (Config.Metrics) across knowledge bases
@@ -137,14 +132,6 @@ func (kb *KnowledgeBase) wireMetrics(reg *metrics.Registry) {
 		AlertsCreated: reg.Counter(mAlertsCreated,
 			"Alert nodes materialized by the rule engine."),
 	}
-	kb.scheduler.SetMetrics(periodic.SchedulerMetrics{
-		TaskRuns: reg.CounterVec(mTaskRuns, "task",
-			"Periodic task executions, by task."),
-		TaskSeconds: reg.HistogramVec(mTaskSeconds, "task",
-			"Periodic task execution duration, in seconds, by task.", nil),
-		TaskErrors: reg.CounterVec(mTaskErrors, "task",
-			"Periodic task executions that returned an error, by task."),
-	})
 	kb.asyncM = asyncMetrics{
 		enqueued: reg.Counter(mAsyncEnqueued,
 			"AfterAsync activations committed onto the pending queue."),

@@ -5,8 +5,8 @@
 //
 // A Node wraps one KnowledgeBase and plays both sides of the protocol:
 //
-//   - Sender: Subscribe registers a peer URL; SyncAll (or the periodic task
-//     Start schedules) pushes every not-yet-acknowledged alert to each peer
+//   - Sender: Subscribe registers a peer URL; SyncAll (or the background
+//     loop Start runs) pushes every not-yet-acknowledged alert to each peer
 //     in ascending-id batches via POST /fed/push. The acknowledged mark is a
 //     durable outbox node in the sender's own graph (see OutboxLabel), so
 //     replication state survives crashes through the existing write-ahead
@@ -37,6 +37,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/backoff"
@@ -44,9 +45,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/value"
 )
-
-// SyncTaskName is the periodic-scheduler task Start registers.
-const SyncTaskName = "fednet-sync"
 
 // pushBatchSize is the maximum number of alerts per push request.
 const pushBatchSize = 256
@@ -156,9 +154,11 @@ type Node struct {
 	mu    sync.Mutex
 	peers map[string]*peerLink
 
-	// syncMu serializes SyncAll so overlapping sync rounds (periodic task
+	// syncMu serializes SyncAll so overlapping sync rounds (background loop
 	// plus a manual /fed/sync) cannot push the same pending batch twice.
 	syncMu sync.Mutex
+
+	driver atomic.Pointer[core.Driver] // the background sync loop; nil unless started
 
 	nm nodeMetrics
 }
@@ -382,18 +382,29 @@ func (n *Node) doPush(ctx context.Context, p *peerLink, body []byte) (*PushRespo
 	return &out, nil
 }
 
-// Start schedules the background sync loop on the knowledge base's periodic
-// scheduler (internal/periodic): one SyncAll every interval. Push failures
-// are logged and retried on the next round instead of erroring the
-// scheduler, so a down peer never stalls summary rollovers or other tasks.
+// Start launches the background sync loop: a core.Driver running SyncAll
+// every interval of wall-clock time. Push failures are logged and retried on
+// the next pass, so a down peer never stops the loop. Returns an error if
+// the interval is not positive or the loop is already running.
 func (n *Node) Start(every time.Duration) error {
-	return n.kb.Scheduler().Repeat(SyncTaskName, every, func(now time.Time) error {
+	if every <= 0 {
+		return errors.New("fednet: sync interval must be positive")
+	}
+	d := core.Drive(every, func() {
 		if _, err := n.SyncAll(context.Background()); err != nil {
 			n.opts.Logf("fednet: background sync: %v", err)
 		}
-		return nil
 	})
+	if !n.driver.CompareAndSwap(nil, d) {
+		d.Stop()
+		return errors.New("fednet: sync loop already running")
+	}
+	return nil
 }
+
+// Stop halts the background sync loop, finishing any in-flight pass. No-op
+// if it is not running.
+func (n *Node) Stop() { n.driver.Swap(nil).Stop() }
 
 // pendingFor counts the alerts not yet acknowledged by p.
 func (n *Node) pendingFor(p *peerLink) int {

@@ -410,49 +410,59 @@ func TestSenderRestartAfterPartialPush(t *testing.T) {
 	}
 }
 
+// TestStartSchedulesPeriodicSync runs the background loop on the wall clock:
+// it delivers without anyone ticking the knowledge base, a dead peer's
+// failures do not stop later passes, and Stop ends the loop.
 func TestStartSchedulesPeriodicSync(t *testing.T) {
-	clk := periodic.NewManualClock(netStart)
-	srcKB := core.New(core.Config{Clock: clk})
-	if err := srcKB.InstallRule(icuRule); err != nil {
-		t.Fatal(err)
-	}
+	srcKB := newMemKB(t)
 	dstKB := newMemKB(t)
 	_, url, _ := newReceiver(t, "region", dstKB)
-	src, _ := NewNode("clinic", srcKB, testOpts())
+	var failures atomic.Int64
+	opts := testOpts()
+	opts.Logf = func(string, ...any) { failures.Add(1) }
+	src, _ := NewNode("clinic", srcKB, opts)
+	if err := src.Subscribe("ghost", "http://127.0.0.1:1"); err != nil {
+		t.Fatal(err)
+	}
 	if err := src.Subscribe("region", url); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Start(time.Minute); err != nil {
+	if err := src.Start(0); err == nil {
+		t.Fatal("Start(0) accepted")
+	}
+	if err := src.Start(10 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-
+	if err := src.Start(10 * time.Millisecond); err == nil {
+		t.Fatal("second Start accepted")
+	}
+	eventually := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("background sync: %s did not happen", what)
+			}
+		}
+	}
+	delivered := func(n int) func() bool {
+		return func() bool { return len(remoteIDs(t, dstKB)) == n }
+	}
 	admit(t, srcKB, "Lombardy")
-	clk.Advance(time.Minute)
-	if _, err := srcKB.Scheduler().Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if ids := remoteIDs(t, dstKB); len(ids) != 1 {
-		t.Fatalf("periodic sync delivered %d alerts, want 1", len(ids))
-	}
+	eventually("first delivery", delivered(1))
+	eventually("the dead peer's failure", func() bool { return failures.Load() > 0 })
+	// Passes go on over the dead peer: a later alert still goes out.
+	seen := failures.Load()
+	admit(t, srcKB, "Veneto")
+	eventually("second delivery", delivered(2))
+	eventually("a later failed pass", func() bool { return failures.Load() > seen })
 
-	// A dead peer must not error the scheduler loop (that would take the
-	// summary tasks down with it); the failure is logged and retried later.
-	clk2 := periodic.NewManualClock(netStart)
-	srcKB2 := core.New(core.Config{Clock: clk2})
-	if err := srcKB2.InstallRule(icuRule); err != nil {
-		t.Fatal(err)
-	}
-	src2, _ := NewNode("clinic2", srcKB2, testOpts())
-	if err := src2.Subscribe("ghost", "http://127.0.0.1:1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := src2.Start(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	admit(t, srcKB2, "Veneto")
-	clk2.Advance(time.Minute)
-	if _, err := srcKB2.Scheduler().Tick(); err != nil {
-		t.Fatalf("scheduler tick propagated a sync failure: %v", err)
+	src.Stop()
+	src.Stop()
+	stopped := failures.Load()
+	admit(t, srcKB, "Piedmont")
+	time.Sleep(50 * time.Millisecond)
+	if got := len(remoteIDs(t, dstKB)); got != 2 || failures.Load() != stopped {
+		t.Fatalf("after Stop: %d remote alerts, %d more passes; want 2 and 0", got, failures.Load()-stopped)
 	}
 }
 

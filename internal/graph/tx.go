@@ -36,11 +36,18 @@ type Tx struct {
 	// start is set at Begin when transaction-latency instrumentation is
 	// wired; zero otherwise.
 	start time.Time
+	// writes counts the changes recorded in data, across ResetData.
+	writes uint64
 }
 
 // Data exposes the changes made so far by this transaction. The caller must
 // not mutate the returned record.
 func (tx *Tx) Data() *TxData { return tx.data }
+
+// Writes returns how many changes the transaction has recorded so far. It
+// only grows (ResetData does not reset it), so two equal readings mean
+// nothing was written in between.
+func (tx *Tx) Writes() uint64 { return tx.writes }
 
 // ResetData replaces the change record with an empty one and returns the
 // previous record. Rule engines use this to process changes in rounds while
@@ -220,6 +227,7 @@ func (tx *Tx) createNode(id NodeID, labels []string, props map[string]value.Valu
 	for k, v := range rec.props {
 		sn.indexProp(rec, k, v, true)
 	}
+	tx.writes++
 	tx.data.CreatedNodes = append(tx.data.CreatedNodes, id)
 }
 
@@ -263,6 +271,7 @@ func (tx *Tx) DeleteNode(id NodeID, detach bool) error {
 		sn.indexProp(rec, k, v, false)
 	}
 	sn.nodes.del(sn.by, id)
+	tx.writes++
 	tx.data.DeletedNodes = append(tx.data.DeletedNodes, snap)
 	return nil
 }
@@ -303,6 +312,7 @@ func (tx *Tx) installRel(id RelID, start, end NodeID, typ string, props map[stri
 	if tx.relIsMirror(id) {
 		sn.mirrorRels++
 	}
+	tx.writes++
 	tx.data.CreatedRels = append(tx.data.CreatedRels, id)
 }
 
@@ -330,6 +340,7 @@ func (tx *Tx) DeleteRel(id RelID) error {
 	if tx.relIsMirror(id) {
 		sn.mirrorRels--
 	}
+	tx.writes++
 	tx.data.DeletedRels = append(tx.data.DeletedRels, snap)
 	return nil
 }
@@ -351,6 +362,7 @@ func (tx *Tx) SetLabel(id NodeID, label string) error {
 	for k, v := range rec.props {
 		tx.view.indexNode(indexKey{label, k}, v, id, true)
 	}
+	tx.writes++
 	tx.data.AssignedLabels = append(tx.data.AssignedLabels, LabelChange{Node: id, Label: label})
 	return nil
 }
@@ -372,6 +384,7 @@ func (tx *Tx) RemoveLabel(id NodeID, label string) error {
 	for k, v := range rec.props {
 		tx.view.indexNode(indexKey{label, k}, v, id, false)
 	}
+	tx.writes++
 	tx.data.RemovedLabels = append(tx.data.RemovedLabels, LabelChange{Node: id, Label: label})
 	return nil
 }
@@ -394,6 +407,7 @@ func (tx *Tx) SetNodeProp(id NodeID, key string, v value.Value) error {
 		rec, _ := tx.editNode(id)
 		delete(rec.props, key)
 		tx.view.indexProp(rec, key, old, false)
+		tx.writes++
 		tx.data.RemovedProps = append(tx.data.RemovedProps,
 			PropChange{Kind: NodeEntity, Node: id, Key: key, Old: old, New: value.Null})
 		return nil
@@ -408,6 +422,7 @@ func (tx *Tx) SetNodeProp(id NodeID, key string, v value.Value) error {
 	if had {
 		oldRecorded = old
 	}
+	tx.writes++
 	tx.data.AssignedProps = append(tx.data.AssignedProps,
 		PropChange{Kind: NodeEntity, Node: id, Key: key, Old: oldRecorded, New: v})
 	return nil
@@ -435,6 +450,7 @@ func (tx *Tx) SetRelProp(id RelID, key string, v value.Value) error {
 		}
 		rec, _ := edit(&tx.view.rels, tx.view.by, id)
 		delete(rec.props, key)
+		tx.writes++
 		tx.data.RemovedProps = append(tx.data.RemovedProps,
 			PropChange{Kind: RelEntity, Rel: id, Key: key, Old: old, New: value.Null})
 		return nil
@@ -445,6 +461,7 @@ func (tx *Tx) SetRelProp(id RelID, key string, v value.Value) error {
 	if had {
 		oldRecorded = old
 	}
+	tx.writes++
 	tx.data.AssignedProps = append(tx.data.AssignedProps,
 		PropChange{Kind: RelEntity, Rel: id, Key: key, Old: oldRecorded, New: v})
 	return nil

@@ -1,40 +1,20 @@
-// Package periodic provides the periodic-execution substrate the paper's
-// prototype obtains from apoc.periodic.repeat: named tasks executed every N
-// duration, driven either by the wall clock or by a manual clock that tests
-// and simulations advance explicitly (e.g. one day per step, as in the
-// Essential Summary experiments).
-//
-// The package has two halves:
-//
-//   - Clock, RealClock and ManualClock abstract time for every
-//     time-dependent component of the system (alert timestamps, datetime()
-//     in queries, summary rollovers). A deployment runs on RealClock; a
-//     simulation or test injects a ManualClock and advances it explicitly,
-//     which makes periodic behaviour fully deterministic.
-//   - Scheduler executes named TaskFuncs at fixed periods against whichever
-//     Clock it was built on. In simulation mode the driver calls Tick after
-//     each clock advance; a task that is several periods overdue runs once
-//     per elapsed period (catch-up), matching apoc.periodic.repeat's
-//     behaviour when the database was busy. In wall-clock mode Run polls
-//     Tick at a chosen resolution until stopped.
-//
-// The first execution of a task is due one full period after scheduling —
-// scheduling is not an execution. Task executions can be observed through
-// SchedulerMetrics (run counts, durations and error counts per task), which
-// the knowledge base wires into its metrics registry.
+// Package periodic abstracts time for every time-dependent component of the
+// system: alert timestamps, datetime() in queries and Essential Summary
+// rollovers. A deployment runs on RealClock; a simulation or test injects a
+// ManualClock and advances it explicitly (e.g. one day per step, as in the
+// Essential Summary experiments), which makes periodic behaviour fully
+// deterministic. The paper's prototype gets its one periodic job, the
+// summary rollover check, from apoc.periodic.repeat; here
+// KnowledgeBase.Tick runs it against whichever Clock the knowledge base was
+// built on.
 package periodic
 
 import (
-	"errors"
-	"fmt"
-	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/metrics"
 )
 
-// Clock abstracts time for schedulers, summary managers and rule engines.
+// Clock abstracts time for summary managers and rule engines.
 type Clock interface {
 	Now() time.Time
 }
@@ -77,184 +57,4 @@ func (c *ManualClock) Set(t time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.t = t
-}
-
-// Errors reported by the scheduler.
-var (
-	ErrTaskExists   = errors.New("periodic: task already scheduled")
-	ErrTaskNotFound = errors.New("periodic: task not found")
-)
-
-// TaskFunc is the body of a periodic task.
-type TaskFunc func(now time.Time) error
-
-type task struct {
-	name  string
-	every time.Duration
-	fn    TaskFunc
-	next  time.Time
-	runs  int
-	seq   int
-}
-
-// SchedulerMetrics holds the scheduler's optional instrumentation. All
-// fields may be nil (instrument methods on nil receivers no-op).
-type SchedulerMetrics struct {
-	// TaskRuns counts executions, labelled by task name.
-	TaskRuns *metrics.CounterVec
-	// TaskSeconds observes per-execution duration, labelled by task name.
-	TaskSeconds *metrics.HistogramVec
-	// TaskErrors counts executions that returned an error, labelled by
-	// task name.
-	TaskErrors *metrics.CounterVec
-}
-
-// Scheduler executes named tasks at fixed periods against a Clock. Due
-// tasks run when Tick is called (simulation mode) or continuously from Run
-// (wall-clock mode). The first execution of a task is due one full period
-// after scheduling, matching apoc.periodic.repeat.
-type Scheduler struct {
-	mu      sync.Mutex
-	clock   Clock
-	tasks   map[string]*task
-	nextSeq int
-	metrics SchedulerMetrics
-}
-
-// SetMetrics installs the scheduler's instrumentation.
-func (s *Scheduler) SetMetrics(m SchedulerMetrics) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.metrics = m
-}
-
-// NewScheduler returns a scheduler over the given clock (nil = RealClock).
-func NewScheduler(clock Clock) *Scheduler {
-	if clock == nil {
-		clock = RealClock{}
-	}
-	return &Scheduler{clock: clock, tasks: make(map[string]*task)}
-}
-
-// Repeat schedules fn to run every period (apoc.periodic.repeat).
-func (s *Scheduler) Repeat(name string, every time.Duration, fn TaskFunc) error {
-	if every <= 0 {
-		return fmt.Errorf("periodic: period must be positive")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.tasks[name]; dup {
-		return fmt.Errorf("%w: %s", ErrTaskExists, name)
-	}
-	s.tasks[name] = &task{
-		name:  name,
-		every: every,
-		fn:    fn,
-		next:  s.clock.Now().Add(every),
-		seq:   s.nextSeq,
-	}
-	s.nextSeq++
-	return nil
-}
-
-// Cancel removes a task.
-func (s *Scheduler) Cancel(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.tasks[name]; !ok {
-		return fmt.Errorf("%w: %s", ErrTaskNotFound, name)
-	}
-	delete(s.tasks, name)
-	return nil
-}
-
-// TaskInfo describes a scheduled task.
-type TaskInfo struct {
-	Name  string
-	Every time.Duration
-	Next  time.Time
-	Runs  int
-}
-
-// Tasks lists the scheduled tasks in scheduling order.
-func (s *Scheduler) Tasks() []TaskInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]TaskInfo, 0, len(s.tasks))
-	for _, t := range s.tasks {
-		out = append(out, TaskInfo{Name: t.name, Every: t.every, Next: t.next, Runs: t.runs})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Tick runs every task whose next execution time has arrived, repeatedly
-// per task if several periods have elapsed (catch-up). It returns the
-// number of executions and the first error encountered; a failing task is
-// still rescheduled.
-func (s *Scheduler) Tick() (int, error) {
-	now := s.clock.Now()
-	s.mu.Lock()
-	due := make([]*task, 0, len(s.tasks))
-	for _, t := range s.tasks {
-		if !t.next.After(now) {
-			due = append(due, t)
-		}
-	}
-	sort.Slice(due, func(i, j int) bool { return due[i].seq < due[j].seq })
-	s.mu.Unlock()
-
-	ran := 0
-	var firstErr error
-	for _, t := range due {
-		for {
-			s.mu.Lock()
-			if _, still := s.tasks[t.name]; !still || t.next.After(now) {
-				s.mu.Unlock()
-				break
-			}
-			t.next = t.next.Add(t.every)
-			t.runs++
-			m := s.metrics
-			s.mu.Unlock()
-			ran++
-			var t0 time.Time
-			if m.TaskSeconds != nil {
-				t0 = time.Now()
-			}
-			err := t.fn(now)
-			if !t0.IsZero() {
-				m.TaskSeconds.With(t.name).ObserveSince(t0)
-			}
-			m.TaskRuns.With(t.name).Inc()
-			if err != nil {
-				m.TaskErrors.With(t.name).Inc()
-				if firstErr == nil {
-					firstErr = err
-				}
-			}
-		}
-	}
-	return ran, firstErr
-}
-
-// Run drives Tick in a goroutine-friendly loop until stop is closed,
-// polling at the given resolution. Intended for wall-clock deployments; the
-// benchmarks and tests use Tick with a ManualClock instead.
-func (s *Scheduler) Run(stop <-chan struct{}, resolution time.Duration) error {
-	if resolution <= 0 {
-		resolution = time.Second
-	}
-	ticker := time.NewTicker(resolution)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return nil
-		case <-ticker.C:
-			if _, err := s.Tick(); err != nil {
-				return err
-			}
-		}
-	}
 }

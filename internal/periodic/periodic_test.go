@@ -1,7 +1,6 @@
 package periodic
 
 import (
-	"errors"
 	"testing"
 	"time"
 )
@@ -28,123 +27,4 @@ func TestRealClock(t *testing.T) {
 	if got.Before(before.Add(-time.Second)) {
 		t.Error("real clock is off")
 	}
-}
-
-func TestRepeatAndTick(t *testing.T) {
-	c := NewManualClock(t0)
-	s := NewScheduler(c)
-	var runs []time.Time
-	if err := s.Repeat("daily", 24*time.Hour, func(now time.Time) error {
-		runs = append(runs, now)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Not due yet.
-	if n, _ := s.Tick(); n != 0 {
-		t.Error("should not run before the first period elapses")
-	}
-	c.Advance(23 * time.Hour)
-	if n, _ := s.Tick(); n != 0 {
-		t.Error("still within the first period")
-	}
-	c.Advance(time.Hour)
-	if n, _ := s.Tick(); n != 1 {
-		t.Errorf("one execution due, got %d", n)
-	}
-	// Tick again immediately: nothing new.
-	if n, _ := s.Tick(); n != 0 {
-		t.Error("no catch-up needed")
-	}
-	// Jump three days: catch-up executes three times.
-	c.Advance(72 * time.Hour)
-	if n, _ := s.Tick(); n != 3 {
-		t.Errorf("catch-up runs = %d, want 3", n)
-	}
-	if len(runs) != 4 {
-		t.Errorf("total runs = %d", len(runs))
-	}
-	info := s.Tasks()
-	if len(info) != 1 || info[0].Runs != 4 || info[0].Every != 24*time.Hour {
-		t.Errorf("task info: %+v", info)
-	}
-}
-
-func TestTaskErrorsStillReschedule(t *testing.T) {
-	c := NewManualClock(t0)
-	s := NewScheduler(c)
-	boom := errors.New("boom")
-	calls := 0
-	_ = s.Repeat("fail", time.Hour, func(time.Time) error {
-		calls++
-		return boom
-	})
-	c.Advance(time.Hour)
-	if _, err := s.Tick(); !errors.Is(err, boom) {
-		t.Error("error should propagate")
-	}
-	c.Advance(time.Hour)
-	if _, err := s.Tick(); !errors.Is(err, boom) {
-		t.Error("task should keep running after an error")
-	}
-	if calls != 2 {
-		t.Errorf("calls = %d", calls)
-	}
-}
-
-func TestCancelAndDuplicates(t *testing.T) {
-	s := NewScheduler(NewManualClock(t0))
-	noop := func(time.Time) error { return nil }
-	if err := s.Repeat("t", time.Hour, noop); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Repeat("t", time.Hour, noop); !errors.Is(err, ErrTaskExists) {
-		t.Error("duplicate schedule")
-	}
-	if err := s.Repeat("bad", 0, noop); err == nil {
-		t.Error("non-positive period")
-	}
-	if err := s.Cancel("t"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Cancel("t"); !errors.Is(err, ErrTaskNotFound) {
-		t.Error("double cancel")
-	}
-}
-
-func TestMultipleTasksOrdered(t *testing.T) {
-	c := NewManualClock(t0)
-	s := NewScheduler(c)
-	var order []string
-	_ = s.Repeat("a", time.Hour, func(time.Time) error { order = append(order, "a"); return nil })
-	_ = s.Repeat("b", time.Hour, func(time.Time) error { order = append(order, "b"); return nil })
-	c.Advance(time.Hour)
-	if n, _ := s.Tick(); n != 2 {
-		t.Fatalf("runs = %d", n)
-	}
-	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Errorf("scheduling order not respected: %v", order)
-	}
-}
-
-func TestRunWithRealClock(t *testing.T) {
-	s := NewScheduler(RealClock{})
-	done := make(chan struct{})
-	fired := make(chan struct{}, 1)
-	_ = s.Repeat("fast", 5*time.Millisecond, func(time.Time) error {
-		select {
-		case fired <- struct{}{}:
-		default:
-		}
-		return nil
-	})
-	go func() {
-		_ = s.Run(done, time.Millisecond)
-	}()
-	select {
-	case <-fired:
-	case <-time.After(2 * time.Second):
-		t.Error("task never fired under Run")
-	}
-	close(done)
 }

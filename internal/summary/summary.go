@@ -12,27 +12,29 @@
 //
 // The structure is created lazily: the first alert (or the first
 // RolloverIfDue call) creates the initial Summary node via EnsureCurrent,
-// dated at that moment. From then on RolloverIfDue — typically driven by a
-// periodic scheduler task at a fraction of the period, mirroring Fig. 8's
-// hourly check for a 24-hour period — closes the current period once it has
-// elapsed: Rollover creates a new Summary node, links it with a next
-// relationship and moves the Current label. Note the consequence for tests
-// and simulations: after an idle gap the first check re-anchors the chain
-// rather than closing a period, so a rollover is observed only at the
-// second period boundary.
+// dated at that moment. From then on RolloverIfDue — run by the knowledge
+// base's Tick at a fraction of the period, mirroring Fig. 8's hourly check
+// for a 24-hour period — closes the current period once it has elapsed:
+// Rollover creates a new Summary node, links it with a next relationship
+// and moves the Current label. Note the consequence for tests and
+// simulations: the first check on an empty structure anchors the chain
+// rather than closing a period, so a rollover is observed only at the second
+// period boundary.
 //
-// A Manager holds only configuration (period length and the label/type
-// vocabulary); all state lives in the graph, so it is safe to share across
-// goroutines as long as the calls run inside graph transactions, which
-// serialize writes. Window queries (Window, Chain, Alerts) give rules and
-// ad-hoc analysis access to the per-period alert history; rollover counts
-// and durations are exported as rkm_summary_* metrics (see
-// OBSERVABILITY.md).
+// The vocabulary is fixed (SummaryLabel, CurrentLabel, NextRelType,
+// HasRelType, DateProp), as R4′ and the schema of Fig. 4 name it. A Manager
+// holds only the period length; all state lives in the graph, so it is safe
+// to share across goroutines as long as the calls run inside graph
+// transactions, which serialize writes. Window queries (Window, Chain,
+// Alerts) give rules and ad-hoc analysis access to the per-period alert
+// history; rollover counts and durations are exported as rkm_summary_*
+// metrics (see OBSERVABILITY.md).
 package summary
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -40,13 +42,18 @@ import (
 	"repro/internal/value"
 )
 
-// Defaults for the Essential Summary vocabulary.
+// The Essential Summary vocabulary.
 const (
-	DefaultSummaryLabel = "Summary"
-	DefaultCurrentLabel = "Current"
-	DefaultNextRelType  = "next"
-	DefaultHasRelType   = "has"
-	DefaultDateProp     = "date"
+	SummaryLabel = "Summary"
+	CurrentLabel = "Current"
+	NextRelType  = "next"
+	HasRelType   = "has"
+	DateProp     = "date"
+)
+
+var (
+	nextTypes = []string{NextRelType}
+	hasTypes  = []string{HasRelType}
 )
 
 // ErrNoCurrent is returned when the Essential Summary has not been
@@ -58,31 +65,16 @@ var ErrNoCurrent = errors.New("summary: no current summary node")
 type Manager struct {
 	// Period is the length of one observation period (e.g. 24h).
 	Period time.Duration
-	// Vocabulary; all default to the package constants.
-	SummaryLabel string
-	CurrentLabel string
-	NextRelType  string
-	HasRelType   string
-	DateProp     string
 }
 
-// New returns a manager with the default vocabulary and the given period.
-func New(period time.Duration) *Manager {
-	return &Manager{
-		Period:       period,
-		SummaryLabel: DefaultSummaryLabel,
-		CurrentLabel: DefaultCurrentLabel,
-		NextRelType:  DefaultNextRelType,
-		HasRelType:   DefaultHasRelType,
-		DateProp:     DefaultDateProp,
-	}
-}
+// New returns a manager for the given period.
+func New(period time.Duration) *Manager { return &Manager{Period: period} }
 
 // Current returns the Current summary node, if the structure exists.
 func (m *Manager) Current(tx *graph.Tx) (graph.NodeID, bool) {
-	ids := tx.NodesByLabel(m.CurrentLabel)
+	ids := tx.NodesByLabel(CurrentLabel)
 	for _, id := range ids {
-		if tx.NodeHasLabel(id, m.SummaryLabel) {
+		if tx.NodeHasLabel(id, SummaryLabel) {
 			return id, true
 		}
 	}
@@ -95,8 +87,8 @@ func (m *Manager) EnsureCurrent(tx *graph.Tx, now time.Time) (graph.NodeID, erro
 	if id, ok := m.Current(tx); ok {
 		return id, nil
 	}
-	id, err := tx.CreateNode([]string{m.SummaryLabel, m.CurrentLabel},
-		map[string]value.Value{m.DateProp: value.DateTime(now)})
+	id, err := tx.CreateNode([]string{SummaryLabel, CurrentLabel},
+		map[string]value.Value{DateProp: value.DateTime(now)})
 	if err != nil {
 		return 0, err
 	}
@@ -105,7 +97,7 @@ func (m *Manager) EnsureCurrent(tx *graph.Tx, now time.Time) (graph.NodeID, erro
 
 // Date returns the date property of a summary node.
 func (m *Manager) Date(tx *graph.Tx, id graph.NodeID) (time.Time, bool) {
-	v, ok := tx.NodeProp(id, m.DateProp)
+	v, ok := tx.NodeProp(id, DateProp)
 	if !ok {
 		return time.Time{}, false
 	}
@@ -124,7 +116,7 @@ func (m *Manager) RolloverIfDue(tx *graph.Tx, now time.Time) (bool, graph.NodeID
 	}
 	date, ok := m.Date(tx, cur)
 	if !ok {
-		return false, 0, fmt.Errorf("summary: current node %d lacks %s", cur, m.DateProp)
+		return false, 0, fmt.Errorf("summary: current node %d lacks %s", cur, DateProp)
 	}
 	if now.Sub(date) < m.Period {
 		return false, cur, nil
@@ -144,15 +136,15 @@ func (m *Manager) Rollover(tx *graph.Tx, now time.Time) (graph.NodeID, error) {
 	if err != nil {
 		return 0, err
 	}
-	newCur, err := tx.CreateNode([]string{m.SummaryLabel, m.CurrentLabel},
-		map[string]value.Value{m.DateProp: value.DateTime(now)})
+	newCur, err := tx.CreateNode([]string{SummaryLabel, CurrentLabel},
+		map[string]value.Value{DateProp: value.DateTime(now)})
 	if err != nil {
 		return 0, err
 	}
-	if _, err := tx.CreateRel(prev, newCur, m.NextRelType, nil); err != nil {
+	if _, err := tx.CreateRel(prev, newCur, NextRelType, nil); err != nil {
 		return 0, err
 	}
-	if err := tx.RemoveLabel(prev, m.CurrentLabel); err != nil {
+	if err := tx.RemoveLabel(prev, CurrentLabel); err != nil {
 		return 0, err
 	}
 	return newCur, nil
@@ -166,7 +158,7 @@ func (m *Manager) AttachAlert(tx *graph.Tx, alert graph.NodeID, now time.Time) e
 	if err != nil {
 		return err
 	}
-	_, err = tx.CreateRel(cur, alert, m.HasRelType, nil)
+	_, err = tx.CreateRel(cur, alert, HasRelType, nil)
 	return err
 }
 
@@ -174,45 +166,36 @@ func (m *Manager) AttachAlert(tx *graph.Tx, alert graph.NodeID, now time.Time) e
 // relationships (k=1 is "yesterday's" summary).
 func (m *Manager) Previous(tx *graph.Tx, k int) (graph.NodeID, bool) {
 	cur, ok := m.Current(tx)
-	if !ok {
+	for i := 0; i < k && ok; i++ {
+		cur, ok = stepBack(tx, cur)
+	}
+	return cur, ok
+}
+
+// stepBack steps from a summary node to the one before it, along its incoming
+// next relationship.
+func stepBack(tx *graph.Tx, id graph.NodeID) (graph.NodeID, bool) {
+	rels := tx.RelsOf(id, graph.Incoming, nextTypes)
+	if len(rels) == 0 {
 		return 0, false
 	}
-	for i := 0; i < k; i++ {
-		rels := tx.RelsOf(cur, graph.Incoming, []string{m.NextRelType})
-		if len(rels) == 0 {
-			return 0, false
-		}
-		cur = rels[0].Start
-	}
-	return cur, true
+	return rels[0].Start, true
 }
 
 // Chain returns the summary chain from oldest to current.
 func (m *Manager) Chain(tx *graph.Tx) []graph.NodeID {
-	cur, ok := m.Current(tx)
-	if !ok {
-		return nil
+	var out []graph.NodeID
+	for cur, ok := m.Current(tx); ok; cur, ok = stepBack(tx, cur) {
+		out = append(out, cur)
 	}
-	var rev []graph.NodeID
-	for {
-		rev = append(rev, cur)
-		rels := tx.RelsOf(cur, graph.Incoming, []string{m.NextRelType})
-		if len(rels) == 0 {
-			break
-		}
-		cur = rels[0].Start
-	}
-	out := make([]graph.NodeID, len(rev))
-	for i, id := range rev {
-		out[len(rev)-1-i] = id
-	}
+	slices.Reverse(out)
 	return out
 }
 
 // Alerts returns the alert nodes attached to a summary node, sorted by
 // identifier for determinism.
 func (m *Manager) Alerts(tx *graph.Tx, summaryNode graph.NodeID) []graph.NodeID {
-	rels := tx.RelsOf(summaryNode, graph.Outgoing, []string{m.HasRelType})
+	rels := tx.RelsOf(summaryNode, graph.Outgoing, hasTypes)
 	out := make([]graph.NodeID, 0, len(rels))
 	for _, r := range rels {
 		out = append(out, r.End)
@@ -233,14 +216,11 @@ type WindowFilter struct {
 // Window reads one property from the alerts of the last k periods
 // (including the current one), oldest first; periods without a matching
 // alert contribute a NULL. This supports the moving-average style analyses
-// §III-D describes.
+// §III-D describes. It walks k steps back from Current, so its cost does not
+// grow with the length of the chain.
 func (m *Manager) Window(tx *graph.Tx, k int, f WindowFilter) []value.Value {
-	chain := m.Chain(tx)
-	if len(chain) > k {
-		chain = chain[len(chain)-k:]
-	}
-	out := make([]value.Value, 0, len(chain))
-	for _, sid := range chain {
+	var out []value.Value
+	for sid, ok := m.Current(tx); ok && len(out) < k; sid, ok = stepBack(tx, sid) {
 		v := value.Null
 		for _, aid := range m.Alerts(tx, sid) {
 			if f.Rule != "" {
@@ -274,6 +254,7 @@ func (m *Manager) Window(tx *graph.Tx, k int, f WindowFilter) []value.Value {
 		}
 		out = append(out, v)
 	}
+	slices.Reverse(out)
 	return out
 }
 

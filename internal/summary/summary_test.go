@@ -320,43 +320,3 @@ func BenchmarkRolloverAndAttach(b *testing.B) {
 		}
 	}
 }
-
-func TestCustomVocabulary(t *testing.T) {
-	s := graph.NewStore()
-	m := &Manager{
-		Period:       time.Hour,
-		SummaryLabel: "Periodo",
-		CurrentLabel: "Corrente",
-		NextRelType:  "successivo",
-		HasRelType:   "contiene",
-		DateProp:     "data",
-	}
-	_ = s.Update(func(tx *graph.Tx) error {
-		first, err := m.EnsureCurrent(tx, day(0))
-		if err != nil {
-			return err
-		}
-		if !tx.NodeHasLabel(first, "Periodo") || !tx.NodeHasLabel(first, "Corrente") {
-			t.Error("custom labels")
-		}
-		if _, ok := tx.NodeProp(first, "data"); !ok {
-			t.Error("custom date prop")
-		}
-		second, err := m.Rollover(tx, day(0).Add(time.Hour))
-		if err != nil {
-			return err
-		}
-		rels := tx.RelsOf(first, graph.Outgoing, []string{"successivo"})
-		if len(rels) != 1 || rels[0].End != second {
-			t.Error("custom next rel")
-		}
-		alert, _ := tx.CreateNode([]string{"Alert"}, nil)
-		if err := m.AttachAlert(tx, alert, day(0).Add(time.Hour)); err != nil {
-			return err
-		}
-		if got := m.Alerts(tx, second); len(got) != 1 || got[0] != alert {
-			t.Error("custom has rel")
-		}
-		return nil
-	})
-}

@@ -368,7 +368,7 @@ func (r *Report) Merge(src *Report) {
 // bound. Each round enumerates its change record once (events), looks the
 // events up in the dispatch index, and fires the candidate rules in
 // installation order, each over the events it selects; a guard family's path
-// is read once per event until a passing guard clears the round's memo. It
+// is read once per event until the transaction writes again. It
 // must be called with the transaction's change record already extracted
 // (tx.ResetData()); on return the transaction's record again contains every
 // change, so commit-time validators see the full picture.
@@ -436,8 +436,6 @@ func (e *Engine) fire(tx *graph.Tx, d dispatchEntry, memo *guardMemo, i int, bin
 		cr.mRejected.Inc()
 		return nil
 	}
-	// What follows may write: a later family member reads the path again.
-	memo.clear()
 	report.GuardPasses++
 	cr.nActivations.Add(1)
 	cr.mFired.Inc()

@@ -107,21 +107,20 @@ func numberFamilies(rules map[string]*Compiled) (map[*Compiled]int, int) {
 }
 
 // guardMemo holds, for one round, each family's path value per event. What
-// follows a passing guard (alert, action, step or async sink) may write, so
-// every pass clears the memo and a later member reads the path again.
+// follows a passing guard (alert, action, step or async sink) may write, so a
+// value read before the transaction's write count moved is read again.
 type guardMemo struct {
 	families, events int
-	gen              uint64       // slots stamped with an older generation are stale
 	slots            [][]memoSlot // [family][event], allocated when first reached
 }
 
 type memoSlot struct {
-	gen uint64
-	v   value.Value
+	stamp uint64 // tx.Writes()+1 when read; 0 = not read
+	v     value.Value
 }
 
 func newGuardMemo(families, events int) guardMemo {
-	return guardMemo{families: families, events: events, gen: 1}
+	return guardMemo{families: families, events: events}
 }
 
 func (m *guardMemo) slot(fam, i int) *memoSlot {
@@ -134,12 +133,9 @@ func (m *guardMemo) slot(fam, i int) *memoSlot {
 	return &m.slots[fam][i]
 }
 
-// clear invalidates every memoized path value.
-func (m *guardMemo) clear() { m.gen++ }
-
 // check decides d's guard for the round's i-th event: a family member
 // applies its comparison to the family's path value, read at most once per
-// event between passes; any other guard is evaluated whole. Every read of an
+// event between writes; any other guard is evaluated whole. Every read of an
 // expression counts in report.GuardEvals.
 func (m *guardMemo) check(tx *graph.Tx, d dispatchEntry, i int, bind Binding, now time.Time,
 	report *Report) (bool, error) {
@@ -155,13 +151,13 @@ func (m *guardMemo) check(tx *graph.Tx, d dispatchEntry, i int, bind Binding, no
 		return cr.guard.EvalBool(tx, opts())
 	}
 	s := m.slot(d.fam, i)
-	if s.gen != m.gen {
+	if stamp := tx.Writes() + 1; s.stamp != stamp {
 		report.GuardEvals++
 		v, err := cr.cmp.path.Eval(tx, opts())
 		if err != nil {
 			return false, err
 		}
-		*s = memoSlot{gen: m.gen, v: v}
+		*s = memoSlot{stamp: stamp, v: v}
 	}
 	return cr.cmp.holds(s.v), nil
 }

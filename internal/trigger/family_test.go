@@ -196,6 +196,28 @@ func TestGuardFamilyRereadsAfterPass(t *testing.T) {
 	}
 }
 
+// A pass that writes nothing keeps the memo: the first member's alert finds
+// no rows, so the second member compares the value the first one read.
+func TestGuardFamilyKeepsMemoWithoutWrite(t *testing.T) {
+	s := graph.NewStore()
+	e := newTestEngine()
+	for _, r := range []Rule{
+		{Name: "quiet", Event: Event{Kind: CreateNode, Label: "Txn"},
+			Guard: "NEW.account = 'a1'", Alert: "MATCH (m:Missing) RETURN m"},
+		{Name: "loud", Event: Event{Kind: CreateNode, Label: "Txn"},
+			Guard: "NEW.account <> 'zz'", Alert: "RETURN NEW.account AS account"},
+	} {
+		if err := e.Install(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep := run(t, s, e, "CREATE (:Txn {account: 'a1'})")
+	if rep.GuardPasses != 2 || rep.AlertNodes != 1 || rep.GuardEvals != 1 {
+		t.Fatalf("GuardPasses = %d, AlertNodes = %d, GuardEvals = %d; want 2, 1 and 1",
+			rep.GuardPasses, rep.AlertNodes, rep.GuardEvals)
+	}
+}
+
 // When a family's path fails, the error names the first rule reached and
 // reads exactly as that rule's whole guard would have failed.
 func TestGuardFamilyErrorNamesFirstRule(t *testing.T) {

@@ -245,9 +245,9 @@ func TestGuardFamiliesFraudStreamStats(t *testing.T) {
 	if got != want {
 		t.Errorf("stream stats moved:\n got  %s\n want %s", got, want)
 	}
-	// A family's path is read once per event of the batch, and again after
-	// each passing member, not once per member: about 8 reads per Txn event
-	// against 47 checks.
+	// A family's path is read once per event of the batch, and again only
+	// after a passing member wrote, not once per member: about 7 reads per
+	// Txn event against 47 checks.
 	if sum.GuardEvals*4 > sum.GuardChecks {
 		t.Errorf("GuardEvals = %d of %d checks: the families are not shared", sum.GuardEvals, sum.GuardChecks)
 	}

@@ -274,7 +274,7 @@ func RemoteAlerts(kb *KnowledgeBase) ([]Alert, error) { return fednet.RemoteAler
 
 // MetricsRegistry holds a knowledge base's runtime instrumentation —
 // counters, gauges and latency histograms for the trigger engine, the graph
-// store, the write-ahead log and the periodic scheduler. Obtain it with
+// store, the write-ahead log and the Essential Summary. Obtain it with
 // KnowledgeBase.Metrics; serve it with WritePrometheus or inspect it with
 // Gather. See OBSERVABILITY.md for the full metric catalog.
 type MetricsRegistry = metrics.Registry

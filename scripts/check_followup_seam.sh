@@ -6,7 +6,10 @@
 #         primitive, internal/core/bookkeeping.go;
 #   (ii)  Engine.SkipLabels is assigned outside internal/core;
 #   (iii) the retry timing knobs (BackoffBase ...) are declared in more than
-#         one package (internal/backoff holds them).
+#         one package (internal/backoff holds them);
+#   (iv)  a periodic loop is built on time.NewTicker or time.Tick( anywhere
+#         but core.Driver (internal/core/bookkeeping.go) and the WAL's
+#         interval fsync (internal/wal/wal.go, which cannot import core).
 #
 # Usage: ./scripts/check_followup_seam.sh   (from the repository root)
 set -eu
@@ -40,6 +43,14 @@ decl=$(echo "$files" | xargs grep -nE '^[[:space:]]*BackoffBase[[:space:]]+time\
 if [ "$(echo "$decl" | sed 's|/[^/]*$||' | sort -u | grep -c .)" -gt 1 ]; then
     echo "check_followup_seam: BackoffBase declared in more than one package (embed backoff.Policy):" >&2
     echo "$decl" >&2
+    status=1
+fi
+
+bad=$(echo "$files" | grep -v "^\./$seam\$" | grep -v '^\./internal/wal/wal\.go$' | xargs grep -nE \
+    'time\.(NewTicker|Tick)\(' || true)
+if [ -n "$bad" ]; then
+    echo "check_followup_seam: periodic loop outside core.Driver (use core.Drive):" >&2
+    echo "$bad" >&2
     status=1
 fi
 
