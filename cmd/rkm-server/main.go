@@ -206,10 +206,7 @@ func start(o options) (*server, error) {
 		if o.demo || o.fedName != "" {
 			return nil, errors.New("-replica-of is incompatible with -demo and -fed-name (followers are read-only)")
 		}
-		fol, err := replica.OpenFollower(o.dataDir, o.replicaOf, cfg, replica.Options{
-			WAL:  wopts,
-			Logf: log.Printf,
-		})
+		fol, err := replica.OpenFollower(o.dataDir, o.replicaOf, cfg, replica.Options{WAL: wopts})
 		if err != nil {
 			return nil, fmt.Errorf("replica of %s: %w", o.replicaOf, err)
 		}
@@ -284,7 +281,7 @@ func start(o options) (*server, error) {
 	}
 
 	if o.fedName != "" {
-		node, err := fednet.NewNode(o.fedName, srv.kb, fednet.Options{Logf: log.Printf})
+		node, err := fednet.NewNode(o.fedName, srv.kb, fednet.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("federation: %w", err)
 		}
@@ -330,7 +327,7 @@ func start(o options) (*server, error) {
 		// Every durable server is a potential replication leader: followers
 		// attach with -replica-of pointed at this server's /wal endpoints.
 		// Shipping several shard streams is not ported yet.
-		ld, err := replica.NewLeader(srv.kb, replica.Options{Logf: log.Printf})
+		ld, err := replica.NewLeader(srv.kb, replica.Options{})
 		switch {
 		case errors.Is(err, reactive.ErrMultiShard):
 			log.Printf("replication: /wal endpoints not mounted: %v", err)

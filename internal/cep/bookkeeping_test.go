@@ -2,8 +2,8 @@ package cep
 
 // A composite completion is an ordinary reaction reached later: these tests
 // pin what that buys — the composite alert goes through the engine's one
-// materializer (Essential Summary attachment, Config.AlertLabel, the trigger
-// metrics) — and run the bookkeeping contract of core.Bookkeeping with
+// materializer (Essential Summary attachment, the one alert label, the
+// trigger metrics) — and run the bookkeeping contract of core.Bookkeeping with
 // CEPPartial as the user (internal/core runs it for PendingAlert).
 
 import (
@@ -65,42 +65,50 @@ func TestCEPCompositeAlertAttachedToCurrentSummary(t *testing.T) {
 	}
 }
 
-func TestCEPCompositeAlertHonoursConfigAlertLabel(t *testing.T) {
-	kb := core.New(core.Config{Clock: periodic.NewManualClock(cepT0), AlertLabel: "Crit"})
-	m, err := Enable(kb, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	override := seq2("loud", 5*time.Minute)
-	override.AlertLabel = "Loud"
-	for _, r := range []trigger.Rule{seq2("pair", 5*time.Minute), override} {
+// TestEveryAlertIsAnAlertNode runs the three ways an alert is born — a
+// synchronous rule, a composite completion and an afterAsync drain — and
+// checks that each one is an :Alert node that kb.Alerts() lists, and that
+// the APOC export creates the same label.
+func TestEveryAlertIsAnAlertNode(t *testing.T) {
+	kb, _, m := newCEPKB(t)
+	later := plainE1
+	later.Name, later.Phase = "later", trigger.AfterAsync
+	for _, r := range []trigger.Rule{plainE1, seq2("pair", 5*time.Minute), later} {
 		if err := kb.InstallRule(r); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := kb.StartAsync(core.AsyncOptions{Workers: -1}); err != nil {
+		t.Fatal(err)
+	}
+	defer kb.StopAsync()
 	cepExec(t, kb, "CREATE (:E0 {k: 'a'})")
 	cepExec(t, kb, "CREATE (:E1 {k: 'a'})")
-	if n := drain(t, m); n != 2 {
-		t.Fatalf("drained %d, want 2", n)
+	if n, err := kb.DrainAsync(); err != nil || n != 1 {
+		t.Fatalf("DrainAsync = %d, %v; want 1", n, err)
 	}
-	alerts := cepAlerts(t, kb)
-	if len(alerts) != 1 || alerts[0].Rule != "pair" {
-		t.Fatalf("kb.Alerts() = %d (%+v), want the one composite alert of rule pair under :Crit", len(alerts), alerts)
+	if n := drain(t, m); n != 1 {
+		t.Fatalf("drained %d, want 1", n)
 	}
-	for label, want := range map[string]int{"Crit": 1, "Loud": 1, trigger.DefaultAlertLabel: 0} {
-		if got := kb.Shards().LabelCount(label); got != want {
-			t.Errorf("%d :%s node(s), want %d", got, label, want)
-		}
+	var rules []string
+	for _, a := range cepAlerts(t, kb) {
+		rules = append(rules, a.Rule)
 	}
-	// The APOC drain job creates the same labels.
+	sort.Strings(rules)
+	if fmt.Sprint(rules) != "[later pair plain]" {
+		t.Fatalf("kb.Alerts() rules = %v, want [later pair plain]", rules)
+	}
+	if got := kb.Shards().LabelCount(trigger.AlertLabel); got != 3 {
+		t.Fatalf("%d :%s nodes, want 3", got, trigger.AlertLabel)
+	}
 	exp := kb.TranslateRulesAPOC("neo4j", "")
-	out, skipped := exp.Composite, exp.CompositeSkipped
-	if len(skipped) != 0 {
-		t.Fatalf("skipped: %v", skipped)
+	if len(exp.Skipped) != 0 || len(exp.CompositeSkipped) != 0 {
+		t.Fatalf("skipped: %v %v", exp.Skipped, exp.CompositeSkipped)
 	}
-	all := strings.Join(out, "\n")
-	if !strings.Contains(all, "CREATE (:Crit {rule: 'pair'") || !strings.Contains(all, "CREATE (:Loud {rule: 'loud'") {
-		t.Fatalf("APOC export does not use the resolved alert labels:\n%s", all)
+	for _, name := range rules {
+		if all := strings.Join(append(exp.Triggers, exp.Composite...), "\n"); !strings.Contains(all, "CREATE (:Alert {rule: '"+name+"'") {
+			t.Fatalf("APOC export creates no :Alert for rule %s:\n%s", name, all)
+		}
 	}
 }
 

@@ -40,16 +40,11 @@ type Config struct {
 	// Clock drives datetime(), alert timestamps and the summary rollover;
 	// nil means the wall clock. Simulations pass a periodic.ManualClock.
 	Clock periodic.Clock
-	// MaxCascadeDepth bounds cascading rule rounds per transaction
-	// (0 = trigger.DefaultMaxCascadeDepth).
-	MaxCascadeDepth int
 	// StrictTermination rejects rules that make the triggering graph cyclic.
 	StrictTermination bool
 	// EnforceIntraHubGuards rejects rules whose guard provably reads
 	// another hub's knowledge (§III-B's locality requirement for guards).
 	EnforceIntraHubGuards bool
-	// AlertLabel overrides the label of produced alert nodes ("Alert").
-	AlertLabel string
 	// Metrics is the registry the knowledge base registers its instruments
 	// on; nil means a fresh private registry (see KnowledgeBase.Metrics).
 	// Sharing one registry across knowledge bases aggregates their counts.
@@ -210,12 +205,8 @@ func assemble(cfg Config, hubs *hub.Registry, defs []HubShard, ss *graph.Sharded
 		kb.hubOf[i] = d.Hub
 	}
 	e := trigger.NewEngine()
-	e.MaxCascadeDepth = cfg.MaxCascadeDepth
 	e.StrictTermination = cfg.StrictTermination
 	e.EnforceIntraHubGuards = cfg.EnforceIntraHubGuards
-	if cfg.AlertLabel != "" {
-		e.AlertLabel = cfg.AlertLabel
-	}
 	e.Clock = clock.Now
 	e.Resolver = kb.hubs.OwnerOfLabel
 	// The async pipeline's queue bookkeeping must never re-trigger rules,
@@ -704,14 +695,10 @@ func (kb *KnowledgeBase) AlertsAfter(after graph.NodeID) ([]Alert, error) {
 // (unsorted) from every shard: an alert node lives in the shard of the hub
 // whose rule fired.
 func (kb *KnowledgeBase) collectAlerts(after graph.NodeID) []Alert {
-	label := kb.engine.AlertLabel
-	if label == "" {
-		label = trigger.DefaultAlertLabel
-	}
 	v := kb.view(allShards)
 	defer v.Rollback()
 	var out []Alert
-	for _, id := range v.NodesByLabel(label) {
+	for _, id := range v.NodesByLabel(trigger.AlertLabel) {
 		if id <= after {
 			continue
 		}
@@ -727,12 +714,12 @@ func (kb *KnowledgeBase) collectAlerts(after graph.NodeID) []Alert {
 // payload, so n must be a snapshot the caller owns (Tx.Node returns one).
 func DecodeAlert(n graph.Node) Alert {
 	a := Alert{ID: n.ID, Props: n.Props}
-	a.Rule, _ = n.Props["rule"].AsString()
-	a.Hub, _ = n.Props["hub"].AsString()
-	a.DateTime, _ = n.Props["dateTime"].AsDateTime()
-	delete(n.Props, "rule")
-	delete(n.Props, "hub")
-	delete(n.Props, "dateTime")
+	a.Rule, _ = n.Props[trigger.AlertRuleProp].AsString()
+	a.Hub, _ = n.Props[trigger.AlertHubProp].AsString()
+	a.DateTime, _ = n.Props[trigger.AlertDateTimeProp].AsDateTime()
+	delete(n.Props, trigger.AlertRuleProp)
+	delete(n.Props, trigger.AlertHubProp)
+	delete(n.Props, trigger.AlertDateTimeProp)
 	return a
 }
 
@@ -789,16 +776,13 @@ func (kb *KnowledgeBase) Fork(clock periodic.Clock) (*KnowledgeBase, error) {
 	// skew the parent's counters.
 	nkb, err := assemble(Config{
 		Clock:                 clock,
-		MaxCascadeDepth:       kb.engine.MaxCascadeDepth,
 		StrictTermination:     kb.engine.StrictTermination,
 		EnforceIntraHubGuards: kb.engine.EnforceIntraHubGuards,
-		AlertLabel:            kb.engine.AlertLabel,
 	}, kb.hubs, nil, ss)
 	if err != nil {
 		return nil, err
 	}
 	e := nkb.engine
-	e.StateLabels = kb.engine.StateLabels
 	for _, info := range kb.engine.Rules() {
 		if info.Composite != nil {
 			continue

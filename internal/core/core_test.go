@@ -170,7 +170,6 @@ func TestRuleErrorRollsBackStatement(t *testing.T) {
 
 func testRuleErrorRollsBackStatement(t *testing.T, v Variant) {
 	kb, _ := v.OpenSim(t)
-	kb.Engine().MaxCascadeDepth = 3
 	_ = kb.InstallRule(trigger.Rule{
 		Name:   "loop",
 		Event:  trigger.Event{Kind: trigger.CreateNode, Label: "Ping"},

@@ -173,7 +173,7 @@ func (kb *KnowledgeBase) wireMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc(mRels, "Relationships currently in the graph.",
 		func() float64 { return float64(kb.store.Stats().Relationships) })
 	reg.GaugeFunc(mAlertNodes, "Alert nodes currently in the graph.",
-		func() float64 { return float64(kb.store.LabelCount(kb.engine.AlertLabel)) })
+		func() float64 { return float64(kb.store.LabelCount(trigger.AlertLabel)) })
 	kb.mCross = reg.Counter(mShardCrossCommits,
 		"Committed two-shard bridge transactions.")
 	kb.mXQuery = reg.Counter(mShardQueries,

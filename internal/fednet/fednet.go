@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/url"
 	"sort"
@@ -90,9 +91,6 @@ type Options struct {
 	// Now overrides the breaker clock for deterministic tests (default
 	// time.Now).
 	Now func() time.Time
-	// Logf receives delivery diagnostics (retries, open circuits); nil
-	// discards them.
-	Logf func(format string, args ...any)
 	// Seed fixes the jitter source for reproducible tests (0 = time-based).
 	Seed int64
 }
@@ -107,9 +105,6 @@ func (o Options) withDefaults() Options {
 	o.Policy = o.Policy.WithDefaults()
 	if o.Now == nil {
 		o.Now = time.Now
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
 	}
 	return o
 }
@@ -350,7 +345,7 @@ func (n *Node) pushBatch(ctx context.Context, p *peerLink, chunk []core.Alert) (
 			return nil, fmt.Errorf("%w: %s (after %v)", ErrPeerUnavailable, p.name, err)
 		}
 		n.nm.retries.With(p.name).Inc()
-		n.opts.Logf("fednet: %s→%s: attempt %d failed (%v), retrying", n.name, p.name, attempt, err)
+		log.Printf("fednet: %s→%s: attempt %d failed (%v), retrying", n.name, p.name, attempt, err)
 		if err := backoff.Sleep(ctx, n.jitter.Delay(attempt)); err != nil {
 			return nil, err
 		}
@@ -392,7 +387,7 @@ func (n *Node) Start(every time.Duration) error {
 	}
 	d := core.Drive(every, func() {
 		if _, err := n.SyncAll(context.Background()); err != nil {
-			n.opts.Logf("fednet: background sync: %v", err)
+			log.Printf("fednet: background sync: %v", err)
 		}
 	})
 	if !n.driver.CompareAndSwap(nil, d) {

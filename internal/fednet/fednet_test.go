@@ -412,15 +412,16 @@ func TestSenderRestartAfterPartialPush(t *testing.T) {
 
 // TestStartSchedulesPeriodicSync runs the background loop on the wall clock:
 // it delivers without anyone ticking the knowledge base, a dead peer's
-// failures do not stop later passes, and Stop ends the loop.
+// failures (counted in rkm_fed_push_errors_total) do not stop later passes,
+// and Stop ends the loop.
 func TestStartSchedulesPeriodicSync(t *testing.T) {
 	srcKB := newMemKB(t)
 	dstKB := newMemKB(t)
 	_, url, _ := newReceiver(t, "region", dstKB)
-	var failures atomic.Int64
 	opts := testOpts()
-	opts.Logf = func(string, ...any) { failures.Add(1) }
+	opts.BreakerCooldown = 10 * time.Millisecond // later passes retry the dead peer
 	src, _ := NewNode("clinic", srcKB, opts)
+	failures := src.nm.pushErrors.With("ghost")
 	if err := src.Subscribe("ghost", "http://127.0.0.1:1"); err != nil {
 		t.Fatal(err)
 	}
@@ -449,20 +450,20 @@ func TestStartSchedulesPeriodicSync(t *testing.T) {
 	}
 	admit(t, srcKB, "Lombardy")
 	eventually("first delivery", delivered(1))
-	eventually("the dead peer's failure", func() bool { return failures.Load() > 0 })
+	eventually("the dead peer's failure", func() bool { return failures.Value() > 0 })
 	// Passes go on over the dead peer: a later alert still goes out.
-	seen := failures.Load()
+	seen := failures.Value()
 	admit(t, srcKB, "Veneto")
 	eventually("second delivery", delivered(2))
-	eventually("a later failed pass", func() bool { return failures.Load() > seen })
+	eventually("a later failed pass", func() bool { return failures.Value() > seen })
 
 	src.Stop()
 	src.Stop()
-	stopped := failures.Load()
+	stopped := failures.Value()
 	admit(t, srcKB, "Piedmont")
 	time.Sleep(50 * time.Millisecond)
-	if got := len(remoteIDs(t, dstKB)); got != 2 || failures.Load() != stopped {
-		t.Fatalf("after Stop: %d remote alerts, %d more passes; want 2 and 0", got, failures.Load()-stopped)
+	if got := len(remoteIDs(t, dstKB)); got != 2 || failures.Value() != stopped {
+		t.Fatalf("after Stop: %d remote alerts, %d more push errors; want 2 and 0", got, failures.Value()-stopped)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/trigger"
 	"repro/internal/value"
 )
 
@@ -52,11 +53,11 @@ func applyRemoteAlerts(kb *core.KnowledgeBase, origin string, alerts []core.Aler
 				continue
 			}
 			props := map[string]value.Value{
-				OriginProp:   value.Str(origin),
-				"rule":       value.Str(a.Rule),
-				"hub":        value.Str(a.Hub),
-				"dateTime":   value.DateTime(a.DateTime),
-				OriginIDProp: value.Int(int64(a.ID)),
+				OriginProp:                value.Str(origin),
+				trigger.AlertRuleProp:     value.Str(a.Rule),
+				trigger.AlertHubProp:      value.Str(a.Hub),
+				trigger.AlertDateTimeProp: value.DateTime(a.DateTime),
+				OriginIDProp:              value.Int(int64(a.ID)),
 			}
 			for k, v := range a.Props {
 				if _, taken := props[k]; !taken {

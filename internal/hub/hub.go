@@ -20,8 +20,8 @@ import (
 	"repro/internal/value"
 )
 
-// DefaultHubProperty is the node property naming the owning hub.
-const DefaultHubProperty = "hub"
+// HubProperty is the node property naming the owning hub.
+const HubProperty = "hub"
 
 // Errors reported by the registry.
 var (
@@ -46,18 +46,16 @@ type Registry struct {
 	mu      sync.RWMutex
 	hubs    map[string]*Hub
 	ownerOf map[string]string // label -> hub name
-	propKey string
 	// enforced tracks the stores Enforce has installed its validator on, so
 	// repeated calls (and per-shard enforcement) never double-install.
 	enforced map[*graph.Store]bool
 }
 
-// NewRegistry creates an empty registry using DefaultHubProperty.
+// NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		hubs:     make(map[string]*Hub),
 		ownerOf:  make(map[string]string),
-		propKey:  DefaultHubProperty,
 		enforced: make(map[*graph.Store]bool),
 	}
 }
@@ -138,7 +136,7 @@ func (r *Registry) OwnedLabels(hubName string) []string {
 // OwnerOfNode determines the hub owning a node, preferring the node's hub
 // property and falling back to label ownership.
 func (r *Registry) OwnerOfNode(tx graph.ReadView, id graph.NodeID) (string, bool) {
-	if v, ok := tx.NodeProp(id, r.propKey); ok {
+	if v, ok := tx.NodeProp(id, HubProperty); ok {
 		if s, isStr := v.AsString(); isStr {
 			return s, true
 		}
@@ -181,7 +179,7 @@ func (r *Registry) Enforce(s *graph.Store) {
 			check[lc.Node] = true
 		}
 		for _, pc := range data.AssignedProps {
-			if pc.Kind == graph.NodeEntity && pc.Key == r.propKey {
+			if pc.Kind == graph.NodeEntity && pc.Key == HubProperty {
 				check[pc.Node] = true
 			}
 		}
@@ -222,7 +220,7 @@ func (r *Registry) checkNode(tx *graph.Tx, id graph.NodeID) error {
 	if owner == "" {
 		return nil // no owned labels: unconstrained
 	}
-	v, has := tx.NodeProp(id, r.propKey)
+	v, has := tx.NodeProp(id, HubProperty)
 	if !has {
 		return fmt.Errorf("%w: node %d (labels owned by %s)", ErrMissingHub, id, owner)
 	}
@@ -301,5 +299,5 @@ func (r *Registry) ComputeStats(tx graph.ReadView) Stats {
 // HubProp builds the property map fragment {hub: name}; a convenience for
 // node-creation call sites.
 func HubProp(name string) map[string]value.Value {
-	return map[string]value.Value{DefaultHubProperty: value.Str(name)}
+	return map[string]value.Value{HubProperty: value.Str(name)}
 }

@@ -197,7 +197,7 @@ func TestEnforceOnLabelAssignment(t *testing.T) {
 	}
 	// Setting the hub property first, then the label, passes.
 	err = s.Update(func(tx *graph.Tx) error {
-		if err := tx.SetNodeProp(id, DefaultHubProperty, value.Str("R")); err != nil {
+		if err := tx.SetNodeProp(id, HubProperty, value.Str("R")); err != nil {
 			return err
 		}
 		return tx.SetLabel(id, "Region")

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"strconv"
 	"sync"
@@ -129,7 +130,7 @@ func OpenFollower(dataDir, leaderURL string, cfg core.Config, opts Options) (*Fo
 	if serr == nil && kb.ReplicaAppliedSeq(0) < st.TailStart {
 		// The leader compacted past our cursor while we were down. Local
 		// state is unrecoverable for streaming; start over from a snapshot.
-		opts.Logf("replica: cursor %d behind leader tail %d; re-bootstrapping", kb.ReplicaAppliedSeq(0), st.TailStart)
+		log.Printf("replica: cursor %d behind leader tail %d; re-bootstrapping", kb.ReplicaAppliedSeq(0), st.TailStart)
 		if err := kb.Close(); err != nil {
 			return nil, err
 		}
@@ -268,19 +269,19 @@ func (f *Follower) run(ctx context.Context) {
 		case errors.Is(err, core.ErrReplicaDiverged):
 			// The local log is ahead of the in-memory graph; applying more
 			// would compound the damage. A process restart recovers cleanly.
-			f.opts.Logf("replica: %v", err)
+			log.Printf("replica: %v", err)
 			f.setState("failed")
 			return
 		}
 		var te *TruncatedStreamError
 		if errors.As(err, &te) {
-			f.opts.Logf("replica: %v", te)
+			log.Printf("replica: %v", te)
 			f.setState("bootstrap-required")
 			return
 		}
 		failures++
 		f.m.streamErrors.Inc()
-		f.opts.Logf("replica: stream attempt failed (%v), retrying", err)
+		log.Printf("replica: stream attempt failed (%v), retrying", err)
 		delay := jitter.Delay(failures)
 		if failures >= f.opts.BreakerThreshold {
 			delay = f.opts.BreakerCooldown

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"strconv"
 	"time"
@@ -81,7 +82,7 @@ func (ld *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if err := view.Export(w); err != nil {
 		// Headers are gone; the export is torn. The follower's JSON decode
 		// fails and it retries.
-		ld.opts.Logf("replica: snapshot export: %v", err)
+		log.Printf("replica: snapshot export: %v", err)
 		return
 	}
 	ld.m.snapshotsServed.Inc()
@@ -140,7 +141,7 @@ func (ld *Leader) handleStream(w http.ResponseWriter, r *http.Request) {
 		if recs, err = cur.Next(ld.opts.BatchSize); err != nil {
 			// Mid-stream truncation or read error: the status line is sent,
 			// so cut the connection; the follower's reconnect gets the 410.
-			ld.opts.Logf("replica: stream after %d: %v", after, err)
+			log.Printf("replica: stream after %d: %v", after, err)
 			return
 		}
 	}

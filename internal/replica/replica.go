@@ -130,8 +130,6 @@ type Options struct {
 	// stream (BackoffBase, BackoffMax, jittered) and, after BreakerThreshold
 	// consecutive failures, makes it stay away for BreakerCooldown.
 	backoff.Policy
-	// Logf receives replication diagnostics; nil discards them.
-	Logf func(format string, args ...any)
 }
 
 func (o Options) withDefaults() Options {
@@ -151,8 +149,5 @@ func (o Options) withDefaults() Options {
 		o.StreamWindow = 30 * time.Second
 	}
 	o.Policy = o.Policy.WithDefaults()
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
-	}
 	return o
 }

@@ -58,7 +58,7 @@ func TranslateAPOC(r Rule, dbName, phase string) ([]string, error) {
 
 	// The do.when action: the alert query extended with the Alert-node
 	// creation carrying the mandatory properties and the alert columns.
-	action, err := buildAPOCAction(r, alertLabelOf(r))
+	action, err := buildAPOCAction(r)
 	if err != nil {
 		return nil, err
 	}
@@ -71,22 +71,13 @@ func TranslateAPOC(r Rule, dbName, phase string) ([]string, error) {
 		"'"+dbName+"'", "'"+r.Name+"'", apocQuote(statement), phase)}, nil
 }
 
-// alertLabelOf is the label of r's alert nodes.
-func alertLabelOf(r Rule) string {
-	if r.AlertLabel == "" {
-		return DefaultAlertLabel
-	}
-	return r.AlertLabel
-}
-
 // buildAPOCAction assembles the alert query plus alert-node creation. The
 // alert's result columns become both the WITH projection and the Alert
 // node's payload properties, mirroring Fig. 7.
-func buildAPOCAction(r Rule, alertLabel string) (string, error) {
+func buildAPOCAction(r Rule) (string, error) {
 	if r.Alert == "" {
 		// Guard-only rule: the passing guard is itself critical.
-		return fmt.Sprintf("CREATE (:%s {rule: '%s', hub: '%s', dateTime: datetime()})",
-			alertLabel, r.Name, r.Hub), nil
+		return fmt.Sprintf("CREATE (:%s {%s})", AlertLabel, apocAlertProps(r)), nil
 	}
 	stmt, err := cypher.Parse(r.Alert)
 	if err != nil {
@@ -106,16 +97,19 @@ func buildAPOCAction(r Rule, alertLabel string) (string, error) {
 	body := strings.TrimSpace(alertText[:idx])
 	projection := strings.TrimSpace(alertText[idx+len("RETURN "):])
 
-	props := []string{
-		fmt.Sprintf("rule: '%s'", r.Name),
-		fmt.Sprintf("hub: '%s'", r.Hub),
-		"dateTime: datetime()",
-	}
+	props := []string{apocAlertProps(r)}
 	for _, c := range cols {
 		props = append(props, fmt.Sprintf("%s: %s", c, c))
 	}
 	return fmt.Sprintf("%s WITH %s CREATE (:%s {%s})",
-		body, projection, alertLabel, strings.Join(props, ", ")), nil
+		body, projection, AlertLabel, strings.Join(props, ", ")), nil
+}
+
+// apocAlertProps renders the mandatory alert properties of r's alert nodes
+// as a Cypher map body.
+func apocAlertProps(r Rule) string {
+	return fmt.Sprintf("%s: '%s', %s: '%s', %s: datetime()",
+		AlertRuleProp, r.Name, AlertHubProp, r.Hub, AlertDateTimeProp)
 }
 
 // translateComposite renders a composite rule's step triggers and drain job.
@@ -142,8 +136,8 @@ func translateComposite(r Rule, dbName string) ([]string, error) {
 		armed = final
 	}
 	drain := fmt.Sprintf(
-		"MATCH (p:CEPPartial {rule: '%s'})\nWITH p, p.done OR (p.state = %d AND timestamp() >= p.deadline) AS completed\nFOREACH (_ IN CASE WHEN completed THEN [1] ELSE [] END |\n  CREATE (:%s {rule: '%s', hub: '%s', dateTime: datetime(), key: p.key}))\nWITH p, completed\nWHERE completed OR timestamp() >= p.deadline\nDETACH DELETE p",
-		r.Name, armed, alertLabelOf(r), r.Name, r.Hub)
+		"MATCH (p:CEPPartial {rule: '%s'})\nWITH p, p.done OR (p.state = %d AND timestamp() >= p.deadline) AS completed\nFOREACH (_ IN CASE WHEN completed THEN [1] ELSE [] END |\n  CREATE (:%s {%s, key: p.key}))\nWITH p, completed\nWHERE completed OR timestamp() >= p.deadline\nDETACH DELETE p",
+		r.Name, armed, AlertLabel, apocAlertProps(r))
 	return append(out, fmt.Sprintf("CALL apoc.periodic.repeat('%s', %s, 1);",
 		"cep-drain:"+r.Name, apocQuote(drain))), nil
 }

@@ -104,13 +104,13 @@ func nonWildcard(a, b string) string {
 // alertOnly reports whether the rule's only write effect is alert-node
 // creation: alert nodes carry fresh identity and are append-only, so two
 // alert-only rules commute even when they read the same data.
-func alertOnly(fp footprint, alertLabel string) bool {
+func alertOnly(fp footprint) bool {
 	if fp.deletes || len(fp.setsProps) > 0 || len(fp.setsLabels) > 0 ||
 		len(fp.removesProps) > 0 || len(fp.createdRels) > 0 {
 		return false
 	}
 	for _, l := range fp.created {
-		if l != alertLabel {
+		if l != AlertLabel {
 			return false
 		}
 	}
@@ -144,8 +144,8 @@ func (e *Engine) CheckConfluence() []ConfluenceWarning {
 				continue
 			}
 			fa, fb := a.footprint(), b.footprint()
-			if alertOnly(fa, a.AlertLabel) && alertOnly(fb, b.AlertLabel) &&
-				!readsLabel(fa, b.AlertLabel) && !readsLabel(fb, a.AlertLabel) {
+			if alertOnly(fa) && alertOnly(fb) &&
+				!readsLabel(fa, AlertLabel) && !readsLabel(fb, AlertLabel) {
 				// Two append-only alert producers commute — unless one of
 				// them reads the other's alerts, in which case the firing
 				// order within a round is observable.

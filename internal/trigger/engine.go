@@ -13,12 +13,18 @@ import (
 	"repro/internal/value"
 )
 
-// DefaultAlertLabel is the label of produced alert nodes.
-const DefaultAlertLabel = "Alert"
+// The alert format of §III-B: every alert node carries AlertLabel and the
+// three mandatory properties naming the rule, its hub and the firing time.
+const (
+	AlertLabel        = "Alert"
+	AlertRuleProp     = "rule"
+	AlertHubProp      = "hub"
+	AlertDateTimeProp = "dateTime"
+)
 
-// DefaultMaxCascadeDepth bounds cascading rule rounds within one
-// transaction.
-const DefaultMaxCascadeDepth = 16
+// MaxCascadeDepth bounds cascading rule rounds within one transaction, the
+// bounded cascade of PG-Triggers.
+const MaxCascadeDepth = 16
 
 // AlertHook is invoked for every alert node the engine creates, within the
 // same transaction; the Essential Summary manager uses it to attach alerts
@@ -85,9 +91,6 @@ type Engine struct {
 	index   *dispatchIndex
 	nextSeq int
 
-	// MaxCascadeDepth bounds rounds of cascading activations per
-	// transaction (0 means DefaultMaxCascadeDepth).
-	MaxCascadeDepth int
 	// StrictTermination makes Install reject rules that introduce a cycle
 	// into the triggering graph.
 	StrictTermination bool
@@ -96,17 +99,12 @@ type Engine struct {
 	// the paper's requirement that guards be evaluated within a single hub
 	// (§III-B). Requires a Resolver; unresolvable labels are allowed.
 	EnforceIntraHubGuards bool
-	// AlertLabel is the default label for alert nodes ("Alert").
-	AlertLabel string
 	// Clock supplies the timestamp recorded on alert nodes; nil = time.Now.
 	Clock func() time.Time
 	// OnAlert is called for each created alert node.
 	OnAlert AlertHook
 	// Resolver maps labels to hubs for rule classification; may be nil.
 	Resolver LabelHubResolver
-	// StateLabels overrides the labels treated as historical state in
-	// classification; nil = {Summary, Current, Alert}.
-	StateLabels map[string]bool
 	// AsyncSink, when set, receives the passing bindings of AfterAsync
 	// rules instead of the engine running their alert query in-transaction.
 	// Nil means AfterAsync rules are evaluated synchronously, like Before
@@ -130,23 +128,8 @@ func NewEngine() *Engine {
 	return &Engine{
 		rules:      make(map[string]*Compiled),
 		index:      buildDispatch(nil),
-		AlertLabel: DefaultAlertLabel,
 		SkipLabels: make(map[string]bool),
 	}
-}
-
-func (e *Engine) alertLabel() string {
-	if e.AlertLabel == "" {
-		return DefaultAlertLabel
-	}
-	return e.AlertLabel
-}
-
-func (e *Engine) maxDepth() int {
-	if e.MaxCascadeDepth <= 0 {
-		return DefaultMaxCascadeDepth
-	}
-	return e.MaxCascadeDepth
 }
 
 func (e *Engine) now() time.Time {
@@ -159,7 +142,7 @@ func (e *Engine) now() time.Time {
 // Install compiles and registers a rule. With StrictTermination set, the
 // rule is rejected if it would make the triggering graph cyclic.
 func (e *Engine) Install(r Rule) error {
-	cr, err := compileRule(r, e.alertLabel())
+	cr, err := compileRule(r)
 	if err != nil {
 		return err
 	}
@@ -177,20 +160,13 @@ func (e *Engine) Install(r Rule) error {
 			return fmt.Errorf("%w: %s (cycle: %v)", ErrNonTerminating, r.Name, cycles[0])
 		}
 	}
-	if e.EnforceIntraHubGuards && e.Resolver != nil {
-		state := e.StateLabels
-		if state == nil {
-			state = defaultStateLabels
-		}
+	if e.EnforceIntraHubGuards {
 		for _, d := range cr.dispatched() {
 			if d.guard == nil {
 				continue
 			}
 			for _, l := range cypher.InspectExpr(d.guard.Expr()).MatchedNodeLabels {
-				if state[l] || l == cr.AlertLabel {
-					continue
-				}
-				if owner, ok := e.Resolver(l); ok && owner != cr.Hub {
+				if owner, _, ok := placeLabel(l, e.Resolver); ok && owner != cr.Hub {
 					return fmt.Errorf("%w: %s guard reads :%s (hub %s)",
 						ErrGuardNotIntraHub, r.Name, l, owner)
 				}
@@ -286,7 +262,7 @@ func (e *Engine) Rules() []RuleInfo {
 		out = append(out, RuleInfo{
 			Rule:           r,
 			Paused:         cr.paused.Load(),
-			Classification: Classify(cr, e.Resolver, e.StateLabels),
+			Classification: Classify(cr, e.Resolver),
 			Stats:          stats,
 		})
 	}
@@ -299,7 +275,7 @@ func (e *Engine) ClassifyRule(name string) (Classification, error) {
 	if err != nil {
 		return Classification{}, err
 	}
-	return Classify(cr, e.Resolver, e.StateLabels), nil
+	return Classify(cr, e.Resolver), nil
 }
 
 func (e *Engine) ruleListLocked() []*Compiled {
@@ -384,7 +360,7 @@ func (e *Engine) Process(tx *graph.Tx, data *graph.TxData) (*Report, error) {
 		if cur.Empty() {
 			break
 		}
-		if round >= e.maxDepth() {
+		if round >= MaxCascadeDepth {
 			tx.MergeData(total)
 			return report, fmt.Errorf("%w (%d rounds)", ErrCascadeDepth, round)
 		}
@@ -517,7 +493,7 @@ func (e *Engine) RunAlert(tx *graph.Tx, cr *Compiled, bind Binding, now time.Tim
 }
 
 // Materialize is the only place an alert node is born. For every critical
-// row it creates one node labeled cr.AlertLabel carrying the mandatory rule,
+// row it creates one node labeled AlertLabel carrying the mandatory rule,
 // hub and dateTime properties (§III-B) plus the row's columns, hands it to
 // OnAlert (the Essential Summary's has edge) and counts it — or, when the
 // rule has an Action, runs that instead with the row's columns and the
@@ -543,9 +519,9 @@ func (e *Engine) Materialize(tx *graph.Tx, cr *Compiled, bind Binding, now time.
 			continue
 		}
 		props := map[string]value.Value{
-			"rule":     value.Str(cr.Name),
-			"hub":      value.Str(cr.Hub),
-			"dateTime": value.DateTime(now),
+			AlertRuleProp:     value.Str(cr.Name),
+			AlertHubProp:      value.Str(cr.Hub),
+			AlertDateTimeProp: value.DateTime(now),
 		}
 		for i, c := range cols {
 			v := rowVals[i]
@@ -555,7 +531,7 @@ func (e *Engine) Materialize(tx *graph.Tx, cr *Compiled, bind Binding, now time.
 			}
 			props[c] = v
 		}
-		id, err := tx.CreateNode([]string{cr.AlertLabel}, props)
+		id, err := tx.CreateNode([]string{AlertLabel}, props)
 		if err == nil && e.OnAlert != nil {
 			err = e.OnAlert(tx, id)
 		}

@@ -287,7 +287,6 @@ func TestCascadingRules(t *testing.T) {
 func TestCascadeDepthBound(t *testing.T) {
 	s := graph.NewStore()
 	e := newTestEngine()
-	e.MaxCascadeDepth = 4
 	// Self-perpetuating rule.
 	_ = e.Install(Rule{
 		Name:   "Loop",
@@ -301,6 +300,49 @@ func TestCascadeDepthBound(t *testing.T) {
 	// The failed transaction must leave nothing behind.
 	if got := s.Stats().Nodes; got != 0 {
 		t.Errorf("store has %d nodes after aborted cascade", got)
+	}
+}
+
+// TestCascadeDepthBoundExact pins the bound to the round: a chain of k rules,
+// each activating in the round after the previous one, commits at k =
+// MaxCascadeDepth and fails at MaxCascadeDepth+1, leaving the store as it
+// was before the statement.
+func TestCascadeDepthBoundExact(t *testing.T) {
+	// chain installs k rules: rule i fires on :Ci and creates :C(i+1), except
+	// the last, whose alert finds nothing, so its round writes nothing.
+	chain := func(k int) *Engine {
+		e := newTestEngine()
+		for i := 0; i < k; i++ {
+			r := Rule{Name: fmt.Sprintf("link%d", i), Event: Event{Kind: CreateNode, Label: fmt.Sprintf("C%d", i)}}
+			if i < k-1 {
+				r.Action = fmt.Sprintf("CREATE (:C%d)", i+1)
+			} else {
+				r.Alert = "MATCH (n:Nothing) RETURN n"
+			}
+			if err := e.Install(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	s := graph.NewStore()
+	run(t, s, newTestEngine(), "CREATE (:Seed)")
+	rep := run(t, s, chain(MaxCascadeDepth), "CREATE (:C0)")
+	if n := len(rep.Activations); rep.Rounds != MaxCascadeDepth || n != MaxCascadeDepth ||
+		rep.Activations[n-1].Round != MaxCascadeDepth-1 {
+		t.Fatalf("chain of %d: %d rounds, activations %+v; want one per round", MaxCascadeDepth, rep.Rounds, rep.Activations)
+	}
+	if got := s.Stats().Nodes; got != 1+MaxCascadeDepth {
+		t.Fatalf("chain of %d committed %d nodes, want %d", MaxCascadeDepth, got, 1+MaxCascadeDepth)
+	}
+
+	s = graph.NewStore()
+	run(t, s, newTestEngine(), "CREATE (:Seed)")
+	if _, err := runErr(s, chain(MaxCascadeDepth+1), "CREATE (:C0)"); !errors.Is(err, ErrCascadeDepth) {
+		t.Fatalf("chain of %d: err = %v, want ErrCascadeDepth", MaxCascadeDepth+1, err)
+	}
+	if st := s.Stats(); st.Nodes != 1 || st.Relationships != 0 {
+		t.Fatalf("aborted cascade left %d nodes, %d rels; want only the seed", st.Nodes, st.Relationships)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cypher"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/summary"
 )
 
 // Errors reported by rule compilation and the engine.
@@ -106,8 +107,6 @@ type Rule struct {
 	Guard string
 	// Alert is an optional Cypher query; rows denote critical situations.
 	Alert string
-	// AlertLabel overrides the label of produced alert nodes ("Alert").
-	AlertLabel string
 	// Action, when set, replaces alert-node creation with a Cypher write
 	// statement executed once per critical row (or once per activation if
 	// Alert is empty). Composite rules take none.
@@ -263,7 +262,7 @@ type Compiled struct {
 	mRejected *metrics.Counter
 }
 
-func compileRule(r Rule, defaultAlertLabel string) (*Compiled, error) {
+func compileRule(r Rule) (*Compiled, error) {
 	if r.Name == "" {
 		return nil, fmt.Errorf("trigger: rule needs a name")
 	}
@@ -271,9 +270,6 @@ func compileRule(r Rule, defaultAlertLabel string) (*Compiled, error) {
 	// critical situation.
 	if r.Guard == "" && r.Alert == "" && r.Action == "" && r.Composite == nil {
 		return nil, fmt.Errorf("%w: %s", ErrEmptyRule, r.Name)
-	}
-	if r.AlertLabel == "" {
-		r.AlertLabel = defaultAlertLabel
 	}
 	cr := &Compiled{Rule: r}
 	var err error
@@ -432,7 +428,7 @@ func (cr *Compiled) footprint() footprint {
 	}
 	if cr.action == nil {
 		// Alert-node mode always creates a node with the alert label.
-		fp.created = append(fp.created, cr.AlertLabel)
+		fp.created = append(fp.created, AlertLabel)
 	}
 	return fp
 }
@@ -491,22 +487,34 @@ type Classification struct {
 // LabelHubResolver maps a node label to its owning hub.
 type LabelHubResolver func(label string) (hubName string, ok bool)
 
-// defaultStateLabels are the labels whose presence in a rule body indicates
+// stateLabels are the labels whose presence in a rule body indicates
 // consultation of historical state (the Essential Summary machinery).
-var defaultStateLabels = map[string]bool{
-	"Summary": true,
-	"Current": true,
-	"Alert":   true,
+var stateLabels = map[string]bool{
+	summary.SummaryLabel: true,
+	summary.CurrentLabel: true,
+	AlertLabel:           true,
+}
+
+// placeLabel resolves a label a rule reads to the hub that owns it. state
+// reports the state labels, which are shared structures rather than hub
+// knowledge; ok reports whether resolve (nil means no hub information)
+// placed any other label.
+func placeLabel(l string, resolve LabelHubResolver) (hub string, state, ok bool) {
+	if stateLabels[l] {
+		return "", true, false
+	}
+	if resolve == nil {
+		return "", false, false
+	}
+	hub, ok = resolve(l)
+	return hub, false, ok
 }
 
 // Classify computes the scope and state class of a rule by static analysis
 // of its guard, alert and action. resolve maps labels to hubs; nil means no
 // hub information (scope stays unknown unless only the rule's own hub is
-// involved). stateLabels overrides the default {Summary, Current, Alert}.
-func Classify(cr *Compiled, resolve LabelHubResolver, stateLabels map[string]bool) Classification {
-	if stateLabels == nil {
-		stateLabels = defaultStateLabels
-	}
+// involved).
+func Classify(cr *Compiled, resolve LabelHubResolver) Classification {
 	fp := cr.footprint()
 	hubs := map[string]bool{}
 	if cr.Hub != "" {
@@ -515,17 +523,12 @@ func Classify(cr *Compiled, resolve LabelHubResolver, stateLabels map[string]boo
 	unresolved := false
 	state := SingleState
 	for _, l := range fp.readLabels {
-		if stateLabels[l] || l == cr.AlertLabel {
+		switch h, isState, ok := placeLabel(l, resolve); {
+		case isState:
 			state = MultiState
-			continue // summary structures are shared, not hub knowledge
-		}
-		if resolve == nil {
-			unresolved = true
-			continue
-		}
-		if h, ok := resolve(l); ok {
+		case ok:
 			hubs[h] = true
-		} else {
+		default:
 			unresolved = true
 		}
 	}

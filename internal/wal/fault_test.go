@@ -7,9 +7,12 @@ package wal
 // checkpoint temp files around — before recovering from it.
 
 import (
+	"bytes"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -257,5 +260,45 @@ func TestKillMidCheckpoint(t *testing.T) {
 	}
 	if h4.info.SnapshotSeq != 0 {
 		t.Fatalf("unreadable snapshot was not skipped: %+v", h4.info)
+	}
+}
+
+// TestRecoveryNoticesReachTheLog opens a directory with an unreadable
+// snapshot and a torn tail and checks that recovery reports both on the
+// standard logger, where a server's operator reads them.
+func TestRecoveryNoticesReachTheLog(t *testing.T) {
+	dir := t.TempDir()
+	h := openHarness(t, dir, Options{Fsync: FsyncAlways})
+	exports := buildWorkload(t, h, 3)
+	if err := h.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	crash := copyDir(t, dir)
+	if err := os.WriteFile(filepath.Join(crash, snapshotName(2)), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	segs := listFiles(t, crash, segSuffix)
+	last := filepath.Join(crash, segs[len(segs)-1])
+	st, err := os.Stat(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(last, st.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&buf)
+	t.Cleanup(func() { log.SetOutput(prev) })
+	h2 := openHarness(t, crash, Options{Fsync: FsyncAlways})
+	if got := h2.export(); got != exports[1] {
+		t.Fatal("recovery differs from the state before the torn record")
+	}
+	out := buf.String()
+	for _, want := range []string{"wal: skipping snapshot " + filepath.Join(crash, snapshotName(2)), "of torn tail"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("log lacks %q; got:\n%s", want, out)
+		}
 	}
 }

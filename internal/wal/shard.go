@@ -39,6 +39,7 @@ package wal
 
 import (
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 
@@ -231,7 +232,7 @@ func OpenShardSet(dir string, n int, opts Options) (*ShardSet, []*graph.Store, [
 			case BridgePrepare:
 				if !committed[i][rec.Seq] {
 					sc.info.PreparesAborted++
-					opts.Logf("wal: shard %d: skipping uncommitted bridge prepare (seq %d)", i, rec.Seq)
+					log.Printf("wal: shard %d: skipping uncommitted bridge prepare (seq %d)", i, rec.Seq)
 					continue
 				}
 				hasEffect[i][rec.Seq] = true
@@ -285,7 +286,7 @@ func OpenShardSet(dir string, n int, opts Options) (*ShardSet, []*graph.Store, [
 			hasMarker[b.PeerShard][b.PrepareSeq] = true
 			peer.info.BridgesReconciled++
 			peer.info.LastSeq = logs[b.PeerShard].lastSeq
-			opts.Logf("wal: shard %d: reconciled bridge prepare %d from shard commit record",
+			log.Printf("wal: shard %d: reconciled bridge prepare %d from shard commit record",
 				b.PeerShard, b.PrepareSeq)
 		}
 	}

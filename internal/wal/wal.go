@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"sync"
@@ -72,9 +73,6 @@ type Options struct {
 	// SegmentSize is the rotation threshold in bytes (DefaultSegmentSize
 	// when zero).
 	SegmentSize int64
-	// Logf receives recovery and compaction notices (discarded torn tails,
-	// unreadable snapshots); nil discards them.
-	Logf func(format string, args ...any)
 }
 
 func (o Options) withDefaults() Options {
@@ -83,9 +81,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SegmentSize <= 0 {
 		o.SegmentSize = DefaultSegmentSize
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
 	}
 	return o
 }
@@ -188,7 +183,7 @@ func (l *Log) SetMetrics(m Metrics) {
 // every intact WAL record after it — into a fresh graph store, and returns
 // the log ready for appends together with the recovered store. A torn or
 // truncated record ends replay: the tail from that point on is discarded
-// (reported via RecoveryInfo and Options.Logf), the torn segment is
+// (reported via RecoveryInfo and the standard logger), the torn segment is
 // truncated to its last intact record, and later segments are removed,
 // because their transactions depend on the discarded ones. Opening a
 // nonexistent or empty directory yields an empty store.
@@ -248,13 +243,13 @@ func scanStream(dir string, opts Options, each func(sc *streamScan, rec *Record)
 	for _, snap := range snapshots {
 		f, err := os.Open(snap.path)
 		if err != nil {
-			opts.Logf("wal: skipping snapshot %s: %v", snap.path, err)
+			log.Printf("wal: skipping snapshot %s: %v", snap.path, err)
 			continue
 		}
 		err = sc.store.Import(f)
 		f.Close()
 		if err != nil {
-			opts.Logf("wal: skipping snapshot %s: %v", snap.path, err)
+			log.Printf("wal: skipping snapshot %s: %v", snap.path, err)
 			sc.store = graph.NewStore()
 			continue
 		}
@@ -277,7 +272,7 @@ func scanStream(dir string, opts Options, each func(sc *streamScan, rec *Record)
 				continue
 			}
 			if rec.Seq != sc.info.LastSeq+1 {
-				opts.Logf("wal: %s: sequence gap (want %d, got %d); discarding from there",
+				log.Printf("wal: %s: sequence gap (want %d, got %d); discarding from there",
 					seg.path, sc.info.LastSeq+1, rec.Seq)
 				res.torn = true
 				res.tornReason = "sequence gap"
@@ -304,7 +299,7 @@ func scanStream(dir string, opts Options, each func(sc *streamScan, rec *Record)
 					return nil, fmt.Errorf("drop %s: %w", later.path, err)
 				}
 			}
-			opts.Logf("wal: %s: %s at offset %d; discarded %d byte(s) of torn tail",
+			log.Printf("wal: %s: %s at offset %d; discarded %d byte(s) of torn tail",
 				seg.path, res.tornReason, res.goodLen, sc.info.DiscardedBytes)
 			if res.goodLen <= int64(len(segMagic)) {
 				if err := os.Remove(seg.path); err != nil {
@@ -666,7 +661,7 @@ func (l *Log) syncLoop() {
 			l.mu.Lock()
 			if !l.closed && l.dirty && l.f != nil {
 				if err := l.flushLocked(true); err != nil {
-					l.opts.Logf("wal: background fsync: %v", err)
+					log.Printf("wal: background fsync: %v", err)
 				}
 			}
 			l.mu.Unlock()
