@@ -14,8 +14,9 @@ import (
 // TestComplexityContracts pins how the engine's work counters grow with
 // what it holds. Each row measures one counter (or the allocations of one
 // call) after the same operation at several sizes and wants the same value
-// at every size: a row whose counter grows with the size has lost a shared
-// evaluation or an index, whatever the wall clock says.
+// at every size, or a value that grows at most by a bounded ratio: a row
+// whose counter grows with the size has lost a shared evaluation, an index
+// or structural sharing, whatever the wall clock says.
 func TestComplexityContracts(t *testing.T) {
 	rows := []struct {
 		name  string
@@ -26,7 +27,59 @@ func TestComplexityContracts(t *testing.T) {
 		// want is the value at every size; -1 accepts whatever the
 		// smallest size gives.
 		want int
+		// ratio, when set, replaces want: the value at every size may be at
+		// most ratio times the value at the smallest.
+		ratio float64
 	}{{
+		// E1: a single-patient commit copies the root-to-leaf paths it
+		// writes in the node and relationship tables, the label,
+		// relationship-type and property-index posting sets — a few nodes
+		// per table, growing with the tries' depth (log₃₂ of the graph),
+		// not with the graph.
+		name:  "single-patient commit copies trie paths",
+		sizes: []int{1000, 30000},
+		measure: func(t *testing.T, n int) int {
+			kb, _ := newSimKB(t)
+			if err := kb.CreateIndex("Patient", "regionDay"); err != nil {
+				t.Fatal(err)
+			}
+			admit := func(tx *graph.Tx, h graph.NodeID, i int) error {
+				p, err := tx.CreateNode([]string{"Patient"}, map[string]value.Value{
+					"id": value.Str(fmt.Sprintf("p%d", i)), "regionDay": value.Str(fmt.Sprintf("R%d#0", i%4)),
+				})
+				if err != nil {
+					return err
+				}
+				_, err = tx.CreateRel(p, h, "TreatedAt", nil)
+				return err
+			}
+			var hospitals []graph.NodeID
+			if err := kb.Store().Update(func(tx *graph.Tx) error {
+				for i := 0; i < 40; i++ {
+					h, err := tx.CreateNode([]string{"Hospital"}, nil)
+					if err != nil {
+						return err
+					}
+					hospitals = append(hospitals, h)
+				}
+				for i := 0; i < n; i++ {
+					if err := admit(tx, hospitals[i%len(hospitals)], i); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			copied := kb.Metrics().Counter(mSnapCopied, "")
+			before := copied.Value()
+			if _, err := kb.WriteTx(func(tx *graph.Tx) error { return admit(tx, hospitals[0], n) }); err != nil {
+				t.Fatal(err)
+			}
+			return int(copied.Value() - before)
+		},
+		ratio: 2,
+	}, {
 		// n threshold rules NEW.account = 'acct-i' form one guard family:
 		// one Txn event reads NEW.account once, however many rules it
 		// checks. The event's account is the last rule's, so no pass
@@ -101,14 +154,21 @@ func TestComplexityContracts(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			want := row.want
-			for _, n := range row.sizes {
+			for i, n := range row.sizes {
 				got := row.measure(t, n)
-				if want < 0 {
+				switch {
+				case row.ratio > 0 && i == 0:
 					want = got
-				}
-				if got != want {
+				case row.ratio > 0:
+					if float64(got) > row.ratio*float64(want) {
+						t.Errorf("size %d: %d, want at most %.1f times the %d at size %d", n, got, row.ratio, want, row.sizes[0])
+					}
+				case want < 0:
+					want = got
+				case got != want:
 					t.Errorf("size %d: %d, want %d at every size", n, got, want)
 				}
+				t.Logf("size %d: %d", n, got)
 			}
 		})
 	}

@@ -22,6 +22,7 @@ const (
 	mSnapPublished = "rkm_graph_snapshot_published_total"
 	mSnapReads     = "rkm_graph_snapshot_reads_total"
 	mSnapCloned    = "rkm_graph_snapshot_cow_records_total"
+	mSnapCopied    = "rkm_graph_snapshot_cow_nodes_total"
 
 	mRuleFired     = "rkm_trigger_rule_fired_total"
 	mGuardRejected = "rkm_trigger_guard_rejected_total"
@@ -109,6 +110,8 @@ func (kb *KnowledgeBase) wireMetrics(reg *metrics.Registry) {
 			"Read-only transactions served lock-free from a published snapshot."),
 		RecordsCloned: reg.Counter(mSnapCloned,
 			"Node and relationship records cloned copy-on-write by write transactions."),
+		NodesCopied: reg.Counter(mSnapCopied,
+			"Table trie nodes copied copy-on-write by snapshot builders."),
 	}
 	for i := 0; i < kb.store.NumShards(); i++ {
 		// Commits are counted per shard once there is more than one; the

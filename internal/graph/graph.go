@@ -14,12 +14,13 @@
 // state is an immutable snapshot published through an atomic pointer. A
 // read-write transaction serializes on the store's write lock from Begin
 // until Commit or Rollback and edits a private fork of the committed
-// snapshot: exactly what it touches — tables, node/relationship records,
-// label and relationship-type sets, property-index postings — is cloned on
-// first touch by the one copy-on-write mechanism in cow.go; untouched
-// structure stays shared with the committed snapshot. Commit publishes the
-// fork as the next snapshot in one atomic store; Rollback just discards it.
-// A read-write transaction always reads its own writes.
+// snapshot: exactly what it touches — the trie paths it writes in the
+// tables, label and relationship-type sets and property-index postings, and
+// the node/relationship records — is copied on first touch by the one
+// copy-on-write mechanism in cow.go; untouched structure stays shared with
+// the committed snapshot. Commit publishes the fork as the next snapshot in
+// one atomic store; Rollback just discards it. A read-write transaction
+// always reads its own writes.
 //
 // Read-only transactions (Begin(ReadOnly), View) grab the current snapshot
 // pointer and take no lock at all: readers never block behind writers, never
@@ -185,10 +186,11 @@ type snapshot struct {
 }
 
 // fork returns a private copy of sn for a new builder: every table is still
-// shared with sn and is copied when the builder first writes to it.
-func (sn *snapshot) fork(recordsCloned *metrics.Counter) *snapshot {
+// shared with sn, and the builder copies what it writes, counting the copies
+// in m.
+func (sn *snapshot) fork(m *Metrics) *snapshot {
 	next := *sn
-	next.by = &owner{recordsCloned: recordsCloned}
+	next.by = &owner{recordsCloned: m.RecordsCloned, nodesCopied: m.NodesCopied}
 	return &next
 }
 
@@ -241,6 +243,10 @@ type Metrics struct {
 	// A record counts once per transaction that touches it; records a
 	// transaction created itself never count.
 	RecordsCloned *metrics.Counter
+	// NodesCopied counts the nodes of the tables' hash tries that
+	// builders (write transactions, index creation and drop) copied
+	// copy-on-write: the root-to-leaf paths their first writes walked.
+	NodesCopied *metrics.Counter
 	// LockWaitSeconds observes how long Begin(ReadWrite) waited for the
 	// store's write lock. On a sharded store this is the per-shard writer
 	// queueing delay (rkm_shard_lock_wait_seconds).
@@ -359,7 +365,7 @@ func (s *Store) Begin(mode Mode) *Tx {
 		if !w0.IsZero() {
 			m.LockWaitSeconds.ObserveSince(w0)
 		}
-		tx := &Tx{s: s, mode: mode, data: &TxData{}, view: s.snap.Load().fork(m.RecordsCloned), metrics: m}
+		tx := &Tx{s: s, mode: mode, data: &TxData{}, view: s.snap.Load().fork(m), metrics: m}
 		if m.TxSeconds != nil {
 			tx.start = time.Now()
 		}

@@ -19,7 +19,7 @@ type indexKey struct {
 func (s *Store) CreateIndex(label, prop string) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	next := s.snap.Load().fork(nil)
+	next := s.snap.Load().fork(s.metrics.Load())
 	key := indexKey{label, prop}
 	if _, exists := next.indexes.get(key); exists {
 		return fmt.Errorf("%w: %s.%s", ErrIndexExists, label, prop)
@@ -38,7 +38,7 @@ func (s *Store) CreateIndex(label, prop string) error {
 func (s *Store) DropIndex(label, prop string) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	next := s.snap.Load().fork(nil)
+	next := s.snap.Load().fork(s.metrics.Load())
 	key := indexKey{label, prop}
 	if _, exists := next.indexes.get(key); !exists {
 		return fmt.Errorf("%w: %s.%s", ErrIndexNotFound, label, prop)
