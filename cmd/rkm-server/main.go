@@ -54,21 +54,15 @@
 // requests drain, the background loops stop, and a final checkpoint
 // compacts the log before exit.
 //
-// With -hubs the knowledge base gets one graph shard per declared hub
-// (single-writer store + WAL stream each): writes name their hub and commit
-// in parallel across hubs, and /query executes cross-shard over a lock-free
-// multi-shard view — a MATCH crossing a knowledge bridge binds it exactly
-// once, with no per-hub fan-out. Everything else — rules, composite events,
-// the async pipeline, -data-dir persistence (one shard-NNN/ subdirectory per
-// hub), /stats, /checkpoint — is the same server:
+// With -hubs the server declares knowledge hubs and enforces their
+// ownership of nodes (§III-A): a node created with a label a hub owns must
+// carry that hub's name in its hub property, or the write is rejected. Hubs
+// own nodes; they do not partition storage — the graph, the write-ahead log
+// and every endpoint are the same as without -hubs:
 //
 //	rkm-server -hubs 'people:Person+Admin,places:City' -data-dir ./data
 //
-//	POST /query    {"query": "...", "hub": "people"}   optional hub pins one shard
-//	POST /execute  {"query": "...", "hub": "people"}   hub is required with more than one shard
-//
-// -demo, -fed-name and -replica-of act on a single graph store and are
-// incompatible with -hubs; a durable -hubs server mounts no /wal endpoints.
+// -demo declares the demo's own four hubs and is incompatible with -hubs.
 package main
 
 import (
@@ -155,7 +149,7 @@ func main() {
 	flag.DurationVar(&o.cepDrain, "cep-drain", time.Second, "composite-event drain period: how often done/expired partial matches are materialized or evicted (0 = drain only on /tick)")
 	flag.StringVar(&o.replicaOf, "replica-of", "", "run as a read replica of the leader at this base URL (writes are rejected)")
 	flag.DurationVar(&o.maxLag, "max-lag", 10*time.Second, "replica staleness bound: /healthz degrades to 503 beyond this time lag (0 = no bound)")
-	flag.StringVar(&o.hubs, "hubs", "", "one graph shard per hub: comma-separated hub declarations, name:Label1+Label2")
+	flag.StringVar(&o.hubs, "hubs", "", "hubs whose node ownership is enforced: comma-separated declarations, name:Label1+Label2")
 	flag.Parse()
 
 	srv, err := start(o)
@@ -173,20 +167,13 @@ func main() {
 func start(o options) (*server, error) {
 	srv := &server{maxLag: o.maxLag}
 	cfg := reactive.Config{}
-	var defs []reactive.HubShard
+	var hubs []hubDecl
 	if o.hubs != "" {
-		// Demo seeding (schema + Essential Summary), federation and
-		// replication act on one graph store; see reactive.ErrMultiShard.
-		switch {
-		case o.demo:
-			return nil, errors.New("-hubs is incompatible with -demo")
-		case o.fedName != "" || o.fedPeers != "":
-			return nil, errors.New("-hubs is incompatible with -fed-name/-fed-peers")
-		case o.replicaOf != "":
-			return nil, errors.New("-hubs is incompatible with -replica-of")
+		if o.demo {
+			return nil, errors.New("-hubs is incompatible with -demo (the demo declares its own hubs)")
 		}
 		var err error
-		if defs, err = parseHubShards(o.hubs); err != nil {
+		if hubs, err = parseHubs(o.hubs); err != nil {
 			return nil, fmt.Errorf("-hubs: %w", err)
 		}
 	}
@@ -212,47 +199,36 @@ func start(o options) (*server, error) {
 		}
 		srv.kb = fol.KB()
 		srv.follower = fol
+		if err := declareHubs(srv.kb, hubs); err != nil {
+			fol.Close()
+			return nil, err
+		}
 		fol.Start()
 		log.Printf("replica: following %s from seq %d (durable=%v, max-lag %v)",
-			o.replicaOf, fol.KB().ReplicaAppliedSeq(0), o.dataDir != "", o.maxLag)
+			o.replicaOf, fol.KB().ReplicaAppliedSeq(), o.dataDir != "", o.maxLag)
 		srv.ready.Store(true)
 		return srv, nil
 	}
 
-	var infos []*reactive.RecoveryInfo
-	switch {
-	case o.dataDir == "" && defs == nil:
-		srv.kb = reactive.New(cfg)
-	case o.dataDir == "":
-		srv.kb, err = reactive.NewSharded(cfg, defs)
-	case defs == nil:
-		var info *reactive.RecoveryInfo
-		srv.kb, info, err = reactive.OpenDurable(o.dataDir, cfg, wopts)
-		infos = []*reactive.RecoveryInfo{info}
-	default:
-		srv.kb, infos, err = reactive.OpenShardedDurable(o.dataDir, cfg, defs, wopts)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("open knowledge base: %w", err)
-	}
 	recovered := false
-	for i, info := range infos {
-		what := o.dataDir
-		if hub := srv.kb.HubOfShard(i); hub != "" {
-			what = fmt.Sprintf("shard %d (%s)", i, hub)
+	if o.dataDir == "" {
+		srv.kb = reactive.New(cfg)
+	} else {
+		var info *reactive.RecoveryInfo
+		if srv.kb, info, err = reactive.OpenDurable(o.dataDir, cfg, wopts); err != nil {
+			return nil, fmt.Errorf("open knowledge base: %w", err)
 		}
 		log.Printf("recovered %s: snapshot seq %d, %d records replayed, last seq %d",
-			what, info.SnapshotSeq, info.RecordsReplayed, info.LastSeq)
+			o.dataDir, info.SnapshotSeq, info.RecordsReplayed, info.LastSeq)
 		if info.DiscardedBytes > 0 {
 			log.Printf("discarded %d bytes of torn log tail at %s",
 				info.DiscardedBytes, info.DiscardedPath)
 		}
-		recovered = recovered || info.LastSeq > 0
+		recovered = info.LastSeq > 0
 	}
-	if defs != nil {
-		// Declared hubs place nodes: an owned label must carry its hub.
-		srv.kb.EnforceHubOwnership()
-		log.Printf("hubs: %d declared, one shard each", srv.kb.NumShards())
+	if err := declareHubs(srv.kb, hubs); err != nil {
+		srv.kb.Close()
+		return nil, err
 	}
 	// Composite-event rules hook the trigger engine before any demo rules
 	// install; Enable also recovers partial-match state left in the graph by
@@ -326,16 +302,11 @@ func start(o options) (*server, error) {
 	if srv.kb.Durable() {
 		// Every durable server is a potential replication leader: followers
 		// attach with -replica-of pointed at this server's /wal endpoints.
-		// Shipping several shard streams is not ported yet.
 		ld, err := replica.NewLeader(srv.kb, replica.Options{})
-		switch {
-		case errors.Is(err, reactive.ErrMultiShard):
-			log.Printf("replication: /wal endpoints not mounted: %v", err)
-		case err != nil:
+		if err != nil {
 			return nil, fmt.Errorf("replication leader: %w", err)
-		default:
-			srv.leader = ld
 		}
+		srv.leader = ld
 	}
 
 	if o.cepDrain > 0 {
@@ -384,8 +355,8 @@ func (s *server) serve(addr string, withPprof bool) {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.ListenAndServe() }()
-	log.Printf("rkm-server listening on %s (role=%s, shards=%d, durable=%v)",
-		addr, s.kb.Role(), s.kb.NumShards(), s.kb.Durable())
+	log.Printf("rkm-server listening on %s (role=%s, durable=%v)",
+		addr, s.kb.Role(), s.kb.Durable())
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
@@ -461,12 +432,16 @@ func (s *server) register(mux *http.ServeMux) {
 	}
 }
 
-// parseHubShards parses the -hubs declaration list: comma-separated
-// "name:Label1+Label2" entries, one shard per hub, in declaration order
-// (which fixes the shard indexes — keep it stable across restarts of a
-// durable directory).
-func parseHubShards(s string) ([]reactive.HubShard, error) {
-	var out []reactive.HubShard
+// hubDecl is one parsed -hubs entry: a hub and the node labels it owns.
+type hubDecl struct {
+	Hub    string
+	Labels []string
+}
+
+// parseHubs parses the -hubs declaration list: comma-separated
+// "name:Label1+Label2" entries.
+func parseHubs(s string) ([]hubDecl, error) {
+	var out []hubDecl
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -476,21 +451,36 @@ func parseHubShards(s string) ([]reactive.HubShard, error) {
 		if !ok || name == "" {
 			return nil, fmt.Errorf("bad hub %q (want name:Label1+Label2)", part)
 		}
-		hs := reactive.HubShard{Hub: name, Description: "hub " + name}
+		hd := hubDecl{Hub: name}
 		for _, l := range strings.Split(labels, "+") {
 			if l = strings.TrimSpace(l); l != "" {
-				hs.Labels = append(hs.Labels, l)
+				hd.Labels = append(hd.Labels, l)
 			}
 		}
-		if len(hs.Labels) == 0 {
+		if len(hd.Labels) == 0 {
 			return nil, fmt.Errorf("hub %q owns no labels (want name:Label1+Label2)", name)
 		}
-		out = append(out, hs)
+		out = append(out, hd)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("no hubs declared")
 	}
 	return out, nil
+}
+
+// declareHubs defines the parsed -hubs on kb and, if there are any, turns
+// on ownership enforcement: an owned label must carry its hub.
+func declareHubs(kb *reactive.KnowledgeBase, hubs []hubDecl) error {
+	for _, h := range hubs {
+		if err := kb.DefineHub(h.Hub, "hub "+h.Hub, h.Labels...); err != nil {
+			return fmt.Errorf("-hubs: %w", err)
+		}
+	}
+	if len(hubs) > 0 {
+		kb.EnforceHubOwnership()
+		log.Printf("hubs: %d declared, ownership enforced", len(hubs))
+	}
+	return nil
 }
 
 // fedPeer is one parsed -fed-peers entry.
@@ -542,10 +532,6 @@ func registerPprof(mux *http.ServeMux) {
 type statementRequest struct {
 	Query  string         `json:"query"`
 	Params map[string]any `json:"params"`
-	// Hub pins a statement to one hub's shard: required for /execute once
-	// there is more than one shard (writes are per-shard), optional for
-	// /query (absent means the whole graph).
-	Hub string `json:"hub"`
 }
 
 type resultResponse struct {
@@ -638,15 +624,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var (
-		res *reactive.Result
-		err error
-	)
-	if req.Hub != "" {
-		res, err = s.kb.QueryInHub(req.Hub, req.Query, reactive.Params(req.Params))
-	} else {
-		res, err = s.kb.Query(req.Query, reactive.Params(req.Params))
-	}
+	res, err := s.kb.Query(req.Query, reactive.Params(req.Params))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -659,16 +637,7 @@ func (s *server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var (
-		res *reactive.Result
-		rep *reactive.Report
-		err error
-	)
-	if req.Hub != "" {
-		res, rep, err = s.kb.ExecuteInHub(req.Hub, req.Query, reactive.Params(req.Params))
-	} else {
-		res, rep, err = s.kb.ExecuteReport(req.Query, reactive.Params(req.Params))
-	}
+	res, rep, err := s.kb.ExecuteReport(req.Query, reactive.Params(req.Params))
 	if err != nil {
 		if errors.Is(err, reactive.ErrFollowerWrite) {
 			writeErr(w, http.StatusForbidden, err)
@@ -846,29 +815,14 @@ func (s *server) handleHubs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleStats reports graph totals (a knowledge bridge counts once although
-// both endpoint shards store it), the hub partitioning, one block per shard,
-// and the queue and plan-cache counters — the same keys whatever the number
-// of shards.
+// handleStats reports graph totals, the hub partitioning, and the queue and
+// plan-cache counters — the same keys with or without -hubs.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	g := s.kb.GraphStats()
 	hs, err := s.kb.HubStats()
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
-	}
-	perShard := make([]map[string]any, s.kb.NumShards())
-	for i := range perShard {
-		st := s.kb.Shards().Shard(i).Stats()
-		perShard[i] = map[string]any{
-			"shard":         i,
-			"hub":           s.kb.HubOfShard(i),
-			"nodes":         st.Nodes,
-			"relationships": st.Relationships,
-			"labels":        st.Labels,
-			"relTypes":      st.RelTypes,
-			"indexes":       st.Indexes,
-		}
 	}
 	pc := s.kb.PlanCacheStats()
 	ratio := 0.0
@@ -885,8 +839,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"unassigned":    hs.Unassigned,
 		"intraHubEdges": hs.IntraEdges,
 		"interHubEdges": hs.InterEdges,
-		"shards":        len(perShard),
-		"perShard":      perShard,
 		"asyncPending":  s.kb.AsyncDepth(),
 		"time":          s.kb.Now().Format(time.RFC3339),
 		"role":          s.kb.Role(),
@@ -949,8 +901,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleCheckpoint snapshots every shard at one consistent cut and replies
-// with each stream's position; lastSeq repeats it for the one-stream case.
+// handleCheckpoint snapshots the graph, compacts the log and replies with
+// the log position the snapshot covers.
 func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if !s.kb.Durable() {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("checkpoint requires -data-dir (durable mode)"))
@@ -960,15 +912,7 @@ func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	seqs := make([]uint64, s.kb.NumShards())
-	for i := range seqs {
-		seqs[i] = s.kb.WALSet().Log(i).LastSeq()
-	}
-	out := map[string]any{"checkpointed": true, "lastSeqs": seqs}
-	if len(seqs) == 1 {
-		out["lastSeq"] = seqs[0]
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, map[string]any{"checkpointed": true, "lastSeq": s.kb.WAL().LastSeq()})
 }
 
 // maxTickHours caps one /tick at a leap year, which keeps the advance far

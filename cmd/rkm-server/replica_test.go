@@ -172,7 +172,7 @@ func TestReplicaFollowerHealthzDegradesPastMaxLag(t *testing.T) {
 	// a healthy follower comfortably inside it.
 	folSrv, folTS := newFollowerServer(t, leaderTS.URL, 200*time.Millisecond)
 	deadline := time.Now().Add(15 * time.Second)
-	for folSrv.follower.KB().ReplicaAppliedSeq(0) < 1 {
+	for folSrv.follower.KB().ReplicaAppliedSeq() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("follower never caught up")
 		}

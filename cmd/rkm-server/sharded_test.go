@@ -1,13 +1,13 @@
 package main
 
-// End-to-end tests for the server with -hubs: the same start-up sequence
-// and handlers as without it, over a knowledge base with one shard per hub.
-// Writes route to the owning hub's shard, reads without a hub take the
-// cross-shard path over a multi-shard view — including MATCHes that
-// traverse knowledge bridges — and composite rules, the async workers,
-// /stats and /checkpoint behave as on the one-shard server.
+// End-to-end tests for the server with -hubs: the same start-up sequence,
+// store and handlers as without it, plus hub ownership enforcement. The
+// Sharded names date from when -hubs gave every hub its own graph shard;
+// the behaviour they pin — hub-owned writes, rules, composite events, the
+// async workers, /stats and -data-dir under -hubs — is what remains.
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -17,7 +17,7 @@ import (
 	"testing"
 	"time"
 
-	reactive "repro"
+	"repro/internal/wal"
 )
 
 // startTestServer brings a server up through start — the sequence main runs
@@ -52,120 +52,72 @@ func newShardedTestServer(t *testing.T) (*server, *httptest.Server) {
 	return startTestServer(t, hubsOptions())
 }
 
+// TestShardedServerEndToEnd drives a -hubs server: owned labels must carry
+// their hub, a knowledge bridge between two hubs is an ordinary Cypher
+// write, and /stats, /hubs and /metrics report the one store.
 func TestShardedServerEndToEnd(t *testing.T) {
-	s, ts := newShardedTestServer(t)
+	_, ts := newShardedTestServer(t)
 
-	// Writes are per-shard and require the hub field.
+	for _, q := range []string{
+		"CREATE (:Person {name: 'Ada', hub: 'people'}), (:Person {name: 'Bob', hub: 'people'})",
+		"CREATE (:City {code: 'LON', hub: 'places'})",
+	} {
+		if resp, out := postJSON(t, ts.URL+"/execute", map[string]any{"query": q}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("execute %q: %d %v", q, resp.StatusCode, out)
+		}
+	}
+	// Ownership: a node under a label another hub owns, or under an owned
+	// label with no hub at all, is rejected and leaves nothing behind.
+	for _, q := range []string{
+		"CREATE (:Person {name: 'Eve', hub: 'places'})",
+		"CREATE (:City {code: 'PAR'})",
+	} {
+		if resp, _ := postJSON(t, ts.URL+"/execute", map[string]any{"query": q}); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("execute %q: status %d, want 400", q, resp.StatusCode)
+		}
+	}
+
+	// A knowledge bridge (people -> places) is a plain write.
 	resp, out := postJSON(t, ts.URL+"/execute", map[string]any{
-		"query": "CREATE (:Person {name: 'Ada', hub: 'people'}), (:Person {name: 'Bob', hub: 'people'})",
-		"hub":   "people",
+		"query": "MATCH (p:Person {name: 'Ada'}), (c:City {code: 'LON'}) CREATE (p)-[:LIVES_IN]->(c)",
 	})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("execute people: %d %v", resp.StatusCode, out)
+		t.Fatalf("bridge write: %d %v", resp.StatusCode, out)
 	}
-	resp, out = postJSON(t, ts.URL+"/execute", map[string]any{
-		"query": "CREATE (:City {code: 'LON', hub: 'places'})",
-		"hub":   "places",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("execute places: %d %v", resp.StatusCode, out)
-	}
-	resp, _ = postJSON(t, ts.URL+"/execute", map[string]any{
-		"query": "CREATE (:Person {name: 'NoHub'})",
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("execute without hub should 400, got %d", resp.StatusCode)
-	}
-	resp, _ = postJSON(t, ts.URL+"/execute", map[string]any{
-		"query": "CREATE (:X)", "hub": "nope",
-	})
-	if resp.StatusCode == http.StatusOK {
-		t.Error("execute into unknown hub should fail")
-	}
-
-	// Bridge the shards programmatically (the HTTP write surface is
-	// per-shard; bridges are an embedding-API affair).
-	people, _ := s.kb.ShardOf("people")
-	places, _ := s.kb.ShardOf("places")
-	if _, err := s.kb.UpdateBridgeShards(people, places, func(bt *reactive.BridgeTx) error {
-		ada, err := bt.ShardTx(people)
-		if err != nil {
-			return err
-		}
-		byProp := func(tx *reactive.Tx, label, key, want string) reactive.NodeID {
-			for _, id := range tx.NodesByLabel(label) {
-				if v, ok := tx.NodeProp(id, key); ok && v.String() == reactive.V(want).String() {
-					return id
-				}
-			}
-			t.Fatalf("no %s with %s=%s", label, key, want)
-			return 0
-		}
-		adaID := byProp(ada, "Person", "name", "Ada")
-		ptx, err := bt.ShardTx(places)
-		if err != nil {
-			return err
-		}
-		lonID := byProp(ptx, "City", "code", "LON")
-		_, err = bt.CreateRel(adaID, lonID, "LIVES_IN", nil)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	// A hub-pinned read sees only its shard.
-	resp, out = postJSON(t, ts.URL+"/query", map[string]any{
-		"query": "MATCH (n) RETURN count(*)", "hub": "people",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query people: %d %v", resp.StatusCode, out)
-	}
-	if got := out["rows"].([]any)[0].([]any)[0].(float64); got != 2 {
-		t.Errorf("people shard count = %v, want 2", got)
-	}
-
-	// A hubless read is cross-shard: the MATCH below crosses the bridge.
 	resp, out = postJSON(t, ts.URL+"/query", map[string]any{
 		"query": "MATCH (p:Person)-[:LIVES_IN]->(c:City) RETURN p.name, c.code",
 	})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cross-shard query: %d %v", resp.StatusCode, out)
+		t.Fatalf("bridge query: %d %v", resp.StatusCode, out)
 	}
 	rows := out["rows"].([]any)
 	if len(rows) != 1 {
-		t.Fatalf("cross-shard bridge rows = %v, want 1", rows)
+		t.Fatalf("bridge rows = %v, want 1", rows)
 	}
 	if r := rows[0].([]any); r[0] != "Ada" || r[1] != "LON" {
 		t.Errorf("bridge row = %v, want [Ada LON]", r)
 	}
 
-	// Writes through /query stay rejected in sharded mode.
-	resp, _ = postJSON(t, ts.URL+"/query", map[string]any{
-		"query": "CREATE (:X)", "hub": "people",
-	})
+	// Writes through /query stay rejected.
+	resp, _ = postJSON(t, ts.URL+"/query", map[string]any{"query": "CREATE (:X)"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Error("write through /query should 400")
 	}
 
-	// /stats reports totals, per-shard blocks and the shared plan cache.
+	// /stats reports totals, the hub partitioning and the plan cache.
 	var stats map[string]any
 	getJSON(t, ts.URL+"/stats", &stats)
 	if stats["role"] != "leader" {
 		t.Errorf("role = %v", stats["role"])
 	}
-	if stats["shards"].(float64) != 2 {
-		t.Errorf("shards = %v", stats["shards"])
-	}
 	if stats["nodes"].(float64) != 3 || stats["relationships"].(float64) != 1 {
 		t.Errorf("totals = %v nodes, %v rels", stats["nodes"], stats["relationships"])
 	}
-	perShard := stats["perShard"].([]any)
-	if len(perShard) != 2 {
-		t.Fatalf("perShard = %v", perShard)
+	if per := stats["nodesPerHub"].(map[string]any); per["people"].(float64) != 2 || per["places"].(float64) != 1 {
+		t.Errorf("nodesPerHub = %v", per)
 	}
-	first := perShard[0].(map[string]any)
-	if first["hub"] != "people" || first["nodes"].(float64) != 2 {
-		t.Errorf("people shard block = %v", first)
+	if stats["interHubEdges"].(float64) != 1 || stats["intraHubEdges"].(float64) != 0 {
+		t.Errorf("edges: inter %v, intra %v, want 1, 0", stats["interHubEdges"], stats["intraHubEdges"])
 	}
 	if _, ok := stats["planCache"].(map[string]any); !ok {
 		t.Errorf("missing planCache block: %v", stats)
@@ -183,7 +135,7 @@ func TestShardedServerEndToEnd(t *testing.T) {
 		t.Errorf("hubs = %v", hubs)
 	}
 
-	// Cross-shard query metrics tick.
+	// Commits are counted on the one store.
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -191,9 +143,8 @@ func TestShardedServerEndToEnd(t *testing.T) {
 	defer mresp.Body.Close()
 	buf := make([]byte, 1<<20)
 	n, _ := mresp.Body.Read(buf)
-	body := string(buf[:n])
-	if !containsMetricLine(body, "rkm_shard_query_total") {
-		t.Error("metrics missing rkm_shard_query_total")
+	if !containsMetricLine(string(buf[:n]), "rkm_graph_tx_commits_total") {
+		t.Error("metrics missing rkm_graph_tx_commits_total")
 	}
 }
 
@@ -220,8 +171,8 @@ func splitLines(s string) []string {
 	return append(out, s[start:])
 }
 
-// TestShardedRulesOverHTTP installs a rule on the sharded server and checks
-// that a hub-routed write fires it and /alerts surfaces the result.
+// TestShardedRulesOverHTTP installs a rule on a -hubs server and checks
+// that a hub-owned write fires it and /alerts surfaces the result.
 func TestShardedRulesOverHTTP(t *testing.T) {
 	_, ts := newShardedTestServer(t)
 	resp, out := postJSON(t, ts.URL+"/rules", map[string]any{
@@ -237,7 +188,6 @@ func TestShardedRulesOverHTTP(t *testing.T) {
 	}
 	resp, out = postJSON(t, ts.URL+"/execute", map[string]any{
 		"query": "CREATE (:City {code: 'TYO', pop: 14000000, hub: 'places'})",
-		"hub":   "places",
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("execute: %d %v", resp.StatusCode, out)
@@ -255,7 +205,7 @@ func TestShardedRulesOverHTTP(t *testing.T) {
 }
 
 func TestParseHubShards(t *testing.T) {
-	hubs, err := parseHubShards("a:X+Y, b:Z")
+	hubs, err := parseHubs("a:X+Y, b:Z")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,23 +213,22 @@ func TestParseHubShards(t *testing.T) {
 		t.Fatalf("parsed %+v", hubs)
 	}
 	for _, bad := range []string{"", "nolabel", "x:", ":X"} {
-		if _, err := parseHubShards(bad); err == nil {
-			t.Errorf("parseHubShards(%q) should fail", bad)
+		if _, err := parseHubs(bad); err == nil {
+			t.Errorf("parseHubs(%q) should fail", bad)
 		}
 	}
 }
 
-// statsKeys is the one key set /stats serves whatever the number of shards
-// (a follower adds "replica").
+// statsKeys is the one key set /stats serves with or without -hubs (a
+// follower adds "replica").
 var statsKeys = []string{
 	"asyncPending", "cepPartials", "cepRules", "indexes", "interHubEdges",
-	"intraHubEdges", "labels", "nodes", "nodesPerHub", "perShard", "planCache",
-	"relTypes", "relationships", "role", "shards", "time", "unassigned",
+	"intraHubEdges", "labels", "nodes", "nodesPerHub", "planCache",
+	"relTypes", "relationships", "role", "time", "unassigned",
 }
 
 // TestStatsOneKeySet checks that /stats serves the same keys with and
-// without -hubs: the hub partitioning and composite-event counters under
-// -hubs, the shard count and per-shard blocks without it.
+// without -hubs.
 func TestStatsOneKeySet(t *testing.T) {
 	plain := hubsOptions()
 	plain.hubs = ""
@@ -296,16 +245,13 @@ func TestStatsOneKeySet(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(statsKeys) {
 				t.Fatalf("/stats keys = %v\nwant %v", got, statsKeys)
 			}
-			if n := len(stats["perShard"].([]any)); float64(n) != stats["shards"].(float64) {
-				t.Errorf("perShard has %d block(s) for %v shard(s)", n, stats["shards"])
-			}
 		})
 	}
 }
 
 // TestShardedCompositeRuleOverHTTP installs a composite (WHEN … WITHIN) rule
 // on a -hubs server and checks its alert materializes: the partial match is
-// kept in the writing hub's shard and resolved by the background drain.
+// kept in the graph and resolved by the background drain.
 func TestShardedCompositeRuleOverHTTP(t *testing.T) {
 	_, ts := newShardedTestServer(t)
 	resp, out := postJSON(t, ts.URL+"/rules", map[string]any{"text": `CREATE TRIGGER burst ON HUB people
@@ -318,7 +264,6 @@ THEN ALERT RETURN KEY AS team, MATCHES AS n`})
 		resp, out = postJSON(t, ts.URL+"/execute", map[string]any{
 			"query":  "CREATE (:Person {name: $name, team: 'red', hub: 'people'})",
 			"params": map[string]any{"name": name},
-			"hub":    "people",
 		})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("execute: %d %v", resp.StatusCode, out)
@@ -336,7 +281,7 @@ THEN ALERT RETURN KEY AS team, MATCHES AS n`})
 }
 
 // TestShardedAsyncRuleDrainsInBackground installs an AFTER ASYNC rule on a
-// -hubs server: the activation is staged on the hub's queue and the async
+// -hubs server: the activation is staged on the pending queue and the async
 // workers the common start-up launched materialize it.
 func TestShardedAsyncRuleDrainsInBackground(t *testing.T) {
 	s, ts := newShardedTestServer(t)
@@ -349,7 +294,7 @@ func TestShardedAsyncRuleDrainsInBackground(t *testing.T) {
 		t.Fatalf("rule install: %d %v", resp.StatusCode, out)
 	}
 	resp, out = postJSON(t, ts.URL+"/execute", map[string]any{
-		"query": "CREATE (:City {code: 'TYO', hub: 'places'})", "hub": "places",
+		"query": "CREATE (:City {code: 'TYO', hub: 'places'})",
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("execute: %d %v", resp.StatusCode, out)
@@ -380,9 +325,10 @@ func waitForAlerts(t *testing.T, base string, n int) []map[string]any {
 	}
 }
 
-// TestShardedDataDirPersists runs -hubs with -data-dir: one stream per hub
-// under shard-NNN/, /checkpoint answers with one position per stream, and a
-// restart over the same directory serves the same graph.
+// TestShardedDataDirPersists runs -hubs with -data-dir: the log sits at the
+// root of the directory exactly as without -hubs, /checkpoint answers with
+// its position, and a restart over the same directory serves the same graph
+// with ownership still enforced.
 func TestShardedDataDirPersists(t *testing.T) {
 	o := hubsOptions()
 	o.dataDir = t.TempDir()
@@ -393,28 +339,26 @@ func TestShardedDataDirPersists(t *testing.T) {
 	mux := http.NewServeMux()
 	s.register(mux)
 	ts := httptest.NewServer(mux)
-	for hub, q := range map[string]string{
-		"people": "CREATE (:Person {name: 'Ada', hub: 'people'})",
-		"places": "CREATE (:City {code: 'LON', hub: 'places'})",
+	for _, q := range []string{
+		"CREATE (:Person {name: 'Ada', hub: 'people'})",
+		"CREATE (:City {code: 'LON', hub: 'places'})",
 	} {
-		if resp, out := postJSON(t, ts.URL+"/execute", map[string]any{"query": q, "hub": hub}); resp.StatusCode != http.StatusOK {
-			t.Fatalf("execute %s: %d %v", hub, resp.StatusCode, out)
+		if resp, out := postJSON(t, ts.URL+"/execute", map[string]any{"query": q}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("execute %q: %d %v", q, resp.StatusCode, out)
 		}
 	}
 	resp, out := postJSON(t, ts.URL+"/checkpoint", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("checkpoint: %d %v", resp.StatusCode, out)
 	}
-	if seqs, _ := out["lastSeqs"].([]any); len(seqs) != 2 {
-		t.Fatalf("checkpoint reply = %v, want two lastSeqs", out)
+	if out["lastSeq"] != float64(2) {
+		t.Fatalf("checkpoint reply = %v, want lastSeq 2", out)
 	}
-	if _, ok := out["lastSeq"]; ok {
-		t.Errorf("checkpoint reply carries lastSeq with two streams: %v", out)
+	if shards, _ := filepath.Glob(filepath.Join(o.dataDir, "shard-*")); len(shards) != 0 {
+		t.Errorf("per-hub stream directories created: %v", shards)
 	}
-	for _, sub := range []string{"shard-000", "shard-001"} {
-		if _, err := os.Stat(filepath.Join(o.dataDir, sub)); err != nil {
-			t.Errorf("missing per-hub stream directory: %v", err)
-		}
+	if snaps, _ := filepath.Glob(filepath.Join(o.dataDir, "snapshot-*")); len(snaps) != 1 {
+		t.Errorf("snapshots at the directory root = %v, want one", snaps)
 	}
 	ts.Close()
 	s.stop()
@@ -427,21 +371,43 @@ func TestShardedDataDirPersists(t *testing.T) {
 	if got := out["rows"].([]any)[0].([]any)[0].(float64); got != 2 {
 		t.Errorf("nodes after restart = %v, want 2", got)
 	}
+	if resp, _ := postJSON(t, ts2.URL+"/execute", map[string]any{"query": "CREATE (:City {code: 'PAR'})"}); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("hubless City after restart: status %d, want 400", resp.StatusCode)
+	}
 }
 
-// TestStartRejectsSingleStoreFlagsWithHubs pins the -hubs incompatibility
-// list to the features that still act on one store.
+// TestStartRejectsSingleStoreFlagsWithHubs pins what start refuses around
+// -hubs: -demo, which declares hubs of its own, two hubs claiming one label,
+// and a data directory in the per-hub shard-NNN/ layout that -hubs once
+// wrote, which start must refuse without writing a log beside it.
 func TestStartRejectsSingleStoreFlagsWithHubs(t *testing.T) {
-	for name, mod := range map[string]func(*options){
-		"-demo":       func(o *options) { o.demo = true },
-		"-fed-name":   func(o *options) { o.fedName = "n1" },
-		"-replica-of": func(o *options) { o.replicaOf = "http://127.0.0.1:1" },
-	} {
-		o := hubsOptions()
-		mod(&o)
-		if s, err := start(o); err == nil {
-			s.stop()
-			t.Errorf("start accepted -hubs with %s", name)
-		}
+	demo := hubsOptions()
+	demo.demo = true
+	if s, err := start(demo); err == nil {
+		s.stop()
+		t.Error("start accepted -hubs with -demo")
+	}
+	claimed := hubsOptions()
+	claimed.hubs = "people:Person, staff:Person"
+	if s, err := start(claimed); err == nil {
+		s.stop()
+		t.Error("start accepted two hubs owning one label")
+	}
+
+	old := hubsOptions()
+	old.dataDir = t.TempDir()
+	if err := os.Mkdir(filepath.Join(old.dataDir, "shard-000"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, err := start(old)
+	if err == nil {
+		s.stop()
+		t.Fatal("start accepted a shard-NNN/ data directory")
+	}
+	if !errors.Is(err, wal.ErrShardedLayout) {
+		t.Errorf("start error = %v, want wal.ErrShardedLayout", err)
+	}
+	if entries, _ := os.ReadDir(old.dataDir); len(entries) != 1 {
+		t.Errorf("refused open left %d entries in the directory, want only shard-000", len(entries))
 	}
 }

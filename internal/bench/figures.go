@@ -25,8 +25,6 @@ var Figures = []Figure{
 	{"rules", runRules},
 	{"async", runAsync},
 	{"replica", runReplica},
-	{"shard", runShard},
-	{"xshard", runXShard},
 }
 
 // Names returns the figure names in table order, comma-separated.
@@ -186,77 +184,6 @@ func runReplica(_ Config, smoke bool, w io.Writer) error {
 		}
 		if p.CatchUpPct <= 0 || p.CatchUpPct > 100 {
 			return fmt.Errorf("followers=%d: catch-up %.1f%% out of range", p.Followers, p.CatchUpPct)
-		}
-	}
-	return nil
-}
-
-func runShard(cfg Config, smoke bool, w io.Writer) error {
-	scfg := ShardConfig{Seed: cfg.Seed}
-	if smoke {
-		scfg = ShardConfig{
-			Hubs:       []int{1, 4},
-			Writers:    []int{4},
-			Window:     80 * time.Millisecond,
-			BridgeMix:  []float64{0, 0.25},
-			MixHubs:    4,
-			MixWriters: 4,
-			Seed:       cfg.Seed,
-		}
-	}
-	scaling, err := RunShardScaling(scfg)
-	if err != nil {
-		return fmt.Errorf("scaling: %w", err)
-	}
-	mix, err := RunShardBridgeMix(scfg)
-	if err != nil {
-		return fmt.Errorf("bridge mix: %w", err)
-	}
-	WriteShard(w, scaling, mix)
-	for _, p := range scaling {
-		if p.Txs == 0 {
-			return fmt.Errorf("no commits at hubs=%d writers=%d", p.Hubs, p.Writers)
-		}
-	}
-	for _, p := range mix {
-		if p.Txs == 0 {
-			return fmt.Errorf("no commits at bridge fraction %.0f%%", p.BridgeFrac*100)
-		}
-		if p.BridgeFrac > 0 && p.BridgeTxs == 0 {
-			return fmt.Errorf("no bridge commits at bridge fraction %.0f%%", p.BridgeFrac*100)
-		}
-		if p.BridgeTxs > p.Txs {
-			return fmt.Errorf("bridge commits (%d) exceed total commits (%d)", p.BridgeTxs, p.Txs)
-		}
-	}
-	return nil
-}
-
-func runXShard(cfg Config, smoke bool, w io.Writer) error {
-	xcfg := XShardConfig{Seed: cfg.Seed}
-	if smoke {
-		xcfg = XShardConfig{
-			Hubs:        []int{2, 4},
-			NodesPerHub: 200,
-			IntraRels:   200,
-			Bridges:     50,
-			Window:      60 * time.Millisecond,
-			Seed:        cfg.Seed,
-		}
-	}
-	// RunXShard itself fails if the two strategies disagree or a bridge
-	// binds twice.
-	pts, err := RunXShard(xcfg)
-	if err != nil {
-		return err
-	}
-	WriteXShard(w, pts)
-	for _, p := range pts {
-		if p.Queries == 0 {
-			return fmt.Errorf("no queries completed at hubs=%d strategy=%s", p.Hubs, p.Strategy)
-		}
-		if p.Rows == 0 {
-			return fmt.Errorf("empty result at hubs=%d strategy=%s", p.Hubs, p.Strategy)
 		}
 	}
 	return nil

@@ -38,8 +38,8 @@ func TestSelect(t *testing.T) {
 	if all, err := Select("all"); err != nil || len(all) != len(Figures) {
 		t.Errorf(`Select("all") = %d rows, %v`, len(all), err)
 	}
-	for _, retired := range []string{"conc", "wal", "plan", "cep", "fed"} {
-		want := fmt.Sprintf("unknown figure %q (want 9, 10, ablation, rules, async, replica, shard, xshard or all)", retired)
+	for _, retired := range []string{"conc", "wal", "plan", "cep", "fed", "shard", "xshard"} {
+		want := fmt.Sprintf("unknown figure %q (want 9, 10, ablation, rules, async, replica or all)", retired)
 		if _, err := Select(retired); err == nil || err.Error() != want {
 			t.Errorf("Select(%q) error = %v\nwant %s", retired, err, want)
 		}

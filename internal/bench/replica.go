@@ -251,7 +251,7 @@ func runReplicaOnce(cfg ReplicaConfig, followers int) (ReplicaPoint, error) {
 			p.LagSeconds = secs
 		}
 		if leaderSeq > 0 {
-			pct := 100 * float64(fol.KB().ReplicaAppliedSeq(0)) / float64(leaderSeq)
+			pct := 100 * float64(fol.KB().ReplicaAppliedSeq()) / float64(leaderSeq)
 			if pct < p.CatchUpPct {
 				p.CatchUpPct = pct
 			}

@@ -98,7 +98,7 @@ func TestEveryAlertIsAnAlertNode(t *testing.T) {
 	if fmt.Sprint(rules) != "[later pair plain]" {
 		t.Fatalf("kb.Alerts() rules = %v, want [later pair plain]", rules)
 	}
-	if got := kb.Shards().LabelCount(trigger.AlertLabel); got != 3 {
+	if got := kb.Store().LabelCount(trigger.AlertLabel); got != 3 {
 		t.Fatalf("%d :%s nodes, want 3", got, trigger.AlertLabel)
 	}
 	exp := kb.TranslateRulesAPOC("neo4j", "")
@@ -139,19 +139,19 @@ var eachTxn = trigger.Rule{
 		Steps: []trigger.Step{{Event: trigger.Event{Kind: trigger.CreateNode, Label: "Txn"}, Key: "NEW.k"}}},
 }
 
-// bookkeepingHosts are the knowledge bases the contract runs over: one
-// shard, and two shards with a rule whose events land in both.
+// bookkeepingHosts are the knowledge bases the contract runs over: no hubs,
+// and two declared hubs whose names key the staged events.
 func bookkeepingHosts(t *testing.T, fn func(t *testing.T, kb *core.KnowledgeBase, m *Manager, hubs []string)) {
 	t.Run("N=1", func(t *testing.T) {
 		kb, _, m := newCEPKB(t)
 		fn(t, kb, m, []string{""})
 	})
 	t.Run("N=2", func(t *testing.T) {
-		kb, err := core.NewSharded(core.Config{Clock: periodic.NewManualClock(cepT0)}, []core.HubShard{
-			{Hub: "P", Description: "payments", Labels: []string{"Account"}},
-			{Hub: "M", Description: "merchants", Labels: []string{"Merchant"}},
-		})
-		if err != nil {
+		kb := core.New(core.Config{Clock: periodic.NewManualClock(cepT0)})
+		if err := kb.DefineHub("P", "payments", "Account"); err != nil {
+			t.Fatal(err)
+		}
+		if err := kb.DefineHub("M", "merchants", "Merchant"); err != nil {
 			t.Fatal(err)
 		}
 		m, err := Enable(kb, Options{})
@@ -162,8 +162,8 @@ func bookkeepingHosts(t *testing.T, fn func(t *testing.T, kb *core.KnowledgeBase
 	})
 }
 
-// stageReady installs eachTxn and writes per occurrences into every hub,
-// round-robin.
+// stageReady installs eachTxn and writes per occurrences keyed by every
+// hub, round-robin.
 func stageReady(t *testing.T, kb *core.KnowledgeBase, m *Manager, hubs []string, per int) {
 	t.Helper()
 	if err := kb.InstallRule(eachTxn); err != nil {
@@ -171,14 +171,7 @@ func stageReady(t *testing.T, kb *core.KnowledgeBase, m *Manager, hubs []string,
 	}
 	for i := 0; i < per; i++ {
 		for _, hub := range hubs {
-			q := fmt.Sprintf("CREATE (:Txn {k: '%s-%d'})", hub, i)
-			var err error
-			if hub == "" {
-				_, err = kb.Execute(q, nil)
-			} else {
-				_, _, err = kb.ExecuteInHub(hub, q, nil)
-			}
-			if err != nil {
+			if _, err := kb.Execute(fmt.Sprintf("CREATE (:Txn {k: '%s-%d'})", hub, i), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -197,26 +190,14 @@ func TestCEPBookkeepingScanOrderAndTake(t *testing.T) {
 			t.Fatalf("scan found %d ready partials, want %d", len(ready), 4*len(hubs))
 		}
 		if !sort.SliceIsSorted(ready, func(i, j int) bool { return ready[i] < ready[j] }) {
-			t.Fatalf("scan order %v is not shard-by-shard ascending", ready)
-		}
-		perShard := map[int]int{}
-		for _, id := range ready {
-			perShard[graph.ShardOfNode(id)]++
-		}
-		if len(perShard) != len(hubs) {
-			t.Fatalf("ready partials come from %d shard(s), want %d: %v", len(perShard), len(hubs), perShard)
+			t.Fatalf("scan order %v is not node-id ascending", ready)
 		}
 		// An open partial of a rule that is still installed is not ready,
 		// and the scan skips it.
 		if err := kb.InstallRule(seq2("pair", 5*time.Minute)); err != nil {
 			t.Fatal(err)
 		}
-		q := "CREATE (:E0 {k: 'open'})"
-		if hubs[0] == "" {
-			cepExec(t, kb, q)
-		} else if _, _, err := kb.ExecuteInHub(hubs[0], q, nil); err != nil {
-			t.Fatal(err)
-		}
+		cepExec(t, kb, "CREATE (:E0 {k: 'open'})")
 		if n := drain(t, m); n != len(ready) || m.Depth() != 1 {
 			t.Fatalf("drain resolved %d (want %d) and left %d (want the 1 open partial)", n, len(ready), m.Depth())
 		}

@@ -8,7 +8,7 @@
 //
 // Partial-match state lives in durable, skip-labeled CEPPartial graph nodes
 // created inside the triggering transaction, so it rides the WAL,
-// snapshots, crash recovery, per-shard queues and replication exactly as the
+// snapshots, crash recovery and replication exactly as the
 // async pipeline's PendingAlert nodes do. Completed or expired partials are
 // resolved by a drain (Manager.DrainOnce) whose follow-up transaction
 // deletes the partial node and materializes the composite alert atomically
@@ -83,11 +83,6 @@ type Manager struct {
 // is opened and before the first write (the sink and skip label must not
 // change under concurrent transactions); refused on replication followers,
 // whose partial state arrives from the leader.
-//
-// Partial-match state lives in the shard whose transaction wrote the
-// occurrence, so with more than one shard a composite rule correlates
-// within a shard — as the async pipeline's queue does — and the drain
-// visits every shard.
 func Enable(kb *core.KnowledgeBase, opts Options) (*Manager, error) {
 	if kb.Follower() {
 		return nil, core.ErrFollower
@@ -419,8 +414,7 @@ func pruneTimes(times []int64, cutoff time.Time) []int64 {
 
 // ---- the drain: resolving completed and expired partials ----
 
-// DrainOnce resolves every completed or expired partial match across all
-// shards, oldest first, each in its own follow-up transaction that deletes
+// DrainOnce resolves every completed or expired partial match, oldest first, each in its own follow-up transaction that deletes
 // the partial node and (for completions) materializes the composite alert
 // atomically (core.Bookkeeping.FollowUp). It returns the number of partials
 // resolved. Safe to call concurrently with writers and with the background

@@ -2,7 +2,7 @@ package cep
 
 // Behavior tests for the composite-event subsystem: operator semantics
 // (sequence, conjunction, count, absence), correlation keys, window expiry,
-// guards, alert queries, rule management, sharded and follower hosts, and
+// guards, alert queries, rule management, hosts with hubs and followers, and
 // the background drain loop. Crash recovery is covered in fault_test.go,
 // the DSL in dsl_test.go.
 
@@ -562,15 +562,26 @@ func TestCEPFollowerRefused(t *testing.T) {
 	}
 }
 
-func TestCEPSharded(t *testing.T) {
-	kb, err := core.NewSharded(core.Config{Clock: periodic.NewManualClock(cepT0)},
-		[]core.HubShard{
-			{Hub: "P", Description: "payments", Labels: []string{"Txn", "Confirmation", "Account"}},
-			{Hub: "M", Description: "merchants", Labels: []string{"Merchant"}},
-		})
-	if err != nil {
+// defineHubs declares payments (P) and merchants (M) on kb, P owning the
+// given labels.
+func defineHubs(t *testing.T, kb *core.KnowledgeBase, pLabels ...string) {
+	t.Helper()
+	if err := kb.DefineHub("P", "payments", pLabels...); err != nil {
 		t.Fatal(err)
 	}
+	if err := kb.DefineHub("M", "merchants", "Merchant"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCEPSharded runs a composite rule of hub P on a knowledge base with two
+// hubs and enforced ownership: writes of the other hub never touch P's
+// partial state, and the alert is P's. (The name dates from one graph shard
+// per hub.)
+func TestCEPSharded(t *testing.T) {
+	kb := core.New(core.Config{Clock: periodic.NewManualClock(cepT0)})
+	defineHubs(t, kb, "Txn", "Confirmation", "Account")
+	kb.EnforceHubOwnership()
 	m, err := Enable(kb, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -586,29 +597,22 @@ func TestCEPSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := kb.ExecuteInHub("P", "CREATE (:Txn {k: 'a'})", nil); err != nil {
-		t.Fatal(err)
-	}
-	// Writes to the other hub's shard never touch P's partial state.
-	if _, _, err := kb.ExecuteInHub("M", "CREATE (:Merchant {k: 'a'})", nil); err != nil {
-		t.Fatal(err)
-	}
+	cepExec(t, kb, "CREATE (:Txn {k: 'a', hub: 'P'})")
+	// Writes of the other hub never touch P's partial state.
+	cepExec(t, kb, "CREATE (:Merchant {k: 'a', hub: 'M'})")
 	if m.Depth() != 1 {
 		t.Fatalf("depth = %d, want 1", m.Depth())
 	}
-	if _, _, err := kb.ExecuteInHub("P", "CREATE (:Confirmation {k: 'a'})", nil); err != nil {
-		t.Fatal(err)
-	}
+	cepExec(t, kb, "CREATE (:Confirmation {k: 'a', hub: 'P'})")
 	if n := drain(t, m); n != 1 {
 		t.Fatalf("drained %d, want 1", n)
 	}
-	shard, _ := kb.ShardOf("P")
-	res, err := kb.QueryInHub("P", "MATCH (a:Alert) RETURN count(a) AS n", nil)
+	res, err := kb.Query("MATCH (a:Alert {hub: 'P'}) RETURN count(a) AS n", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := res.Value(); func() int64 { n, _ := v.AsInt(); return n }() != 1 {
-		t.Fatalf("alerts in shard %d: %v, want 1", shard, res.Rows)
+		t.Fatalf("alerts of hub P: %v, want 1", res.Rows)
 	}
 	if m.Depth() != 0 {
 		t.Fatalf("depth after drain = %d, want 0", m.Depth())
@@ -616,18 +620,15 @@ func TestCEPSharded(t *testing.T) {
 }
 
 func TestCEPShardedFollowerRefused(t *testing.T) {
-	kb, _, err := core.OpenShardedDurableFollower(t.TempDir(),
-		core.Config{Clock: periodic.NewManualClock(cepT0)},
-		[]core.HubShard{
-			{Hub: "P", Description: "payments", Labels: []string{"Txn"}},
-			{Hub: "M", Description: "merchants", Labels: []string{"Merchant"}},
-		}, wal.Options{Fsync: wal.FsyncNone})
+	kb, _, err := core.OpenFollowerDurable(t.TempDir(),
+		core.Config{Clock: periodic.NewManualClock(cepT0)}, wal.Options{Fsync: wal.FsyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer kb.Close()
+	defineHubs(t, kb, "Txn")
 	if _, err := Enable(kb, Options{}); !errors.Is(err, core.ErrFollower) {
-		t.Fatalf("Enable on a sharded follower = %v, want ErrFollower", err)
+		t.Fatalf("Enable on a durable follower with hubs = %v, want ErrFollower", err)
 	}
 }
 

@@ -31,8 +31,7 @@ func cepCopyDir(t *testing.T, src string) string {
 	return dst
 }
 
-// cepCopyInto recursively copies src into dst (sharded stores keep one
-// subdirectory per shard).
+// cepCopyInto recursively copies src into dst.
 func cepCopyInto(t *testing.T, src, dst string) {
 	t.Helper()
 	entries, err := os.ReadDir(src)
@@ -269,20 +268,22 @@ func TestCEPFaultEveryStageExactlyOnce(t *testing.T) {
 	assertAlertKeys(t, kb2, m2, "drained", "done", "open1", "open2")
 }
 
+// TestCEPFaultShardedCrashRecovery crashes a durable knowledge base with two
+// hubs and enforced ownership while hub P's partial match is staged, and
+// checks the match completes after reopen. (The name dates from one graph
+// shard per hub.)
 func TestCEPFaultShardedCrashRecovery(t *testing.T) {
-	hubs := []core.HubShard{
-		{Hub: "P", Description: "payments", Labels: []string{"E0", "E1"}},
-		{Hub: "M", Description: "merchants", Labels: []string{"Merchant"}},
-	}
 	open := func(dir string, at time.Time) (*core.KnowledgeBase, *Manager) {
 		t.Helper()
-		kb, _, err := core.OpenShardedDurable(dir,
-			core.Config{Clock: periodic.NewManualClock(at)}, hubs,
+		kb, _, err := core.OpenDurable(dir,
+			core.Config{Clock: periodic.NewManualClock(at)},
 			wal.Options{Fsync: wal.FsyncAlways})
 		if err != nil {
-			t.Fatalf("OpenShardedDurable: %v", err)
+			t.Fatalf("OpenDurable: %v", err)
 		}
 		t.Cleanup(func() { _ = kb.Close() })
+		defineHubs(t, kb, "E0", "E1")
+		kb.EnforceHubOwnership()
 		m, err := Enable(kb, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -297,25 +298,21 @@ func TestCEPFaultShardedCrashRecovery(t *testing.T) {
 
 	dir := t.TempDir()
 	kb, _ := open(dir, faultT0)
-	if _, _, err := kb.ExecuteInHub("P", "CREATE (:E0 {k: 'a'})", nil); err != nil {
-		t.Fatal(err)
-	}
+	cepExec(t, kb, "CREATE (:E0 {k: 'a', hub: 'P'})")
 
-	// Crash with the partial staged in P's shard; it recovers there and the
-	// match completes after reopen.
+	// Crash with the partial staged; it recovers and the match completes
+	// after reopen.
 	kb2, m2 := open(cepCopyDir(t, dir), faultT0.Add(time.Minute))
 	if m2.Recovered() != 1 {
 		t.Fatalf("Recovered = %d, want 1", m2.Recovered())
 	}
-	if _, _, err := kb2.ExecuteInHub("P", "CREATE (:E1 {k: 'a'})", nil); err != nil {
-		t.Fatal(err)
-	}
+	cepExec(t, kb2, "CREATE (:E1 {k: 'a', hub: 'P'})")
 	for i := 0; i < 2; i++ {
 		if _, err := m2.DrainOnce(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := kb2.QueryInHub("P", "MATCH (a:Alert) RETURN count(a) AS n", nil)
+	res, err := kb2.Query("MATCH (a:Alert {hub: 'P'}) RETURN count(a) AS n", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

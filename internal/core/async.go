@@ -27,11 +27,6 @@ package core
 // their activations committed (per-rule ordered delivery). No ordering is
 // guaranteed across rules.
 //
-// Shards: an entry lives in the shard whose transaction staged it, rides
-// that shard's WAL stream, and is evaluated against and consumed in that
-// shard (identifier bands name it). The scanner, DrainAsync, the queue
-// bound and the depth gauge all span every shard's queue.
-//
 // The queue mechanics are the bookkeeping idiom of bookkeeping.go; this file
 // keeps what is specific to the pipeline: per-rule worker routing, the
 // in-flight and parked sets, backpressure.
@@ -120,8 +115,7 @@ type AsyncOptions struct {
 // ErrAsyncRunning is returned by StartAsync when the pipeline already runs.
 var ErrAsyncRunning = errors.New("core: async pipeline already running")
 
-// pendingEntry is one dequeued PendingAlert node; its identifier's band
-// names the shard it is queued in.
+// pendingEntry is one dequeued PendingAlert node.
 type pendingEntry struct {
 	id      graph.NodeID
 	rule    string
@@ -216,8 +210,7 @@ func (kb *KnowledgeBase) StopAsync() {
 	p.wg.Wait()
 }
 
-// AsyncDepth returns the number of PendingAlert entries queued across all
-// shards.
+// AsyncDepth returns the number of PendingAlert entries queued.
 func (kb *KnowledgeBase) AsyncDepth() int { return kb.pending.Depth() }
 
 // WaitAsyncIdle blocks until the pending queue is drained and no evaluation
@@ -256,7 +249,7 @@ func (kb *KnowledgeBase) asyncEnqueue(tx *graph.Tx, item trigger.AsyncItem) (boo
 	if p == nil {
 		return false, trigger.ErrAsyncFallback
 	}
-	if p.opts.Backpressure == ShedOnFull && kb.pendingDepth(tx) >= p.opts.QueueLimit {
+	if p.opts.Backpressure == ShedOnFull && tx.CountByLabel(PendingAlertLabel) >= p.opts.QueueLimit {
 		kb.asyncM.shed.Inc()
 		return false, nil
 	}
@@ -277,19 +270,6 @@ func (kb *KnowledgeBase) asyncEnqueue(tx *graph.Tx, item trigger.AsyncItem) (boo
 		p.scanner.Kick()
 		return nil
 	})
-}
-
-// pendingDepth is the queue depth a writing transaction sees: its own
-// shard's entries including the ones it is staging, plus the other shards'
-// committed entries.
-func (kb *KnowledgeBase) pendingDepth(tx *graph.Tx) int {
-	n := tx.CountByLabel(PendingAlertLabel)
-	for i := 0; i < kb.store.NumShards(); i++ {
-		if s := kb.store.Shard(i); tx.StoreKey() != any(s) {
-			n += s.LabelCount(PendingAlertLabel)
-		}
-	}
-	return n
 }
 
 // throttleAsync applies BlockOnFull backpressure: called after a commit that
@@ -384,7 +364,7 @@ func (p *asyncPipeline) worker(ch chan pendingEntry) {
 }
 
 // DrainAsync synchronously evaluates and materializes every queued entry in
-// one pass, shard by shard in enqueue order, until the queues are empty —
+// one pass, in enqueue order, until the queue is empty —
 // what the workers of a running pipeline do in the background. It returns
 // how many entries it materialized; entries that fail stay queued and are
 // reported joined, corrupt or orphaned ones are discarded. Callers without
@@ -414,8 +394,7 @@ func (kb *KnowledgeBase) DrainAsync() (int, error) {
 }
 
 // consumePending evaluates one entry: alert query against a pinned committed
-// snapshot of the entry's shard, then the follow-up write transaction there
-// that deletes the PendingAlert node and materializes the alert nodes. It
+// snapshot, then the follow-up write transaction that deletes the PendingAlert node and materializes the alert nodes. It
 // reports whether this call materialized the entry; false with a nil error
 // means the entry was discarded (corrupt payload, dropped rule) or an earlier
 // incarnation had already consumed it.
@@ -427,7 +406,7 @@ func (kb *KnowledgeBase) consumePending(en pendingEntry) (bool, error) {
 		kb.asyncM.failed.Inc()
 		return false, kb.pending.Discard(en.id)
 	}
-	ro := kb.store.Shard(graph.ShardOfNode(en.id)).Begin(graph.ReadOnly)
+	ro := kb.store.Begin(graph.ReadOnly)
 	cols, rows, err := kb.engine.EvaluateAsync(ro, en.rule, bind)
 	ro.Rollback()
 	switch {

@@ -6,8 +6,7 @@ package core_test
 // enqueued, mid-evaluation, alert-created-but-uncommitted, and fully
 // processed — and after reopening, every staged activation must materialize
 // exactly one Alert node: none lost, none duplicated. Every durable row of
-// the constructor table runs every stage; on the four-shard rows the queue
-// lives in the last shard's stream.
+// the constructor table runs every stage.
 
 import (
 	"fmt"
@@ -43,30 +42,28 @@ func openAsyncKB(t *testing.T, v core.Variant, dir string) *core.KnowledgeBase {
 
 // stageEnqueued writes n Reading nodes with the pipeline in enqueue-only
 // mode, freezing the durable queue at depth n.
-func stageEnqueued(t *testing.T, v core.Variant, kb *core.KnowledgeBase, n int) {
+func stageEnqueued(t *testing.T, kb *core.KnowledgeBase, n int) {
 	t.Helper()
 	if err := kb.StartAsync(core.AsyncOptions{Workers: -1}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		createReading(t, v, kb, i)
+		createReading(t, kb, i)
 	}
 	if d := kb.AsyncDepth(); d != n {
 		t.Fatalf("queue depth = %d, want %d", d, n)
 	}
 }
 
-func createReading(t *testing.T, v core.Variant, kb *core.KnowledgeBase, i int) {
+func createReading(t *testing.T, kb *core.KnowledgeBase, i int) {
 	t.Helper()
-	if _, _, err := kb.ExecuteInHub(v.LastHub(), fmt.Sprintf("CREATE (:Reading {v: %d})", i), nil); err != nil {
+	if _, err := kb.Execute(fmt.Sprintf("CREATE (:Reading {v: %d})", i), nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// queueStore is the store holding the staged queue: the last shard's.
-func queueStore(kb *core.KnowledgeBase) *graph.Store {
-	return kb.Shards().Shard(kb.NumShards() - 1)
-}
+// queueStore is the store holding the staged queue.
+func queueStore(kb *core.KnowledgeBase) *graph.Store { return kb.Store() }
 
 // assertExactlyOnce reopens dir, drains the queue and asserts each of the n
 // staged activations materialized exactly one alert.
@@ -146,7 +143,7 @@ func TestAsyncCrashWhileEnqueued(t *testing.T) {
 	core.ForEachDurableVariant(t, func(t *testing.T, v core.Variant) {
 		dir := v.Dir(t)
 		kb := openAsyncKB(t, v, dir)
-		stageEnqueued(t, v, kb, 3)
+		stageEnqueued(t, kb, 3)
 		// Crash with all three entries enqueued, none evaluated.
 		assertExactlyOnce(t, v, copyDir(t, dir), 3)
 	})
@@ -156,7 +153,7 @@ func TestAsyncCrashMidEvaluation(t *testing.T) {
 	core.ForEachDurableVariant(t, func(t *testing.T, v core.Variant) {
 		dir := v.Dir(t)
 		kb := openAsyncKB(t, v, dir)
-		stageEnqueued(t, v, kb, 3)
+		stageEnqueued(t, kb, 3)
 		crash := copyDir(t, dir)
 
 		// Reopen and crash again mid-evaluation: a worker has run the alert
@@ -183,7 +180,7 @@ func TestAsyncCrashAlertCreatedUncommitted(t *testing.T) {
 	core.ForEachDurableVariant(t, func(t *testing.T, v core.Variant) {
 		dir := v.Dir(t)
 		kb := openAsyncKB(t, v, dir)
-		stageEnqueued(t, v, kb, 3)
+		stageEnqueued(t, kb, 3)
 		crash := copyDir(t, dir)
 
 		// Reopen and replay a worker up to the brink of its commit: pending
@@ -220,7 +217,7 @@ func TestAsyncCrashAfterProcessingNoDuplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
-			createReading(t, v, kb, i)
+			createReading(t, kb, i)
 		}
 		if err := kb.WaitAsyncIdle(10 * time.Second); err != nil {
 			t.Fatal(err)

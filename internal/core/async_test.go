@@ -383,9 +383,7 @@ func testAsyncConcurrentWritersExactlyOnce(t *testing.T, v Variant) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				// Writers spread over the shards: each shard's queue fills
-				// and drains concurrently.
-				if _, _, err := kb.ExecuteInHub(v.Hub(w%v.Shards),
+				if _, err := kb.Execute(
 					fmt.Sprintf("CREATE (:Reading {v: %d})", w*per+i), nil); err != nil {
 					t.Errorf("write: %v", err)
 					return

@@ -39,33 +39,31 @@ func (kb *KnowledgeBase) Bookkeeping(label string) *Bookkeeping {
 // before the first write: the engine reads its skip set without a lock.
 func (b *Bookkeeping) Hide() { b.kb.engine.SkipLabels[b.label] = true }
 
-// Depth returns the number of entries across all shards.
+// Depth returns the number of entries.
 func (b *Bookkeeping) Depth() int { return b.kb.store.LabelCount(b.label) }
 
 // Recovered returns the Depth found when the handle was made.
 func (b *Bookkeeping) Recovered() int { return b.recovered }
 
-// Scan returns the committed entries take accepts, shard by shard in
-// node-id order; take runs against a pinned snapshot of the entry's shard.
+// Scan returns the committed entries take accepts, in node-id order; take
+// runs against one pinned snapshot.
 func (b *Bookkeeping) Scan(take func(tx *graph.Tx, id graph.NodeID) bool) []graph.NodeID {
 	var out []graph.NodeID
-	for i := 0; i < b.kb.store.NumShards(); i++ {
-		_ = b.kb.store.Shard(i).View(func(tx *graph.Tx) error {
-			ids := tx.NodesByLabel(b.label)
-			slices.Sort(ids)
-			for _, id := range ids {
-				if take(tx, id) {
-					out = append(out, id)
-				}
+	_ = b.kb.store.View(func(tx *graph.Tx) error {
+		ids := tx.NodesByLabel(b.label)
+		slices.Sort(ids)
+		for _, id := range ids {
+			if take(tx, id) {
+				out = append(out, id)
 			}
-			return nil
-		})
-	}
+		}
+		return nil
+	})
 	return out
 }
 
-// FollowUp runs fn, if the entry still exists, in one write transaction on
-// the entry's shard: through the rule engine like any write (so rules react
+// FollowUp runs fn, if the entry still exists, in one write transaction:
+// through the rule engine like any write (so rules react
 // to what fn materializes), and never throttled by async backpressure — the
 // follow-ups are what drains the queues. It reports whether this call
 // consumed the entry, i.e. fn deleted it and the transaction committed;
@@ -73,7 +71,7 @@ func (b *Bookkeeping) Scan(take func(tx *graph.Tx, id graph.NodeID) bool) []grap
 // the entry in place.
 func (b *Bookkeeping) FollowUp(id graph.NodeID, fn func(tx *graph.Tx) error) (bool, error) {
 	consumed := false
-	_, err := b.kb.write(graph.ShardOfNode(id), func(tx *graph.Tx) error {
+	_, err := b.kb.write(func(tx *graph.Tx) error {
 		if !tx.NodeExists(id) {
 			return nil
 		}
@@ -86,15 +84,15 @@ func (b *Bookkeeping) FollowUp(id graph.NodeID, fn func(tx *graph.Tx) error) (bo
 	return consumed && err == nil, err
 }
 
-// Update runs fn in a write transaction on one shard that bypasses the rule
-// engine: bookkeeping is not knowledge, so no rule fires on it.
-func (b *Bookkeeping) Update(shard int, fn func(tx *graph.Tx) error) error {
-	return b.kb.store.Shard(shard).Update(fn)
+// Update runs fn in a write transaction that bypasses the rule engine:
+// bookkeeping is not knowledge, so no rule fires on it.
+func (b *Bookkeeping) Update(fn func(tx *graph.Tx) error) error {
+	return b.kb.store.Update(fn)
 }
 
 // Discard drops an entry that can never be resolved, without firing rules.
 func (b *Bookkeeping) Discard(id graph.NodeID) error {
-	return b.Update(graph.ShardOfNode(id), func(tx *graph.Tx) error {
+	return b.Update(func(tx *graph.Tx) error {
 		if !tx.NodeExists(id) {
 			return nil
 		}

@@ -16,57 +16,44 @@ import (
 	"repro/internal/trigger"
 )
 
-// stageInEveryShard starts an enqueue-only pipeline and stages per entries in
-// every shard, round-robin, so commit order interleaves the shards.
-func stageInEveryShard(t *testing.T, kb *KnowledgeBase, v Variant, per int) {
+// stageEntries starts an enqueue-only pipeline and stages n entries, one
+// write each.
+func stageEntries(t *testing.T, kb *KnowledgeBase, n int) {
 	t.Helper()
 	installAsyncEcho(t, kb, "echo")
 	if err := kb.StartAsync(AsyncOptions{Workers: -1}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < per; i++ {
-		for s := 0; s < v.Shards; s++ {
-			q := fmt.Sprintf("CREATE (:Reading {v: %d})", i*v.Shards+s)
-			if _, _, err := kb.ExecuteInHub(v.Hub(s), q, nil); err != nil {
-				t.Fatal(err)
-			}
+	for i := 0; i < n; i++ {
+		if _, err := kb.Execute(fmt.Sprintf("CREATE (:Reading {v: %d})", i), nil); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if got, want := kb.AsyncDepth(), per*v.Shards; got != want {
-		t.Fatalf("staged %d entries, want %d", got, want)
+	if got := kb.AsyncDepth(); got != n {
+		t.Fatalf("staged %d entries, want %d", got, n)
 	}
 }
 
 func TestAsyncBookkeepingScanOrderAndTake(t *testing.T) {
 	ForEachVariant(t, func(t *testing.T, v Variant) {
 		kb, _ := v.OpenSim(t)
-		stageInEveryShard(t, kb, v, 4)
+		n := 4 * v.Hubs
+		stageEntries(t, kb, n)
 		defer kb.StopAsync()
 
 		seen := 0
 		all := kb.pending.Scan(func(tx *graph.Tx, id graph.NodeID) bool {
 			if !tx.NodeHasLabel(id, PendingAlertLabel) {
-				t.Errorf("take was handed %d, which is no queue entry in its shard's view", id)
+				t.Errorf("take was handed %d, which is no queue entry in its view", id)
 			}
 			seen++
 			return true
 		})
-		if seen != 4*v.Shards || len(all) != seen {
-			t.Fatalf("scan visited %d and returned %d entries, want %d", seen, len(all), 4*v.Shards)
+		if seen != n || len(all) != seen {
+			t.Fatalf("scan visited %d and returned %d entries, want %d", seen, len(all), n)
 		}
-		// Shard by shard, and in node-id order within each shard: the bands
-		// make that one ascending sequence with every shard contributing 4.
 		if !sort.SliceIsSorted(all, func(i, j int) bool { return all[i] < all[j] }) {
-			t.Fatalf("scan order %v is not shard-by-shard ascending", all)
-		}
-		perShard := map[int]int{}
-		for _, id := range all {
-			perShard[graph.ShardOfNode(id)]++
-		}
-		for s := 0; s < v.Shards; s++ {
-			if perShard[s] != 4 {
-				t.Fatalf("shard %d contributed %d entries, want 4 (%v)", s, perShard[s], perShard)
-			}
+			t.Fatalf("scan order %v is not node-id ascending", all)
 		}
 
 		refuse := map[graph.NodeID]bool{all[0]: true, all[len(all)-1]: true}
@@ -85,9 +72,9 @@ func TestAsyncBookkeepingScanOrderAndTake(t *testing.T) {
 func TestAsyncBookkeepingRacingFollowUpsExactlyOnce(t *testing.T) {
 	ForEachVariant(t, func(t *testing.T, v Variant) {
 		kb, _ := v.OpenSim(t)
-		stageInEveryShard(t, kb, v, 5)
+		n := 5 * v.Hubs
+		stageEntries(t, kb, n)
 		defer kb.StopAsync()
-		n := 5 * v.Shards
 		entries := kb.readPending(func(graph.NodeID) bool { return true })
 
 		// Two drains race over the same ready entries.
@@ -148,8 +135,8 @@ func TestAsyncBookkeepingDiscardIsRuleFreeButLogged(t *testing.T) {
 		}
 		scratch := kb.Bookkeeping("Scratch")
 		var ids []graph.NodeID
-		for s := 0; s < v.Shards; s++ {
-			if err := scratch.Update(s, func(tx *graph.Tx) error {
+		for s := 0; s < v.Hubs; s++ {
+			if err := scratch.Update(func(tx *graph.Tx) error {
 				id, err := tx.CreateNode([]string{"Scratch"}, nil)
 				ids = append(ids, id)
 				return err
@@ -200,14 +187,14 @@ func TestAsyncBookkeepingRecoveredAtStart(t *testing.T) {
 		if got := kb.pending.Recovered(); got != 0 {
 			t.Fatalf("fresh directory: recovered = %d, want 0", got)
 		}
-		stageInEveryShard(t, kb, v, 3)
+		stageEntries(t, kb, 3*v.Hubs)
 		kb.StopAsync()
 		if err := kb.Close(); err != nil {
 			t.Fatal(err)
 		}
 		kb2 := v.Open(t, dir, Config{})
-		if rec, d := kb2.pending.Recovered(), kb2.AsyncDepth(); rec != 3*v.Shards || rec != d {
-			t.Fatalf("after reopen: recovered %d, depth %d, want both %d", rec, d, 3*v.Shards)
+		if rec, d := kb2.pending.Recovered(), kb2.AsyncDepth(); rec != 3*v.Hubs || rec != d {
+			t.Fatalf("after reopen: recovered %d, depth %d, want both %d", rec, d, 3*v.Hubs)
 		}
 	})
 }

@@ -51,41 +51,27 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// ErrMultiShard is returned by operations that act on one graph store —
-// the Essential Summary, what-if forking, schema binding, graph save/load,
-// the replication leader/follower pair, federation, and writes that name no
-// hub — when the knowledge base has more than one shard. They work
-// unchanged on a one-shard knowledge base.
-var ErrMultiShard = errors.New("core: operation needs a single-shard knowledge base")
-
-// KnowledgeBase is a reactive knowledge management system instance. Its
-// graph always sits on a sharded store: New and OpenDurable build the
-// one-shard case, NewSharded and OpenShardedDurable one shard per declared
-// hub (see shard.go). One rule engine, one hub registry, one plan cache and
-// one metrics registry are shared by all shards — rules, hubs and schemas
-// are ontology, not data.
+// KnowledgeBase is a reactive knowledge management system instance: one
+// graph store, governed by one rule engine, one hub registry, one plan cache
+// and one metrics registry. Hubs own nodes (§III-A); they do not partition
+// storage.
 type KnowledgeBase struct {
-	store  *graph.ShardedStore
+	store  *graph.Store
 	engine *trigger.Engine
 	hubs   *hub.Registry
 	clock  periodic.Clock
 
-	// shardOf and hubOf are the hub-to-shard layout of a knowledge base
-	// built from HubShard declarations; both are empty otherwise.
-	shardOf map[string]int
-	hubOf   []string
-
-	// wal holds one write-ahead log per shard of a durable knowledge base
-	// (see durable.go); nil for in-memory ones.
-	wal    *wal.ShardSet
+	// wal is the write-ahead log of a durable knowledge base (see
+	// durable.go); nil for in-memory ones.
+	wal    *wal.Log
 	ckptMu sync.Mutex
 
 	// follower marks a replication follower (see replica.go): ordinary
 	// writes fail with ErrFollower and state arrives only through the
-	// replicated-apply path. replicaSeqs are the per-shard apply cursors,
-	// advanced only once a batch is published (and, durably, persisted).
-	follower    bool
-	replicaSeqs []atomic.Uint64
+	// replicated-apply path. replicaSeq is the apply cursor, advanced only
+	// once a batch is published (and, durably, persisted).
+	follower   bool
+	replicaSeq atomic.Uint64
 
 	// async is the running asynchronous alert pipeline (see async.go); nil
 	// until StartAsync. asyncM holds its instruments, wired once at
@@ -101,13 +87,10 @@ type KnowledgeBase struct {
 	metrics          *metrics.Registry
 	mRollovers       *metrics.Counter
 	mRolloverSeconds *metrics.Histogram
-	mCross           *metrics.Counter
-	mXQuery          *metrics.Counter
-	mXQuerySecs      *metrics.Histogram
 
 	// plans caches prepared statements (parse + compile artifacts) keyed
-	// by query text; lookups are lock-free, so concurrent per-hub readers
-	// never contend on parsing. mPrepare observes the latency of resolving
+	// by query text; lookups are lock-free, so concurrent readers never
+	// contend on parsing. mPrepare observes the latency of resolving
 	// a query to its plan (cache hits included).
 	plans    *cypher.PlanCache
 	mPrepare *metrics.Histogram
@@ -120,89 +103,52 @@ type KnowledgeBase struct {
 	nextCheck time.Time
 }
 
-// New creates an empty in-memory knowledge base with one shard.
+// New creates an empty in-memory knowledge base.
 func New(cfg Config) *KnowledgeBase {
-	kb, _, err := open("", cfg, nil, wal.Options{}, false)
-	if err != nil {
-		panic(err) // one in-memory shard and no hub declarations cannot fail
-	}
-	return kb
+	return assemble(cfg, hub.NewRegistry(), graph.NewStore())
 }
 
-// open builds every kind of knowledge base. Nil hubs means one shard in the
-// flat layout (the log sits at the root of dir); otherwise there is one
-// shard per declared hub, each persisting to its own subdirectory. An empty
-// dir means in-memory.
-func open(dir string, cfg Config, hubs []HubShard, wopts wal.Options, follower bool) (*KnowledgeBase, []*wal.RecoveryInfo, error) {
+// open builds every kind of knowledge base: in memory when dir is empty,
+// otherwise recovered from (and logging to) the write-ahead log at the root
+// of dir.
+func open(dir string, cfg Config, wopts wal.Options, follower bool) (*KnowledgeBase, *wal.RecoveryInfo, error) {
+	store := graph.NewStore()
 	var (
-		ss    *graph.ShardedStore
-		set   *wal.ShardSet
-		infos []*wal.RecoveryInfo
-		err   error
+		l    *wal.Log
+		info *wal.RecoveryInfo
 	)
-	if dir == "" {
-		ss, err = graph.NewSharded(max(len(hubs), 1))
-	} else {
-		var stores []*graph.Store
-		if hubs == nil {
-			set, stores, infos, err = wal.OpenFlat(dir, wopts)
-		} else {
-			set, stores, infos, err = wal.OpenShardSet(dir, len(hubs), wopts)
-		}
-		if err == nil {
-			ss, err = graph.AttachShards(stores)
+	if dir != "" {
+		var err error
+		if l, store, info, err = wal.Open(dir, wopts); err != nil {
+			return nil, nil, err
 		}
 	}
-	var kb *KnowledgeBase
-	if err == nil {
-		kb, err = assemble(cfg, hub.NewRegistry(), hubs, ss)
-	}
-	if err != nil {
-		if set != nil {
-			set.Close()
-		}
-		return nil, nil, err
-	}
+	kb := assemble(cfg, hub.NewRegistry(), store)
 	if follower {
 		kb.follower = true
-		for i := 0; i < ss.NumShards(); i++ {
-			ss.Shard(i).SetFollowerMode(true)
-			if set != nil {
-				kb.replicaSeqs[i].Store(set.Log(i).LastSeq())
-			}
+		store.SetFollowerMode(true)
+		if l != nil {
+			kb.replicaSeq.Store(l.LastSeq())
 		}
 	}
-	if set != nil {
-		kb.attachWAL(set, wopts.Fsync, infos)
+	if l != nil {
+		kb.attachWAL(l, wopts.Fsync, info)
 	}
-	return kb, infos, nil
+	return kb, info, nil
 }
 
-// assemble wires rule engine, plan cache and metrics around a
-// sharded store and a hub registry, on which it declares defs.
-func assemble(cfg Config, hubs *hub.Registry, defs []HubShard, ss *graph.ShardedStore) (*KnowledgeBase, error) {
+// assemble wires rule engine, plan cache and metrics around a store and a
+// hub registry.
+func assemble(cfg Config, hubs *hub.Registry, store *graph.Store) *KnowledgeBase {
 	clock := cfg.Clock
 	if clock == nil {
 		clock = periodic.RealClock{}
 	}
 	kb := &KnowledgeBase{
-		store:       ss,
-		hubs:        hubs,
-		clock:       clock,
-		shardOf:     make(map[string]int, len(defs)),
-		hubOf:       make([]string, len(defs)),
-		replicaSeqs: make([]atomic.Uint64, ss.NumShards()),
-		plans:       cypher.NewPlanCache(0),
-	}
-	for i, d := range defs {
-		if _, dup := kb.shardOf[d.Hub]; dup {
-			return nil, fmt.Errorf("core: hub %s declared twice", d.Hub)
-		}
-		if err := kb.DefineHub(d.Hub, d.Description, d.Labels...); err != nil {
-			return nil, err
-		}
-		kb.shardOf[d.Hub] = i
-		kb.hubOf[i] = d.Hub
+		store: store,
+		hubs:  hubs,
+		clock: clock,
+		plans: cypher.NewPlanCache(0),
 	}
 	e := trigger.NewEngine()
 	e.StrictTermination = cfg.StrictTermination
@@ -223,29 +169,12 @@ func assemble(cfg Config, hubs *hub.Registry, defs []HubShard, ss *graph.Sharded
 		reg = metrics.NewRegistry()
 	}
 	kb.wireMetrics(reg)
-	return kb, nil
+	return kb
 }
 
-// single guards an operation that acts on one graph store.
-func (kb *KnowledgeBase) single(op string) error {
-	if kb.store.NumShards() > 1 {
-		return fmt.Errorf("%w: %s", ErrMultiShard, op)
-	}
-	return nil
-}
-
-// NumShards returns the number of graph shards (1 unless the knowledge base
-// was built from hub declarations).
-func (kb *KnowledgeBase) NumShards() int { return kb.store.NumShards() }
-
-// Shards exposes the underlying sharded graph store. Writes made directly
-// through it bypass the rule engine.
-func (kb *KnowledgeBase) Shards() *graph.ShardedStore { return kb.store }
-
-// Store exposes the graph store of a one-shard knowledge base (shard 0 of a
-// larger one; see Shards) for advanced integrations and tests. Changes made
-// directly through it bypass the rule engine.
-func (kb *KnowledgeBase) Store() *graph.Store { return kb.store.Shard(0) }
+// Store exposes the graph store for advanced integrations and tests.
+// Changes made directly through it bypass the rule engine.
+func (kb *KnowledgeBase) Store() *graph.Store { return kb.store }
 
 // Clock returns the knowledge base's clock.
 func (kb *KnowledgeBase) Clock() periodic.Clock { return kb.clock }
@@ -256,8 +185,8 @@ func (kb *KnowledgeBase) Now() time.Time { return kb.clock.Now() }
 // ---- Hubs ----
 
 // DefineHub registers a knowledge hub and assigns it ownership of the given
-// node labels. On a one-shard knowledge base the hub's nodes live in that
-// shard; a larger one places hubs at construction (HubShard declarations).
+// node labels. Ownership is checked on commit once EnforceHubOwnership is
+// on; it never changes where a node is stored.
 func (kb *KnowledgeBase) DefineHub(name, description string, labels ...string) error {
 	if _, err := kb.hubs.Define(name, description); err != nil {
 		return err
@@ -268,18 +197,13 @@ func (kb *KnowledgeBase) DefineHub(name, description string, labels ...string) e
 // Hubs exposes the hub registry.
 func (kb *KnowledgeBase) Hubs() *hub.Registry { return kb.hubs }
 
-// EnforceHubOwnership installs, on every shard, the commit-time validator
-// that requires every node with an owned label to carry the matching hub
-// property.
-func (kb *KnowledgeBase) EnforceHubOwnership() {
-	for i := 0; i < kb.store.NumShards(); i++ {
-		kb.hubs.Enforce(kb.store.Shard(i))
-	}
-}
+// EnforceHubOwnership installs the commit-time validator that requires
+// every node with an owned label to carry the matching hub property.
+func (kb *KnowledgeBase) EnforceHubOwnership() { kb.hubs.Enforce(kb.store) }
 
 // HubStats summarizes the graph partitioning.
 func (kb *KnowledgeBase) HubStats() (hub.Stats, error) {
-	v := kb.view(allShards)
+	v := kb.store.Begin(graph.ReadOnly)
 	defer v.Rollback()
 	return kb.hubs.ComputeStats(v), nil
 }
@@ -300,25 +224,13 @@ func (kb *KnowledgeBase) ApplySchema(src string) (*schema.GraphType, error) {
 
 // ApplyGraphType binds a programmatically built graph type to the store.
 func (kb *KnowledgeBase) ApplyGraphType(g *schema.GraphType) error {
-	if err := kb.single("schema binding"); err != nil {
-		return err
-	}
-	if err := g.Bind(kb.Store()); err != nil {
-		return err
-	}
-	return nil
+	return g.Bind(kb.store)
 }
 
 // CreateIndex creates a property index usable by equality lookups, count
-// queries and EXCLUSIVE keys, on every shard (a cross-shard lookup uses an
-// index only when all shards carry it).
+// queries and EXCLUSIVE keys.
 func (kb *KnowledgeBase) CreateIndex(label, prop string) error {
-	for i := 0; i < kb.store.NumShards(); i++ {
-		if err := kb.store.Shard(i).CreateIndex(label, prop); err != nil {
-			return err
-		}
-	}
-	return nil
+	return kb.store.CreateIndex(label, prop)
 }
 
 // ---- Rules ----
@@ -392,80 +304,35 @@ func (kb *KnowledgeBase) prepare(query string) (*cypher.Plan, error) {
 // PlanCacheStats snapshots the shared plan cache's size and hit counters.
 func (kb *KnowledgeBase) PlanCacheStats() cypher.PlanCacheStats { return kb.plans.Stats() }
 
-// readView is what a read executes against: one shard's snapshot or the
-// cross-shard view, both pinned lock-free.
-type readView interface {
-	graph.ReadView
-	Rollback()
-}
-
-// allShards asks view for the whole graph rather than one named shard.
-const allShards = -1
-
-// view pins the snapshot a read runs against: shard's own when one is named
-// or there is only one, the cross-shard view otherwise. A MATCH over the
-// cross-shard view follows a knowledge bridge from either side and binds it
-// exactly once (both halves share one relationship identifier); anchor
-// selection costs against cardinalities aggregated over all shards, and the
-// compiled variant is cached per backing store, so per-hub reads on skewed
-// shards never execute a plan costed for the whole graph or vice versa.
-func (kb *KnowledgeBase) view(shard int) readView {
-	if shard == allShards {
-		if kb.store.NumShards() > 1 {
-			return kb.store.View()
-		}
-		shard = 0
-	}
-	return kb.store.Shard(shard).Begin(graph.ReadOnly)
-}
-
 // ExplainQuery renders the execution plan of a statement: the clause
 // pipeline and the access path each MATCH anchor would use against the
-// current indexes and statistics of the whole graph.
+// current indexes and statistics of the graph.
 func (kb *KnowledgeBase) ExplainQuery(query string) (string, error) {
 	plan, err := kb.prepare(query)
 	if err != nil {
 		return "", err
 	}
-	v := kb.view(allShards)
+	v := kb.store.Begin(graph.ReadOnly)
 	defer v.Rollback()
 	return cypher.Explain(v, plan.Statement()), nil
 }
 
-// Query runs a read-only statement over the whole graph, lock-free; write
-// clauses fail.
+// Query runs a read-only statement over the committed graph, lock-free;
+// write clauses fail.
 func (kb *KnowledgeBase) Query(query string, params map[string]value.Value) (*cypher.Result, error) {
-	return kb.query(allShards, query, params)
-}
-
-func (kb *KnowledgeBase) query(shard int, query string, params map[string]value.Value) (*cypher.Result, error) {
 	plan, err := kb.prepare(query)
 	if err != nil {
 		return nil, err
 	}
-	v := kb.view(shard)
+	v := kb.store.Begin(graph.ReadOnly)
 	defer v.Rollback()
-	_, cross := v.(*graph.MultiView)
-	var t0 time.Time
-	if cross {
-		t0 = time.Now()
-	}
-	res, err := plan.Execute(v, &cypher.Options{Params: params, Now: kb.clock.Now})
-	if err != nil {
-		return nil, err
-	}
-	if cross {
-		kb.mXQuery.Inc()
-		kb.mXQuerySecs.ObserveSince(t0)
-	}
-	return res, nil
+	return plan.Execute(v, &cypher.Options{Params: params, Now: kb.clock.Now})
 }
 
 // Execute runs a statement in a read-write transaction, fires the reactive
 // rules over its changes (cascading), and commits. On any error — statement,
 // rule, cascade bound, or commit-time schema/hub validation — the whole
-// transaction rolls back. With more than one shard the write must name its
-// hub: use ExecuteInHub.
+// transaction rolls back.
 func (kb *KnowledgeBase) Execute(query string, params map[string]value.Value) (*cypher.Result, error) {
 	res, _, err := kb.ExecuteReport(query, params)
 	return res, err
@@ -473,19 +340,12 @@ func (kb *KnowledgeBase) Execute(query string, params map[string]value.Value) (*
 
 // ExecuteReport is Execute plus the rule engine's activation report.
 func (kb *KnowledgeBase) ExecuteReport(query string, params map[string]value.Value) (*cypher.Result, *trigger.Report, error) {
-	if err := kb.single("Execute without a hub"); err != nil {
-		return nil, nil, err
-	}
-	return kb.execute(0, query, params)
-}
-
-func (kb *KnowledgeBase) execute(shard int, query string, params map[string]value.Value) (*cypher.Result, *trigger.Report, error) {
 	plan, err := kb.prepare(query)
 	if err != nil {
 		return nil, nil, err
 	}
 	var res *cypher.Result
-	rep, err := kb.write(shard, func(tx *graph.Tx) error {
+	rep, err := kb.write(func(tx *graph.Tx) error {
 		var err error
 		res, err = plan.Execute(tx, &cypher.Options{Params: params, Now: kb.clock.Now})
 		return err
@@ -498,44 +358,22 @@ func (kb *KnowledgeBase) execute(shard int, query string, params map[string]valu
 
 // WriteTx runs fn inside a read-write transaction, then fires the reactive
 // rules over fn's changes and commits. It is the programmatic (non-Cypher)
-// write path; bulk loaders use it. With more than one shard the write must
-// name its shard: use UpdateShard (ShardOf resolves a hub name).
+// write path; bulk loaders use it.
 func (kb *KnowledgeBase) WriteTx(fn func(tx *graph.Tx) error) (*trigger.Report, error) {
-	if err := kb.single("WriteTx without a hub"); err != nil {
-		return nil, err
-	}
-	return kb.write(0, fn, true)
+	return kb.write(fn, true)
 }
 
-// UpdateShard is WriteTx on a shard named by index. Updates on different
-// shards proceed fully in parallel — each takes only its own shard's write
-// lock and appends to its own WAL stream.
-func (kb *KnowledgeBase) UpdateShard(i int, fn func(tx *graph.Tx) error) (*trigger.Report, error) {
-	if err := kb.checkShard(i); err != nil {
-		return nil, err
-	}
-	return kb.write(i, fn, true)
-}
-
-func (kb *KnowledgeBase) checkShard(i int) error {
-	if i < 0 || i >= kb.store.NumShards() {
-		return fmt.Errorf("core: shard %d out of range [0,%d)", i, kb.store.NumShards())
-	}
-	return nil
-}
-
-// write is the write path: fn's changes on one shard, the rule cascade over
-// them (which only ever touches the transaction it was handed, pinned to
-// that shard), commit. A non-nil report may accompany an error from the
-// cascade. throttle selects whether BlockOnFull async backpressure applies
-// after the commit; the async workers' own follow-up transactions pass
-// false — they drain the queue, so blocking them on its depth would
-// deadlock.
-func (kb *KnowledgeBase) write(shard int, fn func(tx *graph.Tx) error, throttle bool) (*trigger.Report, error) {
+// write is the write path: fn's changes, the rule cascade over them (which
+// only ever touches the transaction it was handed), commit. A non-nil report
+// may accompany an error from the cascade. throttle selects whether
+// BlockOnFull async backpressure applies after the commit; the async
+// workers' own follow-up transactions pass false — they drain the queue, so
+// blocking them on its depth would deadlock.
+func (kb *KnowledgeBase) write(fn func(tx *graph.Tx) error, throttle bool) (*trigger.Report, error) {
 	if kb.follower {
 		return nil, ErrFollower
 	}
-	tx := kb.store.Shard(shard).Begin(graph.ReadWrite)
+	tx := kb.store.Begin(graph.ReadWrite)
 	if err := fn(tx); err != nil {
 		tx.Rollback()
 		return nil, err
@@ -564,9 +402,6 @@ func (kb *KnowledgeBase) write(shard int, fn func(tx *graph.Tx) error, throttle 
 // and rolls the summary over, exactly as Fig. 8 does with an hourly
 // apoc.periodic.repeat for a 24h period.
 func (kb *KnowledgeBase) EnableSummaries(period time.Duration) error {
-	if err := kb.single("Essential Summary"); err != nil {
-		return err
-	}
 	if period <= 0 {
 		return fmt.Errorf("core: summary period must be positive")
 	}
@@ -692,10 +527,9 @@ func (kb *KnowledgeBase) AlertsAfter(after graph.NodeID) ([]Alert, error) {
 }
 
 // collectAlerts extracts the alert nodes with id greater than after
-// (unsorted) from every shard: an alert node lives in the shard of the hub
-// whose rule fired.
+// (unsorted).
 func (kb *KnowledgeBase) collectAlerts(after graph.NodeID) []Alert {
-	v := kb.view(allShards)
+	v := kb.store.Begin(graph.ReadOnly)
 	defer v.Rollback()
 	var out []Alert
 	for _, id := range v.NodesByLabel(trigger.AlertLabel) {
@@ -723,28 +557,21 @@ func DecodeAlert(n graph.Node) Alert {
 	return a
 }
 
-// GraphStats returns graph-size counters over all shards; a knowledge
-// bridge counts as one relationship.
+// GraphStats returns graph-size counters.
 func (kb *KnowledgeBase) GraphStats() graph.Stats { return kb.store.Stats() }
 
 // SaveGraph serializes the knowledge graph (nodes and relationships with
 // full type fidelity) as JSON. Rules, hubs and schemas are configuration
 // and are not part of the document.
 func (kb *KnowledgeBase) SaveGraph(w io.Writer) error {
-	if err := kb.single("SaveGraph"); err != nil {
-		return err
-	}
-	return kb.Store().Export(w)
+	return kb.store.Export(w)
 }
 
 // LoadGraph restores a SaveGraph document into an empty knowledge base. The
 // load commits as one transaction without firing rules, so a durable
 // knowledge base logs it (and a leader ships it) like any other commit.
 func (kb *KnowledgeBase) LoadGraph(r io.Reader) error {
-	if err := kb.single("LoadGraph"); err != nil {
-		return err
-	}
-	return kb.Store().Import(r)
+	return kb.store.Import(r)
 }
 
 // ---- What-if forking (§V) ----
@@ -761,27 +588,17 @@ func (kb *KnowledgeBase) LoadGraph(r io.Reader) error {
 // change that). Nor has it a composite-event runtime, so composite rules are
 // left out.
 func (kb *KnowledgeBase) Fork(clock periodic.Clock) (*KnowledgeBase, error) {
-	if err := kb.single("Fork"); err != nil {
-		return nil, err
-	}
 	if clock == nil {
 		clock = kb.clock
-	}
-	ss, err := graph.AttachShards([]*graph.Store{kb.Store().Clone()})
-	if err != nil {
-		return nil, err
 	}
 	// The fork gets its own plan cache (plans re-cost against the fork's
 	// statistics) and a fresh registry: its hypothetical activity must not
 	// skew the parent's counters.
-	nkb, err := assemble(Config{
+	nkb := assemble(Config{
 		Clock:                 clock,
 		StrictTermination:     kb.engine.StrictTermination,
 		EnforceIntraHubGuards: kb.engine.EnforceIntraHubGuards,
-	}, kb.hubs, nil, ss)
-	if err != nil {
-		return nil, err
-	}
+	}, kb.hubs, kb.store.Clone())
 	e := nkb.engine
 	for _, info := range kb.engine.Rules() {
 		if info.Composite != nil {

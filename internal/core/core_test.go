@@ -23,16 +23,7 @@ func newSimKB(t *testing.T) (*KnowledgeBase, *periodic.ManualClock) {
 	return kb, clock
 }
 
-// writeHub is where the shared helpers send writes: the hub of the highest
-// shard (a non-zero identifier band once there are several), or "" for a
-// knowledge base built without hub declarations, which writes hub-less.
-func writeHub(kb *KnowledgeBase) string { return kb.HubOfShard(kb.NumShards() - 1) }
-
 func execute(kb *KnowledgeBase, query string, params map[string]value.Value) (*trigger.Report, error) {
-	if hub := writeHub(kb); hub != "" {
-		_, rep, err := kb.ExecuteInHub(hub, query, params)
-		return rep, err
-	}
 	_, rep, err := kb.ExecuteReport(query, params)
 	return rep, err
 }
@@ -47,18 +38,7 @@ func exec(t *testing.T, kb *KnowledgeBase, query string) *trigger.Report {
 }
 
 func update(kb *KnowledgeBase, fn func(tx *graph.Tx) error) (*trigger.Report, error) {
-	return kb.UpdateShard(kb.NumShards()-1, fn)
-}
-
-// shardOf resolves a hub name to its shard index, as embedding callers do
-// before UpdateShard or UpdateBridgeShards.
-func shardOf(t testing.TB, kb *KnowledgeBase, hub string) int {
-	t.Helper()
-	i, ok := kb.ShardOf(hub)
-	if !ok {
-		t.Fatalf("hub %q is not mapped to a shard", hub)
-	}
-	return i
+	return kb.WriteTx(fn)
 }
 
 func queryInt(t *testing.T, kb *KnowledgeBase, query string) int64 {
@@ -737,8 +717,7 @@ func testConcurrentExecutes(t *testing.T, v Variant) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				// Writers spread over the shards and commit in parallel.
-				if _, _, err := kb.ExecuteInHub(v.Hub(w%v.Shards), "CREATE (:Evt {i: $i})",
+				if _, _, err := kb.ExecuteReport("CREATE (:Evt {i: $i})",
 					map[string]value.Value{"i": value.Int(int64(w*each + i))}); err != nil {
 					errs <- err
 					return

@@ -25,7 +25,7 @@ import (
 )
 
 // copyDir copies a data directory — what a crash leaves behind under
-// FsyncAlways — including the per-shard subdirectories of a sharded one.
+// FsyncAlways.
 func copyDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()

@@ -1,19 +1,16 @@
 package core
 
 // Golden-corpus parity over the constructor table: every case of the shared
-// Cypher corpus (internal/cypher/cyphertest) runs against each row — one
-// shard and four, in memory and recovered-from-a-log layouts — and all rows
-// must produce identical results. The four-hub rows spread the fixture over
-// the shards with the LIVES_IN relationships as knowledge bridges between
-// people and places, and reads without a hub go through the cross-shard
-// MultiView, so bridge traversal, aggregated planner statistics and the
-// per-store plan-variant cache are all exercised; writes go through
-// ExecuteInHub on the owning hub in every row. (internal/cypher's TestGolden
-// pins the same corpus to its recorded results on a bare store.) Entity
-// identifiers differ between rows (identifiers carry the shard band in
-// their high bits), so rows are compared after rank-normalizing
-// Node()/Rel() renderings and final graph states are compared by an ID-free
-// canonical form.
+// Cypher corpus (internal/cypher/cyphertest) runs against each row — in
+// memory and recovered-from-a-log layouts — and all rows must produce
+// identical results. Every row declares the same four-hub layout on its one
+// store, with the LIVES_IN relationships as knowledge bridges between
+// people and places: hubs own nodes, so declaring them changes ownership
+// bookkeeping and nothing a query sees. (internal/cypher's TestGolden pins
+// the same corpus to its recorded results on a bare store.) Rows are
+// compared after rank-normalizing Node()/Rel() renderings, and final graph
+// states by an ID-free canonical form, so the comparison does not depend on
+// identifier allocation.
 
 import (
 	"fmt"
@@ -30,34 +27,15 @@ import (
 )
 
 // parityHubs is the hub layout: three hubs own the fixture labels, the
-// fourth catches labels created by write cases.
-func parityHubs() []HubShard {
-	return []HubShard{
+// fourth owns none. Ownership is declared but not enforced: the shared
+// corpus's write cases create owned-label nodes without hub properties.
+func parityHubs() []HubDecl {
+	return []HubDecl{
 		{Hub: "people", Description: "persons", Labels: []string{"Person", "Admin"}},
 		{Hub: "places", Description: "cities", Labels: []string{"City"}},
 		{Hub: "things", Description: "widgets", Labels: []string{"Widget"}},
 		{Hub: "misc", Description: "everything else"},
 	}
-}
-
-// parityWriteHub routes each write case to the hub whose shard holds the
-// entities it matches (write transactions are single-shard).
-var parityWriteHub = map[string]string{
-	"create-basic":         "misc",
-	"create-from-match":    "people",
-	"create-unwind":        "misc",
-	"merge-match-existing": "people",
-	"merge-create-new":     "people",
-	"merge-rel":            "people",
-	"set-forms":            "people",
-	"set-replace-props":    "places",
-	"set-null-target":      "misc",
-	"remove-forms":         "people",
-	"delete-rel":           "people",
-	"detach-delete":        "things",
-	"foreach":              "places",
-	"foreach-nested":       "misc",
-	"write-then-read":      "misc",
 }
 
 // parityFixtureProps builds the corpus fixture's node property maps.
@@ -78,23 +56,20 @@ func parityCityProps() []map[string]value.Value {
 	}
 }
 
-// parityKB builds the corpus fixture on one row of the constructor table:
-// persons and their intra-hub relationships in people, cities and routes in
-// places, widgets in things, and the four LIVES_IN relationships from
-// people to places — knowledge bridges when the two hubs live in different
-// shards, ordinary relationships when they share the one shard.
+// parityKB builds the corpus fixture on one row of the constructor table,
+// one transaction per hub: persons and their intra-hub relationships in
+// people, cities and routes in places, widgets in things, and then the four
+// LIVES_IN knowledge bridges from people to places.
 func parityKB(t testing.TB, v Variant) *KnowledgeBase {
 	t.Helper()
 	kb := v.OpenHubs(t, v.Dir(t), Config{Clock: periodic.NewManualClock(cyphertest.Now)}, parityHubs())
-	// Cross-shard planning requires the index on every shard; per-shard
-	// writes (MERGE on misc, for instance) need it locally anyway.
 	for _, ix := range [][2]string{{"Person", "name"}, {"City", "code"}} {
 		if err := kb.CreateIndex(ix[0], ix[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var persons, cities []graph.NodeID
-	if _, err := kb.UpdateShard(shardOf(t, kb, "people"), func(tx *graph.Tx) error {
+	if _, err := kb.WriteTx(func(tx *graph.Tx) error {
 		for i, props := range parityPersonProps() {
 			labels := []string{"Person"}
 			if i == 2 { // Cyd is also an Admin
@@ -121,7 +96,7 @@ func parityKB(t testing.TB, v Variant) *KnowledgeBase {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := kb.UpdateShard(shardOf(t, kb, "places"), func(tx *graph.Tx) error {
+	if _, err := kb.WriteTx(func(tx *graph.Tx) error {
 		for _, props := range parityCityProps() {
 			id, err := tx.CreateNode([]string{"City"}, props)
 			if err != nil {
@@ -137,7 +112,7 @@ func parityKB(t testing.TB, v Variant) *KnowledgeBase {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := kb.UpdateShard(shardOf(t, kb, "things"), func(tx *graph.Tx) error {
+	if _, err := kb.WriteTx(func(tx *graph.Tx) error {
 		for i := 0; i < 5; i++ {
 			if _, err := tx.CreateNode([]string{"Widget"}, map[string]value.Value{"n": value.Int(int64(i))}); err != nil {
 				return err
@@ -148,29 +123,14 @@ func parityKB(t testing.TB, v Variant) *KnowledgeBase {
 		t.Fatal(err)
 	}
 	homes := []graph.NodeID{cities[0], cities[1], cities[1], cities[2]}
-	people, _ := kb.ShardOf("people")
-	places, _ := kb.ShardOf("places")
-	var err error
-	if people != places {
-		_, err = kb.UpdateBridgeShards(people, places, func(bt *graph.BridgeTx) error {
-			for i, city := range homes {
-				if _, err := bt.CreateRel(persons[i], city, "LIVES_IN", nil); err != nil {
-					return err
-				}
+	if _, err := kb.WriteTx(func(tx *graph.Tx) error {
+		for i, city := range homes {
+			if _, err := tx.CreateRel(persons[i], city, "LIVES_IN", nil); err != nil {
+				return err
 			}
-			return nil
-		})
-	} else {
-		_, err = kb.UpdateShard(shardOf(t, kb, "people"), func(tx *graph.Tx) error {
-			for i, city := range homes {
-				if _, err := tx.CreateRel(persons[i], city, "LIVES_IN", nil); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	if err != nil {
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return kb
@@ -183,10 +143,10 @@ var (
 )
 
 // parityNormalize rewrites entity IDs in a rendered row to their rank among
-// the view's (sorted) live IDs, and rounds floats to 12 significant digits:
-// sharded IDs carry the shard band, and shard-by-shard enumeration can
-// accumulate float aggregates in a different order.
-func parityNormalize(s string, v graph.ReadView) string {
+// the view's (sorted) live IDs, and rounds floats to 12 significant digits,
+// so rows compare independently of identifier allocation and of the order
+// float aggregates accumulate in.
+func parityNormalize(s string, v *graph.Tx) string {
 	s = parityFloatTok.ReplaceAllStringFunc(s, func(tok string) string {
 		f, err := strconv.ParseFloat(tok, 64)
 		if err != nil {
@@ -222,7 +182,7 @@ func parityNormalize(s string, v graph.ReadView) string {
 	})
 }
 
-func parityRows(res *cypher.Result, ordered bool, v graph.ReadView) []string {
+func parityRows(res *cypher.Result, ordered bool, v *graph.Tx) []string {
 	rows := make([]string, len(res.Rows))
 	for i, r := range res.Rows {
 		s := "["
@@ -243,10 +203,9 @@ func parityRows(res *cypher.Result, ordered bool, v graph.ReadView) []string {
 // parityState renders the graph in an ID-free canonical form: each node is
 // keyed by its sorted labels and properties, each relationship by the keys
 // of its endpoints. The corpus keeps every node signature unique, which the
-// helper asserts, so the form identifies the graph up to isomorphism. On a
-// MultiView each bridge contributes exactly one line: it is outgoing from
-// its start node only, regardless of which shard serves the lookup.
-func parityState(t testing.TB, v graph.ReadView) []string {
+// helper asserts, so the form identifies the graph up to isomorphism. Each
+// relationship contributes exactly one line, outgoing from its start node.
+func parityState(t testing.TB, v *graph.Tx) []string {
 	t.Helper()
 	ids := v.AllNodes()
 	key := make(map[graph.NodeID]string, len(ids))
@@ -291,13 +250,9 @@ func runParity(t *testing.T, v Variant, c cyphertest.Case) parityOutcome {
 	var err error
 	switch {
 	case c.Write:
-		hubName, ok := parityWriteHub[c.Name]
-		if !ok {
-			t.Fatalf("%s: write case has no hub routing; add it to parityWriteHub", c.Name)
-		}
-		res, _, err = kb.ExecuteInHub(hubName, c.Query, c.Params)
+		res, err = kb.Execute(c.Query, c.Params)
 	case c.Bind != nil:
-		rv := kb.view(allShards)
+		rv := kb.Store().Begin(graph.ReadOnly)
 		defer rv.Rollback()
 		res, err = cypher.Run(rv, c.Query, &cypher.Options{
 			Params: c.Params, Bindings: c.Bind, Now: kb.Clock().Now})
@@ -307,7 +262,7 @@ func runParity(t *testing.T, v Variant, c cyphertest.Case) parityOutcome {
 	if err != nil {
 		t.Fatalf("%s (%s): %v", c.Name, v.Name, err)
 	}
-	rv := kb.view(allShards)
+	rv := kb.Store().Begin(graph.ReadOnly)
 	defer rv.Rollback()
 	out.columns = res.Columns
 	out.rows = parityRows(res, c.Ordered, rv)

@@ -46,13 +46,6 @@ const (
 	mWALGroupSyncs = "rkm_wal_group_commit_syncs_total"
 	mWALGroupBatch = "rkm_wal_group_commit_batch_txs"
 
-	mShardCommits      = "rkm_shard_commits_total"
-	mShardCrossCommits = "rkm_shard_cross_commits_total"
-	mShardLockWait     = "rkm_shard_lock_wait_seconds"
-	mShardWALFsync     = "rkm_shard_wal_fsync_seconds"
-	mShardQueries      = "rkm_shard_query_total"
-	mShardQuerySeconds = "rkm_shard_query_seconds"
-
 	mPlanCacheHits      = "rkm_cypher_plan_cache_hits_total"
 	mPlanCacheMisses    = "rkm_cypher_plan_cache_misses_total"
 	mPlanCacheEvictions = "rkm_cypher_plan_cache_evictions_total"
@@ -92,14 +85,16 @@ type asyncMetrics struct {
 func (kb *KnowledgeBase) Metrics() *metrics.Registry { return kb.metrics }
 
 // wireMetrics registers the knowledge base's instruments on reg and
-// installs them into the shards and the rule engine. It runs
+// installs them into the store and the rule engine. It runs
 // once per KnowledgeBase (from assemble, so forks too), before any rule is
 // installed, so per-rule counters resolve at install time. Registration is
 // idempotent, so a shared registry (Config.Metrics) across knowledge bases
 // is safe — instruments are then also shared and counts aggregate.
 func (kb *KnowledgeBase) wireMetrics(reg *metrics.Registry) {
 	kb.metrics = reg
-	shared := graph.Metrics{
+	kb.store.SetMetrics(graph.Metrics{
+		TxCommits: reg.Counter(mTxCommits,
+			"Committed read-write transactions."),
 		TxRollbacks: reg.Counter(mTxRollbacks,
 			"Rolled-back read-write transactions (explicit and aborted commits)."),
 		TxSeconds: reg.Histogram(mTxSeconds,
@@ -112,19 +107,7 @@ func (kb *KnowledgeBase) wireMetrics(reg *metrics.Registry) {
 			"Node and relationship records cloned copy-on-write by write transactions."),
 		NodesCopied: reg.Counter(mSnapCopied,
 			"Table trie nodes copied copy-on-write by snapshot builders."),
-	}
-	for i := 0; i < kb.store.NumShards(); i++ {
-		// Commits are counted per shard once there is more than one; the
-		// other store instruments aggregate over shards.
-		gm := shared
-		if kb.store.NumShards() > 1 {
-			kb.shardStoreMetrics(i, &gm)
-		} else {
-			gm.TxCommits = reg.Counter(mTxCommits,
-				"Committed read-write transactions.")
-		}
-		kb.store.Shard(i).SetMetrics(gm)
-	}
+	})
 	kb.engine.Metrics = trigger.EngineMetrics{
 		RuleFired: reg.CounterVec(mRuleFired, "rule",
 			"Guard passes (rule activations), by rule."),
@@ -177,24 +160,20 @@ func (kb *KnowledgeBase) wireMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(kb.store.Stats().Relationships) })
 	reg.GaugeFunc(mAlertNodes, "Alert nodes currently in the graph.",
 		func() float64 { return float64(kb.store.LabelCount(trigger.AlertLabel)) })
-	kb.mCross = reg.Counter(mShardCrossCommits,
-		"Committed two-shard bridge transactions.")
-	kb.mXQuery = reg.Counter(mShardQueries,
-		"Cross-shard read-only queries executed over a multi-shard view.")
-	kb.mXQuerySecs = reg.Histogram(mShardQuerySeconds,
-		"Latency of cross-shard read-only queries, in seconds.", nil)
 }
 
-// wireWALMetrics instruments the write-ahead logs and records the recovery
+// wireWALMetrics instruments the write-ahead log and records the recovery
 // outcome; called by attachWAL.
-func (kb *KnowledgeBase) wireWALMetrics(policy wal.FsyncPolicy, infos []*wal.RecoveryInfo) {
+func (kb *KnowledgeBase) wireWALMetrics(policy wal.FsyncPolicy, info *wal.RecoveryInfo) {
 	reg := kb.metrics
-	n := kb.wal.NumShards()
-	shared := wal.Metrics{
+	kb.wal.SetMetrics(wal.Metrics{
 		RecordsAppended: reg.Counter(mWALRecords,
 			"Records appended to the write-ahead log."),
 		BytesAppended: reg.Counter(mWALBytes,
 			"Framed bytes appended to the write-ahead log."),
+		FsyncSeconds: reg.HistogramVec(mWALFsync, "policy",
+			"Latency of write-ahead-log fsyncs, in seconds, by fsync policy.", nil).
+			With(policy.String()),
 		SegmentsOpened: reg.Counter(mWALSegments,
 			"Write-ahead-log segment files opened (first open and rotations)."),
 		CheckpointSeconds: reg.Histogram(mWALCheckpoint,
@@ -206,37 +185,14 @@ func (kb *KnowledgeBase) wireWALMetrics(policy wal.FsyncPolicy, infos []*wal.Rec
 		GroupCommitBatchTxs: reg.Histogram(mWALGroupBatch,
 			"Transactions made durable by each shared group-commit fsync.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128}),
-	}
-	for i := 0; i < n; i++ {
-		// Fsync latency is per stream once there is more than one.
-		wm := shared
-		if n > 1 {
-			kb.shardWALMetrics(i, &wm)
-		} else {
-			wm.FsyncSeconds = reg.HistogramVec(mWALFsync, "policy",
-				"Latency of write-ahead-log fsyncs, in seconds, by fsync policy.", nil).
-				With(policy.String())
-		}
-		kb.wal.Log(i).SetMetrics(wm)
-	}
+	})
 	reg.GaugeFunc(mWALLastSeq,
-		"Sequence number of the most recently appended or recovered record (summed over shard streams).",
-		func() float64 {
-			var sum uint64
-			for i := 0; i < n; i++ {
-				sum += kb.wal.Log(i).LastSeq()
-			}
-			return float64(sum)
-		})
-	replayed, discarded := 0, int64(0)
-	for _, info := range infos {
-		replayed += info.RecordsReplayed
-		discarded += info.DiscardedBytes
-	}
+		"Sequence number of the most recently appended or recovered record.",
+		func() float64 { return float64(kb.wal.LastSeq()) })
 	reg.Gauge(mWALReplayed,
 		"Records replayed on top of the snapshot during the last recovery.").
-		Set(float64(replayed))
+		Set(float64(info.RecordsReplayed))
 	reg.Gauge(mWALDiscarded,
 		"Bytes of torn log tail discarded during the last recovery.").
-		Set(float64(discarded))
+		Set(float64(info.DiscardedBytes))
 }

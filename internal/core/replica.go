@@ -11,13 +11,13 @@ import (
 
 // This file is the knowledge-base half of WAL-shipping replication (see
 // internal/replica for the wire protocol). A follower knowledge base is a
-// read-only mirror: its shards reject ordinary writes with a typed error,
+// read-only mirror: its store rejects ordinary writes with a typed error,
 // and the only mutations it accepts are leader records applied in leader
-// order, one shard's stream at a time, through ApplyReplicated, which
-// mirrors them into the follower's own write-ahead log with the leader's
-// sequence numbers preserved. A shard log's LastSeq therefore IS that
-// shard's durable apply cursor — a restart recovers the graph by the
-// ordinary replay path and resumes streaming from exactly the next record.
+// order through ApplyReplicated, which mirrors them into the follower's own
+// write-ahead log with the leader's sequence numbers preserved. The log's
+// LastSeq therefore IS the durable apply cursor — a restart recovers the
+// graph by the ordinary replay path and resumes streaming from exactly the
+// next record.
 
 // ErrFollower is returned by write operations on a follower knowledge base.
 // Writes belong on the leader; followers serve reads at bounded staleness.
@@ -29,20 +29,20 @@ var ErrFollower = errors.New("core: knowledge base is a replication follower (re
 // the running process must not apply further records.
 var ErrReplicaDiverged = errors.New("core: replica diverged in memory; restart to recover from the local log")
 
-// NewFollower creates an empty in-memory one-shard follower knowledge base:
+// NewFollower creates an empty in-memory follower knowledge base:
 // reads work as usual, ordinary writes fail with ErrFollower, and state
 // arrives only via BootstrapReplica and ApplyReplicated. An in-memory
 // follower keeps its apply cursor in memory too, so every restart
 // re-bootstraps.
 func NewFollower(cfg Config) *KnowledgeBase {
-	kb, _, err := open("", cfg, nil, wal.Options{}, true)
+	kb, _, err := open("", cfg, wal.Options{}, true)
 	if err != nil {
-		panic(err) // one in-memory shard and no hub declarations cannot fail
+		panic(err) // an in-memory store cannot fail to open
 	}
 	return kb
 }
 
-// OpenFollowerDurable opens (or creates) a durable one-shard follower
+// OpenFollowerDurable opens (or creates) a durable follower
 // knowledge base under dir. Unlike OpenDurable it installs no commit hook —
 // the apply path appends the leader's records itself, preserving leader
 // sequence numbers — and flips the store into follower mode. Recovery is
@@ -50,11 +50,7 @@ func NewFollower(cfg Config) *KnowledgeBase {
 // to resume from. A fresh directory can be pre-seeded with a leader
 // snapshot via wal.SeedSnapshot before calling this.
 func OpenFollowerDurable(dir string, cfg Config, wopts wal.Options) (*KnowledgeBase, *wal.RecoveryInfo, error) {
-	kb, infos, err := open(dir, cfg, nil, wopts, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	return kb, infos[0], nil
+	return open(dir, cfg, wopts, true)
 }
 
 // Follower reports whether this knowledge base is a replication follower.
@@ -68,12 +64,12 @@ func (kb *KnowledgeBase) Role() string {
 	return "leader"
 }
 
-// ReplicaAppliedSeq returns a follower shard's durable apply cursor: the
-// leader sequence number of the last record of that shard's stream applied
-// (and, for a durable follower, persisted). Reads already see every record
-// up to it. Streaming resumes at the next record.
-func (kb *KnowledgeBase) ReplicaAppliedSeq(shard int) uint64 {
-	return kb.replicaSeqs[shard].Load()
+// ReplicaAppliedSeq returns a follower's durable apply cursor: the leader
+// sequence number of the last record applied (and, for a durable follower,
+// persisted). Reads already see every record up to it. Streaming resumes at
+// the next record.
+func (kb *KnowledgeBase) ReplicaAppliedSeq() uint64 {
+	return kb.replicaSeq.Load()
 }
 
 // BootstrapReplica loads a leader snapshot (a graph Export document covering
@@ -87,24 +83,19 @@ func (kb *KnowledgeBase) BootstrapReplica(r io.Reader, seq uint64) error {
 	if kb.wal != nil {
 		return errors.New("core: durable followers bootstrap via wal.SeedSnapshot before open")
 	}
-	if err := kb.single("BootstrapReplica"); err != nil {
+	if err := kb.store.Import(r); err != nil {
 		return err
 	}
-	if err := kb.Store().Import(r); err != nil {
-		return err
-	}
-	kb.replicaSeqs[0].Store(seq)
+	kb.replicaSeq.Store(seq)
 	return nil
 }
 
-// ApplyReplicated applies a contiguous batch of one leader shard's records,
-// which must start exactly at ReplicaAppliedSeq(shard)+1, in one
-// transaction on that shard: the records are replayed into the graph,
-// mirrored into the follower's own log with leader sequence numbers
-// preserved, committed, and made durable with a single group-commit wait.
-// On success the shard's apply cursor has advanced past the batch. Each
-// shard's stream replicates independently; bridge records need no special
-// handling — each stream carries its own shard's half of every bridge.
+// ApplyReplicated applies a contiguous batch of leader records, which must
+// start exactly at ReplicaAppliedSeq()+1, in one transaction: the records
+// are replayed into the graph, mirrored into the follower's own log with
+// leader sequence numbers preserved, committed, and made durable with a
+// single group-commit wait. On success the apply cursor has advanced past
+// the batch.
 //
 // Errors before anything reached the local log are clean: the transaction
 // rolls back and the same batch can simply be retried. An error after some
@@ -112,60 +103,54 @@ func (kb *KnowledgeBase) BootstrapReplica(r io.Reader, seq uint64) error {
 // is ahead of the in-memory graph, so the process must stop applying and be
 // restarted, at which point ordinary recovery replays the log and streaming
 // resumes seamlessly.
-func (kb *KnowledgeBase) ApplyReplicated(shard int, recs []*wal.Record) error {
+func (kb *KnowledgeBase) ApplyReplicated(recs []*wal.Record) error {
 	if !kb.follower {
 		return errors.New("core: ApplyReplicated on a leader knowledge base")
-	}
-	if err := kb.checkShard(shard); err != nil {
-		return err
 	}
 	if len(recs) == 0 {
 		return nil
 	}
-	want := kb.ReplicaAppliedSeq(shard) + 1
+	want := kb.ReplicaAppliedSeq() + 1
 	for i, rec := range recs {
 		if rec.Seq != want+uint64(i) {
-			return fmt.Errorf("core: shard %d replicated batch not contiguous: record %d has seq %d, want %d",
-				shard, i, rec.Seq, want+uint64(i))
+			return fmt.Errorf("core: replicated batch not contiguous: record %d has seq %d, want %d",
+				i, rec.Seq, want+uint64(i))
 		}
 	}
-	tx := kb.store.Shard(shard).BeginApply()
+	tx := kb.store.BeginApply()
 	for _, rec := range recs {
 		if err := wal.ApplyRecord(tx, rec); err != nil {
 			tx.Rollback()
-			return fmt.Errorf("core: shard %d apply record %d: %w", shard, rec.Seq, err)
+			return fmt.Errorf("core: apply record %d: %w", rec.Seq, err)
 		}
 	}
-	var l *wal.Log
-	if kb.wal != nil {
-		l = kb.wal.Log(shard)
-	}
+	l := kb.wal
 	appended := 0
 	if l != nil {
 		for i, rec := range recs {
 			if err := l.AppendReplicated(rec); err != nil {
 				tx.Rollback()
 				if i > 0 {
-					return fmt.Errorf("core: shard %d mirror record %d: %v: %w", shard, rec.Seq, err, ErrReplicaDiverged)
+					return fmt.Errorf("core: mirror record %d: %v: %w", rec.Seq, err, ErrReplicaDiverged)
 				}
-				return fmt.Errorf("core: shard %d mirror record %d: %w", shard, rec.Seq, err)
+				return fmt.Errorf("core: mirror record %d: %w", rec.Seq, err)
 			}
 			appended = i + 1
 		}
 	}
 	if err := tx.Commit(); err != nil {
 		if appended > 0 {
-			return fmt.Errorf("core: shard %d commit replicated batch: %v: %w", shard, err, ErrReplicaDiverged)
+			return fmt.Errorf("core: commit replicated batch: %v: %w", err, ErrReplicaDiverged)
 		}
-		return fmt.Errorf("core: shard %d commit replicated batch: %w", shard, err)
+		return fmt.Errorf("core: commit replicated batch: %w", err)
 	}
 	last := recs[len(recs)-1].Seq
 	if l != nil {
 		if err := l.WaitDurable(last); err != nil {
-			return fmt.Errorf("core: shard %d replicated batch durability: %v: %w", shard, err, ErrReplicaDiverged)
+			return fmt.Errorf("core: replicated batch durability: %v: %w", err, ErrReplicaDiverged)
 		}
 	}
-	kb.replicaSeqs[shard].Store(last)
+	kb.replicaSeq.Store(last)
 	return nil
 }
 
@@ -179,12 +164,9 @@ func (kb *KnowledgeBase) ReplicaSnapshotView() (*graph.Tx, uint64, error) {
 	if kb.wal == nil {
 		return nil, 0, ErrNotDurable
 	}
-	if err := kb.single("ReplicaSnapshotView"); err != nil {
-		return nil, 0, err
-	}
-	l := kb.WAL()
+	l := kb.wal
 	var seq uint64
-	view, err := kb.Store().SnapshotView(func() error {
+	view, err := kb.store.SnapshotView(func() error {
 		if err := l.Sync(); err != nil {
 			return err
 		}

@@ -87,7 +87,7 @@ func TestInMemoryFollowerBootstrapAndApply(t *testing.T) {
 	if err := fol.BootstrapReplica(strings.NewReader(string(snap)), seq); err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
-	if got := fol.ReplicaAppliedSeq(0); got != seq {
+	if got := fol.ReplicaAppliedSeq(); got != seq {
 		t.Fatalf("applied seq after bootstrap = %d, want %d", got, seq)
 	}
 
@@ -98,18 +98,18 @@ func TestInMemoryFollowerBootstrapAndApply(t *testing.T) {
 	if len(recs) != 7 {
 		t.Fatalf("pulled %d records, want 7", len(recs))
 	}
-	if err := fol.ApplyReplicated(0, recs); err != nil {
+	if err := fol.ApplyReplicated(recs); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
 	if got, want := saveGraph(t, fol), saveGraph(t, leader); got != want {
 		t.Fatalf("follower export differs from leader:\n%s\nvs\n%s", got, want)
 	}
-	if got := fol.ReplicaAppliedSeq(0); got != leader.WAL().LastSeq() {
+	if got := fol.ReplicaAppliedSeq(); got != leader.WAL().LastSeq() {
 		t.Fatalf("applied seq = %d, want %d", got, leader.WAL().LastSeq())
 	}
 
 	// Non-contiguous batches are refused outright.
-	if err := fol.ApplyReplicated(0, recs); err == nil {
+	if err := fol.ApplyReplicated(recs); err == nil {
 		t.Fatal("re-applying an old batch succeeded")
 	}
 }
@@ -131,7 +131,7 @@ func TestDurableFollowerCursorNeverAheadOfReads(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for _, rec := range recs {
-			if err := fol.ApplyReplicated(0, []*wal.Record{rec}); err != nil {
+			if err := fol.ApplyReplicated([]*wal.Record{rec}); err != nil {
 				done <- err
 				return
 			}
@@ -147,7 +147,7 @@ func TestDurableFollowerCursorNeverAheadOfReads(t *testing.T) {
 			applied = true // one last check below, at the final cursor
 		default:
 		}
-		seq := fol.ReplicaAppliedSeq(0)
+		seq := fol.ReplicaAppliedSeq()
 		res, err := fol.Query("MATCH (d:Doc) RETURN count(d) AS n", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -157,7 +157,7 @@ func TestDurableFollowerCursorNeverAheadOfReads(t *testing.T) {
 			t.Fatalf("cursor at %d but a read sees %d docs", seq, n)
 		}
 	}
-	if got, want := fol.ReplicaAppliedSeq(0), recs[len(recs)-1].Seq; got != want {
+	if got, want := fol.ReplicaAppliedSeq(), recs[len(recs)-1].Seq; got != want {
 		t.Fatalf("cursor = %d after applying every record, want %d", got, want)
 	}
 }
@@ -177,8 +177,8 @@ func TestDurableFollowerSeedApplyRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenFollowerDurable: %v", err)
 	}
-	if info.SnapshotSeq != seq || fol.ReplicaAppliedSeq(0) != seq {
-		t.Fatalf("recovered seq %d/%d, want %d", info.SnapshotSeq, fol.ReplicaAppliedSeq(0), seq)
+	if info.SnapshotSeq != seq || fol.ReplicaAppliedSeq() != seq {
+		t.Fatalf("recovered seq %d/%d, want %d", info.SnapshotSeq, fol.ReplicaAppliedSeq(), seq)
 	}
 	if _, err := fol.Execute("CREATE (:X)", nil); !errors.Is(err, core.ErrFollower) {
 		t.Fatalf("durable follower accepted a write: %v", err)
@@ -187,13 +187,13 @@ func TestDurableFollowerSeedApplyRestart(t *testing.T) {
 	for i := 6; i < 10; i++ {
 		leaderWrite(t, leader, i)
 	}
-	if err := fol.ApplyReplicated(0, pullRecords(t, leader, fol.ReplicaAppliedSeq(0))); err != nil {
+	if err := fol.ApplyReplicated(pullRecords(t, leader, fol.ReplicaAppliedSeq())); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
 	if got, want := saveGraph(t, fol), saveGraph(t, leader); got != want {
 		t.Fatal("follower export differs from leader after apply")
 	}
-	cursorBefore := fol.ReplicaAppliedSeq(0)
+	cursorBefore := fol.ReplicaAppliedSeq()
 	if err := fol.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -204,8 +204,8 @@ func TestDurableFollowerSeedApplyRestart(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer fol2.Close()
-	if fol2.ReplicaAppliedSeq(0) != cursorBefore {
-		t.Fatalf("restart cursor %d, want %d", fol2.ReplicaAppliedSeq(0), cursorBefore)
+	if fol2.ReplicaAppliedSeq() != cursorBefore {
+		t.Fatalf("restart cursor %d, want %d", fol2.ReplicaAppliedSeq(), cursorBefore)
 	}
 	if info2.RecordsReplayed != 4 {
 		t.Fatalf("replayed %d records, want 4", info2.RecordsReplayed)
@@ -216,7 +216,7 @@ func TestDurableFollowerSeedApplyRestart(t *testing.T) {
 
 	// And continues applying fresh leader records.
 	leaderWrite(t, leader, 10)
-	if err := fol2.ApplyReplicated(0, pullRecords(t, leader, fol2.ReplicaAppliedSeq(0))); err != nil {
+	if err := fol2.ApplyReplicated(pullRecords(t, leader, fol2.ReplicaAppliedSeq())); err != nil {
 		t.Fatalf("apply after restart: %v", err)
 	}
 	if got, want := saveGraph(t, fol2), saveGraph(t, leader); got != want {

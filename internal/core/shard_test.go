@@ -1,16 +1,18 @@
 package core
 
-// Behavior tests for what is genuinely multi-shard: the hub-to-shard layout
-// and routing, bridge writes, hub-ownership enforcement on both sides of a
-// bridge, per-shard checkpoints, and the typed error single-store features
-// return once there is more than one shard. Everything that behaves the same
-// for any number of shards runs over the constructor table instead (see
+// Behavior tests for hubs on the one store: declaring them, knowledge
+// bridges between them, ownership enforcement, checkpoints of a knowledge
+// base with hubs, and the refusal of the per-hub shard-NNN/ directory
+// layout. The Sharded names date from when each hub was a graph shard; the
+// behaviour they pin is what remains. Everything that behaves the same for
+// any number of hubs runs over the constructor table instead (see
 // variants_test.go and table_test.go).
 
 import (
+	"bytes"
 	"errors"
-	"io"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -18,11 +20,12 @@ import (
 	"repro/internal/hub"
 	"repro/internal/periodic"
 	"repro/internal/trigger"
+	"repro/internal/value"
 	"repro/internal/wal"
 )
 
-func twoHubs() []HubShard {
-	return []HubShard{
+func twoHubs() []HubDecl {
+	return []HubDecl{
 		{Hub: "A", Description: "analysis", Labels: []string{"Sequence", "Lab"}},
 		{Hub: "B", Description: "trials", Labels: []string{"Trial"}},
 	}
@@ -30,55 +33,69 @@ func twoHubs() []HubShard {
 
 func newShardedKB(t *testing.T) *KnowledgeBase {
 	t.Helper()
-	kb, err := NewSharded(Config{Clock: periodic.NewManualClock(sim0)}, twoHubs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	kb := New(Config{Clock: periodic.NewManualClock(sim0)})
+	DeclareHubs(t, kb, twoHubs())
 	return kb
 }
 
 func TestShardedLayoutAndErrors(t *testing.T) {
 	kb := newShardedKB(t)
-	if kb.NumShards() != 2 {
-		t.Fatalf("NumShards = %d, want 2", kb.NumShards())
+	if owner, ok := kb.Hubs().OwnerOfLabel("Trial"); !ok || owner != "B" {
+		t.Fatalf("OwnerOfLabel(Trial) = %q, %v", owner, ok)
 	}
-	if i, ok := kb.ShardOf("B"); !ok || i != 1 {
-		t.Fatalf("ShardOf(B) = %d, %v", i, ok)
+	if err := kb.DefineHub("A", "again"); !errors.Is(err, hub.ErrHubExists) {
+		t.Fatalf("duplicate hub err = %v, want ErrHubExists", err)
 	}
-	if _, ok := kb.ShardOf("nope"); ok {
-		t.Fatal("ShardOf on unknown hub reported ok")
-	}
-	if got := kb.HubOfShard(0); got != "A" {
-		t.Fatalf("HubOfShard(0) = %q", got)
-	}
-	if got := kb.HubOfShard(9); got != "" {
-		t.Fatalf("HubOfShard(9) = %q, want empty", got)
-	}
-	if _, err := NewSharded(Config{}, nil); err == nil {
-		t.Fatal("NewSharded with no hubs succeeded")
-	}
-	if _, err := NewSharded(Config{}, []HubShard{{Hub: "A"}, {Hub: "A"}}); err == nil {
-		t.Fatal("duplicate hub declaration accepted")
-	}
-	if _, _, err := kb.ExecuteInHub("nope", "CREATE (:Doc)", nil); !errors.Is(err, ErrUnknownShardHub) {
-		t.Fatalf("ExecuteInHub(nope) err = %v, want ErrUnknownShardHub", err)
-	}
-	if _, err := kb.QueryInHub("nope", "MATCH (n) RETURN n", nil); !errors.Is(err, ErrUnknownShardHub) {
-		t.Fatalf("QueryInHub(nope) err = %v, want ErrUnknownShardHub", err)
-	}
-	if _, err := kb.UpdateShard(5, func(tx *graph.Tx) error { return nil }); err == nil {
-		t.Fatal("UpdateShard(5) accepted")
+	if err := kb.DefineHub("C", "claims a label of A", "Lab"); !errors.Is(err, hub.ErrLabelClaimed) {
+		t.Fatalf("claimed label err = %v, want ErrLabelClaimed", err)
 	}
 	if kb.Durable() {
-		t.Fatal("in-memory sharded kb claims durability")
+		t.Fatal("in-memory kb claims durability")
 	}
 	if err := kb.Checkpoint(); !errors.Is(err, ErrNotDurable) {
 		t.Fatalf("Checkpoint err = %v, want ErrNotDurable", err)
 	}
 }
 
+// TestOpenDurableRefusesShardedLayout checks that a data directory in the
+// per-hub layout of earlier versions (one shard-NNN/ log stream per hub) is
+// refused with an error naming that layout, and that the refusal writes no
+// flat log beside the shard streams.
+func TestOpenDurableRefusesShardedLayout(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "shard-001"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func() error{
+		"OpenDurable": func() error {
+			_, _, err := OpenDurable(dir, Config{}, wal.Options{})
+			return err
+		},
+		"OpenFollowerDurable": func() error {
+			_, _, err := OpenFollowerDurable(dir, Config{}, wal.Options{})
+			return err
+		},
+	} {
+		err := open()
+		if !errors.Is(err, wal.ErrShardedLayout) {
+			t.Fatalf("%s err = %v, want wal.ErrShardedLayout", name, err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "shard-001" {
+		t.Fatalf("refused opens left %v in the directory, want only shard-001", entries)
+	}
+}
+
+// TestShardedBridgeWrite writes a knowledge bridge — a relationship from a
+// node of hub A to a node of hub B — in one ordinary transaction: rules
+// fire on both ends and the hub statistics count it as an inter-hub edge.
 func TestShardedBridgeWrite(t *testing.T) {
 	kb := newShardedKB(t)
+	kb.EnforceHubOwnership()
 	if err := kb.InstallRule(trigger.Rule{
 		Name:  "watchTrial",
 		Hub:   "B",
@@ -87,87 +104,100 @@ func TestShardedBridgeWrite(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := kb.UpdateBridgeShards(shardOf(t, kb, "A"), shardOf(t, kb, "B"), func(bt *graph.BridgeTx) error {
-		a, err := bt.CreateNodeIn(0, []string{"Sequence"}, nil)
+	rep, err := kb.WriteTx(func(tx *graph.Tx) error {
+		a, err := tx.CreateNode([]string{"Sequence"}, hub.HubProp("A"))
 		if err != nil {
 			return err
 		}
-		b, err := bt.CreateNodeIn(1, []string{"Trial"}, nil)
+		b, err := tx.CreateNode([]string{"Trial"}, hub.HubProp("B"))
 		if err != nil {
 			return err
 		}
-		_, err = bt.CreateRel(a, b, "TESTED_IN", nil)
+		_, err = tx.CreateRel(a, b, "TESTED_IN", nil)
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The rule fired on the hi-shard side of the bridge commit.
 	if rep.AlertNodes != 1 {
 		t.Fatalf("bridge report = %+v, want one alert node", rep)
 	}
 	if st := kb.GraphStats(); st.Relationships != 1 {
-		t.Errorf("relationships = %d, want 1 (both halves of the bridge count once)", st.Relationships)
+		t.Errorf("relationships = %d, want 1", st.Relationships)
 	}
-	if got := kb.Shards().LabelCount("Sequence"); got != 1 {
-		t.Errorf("sequences = %d, want 1", got)
+	hs, err := kb.HubStats()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := kb.UpdateBridgeShards(0, 5, func(bt *graph.BridgeTx) error { return nil }); err == nil {
-		t.Fatal("UpdateBridgeShards(0, 5) accepted")
+	// Hub B holds the Trial and the alert its rule raised.
+	if hs.InterEdges != 1 || hs.IntraEdges != 0 || hs.NodesPerHub["A"] != 1 || hs.NodesPerHub["B"] != 2 {
+		t.Errorf("hub stats = %+v, want one inter-hub edge, one node in A and two in B", hs)
+	}
+	if len(hs.Bridges) != 1 || hs.Bridges[0] != (hub.Bridge{Type: "TESTED_IN", FromHub: "A", ToHub: "B", Count: 1}) {
+		t.Errorf("bridges = %+v", hs.Bridges)
 	}
 }
 
 func TestShardedHubOwnershipEnforced(t *testing.T) {
 	kb := newShardedKB(t)
 	kb.EnforceHubOwnership()
-	// Owned label without the hub property: rejected on every shard.
-	for i, label := range []string{"Sequence", "Trial"} {
-		if _, err := kb.UpdateShard(i, func(tx *graph.Tx) error {
-			_, err := tx.CreateNode([]string{label}, nil)
+	create := func(label string, props map[string]value.Value) error {
+		_, err := kb.WriteTx(func(tx *graph.Tx) error {
+			_, err := tx.CreateNode([]string{label}, props)
 			return err
-		}); !errors.Is(err, hub.ErrMissingHub) {
-			t.Fatalf("shard %d unowned create err = %v, want ErrMissingHub", i, err)
+		})
+		return err
+	}
+	// Owned label without the hub property: rejected for every hub.
+	for _, label := range []string{"Sequence", "Trial"} {
+		if err := create(label, nil); !errors.Is(err, hub.ErrMissingHub) {
+			t.Fatalf("%s without hub err = %v, want ErrMissingHub", label, err)
 		}
 	}
-	// Declaring the owning hub passes.
-	if _, err := kb.UpdateShard(0, func(tx *graph.Tx) error {
-		_, err := tx.CreateNode([]string{"Sequence"}, hub.HubProp("A"))
-		return err
-	}); err != nil {
+	// A label owned by another hub: rejected.
+	if err := create("Trial", hub.HubProp("A")); !errors.Is(err, hub.ErrWrongOwner) {
+		t.Fatalf("Trial in hub A err = %v, want ErrWrongOwner", err)
+	}
+	// Declaring the owning hub passes; unowned labels are unconstrained.
+	if err := create("Sequence", hub.HubProp("A")); err != nil {
 		t.Fatal(err)
 	}
-	// Enforcement also gates both sides of a bridge transaction.
-	if _, err := kb.UpdateBridgeShards(0, 1, func(bt *graph.BridgeTx) error {
-		_, err := bt.CreateNodeIn(1, []string{"Trial"}, nil)
-		return err
-	}); !errors.Is(err, hub.ErrMissingHub) {
-		t.Fatalf("bridge unowned create err = %v, want ErrMissingHub", err)
+	if err := create("Doc", nil); err != nil {
+		t.Fatal(err)
 	}
 	// Enforcing twice must not double-install validators (one error, and
 	// valid writes still pass).
 	kb.EnforceHubOwnership()
-	if _, err := kb.UpdateShard(1, func(tx *graph.Tx) error {
-		_, err := tx.CreateNode([]string{"Trial"}, hub.HubProp("B"))
-		return err
-	}); err != nil {
+	if err := create("Trial", hub.HubProp("B")); err != nil {
 		t.Fatal(err)
+	}
+	if n := kb.GraphStats().Nodes; n != 3 {
+		t.Errorf("nodes = %d, want the 3 accepted ones", n)
 	}
 }
 
 func TestShardedCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	kb, _, err := OpenShardedDurable(dir, Config{}, twoHubs(), wal.Options{Fsync: wal.FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
+	open := func() (*KnowledgeBase, *wal.RecoveryInfo) {
+		kb, info, err := OpenDurable(dir, Config{}, wal.Options{Fsync: wal.FsyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		DeclareHubs(t, kb, twoHubs())
+		kb.EnforceHubOwnership()
+		return kb, info
 	}
-	SeedShards(t, kb)
-	if err := kb.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// Write past the first checkpoint, then checkpoint again: the second
-	// cut must cover the new write on its shard.
-	if _, err := kb.UpdateShard(0, func(tx *graph.Tx) error {
-		_, err := tx.CreateNode([]string{"Doc"}, nil)
+	kb, _ := open()
+	if _, err := kb.WriteTx(func(tx *graph.Tx) error {
+		a, err := tx.CreateNode([]string{"Sequence"}, hub.HubProp("A"))
+		if err != nil {
+			return err
+		}
+		b, err := tx.CreateNode([]string{"Trial"}, hub.HubProp("B"))
+		if err != nil {
+			return err
+		}
+		_, err = tx.CreateRel(a, b, "TESTED_IN", nil)
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -175,65 +205,89 @@ func TestShardedCheckpoint(t *testing.T) {
 	if err := kb.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	want := Exports(t, kb)
+	// Write past the first checkpoint, then checkpoint again: the second
+	// cut must cover the new write.
+	if _, err := kb.WriteTx(func(tx *graph.Tx) error {
+		_, err := tx.CreateNode([]string{"Trial"}, hub.HubProp("B"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := kb.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := Export(t, kb)
 	if err := kb.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	kb2, infos, err := OpenShardedDurable(dir, Config{}, twoHubs(), wal.Options{Fsync: wal.FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
+	kb2, info := open()
 	defer kb2.Close()
-	got := Exports(t, kb2)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("shard %d: export differs after checkpointed recovery", i)
-		}
+	if got := Export(t, kb2); got != want {
+		t.Fatal("export differs after checkpointed recovery")
 	}
-	for i, info := range infos {
-		if info.SnapshotSeq == 0 || info.RecordsReplayed != 0 {
-			t.Fatalf("shard %d did not recover from the second checkpoint alone: %+v", i, info)
-		}
+	if info.SnapshotSeq == 0 || info.RecordsReplayed != 0 {
+		t.Fatalf("did not recover from the second checkpoint alone: %+v", info)
 	}
 }
 
-// TestShardedSingleStoreFeaturesTypedError pins the N>1 feature matrix:
-// everything that acts on one graph store refuses with ErrMultiShard
-// instead of silently acting on shard 0.
-func TestShardedSingleStoreFeaturesTypedError(t *testing.T) {
-	kb := newShardedKB(t)
-	calls := map[string]func() error{
-		"Execute": func() error { _, err := kb.Execute("CREATE (:X)", nil); return err },
-		"WriteTx": func() error {
-			_, err := kb.WriteTx(func(tx *graph.Tx) error { return nil })
-			return err
-		},
-		"EnableSummaries": func() error { return kb.EnableSummaries(24 * time.Hour) },
-		"Fork":            func() error { _, err := kb.Fork(nil); return err },
-		"ApplySchema": func() error {
-			_, err := kb.ApplySchema("CREATE GRAPH TYPE G STRICT { (xt: X {id STRING}) }")
-			return err
-		},
-		"SaveGraph": func() error { return kb.SaveGraph(io.Discard) },
-		"LoadGraph": func() error { return kb.LoadGraph(strings.NewReader("{}")) },
-	}
-	for name, call := range calls {
-		if err := call(); !errors.Is(err, ErrMultiShard) {
-			t.Errorf("%s on two shards: err = %v, want ErrMultiShard", name, err)
-		}
-	}
-	if n := kb.GraphStats().Nodes; n != 0 {
-		t.Errorf("refused operations left %d node(s) behind", n)
-	}
-
+// TestHubsDoNotGateSingleStoreFeatures checks that every operation that once
+// refused a knowledge base with more than one hub shard — Execute, WriteTx,
+// the Essential Summary, Fork, schema binding, SaveGraph/LoadGraph and the
+// replication snapshot view — works with hubs declared and enforced.
+func TestHubsDoNotGateSingleStoreFeatures(t *testing.T) {
 	dir := t.TempDir()
-	dkb, _, err := OpenShardedDurable(dir, Config{}, twoHubs(), wal.Options{Fsync: wal.FsyncNone})
+	kb, _, err := OpenDurable(dir, Config{Clock: periodic.NewManualClock(sim0)}, wal.Options{Fsync: wal.FsyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dkb.Close()
-	if _, _, err := dkb.ReplicaSnapshotView(); !errors.Is(err, ErrMultiShard) {
-		t.Errorf("ReplicaSnapshotView on two shards: err = %v, want ErrMultiShard", err)
+	defer kb.Close()
+	DeclareHubs(t, kb, twoHubs())
+	kb.EnforceHubOwnership()
+
+	if _, err := kb.ApplySchema("CREATE GRAPH TYPE G LOOSE { (st: Sequence {id STRING, hub STRING}) }"); err != nil {
+		t.Fatalf("ApplySchema: %v", err)
+	}
+	if err := kb.EnableSummaries(24 * time.Hour); err != nil {
+		t.Fatalf("EnableSummaries: %v", err)
+	}
+	if _, err := kb.Execute("CREATE (:Sequence {id: 'S1', hub: 'A'})", nil); err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	if _, err := kb.WriteTx(func(tx *graph.Tx) error {
+		_, err := tx.CreateNode([]string{"Trial"}, hub.HubProp("B"))
+		return err
+	}); err != nil {
+		t.Fatalf("WriteTx: %v", err)
+	}
+	fork, err := kb.Fork(nil)
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	if got, want := fork.GraphStats().Nodes, kb.GraphStats().Nodes; got != want {
+		t.Errorf("fork has %d nodes, parent %d", got, want)
+	}
+	if _, err := fork.Execute("CREATE (:Trial)", nil); !errors.Is(err, hub.ErrMissingHub) {
+		t.Errorf("fork hubless Trial err = %v, want ErrMissingHub (the fork shares the hubs)", err)
+	}
+	var doc bytes.Buffer
+	if err := kb.SaveGraph(&doc); err != nil {
+		t.Fatalf("SaveGraph: %v", err)
+	}
+	into := New(Config{})
+	if err := into.LoadGraph(&doc); err != nil {
+		t.Fatalf("LoadGraph: %v", err)
+	}
+	if got, want := into.GraphStats(), kb.GraphStats(); got != want {
+		t.Errorf("loaded stats %+v, want %+v", got, want)
+	}
+	view, seq, err := kb.ReplicaSnapshotView()
+	if err != nil {
+		t.Fatalf("ReplicaSnapshotView: %v", err)
+	}
+	defer view.Rollback()
+	if seq != kb.WAL().LastSeq() || view.NodeCount() != kb.GraphStats().Nodes {
+		t.Errorf("snapshot view at seq %d with %d nodes, want seq %d with %d",
+			seq, view.NodeCount(), kb.WAL().LastSeq(), kb.GraphStats().Nodes)
 	}
 }

@@ -5,7 +5,7 @@ package core
 // queue drain, durable reopen, follower apply, and the prepare-latency
 // metric. The rule/cascade, async-pipeline, plan-variant and golden-corpus
 // suites run over the same table from core_test.go, async_test.go,
-// async_fault_test.go, shard_plan_test.go and golden_parity_test.go.
+// async_fault_test.go, plan_variants_test.go and golden_parity_test.go.
 
 import (
 	"bytes"
@@ -18,9 +18,9 @@ import (
 	"repro/internal/wal"
 )
 
-// TestRuleFiresInWritingShard checks that a rule's alert materializes in the
-// shard whose transaction triggered it and nowhere else, through both the
-// programmatic and the Cypher write path.
+// TestRuleFiresInWritingShard checks that a rule's alert materializes
+// under the rule's hub and no other, through both the programmatic and the
+// Cypher write path. (The name dates from one graph shard per hub.)
 func TestRuleFiresInWritingShard(t *testing.T) { ForEachVariant(t, testRuleFiresInWritingShard) }
 
 func testRuleFiresInWritingShard(t *testing.T, v Variant) {
@@ -33,7 +33,7 @@ func testRuleFiresInWritingShard(t *testing.T, v Variant) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := kb.UpdateShard(shardOf(t, kb, v.LastHub()), func(tx *graph.Tx) error {
+	rep, err := kb.WriteTx(func(tx *graph.Tx) error {
 		_, err := tx.CreateNode([]string{"Sequence"}, map[string]value.Value{"id": value.Str("S1")})
 		return err
 	})
@@ -43,27 +43,26 @@ func testRuleFiresInWritingShard(t *testing.T, v Variant) {
 	if rep.AlertNodes != 1 {
 		t.Fatalf("report = %+v, want one alert node", rep)
 	}
-	if _, rep, err := kb.ExecuteInHub(v.LastHub(), "CREATE (:Sequence {id: 'S2'})", nil); err != nil {
-		t.Fatal(err)
-	} else if rep.AlertNodes != 1 {
-		t.Fatalf("ExecuteInHub report = %+v", rep)
+	if rep := exec(t, kb, "CREATE (:Sequence {id: 'S2'})"); rep.AlertNodes != 1 {
+		t.Fatalf("Execute report = %+v", rep)
 	}
-	for i := 0; i < v.Shards; i++ {
+	for i := 0; i < v.Hubs; i++ {
 		want := int64(0)
-		if i == v.Shards-1 {
+		if i == v.Hubs-1 {
 			want = 2
 		}
-		res, err := kb.QueryInHub(v.Hub(i), "MATCH (a:Alert) RETURN count(a) AS n", nil)
+		res, err := kb.Query("MATCH (a:Alert) WHERE a.hub = $hub RETURN count(a) AS n",
+			map[string]value.Value{"hub": value.Str(v.Hub(i))})
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, _ := res.Rows[0][0].AsInt()
 		if got != want {
-			t.Errorf("alerts in %s = %d, want %d", v.Hub(i), got, want)
+			t.Errorf("alerts of %s = %d, want %d", v.Hub(i), got, want)
 		}
 	}
 	if n := queryInt(t, kb, "MATCH (s:Sequence) RETURN count(s) AS n"); n != 2 {
-		t.Fatalf("sequences over the whole graph = %d, want 2", n)
+		t.Fatalf("sequences = %d, want 2", n)
 	}
 }
 
@@ -145,57 +144,55 @@ func TestAsyncPendingSurvivesRecovery(t *testing.T) {
 	})
 }
 
-// TestDurableReopen checks that a closed directory reopens to byte-identical
-// per-shard exports (bridges included where there are several shards), that
-// a checkpointed directory does too, and that a recovered shard keeps
-// allocating identifiers in its own band.
+// TestDurableReopen checks that a closed directory reopens to a
+// byte-identical export (the inter-hub edge included), that a checkpointed
+// directory does too, and that a recovered store resumes identifier
+// allocation where the closed one stopped.
 func TestDurableReopen(t *testing.T) {
 	ForEachDurableVariant(t, func(t *testing.T, v Variant) {
 		dir := v.Dir(t)
 		kb := v.Open(t, dir, Config{})
-		SeedShards(t, kb)
-		want := Exports(t, kb)
+		SeedHubs(t, kb, v)
+		want := Export(t, kb)
+		wantNode, wantRel := counters(kb)
 		if err := kb.Close(); err != nil {
 			t.Fatal(err)
 		}
 
 		kb2 := v.Open(t, dir, Config{})
-		if got := Exports(t, kb2); !equalStrings(got, want) {
-			t.Fatal("recovered exports differ from the pre-close ones")
+		if got := Export(t, kb2); got != want {
+			t.Fatal("recovered export differs from the pre-close one")
 		}
-		for i := 0; i < v.Shards; i++ {
-			if _, err := kb2.UpdateShard(i, func(tx *graph.Tx) error {
-				id, err := tx.CreateNode([]string{"Doc"}, nil)
-				if err == nil && graph.ShardOfNode(id) != i {
-					t.Errorf("post-recovery allocation in shard %d landed in band %d", i, graph.ShardOfNode(id))
-				}
-				return err
-			}); err != nil {
-				t.Fatal(err)
-			}
+		if n, r := counters(kb2); n != wantNode || r != wantRel {
+			t.Fatalf("recovered counters (%d, %d), want (%d, %d)", n, r, wantNode, wantRel)
 		}
 		if err := kb2.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		exec(t, kb2, "CREATE (:Doc {after: 'checkpoint'})")
-		want = Exports(t, kb2)
+		want = Export(t, kb2)
 		if err := kb2.Close(); err != nil {
 			t.Fatal(err)
 		}
 
 		kb3 := v.Open(t, dir, Config{})
-		if got := Exports(t, kb3); !equalStrings(got, want) {
-			t.Fatal("exports differ after a checkpointed recovery")
+		if got := Export(t, kb3); got != want {
+			t.Fatal("export differs after a checkpointed recovery")
 		}
 	})
+}
+
+// counters reads the store's identifier-allocation counters.
+func counters(kb *KnowledgeBase) (graph.NodeID, graph.RelID) {
+	tx := kb.Store().Begin(graph.ReadOnly)
+	defer tx.Rollback()
+	return tx.Counters()
 }
 
 // TestDurableReopenAfterLoadGraph checks that a graph loaded into a durable
 // knowledge base is in its log: a later logged write that refers to loaded
 // entities must replay on reopen (LoadGraph used to publish without a log
-// record, leaving a directory that no longer opened). Rows with several
-// shards refuse LoadGraph with ErrMultiShard, which is the durable answer
-// there.
+// record, leaving a directory that no longer opened).
 func TestDurableReopenAfterLoadGraph(t *testing.T) {
 	src := New(Config{})
 	exec(t, src, "CREATE (:A {k: 1})-[:R]->(:A {k: 1})")
@@ -206,59 +203,40 @@ func TestDurableReopenAfterLoadGraph(t *testing.T) {
 	ForEachDurableVariant(t, func(t *testing.T, v Variant) {
 		dir := v.Dir(t)
 		kb := v.Open(t, dir, Config{})
-		err := kb.LoadGraph(bytes.NewReader(doc.Bytes()))
-		if v.Shards > 1 {
-			if !errors.Is(err, ErrMultiShard) {
-				t.Fatalf("LoadGraph on %d shards: err = %v, want ErrMultiShard", v.Shards, err)
-			}
-			return
-		}
-		if err != nil {
+		if err := kb.LoadGraph(bytes.NewReader(doc.Bytes())); err != nil {
 			t.Fatal(err)
 		}
 		exec(t, kb, "MATCH (a:A) SET a.k = 2")
-		want := Exports(t, kb)
+		want := Export(t, kb)
 		if err := kb.Close(); err != nil {
 			t.Fatal(err)
 		}
 		kb2 := v.Open(t, dir, Config{})
-		if got := Exports(t, kb2); !equalStrings(got, want) {
-			t.Fatal("recovered exports differ from the pre-close ones")
+		if got := Export(t, kb2); got != want {
+			t.Fatal("recovered export differs from the pre-close one")
 		}
 	})
 }
 
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestFollowerApply ships every shard stream of a durable leader to a
-// follower of each row's kind and checks the apply contract: contiguous
-// batches only, per-shard cursors, writes refused, exports identical, and a
-// durable follower's mirrored logs recover the same state stand-alone.
+// TestFollowerApply ships the log of a durable leader to a follower of each
+// row's kind and checks the apply contract: contiguous batches only, writes
+// refused, exports identical, and a durable follower's mirrored log
+// recovers the same state stand-alone.
 func TestFollowerApply(t *testing.T) { ForEachVariant(t, testFollowerApply) }
 
 func testFollowerApply(t *testing.T, v Variant) {
-	lv := Variant{Name: v.Name + " leader", Shards: v.Shards, Durable: true}
+	lv := Variant{Name: v.Name + " leader", Hubs: v.Hubs, Durable: true}
 	leader := lv.Open(t, lv.Dir(t), Config{})
-	SeedShards(t, leader)
-	want := Exports(t, leader)
+	SeedHubs(t, leader, v)
+	want := Export(t, leader)
 
 	fdir := v.Dir(t)
 	fol := v.OpenFollower(t, fdir, Config{})
 	if !fol.Follower() || fol.Role() != "follower" {
 		t.Fatalf("follower reports Follower()=%v Role()=%q", fol.Follower(), fol.Role())
 	}
-	if _, err := fol.UpdateShard(0, func(tx *graph.Tx) error { return nil }); !errors.Is(err, ErrFollower) {
-		t.Fatalf("follower UpdateShard err = %v, want ErrFollower", err)
+	if _, err := fol.WriteTx(func(tx *graph.Tx) error { return nil }); !errors.Is(err, ErrFollower) {
+		t.Fatalf("follower WriteTx err = %v, want ErrFollower", err)
 	}
 	if _, err := fol.DrainAsync(); !errors.Is(err, ErrFollower) {
 		t.Fatalf("follower DrainAsync err = %v, want ErrFollower", err)
@@ -266,44 +244,39 @@ func testFollowerApply(t *testing.T, v Variant) {
 	if err := fol.StartAsync(AsyncOptions{}); !errors.Is(err, ErrFollower) {
 		t.Fatalf("follower StartAsync err = %v, want ErrFollower", err)
 	}
-	if err := leader.ApplyReplicated(0, nil); err == nil {
+	if err := leader.ApplyReplicated(nil); err == nil {
 		t.Fatal("leader accepted ApplyReplicated")
 	}
-	if err := fol.ApplyReplicated(v.Shards, nil); err == nil {
-		t.Fatal("ApplyReplicated accepted an out-of-range shard")
-	}
 
-	// Ship each shard's stream independently, as the replica layer would.
-	for i := 0; i < v.Shards; i++ {
-		cur := leader.WALSet().Log(i).Cursor(fol.ReplicaAppliedSeq(i))
-		var recs []*wal.Record
-		for {
-			batch, err := cur.Next(0)
-			if err != nil {
-				t.Fatalf("shard %d cursor: %v", i, err)
-			}
-			if len(batch) == 0 {
-				break
-			}
-			recs = append(recs, batch...)
+	// Ship the stream as the replica layer would.
+	cur := leader.WAL().Cursor(fol.ReplicaAppliedSeq())
+	var recs []*wal.Record
+	for {
+		batch, err := cur.Next(0)
+		if err != nil {
+			t.Fatalf("cursor: %v", err)
 		}
-		cur.Close()
-		if len(recs) == 0 {
-			t.Fatalf("shard %d: no records to ship", i)
+		if len(batch) == 0 {
+			break
 		}
-		if err := fol.ApplyReplicated(i, recs); err != nil {
-			t.Fatalf("shard %d apply: %v", i, err)
-		}
-		if got := fol.ReplicaAppliedSeq(i); got != recs[len(recs)-1].Seq {
-			t.Fatalf("shard %d applied seq = %d, want %d", i, got, recs[len(recs)-1].Seq)
-		}
-		// Replays of the same batch are rejected as non-contiguous.
-		if err := fol.ApplyReplicated(i, recs); err == nil {
-			t.Fatalf("shard %d: duplicate batch accepted", i)
-		}
+		recs = append(recs, batch...)
 	}
-	if got := Exports(t, fol); !equalStrings(got, want) {
-		t.Fatal("follower exports differ from the leader's")
+	cur.Close()
+	if len(recs) == 0 {
+		t.Fatal("no records to ship")
+	}
+	if err := fol.ApplyReplicated(recs); err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	if got := fol.ReplicaAppliedSeq(); got != recs[len(recs)-1].Seq {
+		t.Fatalf("applied seq = %d, want %d", got, recs[len(recs)-1].Seq)
+	}
+	// Replays of the same batch are rejected as non-contiguous.
+	if err := fol.ApplyReplicated(recs); err == nil {
+		t.Fatal("duplicate batch accepted")
+	}
+	if got := Export(t, fol); got != want {
+		t.Fatal("follower export differs from the leader's")
 	}
 	if !v.Durable {
 		return
@@ -311,8 +284,8 @@ func testFollowerApply(t *testing.T, v Variant) {
 	if err := fol.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := Exports(t, v.Open(t, fdir, Config{})); !equalStrings(got, want) {
-		t.Fatal("recovered follower exports differ from the leader's")
+	if got := Export(t, v.Open(t, fdir, Config{})); got != want {
+		t.Fatal("recovered follower export differs from the leader's")
 	}
 }
 
@@ -327,14 +300,12 @@ func testPrepareObservesLatency(t *testing.T, v Variant) {
 		t.Fatalf("prepare histogram count before any statement = %d", count())
 	}
 	exec(t, kb, "CREATE (:N)")
-	if _, err := kb.QueryInHub(v.LastHub(), "MATCH (n:N) RETURN count(n)", nil); err != nil {
-		t.Fatal(err)
-	}
+	queryInt(t, kb, "MATCH (n:N) RETURN count(n)")
 	queryInt(t, kb, "MATCH (n:N) RETURN count(n)")
 	if _, err := kb.ExplainQuery("MATCH (n:N) RETURN n"); err != nil {
 		t.Fatal(err)
 	}
 	if got := count(); got != 4 {
-		t.Fatalf("prepare histogram count = %d, want 4 (execute, hub query, query, explain)", got)
+		t.Fatalf("prepare histogram count = %d, want 4 (execute, two queries, explain)", got)
 	}
 }

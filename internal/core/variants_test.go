@@ -1,12 +1,11 @@
 package core
 
 // The constructor table: every way a knowledge base comes into being, one
-// row each. Behaviour suites that are not inherently multi-shard — rules and
-// cascades, the async pipeline and its crash stages, durable reopen,
-// follower apply, plan variants, the golden corpus — run over the rows, so
-// "one shard" and "four shards", "in memory" and "recovered from a log" are
-// the same tests. The identifiers are exported so the external test package
-// (core_test) shares the table.
+// row each. Behaviour suites — rules and cascades, the async pipeline and
+// its crash stages, durable reopen, follower apply, plan variants, the
+// golden corpus — run over the rows, so "one hub" and "four hubs", "in
+// memory" and "recovered from a log" are the same tests. The identifiers are
+// exported so the external test package (core_test) shares the table.
 
 import (
 	"fmt"
@@ -15,24 +14,26 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/periodic"
+	"repro/internal/value"
 	"repro/internal/wal"
 )
 
-// Variant is one row of the constructor table.
+// Variant is one row of the constructor table: how many hubs are declared
+// on the one store, and whether it is durable.
 type Variant struct {
 	Name    string
-	Shards  int
+	Hubs    int
 	Durable bool
 }
 
-// Variants lists the rows. One-shard rows go through New and OpenDurable
-// (the flat directory layout), four-shard rows through NewSharded and
-// OpenShardedDurable.
+// Variants lists the rows. In-memory rows go through New, durable ones
+// through OpenDurable (the flat directory layout); every row declares its
+// hubs on the one store.
 var Variants = []Variant{
-	{Name: "N=1 in-memory", Shards: 1},
-	{Name: "N=1 durable", Shards: 1, Durable: true},
-	{Name: "N=4 in-memory", Shards: 4},
-	{Name: "N=4 durable", Shards: 4, Durable: true},
+	{Name: "N=1 in-memory", Hubs: 1},
+	{Name: "N=1 durable", Hubs: 1, Durable: true},
+	{Name: "N=4 in-memory", Hubs: 4},
+	{Name: "N=4 durable", Hubs: 4, Durable: true},
 }
 
 // ForEachVariant runs fn as a subtest per row.
@@ -53,18 +54,24 @@ func ForEachDurableVariant(t *testing.T, fn func(t *testing.T, v Variant)) {
 	}
 }
 
-// Hub names the hub whose nodes live in shard i of every row: hub Hi owns
-// label Li.
+// Hub names the row's i-th hub: hub Hi owns label Li.
 func (v Variant) Hub(i int) string { return fmt.Sprintf("H%d", i) }
 
-// LastHub is the hub of the highest shard: the write target that is shard 0
-// at N=1 and a non-zero identifier band at N=4.
-func (v Variant) LastHub() string { return v.Hub(v.Shards - 1) }
+// LastHub is the row's last declared hub.
+func (v Variant) LastHub() string { return v.Hub(v.Hubs - 1) }
 
-func (v Variant) hubs() []HubShard {
-	out := make([]HubShard, v.Shards)
+// HubDecl declares one hub of a test knowledge base: its name and
+// description and the node labels it owns.
+type HubDecl struct {
+	Hub         string
+	Description string
+	Labels      []string
+}
+
+func (v Variant) hubs() []HubDecl {
+	out := make([]HubDecl, v.Hubs)
 	for i := range out {
-		out[i] = HubShard{Hub: v.Hub(i), Description: "test hub", Labels: []string{fmt.Sprintf("L%d", i)}}
+		out[i] = HubDecl{Hub: v.Hub(i), Description: "test hub", Labels: []string{fmt.Sprintf("L%d", i)}}
 	}
 	return out
 }
@@ -78,45 +85,40 @@ func (v Variant) Dir(t testing.TB) string {
 }
 
 // Open opens the row's knowledge base over dir (as returned by Dir, or a
-// copy of one) with the row's hubs H0.. and closes it with the test.
+// copy of one) with the row's hubs H0.. declared and their ownership
+// enforced, and closes it with the test.
 func (v Variant) Open(t testing.TB, dir string, cfg Config) *KnowledgeBase {
 	t.Helper()
-	return v.OpenHubs(t, dir, cfg, v.hubs())
+	kb := v.OpenHubs(t, dir, cfg, v.hubs())
+	kb.EnforceHubOwnership()
+	return kb
 }
 
-// OpenHubs is Open with the caller's hub declarations: one per shard on a
-// multi-shard row, any number — all living in the one shard — otherwise.
-func (v Variant) OpenHubs(t testing.TB, dir string, cfg Config, hubs []HubShard) *KnowledgeBase {
+// OpenHubs opens the row's knowledge base with the caller's hub
+// declarations defined on the one store; enforcing them is up to the
+// caller.
+func (v Variant) OpenHubs(t testing.TB, dir string, cfg Config, hubs []HubDecl) *KnowledgeBase {
 	t.Helper()
-	wopts := wal.Options{Fsync: wal.FsyncAlways}
-	var (
-		kb  *KnowledgeBase
-		err error
-	)
-	switch {
-	case v.Shards == 1 && !v.Durable:
-		kb = New(cfg)
-	case v.Shards == 1:
-		kb, _, err = OpenDurable(dir, cfg, wopts)
-	case !v.Durable:
-		kb, err = NewSharded(cfg, hubs)
-	default:
-		kb, _, err = OpenShardedDurable(dir, cfg, hubs, wopts)
-	}
-	if err != nil {
-		t.Fatalf("open %s: %v", v.Name, err)
-	}
-	t.Cleanup(func() { _ = kb.Close() })
-	if v.Shards == 1 {
-		// The one-shard constructors take no hub declarations; define the
-		// hubs the unsharded way so hub-addressed calls route to the shard.
-		for _, h := range hubs {
-			if err := kb.DefineHub(h.Hub, h.Description, h.Labels...); err != nil {
-				t.Fatal(err)
-			}
+	kb := New(cfg)
+	if v.Durable {
+		var err error
+		if kb, _, err = OpenDurable(dir, cfg, wal.Options{Fsync: wal.FsyncAlways}); err != nil {
+			t.Fatalf("open %s: %v", v.Name, err)
 		}
 	}
+	t.Cleanup(func() { _ = kb.Close() })
+	DeclareHubs(t, kb, hubs)
 	return kb
+}
+
+// DeclareHubs defines hubs on kb.
+func DeclareHubs(t testing.TB, kb *KnowledgeBase, hubs []HubDecl) {
+	t.Helper()
+	for _, h := range hubs {
+		if err := kb.DefineHub(h.Hub, h.Description, h.Labels...); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // OpenSim opens the row's knowledge base over a fresh directory on a manual
@@ -130,78 +132,60 @@ func (v Variant) OpenSim(t testing.TB) (*KnowledgeBase, *periodic.ManualClock) {
 // OpenFollower opens the row's knowledge base as a replication follower.
 func (v Variant) OpenFollower(t testing.TB, dir string, cfg Config) *KnowledgeBase {
 	t.Helper()
-	wopts := wal.Options{Fsync: wal.FsyncAlways}
-	var (
-		kb  *KnowledgeBase
-		err error
-	)
-	switch {
-	case v.Shards == 1 && !v.Durable:
-		kb = NewFollower(cfg)
-	case v.Shards == 1:
-		kb, _, err = OpenFollowerDurable(dir, cfg, wopts)
-	case !v.Durable:
-		// No exported constructor: nothing outside the tests builds an
-		// in-memory multi-shard follower.
-		kb, _, err = openHubs("", cfg, v.hubs(), wal.Options{}, true)
-	default:
-		kb, _, err = OpenShardedDurableFollower(dir, cfg, v.hubs(), wopts)
-	}
-	if err != nil {
-		t.Fatalf("open follower %s: %v", v.Name, err)
+	kb := NewFollower(cfg)
+	if v.Durable {
+		var err error
+		if kb, _, err = OpenFollowerDurable(dir, cfg, wal.Options{Fsync: wal.FsyncAlways}); err != nil {
+			t.Fatalf("open follower %s: %v", v.Name, err)
+		}
 	}
 	t.Cleanup(func() { _ = kb.Close() })
+	DeclareHubs(t, kb, v.hubs())
+	kb.EnforceHubOwnership()
 	return kb
 }
 
-// Exports renders every shard's content as its deterministic JSON document.
-func Exports(t testing.TB, kb *KnowledgeBase) []string {
+// Export renders the graph as its deterministic JSON document.
+func Export(t testing.TB, kb *KnowledgeBase) string {
 	t.Helper()
-	out := make([]string, kb.NumShards())
-	for i := range out {
-		var b strings.Builder
-		if err := kb.Shards().Shard(i).Export(&b); err != nil {
-			t.Fatal(err)
-		}
-		out[i] = b.String()
+	var b strings.Builder
+	if err := kb.Store().Export(&b); err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return b.String()
 }
 
-// SeedShards writes one transaction into every shard and, when there is
-// more than one, a knowledge bridge between shards 0 and 1 — the smallest
-// content that exercises every stream of a row.
-func SeedShards(t testing.TB, kb *KnowledgeBase) {
+// SeedHubs writes one transaction per hub of the row — two nodes the hub
+// owns and a relationship between them — and a knowledge bridge between the
+// first and the last hub: the smallest content that exercises ownership and
+// an inter-hub edge.
+func SeedHubs(t testing.TB, kb *KnowledgeBase, v Variant) {
 	t.Helper()
-	for i := 0; i < kb.NumShards(); i++ {
-		if _, err := kb.UpdateShard(i, func(tx *graph.Tx) error {
-			a, err := tx.CreateNode([]string{"Doc"}, nil)
+	var first, last graph.NodeID
+	for i := 0; i < v.Hubs; i++ {
+		props := map[string]value.Value{"hub": value.Str(v.Hub(i))}
+		label := []string{fmt.Sprintf("L%d", i)}
+		if _, err := kb.WriteTx(func(tx *graph.Tx) error {
+			a, err := tx.CreateNode(label, props)
 			if err != nil {
 				return err
 			}
-			b, err := tx.CreateNode([]string{"Doc"}, nil)
+			b, err := tx.CreateNode(label, props)
 			if err != nil {
 				return err
 			}
+			if i == 0 {
+				first = a
+			}
+			last = b
 			_, err = tx.CreateRel(a, b, "CITES", nil)
 			return err
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if kb.NumShards() < 2 {
-		return
-	}
-	if _, err := kb.UpdateBridgeShards(0, 1, func(bt *graph.BridgeTx) error {
-		a, err := bt.CreateNodeIn(0, []string{"Sequence"}, nil)
-		if err != nil {
-			return err
-		}
-		b, err := bt.CreateNodeIn(1, []string{"Trial"}, nil)
-		if err != nil {
-			return err
-		}
-		_, err = bt.CreateRel(a, b, "TESTED_IN", nil)
+	if _, err := kb.WriteTx(func(tx *graph.Tx) error {
+		_, err := tx.CreateRel(first, last, "TESTED_IN", nil)
 		return err
 	}); err != nil {
 		t.Fatal(err)

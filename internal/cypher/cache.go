@@ -21,10 +21,10 @@ type variantCache[V any] struct {
 
 // variantKey addresses one compiled variant: the sorted binding-name shape
 // joined with \x1f, plus the identity of the store the variant was costed
-// against (graph.ReadView.StoreKey).
+// against.
 type variantKey struct {
 	shape string
-	store any
+	store *graph.Store
 }
 
 // cachedVariant stamps a variant with the statistics it was costed on.
@@ -36,8 +36,8 @@ type cachedVariant[V any] struct {
 // get returns the variant for bindNames on tx's store, calling compile —
 // which records the statistics it consults in the snapshot it is handed —
 // when there is none or it is stale.
-func (c *variantCache[V]) get(tx graph.ReadView, bindNames []string, compile func(*statsSnapshot) (V, error)) (V, error) {
-	key := variantKey{shape: strings.Join(bindNames, "\x1f"), store: tx.StoreKey()}
+func (c *variantCache[V]) get(tx *graph.Tx, bindNames []string, compile func(*statsSnapshot) (V, error)) (V, error) {
+	key := variantKey{shape: strings.Join(bindNames, "\x1f"), store: tx.Store()}
 	if v, ok := c.lookup(key, tx); ok {
 		return v, nil
 	}
@@ -62,7 +62,7 @@ func (c *variantCache[V]) get(tx graph.ReadView, bindNames []string, compile fun
 	return v, nil
 }
 
-func (c *variantCache[V]) lookup(key variantKey, tx graph.ReadView) (V, bool) {
+func (c *variantCache[V]) lookup(key variantKey, tx *graph.Tx) (V, bool) {
 	if m := c.m.Load(); m != nil {
 		if e, ok := (*m)[key]; ok && !e.snap.stale(tx) {
 			return e.v, true

@@ -18,7 +18,7 @@ type exprFn func(ctx *evalCtx, r row) (value.Value, error)
 // records its reads into, for later staleness checks).
 type compileCtx struct {
 	query string
-	tx    graph.ReadView // statistics source during compilation
+	tx    *graph.Tx      // statistics source during compilation
 	snap  *statsSnapshot // records every statistic consulted
 }
 

@@ -23,7 +23,7 @@ func newStatsSnapshot() *statsSnapshot {
 	}
 }
 
-func (s *statsSnapshot) labelCount(tx graph.ReadView, label string) int {
+func (s *statsSnapshot) labelCount(tx *graph.Tx, label string) int {
 	if c, ok := s.labels[label]; ok {
 		return c
 	}
@@ -32,7 +32,7 @@ func (s *statsSnapshot) labelCount(tx graph.ReadView, label string) int {
 	return c
 }
 
-func (s *statsSnapshot) totalNodes(tx graph.ReadView) int {
+func (s *statsSnapshot) totalNodes(tx *graph.Tx) int {
 	if !s.sawNodeCount {
 		s.nodeCount = tx.NodeCount()
 		s.sawNodeCount = true
@@ -40,7 +40,7 @@ func (s *statsSnapshot) totalNodes(tx graph.ReadView) int {
 	return s.nodeCount
 }
 
-func (s *statsSnapshot) hasIndex(tx graph.ReadView, label, key string) bool {
+func (s *statsSnapshot) hasIndex(tx *graph.Tx, label, key string) bool {
 	k := indexKey{label, key}
 	if has, ok := s.indexes[k]; ok {
 		return has
@@ -54,7 +54,7 @@ func (s *statsSnapshot) hasIndex(tx graph.ReadView, label, key string) bool {
 // that access-path choices should be recomputed: an index appeared or
 // disappeared, or a cardinality the plan was costed on changed by more than
 // 2x (with absolute slack so tiny stores don't thrash).
-func (s *statsSnapshot) stale(tx graph.ReadView) bool {
+func (s *statsSnapshot) stale(tx *graph.Tx) bool {
 	for k, had := range s.indexes {
 		if tx.HasIndex(k.label, k.key) != had {
 			return true

@@ -1,9 +1,9 @@
 // Package cyphertest holds the golden equivalence corpus shared by the
 // query-engine tests: internal/cypher's TestGolden checks every case
 // against the recorded behavior of the retired tree-walking interpreter,
-// and internal/core's golden parity test re-runs the same corpus against
-// a four-hub knowledge base (bridges included) and requires results
-// identical to the one-shard one. Keeping the table here lets both
+// and internal/core's golden parity test re-runs the same corpus over its
+// constructor table (a four-hub layout with knowledge bridges, in memory and
+// durable) and requires identical results on every row. Keeping the table here lets both
 // consumers import it without an import cycle (core imports cypher).
 package cyphertest
 
@@ -20,7 +20,7 @@ var Now = time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 // Case is one corpus entry. The fixture it runs against (4 Persons, 3
 // Cities, 5 Widgets, 10 relationships, indexes on Person.name and
 // City.code) is built by each consumer — see internal/cypher's
-// goldenFixture and internal/core's sharded parity fixture, which must
+// goldenFixture and internal/core's parity fixture, which must
 // create the same entities in the same order.
 type Case struct {
 	Name    string

@@ -14,7 +14,7 @@ import (
 // transaction, query parameters, the clock, and (during aggregation
 // finalization) the computed values of aggregate sub-expressions.
 type evalCtx struct {
-	tx         graph.ReadView
+	tx         *graph.Tx
 	params     map[string]value.Value
 	now        func() time.Time
 	query      string

@@ -64,20 +64,8 @@ type executor struct {
 	result *Result
 }
 
-// writer returns the execution view as a write-capable transaction. Write
-// clauses compile against any ReadView but can only run in a single-store
-// *graph.Tx; a cross-shard MultiView takes no shard locks and is read-only
-// by design.
-func (ex *executor) writer() (*graph.Tx, error) {
-	tx, ok := ex.ctx.tx.(*graph.Tx)
-	if !ok {
-		return nil, fmt.Errorf("cypher: write clauses require a single-store transaction (cross-shard views are read-only)")
-	}
-	return tx, nil
-}
-
 // Run parses and executes a query through its compiled plan.
-func Run(tx graph.ReadView, query string, opts *Options) (*Result, error) {
+func Run(tx *graph.Tx, query string, opts *Options) (*Result, error) {
 	stmt, err := Parse(query)
 	if err != nil {
 		return nil, err
@@ -90,10 +78,7 @@ func Run(tx graph.ReadView, query string, opts *Options) (*Result, error) {
 // createPattern creates the pattern's nodes and relationships for one row,
 // reusing already bound variables, and returns the row with fresh bindings.
 func (ex *executor) createPattern(r row, cp *compiledPattern) (row, error) {
-	w, err := ex.writer()
-	if err != nil {
-		return r, err
-	}
+	w := ex.ctx.tx
 	ids := make([]graph.NodeID, len(cp.part.Nodes))
 	for i, np := range cp.part.Nodes {
 		slot := cp.nodeSlots[i]
@@ -166,10 +151,7 @@ func (ex *executor) deleteEntity(v value.Value, detach bool) error {
 	if v.Kind() == value.KindNull {
 		return nil
 	}
-	w, err := ex.writer()
-	if err != nil {
-		return err
-	}
+	w := ex.ctx.tx
 	switch v.Kind() {
 	case value.KindNode:
 		id, _ := v.EntityID()
@@ -215,10 +197,7 @@ func (ex *executor) applySetOp(r row, op *setOp) error {
 	if target.IsNull() {
 		return nil // SET on null is a no-op (OPTIONAL MATCH semantics)
 	}
-	w, err := ex.writer()
-	if err != nil {
-		return err
-	}
+	w := ex.ctx.tx
 	id, isEnt := target.EntityID()
 	switch op.kind {
 	case SetLabels:
@@ -311,10 +290,7 @@ func (ex *executor) applyRemoveOp(r row, op *removeOp) error {
 	if target.IsNull() {
 		return nil
 	}
-	w, err := ex.writer()
-	if err != nil {
-		return err
-	}
+	w := ex.ctx.tx
 	id, _ := target.EntityID()
 	if op.key != "" {
 		switch target.Kind() {

@@ -14,7 +14,7 @@ import (
 // anchor (bound variable, index lookup, label scan, or full scan) with its
 // estimated cardinality. It is a rendering of the statement's compiled
 // variant, not a second planner.
-func Explain(tx graph.ReadView, stmt *Statement) string {
+func Explain(tx *graph.Tx, stmt *Statement) string {
 	v, err := stmt.Prepared().variant(tx, nil)
 	if err != nil {
 		return "plan error: " + err.Error() + "\n"

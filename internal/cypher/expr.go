@@ -35,7 +35,7 @@ func NewCompiledExpr(e Expr, src string) *CompiledExpr {
 func (ce *CompiledExpr) Expr() Expr { return ce.expr }
 
 // Eval evaluates the expression with opts.Bindings visible as variables.
-func (ce *CompiledExpr) Eval(tx graph.ReadView, opts *Options) (value.Value, error) {
+func (ce *CompiledExpr) Eval(tx *graph.Tx, opts *Options) (value.Value, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
@@ -54,7 +54,7 @@ func (ce *CompiledExpr) Eval(tx graph.ReadView, opts *Options) (value.Value, err
 
 // EvalBool evaluates the expression under ternary guard semantics: only an
 // exactly-TRUE result is true.
-func (ce *CompiledExpr) EvalBool(tx graph.ReadView, opts *Options) (bool, error) {
+func (ce *CompiledExpr) EvalBool(tx *graph.Tx, opts *Options) (bool, error) {
 	v, err := ce.Eval(tx, opts)
 	if err != nil {
 		return false, err
@@ -63,7 +63,7 @@ func (ce *CompiledExpr) EvalBool(tx graph.ReadView, opts *Options) (bool, error)
 	return known && b, nil
 }
 
-func (ce *CompiledExpr) variant(tx graph.ReadView, names []string) (exprFn, error) {
+func (ce *CompiledExpr) variant(tx *graph.Tx, names []string) (exprFn, error) {
 	return ce.variants.get(tx, names, func(snap *statsSnapshot) (exprFn, error) {
 		en := newEnv()
 		for _, n := range names {

@@ -92,7 +92,7 @@ func goldenFixture(t testing.TB) *graph.Store {
 
 // goldenCase aliases the shared corpus entry; the table itself lives in the
 // cyphertest package so internal/core's golden parity test can run the same
-// corpus against one-shard and multi-hub knowledge bases.
+// corpus against knowledge bases with and without declared hubs.
 type goldenCase = cyphertest.Case
 
 func goldenCases() []goldenCase { return cyphertest.Cases() }

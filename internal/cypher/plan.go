@@ -20,13 +20,12 @@ func PlansCompiled() int64 { return plansCompiled.Load() }
 
 // Plan is an immutable prepared statement: the parsed AST plus lazily
 // compiled physical variants, one per (binding shape, executing store).
-// Compilation happens on first Execute (it needs a read view to cost access
+// Compilation happens on first Execute (it needs a transaction to cost access
 // paths against); the compiled variant is cached inside the Plan and
 // recompiled only when the statistics it was costed on drift. Variants are
-// keyed per store because shared plans (a knowledge base's cache serves every
-// shard) execute against stores with independent cardinalities: one shard's
-// anchor order can be pessimal — and its drift check meaningless — on
-// another. Plans are safe for concurrent use.
+// keyed per store because nothing ties a prepared plan to one store, and
+// stores have independent cardinalities: one store's anchor order can be
+// pessimal — and its drift check meaningless — on another. Plans are safe for concurrent use.
 type Plan struct {
 	query    string
 	stmt     *Statement
@@ -63,14 +62,12 @@ func (p *Plan) Query() string { return p.query }
 // Variants reports how many compiled binding-shape variants the plan holds.
 func (p *Plan) Variants() int { return p.variants.len() }
 
-// Execute runs the plan against the given read view — a *graph.Tx for
-// single-store execution (writes included), or a *graph.MultiView for
-// lock-free cross-shard reads — compiling (or recompiling, on statistics
-// drift) the variant for the (binding shape, store) pair first if needed.
-// The hot path — plan already compiled, statistics stable — performs no
-// parsing and no AST interpretation. Write clauses require a *graph.Tx and
-// fail on any other view.
-func (p *Plan) Execute(tx graph.ReadView, opts *Options) (*Result, error) {
+// Execute runs the plan in the given transaction, compiling (or
+// recompiling, on statistics drift) the variant for the (binding shape,
+// store) pair first if needed. The hot path — plan already compiled,
+// statistics stable — performs no parsing and no AST interpretation. Write
+// clauses fail with graph.ErrReadOnly in a read-only transaction.
+func (p *Plan) Execute(tx *graph.Tx, opts *Options) (*Result, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
@@ -87,7 +84,7 @@ func (p *Plan) Execute(tx graph.ReadView, opts *Options) (*Result, error) {
 
 // variant returns the compiled variant for the binding shape on tx's store,
 // compiling it on first use or after statistics drift.
-func (p *Plan) variant(tx graph.ReadView, bindNames []string) (*planVariant, error) {
+func (p *Plan) variant(tx *graph.Tx, bindNames []string) (*planVariant, error) {
 	return p.variants.get(tx, bindNames, func(snap *statsSnapshot) (*planVariant, error) {
 		v, err := compileVariant(p.stmt, bindNames, &compileCtx{query: p.query, tx: tx, snap: snap})
 		if err == nil {
@@ -147,7 +144,7 @@ func compileVariant(stmt *Statement, bindNames []string, cc *compileCtx) (*planV
 	return v, nil
 }
 
-func (v *planVariant) run(tx graph.ReadView, query string, opts *Options, names []string) (*Result, error) {
+func (v *planVariant) run(tx *graph.Tx, query string, opts *Options, names []string) (*Result, error) {
 	ctx := &evalCtx{tx: tx, params: opts.Params, now: opts.Now, query: query}
 	ex := &executor{ctx: ctx}
 	bindVals := make([]value.Value, len(names))

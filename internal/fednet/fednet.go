@@ -165,10 +165,6 @@ func NewNode(name string, kb *core.KnowledgeBase, opts Options) (*Node, error) {
 	if name == "" {
 		return nil, fmt.Errorf("fednet: node name must not be empty")
 	}
-	if kb.NumShards() > 1 {
-		// The outbox marks and the RemoteAlert log live in one store.
-		return nil, fmt.Errorf("fednet: node %s: %w", name, core.ErrMultiShard)
-	}
 	opts = opts.withDefaults()
 	if err := ensureRemoteAlertIndex(kb); err != nil {
 		return nil, err
@@ -306,7 +302,7 @@ func (n *Node) syncPeer(ctx context.Context, p *peerLink) (int, error) {
 // persistMark durably advances the peer's outbox node, then the in-memory
 // copy of its acknowledged mark.
 func (n *Node) persistMark(p *peerLink, mark graph.NodeID) error {
-	err := n.kb.Bookkeeping(OutboxLabel).Update(0, func(tx *graph.Tx) error {
+	err := n.kb.Bookkeeping(OutboxLabel).Update(func(tx *graph.Tx) error {
 		return tx.SetNodeProp(p.outbox, outboxAckedProp, value.Int(int64(mark)))
 	})
 	if err != nil {

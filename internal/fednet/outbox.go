@@ -35,7 +35,7 @@ func loadOrCreateOutbox(kb *core.KnowledgeBase, peer string) (node graph.NodeID,
 	if box, ok := outboxMarks(kb)[peer]; ok {
 		return box.node, box.acked, nil
 	}
-	err = kb.Bookkeeping(OutboxLabel).Update(0, func(tx *graph.Tx) error {
+	err = kb.Bookkeeping(OutboxLabel).Update(func(tx *graph.Tx) error {
 		var err error
 		node, err = tx.CreateNode([]string{OutboxLabel}, map[string]value.Value{
 			outboxPeerProp:  value.Str(peer),

@@ -176,13 +176,6 @@ type snapshot struct {
 	indexes   cowMap[indexKey, *propIndex]
 	nextNode  NodeID
 	nextRel   RelID
-	// mirrorRels counts the bridge mirror halves held by this store:
-	// relationship records whose identifier belongs to another shard's
-	// allocation band. It is maintained on every relationship install and
-	// delete, so home-relationship counts — rels.len() minus mirrorRels —
-	// are O(1) instead of an O(E) band scan. Always zero on an unsharded
-	// store.
-	mirrorRels int
 }
 
 // fork returns a private copy of sn for a new builder: every table is still
@@ -247,10 +240,6 @@ type Metrics struct {
 	// builders (write transactions, index creation and drop) copied
 	// copy-on-write: the root-to-leaf paths their first writes walked.
 	NodesCopied *metrics.Counter
-	// LockWaitSeconds observes how long Begin(ReadWrite) waited for the
-	// store's write lock. On a sharded store this is the per-shard writer
-	// queueing delay (rkm_shard_lock_wait_seconds).
-	LockWaitSeconds *metrics.Histogram
 }
 
 // Store is an in-memory property-graph database.
@@ -357,14 +346,7 @@ const (
 func (s *Store) Begin(mode Mode) *Tx {
 	m := s.metrics.Load()
 	if mode == ReadWrite {
-		var w0 time.Time
-		if m.LockWaitSeconds != nil {
-			w0 = time.Now()
-		}
 		s.writeMu.Lock()
-		if !w0.IsZero() {
-			m.LockWaitSeconds.ObserveSince(w0)
-		}
 		tx := &Tx{s: s, mode: mode, data: &TxData{}, view: s.snap.Load().fork(m), metrics: m}
 		if m.TxSeconds != nil {
 			tx.start = time.Now()

@@ -122,12 +122,6 @@ func (s *Store) Import(r io.Reader) error {
 	if tx.NodeCount() != 0 || tx.RelCount() != 0 {
 		return fmt.Errorf("graph: import requires an empty store")
 	}
-	// The document's own counters fix the store's allocation band; raising a
-	// counter past an imported identifier must stay inside it. A shard's
-	// export can contain bridge mirror halves whose identifiers belong to the
-	// peer shard's band — letting one of those raise nextRel would drag the
-	// counter into a foreign band and corrupt every later allocation (and
-	// trip AttachShards' band check on reopen).
 	tx.view.nextNode, tx.view.nextRel = NodeID(doc.NextNode), RelID(doc.NextRel)
 	tx.view.by.dirty = true
 	for _, en := range doc.Nodes {
@@ -136,7 +130,7 @@ func (s *Store) Import(r io.Reader) error {
 			return fmt.Errorf("graph: import node %d: %w", en.ID, err)
 		}
 		id := NodeID(en.ID)
-		if ShardOfNode(id) == ShardOfNode(tx.view.nextNode) && id > tx.view.nextNode {
+		if id > tx.view.nextNode {
 			tx.view.nextNode = id
 		}
 		tx.createNode(id, en.Labels, props)
@@ -146,10 +140,7 @@ func (s *Store) Import(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("graph: import rel %d: %w", er.ID, err)
 		}
-		// A bridge half-relationship (exported from one shard of a sharded
-		// store) has one endpoint in another shard: tolerate a single
-		// missing endpoint.
-		if err := tx.createRelWithID(RelID(er.ID), NodeID(er.Start), NodeID(er.End), er.Type, props, false); err != nil {
+		if err := tx.createRelWithID(RelID(er.ID), NodeID(er.Start), NodeID(er.End), er.Type, props); err != nil {
 			return fmt.Errorf("graph: import: %w", err)
 		}
 	}

@@ -40,6 +40,11 @@ type Tx struct {
 	writes uint64
 }
 
+// Store returns the store the transaction reads. Per-store caches — the
+// query engine's compiled plan variants, costed against one store's
+// statistics — key on it.
+func (tx *Tx) Store() *Store { return tx.s }
+
 // Data exposes the changes made so far by this transaction. The caller must
 // not mutate the returned record.
 func (tx *Tx) Data() *TxData { return tx.data }
@@ -95,9 +100,19 @@ func (tx *Tx) Commit() error {
 		tx.done = true
 		return nil
 	}
-	if err := tx.preCommitChecks(); err != nil {
-		tx.rollbackWrite()
-		return err
+	if !tx.apply {
+		if tx.s.follower.Load() {
+			tx.rollbackWrite()
+			return ErrFollowerStore
+		}
+		if vs := tx.s.validators.Load(); vs != nil {
+			for _, v := range *vs {
+				if err := v(tx); err != nil {
+					tx.rollbackWrite()
+					return err
+				}
+			}
+		}
 	}
 	if h := tx.s.commitHook; h != nil {
 		if err := h(tx); err != nil {
@@ -105,12 +120,20 @@ func (tx *Tx) Commit() error {
 			return fmt.Errorf("graph: commit hook: %w", err)
 		}
 	}
+	tx.done = true
+	tx.s.publish(tx.view)
+	tx.metrics.TxCommits.Inc()
+	if !tx.start.IsZero() {
+		tx.metrics.TxSeconds.ObserveSince(tx.start)
+	}
+	tx.s.writeMu.Unlock()
 	var errs []error
-	for _, fn := range tx.publishAndUnlock() {
+	for _, fn := range tx.deferred {
 		if err := fn(); err != nil {
 			errs = append(errs, err)
 		}
 	}
+	tx.deferred = nil
 	return errors.Join(errs...)
 }
 
@@ -294,24 +317,18 @@ func (tx *Tx) CreateRel(start, end NodeID, typ string, props map[string]value.Va
 }
 
 // installRel is the one relationship installer: the record itself, the
-// type-set entry and adjacency for whichever endpoints are locally present
-// (the mirror half of a bridge has one endpoint in another shard; callers
-// that require both check first). It takes ownership of props, which must
-// be free of NULLs.
+// type-set entry and both endpoints' adjacency. Callers check that both
+// endpoints exist. It takes ownership of props, which must be free of
+// NULLs.
 func (tx *Tx) installRel(id RelID, start, end NodeID, typ string, props map[string]value.Value) {
 	sn := tx.view
 	rec := &relRec{by: sn.by, id: id, typ: typ, start: start, end: end, props: props}
 	sn.rels.set(sn.by, id, rec)
-	if sRec, ok := tx.editNode(start); ok {
-		sRec.out[id] = rec
-	}
-	if eRec, ok := tx.editNode(end); ok {
-		eRec.in[id] = rec
-	}
+	sRec, _ := tx.editNode(start)
+	sRec.out[id] = rec
+	eRec, _ := tx.editNode(end)
+	eRec.in[id] = rec
 	post(&sn.byRelType, sn.by, typ, id)
-	if tx.relIsMirror(id) {
-		sn.mirrorRels++
-	}
 	tx.writes++
 	tx.data.CreatedRels = append(tx.data.CreatedRels, id)
 }
@@ -328,18 +345,11 @@ func (tx *Tx) DeleteRel(id RelID) error {
 	}
 	snap := snapshotRel(rec)
 	sn.rels.del(sn.by, id)
-	// A bridge half-relationship (sharded stores) has one endpoint in another
-	// shard; only locally present endpoints carry adjacency entries.
-	if sRec, ok := tx.editNode(rec.start); ok {
-		delete(sRec.out, id)
-	}
-	if eRec, ok := tx.editNode(rec.end); ok {
-		delete(eRec.in, id)
-	}
+	sRec, _ := tx.editNode(rec.start)
+	delete(sRec.out, id)
+	eRec, _ := tx.editNode(rec.end)
+	delete(eRec.in, id)
 	unpost(&sn.byRelType, sn.by, rec.typ, id)
-	if tx.relIsMirror(id) {
-		sn.mirrorRels--
-	}
 	tx.writes++
 	tx.data.DeletedRels = append(tx.data.DeletedRels, snap)
 	return nil
@@ -497,62 +507,30 @@ func (tx *Tx) CreateNodeWithID(id NodeID, labels []string, props map[string]valu
 
 // CreateRelWithID creates a relationship under a caller-chosen identifier.
 func (tx *Tx) CreateRelWithID(id RelID, start, end NodeID, typ string, props map[string]value.Value) error {
-	return tx.createRelWithID(id, start, end, typ, storedProps(props), true)
+	return tx.createRelWithID(id, start, end, typ, storedProps(props))
 }
 
-// CreateBridgeRelWithID creates the local half of a cross-shard
-// ("knowledge bridge") relationship under a caller-chosen identifier: at
-// least one endpoint must be a local node, and only locally present
-// endpoints get adjacency entries — the missing endpoint lives in another
-// shard, which holds the mirror half under the same identifier. The
-// sharded engine (ShardedStore.BridgeTx) and write-ahead-log replay of
-// bridge operations are the intended callers; on an unsharded store every
-// endpoint is local and CreateRelWithID is the right primitive.
-func (tx *Tx) CreateBridgeRelWithID(id RelID, start, end NodeID, typ string, props map[string]value.Value) error {
-	return tx.createRelWithID(id, start, end, typ, storedProps(props), false)
-}
-
-// createRelWithID advances the relationship-identifier counter only when id
-// belongs to this store's allocation band: a mirror half carries the home
-// shard's identifier, which must never drag a foreign shard's counter into
-// another band. Like installRel it takes ownership of props.
-func (tx *Tx) createRelWithID(id RelID, start, end NodeID, typ string, props map[string]value.Value, bothLocal bool) error {
+// createRelWithID is CreateRelWithID for props already free of NULLs, which
+// it takes ownership of, like installRel.
+func (tx *Tx) createRelWithID(id RelID, start, end NodeID, typ string, props map[string]value.Value) error {
 	if err := tx.writable(); err != nil {
 		return err
 	}
 	if _, exists := tx.view.rels.get(id); exists {
 		return fmt.Errorf("graph: relationship %d already exists", id)
 	}
-	hasStart, hasEnd := tx.NodeExists(start), tx.NodeExists(end)
-	switch {
-	case bothLocal && !hasStart:
+	if !tx.NodeExists(start) {
 		return fmtErrNode(start)
-	case bothLocal && !hasEnd:
-		return fmtErrNode(end)
-	case !hasStart && !hasEnd:
-		return fmt.Errorf("graph: bridge relationship %d: neither endpoint (%d, %d) is local", id, start, end)
 	}
-	if !tx.relIsMirror(id) && id > tx.view.nextRel {
+	if !tx.NodeExists(end) {
+		return fmtErrNode(end)
+	}
+	if id > tx.view.nextRel {
 		tx.view.nextRel = id
 	}
 	tx.installRel(id, start, end, typ, props)
 	return nil
 }
-
-// relIsMirror reports whether a relationship identifier belongs to another
-// shard's allocation band — i.e. the local record is the mirror half of a
-// bridge whose home is the peer shard. The store's own band is read off the
-// nextRel counter, which by invariant never leaves it (CreateBridgeRelWithID
-// and Import both band-guard their counter raises).
-func (tx *Tx) relIsMirror(id RelID) bool {
-	return ShardOfRel(id) != ShardOfRel(tx.view.nextRel)
-}
-
-// HomeRelCount returns the number of relationships whose home is this
-// store: every record except bridge mirror halves. Summing it across the
-// shards of a sharded store counts each bridge exactly once, in O(1) per
-// shard.
-func (tx *Tx) HomeRelCount() int { return tx.view.rels.len() - tx.view.mirrorRels }
 
 // Counters returns the identifier-allocation counters (the identifiers of
 // the most recently created node and relationship).

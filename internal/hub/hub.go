@@ -40,14 +40,14 @@ type Hub struct {
 }
 
 // Registry tracks hubs and label ownership. One registry may govern many
-// stores at once — in particular the per-hub shards of a sharded store,
-// which share a single ontology of hubs and owned labels.
+// stores at once — a knowledge base and its what-if forks share a single
+// ontology of hubs and owned labels.
 type Registry struct {
 	mu      sync.RWMutex
 	hubs    map[string]*Hub
 	ownerOf map[string]string // label -> hub name
 	// enforced tracks the stores Enforce has installed its validator on, so
-	// repeated calls (and per-shard enforcement) never double-install.
+	// repeated calls never double-install.
 	enforced map[*graph.Store]bool
 }
 
@@ -135,7 +135,7 @@ func (r *Registry) OwnedLabels(hubName string) []string {
 
 // OwnerOfNode determines the hub owning a node, preferring the node's hub
 // property and falling back to label ownership.
-func (r *Registry) OwnerOfNode(tx graph.ReadView, id graph.NodeID) (string, bool) {
+func (r *Registry) OwnerOfNode(tx *graph.Tx, id graph.NodeID) (string, bool) {
 	if v, ok := tx.NodeProp(id, HubProperty); ok {
 		if s, isStr := v.AsString(); isStr {
 			return s, true
@@ -159,8 +159,7 @@ func (r *Registry) OwnerOfNode(tx graph.ReadView, id graph.NodeID) (string, bool
 // node whose labels include an owned label must carry the hub property, and
 // that property must name the owning hub. Unowned labels are unconstrained,
 // so enforcement can be adopted incrementally. Calling Enforce again for a
-// store it already governs is a no-op, so one registry can enforce every
-// shard of a sharded store.
+// store it already governs is a no-op.
 func (r *Registry) Enforce(s *graph.Store) {
 	r.mu.Lock()
 	already := r.enforced[s]
@@ -250,9 +249,8 @@ type Bridge struct {
 	Count   int
 }
 
-// ComputeStats scans the graph and summarizes the partitioning. Over a
-// cross-shard view each knowledge bridge is counted once.
-func (r *Registry) ComputeStats(tx graph.ReadView) Stats {
+// ComputeStats scans the graph and summarizes the partitioning.
+func (r *Registry) ComputeStats(tx *graph.Tx) Stats {
 	st := Stats{NodesPerHub: make(map[string]int)}
 	for _, id := range tx.AllNodes() {
 		if h, ok := r.OwnerOfNode(tx, id); ok {

@@ -94,9 +94,9 @@ func TestFaultFollowerCrashMidStream(t *testing.T) {
 		writeDoc(t, leader, i)
 	}
 	deadline := time.Now().Add(15 * time.Second)
-	for fol.KB().ReplicaAppliedSeq(0) < 40 {
+	for fol.KB().ReplicaAppliedSeq() < 40 {
 		if time.Now().After(deadline) {
-			t.Fatalf("follower never reached seq 40 (at %d)", fol.KB().ReplicaAppliedSeq(0))
+			t.Fatalf("follower never reached seq 40 (at %d)", fol.KB().ReplicaAppliedSeq())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -124,7 +124,7 @@ func TestFaultFollowerCrashMidStream(t *testing.T) {
 	if got, want := export(t, fol2.KB()), export(t, leader); got != want {
 		t.Fatal("follower export differs from leader after follower crash/restart")
 	}
-	if fol2.KB().ReplicaAppliedSeq(0) != leader.WAL().LastSeq() {
+	if fol2.KB().ReplicaAppliedSeq() != leader.WAL().LastSeq() {
 		t.Fatal("cursor mismatch after convergence")
 	}
 }
@@ -152,7 +152,7 @@ func TestFaultLeaderCrashMidPush(t *testing.T) {
 		writeDoc(t, leader1, i)
 	}
 	deadline := time.Now().Add(15 * time.Second)
-	for fol.KB().ReplicaAppliedSeq(0) < 30 {
+	for fol.KB().ReplicaAppliedSeq() < 30 {
 		if time.Now().After(deadline) {
 			t.Fatal("follower never got going")
 		}
@@ -216,7 +216,7 @@ func TestFaultCrashBothSidesConverge(t *testing.T) {
 		writeDoc(t, leader1, i)
 	}
 	deadline := time.Now().Add(15 * time.Second)
-	for fol1.KB().ReplicaAppliedSeq(0) < 30 {
+	for fol1.KB().ReplicaAppliedSeq() < 30 {
 		if time.Now().After(deadline) {
 			t.Fatal("follower never got going")
 		}

@@ -127,10 +127,10 @@ func OpenFollower(dataDir, leaderURL string, cfg core.Config, opts Options) (*Fo
 	if err != nil {
 		return nil, err
 	}
-	if serr == nil && kb.ReplicaAppliedSeq(0) < st.TailStart {
+	if serr == nil && kb.ReplicaAppliedSeq() < st.TailStart {
 		// The leader compacted past our cursor while we were down. Local
 		// state is unrecoverable for streaming; start over from a snapshot.
-		log.Printf("replica: cursor %d behind leader tail %d; re-bootstrapping", kb.ReplicaAppliedSeq(0), st.TailStart)
+		log.Printf("replica: cursor %d behind leader tail %d; re-bootstrapping", kb.ReplicaAppliedSeq(), st.TailStart)
 		if err := kb.Close(); err != nil {
 			return nil, err
 		}
@@ -223,7 +223,7 @@ func (f *Follower) State() string {
 // cut off from its leader cannot know the record lag, but it always knows
 // how old its view is.
 func (f *Follower) Lag() (records uint64, seconds float64) {
-	applied := f.kb.ReplicaAppliedSeq(0)
+	applied := f.kb.ReplicaAppliedSeq()
 	leader := f.leaderSeq.Load()
 	if leader > applied {
 		records = leader - applied
@@ -241,7 +241,7 @@ func (f *Follower) Status() FollowerStatus {
 	return FollowerStatus{
 		LeaderURL:  f.leaderURL,
 		State:      f.State(),
-		AppliedSeq: f.kb.ReplicaAppliedSeq(0),
+		AppliedSeq: f.kb.ReplicaAppliedSeq(),
 		LeaderSeq:  f.leaderSeq.Load(),
 		LagRecords: recs,
 		LagSeconds: secs,
@@ -297,7 +297,7 @@ func (f *Follower) run(ctx context.Context) {
 // applies chunks until the leader closes the window (nil) or the connection
 // errors. A 410 maps to *TruncatedStreamError.
 func (f *Follower) streamOnce(ctx context.Context) error {
-	after := f.kb.ReplicaAppliedSeq(0)
+	after := f.kb.ReplicaAppliedSeq()
 	url := fmt.Sprintf("%s/wal/stream?after=%d", f.leaderURL, after)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -338,14 +338,14 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 		}
 		if len(ch.Records) > 0 {
 			// Drop any prefix a reconnect redelivered; apply is exactly-once.
-			applied := f.kb.ReplicaAppliedSeq(0)
+			applied := f.kb.ReplicaAppliedSeq()
 			recs := ch.Records
 			for len(recs) > 0 && recs[0].Seq <= applied {
 				recs = recs[1:]
 			}
 			if len(recs) > 0 {
 				t0 := time.Now()
-				err := f.kb.ApplyReplicated(0, recs)
+				err := f.kb.ApplyReplicated(recs)
 				f.m.applySeconds.ObserveSince(t0)
 				if err != nil {
 					return err
@@ -354,7 +354,7 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 				f.m.batches.Inc()
 			}
 		}
-		if f.kb.ReplicaAppliedSeq(0) >= f.leaderSeq.Load() {
+		if f.kb.ReplicaAppliedSeq() >= f.leaderSeq.Load() {
 			f.caughtUp.Store(time.Now().UnixNano())
 		}
 	}

@@ -26,15 +26,11 @@ type Leader struct {
 }
 
 // NewLeader wraps kb, which must be durable (the log is the replication
-// stream) and have one shard (one stream; shipping several is not ported
-// yet), and registers the leader-side rkm_replica_* instruments on its
+// stream), and registers the leader-side rkm_replica_* instruments on its
 // metrics registry.
 func NewLeader(kb *core.KnowledgeBase, opts Options) (*Leader, error) {
 	if !kb.Durable() {
 		return nil, errors.New("replica: leader requires a durable knowledge base")
-	}
-	if kb.NumShards() > 1 {
-		return nil, fmt.Errorf("replica: leader: %w", core.ErrMultiShard)
 	}
 	ld := &Leader{kb: kb, opts: opts.withDefaults()}
 	ld.wireMetrics(kb.Metrics())

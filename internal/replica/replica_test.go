@@ -78,10 +78,10 @@ func waitCaughtUp(t *testing.T, f *Follower, leader *core.KnowledgeBase) {
 	t.Helper()
 	target := leader.WAL().LastSeq()
 	deadline := time.Now().Add(15 * time.Second)
-	for f.KB().ReplicaAppliedSeq(0) < target {
+	for f.KB().ReplicaAppliedSeq() < target {
 		if time.Now().After(deadline) {
 			t.Fatalf("follower stuck at %d, leader at %d (state %s)",
-				f.KB().ReplicaAppliedSeq(0), target, f.State())
+				f.KB().ReplicaAppliedSeq(), target, f.State())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -100,7 +100,7 @@ func TestFollowerBootstrapsAndStreams(t *testing.T) {
 	}
 	defer fol.Close()
 	// The bootstrap snapshot alone already covers the leader's state.
-	if got := fol.KB().ReplicaAppliedSeq(0); got != 20 {
+	if got := fol.KB().ReplicaAppliedSeq(); got != 20 {
 		t.Fatalf("bootstrap cursor = %d, want 20", got)
 	}
 	if fol.KB().Role() != "follower" {
@@ -183,7 +183,7 @@ func TestFollowerRestartResumesWithoutRebootstrap(t *testing.T) {
 	if got := fol2.m.bootstraps.Value(); got != 0 {
 		t.Fatalf("restart re-bootstrapped (%d times)", got)
 	}
-	if got := fol2.KB().ReplicaAppliedSeq(0); got != 10 {
+	if got := fol2.KB().ReplicaAppliedSeq(); got != 10 {
 		t.Fatalf("restart cursor = %d, want 10", got)
 	}
 	fol2.Start()

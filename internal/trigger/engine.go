@@ -319,9 +319,8 @@ type Report struct {
 	CompositeSteps int
 }
 
-// Merge folds src into r: counters sum, activations concatenate. A write
-// that runs Process once per side (a two-shard bridge commit) reports the
-// merged total. A nil src is a no-op.
+// Merge folds src into r: counters sum, activations concatenate. A nil src
+// is a no-op.
 func (r *Report) Merge(src *Report) {
 	if src == nil {
 		return

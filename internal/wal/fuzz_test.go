@@ -48,8 +48,7 @@ func exportStore(t testing.TB, s *graph.Store) string {
 }
 
 // fuzzSeeds are the encoded records of real transactions, each committed
-// on its own copy of the fixture, plus one bridge half that names a
-// foreign endpoint.
+// on its own copy of the fixture.
 func fuzzSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	txs := []func(tx *graph.Tx) error{
@@ -107,9 +106,13 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		}
 		seeds = append(seeds, data)
 	}
-	return append(seeds,
-		[]byte(`{"seq":2,"ops":[{"op":"createRel","rel":5,"type":"LIVES_IN","start":1,"end":99,"ext":"bridge","value":null}],"nextNode":3,"nextRel":6}`))
+	return seeds
 }
+
+// danglingRelSeed is a record whose relationship names an endpoint the
+// fixture lacks — the shape of a bridge half logged by the removed per-hub
+// shard streams. Applying it must fail and leave the store unchanged.
+var danglingRelSeed = []byte(`{"seq":2,"ops":[{"op":"createRel","rel":5,"type":"LIVES_IN","start":1,"end":99,"ext":"bridge","value":null}],"nextNode":3,"nextRel":6}`)
 
 // TestFuzzSeedsApply pins the seeds as valid: each reproduces its
 // transaction on a fresh fixture.
@@ -133,6 +136,7 @@ func FuzzApplyRecord(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
 	}
+	f.Add(danglingRelSeed)
 	want := exportStore(f, fuzzFixture(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rec Record

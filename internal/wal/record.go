@@ -57,60 +57,10 @@ type Op struct {
 	// values and must not collapse into JSON null (= property removal).
 	Value any            `json:"value"`
 	Props map[string]any `json:"props,omitempty"`
-	// Ext marks a createRel operation whose endpoints span shards
-	// (ExtBridge): replay must install a half-relationship that tolerates
-	// the foreign endpoint being absent from this shard's store.
-	Ext string `json:"ext,omitempty"`
 }
 
 // onRel marks a property operation as targeting a relationship.
 const onRel = "rel"
-
-// ExtBridge marks a createRel op as one shard's half of a cross-shard
-// ("knowledge bridge") relationship.
-const ExtBridge = "bridge"
-
-// Bridge-record stages (BridgeInfo.Stage). A cross-shard transaction spans
-// two shard log streams: a prepare record in the higher shard's stream
-// (carrying that shard's ops), then the commit record in the lower shard's
-// stream (carrying that shard's ops plus an embedded copy of the prepare's
-// ops) — the single commit point — and finally a done marker appended to
-// the higher stream recording that the commit is durable, which licenses
-// the lower stream to compact the commit record. Recovery writes a
-// reconcile record into the higher stream when the commit record survived a
-// crash but the prepare did not.
-const (
-	BridgePrepare   = "prepare"
-	BridgeCommit    = "commit"
-	BridgeDone      = "done"
-	BridgeReconcile = "reconcile"
-)
-
-// BridgeInfo is the cross-shard commit-protocol metadata attached to a
-// record by the sharded durability engine (ShardSet); nil on ordinary
-// single-shard records.
-//
-// A prepare record's identity is its own sequence number; the records that
-// refer to it name it with PrepareSeq. On a commit record, the Peer* fields
-// carry the higher shard's half of the transaction — its ops and
-// identifier counters — so recovery can reapply that half (a reconcile)
-// when the prepare record was lost to a torn tail.
-type BridgeInfo struct {
-	// Stage is one of BridgePrepare, BridgeCommit, BridgeDone,
-	// BridgeReconcile.
-	Stage string `json:"stage"`
-	// PeerShard (commit records) is the shard whose stream holds the
-	// prepare record.
-	PeerShard int `json:"peerShard,omitempty"`
-	// PrepareSeq names the prepare record: in the peer's stream for a
-	// commit record, in this same stream for done and reconcile records.
-	PrepareSeq uint64 `json:"prepareSeq,omitempty"`
-	// PeerOps, PeerNextNode and PeerNextRel (commit records) embed the
-	// prepared half: the higher shard's operations and counters.
-	PeerOps      []Op  `json:"peerOps,omitempty"`
-	PeerNextNode int64 `json:"peerNextNode,omitempty"`
-	PeerNextRel  int64 `json:"peerNextRel,omitempty"`
-}
 
 // Record is one committed transaction. Seq is assigned by Log.AppendAsync and is
 // strictly increasing across the life of a log directory. NextNode and
@@ -123,9 +73,6 @@ type Record struct {
 	Ops      []Op   `json:"ops"`
 	NextNode int64  `json:"nextNode"`
 	NextRel  int64  `json:"nextRel"`
-	// Bridge carries the cross-shard commit-protocol metadata on records
-	// written by a sharded log set; nil on ordinary records.
-	Bridge *BridgeInfo `json:"bridge,omitempty"`
 }
 
 func propsJSON(props map[string]value.Value) map[string]any {
@@ -197,16 +144,10 @@ func RecordFromTx(tx *graph.Tx) *Record {
 		if !ok {
 			continue
 		}
-		op := Op{
+		rec.Ops = append(rec.Ops, Op{
 			Op: OpCreateRel, Rel: int64(id), Type: r.Type,
 			Start: int64(r.Start), End: int64(r.End), Props: propsJSON(r.Props),
-		}
-		// A half-relationship has its foreign endpoint in another shard;
-		// mark it so replay uses the endpoint-tolerant bridge primitive.
-		if !tx.NodeExists(r.Start) || !tx.NodeExists(r.End) {
-			op.Ext = ExtBridge
-		}
-		rec.Ops = append(rec.Ops, op)
+		})
 	}
 	// Deletions of pre-existing entities: relationships first so that node
 	// deletion replays onto detached nodes.
@@ -323,13 +264,8 @@ func ApplyRecord(tx *graph.Tx, rec *Record) error {
 		case OpCreateRel:
 			var props map[string]value.Value
 			if props, err = propsFromJSON(op.Props); err == nil {
-				if op.Ext == ExtBridge {
-					err = tx.CreateBridgeRelWithID(graph.RelID(op.Rel),
-						graph.NodeID(op.Start), graph.NodeID(op.End), op.Type, props)
-				} else {
-					err = tx.CreateRelWithID(graph.RelID(op.Rel),
-						graph.NodeID(op.Start), graph.NodeID(op.End), op.Type, props)
-				}
+				err = tx.CreateRelWithID(graph.RelID(op.Rel),
+					graph.NodeID(op.Start), graph.NodeID(op.End), op.Type, props)
 			}
 		case OpDeleteNode:
 			err = tx.DeleteNode(graph.NodeID(op.Node), true)

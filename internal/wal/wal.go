@@ -134,14 +134,6 @@ type RecoveryInfo struct {
 	// LastSeq is the sequence number recovery ended on; appends continue
 	// from LastSeq+1.
 	LastSeq uint64
-	// PreparesAborted counts bridge prepare records skipped because no
-	// commit evidence survived — cross-shard transactions that never
-	// reached their commit point (sharded recovery only).
-	PreparesAborted int
-	// BridgesReconciled counts bridge transactions whose prepare record was
-	// lost to a torn tail and reapplied from the embedded copy in the
-	// surviving commit record (sharded recovery only).
-	BridgesReconciled int
 }
 
 // Log is an append-only write-ahead log over a directory. Appends are
@@ -179,6 +171,12 @@ func (l *Log) SetMetrics(m Metrics) {
 	l.metrics = m
 }
 
+// ErrShardedLayout is returned by Open for a directory laid out by the
+// removed hub-sharded engine: one shard-NNN/ log stream per hub. Its streams
+// may hold two-stream bridge records that a single log cannot replay, so the
+// directory is refused rather than read in part.
+var ErrShardedLayout = errors.New("wal: hub-sharded data directory (shard-NNN/ log streams) is no longer supported")
+
 // Open recovers the state persisted in dir — newest loadable snapshot, then
 // every intact WAL record after it — into a fresh graph store, and returns
 // the log ready for appends together with the recovered store. A torn or
@@ -186,141 +184,115 @@ func (l *Log) SetMetrics(m Metrics) {
 // (reported via RecoveryInfo and the standard logger), the torn segment is
 // truncated to its last intact record, and later segments are removed,
 // because their transactions depend on the discarded ones. Opening a
-// nonexistent or empty directory yields an empty store.
+// nonexistent or empty directory yields an empty store; a directory in the
+// hub-sharded layout fails with ErrShardedLayout before anything is written.
 func Open(dir string, opts Options) (*Log, *graph.Store, *RecoveryInfo, error) {
 	opts = opts.withDefaults()
-	// One stream has no cross-stream evidence to wait for, so each record
-	// replays as soon as it is scanned; memory stays bounded by one segment.
-	sc, err := scanStream(dir, opts, (*streamScan).replay)
+	if shards, _ := filepath.Glob(filepath.Join(dir, "shard-[0-9][0-9][0-9]")); len(shards) > 0 {
+		return nil, nil, nil, fmt.Errorf("%w: %s holds %s", ErrShardedLayout, dir, filepath.Base(shards[0]))
+	}
+	store, info, err := recoverDir(dir)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("wal: open: %w", err)
 	}
-	l := newLog(dir, opts, sc.info.LastSeq)
-	l.startSyncLoop()
-	return l, sc.store, sc.info, nil
-}
-
-// newLog returns a log over dir positioned after lastSeq, which recovery
-// found durable.
-func newLog(dir string, opts Options, lastSeq uint64) *Log {
-	l := &Log{dir: dir, opts: opts, lastSeq: lastSeq, synced: lastSeq}
+	l := &Log{dir: dir, opts: opts, lastSeq: info.LastSeq, synced: info.LastSeq}
 	l.syncCond = sync.NewCond(&l.mu)
-	return l
-}
-
-// startSyncLoop launches the background fsync goroutine of the
-// FsyncInterval policy; a no-op under the other policies.
-func (l *Log) startSyncLoop() {
-	if l.opts.Fsync != FsyncInterval {
-		return
+	if opts.Fsync == FsyncInterval {
+		l.stopSync = make(chan struct{})
+		l.syncDone = make(chan struct{})
+		go l.syncLoop()
 	}
-	l.stopSync = make(chan struct{})
-	l.syncDone = make(chan struct{})
-	go l.syncLoop()
+	return l, store, info, nil
 }
 
-// streamScan is the recovery state of one segment stream: its
-// snapshot-restored store and what the scan found.
-type streamScan struct {
-	store *graph.Store
-	info  *RecoveryInfo
-}
-
-// scanStream restores the newest loadable snapshot under dir and hands each
-// of the stream's intact live records, in order, to each; torn tails are
-// truncated on disk. An unreadable snapshot (e.g. the machine died while a
-// checkpoint was finalizing) falls back to the previous one plus the
-// still-present segments.
-func scanStream(dir string, opts Options, each func(sc *streamScan, rec *Record) error) (*streamScan, error) {
+// recoverDir restores the newest loadable snapshot under dir and replays
+// the intact live records after it, in order, each as soon as it is scanned
+// (memory stays bounded by one segment); torn tails are truncated on disk.
+// An unreadable snapshot (e.g. the machine died while a checkpoint was
+// finalizing) falls back to the previous one plus the still-present
+// segments.
+func recoverDir(dir string) (*graph.Store, *RecoveryInfo, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	segments, snapshots, err := scanDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	sc := &streamScan{store: graph.NewStore(), info: &RecoveryInfo{}}
+	store, info := graph.NewStore(), &RecoveryInfo{}
 	for _, snap := range snapshots {
 		f, err := os.Open(snap.path)
 		if err != nil {
 			log.Printf("wal: skipping snapshot %s: %v", snap.path, err)
 			continue
 		}
-		err = sc.store.Import(f)
+		err = store.Import(f)
 		f.Close()
 		if err != nil {
 			log.Printf("wal: skipping snapshot %s: %v", snap.path, err)
-			sc.store = graph.NewStore()
+			store = graph.NewStore()
 			continue
 		}
-		sc.info.SnapshotSeq = snap.seq
-		sc.info.SnapshotPath = snap.path
+		info.SnapshotSeq = snap.seq
+		info.SnapshotPath = snap.path
 		break
 	}
-	sc.info.LastSeq = sc.info.SnapshotSeq
+	info.LastSeq = info.SnapshotSeq
 
 	// Segments in order, skipping records the snapshot already covers,
 	// stopping at the first corruption.
 	for i, seg := range segments {
 		res, err := scanSegment(seg.path)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		sc.info.SegmentsScanned++
+		info.SegmentsScanned++
 		for _, rec := range res.records {
-			if rec.Seq <= sc.info.SnapshotSeq {
+			if rec.Seq <= info.SnapshotSeq {
 				continue
 			}
-			if rec.Seq != sc.info.LastSeq+1 {
+			if rec.Seq != info.LastSeq+1 {
 				log.Printf("wal: %s: sequence gap (want %d, got %d); discarding from there",
-					seg.path, sc.info.LastSeq+1, rec.Seq)
+					seg.path, info.LastSeq+1, rec.Seq)
 				res.torn = true
 				res.tornReason = "sequence gap"
 				break
 			}
-			if err := each(sc, rec); err != nil {
-				return nil, err
+			if err := applyToStore(store, rec); err != nil {
+				return nil, nil, fmt.Errorf("replay: %w", err)
 			}
-			sc.info.LastSeq = rec.Seq
+			info.RecordsReplayed++
+			info.LastSeq = rec.Seq
 		}
 		if res.torn {
 			st, err := os.Stat(seg.path)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			sc.info.DiscardedBytes = st.Size() - res.goodLen
-			sc.info.DiscardedPath = seg.path
+			info.DiscardedBytes = st.Size() - res.goodLen
+			info.DiscardedPath = seg.path
 			for _, later := range segments[i+1:] {
 				st, err := os.Stat(later.path)
 				if err == nil {
-					sc.info.DiscardedBytes += st.Size()
+					info.DiscardedBytes += st.Size()
 				}
 				if err := os.Remove(later.path); err != nil {
-					return nil, fmt.Errorf("drop %s: %w", later.path, err)
+					return nil, nil, fmt.Errorf("drop %s: %w", later.path, err)
 				}
 			}
 			log.Printf("wal: %s: %s at offset %d; discarded %d byte(s) of torn tail",
-				seg.path, res.tornReason, res.goodLen, sc.info.DiscardedBytes)
+				seg.path, res.tornReason, res.goodLen, info.DiscardedBytes)
 			if res.goodLen <= int64(len(segMagic)) {
 				if err := os.Remove(seg.path); err != nil {
-					return nil, fmt.Errorf("drop %s: %w", seg.path, err)
+					return nil, nil, fmt.Errorf("drop %s: %w", seg.path, err)
 				}
 			} else if err := os.Truncate(seg.path, res.goodLen); err != nil {
-				return nil, fmt.Errorf("truncate %s: %w", seg.path, err)
+				return nil, nil, fmt.Errorf("truncate %s: %w", seg.path, err)
 			}
 			break
 		}
 	}
-	return sc, nil
-}
-
-// replay applies one of the stream's own records to the recovering store.
-func (sc *streamScan) replay(rec *Record) error {
-	if err := applyToStore(sc.store, rec); err != nil {
-		return fmt.Errorf("replay: %w", err)
-	}
-	sc.info.RecordsReplayed++
-	return nil
+	return store, info, nil
 }
 
 func applyToStore(store *graph.Store, rec *Record) error {

@@ -93,35 +93,6 @@ func OpenDurable(dir string, cfg Config, wopts WALOptions) (*KnowledgeBase, *Rec
 	return core.OpenDurable(dir, cfg, wopts)
 }
 
-// ErrMultiShard is returned, on a knowledge base with more than one shard,
-// by the operations that act on one graph store (Essential Summary, Fork,
-// schema binding, federation, replication, writes that name no hub). See
-// DESIGN.md §13 for the feature matrix.
-var ErrMultiShard = core.ErrMultiShard
-
-// HubShard declares one hub (and the labels it owns) of a hub-sharded
-// knowledge base; the slice order fixes the shard indexes.
-type HubShard = core.HubShard
-
-// BridgeTx is a two-shard transaction for writes that cross hub borders.
-type BridgeTx = graph.BridgeTx
-
-// NewSharded creates an empty in-memory knowledge base with one graph shard
-// per declared hub: each hub gets its own single-writer store, so intra-hub
-// transactions on different hubs commit fully in parallel, and knowledge
-// bridges take a two-shard commit path. See DESIGN.md §13.
-func NewSharded(cfg Config, hubs []HubShard) (*KnowledgeBase, error) {
-	return core.NewSharded(cfg, hubs)
-}
-
-// OpenShardedDurable opens (or creates) a durable hub-sharded knowledge
-// base: each shard persists to its own WAL stream under dir and recovers
-// independently, with torn cross-shard bridge commits reconciled from the
-// surviving commit records.
-func OpenShardedDurable(dir string, cfg Config, hubs []HubShard, wopts WALOptions) (*KnowledgeBase, []*RecoveryInfo, error) {
-	return core.OpenShardedDurable(dir, cfg, hubs, wopts)
-}
-
 // Rule is the reactive-rule quadruple <Event, Guard, Alert, AlertNode>.
 type Rule = trigger.Rule
 

@@ -1,11 +1,10 @@
 // Command metricnames prints, one per line and sorted, every metric name a
-// fully wired knowledge base registers: it opens a durable one-shard
-// knowledge base under a throwaway directory (wiring the write-ahead-log
+// fully wired knowledge base registers: it opens a durable knowledge base
+// under a throwaway directory (wiring the write-ahead-log
 // metrics), loads the four-hub demo (wiring rules and summaries), wraps it
 // in a federation node (wiring the fed_* delivery metrics) and makes it a
 // replication leader with one attached follower (wiring the replica_*
-// metrics on both roles); a durable two-shard knowledge base adds the
-// series that carry a shard label. It dumps the union of the registries.
+// metrics on both roles). It dumps the union of the registries.
 //
 // scripts/check_metrics_docs.sh diffs this output against the metric names
 // documented in OBSERVABILITY.md, so the catalog cannot drift from the code.
@@ -66,38 +65,8 @@ func main() {
 	}
 	defer fol.Close()
 
-	// With more than one shard, commits, write-lock waits and WAL fsyncs
-	// are counted per shard (the labelled rkm_shard_* series).
-	sdir, err := os.MkdirTemp("", "rkm-metricnames-shard-*")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(sdir)
-	kb2, _, err := reactive.OpenShardedDurable(sdir, reactive.Config{}, []reactive.HubShard{
-		{Hub: "A", Labels: []string{"Sequence"}},
-		{Hub: "B", Labels: []string{"Trial"}},
-	}, reactive.WALOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer kb2.Close()
-	if _, err := kb2.UpdateBridgeShards(0, 1, func(bt *reactive.BridgeTx) error {
-		a, err := bt.CreateNodeIn(0, []string{"Sequence"}, nil)
-		if err != nil {
-			return err
-		}
-		b, err := bt.CreateNodeIn(1, []string{"Trial"}, nil)
-		if err != nil {
-			return err
-		}
-		_, err = bt.CreateRel(a, b, "TESTED_IN", nil)
-		return err
-	}); err != nil {
-		log.Fatal(err)
-	}
-
 	seen := map[string]bool{}
-	for _, reg := range []*reactive.MetricsRegistry{kb.Metrics(), fol.KB().Metrics(), kb2.Metrics()} {
+	for _, reg := range []*reactive.MetricsRegistry{kb.Metrics(), fol.KB().Metrics()} {
 		for _, name := range reg.Names() {
 			seen[name] = true
 		}
