@@ -574,11 +574,10 @@ func defineHubs(t *testing.T, kb *core.KnowledgeBase, pLabels ...string) {
 	}
 }
 
-// TestCEPSharded runs a composite rule of hub P on a knowledge base with two
+// TestCEPHubs runs a composite rule of hub P on a knowledge base with two
 // hubs and enforced ownership: writes of the other hub never touch P's
-// partial state, and the alert is P's. (The name dates from one graph shard
-// per hub.)
-func TestCEPSharded(t *testing.T) {
+// partial state, and the alert is P's.
+func TestCEPHubs(t *testing.T) {
 	kb := core.New(core.Config{Clock: periodic.NewManualClock(cepT0)})
 	defineHubs(t, kb, "Txn", "Confirmation", "Account")
 	kb.EnforceHubOwnership()

@@ -10,7 +10,6 @@ package core
 // rule-free update/discard, background driver.
 
 import (
-	"slices"
 	"sync"
 	"time"
 
@@ -50,9 +49,7 @@ func (b *Bookkeeping) Recovered() int { return b.recovered }
 func (b *Bookkeeping) Scan(take func(tx *graph.Tx, id graph.NodeID) bool) []graph.NodeID {
 	var out []graph.NodeID
 	_ = b.kb.store.View(func(tx *graph.Tx) error {
-		ids := tx.NodesByLabel(b.label)
-		slices.Sort(ids)
-		for _, id := range ids {
+		for _, id := range tx.NodesByLabel(b.label) {
 			if take(tx, id) {
 				out = append(out, id)
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -39,46 +40,33 @@ func TestComplexityContracts(t *testing.T) {
 		name:  "single-patient commit copies trie paths",
 		sizes: []int{1000, 30000},
 		measure: func(t *testing.T, n int) int {
-			kb, _ := newSimKB(t)
-			if err := kb.CreateIndex("Patient", "regionDay"); err != nil {
-				t.Fatal(err)
-			}
-			admit := func(tx *graph.Tx, h graph.NodeID, i int) error {
-				p, err := tx.CreateNode([]string{"Patient"}, map[string]value.Value{
-					"id": value.Str(fmt.Sprintf("p%d", i)), "regionDay": value.Str(fmt.Sprintf("R%d#0", i%4)),
-				})
-				if err != nil {
-					return err
-				}
-				_, err = tx.CreateRel(p, h, "TreatedAt", nil)
-				return err
-			}
-			var hospitals []graph.NodeID
-			if err := kb.Store().Update(func(tx *graph.Tx) error {
-				for i := 0; i < 40; i++ {
-					h, err := tx.CreateNode([]string{"Hospital"}, nil)
-					if err != nil {
-						return err
-					}
-					hospitals = append(hospitals, h)
-				}
-				for i := 0; i < n; i++ {
-					if err := admit(tx, hospitals[i%len(hospitals)], i); err != nil {
-						return err
-					}
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
+			kb, admit := e1Graph(t, 40, n)
 			copied := kb.Metrics().Counter(mSnapCopied, "")
 			before := copied.Value()
-			if _, err := kb.WriteTx(func(tx *graph.Tx) error { return admit(tx, hospitals[0], n) }); err != nil {
-				t.Fatal(err)
-			}
+			admit(n)
 			return int(copied.Value() - before)
 		},
 		ratio: 2,
+	}, {
+		// E1 at a hub: each admission adds an edge to its hospital, whose
+		// record the commit copies. The copy shares the hospital's
+		// adjacency, so the bytes a commit allocates do not grow with the
+		// hospital's degree n. The graph holds 10⁴ patients at every size,
+		// spread over 10⁴/n hospitals.
+		name:  "single-patient commit allocates bytes independent of hospital degree",
+		sizes: []int{100, 10000},
+		measure: func(t *testing.T, n int) int {
+			const patients, admissions = 10000, 10
+			_, admit := e1Graph(t, patients/n, patients)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < admissions; i++ {
+				admit(patients + i)
+			}
+			runtime.ReadMemStats(&after)
+			return int(after.TotalAlloc-before.TotalAlloc) / admissions
+		},
+		ratio: 1.5,
 	}, {
 		// n threshold rules NEW.account = 'acct-i' form one guard family:
 		// one Txn event reads NEW.account once, however many rules it
@@ -171,5 +159,49 @@ func TestComplexityContracts(t *testing.T) {
 				t.Logf("size %d: %d", n, got)
 			}
 		})
+	}
+}
+
+// e1Graph returns a knowledge base with a (Patient, regionDay) index and n
+// patients admitted round-robin into the given number of hospitals, each by
+// a TreatedAt edge, and a function that admits patient i into the first
+// hospital in a write transaction of its own.
+func e1Graph(t *testing.T, hospitals, n int) (*KnowledgeBase, func(i int)) {
+	kb, _ := newSimKB(t)
+	if err := kb.CreateIndex("Patient", "regionDay"); err != nil {
+		t.Fatal(err)
+	}
+	admit := func(tx *graph.Tx, h graph.NodeID, i int) error {
+		p, err := tx.CreateNode([]string{"Patient"}, map[string]value.Value{
+			"id": value.Str(fmt.Sprintf("p%d", i)), "regionDay": value.Str(fmt.Sprintf("R%d#0", i%4)),
+		})
+		if err != nil {
+			return err
+		}
+		_, err = tx.CreateRel(p, h, "TreatedAt", nil)
+		return err
+	}
+	var hs []graph.NodeID
+	if err := kb.Store().Update(func(tx *graph.Tx) error {
+		for i := 0; i < hospitals; i++ {
+			h, err := tx.CreateNode([]string{"Hospital"}, nil)
+			if err != nil {
+				return err
+			}
+			hs = append(hs, h)
+		}
+		for i := 0; i < n; i++ {
+			if err := admit(tx, hs[i%len(hs)], i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return kb, func(i int) {
+		if _, err := kb.WriteTx(func(tx *graph.Tx) error { return admit(tx, hs[0], i) }); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -508,12 +508,7 @@ type Alert struct {
 // Alerts lists all alert nodes, oldest first (by dateTime, then id).
 func (kb *KnowledgeBase) Alerts() ([]Alert, error) {
 	out := kb.collectAlerts(0)
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].DateTime.Equal(out[j].DateTime) {
-			return out[i].DateTime.Before(out[j].DateTime)
-		}
-		return out[i].ID < out[j].ID
-	})
+	sort.SliceStable(out, func(i, j int) bool { return out[i].DateTime.Before(out[j].DateTime) })
 	return out, nil
 }
 
@@ -521,13 +516,11 @@ func (kb *KnowledgeBase) Alerts() ([]Alert, error) {
 // by id. Node ids are assigned in creation order, so this pages the alert
 // log incrementally.
 func (kb *KnowledgeBase) AlertsAfter(after graph.NodeID) ([]Alert, error) {
-	out := kb.collectAlerts(after)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
+	return kb.collectAlerts(after), nil
 }
 
-// collectAlerts extracts the alert nodes with id greater than after
-// (unsorted).
+// collectAlerts extracts the alert nodes with id greater than after, in id
+// order.
 func (kb *KnowledgeBase) collectAlerts(after graph.NodeID) []Alert {
 	v := kb.store.Begin(graph.ReadOnly)
 	defer v.Rollback()

@@ -7,10 +7,10 @@ package core
 // store, with the LIVES_IN relationships as knowledge bridges between
 // people and places: hubs own nodes, so declaring them changes ownership
 // bookkeeping and nothing a query sees. (internal/cypher's TestGolden pins
-// the same corpus to its recorded results on a bare store.) Rows are
-// compared after rank-normalizing Node()/Rel() renderings, and final graph
-// states by an ID-free canonical form, so the comparison does not depend on
-// identifier allocation.
+// the same corpus to its recorded results on a bare store.) Every row
+// allocates the same identifiers, so rows are compared as rendered, Node()
+// and Rel() identifiers included, with floats rounded; final graph states
+// are compared by an ID-free canonical form.
 
 import (
 	"fmt"
@@ -136,53 +136,23 @@ func parityKB(t testing.TB, v Variant) *KnowledgeBase {
 	return kb
 }
 
-var (
-	parityNodeTok  = regexp.MustCompile(`Node\((\d+)\)`)
-	parityRelTok   = regexp.MustCompile(`Rel\((\d+)\)`)
-	parityFloatTok = regexp.MustCompile(`-?\d+\.\d+(?:[eE][+-]?\d+)?`)
-)
+// parityFloatTok matches a rendered float.
+var parityFloatTok = regexp.MustCompile(`-?\d+\.\d+(?:[eE][+-]?\d+)?`)
 
-// parityNormalize rewrites entity IDs in a rendered row to their rank among
-// the view's (sorted) live IDs, and rounds floats to 12 significant digits,
-// so rows compare independently of identifier allocation and of the order
-// float aggregates accumulate in.
-func parityNormalize(s string, v *graph.Tx) string {
-	s = parityFloatTok.ReplaceAllStringFunc(s, func(tok string) string {
+// parityNormalize rounds the floats of a rendered row to 12 significant
+// digits, so rows compare independently of the order float aggregates
+// accumulate in.
+func parityNormalize(s string) string {
+	return parityFloatTok.ReplaceAllStringFunc(s, func(tok string) string {
 		f, err := strconv.ParseFloat(tok, 64)
 		if err != nil {
 			return tok
 		}
 		return strconv.FormatFloat(f, 'g', 12, 64)
 	})
-	nodes := v.AllNodes()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	nodeRank := make(map[string]int, len(nodes))
-	for i, id := range nodes {
-		nodeRank[fmt.Sprintf("%d", id)] = i
-	}
-	rels := v.AllRels()
-	sort.Slice(rels, func(i, j int) bool { return rels[i] < rels[j] })
-	relRank := make(map[string]int, len(rels))
-	for i, id := range rels {
-		relRank[fmt.Sprintf("%d", id)] = i
-	}
-	s = parityNodeTok.ReplaceAllStringFunc(s, func(tok string) string {
-		raw := parityNodeTok.FindStringSubmatch(tok)[1]
-		if r, ok := nodeRank[raw]; ok {
-			return fmt.Sprintf("Node(#%d)", r)
-		}
-		return tok
-	})
-	return parityRelTok.ReplaceAllStringFunc(s, func(tok string) string {
-		raw := parityRelTok.FindStringSubmatch(tok)[1]
-		if r, ok := relRank[raw]; ok {
-			return fmt.Sprintf("Rel(#%d)", r)
-		}
-		return tok
-	})
 }
 
-func parityRows(res *cypher.Result, ordered bool, v *graph.Tx) []string {
+func parityRows(res *cypher.Result, ordered bool) []string {
 	rows := make([]string, len(res.Rows))
 	for i, r := range res.Rows {
 		s := "["
@@ -192,7 +162,7 @@ func parityRows(res *cypher.Result, ordered bool, v *graph.Tx) []string {
 			}
 			s += val.String()
 		}
-		rows[i] = parityNormalize(s+"]", v)
+		rows[i] = parityNormalize(s + "]")
 	}
 	if !ordered {
 		sort.Strings(rows)
@@ -265,7 +235,7 @@ func runParity(t *testing.T, v Variant, c cyphertest.Case) parityOutcome {
 	rv := kb.Store().Begin(graph.ReadOnly)
 	defer rv.Rollback()
 	out.columns = res.Columns
-	out.rows = parityRows(res, c.Ordered, rv)
+	out.rows = parityRows(res, c.Ordered)
 	if c.Write {
 		out.stats = fmt.Sprintf("%+v", res.Stats)
 		out.state = parityState(t, rv)

@@ -90,10 +90,10 @@ func TestOpenDurableRefusesShardedLayout(t *testing.T) {
 	}
 }
 
-// TestShardedBridgeWrite writes a knowledge bridge — a relationship from a
+// TestHubsBridgeWrite writes a knowledge bridge — a relationship from a
 // node of hub A to a node of hub B — in one ordinary transaction: rules
 // fire on both ends and the hub statistics count it as an inter-hub edge.
-func TestShardedBridgeWrite(t *testing.T) {
+func TestHubsBridgeWrite(t *testing.T) {
 	kb := newShardedKB(t)
 	kb.EnforceHubOwnership()
 	if err := kb.InstallRule(trigger.Rule{

@@ -11,9 +11,10 @@ import (
 // This file is the store's one copy-on-write mechanism. Every mutable part
 // of a snapshot — the node and relationship tables, the label and
 // relationship-type posting sets, the property indexes and their posting
-// sets, and the node and relationship records themselves — is either a
-// cowMap or a value held in one, and is changed only through the functions
-// below. They keep one invariant:
+// sets, each node's outgoing and incoming adjacency, and the node and
+// relationship records themselves — is either a cowMap or a value held in
+// one, and is changed only through the functions below. They keep one
+// invariant:
 //
 //	A container, trie node or record is mutated only by the builder whose
 //	owner token it carries. The first touch by any other builder copies it,
@@ -178,8 +179,28 @@ func (c *cowMap[K, V]) len() int {
 // nil.
 func (c *cowMap[K, V]) keys() []K {
 	out := make([]K, 0, c.len())
+	c.walk(func(run []trieEntry[K, V]) {
+		for i := range run {
+			out = append(out, run[i].k)
+		}
+	})
+	return out
+}
+
+// each calls fn for every entry, in the order of keys.
+func (c *cowMap[K, V]) each(fn func(K, V)) {
+	c.walk(func(run []trieEntry[K, V]) {
+		for i := range run {
+			fn(run[i].k, run[i].v)
+		}
+	})
+}
+
+// walk calls fn with every leaf, in the order of keys, a run of adjacent
+// leaves of one node per call.
+func (c *cowMap[K, V]) walk(fn func(run []trieEntry[K, V])) {
 	if c == nil || c.root == nil {
-		return out
+		return
 	}
 	// A depth-first walk with an explicit stack: path[d] is the node at
 	// depth d and next[d] the index of its next entry to visit. The
@@ -188,21 +209,24 @@ func (c *cowMap[K, V]) keys() []K {
 	var next [len(path)]int
 	path[0] = c.root
 	for d := 0; d >= 0; {
-		n := path[d]
-		if next[d] == len(n.e) {
+		n, i := path[d], next[d]
+		if i == len(n.e) {
 			d--
 			continue
 		}
-		e := &n.e[next[d]]
-		next[d]++
-		if e.sub != nil {
+		if sub := n.e[i].sub; sub != nil {
+			next[d]++
 			d++
-			path[d], next[d] = e.sub, 0
+			path[d], next[d] = sub, 0
 			continue
 		}
-		out = append(out, e.k)
+		j := i + 1
+		for j < len(n.e) && n.e[j].sub == nil {
+			j++
+		}
+		next[d] = j
+		fn(n.e[i:j])
 	}
-	return out
 }
 
 // ownerOf and clone make a cowMap usable as the value of another cowMap

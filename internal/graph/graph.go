@@ -107,14 +107,16 @@ func (r Rel) Other(id NodeID) NodeID {
 }
 
 // nodeRec is one version of a node. It is mutated only by the snapshot
-// builder named in by (see cow.go); any other builder clones it first.
+// builder named in by (see cow.go); any other builder clones it first. Its
+// adjacency, out and in, shares structure with the version it was cloned
+// from, so a clone costs the same at a hub as at a leaf.
 type nodeRec struct {
 	by     *owner
 	id     NodeID
 	labels map[string]struct{}
 	props  map[string]value.Value
-	out    map[RelID]*relRec
-	in     map[RelID]*relRec
+	out    cowMap[RelID, *relRec]
+	in     cowMap[RelID, *relRec]
 }
 
 func (n *nodeRec) ownerOf() *owner { return n.by }
@@ -126,8 +128,8 @@ func (n *nodeRec) clone(o *owner) *nodeRec {
 		id:     n.id,
 		labels: maps.Clone(n.labels),
 		props:  maps.Clone(n.props),
-		out:    maps.Clone(n.out),
-		in:     maps.Clone(n.in),
+		out:    n.out,
+		in:     n.in,
 	}
 }
 

@@ -63,9 +63,7 @@ func (sn *snapshot) export(w io.Writer) error {
 		NextNode: int64(sn.nextNode),
 		NextRel:  int64(sn.nextRel),
 	}
-	nodeIDs := sn.nodes.keys()
-	sort.Slice(nodeIDs, func(i, j int) bool { return nodeIDs[i] < nodeIDs[j] })
-	for _, id := range nodeIDs {
+	for _, id := range sn.nodes.keys() {
 		rec := sn.nodes.at(id)
 		en := exportNode{ID: int64(id)}
 		for l := range rec.labels {
@@ -80,9 +78,7 @@ func (sn *snapshot) export(w io.Writer) error {
 		}
 		doc.Nodes = append(doc.Nodes, en)
 	}
-	relIDs := sn.rels.keys()
-	sort.Slice(relIDs, func(i, j int) bool { return relIDs[i] < relIDs[j] })
-	for _, id := range relIDs {
+	for _, id := range sn.rels.keys() {
 		rec := sn.rels.at(id)
 		er := exportRel{
 			ID: int64(id), Type: rec.typ,

@@ -237,8 +237,6 @@ func (tx *Tx) createNode(id NodeID, labels []string, props map[string]value.Valu
 		id:     id,
 		labels: make(map[string]struct{}, len(labels)),
 		props:  props,
-		out:    make(map[RelID]*relRec),
-		in:     make(map[RelID]*relRec),
 	}
 	for _, l := range labels {
 		rec.labels[l] = struct{}{}
@@ -266,20 +264,17 @@ func (tx *Tx) DeleteNode(id NodeID, detach bool) error {
 	if !ok {
 		return fmtErrNode(id)
 	}
-	if len(rec.out) > 0 || len(rec.in) > 0 {
+	if rec.out.len() > 0 || rec.in.len() > 0 {
 		if !detach {
 			return ErrHasRels
 		}
-		// Collect incident relationship identifiers up front (a self-loop
-		// appears in both out and in) — deleting them mutates these maps.
-		rids := make(map[RelID]struct{}, len(rec.out)+len(rec.in))
-		for rid := range rec.out {
-			rids[rid] = struct{}{}
-		}
-		for rid := range rec.in {
-			rids[rid] = struct{}{}
-		}
-		for rid := range rids {
+		// Outgoing, then incoming, each in ID order, from copies of the
+		// key sets (the deletes edit them). A self-loop is in both and
+		// goes with the outgoing ones.
+		for _, rid := range append(rec.out.keys(), rec.in.keys()...) {
+			if _, ok := sn.rels.get(rid); !ok {
+				continue
+			}
 			if err := tx.DeleteRel(rid); err != nil {
 				return err
 			}
@@ -325,9 +320,9 @@ func (tx *Tx) installRel(id RelID, start, end NodeID, typ string, props map[stri
 	rec := &relRec{by: sn.by, id: id, typ: typ, start: start, end: end, props: props}
 	sn.rels.set(sn.by, id, rec)
 	sRec, _ := tx.editNode(start)
-	sRec.out[id] = rec
+	sRec.out.set(sn.by, id, rec)
 	eRec, _ := tx.editNode(end)
-	eRec.in[id] = rec
+	eRec.in.set(sn.by, id, rec)
 	post(&sn.byRelType, sn.by, typ, id)
 	tx.writes++
 	tx.data.CreatedRels = append(tx.data.CreatedRels, id)
@@ -346,9 +341,9 @@ func (tx *Tx) DeleteRel(id RelID) error {
 	snap := snapshotRel(rec)
 	sn.rels.del(sn.by, id)
 	sRec, _ := tx.editNode(rec.start)
-	delete(sRec.out, id)
+	sRec.out.del(sn.by, id)
 	eRec, _ := tx.editNode(rec.end)
-	delete(eRec.in, id)
+	eRec.in.del(sn.by, id)
 	unpost(&sn.byRelType, sn.by, rec.typ, id)
 	tx.writes++
 	tx.data.DeletedRels = append(tx.data.DeletedRels, snap)
@@ -700,22 +695,19 @@ func (tx *Tx) RelsOf(id NodeID, dir Direction, types []string) []RelHandle {
 		return false
 	}
 	var out []RelHandle
-	appendRel := func(r *relRec) {
-		out = append(out, RelHandle{ID: r.id, Type: r.typ, Start: r.start, End: r.end})
-	}
 	if dir == Outgoing || dir == Both {
-		for _, r := range rec.out {
+		rec.out.each(func(_ RelID, r *relRec) {
 			if match(r.typ) {
-				appendRel(r)
+				out = append(out, RelHandle{ID: r.id, Type: r.typ, Start: r.start, End: r.end})
 			}
-		}
+		})
 	}
 	if dir == Incoming || dir == Both {
-		for _, r := range rec.in {
+		rec.in.each(func(_ RelID, r *relRec) {
 			if match(r.typ) && r.start != r.end { // self-loop already reported
-				appendRel(r)
+				out = append(out, RelHandle{ID: r.id, Type: r.typ, Start: r.start, End: r.end})
 			}
-		}
+		})
 	}
 	return out
 }
@@ -729,16 +721,16 @@ func (tx *Tx) Degree(id NodeID, dir Direction) int {
 	}
 	switch dir {
 	case Outgoing:
-		return len(rec.out)
+		return rec.out.len()
 	case Incoming:
-		return len(rec.in)
+		return rec.in.len()
 	default:
-		n := len(rec.out) + len(rec.in)
-		for _, r := range rec.out {
+		n := rec.out.len() + rec.in.len()
+		rec.out.each(func(_ RelID, r *relRec) {
 			if r.start == r.end {
 				n--
 			}
-		}
+		})
 		return n
 	}
 }

@@ -1,10 +1,7 @@
 package wal
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 )
@@ -250,40 +247,22 @@ func (c *Cursor) readFrames(out *[]*Record, bound uint64, max int) (int, error) 
 	data = data[:n]
 	consumed := 0
 	off := 0
-	for len(*out) < max {
-		rest := len(data) - off
-		if rest < frameHdrSize {
-			break
-		}
-		length := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if length > maxRecordSize || rest-frameHdrSize < length {
-			break // in-flight append; the tail lands by the next poll
-		}
-		payload := data[off+frameHdrSize : off+frameHdrSize+length]
-		if crc32.Checksum(payload, crcTable) != sum {
-			break // frame only partially flushed
-		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			break
+	for len(*out) < max && off < len(data) {
+		rec, size, torn := readFrame(data[off:])
+		if torn != "" {
+			break // an in-flight append; it lands by the next poll
 		}
 		if rec.Seq > bound {
 			break // appended but not durable yet: not servable
 		}
-		size := frameHdrSize + length
-		if rec.Seq < c.next {
-			c.off += int64(size)
-			off += size
-			consumed++
-			continue
-		}
-		if rec.Seq != c.next {
+		if rec.Seq > c.next {
 			return consumed, fmt.Errorf("wal: cursor: %s: sequence gap (want %d, got %d)",
 				c.path, c.next, rec.Seq)
 		}
-		*out = append(*out, &rec)
-		c.next = rec.Seq + 1
+		if rec.Seq == c.next { // older ones are skipped
+			*out = append(*out, rec)
+			c.next++
+		}
 		c.off += int64(size)
 		off += size
 		consumed++

@@ -97,41 +97,41 @@ func scanSegment(path string) (scanResult, error) {
 		res.tornReason = "bad segment header"
 		return res, nil
 	}
-	off := int64(len(segMagic))
-	res.goodLen = off
-	for {
-		rest := int64(len(data)) - off
-		if rest == 0 {
+	res.goodLen = int64(len(segMagic))
+	for res.goodLen < int64(len(data)) {
+		rec, size, torn := readFrame(data[res.goodLen:])
+		if torn != "" {
+			res.torn, res.tornReason = true, torn
 			return res, nil
 		}
-		if rest < frameHdrSize {
-			res.torn = true
-			res.tornReason = "truncated record header"
-			return res, nil
-		}
-		length := int64(binary.LittleEndian.Uint32(data[off : off+4]))
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if length > maxRecordSize || rest-frameHdrSize < length {
-			res.torn = true
-			res.tornReason = "truncated record payload"
-			return res, nil
-		}
-		payload := data[off+frameHdrSize : off+frameHdrSize+length]
-		if crc32.Checksum(payload, crcTable) != sum {
-			res.torn = true
-			res.tornReason = "checksum mismatch"
-			return res, nil
-		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			res.torn = true
-			res.tornReason = "undecodable record payload"
-			return res, nil
-		}
-		off += frameHdrSize + length
-		res.goodLen = off
-		res.records = append(res.records, &rec)
+		res.goodLen += int64(size)
+		res.records = append(res.records, rec)
 	}
+	return res, nil
+}
+
+// readFrame decodes the frame at the start of data, which must not be
+// empty. It returns the record and the frame's size, or why the frame is
+// torn: data ends inside it, its length is implausible, its CRC does not
+// match or its payload does not decode.
+func readFrame(data []byte) (rec *Record, size int, torn string) {
+	if len(data) < frameHdrSize {
+		return nil, 0, "truncated record header"
+	}
+	length := int64(binary.LittleEndian.Uint32(data[0:4]))
+	sum := binary.LittleEndian.Uint32(data[4:8])
+	if length > maxRecordSize || int64(len(data)-frameHdrSize) < length {
+		return nil, 0, "truncated record payload"
+	}
+	payload := data[frameHdrSize : frameHdrSize+length]
+	if crc32.Checksum(payload, crcTable) != sum {
+		return nil, 0, "checksum mismatch"
+	}
+	rec = new(Record)
+	if err := json.Unmarshal(payload, rec); err != nil {
+		return nil, 0, "undecodable record payload"
+	}
+	return rec, frameHdrSize + int(length), ""
 }
 
 // fileRef is a directory entry carrying the sequence number encoded in its
