@@ -156,7 +156,7 @@ func meta(kb *reactive.KnowledgeBase, clock *reactive.ManualClock, cmd string) b
 	case ":quit", ":q", ":exit":
 		return false
 	case ":help":
-		fmt.Println(":rules :alerts :stats :hubs :fed :check :apoc :explain <q> :tick [hours] :save <file> :load <file> :quit")
+		fmt.Println(":rules :alerts :stats :hubs :fed :check :apoc :explain <q> :explain rule <name> :tick [hours] :save <file> :load <file> :quit")
 	case ":rules":
 		for _, r := range kb.Rules() {
 			state := ""
@@ -231,10 +231,14 @@ func meta(kb *reactive.KnowledgeBase, clock *reactive.ManualClock, cmd string) b
 	case ":explain":
 		rest := strings.TrimSpace(strings.TrimPrefix(cmd, ":explain"))
 		if rest == "" {
-			fmt.Println("usage: :explain MATCH ... RETURN ...")
+			fmt.Println("usage: :explain MATCH ... RETURN ... | :explain rule <name>")
 			break
 		}
-		plan, err := kb.ExplainQuery(rest)
+		explain := kb.ExplainQuery
+		if len(fields) == 3 && fields[1] == "rule" {
+			rest, explain = fields[2], kb.ExplainAlert
+		}
+		plan, err := explain(rest)
 		if err != nil {
 			fmt.Println("error:", err)
 			break

@@ -50,7 +50,7 @@ func TestMetaCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every meta command must keep the REPL alive; :quit must stop it.
-	for _, cmd := range []string{":help", ":rules", ":alerts", ":stats", ":hubs", ":tick 1", ":nonsense", ":save", ":load"} {
+	for _, cmd := range []string{":help", ":rules", ":alerts", ":stats", ":hubs", ":tick 1", ":explain rule r", ":explain rule nope", ":nonsense", ":save", ":load"} {
 		if !meta(kb, clock, cmd) {
 			t.Errorf("%s should keep the repl running", cmd)
 		}

@@ -142,6 +142,14 @@ type asyncPipeline struct {
 	parked  map[graph.NodeID]bool
 	stopped bool
 	workers []chan pendingEntry
+	hooks   asyncHooks
+}
+
+// asyncHooks let a test order the pipeline's goroutines without sleeping:
+// beforeConsume runs in a worker before each entry, blocked in a writer
+// about to wait on block-mode backpressure. Both are nil outside tests.
+type asyncHooks struct {
+	beforeConsume, blocked func()
 }
 
 // StartAsync starts the asynchronous alert pipeline. Any PendingAlert
@@ -169,6 +177,7 @@ func (kb *KnowledgeBase) StartAsync(opts AsyncOptions) error {
 		stop:     make(chan struct{}),
 		inflight: make(map[graph.NodeID]bool),
 		parked:   make(map[graph.NodeID]bool),
+		hooks:    kb.asyncHooks,
 	}
 	p.cond = sync.NewCond(&p.mu)
 	if opts.Workers > 0 {
@@ -286,6 +295,9 @@ func (kb *KnowledgeBase) throttleAsync() {
 	}
 	t0 := time.Now()
 	p.mu.Lock()
+	if p.hooks.blocked != nil {
+		p.hooks.blocked()
+	}
 	for !p.stopped && kb.AsyncDepth() >= p.opts.QueueLimit {
 		p.cond.Wait()
 	}
@@ -349,6 +361,9 @@ func (p *asyncPipeline) worker(ch chan pendingEntry) {
 		case <-p.stop:
 			return
 		case en := <-ch:
+			if p.hooks.beforeConsume != nil {
+				p.hooks.beforeConsume()
+			}
 			_, err := p.kb.consumePending(en)
 			p.mu.Lock()
 			if err != nil {

@@ -195,9 +195,7 @@ func TestAsyncBlockBackpressure(t *testing.T) { ForEachVariant(t, testAsyncBlock
 func testAsyncBlockBackpressure(t *testing.T, v Variant) {
 	kb, _ := v.OpenSim(t)
 	installAsyncEcho(t, kb, "echo")
-	// Stage a backlog with the queue frozen, so that when the one worker
-	// starts it has far more commits to do than the writer below: the writer
-	// finds the queue over the limit whatever a commit costs on this row.
+	// Stage a backlog with the queue frozen.
 	const backlog = 64
 	if err := kb.StartAsync(AsyncOptions{Workers: -1}); err != nil {
 		t.Fatal(err)
@@ -206,6 +204,14 @@ func testAsyncBlockBackpressure(t *testing.T, v Variant) {
 		exec(t, kb, fmt.Sprintf("CREATE (:Reading {v: %d})", i))
 	}
 	kb.StopAsync()
+	// The worker holds every entry until the writer below is seen blocked,
+	// so the writer finds the queue over the limit however the two are
+	// scheduled.
+	gate := make(chan struct{})
+	kb.asyncHooks = asyncHooks{
+		beforeConsume: func() { <-gate },
+		blocked:       sync.OnceFunc(func() { close(gate) }),
+	}
 	err := kb.StartAsync(AsyncOptions{
 		Workers: 1, QueueLimit: 1, Backpressure: BlockOnFull,
 	})

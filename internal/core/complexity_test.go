@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cypher"
 	"repro/internal/graph"
 	"repro/internal/summary"
 	"repro/internal/trigger"
@@ -138,6 +139,26 @@ func TestComplexityContracts(t *testing.T) {
 			return int(testing.AllocsPerRun(20, func() { mgr.Window(tx, 3, f) }))
 		},
 		want: -1,
+	}, {
+		// The demo pack's R5 counts the region's ICU patients on every
+		// admission. The engine keeps that count per region and folds the
+		// new patient in, so an admission allocates the same bytes in a
+		// region of n patients as in a small one.
+		name:  "ICU admission allocates bytes independent of region size",
+		sizes: []int{100, 10000},
+		measure: func(t *testing.T, n int) int {
+			return countedAlertBytes(t, n, "IcuPatient", `MATCH (h:Hospital) CREATE (:IcuPatient)-[:TreatedAt]->(h)`)
+		},
+		ratio: 1.5,
+	}, {
+		// R2 and R3 count the region's unassigned and critical sequences on
+		// every unassigned sequence, kept the same way.
+		name:  "unassigned sequence allocates bytes independent of region size",
+		sizes: []int{100, 10000},
+		measure: func(t *testing.T, n int) int {
+			return countedAlertBytes(t, n, "Sequence", `MATCH (l:Lab) CREATE (:Sequence)-[:SequencedAt]->(l)`)
+		},
+		ratio: 1.5,
 	}}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -204,4 +225,65 @@ func e1Graph(t *testing.T, hospitals, n int) (*KnowledgeBase, func(i int)) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// countedAlertBytes builds one region with a lab, a hospital and n nodes of
+// label (ICU patients or unassigned sequences) reaching it, under the demo
+// pack's R5, R2 and R3 alerts, and returns the mean TotalAlloc bytes of ten
+// commits of stmt, after one that primes the kept counts.
+func countedAlertBytes(t *testing.T, n int, label, stmt string) int {
+	kb, _ := newSimKB(t)
+	for _, r := range []trigger.Rule{{
+		Name:  "R5",
+		Event: trigger.Event{Kind: trigger.CreateNode, Label: "IcuPatient"},
+		Alert: `MATCH (NEW)-[:TreatedAt]->(:Hospital)-[:LocatedIn]->(r:Region)
+		        MATCH (i:IcuPatient)-[:TreatedAt]->(:Hospital)-[:LocatedIn]->(r)
+		        RETURN r.name AS Region, count(i) AS IcuPatients`,
+	}, {
+		Name:  "R2",
+		Event: trigger.Event{Kind: trigger.CreateNode, Label: "Sequence"},
+		Guard: "NEW.variant IS NULL",
+		Alert: `MATCH (NEW)-[:SequencedAt]->(:Lab)-[:LocatedIn]->(r:Region)
+		        MATCH (u:Sequence)-[:SequencedAt]->(:Lab)-[:LocatedIn]->(r)
+		        WHERE u.variant IS NULL
+		        WITH r.name AS region, count(u) AS counter
+		        WHERE counter > 3
+		        RETURN region, counter`,
+	}, {
+		Name:  "R3",
+		Event: trigger.Event{Kind: trigger.CreateNode, Label: "Sequence"},
+		Guard: "NEW.variant IS NULL",
+		Alert: `MATCH (NEW)-[:SequencedAt]->(:Lab)-[:LocatedIn]->(r:Region)
+		        MATCH (s:Sequence)-[:SequencedAt]->(:Lab)-[:LocatedIn]->(r)
+		        MATCH (s)-[:AssignedTo]->(:Variant)-[:Contains]->(:Mutation)
+		              -[:HasEffect]->(:Effect {level: 'critical'})
+		        WITH r.name AS region, count(DISTINCT s) AS critical
+		        WHERE critical > 3
+		        RETURN region, critical`,
+	}} {
+		if err := kb.InstallRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := kb.Store().Update(func(tx *graph.Tx) error {
+		_, err := cypher.Run(tx, `CREATE (r:Region {name: 'r'}), (l:Lab)-[:LocatedIn]->(r), (h:Hospital)-[:LocatedIn]->(r)
+		                          WITH l, h UNWIND range(1, $n) AS i
+		                          CREATE (:IcuPatient)-[:TreatedAt]->(h), (:Sequence)-[:SequencedAt]->(l)`,
+			&cypher.Options{Params: map[string]value.Value{"n": value.Int(int64(n))}})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const commits = 10
+	exec(t, kb, stmt)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < commits; i++ {
+		exec(t, kb, stmt)
+	}
+	runtime.ReadMemStats(&after)
+	if got := kb.Store().LabelCount(label); got != n+1+commits {
+		t.Fatalf("%d %s nodes, want %d", got, label, n+1+commits)
+	}
+	return int(after.TotalAlloc-before.TotalAlloc) / commits
 }

@@ -77,9 +77,10 @@ type KnowledgeBase struct {
 	// until StartAsync. asyncM holds its instruments, wired once at
 	// construction so restarts of the pipeline accumulate into the same
 	// counters.
-	async   atomic.Pointer[asyncPipeline]
-	asyncM  asyncMetrics
-	pending *Bookkeeping
+	async      atomic.Pointer[asyncPipeline]
+	asyncM     asyncMetrics
+	asyncHooks asyncHooks // copied into each pipeline StartAsync makes
+	pending    *Bookkeeping
 
 	// metrics is wired once at construction (see metrics.go); the rollover
 	// instruments are published by EnableSummaries under mu and are nil
@@ -315,6 +316,15 @@ func (kb *KnowledgeBase) ExplainQuery(query string) (string, error) {
 	v := kb.store.Begin(graph.ReadOnly)
 	defer v.Rollback()
 	return cypher.Explain(v, plan.Statement()), nil
+}
+
+// ExplainAlert renders the plan the named rule's alert query runs with, as
+// ExplainQuery does for a statement: an alert whose count part is
+// maintained shows the count read in place of the matching.
+func (kb *KnowledgeBase) ExplainAlert(rule string) (string, error) {
+	v := kb.store.Begin(graph.ReadOnly)
+	defer v.Rollback()
+	return kb.engine.ExplainAlert(v, rule)
 }
 
 // Query runs a read-only statement over the committed graph, lock-free;

@@ -28,6 +28,8 @@ const (
 	mGuardRejected = "rkm_trigger_guard_rejected_total"
 	mAlertQuery    = "rkm_trigger_alert_query_seconds"
 	mAlertsCreated = "rkm_trigger_alerts_created_total"
+	mCountReads    = "rkm_trigger_count_reads_total"
+	mCountDrops    = "rkm_trigger_count_drops_total"
 
 	mRollovers       = "rkm_summary_rollovers_total"
 	mRolloverSeconds = "rkm_summary_rollover_seconds"
@@ -117,6 +119,10 @@ func (kb *KnowledgeBase) wireMetrics(reg *metrics.Registry) {
 			"Latency of alert-query executions, in seconds.", nil),
 		AlertsCreated: reg.Counter(mAlertsCreated,
 			"Alert nodes materialized by the rule engine."),
+		CountReads: reg.CounterVec(mCountReads, "result",
+			"Reads of maintained alert counts: hit (kept count) or recount."),
+		CountDrops: reg.Counter(mCountDrops,
+			"Times the rule engine dropped an alert's maintained counts."),
 	}
 	kb.asyncM = asyncMetrics{
 		enqueued: reg.Counter(mAsyncEnqueued,

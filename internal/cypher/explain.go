@@ -2,6 +2,7 @@ package cypher
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/graph"
@@ -15,7 +16,15 @@ import (
 // estimated cardinality. It is a rendering of the statement's compiled
 // variant, not a second planner.
 func Explain(tx *graph.Tx, stmt *Statement) string {
-	v, err := stmt.Prepared().variant(tx, nil)
+	return stmt.Prepared().Explain(tx, nil)
+}
+
+// Explain renders the variant Execute runs for the binding shape bindNames
+// on tx's store, as Explain does for a statement.
+func (p *Plan) Explain(tx *graph.Tx, bindNames []string) string {
+	names := slices.Clone(bindNames)
+	slices.Sort(names)
+	v, err := p.variant(tx, names)
 	if err != nil {
 		return "plan error: " + err.Error() + "\n"
 	}

@@ -206,6 +206,26 @@ func TestSelfLoopMatching(t *testing.T) {
 	}
 }
 
+// TestSelfLoopEveryDirection: openCypher matches a self-loop once in each
+// direction a pattern can take, variable-length included.
+func TestSelfLoopEveryDirection(t *testing.T) {
+	s := graph.NewStore()
+	_ = s.Update(func(tx *graph.Tx) error {
+		_, err := Run(tx, "CREATE (a:N)-[:R]->(a)", nil)
+		return err
+	})
+	for _, query := range []string{
+		"MATCH (x)<-[r]-(y) RETURN count(*)",
+		"MATCH (x:N)<-[:R*1..2]-(y) RETURN count(*)",
+		"MATCH (x)-[r]->(y) RETURN count(*)",
+		"MATCH (x)-[r]-(y) RETURN count(*)",
+	} {
+		if res := q(t, s, query, nil); res.Rows[0][0].String() != "1" {
+			t.Errorf("%s: %v, want 1", query, res.Rows)
+		}
+	}
+}
+
 func TestParallelEdges(t *testing.T) {
 	s := graph.NewStore()
 	_ = s.Update(func(tx *graph.Tx) error {

@@ -30,6 +30,9 @@ type Plan struct {
 	query    string
 	stmt     *Statement
 	variants variantCache[*planVariant]
+	// counted, when set, reads the statement's count part from a
+	// maintained source (see Counted).
+	counted *countedPart
 }
 
 // Prepare parses a query into a reusable Plan. This is the entry point of
@@ -86,7 +89,7 @@ func (p *Plan) Execute(tx *graph.Tx, opts *Options) (*Result, error) {
 // compiling it on first use or after statistics drift.
 func (p *Plan) variant(tx *graph.Tx, bindNames []string) (*planVariant, error) {
 	return p.variants.get(tx, bindNames, func(snap *statsSnapshot) (*planVariant, error) {
-		v, err := compileVariant(p.stmt, bindNames, &compileCtx{query: p.query, tx: tx, snap: snap})
+		v, err := compileVariant(p.stmt, bindNames, p.counted, &compileCtx{query: p.query, tx: tx, snap: snap})
 		if err == nil {
 			plansCompiled.Add(1)
 		}
@@ -119,14 +122,14 @@ type unionBranchPlan struct {
 	cb  *compiledBranch
 }
 
-func compileVariant(stmt *Statement, bindNames []string, cc *compileCtx) (*planVariant, error) {
-	main, err := compileBranch(cc, stmt.Clauses, bindNames)
+func compileVariant(stmt *Statement, bindNames []string, counted *countedPart, cc *compileCtx) (*planVariant, error) {
+	main, err := compileBranch(cc, stmt.Clauses, bindNames, counted)
 	if err != nil {
 		return nil, err
 	}
 	v := &planVariant{main: main}
 	for _, b := range stmt.Unions {
-		cb, err := compileBranch(cc, b.Clauses, bindNames)
+		cb, err := compileBranch(cc, b.Clauses, bindNames, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -198,16 +201,26 @@ type compiledBranch struct {
 	fast    *fastCountPlan
 }
 
-func compileBranch(cc *compileCtx, clauses []Clause, bindNames []string) (*compiledBranch, error) {
+func compileBranch(cc *compileCtx, clauses []Clause, bindNames []string, counted *countedPart) (*compiledBranch, error) {
 	en := newEnv()
 	for _, n := range bindNames {
 		en.add(n)
 	}
 	cb := &compiledBranch{width0: len(bindNames)}
 	cb.fast = compileFastCount(cc, en, clauses)
-	for _, cl := range clauses {
+	for i := 0; i < len(clauses); i++ {
 		var st step
 		var err error
+		if counted != nil && i == counted.part.from && counted.part.freeIn(en) {
+			en, st, cb.columns, err = compileCounted(cc, en, clauses, counted)
+			if err != nil {
+				return nil, err
+			}
+			cb.steps = append(cb.steps, st)
+			i = counted.part.to
+			continue
+		}
+		cl := clauses[i]
 		switch c := cl.(type) {
 		case *MatchClause:
 			en, st, err = compileMatch(cc, en, c)

@@ -2,6 +2,7 @@ package democovid
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -208,6 +209,23 @@ func TestVenetoIndependentOfLombardy(t *testing.T) {
 			if r, _ := a.Props["Region"].AsString(); r != "Lombardy" {
 				t.Errorf("R4 fired for %s", r)
 			}
+		}
+	}
+}
+
+// TestDemoAlertsReadMaintainedCounts: R2, R3, R4 and R5 count a region's
+// sequences or ICU patients; their alerts read a maintained count per region
+// instead of matching the region's history, and EXPLAIN says so. R1 counts
+// nothing.
+func TestDemoAlertsReadMaintainedCounts(t *testing.T) {
+	kb, _ := demoKB(t)
+	for _, name := range []string{"R1", "R2", "R3", "R4", "R5"} {
+		plan, err := kb.ExplainAlert(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := strings.Contains(plan, "MAINTAINED COUNT"), name != "R1"; got != want {
+			t.Errorf("%s: maintained count in plan = %v, want %v:\n%s", name, got, want, plan)
 		}
 	}
 }

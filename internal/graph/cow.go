@@ -11,8 +11,8 @@ import (
 // This file is the store's one copy-on-write mechanism. Every mutable part
 // of a snapshot — the node and relationship tables, the label and
 // relationship-type posting sets, the property indexes and their posting
-// sets, each node's outgoing and incoming adjacency, and the node and
-// relationship records themselves — is either a cowMap or a value held in
+// sets, each node's outgoing and incoming adjacency, the derived counts, and
+// the node and relationship records themselves — is either a cowMap or a value held in
 // one, and is changed only through the functions below. They keep one
 // invariant:
 //
@@ -106,6 +106,8 @@ func hashOf[K comparable](k K) uint64 {
 	case NodeID:
 		return uint64(k)
 	case RelID:
+		return uint64(k)
+	case int:
 		return uint64(k)
 	case string:
 		return maphash.String(trieSeed, k)

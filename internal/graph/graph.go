@@ -176,8 +176,11 @@ type snapshot struct {
 	byLabel   cowMap[string, *nodeSet]
 	byRelType cowMap[string, *relSet]
 	indexes   cowMap[indexKey, *propIndex]
-	nextNode  NodeID
-	nextRel   RelID
+	// derived holds the counts a rule engine keeps over this version (see
+	// Tx.Derived): per slot, a count per node.
+	derived  cowMap[int, *cowMap[NodeID, int64]]
+	nextNode NodeID
+	nextRel  RelID
 }
 
 // fork returns a private copy of sn for a new builder: every table is still
@@ -398,7 +401,8 @@ func (s *Store) SnapshotView(barrier func() error) (*Tx, error) {
 }
 
 // Clone returns an independent store over the same data. It is an O(1)
-// snapshot grab, not a deep copy: the committed snapshot is shared, and
+// snapshot grab, not a deep copy: the committed snapshot's tables are
+// shared (its derived entries are not, see Tx.Derived), and
 // writes on either store diverge from it copy-on-write — changes in one are
 // never visible in the other. Validators are shared (they are closures over
 // schema and hub definitions, which forks are meant to keep); the commit
@@ -407,7 +411,11 @@ func (s *Store) SnapshotView(barrier func() error) (*Tx, error) {
 // what-if forking (§V of the paper) and never blocks behind a writer.
 func (s *Store) Clone() *Store {
 	ns := &Store{}
-	ns.snap.Store(s.snap.Load())
+	// Derived entries belong to the engine that keeps them, which the clone
+	// does not share.
+	sn := *s.snap.Load()
+	sn.derived = cowMap[int, *cowMap[NodeID, int64]]{}
+	ns.snap.Store(&sn)
 	if vs := s.validators.Load(); vs != nil {
 		cp := append([]Validator(nil), *vs...)
 		ns.validators.Store(&cp)

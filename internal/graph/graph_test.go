@@ -200,6 +200,29 @@ func TestSelfLoopCountedOnce(t *testing.T) {
 	})
 }
 
+// TestSelfLoopIncoming: a self-loop is an incoming relationship of its node
+// as much as an outgoing one, the same as Degree counts it.
+func TestSelfLoopIncoming(t *testing.T) {
+	s := NewStore()
+	var n NodeID
+	_ = s.Update(func(tx *Tx) error {
+		n = mustCreateNode(t, tx, []string{"N"}, nil)
+		mustCreateRel(t, tx, n, n, "R")
+		return nil
+	})
+	_ = s.View(func(tx *Tx) error {
+		for _, dir := range []Direction{Outgoing, Incoming} {
+			if got, deg := len(tx.RelsOf(n, dir, nil)), tx.Degree(n, dir); got != 1 || deg != 1 {
+				t.Errorf("direction %d: RelsOf gives %d rels, Degree %d; want 1 and 1", dir, got, deg)
+			}
+			if got := len(tx.RelsOf(n, dir, []string{"R"})); got != 1 {
+				t.Errorf("direction %d, type R: RelsOf gives %d rels, want 1", dir, got)
+			}
+		}
+		return nil
+	})
+}
+
 func TestLabelIndexMaintained(t *testing.T) {
 	s := NewStore()
 	var id NodeID
@@ -646,4 +669,53 @@ func ExampleStore_Update() {
 		return nil
 	})
 	// Output: 2 1
+}
+
+// TestDerivedEntriesFollowTheirFolds: derived entries survive a commit only
+// when every change was folded; a transaction that folded only part of its
+// changes drops them (which part is unknown), and KeepDerived drops the
+// slots not named.
+func TestDerivedEntriesFollowTheirFolds(t *testing.T) {
+	s := NewStore()
+	tx := s.Begin(ReadWrite)
+	n := mustCreateNode(t, tx, []string{"N"}, nil)
+	if !tx.DerivedBehind() {
+		t.Fatal("a write nobody folded: want DerivedBehind")
+	}
+	tx.FoldDerived()
+	tx.SetDerived(1, n, 5)
+	tx.SetDerived(2, n, 7)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	tx = s.Begin(ReadWrite)
+	if got, ok := tx.Derived(1, n); !ok || got != 5 || !tx.DerivedCurrent() || tx.DerivedBehind() {
+		t.Fatalf("after a folded commit: entry %d, %v; current %v", got, ok, tx.DerivedCurrent())
+	}
+	tx.KeepDerived([]int{2})
+	if tx.DerivedLen(1) != 0 || tx.DerivedLen(2) != 1 {
+		t.Fatalf("KeepDerived([2]) left %d and %d entries under slots 1 and 2", tx.DerivedLen(1), tx.DerivedLen(2))
+	}
+	mustCreateNode(t, tx, []string{"N"}, nil)
+	tx.FoldDerived()
+	mustCreateNode(t, tx, []string{"N"}, nil)
+	if tx.DerivedCurrent() || tx.DerivedBehind() || tx.DerivedLen(2) != 0 {
+		t.Fatalf("part folded: current %v, entries %d; want the entries dropped", tx.DerivedCurrent(), tx.DerivedLen(2))
+	}
+	tx.SetDerived(2, n, 7)
+	tx.Rollback()
+
+	if err := s.Update(func(tx *Tx) error {
+		_, err := tx.CreateNode([]string{"N"}, nil)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_ = s.View(func(tx *Tx) error {
+		if tx.DerivedLen(2) != 0 {
+			t.Error("a commit with unfolded changes kept its derived entries")
+		}
+		return nil
+	})
 }

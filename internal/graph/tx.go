@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -38,6 +39,8 @@ type Tx struct {
 	start time.Time
 	// writes counts the changes recorded in data, across ResetData.
 	writes uint64
+	// derivedAt is the writes reading at the last FoldDerived.
+	derivedAt uint64
 }
 
 // Store returns the store the transaction reads. Per-store caches — the
@@ -119,6 +122,11 @@ func (tx *Tx) Commit() error {
 			tx.rollbackWrite()
 			return fmt.Errorf("graph: commit hook: %w", err)
 		}
+	}
+	if tx.writes != tx.derivedAt {
+		// Changes nobody folded into the derived counts: they describe an
+		// earlier version, so this one publishes none.
+		tx.view.derived = cowMap[int, *cowMap[NodeID, int64]]{}
 	}
 	tx.done = true
 	tx.s.publish(tx.view)
@@ -677,7 +685,8 @@ func (r RelHandle) Other(id NodeID) NodeID {
 
 // RelsOf returns the relationships incident to a node in the given
 // direction, optionally filtered to a set of types (nil means all types).
-// For Direction Both, self-loops are reported once.
+// A self-loop is both outgoing and incoming; for Direction Both it is
+// reported once.
 func (tx *Tx) RelsOf(id NodeID, dir Direction, types []string) []RelHandle {
 	rec, ok := tx.view.nodes.get(id)
 	if !ok {
@@ -704,7 +713,7 @@ func (tx *Tx) RelsOf(id NodeID, dir Direction, types []string) []RelHandle {
 	}
 	if dir == Incoming || dir == Both {
 		rec.in.each(func(_ RelID, r *relRec) {
-			if match(r.typ) && r.start != r.end { // self-loop already reported
+			if match(r.typ) && (dir != Both || r.start != r.end) { // Both: self-loop already reported
 				out = append(out, RelHandle{ID: r.id, Type: r.typ, Start: r.start, End: r.end})
 			}
 		})
@@ -762,3 +771,91 @@ func (tx *Tx) NodeCount() int { return tx.view.nodes.len() }
 
 // RelCount returns the number of relationships.
 func (tx *Tx) RelCount() int { return tx.view.rels.len() }
+
+// ---- Derived state ----
+//
+// Derived entries are counts a rule engine maintains over the graph (the
+// maintained alert counts of internal/trigger): an int64 per (slot, node),
+// kept in the snapshot, so they share its versions, are read lock-free by
+// read-only transactions and roll back with the transaction that wrote them.
+// They are never logged, snapshotted or exported. The store does not know
+// what they count; it only keeps one promise: a committed version's entries
+// describe that version. A transaction whose writer has not folded every
+// change it made into them (FoldDerived) therefore commits with none — a
+// bulk load, a WAL replay, a follower's apply or any Store.Update drops
+// them all in O(1), and the engine recounts on the next read.
+
+// Derived returns the entry under (slot, id).
+func (tx *Tx) Derived(slot int, id NodeID) (int64, bool) {
+	return tx.view.derived.at(slot).get(id)
+}
+
+// DerivedLen returns the number of entries under slot.
+func (tx *Tx) DerivedLen(slot int) int { return tx.view.derived.at(slot).len() }
+
+// SetDerived stores n under (slot, id). It is a no-op in a read-only
+// transaction.
+func (tx *Tx) SetDerived(slot int, id NodeID, n int64) {
+	if tx.writable() != nil {
+		return
+	}
+	sn := tx.view
+	m, ok := edit(&sn.derived, sn.by, slot)
+	if !ok {
+		m = &cowMap[NodeID, int64]{by: sn.by}
+		sn.derived.set(sn.by, slot, m)
+	}
+	m.set(sn.by, id, n)
+}
+
+// DropDerived removes every entry under slot.
+func (tx *Tx) DropDerived(slot int) {
+	if tx.writable() != nil || tx.view.derived.at(slot).len() == 0 {
+		return
+	}
+	tx.view.derived.del(tx.view.by, slot)
+}
+
+// KeepDerived removes the entries of every slot not in slots: those of
+// counts nobody maintains any more.
+func (tx *Tx) KeepDerived(slots []int) {
+	if tx.writable() != nil {
+		return
+	}
+	var drop []int
+	tx.view.derived.each(func(slot int, _ *cowMap[NodeID, int64]) {
+		if !slices.Contains(slots, slot) {
+			drop = append(drop, slot)
+		}
+	})
+	for _, slot := range drop {
+		tx.view.derived.del(tx.view.by, slot)
+	}
+}
+
+// FoldDerived records that the caller has brought the derived entries up to
+// date with every change the transaction has made so far.
+func (tx *Tx) FoldDerived() { tx.derivedAt = tx.writes }
+
+// DerivedCurrent reports whether the derived entries describe the current
+// state: every change the transaction has made is folded into them.
+func (tx *Tx) DerivedCurrent() bool { return tx.derivedAt == tx.writes }
+
+// DerivedBehind reports whether the caller must fold the transaction's whole
+// change record before the entries describe the current state: it has made
+// changes and none of them is folded. When only some are folded, which ones
+// the record does not say, so the entries are dropped instead (none is
+// current for any state) and it reports false.
+func (tx *Tx) DerivedBehind() bool {
+	switch {
+	case tx.DerivedCurrent():
+		return false
+	case tx.derivedAt == 0:
+		return true
+	}
+	if tx.writable() == nil {
+		tx.view.derived = cowMap[int, *cowMap[NodeID, int64]]{}
+	}
+	tx.FoldDerived()
+	return false
+}

@@ -46,6 +46,12 @@ type EngineMetrics struct {
 	AlertQuerySeconds *metrics.Histogram
 	// AlertsCreated counts materialized alert nodes.
 	AlertsCreated *metrics.Counter
+	// CountReads counts the reads of maintained alert counts, labelled hit
+	// (served from the kept count) or recount (counted by the part's
+	// sub-plan).
+	CountReads *metrics.CounterVec
+	// CountDrops counts the times a fold dropped an aggregate's kept counts.
+	CountDrops *metrics.Counter
 }
 
 // AsyncItem is one passing activation of an AfterAsync rule, handed to the
@@ -185,6 +191,12 @@ func (e *Engine) Install(r Rule) error {
 		d.mFired = e.Metrics.RuleFired.With(d.Name)
 		d.mRejected = e.Metrics.GuardRejected.With(d.Name)
 	}
+	if cr.alert != nil {
+		if cp := cypher.FindCountPart(cr.alert.Statement(), cr.bindNames()); cp != nil {
+			cr.agg = newAggregate(cp, e.Metrics)
+			cr.alert = cr.alert.Counted(cp, cr.agg)
+		}
+	}
 	e.rules[r.Name] = cr
 	e.index = buildDispatch(e.rules)
 	return nil
@@ -267,6 +279,20 @@ func (e *Engine) Rules() []RuleInfo {
 		})
 	}
 	return out
+}
+
+// ExplainAlert renders the plan a rule's alert query runs with, against
+// tx's store, for the transition variables its event binds. An alert whose
+// count part is maintained shows the count read in place of the matching.
+func (e *Engine) ExplainAlert(tx *graph.Tx, name string) (string, error) {
+	cr, err := e.lookup(name)
+	if err != nil {
+		return "", err
+	}
+	if cr.alert == nil {
+		return "", fmt.Errorf("trigger: rule %s has no alert query", name)
+	}
+	return cr.alert.Explain(tx, cr.bindNames()), nil
 }
 
 // ClassifyRule returns the classification of one installed rule.
@@ -353,6 +379,10 @@ func (e *Engine) Process(tx *graph.Tx, data *graph.TxData) (*Report, error) {
 	e.mu.RUnlock()
 
 	report := &Report{}
+	f := newFolder(idx)
+	if err := f.start(tx, data); err != nil {
+		return report, err
+	}
 	total := data
 	cur := data
 	for round := 0; ; round++ {
@@ -382,13 +412,18 @@ func (e *Engine) Process(tx *graph.Tx, data *graph.TxData) (*Report, error) {
 				if now.IsZero() {
 					now = e.now()
 				}
-				if err := e.fire(tx, d, &memo, i, ev.binding(), now, round, report); err != nil {
+				if err := e.fire(tx, d, &memo, f, i, ev.binding(), now, round, report); err != nil {
 					tx.MergeData(total)
 					return report, err
 				}
 			}
 		}
+		if err := f.catchUp(tx); err != nil {
+			tx.MergeData(total)
+			return report, err
+		}
 		next := tx.ResetData()
+		f.rewind()
 		total.Merge(next)
 		cur = next
 	}
@@ -397,8 +432,9 @@ func (e *Engine) Process(tx *graph.Tx, data *graph.TxData) (*Report, error) {
 }
 
 // fire evaluates d's rule for the round's i-th event: the guard, then
-// whichever coupling mode the rule has.
-func (e *Engine) fire(tx *graph.Tx, d dispatchEntry, memo *guardMemo, i int, bind Binding,
+// whichever coupling mode the rule has. A rule whose alert reads maintained
+// counts has f fold the transaction's changes first.
+func (e *Engine) fire(tx *graph.Tx, d dispatchEntry, memo *guardMemo, f *folder, i int, bind Binding,
 	now time.Time, round int, report *Report) error {
 	cr := d.cr
 	report.GuardChecks++
@@ -444,6 +480,11 @@ func (e *Engine) fire(tx *graph.Tx, d dispatchEntry, memo *guardMemo, i int, bin
 	}
 	if cr.alert != nil {
 		report.AlertRuns++
+	}
+	if cr.agg != nil {
+		if err := f.catchUp(tx); err != nil {
+			return fmt.Errorf("trigger: rule %s counts: %w", cr.Name, err)
+		}
 	}
 	cols, rows, err := e.RunAlert(tx, cr, bind, now)
 	if err != nil {

@@ -283,6 +283,50 @@ func events(tx *graph.Tx, data *graph.TxData, skip map[string]bool) []event {
 	return out
 }
 
+// bindingShape returns the names of the transition variables an event of
+// kind k binds: the binding shape its rules' alerts compile for.
+func bindingShape(k EventKind) []string {
+	ev := event{kind: k, oldNode: &graph.Node{}, oldRel: &graph.Rel{}}
+	if k.row().target == "PROPERTY" {
+		ev.prop = &graph.PropChange{}
+	}
+	var names []string
+	for name := range ev.binding() {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
+// txMark is a position in a change record: the length of each of its
+// lists. The count fold (counts.go) reads a record a suffix at a time.
+type txMark [8]int
+
+func markOf(d *graph.TxData) txMark {
+	return txMark{len(d.CreatedNodes), len(d.DeletedNodes), len(d.CreatedRels), len(d.DeletedRels),
+		len(d.AssignedLabels), len(d.RemovedLabels), len(d.AssignedProps), len(d.RemovedProps)}
+}
+
+// delta is the part of a change record after a mark, as the count fold
+// reads it: labels and props hold the assigned, then the removed ones.
+type delta struct {
+	nodes     []graph.NodeID
+	goneNodes []graph.Node
+	rels      []graph.RelID
+	goneRels  []graph.Rel
+	labels    [2][]graph.LabelChange
+	props     [2][]graph.PropChange
+}
+
+func since(d *graph.TxData, m txMark) delta {
+	return delta{
+		nodes: d.CreatedNodes[m[0]:], goneNodes: d.DeletedNodes[m[1]:],
+		rels: d.CreatedRels[m[2]:], goneRels: d.DeletedRels[m[3]:],
+		labels: [2][]graph.LabelChange{d.AssignedLabels[m[4]:], d.RemovedLabels[m[5]:]},
+		props:  [2][]graph.PropChange{d.AssignedProps[m[6]:], d.RemovedProps[m[7]:]},
+	}
+}
+
 func hidden(labels []string, skip map[string]bool) bool {
 	for _, l := range labels {
 		if skip[l] {
@@ -363,6 +407,9 @@ func (ev *event) binding() Binding {
 type dispatchIndex struct {
 	byKind   map[EventKind]map[string][]dispatchEntry
 	families int
+	// aggs are the installed rules' maintained counts, in installation
+	// order (see folder).
+	aggs []*aggregate
 }
 
 // dispatchEntry is one indexed rule or composite step, with the number of
@@ -376,6 +423,9 @@ func buildDispatch(rules map[string]*Compiled) *dispatchIndex {
 	fam, n := numberFamilies(rules)
 	idx := &dispatchIndex{byKind: make(map[EventKind]map[string][]dispatchEntry), families: n}
 	for _, r := range rules {
+		if r.agg != nil {
+			idx.aggs = append(idx.aggs, r.agg)
+		}
 		for _, cr := range r.dispatched() {
 			byLabel := idx.byKind[cr.Event.Kind]
 			if byLabel == nil {
@@ -394,6 +444,7 @@ func buildDispatch(rules map[string]*Compiled) *dispatchIndex {
 			slices.SortFunc(bucket, firingOrder)
 		}
 	}
+	slices.SortFunc(idx.aggs, func(a, b *aggregate) int { return a.slot - b.slot })
 	return idx
 }
 

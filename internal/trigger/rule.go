@@ -243,6 +243,7 @@ type Compiled struct {
 	cmp    *cmpGuard // the guard split for family sharing; nil if not family-shaped
 	alert  *cypher.Plan
 	action *cypher.Plan
+	agg    *aggregate // the alert's maintained count, if it has one
 	paused atomic.Bool
 	seq    int
 
@@ -354,6 +355,19 @@ func (cr *Compiled) dispatched() []*Compiled {
 		return cr.steps
 	}
 	return []*Compiled{cr}
+}
+
+// compositeBinding names the variables a composite rule's alert query runs
+// with bound (the CEP manager's completion binds them).
+var compositeBinding = []string{"DONEAT", "FIRST", "KEY", "LAST", "MATCHES", "RULE", "STARTEDAT", "WINDOW"}
+
+// bindNames returns the names of the variables cr's alert query runs with
+// bound: the binding shape it compiles for.
+func (cr *Compiled) bindNames() []string {
+	if cr.Composite != nil {
+		return compositeBinding
+	}
+	return bindingShape(cr.Event.Kind)
 }
 
 // stepKey evaluates a step entry's BY expression for one activation; "" when
