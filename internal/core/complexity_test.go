@@ -159,6 +159,18 @@ func TestComplexityContracts(t *testing.T) {
 			return countedAlertBytes(t, n, "Sequence", `MATCH (l:Lab) CREATE (:Sequence)-[:SequencedAt]->(l)`)
 		},
 		ratio: 1.5,
+	}, {
+		// R4′ compares an admission's count with the max of the region's R5
+		// counts in the previous Summary. The engine keeps that max per
+		// region; new R5 alerts attach to Current and leave it as it is, so
+		// an admission allocates the same bytes after a period of n alerts
+		// as after a short one.
+		name:  "ICU admission allocates bytes independent of the previous period's alerts",
+		sizes: []int{100, 10000},
+		measure: func(t *testing.T, n int) int {
+			return previousPeriodAlertBytes(t, n)
+		},
+		ratio: 1.5,
 	}}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -286,4 +298,74 @@ func countedAlertBytes(t *testing.T, n int, label, stmt string) int {
 		t.Fatalf("%d %s nodes, want %d", got, label, n+1+commits)
 	}
 	return int(after.TotalAlloc-before.TotalAlloc) / commits
+}
+
+// previousPeriodAlertBytes builds one region with a hospital under the demo
+// pack's R5 and R4′ alerts, a previous Summary holding n R5 alerts (of the
+// region and of another) and an empty Current one, and returns the mean
+// TotalAlloc bytes of ten ICU admissions, after one that primes the kept
+// aggregates.
+func previousPeriodAlertBytes(t *testing.T, n int) int {
+	kb, clock := newSimKB(t)
+	if err := kb.EnableSummaries(24 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []trigger.Rule{{
+		Name:  "R5",
+		Event: trigger.Event{Kind: trigger.CreateNode, Label: "IcuPatient"},
+		Alert: `MATCH (NEW)-[:TreatedAt]->(:Hospital)-[:LocatedIn]->(r:Region)
+		        MATCH (i:IcuPatient)-[:TreatedAt]->(:Hospital)-[:LocatedIn]->(r)
+		        RETURN r.name AS Region, count(i) AS IcuPatients`,
+	}, {
+		Name:  "R4",
+		Event: trigger.Event{Kind: trigger.CreateNode, Label: "IcuPatient"},
+		Alert: `MATCH (NEW)-[:TreatedAt]->(:Hospital)-[:LocatedIn]->(r:Region)
+		        MATCH (i:IcuPatient)-[:TreatedAt]->(:Hospital)-[:LocatedIn]->(r)
+		        WITH r.name AS Region, count(i) AS TodayIcu
+		        MATCH (a:Alert {rule: 'R5', Region: Region})<-[:has]-(s:Summary)-[:next]->(:Current)
+		        WITH Region, TodayIcu, max(a.IcuPatients) AS YesterdayIcu
+		        WHERE toFloat(TodayIcu - YesterdayIcu) / toFloat(TodayIcu) > 0.1
+		        RETURN Region, TodayIcu, YesterdayIcu`,
+	}} {
+		if err := kb.InstallRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mgr, _ := kb.Summaries()
+	if err := kb.Store().Update(func(tx *graph.Tx) error {
+		if _, err := cypher.Run(tx, `CREATE (r:Region {name: 'r'}), (:Hospital)-[:LocatedIn]->(r)`, nil); err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			id, err := tx.CreateNode([]string{trigger.AlertLabel}, map[string]value.Value{
+				"rule": value.Str("R5"), "Region": value.Str([]string{"r", "elsewhere"}[i%2]),
+				"IcuPatients": value.Int(int64(i)),
+			})
+			if err != nil {
+				return err
+			}
+			if err := mgr.AttachAlert(tx, id, clock.Now()); err != nil {
+				return err
+			}
+		}
+		_, err := mgr.Rollover(tx, clock.Advance(24*time.Hour))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const admissions = 10
+	admit := `MATCH (h:Hospital) CREATE (:IcuPatient)-[:TreatedAt]->(h)`
+	exec(t, kb, admit)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < admissions; i++ {
+		exec(t, kb, admit)
+	}
+	runtime.ReadMemStats(&after)
+	tx := kb.Store().Begin(graph.ReadOnly)
+	defer tx.Rollback()
+	if got := len(mgr.Alerts(tx, mgr.Chain(tx)[0])); got != n {
+		t.Fatalf("%d alerts in the previous Summary, want %d", got, n)
+	}
+	return int(after.TotalAlloc-before.TotalAlloc) / admissions
 }

@@ -319,8 +319,8 @@ func (kb *KnowledgeBase) ExplainQuery(query string) (string, error) {
 }
 
 // ExplainAlert renders the plan the named rule's alert query runs with, as
-// ExplainQuery does for a statement: an alert whose count part is
-// maintained shows the count read in place of the matching.
+// ExplainQuery does for a statement: an alert whose aggregate parts are
+// maintained shows their reads in place of the matching.
 func (kb *KnowledgeBase) ExplainAlert(rule string) (string, error) {
 	v := kb.store.Begin(graph.ReadOnly)
 	defer v.Rollback()

@@ -28,6 +28,7 @@ const (
 	mGuardRejected = "rkm_trigger_guard_rejected_total"
 	mAlertQuery    = "rkm_trigger_alert_query_seconds"
 	mAlertsCreated = "rkm_trigger_alerts_created_total"
+	mRuleAlertUS   = "rkm_trigger_rule_alert_microseconds_total"
 	mCountReads    = "rkm_trigger_count_reads_total"
 	mCountDrops    = "rkm_trigger_count_drops_total"
 
@@ -119,10 +120,12 @@ func (kb *KnowledgeBase) wireMetrics(reg *metrics.Registry) {
 			"Latency of alert-query executions, in seconds.", nil),
 		AlertsCreated: reg.Counter(mAlertsCreated,
 			"Alert nodes materialized by the rule engine."),
+		RuleAlertMicros: reg.CounterVec(mRuleAlertUS, "rule",
+			"Time spent in alert-query executions, in microseconds, by rule."),
 		CountReads: reg.CounterVec(mCountReads, "result",
-			"Reads of maintained alert counts: hit (kept count) or recount."),
+			"Reads of maintained alert aggregates: hit (kept entry) or recount."),
 		CountDrops: reg.Counter(mCountDrops,
-			"Times the rule engine dropped an alert's maintained counts."),
+			"Times the rule engine dropped an alert's maintained aggregates."),
 	}
 	kb.asyncM = asyncMetrics{
 		enqueued: reg.Counter(mAsyncEnqueued,

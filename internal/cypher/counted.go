@@ -2,86 +2,151 @@ package cypher
 
 import (
 	"fmt"
+	"maps"
 	"slices"
+	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/value"
 )
 
-// CountPart is a statement's "count what reaches g" part, as FindCountPart
-// recognises it: MATCH clauses whose only variable shared with the clauses
-// before them is a node g, feeding a WITH or RETURN whose keys are g or
-// properties of g and whose one aggregate is count(x), count(DISTINCT x) or
-// count(*). The count per g is a function of the graph alone, so a rule
-// engine can keep it up to date as the graph changes instead of recounting
-// it on every run (see Plan.Counted).
-type CountPart struct {
-	// G is the group variable and X the counted one; for count(*), X is the
-	// part's first named node variable other than G.
-	G, X     string
+// AggPart is a statement's "aggregate what reaches g" part, as FindAggParts
+// recognises it: MATCH clauses linked to the clauses before them by one group
+// key g alone, feeding a WITH or RETURN whose one aggregate is count(x),
+// count(DISTINCT x), count(*), max(x.p) or min(x.p), and whose other items
+// read only what was bound before the part. The key is a node bound by an
+// earlier MATCH, or a value projected by an earlier WITH whose one use in the
+// part is {p: g} on a node the part binds (R4's (a:Alert {Region: Region})).
+// The aggregate per key is a function of the graph alone, so a rule engine
+// can keep it up to date as the graph changes instead of recomputing it on
+// every run (see Plan.Maintained).
+type AggPart struct {
+	// G is the group key and X the aggregated node; for count(*), X is the
+	// part's first named node variable.
+	G, X string
+	// Func is count, max or min. Distinct marks count(DISTINCT x); Prop is
+	// the property of x a max or min reads.
+	Func     string
 	Distinct bool
-	// Sub is the part as a statement of its own, MATCH … RETURN g, count(x)
-	// (columns g and n): run with G bound it counts one g, with X bound it
-	// gives one x's contribution to every g it reaches.
-	Sub *Plan
+	Prop     string
+	keep     keepRule
+	// KeyNode and KeyProp place a value key's one use, {KeyProp: G} on node
+	// KeyNode; both are empty for a node key.
+	KeyNode, KeyProp string
+	// ByKey is the part as a statement of its own, MATCH … RETURN g, n, and
+	// for max and min v: run with G bound it aggregates one key. n counts
+	// the matches (the distinct x, for count(DISTINCT x)) and v is the max
+	// or min. ByX returns the same columns run with X bound: one x's
+	// contribution to every key it reaches. For a value key it drops the
+	// {KeyProp: G} equality and returns KeyNode.KeyProp in g's place.
+	ByKey, ByX *Plan
 
-	// The footprint: a change that touches none of these leaves every count
-	// as it was, except through a new x.
+	// The footprint: a change that touches none of these leaves every
+	// aggregate as it was, except through a new x.
 	Labels   []string // node labels the part matches
 	RelTypes []string // relationship types it traverses (every pattern names some)
-	PropKeys []string // properties it reads, in patterns and WHERE
+	PropKeys []string // properties it reads: in patterns, in WHERE, and Prop
 	// XLabels are the labels every x carries; Others holds the label set of
-	// each other node position but g's (an empty set matches any node).
+	// each other node position but a node g's (an empty set matches any
+	// node).
 	XLabels []string
 	Others  [][]string
 
 	from, to int      // MATCH clauses from..to-1, the WITH or RETURN at to
-	agg      int      // the count item of the clause at to
+	agg      int      // the aggregate item of the clause at to
 	own      []string // the variables the part binds itself
 }
 
-// CountSource serves a counted plan the count of its part for one g.
-type CountSource interface {
-	Count(tx *graph.Tx, g graph.NodeID) (int64, error)
+// AggSource serves a maintained plan the aggregate of its part for one key:
+// k is the key of g, the value the incoming row binds to the part's G.
+type AggSource interface {
+	Aggregate(tx *graph.Tx, k graph.DerivedKey, g value.Value) (graph.DerivedEntry, error)
 }
 
-// FindCountPart recognises the count part of stmt, or returns nil. The part
-// is the shortest run of MATCH clauses, after at least one MATCH clause that
-// binds g, ending at the statement's first WITH or RETURN. Everything in it
-// must be a function of the graph: no parameters, function calls, pattern
-// predicates, variable-length or untyped relationships, and no reference to
-// a variable bound outside it but g. bound names the variables the
-// statement runs with already bound (a rule's transition variables, such as
-// NEW): the part may not name one of them, unless an earlier MATCH clause
-// binds it as g.
-func FindCountPart(stmt *Statement, bound []string) *CountPart {
+// Entry reads the aggregate from a row of ByKey or ByX.
+func (p *AggPart) Entry(row []value.Value) graph.DerivedEntry {
+	n, _ := row[1].AsInt()
+	e := graph.DerivedEntry{N: n}
+	if len(row) > 2 {
+		e.V = row[2]
+	}
+	return e
+}
+
+// Merge returns the aggregate of two disjoint sets of matches from theirs,
+// a and b: the counts add, and a max or min keeps a's value on a tie.
+func (p *AggPart) Merge(a, b graph.DerivedEntry) graph.DerivedEntry {
+	a.N += b.N
+	switch {
+	case b.V.IsNull():
+	case a.V.IsNull():
+		a.V = b.V
+	default:
+		if c := value.Compare(b.V, a.V); (p.keep == keepMax && c > 0) || (p.keep == keepMin && c < 0) {
+			a.V = b.V
+		}
+	}
+	return a
+}
+
+// value is what the part's aggregate returns for e.
+func (p *AggPart) value(e graph.DerivedEntry) value.Value {
+	if p.keep == keepCount {
+		return value.Int(e.N)
+	}
+	return e.V
+}
+
+// FindAggParts recognises the aggregate parts of stmt, in clause order. A
+// part is the longest run of MATCH clauses ending at a WITH or RETURN, after
+// at least one clause, that qualifies. Everything in it must be a function of
+// the graph and its key: no parameters, function calls, pattern predicates,
+// variable-length or untyped relationships, and no reference to a variable
+// bound outside it but the key. bound names the variables the statement runs
+// with already bound (a rule's transition variables, such as NEW): the part
+// may not name one of them, unless an earlier MATCH clause binds it as g.
+// Only MATCH and WITH clauses may precede a part.
+func FindAggParts(stmt *Statement, bound []string) []*AggPart {
 	if len(stmt.Unions) > 0 || stmt.Explain {
 		return nil
 	}
-	to := -1
-	for i, cl := range stmt.Clauses {
-		if _, ok := cl.(*MatchClause); !ok {
-			to = i
-			break
+	var parts []*AggPart
+	first := 0 // the first clause of the run of MATCH clauses before to
+	for to, cl := range stmt.Clauses {
+		if _, ok := cl.(*MatchClause); ok {
+			continue
 		}
+		if items, agg := aggProjection(cl); agg >= 0 {
+			for from := max(first, 1); from < to; from++ {
+				if p := aggPartAt(stmt, bound, from, to, items, agg); p != nil {
+					parts = append(parts, p)
+					break
+				}
+			}
+		}
+		first = to + 1
 	}
-	if to < 2 {
-		return nil
-	}
+	return parts
+}
+
+// aggProjection returns the items of a plain WITH or RETURN and the index of
+// its one aggregate when a rule engine can maintain it (count, or max or min
+// without DISTINCT), or -1.
+func aggProjection(cl Clause) ([]*ReturnItem, int) {
 	var items []*ReturnItem
-	switch c := stmt.Clauses[to].(type) {
+	switch c := cl.(type) {
 	case *WithClause:
 		if c.Distinct || c.Star || c.OrderBy != nil || c.Skip != nil || c.Limit != nil {
-			return nil
+			return nil, -1
 		}
 		items = c.Items
 	case *ReturnClause:
 		if c.Distinct || c.Star || c.OrderBy != nil || c.Skip != nil || c.Limit != nil {
-			return nil
+			return nil, -1
 		}
 		items = c.Items
 	default:
-		return nil
+		return nil, -1
 	}
 	agg := -1
 	for i, it := range items {
@@ -89,39 +154,55 @@ func FindCountPart(stmt *Statement, bound []string) *CountPart {
 			continue
 		}
 		call, ok := it.Expr.(*FuncCall)
-		if agg >= 0 || !ok || call.Name != "count" {
-			return nil
+		if agg >= 0 || !ok || call.def.keep == keepNone || (call.def.keep != keepCount && call.Distinct) {
+			return nil, -1
 		}
 		agg = i
 	}
-	if agg < 0 {
-		return nil
-	}
-	for from := 1; from < to; from++ {
-		if cp := countPartAt(stmt, bound, from, to, items, agg); cp != nil {
-			return cp
-		}
-	}
-	return nil
+	return items, agg
 }
 
-// countPartAt recognises clauses from..to-1 as the count part, or returns
+// aggPartAt recognises clauses from..to-1 as an aggregate part, or returns
 // nil.
-func countPartAt(stmt *Statement, bound []string, from, to int, items []*ReturnItem, agg int) *CountPart {
-	before := make(map[string]bool) // variables bound before the part
+func aggPartAt(stmt *Statement, bound []string, from, to int, items []*ReturnItem, agg int) *AggPart {
+	// What the clause at from sees: the names in scope, the nodes and the
+	// values (projected by the last WITH) among them, and every name the
+	// part may not bind.
+	scope, nodes, values, reserved := map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}
 	for _, v := range bound {
-		before[v] = true
+		scope[v], reserved[v] = true, true
 	}
-	nodesBefore := make(map[string]bool)
 	for _, cl := range stmt.Clauses[:from] {
-		for _, p := range cl.(*MatchClause).Patterns {
-			for _, n := range p.Nodes {
-				before[n.Var], nodesBefore[n.Var] = true, true
+		switch c := cl.(type) {
+		case *MatchClause:
+			for _, p := range c.Patterns {
+				for _, n := range p.Nodes {
+					scope[n.Var], nodes[n.Var] = true, true
+				}
+				for _, r := range p.Rels {
+					scope[r.Var] = true
+				}
+				scope[p.Var] = true
 			}
-			for _, r := range p.Rels {
-				before[r.Var] = true
+		case *WithClause:
+			if c.Star {
+				return nil
 			}
-			before[p.Var] = true
+			scope, nodes, values = map[string]bool{}, map[string]bool{}, map[string]bool{}
+			for _, it := range c.Items {
+				name := itemName(it)
+				scope[name] = true
+				if v, ok := it.Expr.(*Variable); ok && nodes[v.Name] {
+					nodes[name] = true
+				} else {
+					values[name] = true
+				}
+			}
+		default:
+			return nil
+		}
+		for v := range scope {
+			reserved[v] = true
 		}
 	}
 	var parts []*PatternPart
@@ -139,23 +220,32 @@ func countPartAt(stmt *Statement, bound []string, from, to int, items []*ReturnI
 	own := make(map[string]bool) // variables the part binds itself
 	var nodeVars []string        // the part's named node variables, in order
 	var keys []string            // the properties the part reads
-	g := ""
+	nodeG, valueG, keyNode, keyProp := "", "", "", ""
 	for _, p := range parts {
 		if p.Var != "" {
 			return nil
 		}
 		for _, n := range p.Nodes {
 			for _, k := range sortedPropKeys(n.Props) {
-				exprs, keys = append(exprs, n.Props[k]), append(keys, k)
+				keys = append(keys, k)
+				if v, ok := n.Props[k].(*Variable); ok && values[v.Name] {
+					// A value key's use: once, on a node of the part's own.
+					if valueG != "" || n.Var == "" || reserved[n.Var] {
+						return nil
+					}
+					valueG, keyNode, keyProp = v.Name, n.Var, k
+					continue
+				}
+				exprs = append(exprs, n.Props[k])
 			}
 			switch {
 			case n.Var == "":
-			case nodesBefore[n.Var]:
-				if g != "" && g != n.Var {
+			case nodes[n.Var]:
+				if nodeG != "" && nodeG != n.Var {
 					return nil
 				}
-				g = n.Var
-			case before[n.Var]:
+				nodeG = n.Var
+			case reserved[n.Var]:
 				return nil
 			default:
 				own[n.Var] = true
@@ -165,7 +255,7 @@ func countPartAt(stmt *Statement, bound []string, from, to int, items []*ReturnI
 			}
 		}
 		for _, r := range p.Rels {
-			if len(r.Types) == 0 || r.VarHops || (r.Var != "" && before[r.Var]) {
+			if len(r.Types) == 0 || r.VarHops || (r.Var != "" && reserved[r.Var]) {
 				return nil
 			}
 			for _, k := range sortedPropKeys(r.Props) {
@@ -176,10 +266,18 @@ func countPartAt(stmt *Statement, bound []string, from, to int, items []*ReturnI
 			}
 		}
 	}
-	if g == "" || !connected(parts, g) {
+	g, root := nodeG, nodeG
+	switch {
+	case nodeG != "" && valueG == "":
+	case nodeG == "" && valueG != "":
+		g, root = valueG, keyNode
+	default:
 		return nil
 	}
-	cp := &CountPart{G: g, from: from, to: to, agg: agg}
+	if !connected(parts, root) {
+		return nil
+	}
+	cp := &AggPart{G: g, KeyNode: keyNode, KeyProp: keyProp, from: from, to: to, agg: agg}
 	for v := range own {
 		cp.own = append(cp.own, v)
 	}
@@ -188,22 +286,29 @@ func countPartAt(stmt *Statement, bound []string, from, to int, items []*ReturnI
 			return nil
 		}
 		for v := range collectVarNames(e) {
-			if v != g && !own[v] {
-				return nil // a binding (NEW) or another outer variable
+			if !own[v] && v != nodeG {
+				return nil // a binding (NEW), the value key, or another outer variable
 			}
 		}
 	}
 	call := items[agg].Expr.(*FuncCall)
-	cp.Distinct = call.Distinct
-	if call.Star {
-		for _, v := range nodeVars {
-			if v != g {
-				cp.X = v
-				break
+	cp.Func, cp.Distinct, cp.keep = call.Name, call.Distinct, call.def.keep
+	switch {
+	case call.Star:
+		if len(nodeVars) > 0 {
+			cp.X = nodeVars[0]
+		}
+	case cp.keep == keepCount:
+		if v, ok := call.Args[0].(*Variable); ok && slices.Contains(nodeVars, v.Name) {
+			cp.X = v.Name
+		}
+	default:
+		if pa, ok := call.Args[0].(*PropAccess); ok {
+			if v, ok := pa.X.(*Variable); ok && slices.Contains(nodeVars, v.Name) {
+				cp.X, cp.Prop = v.Name, pa.Key
+				keys = append(keys, pa.Key)
 			}
 		}
-	} else if v, ok := call.Args[0].(*Variable); ok && own[v.Name] && slices.Contains(nodeVars, v.Name) {
-		cp.X = v.Name
 	}
 	if cp.X == "" {
 		return nil
@@ -213,16 +318,16 @@ func countPartAt(stmt *Statement, bound []string, from, to int, items []*ReturnI
 			continue
 		}
 		for v := range collectVarNames(it.Expr) {
-			if v != g {
+			if !scope[v] || own[v] {
 				return nil
 			}
 		}
 	}
 	for _, p := range parts {
 		for _, n := range p.Nodes {
-			switch n.Var {
-			case g:
-			case cp.X:
+			switch {
+			case n.Var != "" && n.Var == nodeG:
+			case n.Var == cp.X:
 				cp.XLabels = append(cp.XLabels, n.Labels...)
 			default:
 				cp.Others = append(cp.Others, n.Labels)
@@ -230,15 +335,50 @@ func countPartAt(stmt *Statement, bound []string, from, to int, items []*ReturnI
 		}
 	}
 	cp.XLabels = uniqSorted(cp.XLabels)
-	clauses := slices.Clone(stmt.Clauses[from:to])
+	clauses := slices.Clip(slices.Clone(stmt.Clauses[from:to]))
 	info := Inspect(&Statement{Clauses: clauses})
 	cp.Labels, cp.RelTypes, cp.PropKeys = info.MatchedNodeLabels, info.MatchedRelTypes, uniqSorted(keys)
-	sub := &Statement{Query: stmt.Query, Clauses: append(clauses, &ReturnClause{Items: []*ReturnItem{
-		{Expr: &Variable{Name: g}, Alias: "g", Text: g},
-		{Expr: call, Alias: "n", Text: "count"},
-	}})}
-	cp.Sub = sub.Prepared()
+	ret := func(key Expr) *ReturnClause {
+		items := []*ReturnItem{{Expr: key, Alias: "g", Text: "g"}}
+		if cp.keep == keepCount {
+			return &ReturnClause{Items: append(items, &ReturnItem{Expr: call, Alias: "n", Text: "n"})}
+		}
+		star := &FuncCall{Name: "count", Star: true, def: functions["count"]}
+		return &ReturnClause{Items: append(items,
+			&ReturnItem{Expr: star, Alias: "n", Text: "n"}, &ReturnItem{Expr: call, Alias: "v", Text: "v"})}
+	}
+	cp.ByKey = (&Statement{Query: stmt.Query, Clauses: append(clauses, ret(&Variable{Name: g}))}).Prepared()
+	cp.ByX = cp.ByKey
+	if keyNode != "" {
+		byX := append(withoutKey(clauses, keyNode, keyProp, g), ret(&PropAccess{X: &Variable{Name: keyNode}, Key: keyProp}))
+		cp.ByX = (&Statement{Query: stmt.Query, Clauses: byX}).Prepared()
+	}
 	return cp
+}
+
+// withoutKey returns copies of the MATCH clauses with the value key g's use,
+// {prop: g} on node, dropped.
+func withoutKey(clauses []Clause, node, prop, g string) []Clause {
+	out := make([]Clause, len(clauses))
+	for i, cl := range clauses {
+		m := *cl.(*MatchClause)
+		m.Patterns = slices.Clone(m.Patterns)
+		for j, p := range m.Patterns {
+			q := *p
+			q.Nodes = slices.Clone(q.Nodes)
+			for k, n := range q.Nodes {
+				if v, ok := n.Props[prop].(*Variable); ok && v.Name == g && n.Var == node {
+					c := *n
+					c.Props = maps.Clone(n.Props)
+					delete(c.Props, prop)
+					q.Nodes[k] = &c
+				}
+			}
+			m.Patterns[j] = &q
+		}
+		out[i] = &m
+	}
+	return out
 }
 
 // connected reports whether the parts form one connected pattern with at
@@ -304,8 +444,8 @@ func graphOnly(e Expr, keys *[]string) bool {
 // freeIn reports whether en, the environment before the part, leaves every
 // variable the part binds itself unbound. A binding shape that binds one
 // (a NEW that first appears inside the part) pins what the part matches, so
-// the maintained count, a function of the graph alone, does not apply.
-func (cp *CountPart) freeIn(en *env) bool {
+// the maintained aggregate, a function of the graph alone, does not apply.
+func (cp *AggPart) freeIn(en *env) bool {
 	for _, v := range cp.own {
 		if _, ok := en.lookup(v); ok {
 			return false
@@ -314,40 +454,49 @@ func (cp *CountPart) freeIn(en *env) bool {
 	return true
 }
 
-// describe renders the count, as EXPLAIN names it.
-func (cp *CountPart) describe() string {
+// describe renders the aggregate, as EXPLAIN names it.
+func (cp *AggPart) describe() string {
 	arg := cp.X
+	if cp.Prop != "" {
+		arg += "." + cp.Prop
+	}
 	if cp.Distinct {
 		arg = "DISTINCT " + arg
 	}
-	return fmt.Sprintf("count(%s) per %s", arg, cp.G)
+	return fmt.Sprintf("%s(%s) per %s", cp.Func, arg, cp.G)
 }
 
-// countedPart is what Plan.Counted attaches to a plan.
-type countedPart struct {
-	part *CountPart
-	src  CountSource
+// maintainedPart is one part a maintained plan reads from its source.
+type maintainedPart struct {
+	part *AggPart
+	src  AggSource
 }
 
-// Counted returns a plan for p's statement that reads the count of cp, a
-// part FindCountPart recognised in that statement, from src instead of
-// matching and counting: per incoming row it asks src for the count of the
-// row's g, and groups and sums those as the WITH or RETURN would have
-// grouped and counted the matches. A count(DISTINCT x) group whose rows bind
-// different g cannot be summed; that execution runs the part as written. A
-// binding shape that binds a variable of the part compiles it as written.
-func (p *Plan) Counted(cp *CountPart, src CountSource) *Plan {
-	return &Plan{query: p.query, stmt: p.stmt, counted: &countedPart{part: cp, src: src}}
+// Maintained returns a plan for p's statement that reads the aggregate of
+// each of parts, which FindAggParts recognised in that statement, from the
+// source at the same position of srcs instead of matching and aggregating:
+// per incoming row it asks the source for the aggregate of the row's g, and
+// groups and combines those as the WITH or RETURN would have grouped and
+// aggregated the matches. An execution that cannot combine them runs that
+// part as written: a count(DISTINCT x) group whose rows bind different keys,
+// or a g that no key stands for (graph.KeyOf). A binding shape that binds a
+// variable of a part compiles that part as written.
+func (p *Plan) Maintained(parts []*AggPart, srcs []AggSource) *Plan {
+	m := make([]maintainedPart, len(parts))
+	for i, part := range parts {
+		m[i] = maintainedPart{part: part, src: srcs[i]}
+	}
+	return &Plan{query: p.query, stmt: p.stmt, maintained: m}
 }
 
-// compileCounted compiles the count part of clauses, starting from en (the
-// environment before the part): the count-read step, holding the part's
-// steps as written for the executions it hands back.
-func compileCounted(cc *compileCtx, en *env, clauses []Clause, cr *countedPart) (*env, step, []string, error) {
-	cp := cr.part
+// compileMaintained compiles the aggregate part of clauses, starting from en
+// (the environment before the part): the aggregate-read step, holding the
+// part's steps as written for the executions it hands back.
+func compileMaintained(cc *compileCtx, en *env, clauses []Clause, mp maintainedPart) (*env, step, []string, error) {
+	cp := mp.part
 	gSlot, ok := en.lookup(cp.G)
 	if !ok {
-		return nil, step{}, nil, fmt.Errorf("cypher: counted part: %s is not bound", cp.G)
+		return nil, step{}, nil, fmt.Errorf("cypher: maintained part: %s is not bound", cp.G)
 	}
 	// The part as written, for the fallback.
 	var asWritten []clauseOp
@@ -378,7 +527,8 @@ func compileCounted(cc *compileCtx, en *env, clauses []Clause, cr *countedPart) 
 	case *ReturnClause:
 		items = c.Items
 	}
-	// Keys read only g, so they evaluate on the rows entering the part.
+	// Keys read only what is bound before the part, so they evaluate on
+	// the rows entering it.
 	keyFns := make([]exprFn, len(items))
 	var keyItems []int
 	for i, it := range items {
@@ -399,16 +549,19 @@ func compileCounted(cc *compileCtx, en *env, clauses []Clause, cr *countedPart) 
 			return nil, step{}, nil, err
 		}
 	}
-	src, distinct, agg, width := cr.src, cp.Distinct, cp.agg, len(items)
+	src, agg, width, nodeKey := mp.src, cp.agg, len(items), cp.KeyNode == ""
+	type kept struct {
+		k graph.DerivedKey
+		e graph.DerivedEntry
+	}
 	type group struct {
 		keys row
-		n    int64
-		g    graph.NodeID
+		kept
 	}
-	// read groups the incoming rows and sums the counts of their g, or
-	// reports false when the part must run as written.
+	// read groups the incoming rows and combines the aggregates of their g,
+	// or reports false when the part must run as written.
 	read := func(ex *executor, rows []row) ([]row, bool, error) {
-		var seen []group // the count of each g read so far
+		var seen []kept // the aggregate of each key read so far
 		var groups []*group
 		index := make(map[string]*group)
 		for _, r := range rows {
@@ -416,25 +569,20 @@ func compileCounted(cc *compileCtx, en *env, clauses []Clause, cr *countedPart) 
 			if gv.IsNull() {
 				continue // a NULL g matches nothing
 			}
-			id, isNode := gv.EntityID()
-			if !isNode || gv.Kind() != value.KindNode {
+			k, ok := graph.KeyOf(gv)
+			if !ok || nodeKey != (gv.Kind() == value.KindNode) {
 				return nil, false, nil
 			}
-			g, n, found := graph.NodeID(id), int64(0), false
-			for _, s := range seen {
-				if s.g == g {
-					n, found = s.n, true
-					break
-				}
-			}
-			if !found {
-				var err error
-				if n, err = src.Count(ex.ctx.tx, g); err != nil {
+			i := slices.IndexFunc(seen, func(s kept) bool { return s.k == k })
+			if i < 0 {
+				e, err := src.Aggregate(ex.ctx.tx, k, gv)
+				if err != nil {
 					return nil, false, err
 				}
-				seen = append(seen, group{g: g, n: n})
+				i = len(seen)
+				seen = append(seen, kept{k: k, e: e})
 			}
-			if n == 0 {
+			if seen[i].e.N == 0 {
 				continue // no match: the row makes no group
 			}
 			keys := make(row, width)
@@ -445,22 +593,20 @@ func compileCounted(cc *compileCtx, en *env, clauses []Clause, cr *countedPart) 
 					return nil, false, err
 				}
 				keys[i] = v
-				k := v.HashKey()
-				hk += fmt.Sprintf("%d:%s;", len(k), k)
+				h := v.HashKey()
+				hk += fmt.Sprintf("%d:%s;", len(h), h)
 			}
 			grp, ok := index[hk]
 			switch {
 			case !ok:
-				grp = &group{keys: keys, g: g}
+				grp = &group{keys: keys, kept: seen[i]}
 				index[hk] = grp
 				groups = append(groups, grp)
-			case distinct && grp.g != g:
-				return nil, false, nil // a union of two g's sets
-			}
-			if distinct {
-				grp.n = n
-			} else {
-				grp.n += n
+			case cp.Distinct && grp.k != k:
+				return nil, false, nil // a union of two keys' sets
+			case cp.Distinct: // the same key's set again
+			default:
+				grp.e = cp.Merge(grp.e, seen[i].e)
 			}
 		}
 		if len(groups) == 0 && len(keyItems) == 0 {
@@ -468,7 +614,7 @@ func compileCounted(cc *compileCtx, en *env, clauses []Clause, cr *countedPart) 
 		}
 		out := make([]row, len(groups))
 		for i, grp := range groups {
-			grp.keys[agg] = value.Int(grp.n)
+			grp.keys[agg] = cp.value(grp.e)
 			out[i] = grp.keys
 		}
 		return out, true, nil
@@ -510,9 +656,9 @@ func compileCounted(cc *compileCtx, en *env, clauses []Clause, cr *countedPart) 
 		return kept, nil
 	}
 	explain := []string{
-		fmt.Sprintf("MAINTAINED COUNT %s (in place of %d MATCH clause(s) and %s)",
-			cp.describe(), cp.to-cp.from, clause),
-		fmt.Sprintf("   reads the count kept per %s; a miss runs the part with %s bound", cp.G, cp.G),
+		fmt.Sprintf("MAINTAINED %s %s (in place of %d MATCH clause(s) and %s)",
+			strings.ToUpper(cp.Func), cp.describe(), cp.to-cp.from, clause),
+		fmt.Sprintf("   reads the %s kept per %s; a miss runs the part with %s bound", cp.Func, cp.G, cp.G),
 	}
 	if where != nil {
 		explain = append(explain, "   filter: WHERE")

@@ -22,7 +22,22 @@ type funcDef struct {
 	distinct bool
 	scalar   func(ctx *evalCtx, args []value.Value) (value.Value, error)
 	agg      func() aggregator
+	// keep is how a rule engine can maintain the aggregate as matches
+	// arrive (see AggPart); keepNone when it cannot.
+	keep keepRule
 }
+
+// keepRule is how a maintained aggregate combines two disjoint sets of
+// matches: by adding their counts, or by keeping the larger or the smaller
+// of their values.
+type keepRule int8
+
+const (
+	keepNone keepRule = iota
+	keepCount
+	keepMax
+	keepMin
+)
 
 // accepts reports whether the function takes n arguments.
 func (d *funcDef) accepts(n int) bool { return d.arity&(1<<min(n, 63)) != 0 }
@@ -43,11 +58,11 @@ func atLeast(n int) uint64 { return ^uint64(0) << n }
 var functions = map[string]*funcDef{
 	// Aggregates: the projection feeds each one argument value per row
 	// (count(*) feeds TRUE).
-	"count":   {arity: counts(1), star: true, distinct: true, agg: func() aggregator { return &countAgg{} }},
+	"count":   {arity: counts(1), star: true, distinct: true, agg: func() aggregator { return &countAgg{} }, keep: keepCount},
 	"sum":     {arity: counts(1), distinct: true, agg: func() aggregator { return &sumAgg{} }},
 	"avg":     {arity: counts(1), distinct: true, agg: func() aggregator { return &avgAgg{} }},
-	"min":     {arity: counts(1), distinct: true, agg: func() aggregator { return &minMaxAgg{min: true} }},
-	"max":     {arity: counts(1), distinct: true, agg: func() aggregator { return &minMaxAgg{} }},
+	"min":     {arity: counts(1), distinct: true, agg: func() aggregator { return &minMaxAgg{min: true} }, keep: keepMin},
+	"max":     {arity: counts(1), distinct: true, agg: func() aggregator { return &minMaxAgg{} }, keep: keepMax},
 	"collect": {arity: counts(1), distinct: true, agg: func() aggregator { return &collectAgg{} }},
 	"stdev":   {arity: counts(1), distinct: true, agg: func() aggregator { return &stdevAgg{} }},
 

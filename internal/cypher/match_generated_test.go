@@ -3,9 +3,10 @@ package cypher
 // TestMatchGeneratedAgainstReference checks the planner's one place of
 // decision — pattern order, what is bound when each part runs, and each
 // part's anchor — against a brute-force matcher that has no planner at all.
-// Seeded random small graphs are queried with random 1–3-part MATCH
-// patterns that share variables and carry labels, relationship types,
-// directions and property predicates. Every pattern runs with no index and
+// Seeded random small graphs, with self-loops and parallel relationships,
+// are queried with random 1–3-part MATCH patterns that share variables and
+// carry labels, relationship types, directions and property predicates.
+// Every pattern runs with no index and
 // with every (label, key) indexed, with its parts in source and in permuted
 // order, and without and with one node variable pre-bound through
 // Options.Bindings (to a node, or to NULL). Each run's row multiset must
@@ -53,10 +54,7 @@ func newGenGraph(rng *rand.Rand) *genGraph {
 		g.k = append(g.k, k)
 	}
 	for i := n + rng.Intn(n); i > 0; i-- {
-		from, to := rng.Intn(n), rng.Intn(n-1)
-		if to >= from {
-			to++ // no self-loops
-		}
+		from, to := rng.Intn(n), rng.Intn(n) // self-loops and parallel relationships included
 		g.rels = append(g.rels, struct {
 			from, to int
 			typ      string
@@ -209,9 +207,12 @@ func genVars(parts []genPart) (nodeVars, all []string) {
 }
 
 // reference enumerates every assignment of the parts' positions to graph
-// elements, in source order and with no planning: node variables join by
-// equality, labels and k predicates hold, no relationship is used twice in
-// the MATCH. bound pre-assigns one node variable (-1: bound to NULL, which
+// elements, in source order and with no planning, under openCypher's
+// relationship isomorphism: node variables join by equality, labels and k
+// predicates hold, and no relationship is used twice in the MATCH. A
+// self-loop is both outgoing and incoming at its node, and an undirected
+// pattern relationship traverses it once, not once per direction. bound
+// pre-assigns one node variable (-1: bound to NULL, which
 // matches nothing). It returns the rendered rows of RETURN cols.
 func (g *genGraph) reference(parts []genPart, cols []string, bound map[string]int, nodes, rels []value.Value) []string {
 	nodeAt := map[string]int{}
@@ -270,7 +271,7 @@ func (g *genGraph) reference(parts []genPart, cols []string, bound map[string]in
 				continue
 			}
 			next := -1
-			switch {
+			switch { // one case at most: a self-loop is traversed once
 			case rp.dir != DirLeft && r.from == at:
 				next = r.to
 			case rp.dir != DirRight && r.to == at:

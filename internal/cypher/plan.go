@@ -2,6 +2,7 @@ package cypher
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -30,9 +31,9 @@ type Plan struct {
 	query    string
 	stmt     *Statement
 	variants variantCache[*planVariant]
-	// counted, when set, reads the statement's count part from a
-	// maintained source (see Counted).
-	counted *countedPart
+	// maintained, when set, reads the statement's aggregate parts from
+	// their sources (see Maintained).
+	maintained []maintainedPart
 }
 
 // Prepare parses a query into a reusable Plan. This is the entry point of
@@ -89,7 +90,7 @@ func (p *Plan) Execute(tx *graph.Tx, opts *Options) (*Result, error) {
 // compiling it on first use or after statistics drift.
 func (p *Plan) variant(tx *graph.Tx, bindNames []string) (*planVariant, error) {
 	return p.variants.get(tx, bindNames, func(snap *statsSnapshot) (*planVariant, error) {
-		v, err := compileVariant(p.stmt, bindNames, p.counted, &compileCtx{query: p.query, tx: tx, snap: snap})
+		v, err := compileVariant(p.stmt, bindNames, p.maintained, &compileCtx{query: p.query, tx: tx, snap: snap})
 		if err == nil {
 			plansCompiled.Add(1)
 		}
@@ -122,8 +123,8 @@ type unionBranchPlan struct {
 	cb  *compiledBranch
 }
 
-func compileVariant(stmt *Statement, bindNames []string, counted *countedPart, cc *compileCtx) (*planVariant, error) {
-	main, err := compileBranch(cc, stmt.Clauses, bindNames, counted)
+func compileVariant(stmt *Statement, bindNames []string, maintained []maintainedPart, cc *compileCtx) (*planVariant, error) {
+	main, err := compileBranch(cc, stmt.Clauses, bindNames, maintained)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +202,7 @@ type compiledBranch struct {
 	fast    *fastCountPlan
 }
 
-func compileBranch(cc *compileCtx, clauses []Clause, bindNames []string, counted *countedPart) (*compiledBranch, error) {
+func compileBranch(cc *compileCtx, clauses []Clause, bindNames []string, maintained []maintainedPart) (*compiledBranch, error) {
 	en := newEnv()
 	for _, n := range bindNames {
 		en.add(n)
@@ -211,13 +212,15 @@ func compileBranch(cc *compileCtx, clauses []Clause, bindNames []string, counted
 	for i := 0; i < len(clauses); i++ {
 		var st step
 		var err error
-		if counted != nil && i == counted.part.from && counted.part.freeIn(en) {
-			en, st, cb.columns, err = compileCounted(cc, en, clauses, counted)
+		if j := slices.IndexFunc(maintained, func(mp maintainedPart) bool {
+			return mp.part.from == i && mp.part.freeIn(en)
+		}); j >= 0 {
+			en, st, cb.columns, err = compileMaintained(cc, en, clauses, maintained[j])
 			if err != nil {
 				return nil, err
 			}
 			cb.steps = append(cb.steps, st)
-			i = counted.part.to
+			i = maintained[j].part.to
 			continue
 		}
 		cl := clauses[i]

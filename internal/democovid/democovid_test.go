@@ -214,18 +214,69 @@ func TestVenetoIndependentOfLombardy(t *testing.T) {
 }
 
 // TestDemoAlertsReadMaintainedCounts: R2, R3, R4 and R5 count a region's
-// sequences or ICU patients; their alerts read a maintained count per region
-// instead of matching the region's history, and EXPLAIN says so. R1 counts
-// nothing.
+// sequences or ICU patients, and R4 takes the max of the region's R5 counts
+// in the previous Summary; their alerts read a maintained aggregate per
+// region instead of matching the region's history or the period's alerts,
+// and EXPLAIN says so. R1 aggregates nothing.
 func TestDemoAlertsReadMaintainedCounts(t *testing.T) {
 	kb, _ := demoKB(t)
-	for _, name := range []string{"R1", "R2", "R3", "R4", "R5"} {
-		plan, err := kb.ExplainAlert(name)
+	for _, c := range []struct {
+		rule  string
+		steps []string
+	}{
+		{"R1", nil},
+		{"R2", []string{"MAINTAINED COUNT count(u) per r"}},
+		{"R3", []string{"MAINTAINED COUNT count(DISTINCT s) per r"}},
+		{"R4", []string{"MAINTAINED COUNT count(i) per r", "MAINTAINED MAX max(a.IcuPatients) per Region"}},
+		{"R5", []string{"MAINTAINED COUNT count(i) per r"}},
+	} {
+		plan, err := kb.ExplainAlert(c.rule)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := strings.Contains(plan, "MAINTAINED COUNT"), name != "R1"; got != want {
-			t.Errorf("%s: maintained count in plan = %v, want %v:\n%s", name, got, want, plan)
+		if got := strings.Count(plan, "MAINTAINED"); got != len(c.steps) {
+			t.Errorf("%s: %d maintained steps in plan, want %d:\n%s", c.rule, got, len(c.steps), plan)
+		}
+		for _, step := range c.steps {
+			if !strings.Contains(plan, step) {
+				t.Errorf("%s: plan lacks %q:\n%s", c.rule, step, plan)
+			}
+		}
+		if strings.Contains(plan, ":Alert") || strings.Contains(plan, ":Sequence") || strings.Contains(plan, ":IcuPatient") {
+			t.Errorf("%s: plan walks the history:\n%s", c.rule, plan)
+		}
+	}
+}
+
+// TestRuleAlertTimePerRule: an ICU admission runs R5's and R4's alert
+// queries, so their alert-time series move; R1's, for mutations, stays 0.
+func TestRuleAlertTimePerRule(t *testing.T) {
+	kb, _ := demoKB(t)
+	micros := func(rule string) (float64, bool) {
+		for _, fam := range kb.Metrics().Gather() {
+			if fam.Name != "rkm_trigger_rule_alert_microseconds_total" {
+				continue
+			}
+			for _, s := range fam.Samples {
+				if s.LabelValue == rule {
+					return s.Value, true
+				}
+			}
+		}
+		return 0, false
+	}
+	for i := 0; i < 5; i++ {
+		if err := AdmitIcuPatient(kb, "MI-hosp-1", fmt.Sprintf("p%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rule := range []string{"R1", "R4", "R5"} {
+		got, ok := micros(rule)
+		if !ok {
+			t.Fatalf("no alert-time series for %s", rule)
+		}
+		if moved := got > 0; moved != (rule != "R1") {
+			t.Errorf("%s: %v µs of alert time after five ICU admissions", rule, got)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/binary"
 	"hash/maphash"
 	"math/bits"
 	"slices"
@@ -11,7 +12,7 @@ import (
 // This file is the store's one copy-on-write mechanism. Every mutable part
 // of a snapshot — the node and relationship tables, the label and
 // relationship-type posting sets, the property indexes and their posting
-// sets, each node's outgoing and incoming adjacency, the derived counts, and
+// sets, each node's outgoing and incoming adjacency, the derived entries, and
 // the node and relationship records themselves — is either a cowMap or a value held in
 // one, and is changed only through the functions below. They keep one
 // invariant:
@@ -117,6 +118,15 @@ func hashOf[K comparable](k K) uint64 {
 		h.WriteString(k.label)
 		h.WriteByte(0)
 		h.WriteString(k.prop)
+		return h.Sum64()
+	case DerivedKey:
+		var h maphash.Hash
+		h.SetSeed(trieSeed)
+		var b [9]byte
+		b[0] = k.kind
+		binary.LittleEndian.PutUint64(b[1:], uint64(k.n))
+		h.Write(b[:])
+		h.WriteString(k.s)
 		return h.Sum64()
 	}
 	panic("graph: cowMap key type has no hash")

@@ -176,9 +176,9 @@ type snapshot struct {
 	byLabel   cowMap[string, *nodeSet]
 	byRelType cowMap[string, *relSet]
 	indexes   cowMap[indexKey, *propIndex]
-	// derived holds the counts a rule engine keeps over this version (see
-	// Tx.Derived): per slot, a count per node.
-	derived  cowMap[int, *cowMap[NodeID, int64]]
+	// derived holds the aggregates a rule engine keeps over this version
+	// (see Tx.Derived): per slot, an entry per key.
+	derived  derivedSlots
 	nextNode NodeID
 	nextRel  RelID
 }
@@ -414,7 +414,7 @@ func (s *Store) Clone() *Store {
 	// Derived entries belong to the engine that keeps them, which the clone
 	// does not share.
 	sn := *s.snap.Load()
-	sn.derived = cowMap[int, *cowMap[NodeID, int64]]{}
+	sn.derived = derivedSlots{}
 	ns.snap.Store(&sn)
 	if vs := s.validators.Load(); vs != nil {
 		cp := append([]Validator(nil), *vs...)

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -671,6 +672,40 @@ func ExampleStore_Update() {
 	// Output: 2 1
 }
 
+// TestKeyOfFollowsEquality: two values are one derived key exactly when
+// Cypher's = holds between them — INTEGER 1 and FLOAT 1.0 are one key, a
+// string "1" is another — and a value that = cannot key (NULL, NaN, an
+// infinity, an integer a FLOAT cannot hold exactly, a list) has none.
+func TestKeyOfFollowsEquality(t *testing.T) {
+	vals := []value.Value{
+		value.Int(1), value.Float(1), value.Float(1.5), value.Int(-3), value.Float(-3),
+		value.Int(0), value.Float(math.Copysign(0, -1)), value.Str("1"), value.Str(""),
+		value.Bool(true), value.Bool(false), value.Node(1), value.Node(2),
+		value.Int(1<<53 - 1), value.Float(1<<53 - 1),
+	}
+	for _, a := range vals {
+		ka, ok := KeyOf(a)
+		if !ok {
+			t.Fatalf("%v has no key", a)
+		}
+		for _, b := range vals {
+			kb, _ := KeyOf(b)
+			eq, known := value.Equal(a, b)
+			if (ka == kb) != (known && eq) {
+				t.Errorf("%v, %v: one key %v, = says %v", a, b, ka == kb, known && eq)
+			}
+		}
+	}
+	for _, v := range []value.Value{
+		value.Null, value.Float(math.NaN()), value.Float(math.Inf(1)), value.Int(1 << 53),
+		value.Float(1 << 53), value.Int(math.MinInt64), value.ListOf([]value.Value{value.Int(1)}),
+	} {
+		if k, ok := KeyOf(v); ok {
+			t.Errorf("%v: key %v, want none", v, k)
+		}
+	}
+}
+
 // TestDerivedEntriesFollowTheirFolds: derived entries survive a commit only
 // when every change was folded; a transaction that folded only part of its
 // changes drops them (which part is unknown), and KeepDerived drops the
@@ -683,15 +718,16 @@ func TestDerivedEntriesFollowTheirFolds(t *testing.T) {
 		t.Fatal("a write nobody folded: want DerivedBehind")
 	}
 	tx.FoldDerived()
-	tx.SetDerived(1, n, 5)
-	tx.SetDerived(2, n, 7)
+	k, _ := KeyOf(value.Node(int64(n)))
+	tx.SetDerived(1, k, DerivedEntry{N: 5})
+	tx.SetDerived(2, k, DerivedEntry{N: 7})
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 
 	tx = s.Begin(ReadWrite)
-	if got, ok := tx.Derived(1, n); !ok || got != 5 || !tx.DerivedCurrent() || tx.DerivedBehind() {
-		t.Fatalf("after a folded commit: entry %d, %v; current %v", got, ok, tx.DerivedCurrent())
+	if got, ok := tx.Derived(1, k); !ok || got.N != 5 || !tx.DerivedCurrent() || tx.DerivedBehind() {
+		t.Fatalf("after a folded commit: entry %d, %v; current %v", got.N, ok, tx.DerivedCurrent())
 	}
 	tx.KeepDerived([]int{2})
 	if tx.DerivedLen(1) != 0 || tx.DerivedLen(2) != 1 {
@@ -703,7 +739,7 @@ func TestDerivedEntriesFollowTheirFolds(t *testing.T) {
 	if tx.DerivedCurrent() || tx.DerivedBehind() || tx.DerivedLen(2) != 0 {
 		t.Fatalf("part folded: current %v, entries %d; want the entries dropped", tx.DerivedCurrent(), tx.DerivedLen(2))
 	}
-	tx.SetDerived(2, n, 7)
+	tx.SetDerived(2, k, DerivedEntry{N: 7})
 	tx.Rollback()
 
 	if err := s.Update(func(tx *Tx) error {

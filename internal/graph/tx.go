@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -124,9 +125,9 @@ func (tx *Tx) Commit() error {
 		}
 	}
 	if tx.writes != tx.derivedAt {
-		// Changes nobody folded into the derived counts: they describe an
+		// Changes nobody folded into the derived entries: they describe an
 		// earlier version, so this one publishes none.
-		tx.view.derived = cowMap[int, *cowMap[NodeID, int64]]{}
+		tx.view.derived = derivedSlots{}
 	}
 	tx.done = true
 	tx.s.publish(tx.view)
@@ -774,38 +775,106 @@ func (tx *Tx) RelCount() int { return tx.view.rels.len() }
 
 // ---- Derived state ----
 //
-// Derived entries are counts a rule engine maintains over the graph (the
-// maintained alert counts of internal/trigger): an int64 per (slot, node),
-// kept in the snapshot, so they share its versions, are read lock-free by
-// read-only transactions and roll back with the transaction that wrote them.
-// They are never logged, snapshotted or exported. The store does not know
-// what they count; it only keeps one promise: a committed version's entries
-// describe that version. A transaction whose writer has not folded every
-// change it made into them (FoldDerived) therefore commits with none — a
-// bulk load, a WAL replay, a follower's apply or any Store.Update drops
-// them all in O(1), and the engine recounts on the next read.
+// Derived entries are aggregates a rule engine maintains over the graph (the
+// maintained alert aggregates of internal/trigger): a DerivedEntry per
+// (slot, key), kept in the snapshot, so they share its versions, are read
+// lock-free by read-only transactions and roll back with the transaction
+// that wrote them. They are never logged, snapshotted or exported. The store
+// does not know what they aggregate; it only keeps one promise: a committed
+// version's entries describe that version. A transaction whose writer has
+// not folded every change it made into them (FoldDerived) therefore commits
+// with none — a bulk load, a WAL replay, a follower's apply or any
+// Store.Update drops them all in O(1), and the engine recounts on the next
+// read.
 
-// Derived returns the entry under (slot, id).
-func (tx *Tx) Derived(slot int, id NodeID) (int64, bool) {
-	return tx.view.derived.at(slot).get(id)
+// derivedSlots holds a snapshot's derived entries, per slot.
+type derivedSlots = cowMap[int, *cowMap[DerivedKey, DerivedEntry]]
+
+// DerivedEntry is one kept aggregate: N counts the matches aggregated (the
+// distinct ones, for a count(DISTINCT)), and V is the aggregate's value when
+// it is not that count (a max or a min, NULL when every aggregated value
+// was).
+type DerivedEntry struct {
+	N int64
+	V value.Value
+}
+
+// DerivedKey is the key of a derived entry: a node, or a value under
+// Cypher's =, so that values made one key by KeyOf are exactly those that
+// compare equal.
+type DerivedKey struct {
+	kind byte
+	n    int64 // a node's identifier, an integer, or a fraction's bits
+	s    string
+}
+
+const (
+	keyNode byte = iota + 1
+	keyInt       // an INTEGER, or a FLOAT with an integral value
+	keyFrac      // a FLOAT with a fractional part
+	keyString
+	keyBool
+)
+
+// maxExactInt bounds the integers a FLOAT holds exactly. Inside it, an
+// INTEGER equals a FLOAT exactly when both are one integral value; outside
+// it, = compares rounded values, which no key can follow.
+const maxExactInt = 1 << 53
+
+// KeyOf returns the key of v, or false when v is none that a key can stand
+// for under = : NULL, NaN, an infinity, a number of magnitude 2⁵³ or more,
+// a list, a map, a temporal value or a relationship. INTEGER 1 and FLOAT
+// 1.0 are one key.
+func KeyOf(v value.Value) (DerivedKey, bool) {
+	switch v.Kind() {
+	case value.KindNode:
+		id, _ := v.EntityID()
+		return DerivedKey{kind: keyNode, n: id}, true
+	case value.KindInt:
+		if i, _ := v.AsInt(); i > -maxExactInt && i < maxExactInt {
+			return DerivedKey{kind: keyInt, n: i}, true
+		}
+	case value.KindFloat:
+		f, _ := v.AsFloat()
+		switch {
+		case f > -maxExactInt && f < maxExactInt && f == math.Trunc(f):
+			return DerivedKey{kind: keyInt, n: int64(f)}, true
+		case f > -maxExactInt && f < maxExactInt: // not NaN: a fraction
+			return DerivedKey{kind: keyFrac, n: int64(math.Float64bits(f))}, true
+		}
+	case value.KindString:
+		s, _ := v.AsString()
+		return DerivedKey{kind: keyString, s: s}, true
+	case value.KindBool:
+		if b, _ := v.AsBool(); b {
+			return DerivedKey{kind: keyBool, n: 1}, true
+		}
+		return DerivedKey{kind: keyBool}, true
+	}
+	return DerivedKey{}, false
+}
+
+// Derived returns the entry under (slot, k).
+func (tx *Tx) Derived(slot int, k DerivedKey) (DerivedEntry, bool) {
+	return tx.view.derived.at(slot).get(k)
 }
 
 // DerivedLen returns the number of entries under slot.
 func (tx *Tx) DerivedLen(slot int) int { return tx.view.derived.at(slot).len() }
 
-// SetDerived stores n under (slot, id). It is a no-op in a read-only
+// SetDerived stores e under (slot, k). It is a no-op in a read-only
 // transaction.
-func (tx *Tx) SetDerived(slot int, id NodeID, n int64) {
+func (tx *Tx) SetDerived(slot int, k DerivedKey, e DerivedEntry) {
 	if tx.writable() != nil {
 		return
 	}
 	sn := tx.view
 	m, ok := edit(&sn.derived, sn.by, slot)
 	if !ok {
-		m = &cowMap[NodeID, int64]{by: sn.by}
+		m = &cowMap[DerivedKey, DerivedEntry]{by: sn.by}
 		sn.derived.set(sn.by, slot, m)
 	}
-	m.set(sn.by, id, n)
+	m.set(sn.by, k, e)
 }
 
 // DropDerived removes every entry under slot.
@@ -817,13 +886,13 @@ func (tx *Tx) DropDerived(slot int) {
 }
 
 // KeepDerived removes the entries of every slot not in slots: those of
-// counts nobody maintains any more.
+// aggregates nobody maintains any more.
 func (tx *Tx) KeepDerived(slots []int) {
 	if tx.writable() != nil {
 		return
 	}
 	var drop []int
-	tx.view.derived.each(func(slot int, _ *cowMap[NodeID, int64]) {
+	tx.view.derived.each(func(slot int, _ *cowMap[DerivedKey, DerivedEntry]) {
 		if !slices.Contains(slots, slot) {
 			drop = append(drop, slot)
 		}
@@ -854,7 +923,7 @@ func (tx *Tx) DerivedBehind() bool {
 		return true
 	}
 	if tx.writable() == nil {
-		tx.view.derived = cowMap[int, *cowMap[NodeID, int64]]{}
+		tx.view.derived = derivedSlots{}
 	}
 	tx.FoldDerived()
 	return false

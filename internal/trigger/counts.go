@@ -1,20 +1,22 @@
 package trigger
 
-// Maintained alert counts: counting-based incremental view maintenance
-// (Gupta, Mumick & Subrahmanian, SIGMOD 1993) of the count parts that
-// cypher.FindCountPart recognises in alert queries — "count the x that reach
-// g" — so that an alert like the demo pack's R2–R5 reads a count per region
-// instead of recounting the region's history on every firing (DESIGN §4).
+// Maintained alert aggregates: counting-based incremental view maintenance
+// (Gupta, Mumick & Subrahmanian, SIGMOD 1993) of the aggregate parts that
+// cypher.FindAggParts recognises in alert queries — "count (or take the max
+// or min over) the x that reach g" — so that an alert like the demo pack's
+// R2–R5 reads an aggregate per region instead of recomputing it over the
+// region's history on every firing (DESIGN §4).
 //
-// The counts live in the store snapshot (graph.Tx's derived entries), one
-// slot per aggregate: they share its versions, roll back with the
+// The aggregates live in the store snapshot (graph.Tx's derived entries),
+// one slot per part: they share its versions, roll back with the
 // transaction and are never persisted. An entry is written by a read that
-// missed (a recount, with g bound) and kept exact by the fold: before an
-// alert reads and at the end of every round, the engine folds the changes
-// the transaction made since the last fold. A created x adds its
-// contribution (the sub-plan run with x bound) to the entries present; any
-// other change inside the part's footprint drops the aggregate's entries,
-// and reads recount. Commits that bypass the engine drop every entry.
+// missed (a recount, with the key bound) and kept exact by the fold: before
+// an alert reads and at the end of every round, the engine folds the changes
+// the transaction made since the last fold. A created x merges its
+// contribution (the part's ByX plan run with x bound) into the entries
+// present; any other change inside the part's footprint drops the part's
+// entries, and reads recount. Commits that bypass the engine drop every
+// entry.
 
 import (
 	"sync/atomic"
@@ -25,21 +27,21 @@ import (
 	"repro/internal/value"
 )
 
-// countSlots numbers aggregates process-wide, so that two engines over
-// stores that share snapshots never read each other's counts.
-var countSlots atomic.Int64
+// aggSlots numbers aggregates process-wide, so that two engines over
+// stores that share snapshots never read each other's entries.
+var aggSlots atomic.Int64
 
-// aggregate is the count part of one rule's alert, with its count per g
-// kept under slot. It is the alert plan's cypher.CountSource.
+// aggregate is one aggregate part of a rule's alert, with its entry per key
+// kept under slot. It is the alert plan's cypher.AggSource for that part.
 type aggregate struct {
-	part                 *cypher.CountPart
+	part                 *cypher.AggPart
 	slot                 int
 	labels, types, props map[string]bool
 
 	mHit, mRecount, mDrops *metrics.Counter
 }
 
-func newAggregate(cp *cypher.CountPart, m EngineMetrics) *aggregate {
+func newAggregate(cp *cypher.AggPart, m EngineMetrics) *aggregate {
 	set := func(ss []string) map[string]bool {
 		out := make(map[string]bool, len(ss))
 		for _, s := range ss {
@@ -48,43 +50,42 @@ func newAggregate(cp *cypher.CountPart, m EngineMetrics) *aggregate {
 		return out
 	}
 	return &aggregate{
-		part: cp, slot: int(countSlots.Add(1)),
+		part: cp, slot: int(aggSlots.Add(1)),
 		labels: set(cp.Labels), types: set(cp.RelTypes), props: set(cp.PropKeys),
 		mHit: m.CountReads.With("hit"), mRecount: m.CountReads.With("recount"), mDrops: m.CountDrops,
 	}
 }
 
-// Count returns the count of g: the kept one when tx's entries are up to
-// date and hold g, otherwise a recount — kept, when they are up to date.
-func (a *aggregate) Count(tx *graph.Tx, g graph.NodeID) (int64, error) {
+// Aggregate returns the aggregate of key k (of value g): the kept one when
+// tx's entries are up to date and hold k, otherwise a recount — kept, when
+// they are up to date.
+func (a *aggregate) Aggregate(tx *graph.Tx, k graph.DerivedKey, g value.Value) (graph.DerivedEntry, error) {
 	fresh := tx.DerivedCurrent()
 	if fresh {
-		if n, ok := tx.Derived(a.slot, g); ok {
+		if e, ok := tx.Derived(a.slot, k); ok {
 			a.mHit.Inc()
-			return n, nil
+			return e, nil
 		}
 	}
 	a.mRecount.Inc()
-	rows, err := a.run(tx, a.part.G, g)
+	rows, err := runBound(tx, a.part.ByKey, a.part.G, g)
 	if err != nil {
-		return 0, err
+		return graph.DerivedEntry{}, err
 	}
-	var n int64
+	var e graph.DerivedEntry
 	if len(rows) > 0 {
-		n, _ = rows[0][1].AsInt()
+		e = a.part.Entry(rows[0])
 	}
 	if fresh {
-		tx.SetDerived(a.slot, g, n)
+		tx.SetDerived(a.slot, k, e)
 	}
-	return n, nil
+	return e, nil
 }
 
-// run executes the part's sub-plan with variable v bound to node id; its
-// rows are (g, count).
-func (a *aggregate) run(tx *graph.Tx, v string, id graph.NodeID) ([][]value.Value, error) {
-	res, err := a.part.Sub.Execute(tx, &cypher.Options{
-		Bindings: map[string]value.Value{v: value.Node(int64(id))},
-	})
+// runBound executes one of a part's plans with variable v bound to val; its
+// rows are (g, n[, v]).
+func runBound(tx *graph.Tx, p *cypher.Plan, v string, val value.Value) ([][]value.Value, error) {
+	res, err := p.Execute(tx, &cypher.Options{Bindings: map[string]value.Value{v: val}})
 	if err != nil {
 		return nil, err
 	}
@@ -186,16 +187,17 @@ func (s *idSet[ID]) has(id ID) bool {
 	return s.m[id]
 }
 
-// folder keeps the maintained counts exact through one Process: it folds
-// the transaction's changes before every alert that reads a count and at
-// the end of every round, so no read sees a count older than the graph.
+// folder keeps the maintained aggregates exact through one Process: it
+// folds the transaction's changes before every alert that reads one and at
+// the end of every round, so no read sees an aggregate older than the graph.
 type folder struct {
 	aggs []*aggregate
 	at   txMark // how much of tx.Data() is folded
 }
 
-// newFolder returns the folder of a Process, nil when no count is kept (the
-// commit then drops any counts left by rules since dropped: nothing folds).
+// newFolder returns the folder of a Process, nil when no aggregate is kept
+// (the commit then drops any entries left by rules since dropped: nothing
+// folds).
 func newFolder(idx *dispatchIndex) *folder {
 	if len(idx.aggs) == 0 {
 		return nil
@@ -204,7 +206,7 @@ func newFolder(idx *dispatchIndex) *folder {
 }
 
 // start folds what Process was handed (data, and anything left in
-// tx.Data()) and drops the counts of rules no longer installed.
+// tx.Data()) and drops the entries of rules no longer installed.
 func (f *folder) start(tx *graph.Tx, data *graph.TxData) error {
 	if f == nil {
 		return nil
@@ -257,7 +259,7 @@ func (f *folder) drop(tx *graph.Tx, a *aggregate) {
 
 // fold brings every aggregate holding entries up to date with d: it drops
 // the entries when d touches the part's footprint other than through new x,
-// and otherwise adds each new x's contribution to the g it reaches.
+// and otherwise merges each new x's contribution into the keys it reaches.
 func (f *folder) fold(tx *graph.Tx, d delta) error {
 	nodes := &idSet[graph.NodeID]{ids: d.nodes}
 	rels := &idSet[graph.RelID]{ids: d.rels}
@@ -273,15 +275,17 @@ func (f *folder) fold(tx *graph.Tx, d delta) error {
 			if !hasAll(tx, x, a.part.XLabels) {
 				continue
 			}
-			rows, err := a.run(tx, a.part.X, x)
+			rows, err := runBound(tx, a.part.ByX, a.part.X, value.Node(int64(x)))
 			if err != nil {
 				return err
 			}
 			for _, r := range rows {
-				g, _ := r[0].EntityID()
-				d, _ := r[1].AsInt()
-				if n, ok := tx.Derived(a.slot, graph.NodeID(g)); ok {
-					tx.SetDerived(a.slot, graph.NodeID(g), n+d)
+				k, ok := graph.KeyOf(r[0])
+				if !ok {
+					continue // no entry is kept under a value no key stands for
+				}
+				if e, ok := tx.Derived(a.slot, k); ok {
+					tx.SetDerived(a.slot, k, a.part.Merge(e, a.part.Entry(r)))
 				}
 			}
 		}

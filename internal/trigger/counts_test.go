@@ -9,14 +9,17 @@ import (
 
 	"repro/internal/cypher"
 	"repro/internal/graph"
+	"repro/internal/summary"
 	"repro/internal/value"
 )
 
 // countWorld is a small region graph under three rules whose alerts count
 // per region — the demo pack's R2 (a WHERE on x), R3 (two MATCH clauses,
-// count(DISTINCT)) and R5 (RETURN) — plus a rule whose action creates an x
-// mid-round and one that fails, rolling its cascade back. A twin store takes
-// every write under the same rules with their alerts run as written.
+// count(DISTINCT)) and R5 (RETURN) — R4's shape, which compares R5's count
+// with the max of R5's alerts in the previous Summary under a value key,
+// a rule whose action creates an x mid-round and one that fails, rolling
+// its cascade back. Alerts attach to the Current Summary. A twin store
+// takes every write under the same rules with their alerts run as written.
 type countWorld struct {
 	t    *testing.T
 	s    *graph.Store
@@ -25,9 +28,23 @@ type countWorld struct {
 	te   *Engine
 	rng  *rand.Rand
 	n    int
-	aggs []*Compiled
-	// entries counts the maintained entries the checks compared.
-	entries int
+	aggs []*aggregate
+	// entries counts the maintained entries the checks compared, valued
+	// those among them under a value key.
+	entries, valued int
+}
+
+// regionCodes are the Region nodes' code and key properties, and the values
+// the checks try as value keys: r1 and r2 key by a number of the other kind
+// than their code.
+var regionCodes = [3][2]value.Value{
+	{value.Str("r0"), value.Str("r0")},
+	{value.Int(1), value.Float(1)},
+	{value.Float(2), value.Int(2)},
+}
+
+var valueKeys = []value.Value{
+	value.Str("r0"), value.Int(1), value.Float(1), value.Int(2), value.Float(2), value.Str("r9"),
 }
 
 var countRules = []Rule{{
@@ -58,7 +75,19 @@ var countRules = []Rule{{
 	Event: Event{Kind: CreateNode, Label: "IcuPatient"},
 	Alert: `MATCH (NEW)-[:TreatedAt]->(:Hospital)-[:LocatedIn]->(r:Region)
 	        MATCH (i:IcuPatient)-[:TreatedAt]->(:Hospital)-[:LocatedIn]->(r)
-	        RETURN r.name AS region, count(i) AS n`,
+	        RETURN r.name AS region, r.code AS code, count(i) AS n`,
+}, {
+	// R4's shape: the count part per region, then the max of the icu
+	// alerts' n in the previous Summary keyed by the region's key, which
+	// is the icu alerts' code under = (r1's key 1.0 against code 1).
+	Name:  "growth",
+	Event: Event{Kind: CreateNode, Label: "IcuPatient"},
+	Alert: `MATCH (NEW)-[:TreatedAt]->(:Hospital)-[:LocatedIn]->(r:Region)
+	        MATCH (i:IcuPatient)-[:TreatedAt]->(:Hospital)-[:LocatedIn]->(r)
+	        WITH r.key AS Region, count(i) AS today
+	        MATCH (a:Alert {rule: 'icu', code: Region})<-[:has]-(s:Summary)-[:next]->(:Current)
+	        WITH Region, today, max(a.n) AS y
+	        RETURN Region AS region, today AS n, y`,
 }, {
 	// A Lab still has relationships: the plain DELETE fails and the whole
 	// cascade rolls back, after the counting rules have read.
@@ -72,33 +101,37 @@ func newCountWorld(t *testing.T, seed int64) *countWorld {
 		rng: rand.New(rand.NewSource(seed))}
 	w.e.Clock = func() time.Time { return fixedNow }
 	w.te.Clock = w.e.Clock
+	mgr := summary.New(24 * time.Hour)
+	attach := func(tx *graph.Tx, id graph.NodeID) error { return mgr.AttachAlert(tx, id, fixedNow) }
+	w.e.OnAlert, w.te.OnAlert = attach, attach
 	for _, r := range countRules {
 		if err := w.e.Install(r); err != nil {
 			t.Fatal(err)
 		}
-		if cr, _ := w.e.lookup(r.Name); cr.agg != nil {
-			w.aggs = append(w.aggs, cr)
-		}
+		cr, _ := w.e.lookup(r.Name)
+		w.aggs = append(w.aggs, cr.aggs...)
 		if err := w.te.Install(r); err != nil {
 			t.Fatal(err)
 		}
-		if cr, _ := w.te.lookup(r.Name); cr.agg != nil {
-			cr.agg, cr.alert = nil, cr.alert.Statement().Prepared()
+		if cr, _ := w.te.lookup(r.Name); cr.aggs != nil {
+			cr.aggs, cr.alert = nil, cr.alert.Statement().Prepared()
 		}
 	}
 	w.te.index = buildDispatch(w.te.rules)
-	if len(w.aggs) != 3 {
-		t.Fatalf("%d rules keep counts, want 3", len(w.aggs))
+	if len(w.aggs) != 5 {
+		t.Fatalf("%d aggregates kept, want 5", len(w.aggs))
 	}
 	w.write(`CREATE (e1:Effect {level: 'critical'}), (e2:Effect {level: 'moderate'}),
 	        (:Variant {name: 'v0'})-[:Contains]->(:Mutation)-[:HasEffect]->(e1),
 	        (:Variant {name: 'v1'})-[:Contains]->(:Mutation)-[:HasEffect]->(e2)`, nil)
 	for r := 0; r < 3; r++ {
-		w.write(`CREATE (r:Region {name: $r}),
+		w.write(`CREATE (r:Region {name: $r, code: $code, key: $key}),
 		        (:Lab {name: $r + '-a'})-[:LocatedIn]->(r), (:Lab {name: $r + '-b'})-[:LocatedIn]->(r),
 		        (:Hospital {name: $r + '-h'})-[:LocatedIn]->(r)`,
-			map[string]value.Value{"r": value.Str(fmt.Sprintf("r%d", r))})
+			map[string]value.Value{"r": value.Str(fmt.Sprintf("r%d", r)),
+				"code": regionCodes[r][0], "key": regionCodes[r][1]})
 	}
+	w.write(`CREATE (:Summary:Current {date: 0})`, nil)
 	return w
 }
 
@@ -160,27 +193,38 @@ func (w *countWorld) check(step string) {
 }
 
 // checkTx compares every maintained entry visible to tx with a recount on
-// tx.
+// tx: the entries of every node, for a node key, and of every value the
+// stream keys by, for a value key.
 func (w *countWorld) checkTx(tx *graph.Tx, step string) {
 	w.t.Helper()
-	for _, cr := range w.aggs {
-		a := cr.agg
-		for _, g := range tx.AllNodes() {
-			kept, ok := tx.Derived(a.slot, g)
+	for _, a := range w.aggs {
+		keys := valueKeys
+		if a.part.KeyNode == "" {
+			keys = nil
+			for _, id := range tx.AllNodes() {
+				keys = append(keys, value.Node(int64(id)))
+			}
+		}
+		for _, g := range keys {
+			k, _ := graph.KeyOf(g)
+			kept, ok := tx.Derived(a.slot, k)
 			if !ok {
 				continue
 			}
 			w.entries++
-			rows, err := a.run(tx, a.part.G, g)
+			if a.part.KeyNode != "" {
+				w.valued++
+			}
+			rows, err := runBound(tx, a.part.ByKey, a.part.G, g)
 			if err != nil {
 				w.t.Fatal(err)
 			}
-			var want int64
+			var want graph.DerivedEntry
 			if len(rows) > 0 {
-				want, _ = rows[0][1].AsInt()
+				want = a.part.Entry(rows[0])
 			}
-			if kept != want {
-				w.t.Fatalf("after %q: %s keeps %d for node %d, a recount gives %d", step, cr.Name, kept, g, want)
+			if !reflect.DeepEqual(kept, want) {
+				w.t.Fatalf("after %q: %s keeps %+v for %v, a recount gives %+v", step, a.part.ByKey.Query(), kept, g, want)
 			}
 		}
 	}
@@ -212,7 +256,7 @@ func (w *countWorld) step() {
 		}
 		return m
 	}
-	switch op := w.rng.Intn(16); op {
+	switch op := w.rng.Intn(24); op {
 	case 0, 1, 2: // an unassigned sequence
 		w.write(`MATCH (l:Lab {name: $lab}) CREATE (:Sequence {id: $id})-[:SequencedAt]->(l)`,
 			p("lab", w.lab(), "id", id))
@@ -274,6 +318,34 @@ func (w *countWorld) step() {
 			p("lab", w.lab(), "id", id)); err == nil {
 			w.t.Fatal("the failing cascade committed")
 		}
+	case 16, 17: // a rollover: Current moves to a new Summary
+		w.write(`MATCH (c:Summary:Current) REMOVE c:Current CREATE (c)-[:next]->(:Summary:Current {date: $n})`,
+			p("n", value.Int(int64(w.n))))
+	case 18: // an alert of the previous period deleted
+		if n, ok := w.previousAlert(); ok {
+			w.write(`MATCH (a) WHERE id(a) = $n DETACH DELETE a`, p("n", n))
+		}
+	case 19: // an old alert's n set or removed
+		if n, ok := w.previousAlert(); ok {
+			q := `MATCH (a) WHERE id(a) = $n SET a.n = $v`
+			if w.rng.Intn(3) == 0 {
+				q = `MATCH (a) WHERE id(a) = $n REMOVE a.n`
+			}
+			w.write(q, p("n", n, "v", w.icuValue()))
+		}
+	case 20: // Current removed, or given back to the newest Summary
+		if w.rng.Intn(2) == 0 {
+			w.write(`MATCH (c:Current) REMOVE c:Current`, nil)
+		} else {
+			w.write(`MATCH (s:Summary) WITH s ORDER BY id(s) DESC LIMIT 1 SET s:Current`, nil)
+		}
+	case 21, 22: // an alert created in the previous period, of icu or another
+		// rule, coded by a region's code, its key or neither
+		rule := []string{"icu", "icu", "other"}[w.rng.Intn(3)]
+		code := valueKeys[w.rng.Intn(len(valueKeys))]
+		w.write(`MATCH (s:Summary)-[:next]->(:Current)
+		        CREATE (s)-[:has]->(:Alert {rule: $rule, code: $code, n: $v})`,
+			p("rule", value.Str(rule), "code", code, "v", w.icuValue()))
 	default: // a commit that bypasses the engine
 		lab := w.lab()
 		for _, s := range []*graph.Store{w.s, w.twin} {
@@ -289,11 +361,35 @@ func (w *countWorld) step() {
 	}
 }
 
+// previousAlert returns a random alert of the previous period, or false
+// when there is none.
+func (w *countWorld) previousAlert() (value.Value, bool) {
+	tx := w.s.Begin(graph.ReadOnly)
+	defer tx.Rollback()
+	res, err := cypher.Run(tx, `MATCH (a:Alert)<-[:has]-(:Summary)-[:next]->(:Current) RETURN id(a) ORDER BY id(a)`, nil)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	if len(res.Rows) == 0 {
+		return value.Null, false
+	}
+	return res.Rows[w.rng.Intn(len(res.Rows))][0], true
+}
+
+// icuValue returns an n for an alert: an integer, or a number with a
+// fraction, so that no two equal values differ in kind.
+func (w *countWorld) icuValue() value.Value {
+	if w.rng.Intn(4) == 0 {
+		return value.Float(float64(w.rng.Intn(20)) + 0.5)
+	}
+	return value.Int(int64(w.rng.Intn(20)))
+}
+
 // alerts lists a store's alert payloads in creation order.
 func alerts(t *testing.T, s *graph.Store) [][]value.Value {
 	tx := s.Begin(graph.ReadOnly)
 	defer tx.Rollback()
-	res, err := cypher.Run(tx, "MATCH (a:Alert) RETURN id(a), a.rule, a.region, a.n ORDER BY id(a)", nil)
+	res, err := cypher.Run(tx, "MATCH (a:Alert) RETURN id(a), a.rule, a.region, a.code, a.n, a.y ORDER BY id(a)", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,18 +399,22 @@ func alerts(t *testing.T, s *graph.Store) [][]value.Value {
 // TestMaintainedCountsGenerated: over seeded random streams of creates,
 // deletes, detach-deleted and re-linked intermediate nodes, label removals,
 // predicate flips, an action creating an x mid-round, a cascade rolled back
-// after its reads, and commits that bypass the engine, every count the
-// engine keeps equals a recount by the part's sub-plan on the same
-// transaction, inside it before commit and after, and the alerts equal
-// those of the same rules run as written.
+// after its reads, commits that bypass the engine, and R4's: rollovers,
+// deleted and re-valued alerts of the previous period, Current removed and
+// given back, and alerts of other rules and codes created in it, some keyed
+// by a number of the other kind, every aggregate the engine keeps equals a
+// recount by the part's ByKey plan on the same transaction, inside it
+// before commit and after, and the alerts equal those of the same rules run
+// as written.
 func TestMaintainedCountsGenerated(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		w := newCountWorld(t, seed)
-		for i := 0; i < 250; i++ {
+		for i := 0; i < 300; i++ {
 			w.step()
 		}
-		if w.entries < 500 {
-			t.Fatalf("seed %d: the checks compared %d maintained entries; the stream keeps too few", seed, w.entries)
+		if w.entries < 500 || w.valued < 50 {
+			t.Fatalf("seed %d: the checks compared %d maintained entries, %d under a value key; the stream keeps too few",
+				seed, w.entries, w.valued)
 		}
 		kept, asWritten := alerts(t, w.s), alerts(t, w.twin)
 		if len(kept) < 100 || !reflect.DeepEqual(kept, asWritten) {
@@ -339,7 +439,7 @@ func TestDroppedRuleCountsGo(t *testing.T) {
 		}
 		tx := w.s.Begin(graph.ReadOnly)
 		defer tx.Rollback()
-		return tx.DerivedLen(cr.agg.slot)
+		return tx.DerivedLen(cr.aggs[0].slot)
 	}
 	icu, unassigned := w.aggs[2], w.aggs[0]
 	if held("icu") == 0 || held("unassigned") == 0 {
@@ -350,9 +450,9 @@ func TestDroppedRuleCountsGo(t *testing.T) {
 	}
 	w.writeKept(`CREATE (:Unrelated)`, nil)
 	tx := w.s.Begin(graph.ReadOnly)
-	if tx.DerivedLen(icu.agg.slot) != 0 || tx.DerivedLen(unassigned.agg.slot) == 0 {
+	if tx.DerivedLen(icu.slot) != 0 || tx.DerivedLen(unassigned.slot) == 0 {
 		t.Errorf("after dropping icu: %d icu entries, %d unassigned ones; want none and some",
-			tx.DerivedLen(icu.agg.slot), tx.DerivedLen(unassigned.agg.slot))
+			tx.DerivedLen(icu.slot), tx.DerivedLen(unassigned.slot))
 	}
 	tx.Rollback()
 	for _, name := range []string{"unassigned", "critical"} {
@@ -363,7 +463,7 @@ func TestDroppedRuleCountsGo(t *testing.T) {
 	w.writeKept(`CREATE (:Unrelated)`, nil)
 	tx = w.s.Begin(graph.ReadOnly)
 	defer tx.Rollback()
-	if n := tx.DerivedLen(unassigned.agg.slot); n != 0 {
+	if n := tx.DerivedLen(unassigned.slot); n != 0 {
 		t.Errorf("no rule keeps counts, yet %d entries stay", n)
 	}
 }
@@ -381,8 +481,8 @@ func TestTransitionVariableInCountPartNotMaintained(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if cr, _ := e.lookup("own"); cr.agg != nil {
-		t.Fatalf("a count of %s per %s is maintained", cr.agg.part.X, cr.agg.part.G)
+	if cr, _ := e.lookup("own"); cr.aggs != nil {
+		t.Fatalf("a count of %s per %s is maintained", cr.aggs[0].part.X, cr.aggs[0].part.G)
 	}
 	run(t, s, e, `CREATE (l:Lab)-[:LocatedIn]->(:Region {name: 'r0'})`)
 	for i := 0; i < 3; i++ {

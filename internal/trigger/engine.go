@@ -46,11 +46,14 @@ type EngineMetrics struct {
 	AlertQuerySeconds *metrics.Histogram
 	// AlertsCreated counts materialized alert nodes.
 	AlertsCreated *metrics.Counter
-	// CountReads counts the reads of maintained alert counts, labelled hit
-	// (served from the kept count) or recount (counted by the part's
-	// sub-plan).
+	// RuleAlertMicros adds up the time each rule's alert queries take, in
+	// microseconds, labelled by rule.
+	RuleAlertMicros *metrics.CounterVec
+	// CountReads counts the reads of maintained alert aggregates, labelled
+	// hit (served from the kept entry) or recount (computed by the part's
+	// ByKey plan).
 	CountReads *metrics.CounterVec
-	// CountDrops counts the times a fold dropped an aggregate's kept counts.
+	// CountDrops counts the times a fold dropped an aggregate's kept entries.
 	CountDrops *metrics.Counter
 }
 
@@ -191,10 +194,15 @@ func (e *Engine) Install(r Rule) error {
 		d.mFired = e.Metrics.RuleFired.With(d.Name)
 		d.mRejected = e.Metrics.GuardRejected.With(d.Name)
 	}
+	cr.mAlertMicros = e.Metrics.RuleAlertMicros.With(cr.Name)
 	if cr.alert != nil {
-		if cp := cypher.FindCountPart(cr.alert.Statement(), cr.bindNames()); cp != nil {
-			cr.agg = newAggregate(cp, e.Metrics)
-			cr.alert = cr.alert.Counted(cp, cr.agg)
+		if parts := cypher.FindAggParts(cr.alert.Statement(), cr.bindNames()); len(parts) > 0 {
+			srcs := make([]cypher.AggSource, len(parts))
+			for i, cp := range parts {
+				a := newAggregate(cp, e.Metrics)
+				cr.aggs, srcs[i] = append(cr.aggs, a), a
+			}
+			cr.alert = cr.alert.Maintained(parts, srcs)
 		}
 	}
 	e.rules[r.Name] = cr
@@ -283,7 +291,7 @@ func (e *Engine) Rules() []RuleInfo {
 
 // ExplainAlert renders the plan a rule's alert query runs with, against
 // tx's store, for the transition variables its event binds. An alert whose
-// count part is maintained shows the count read in place of the matching.
+// aggregate parts are maintained shows their reads in place of the matching.
 func (e *Engine) ExplainAlert(tx *graph.Tx, name string) (string, error) {
 	cr, err := e.lookup(name)
 	if err != nil {
@@ -433,7 +441,7 @@ func (e *Engine) Process(tx *graph.Tx, data *graph.TxData) (*Report, error) {
 
 // fire evaluates d's rule for the round's i-th event: the guard, then
 // whichever coupling mode the rule has. A rule whose alert reads maintained
-// counts has f fold the transaction's changes first.
+// aggregates has f fold the transaction's changes first.
 func (e *Engine) fire(tx *graph.Tx, d dispatchEntry, memo *guardMemo, f *folder, i int, bind Binding,
 	now time.Time, round int, report *Report) error {
 	cr := d.cr
@@ -481,9 +489,9 @@ func (e *Engine) fire(tx *graph.Tx, d dispatchEntry, memo *guardMemo, f *folder,
 	if cr.alert != nil {
 		report.AlertRuns++
 	}
-	if cr.agg != nil {
+	if len(cr.aggs) > 0 {
 		if err := f.catchUp(tx); err != nil {
-			return fmt.Errorf("trigger: rule %s counts: %w", cr.Name, err)
+			return fmt.Errorf("trigger: rule %s aggregates: %w", cr.Name, err)
 		}
 	}
 	cols, rows, err := e.RunAlert(tx, cr, bind, now)
@@ -524,7 +532,9 @@ func (e *Engine) RunAlert(tx *graph.Tx, cr *Compiled, bind Binding, now time.Tim
 		Now:      func() time.Time { return now },
 	})
 	if !t0.IsZero() {
-		e.Metrics.AlertQuerySeconds.ObserveSince(t0)
+		took := time.Since(t0)
+		e.Metrics.AlertQuerySeconds.Observe(took.Seconds())
+		cr.mAlertMicros.Add(took.Round(time.Microsecond).Microseconds())
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("trigger: rule %s alert: %w", cr.Name, err)

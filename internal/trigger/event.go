@@ -299,7 +299,7 @@ func bindingShape(k EventKind) []string {
 }
 
 // txMark is a position in a change record: the length of each of its
-// lists. The count fold (counts.go) reads a record a suffix at a time.
+// lists. The aggregate fold (counts.go) reads a record a suffix at a time.
 type txMark [8]int
 
 func markOf(d *graph.TxData) txMark {
@@ -307,7 +307,7 @@ func markOf(d *graph.TxData) txMark {
 		len(d.AssignedLabels), len(d.RemovedLabels), len(d.AssignedProps), len(d.RemovedProps)}
 }
 
-// delta is the part of a change record after a mark, as the count fold
+// delta is the part of a change record after a mark, as the aggregate fold
 // reads it: labels and props hold the assigned, then the removed ones.
 type delta struct {
 	nodes     []graph.NodeID
@@ -407,7 +407,7 @@ func (ev *event) binding() Binding {
 type dispatchIndex struct {
 	byKind   map[EventKind]map[string][]dispatchEntry
 	families int
-	// aggs are the installed rules' maintained counts, in installation
+	// aggs are the installed rules' maintained aggregates, in installation
 	// order (see folder).
 	aggs []*aggregate
 }
@@ -423,9 +423,7 @@ func buildDispatch(rules map[string]*Compiled) *dispatchIndex {
 	fam, n := numberFamilies(rules)
 	idx := &dispatchIndex{byKind: make(map[EventKind]map[string][]dispatchEntry), families: n}
 	for _, r := range rules {
-		if r.agg != nil {
-			idx.aggs = append(idx.aggs, r.agg)
-		}
+		idx.aggs = append(idx.aggs, r.aggs...)
 		for _, cr := range r.dispatched() {
 			byLabel := idx.byKind[cr.Event.Kind]
 			if byLabel == nil {

@@ -243,7 +243,7 @@ type Compiled struct {
 	cmp    *cmpGuard // the guard split for family sharing; nil if not family-shaped
 	alert  *cypher.Plan
 	action *cypher.Plan
-	agg    *aggregate // the alert's maintained count, if it has one
+	aggs   []*aggregate // the alert's maintained aggregates, one per part
 	paused atomic.Bool
 	seq    int
 
@@ -259,8 +259,9 @@ type Compiled struct {
 
 	// per-rule metric children, resolved once at Install (nil when the
 	// engine is uninstrumented; nil instruments no-op)
-	mFired    *metrics.Counter
-	mRejected *metrics.Counter
+	mFired       *metrics.Counter
+	mRejected    *metrics.Counter
+	mAlertMicros *metrics.Counter
 }
 
 func compileRule(r Rule) (*Compiled, error) {
