@@ -18,21 +18,21 @@ type aggregator interface {
 func newAggregator(call *FuncCall) aggregator {
 	inner := call.def.agg()
 	if call.Distinct {
-		return &distinctAgg{inner: inner, seen: make(map[string]bool)}
+		return &distinctAgg{inner: inner, seen: make(map[value.Key]bool)}
 	}
 	return inner
 }
 
 type distinctAgg struct {
 	inner aggregator
-	seen  map[string]bool
+	seen  map[value.Key]bool // by equivalence: 1 and 1.0 are one value
 }
 
 func (a *distinctAgg) add(v value.Value) error {
 	if v.IsNull() {
 		return a.inner.add(v) // inner aggregators skip nulls themselves
 	}
-	k := v.HashKey()
+	k := v.Key()
 	if a.seen[k] {
 		return nil
 	}

@@ -37,6 +37,7 @@ type MatchClause struct {
 	Optional bool
 	Patterns []*PatternPart
 	Where    Expr
+	text     string // source text, WHERE included
 }
 
 // UnwindClause is UNWIND <expr> AS <var>.

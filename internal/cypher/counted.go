@@ -33,6 +33,10 @@ type AggPart struct {
 	// KeyNode and KeyProp place a value key's one use, {KeyProp: G} on node
 	// KeyNode; both are empty for a node key.
 	KeyNode, KeyProp string
+	// Sub is the part's text, MATCH … RETURN G, and the aggregate, with its
+	// layout normalised away. Parts with one Sub aggregate the same thing,
+	// so a rule engine keeps one copy.
+	Sub string
 	// ByKey is the part as a statement of its own, MATCH … RETURN g, n, and
 	// for max and min v: run with G bound it aggregates one key. n counts
 	// the matches (the distinct x, for count(DISTINCT x)) and v is the max
@@ -58,9 +62,10 @@ type AggPart struct {
 }
 
 // AggSource serves a maintained plan the aggregate of its part for one key:
-// k is the key of g, the value the incoming row binds to the part's G.
+// k is the key of g, the value the incoming row binds to the part's G, and
+// g is equal to itself.
 type AggSource interface {
-	Aggregate(tx *graph.Tx, k graph.DerivedKey, g value.Value) (graph.DerivedEntry, error)
+	Aggregate(tx *graph.Tx, k value.Key, g value.Value) (graph.DerivedEntry, error)
 }
 
 // Entry reads the aggregate from a row of ByKey or ByX.
@@ -336,6 +341,11 @@ func aggPartAt(stmt *Statement, bound []string, from, to int, items []*ReturnIte
 	}
 	cp.XLabels = uniqSorted(cp.XLabels)
 	clauses := slices.Clip(slices.Clone(stmt.Clauses[from:to]))
+	sub := ""
+	for _, cl := range clauses {
+		sub += cl.(*MatchClause).text + " "
+	}
+	cp.Sub = normalText(sub + "RETURN " + g + ", " + items[agg].Text)
 	info := Inspect(&Statement{Clauses: clauses})
 	cp.Labels, cp.RelTypes, cp.PropKeys = info.MatchedNodeLabels, info.MatchedRelTypes, uniqSorted(keys)
 	ret := func(key Expr) *ReturnClause {
@@ -354,6 +364,20 @@ func aggPartAt(stmt *Statement, bound []string, from, to int, items []*ReturnIte
 		cp.ByX = (&Statement{Query: stmt.Query, Clauses: byX}).Prepared()
 	}
 	return cp
+}
+
+// normalText renders the tokens of src, which lexes, apart from its layout
+// and its keywords' case.
+func normalText(src string) string {
+	toks, _ := lex(src)
+	var b strings.Builder
+	for _, t := range toks {
+		if t.kind == tokKeyword {
+			t.text = strings.ToUpper(t.text)
+		}
+		fmt.Fprintf(&b, "%d%q", t.kind, t.text)
+	}
+	return b.String()
 }
 
 // withoutKey returns copies of the MATCH clauses with the value key g's use,
@@ -477,10 +501,12 @@ type maintainedPart struct {
 // source at the same position of srcs instead of matching and aggregating:
 // per incoming row it asks the source for the aggregate of the row's g, and
 // groups and combines those as the WITH or RETURN would have grouped and
-// aggregated the matches. An execution that cannot combine them runs that
-// part as written: a count(DISTINCT x) group whose rows bind different keys,
-// or a g that no key stands for (graph.KeyOf). A binding shape that binds a
-// variable of a part compiles that part as written.
+// aggregated the matches. A g not equal to itself (NULL, NaN, or a list or
+// map holding one) matches nothing and reads no source. An execution that
+// cannot combine the aggregates runs that part as written: a
+// count(DISTINCT x) group whose rows bind different keys, or a g of the
+// wrong kind for the part's key. A binding shape that binds a variable of a
+// part compiles that part as written.
 func (p *Plan) Maintained(parts []*AggPart, srcs []AggSource) *Plan {
 	m := make([]maintainedPart, len(parts))
 	for i, part := range parts {
@@ -550,63 +576,60 @@ func compileMaintained(cc *compileCtx, en *env, clauses []Clause, mp maintainedP
 		}
 	}
 	src, agg, width, nodeKey := mp.src, cp.agg, len(items), cp.KeyNode == ""
-	type kept struct {
-		k graph.DerivedKey
-		e graph.DerivedEntry
-	}
 	type group struct {
 		keys row
-		kept
+		k    value.Key
+		e    graph.DerivedEntry
 	}
 	// read groups the incoming rows and combines the aggregates of their g,
 	// or reports false when the part must run as written.
 	read := func(ex *executor, rows []row) ([]row, bool, error) {
-		var seen []kept // the aggregate of each key read so far
+		seen := make(map[value.Key]graph.DerivedEntry) // the aggregate of each key read so far
 		var groups []*group
-		index := make(map[string]*group)
+		index := make(map[value.Key]*group)
+		keyVals := make(row, len(keyItems))
 		for _, r := range rows {
 			gv := r[gSlot]
-			if gv.IsNull() {
-				continue // a NULL g matches nothing
+			k := gv.Key()
+			if !k.SelfEqual() {
+				continue // g matches nothing
 			}
-			k, ok := graph.KeyOf(gv)
-			if !ok || nodeKey != (gv.Kind() == value.KindNode) {
+			if nodeKey != (gv.Kind() == value.KindNode) {
 				return nil, false, nil
 			}
-			i := slices.IndexFunc(seen, func(s kept) bool { return s.k == k })
-			if i < 0 {
-				e, err := src.Aggregate(ex.ctx.tx, k, gv)
-				if err != nil {
+			e, ok := seen[k]
+			if !ok {
+				var err error
+				if e, err = src.Aggregate(ex.ctx.tx, k, gv); err != nil {
 					return nil, false, err
 				}
-				i = len(seen)
-				seen = append(seen, kept{k: k, e: e})
+				seen[k] = e
 			}
-			if seen[i].e.N == 0 {
+			if e.N == 0 {
 				continue // no match: the row makes no group
 			}
-			keys := make(row, width)
-			hk := ""
-			for _, i := range keyItems {
-				v, err := keyFns[i](ex.ctx, r)
+			for j, item := range keyItems {
+				v, err := keyFns[item](ex.ctx, r)
 				if err != nil {
 					return nil, false, err
 				}
-				keys[i] = v
-				h := v.HashKey()
-				hk += fmt.Sprintf("%d:%s;", len(h), h)
+				keyVals[j] = v
 			}
+			hk := value.TupleKey(keyVals)
 			grp, ok := index[hk]
 			switch {
 			case !ok:
-				grp = &group{keys: keys, kept: seen[i]}
+				grp = &group{keys: make(row, width), k: k, e: e}
+				for j, item := range keyItems {
+					grp.keys[item] = keyVals[j]
+				}
 				index[hk] = grp
 				groups = append(groups, grp)
 			case cp.Distinct && grp.k != k:
 				return nil, false, nil // a union of two keys' sets
 			case cp.Distinct: // the same key's set again
 			default:
-				grp.e = cp.Merge(grp.e, seen[i].e)
+				grp.e = cp.Merge(grp.e, e)
 			}
 		}
 		if len(groups) == 0 && len(keyItems) == 0 {

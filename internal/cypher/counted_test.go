@@ -15,7 +15,7 @@ type recountSource struct {
 	reads int
 }
 
-func (s *recountSource) Aggregate(tx *graph.Tx, _ graph.DerivedKey, g value.Value) (graph.DerivedEntry, error) {
+func (s *recountSource) Aggregate(tx *graph.Tx, _ value.Key, g value.Value) (graph.DerivedEntry, error) {
 	s.reads++
 	res, err := s.cp.ByKey.Execute(tx, &Options{Bindings: map[string]value.Value{s.cp.G: g}})
 	if err != nil || len(res.Rows) == 0 {
@@ -45,8 +45,9 @@ func aggStore(t *testing.T) *graph.Store {
 // no keys at all, several rows on one g, and a count(DISTINCT) group over
 // two g, which runs the part as written (summing the two counts would
 // count a shared x twice); max and min per value key, with INTEGER 1 and
-// FLOAT 1.0 one key, a key no value reaches and a key no = can stand for
-// (a list, run as written); and two parts in one statement, R4's shape. A
+// FLOAT 1.0 one key, a key no value reaches, a list key, element-wise, and a
+// list holding NULL, which equals nothing and reads nothing; and two parts
+// in one statement, R4's shape. A
 // part recognised without knowing that NEW is bound, run with NEW bound,
 // runs as written: bound, NEW pins the match.
 func TestCountedPlanMatchesAsWritten(t *testing.T) {
@@ -73,7 +74,8 @@ func TestCountedPlanMatchesAsWritten(t *testing.T) {
 		{`MATCH (c:K) WITH c.k AS key MATCH (t:T {k: key})-[:Of]->(:Q) RETURN max(t.v) AS m`, 1, 4, nil},
 		{`MATCH (c:K) WITH c.k AS key MATCH (t:T {k: key})-[:Of]->(:Q) RETURN count(DISTINCT t) AS n`, 1, 2, nil},
 		{`MATCH (c:K) WITH c.k AS key, c AS c MATCH (t:T {k: key})-[:Of]->(:Q) WITH c, count(t) AS n RETURN c, n`, 1, 4, nil},
-		{`MATCH (c:K) WITH [c.k] AS key MATCH (t:T {k: key})-[:Of]->(:Q) RETURN key, max(t.v) AS m`, 1, 0, nil},
+		{`MATCH (c:K) WITH [c.k] AS key MATCH (t:T {k: key})-[:Of]->(:Q) RETURN key, max(t.v) AS m`, 1, 4, nil},
+		{`MATCH (c:K) WITH [c.k, null] AS key MATCH (t:T {k: key})-[:Of]->(:Q) RETURN key, max(t.v) AS m`, 1, 0, nil},
 		{`MATCH (p:P)-[:To]->(r:R) MATCH (s:S)-[:At]->(:L)-[:In]->(r)
 		  WITH r.name AS key, count(s) AS n
 		  MATCH (t:T {k: key})-[:Of]->(q:Q)
@@ -132,16 +134,16 @@ func TestAggPartByXMergesToByKey(t *testing.T) {
 			t.Fatalf("%s: %d parts", query, len(parts))
 		}
 		cp := parts[0]
-		merged := map[graph.DerivedKey]graph.DerivedEntry{}
-		keys := map[graph.DerivedKey]value.Value{}
+		merged := map[value.Key]graph.DerivedEntry{}
+		keys := map[value.Key]value.Value{}
 		for _, x := range tx.NodesByLabel(cp.XLabels[0]) {
 			res, err := cp.ByX.Execute(tx, &Options{Bindings: map[string]value.Value{cp.X: value.Node(int64(x))}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, r := range res.Rows {
-				k, ok := graph.KeyOf(r[0])
-				if !ok {
+				k := r[0].Key()
+				if !k.SelfEqual() {
 					continue
 				}
 				merged[k], keys[k] = cp.Merge(merged[k], cp.Entry(r)), r[0]

@@ -152,6 +152,23 @@ func Cases() []Case {
 		{Name: "union-dedupe", Query: "MATCH (p:Person {age: 29}) RETURN p.name AS n UNION MATCH (p:Person {name: 'Cyd'}) RETURN p.name AS n"},
 		{Name: "union-all", Query: "RETURN 1 AS x UNION ALL RETURN 1 AS x UNION ALL RETURN 2 AS x"},
 
+		// -- equality and equivalence, each row citing openCypher CIP2016-06-14:
+		// = compares INTEGER and FLOAT exactly as numbers, also by an index
+		// seek (Person.name is indexed, L.k is not), and is transitive beyond
+		// 2⁵³; one instant in two zones is equal; grouping and DISTINCT follow
+		// equivalence, = with NULL ≡ NULL and NaN ≡ NaN, keeping the first row --
+		{Name: "cip2016-06-14-eq-int-float-scan", Query: "CREATE (:L {k: 1}), (:L {k: 1.0}) WITH 1 AS one MATCH (a:L {k: 1.0}) WITH count(a) AS f MATCH (b:L {k: 1}) WITH f, count(b) AS i MATCH (c:L) WHERE c.k = 1 RETURN f, i, count(c) AS w", Write: true},
+		{Name: "cip2016-06-14-eq-int-float-index", Query: "CREATE (:Person {name: 1}), (:Person {name: 1.0}) WITH 1 AS one MATCH (a:Person {name: 1.0}) WITH count(a) AS f MATCH (b:Person {name: 1}) WITH f, count(b) AS i MATCH (c:Person) WHERE c.name = 1 RETURN f, i, count(c) AS w", Write: true},
+		{Name: "cip2016-06-14-eq-beyond-2p53", Query: "RETURN 9007199254740993 = 9007199254740992.0, 9007199254740992.0 = 9007199254740992, 9007199254740993 = 9007199254740992"},
+		{Name: "cip2016-06-14-eq-nan", Query: "WITH 0.0 / 0.0 AS n RETURN n = n"},
+		{Name: "cip2016-06-14-distinct-int-float", Query: "UNWIND [1, 1.0] AS x RETURN count(DISTINCT x)"},
+		{Name: "cip2016-06-14-distinct-int-float-lists", Query: "UNWIND [[1, 2], [1.0, 2]] AS x RETURN count(DISTINCT x)"},
+		{Name: "cip2016-06-14-distinct-datetime-zones", Query: "UNWIND [datetime('2024-06-15T10:30:00Z'), datetime('2024-06-15T12:30:00+02:00')] AS d WITH collect(d) AS ds, count(DISTINCT d) AS n RETURN n, ds[0] = ds[1]"},
+		{Name: "cip2016-06-14-distinct-zeros", Query: "UNWIND [0.0, -0.0, 0] AS x RETURN count(DISTINCT x)"},
+		{Name: "cip2016-06-14-distinct-nan", Query: "UNWIND [0.0 / 0.0, 0.0 / 0.0] AS x RETURN count(DISTINCT x)"},
+		{Name: "cip2016-06-14-group-list-with-null", Query: "UNWIND [[1, null], [1, null], [1.0, null]] AS x RETURN x, count(*)"},
+		{Name: "cip2016-06-14-return-distinct-int-float", Query: "UNWIND [1, 1.0] AS x RETURN DISTINCT x"},
+
 		// -- writes --
 		{Name: "create-basic", Query: "CREATE (a:Thing {k: 1})-[:REL {w: 2}]->(b:Thing {k: 2}) RETURN a.k, b.k", Write: true},
 		{Name: "create-from-match", Query: "MATCH (p:Person {name: 'Ada'}) CREATE (p)-[:TAGGED]->(t:Tag {name: 'vip'}) RETURN t.name", Write: true},

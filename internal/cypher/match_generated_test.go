@@ -6,8 +6,9 @@ package cypher
 // Seeded random small graphs, with self-loops and parallel relationships,
 // are queried with random 1–3-part MATCH patterns that share variables and
 // carry labels, relationship types, directions and property predicates.
-// Every pattern runs with no index and
-// with every (label, key) indexed, with its parts in source and in permuted
+// Nodes carry a mix of INTEGER, FLOAT, −0.0 and NaN values for k, which
+// patterns seek by Cypher's =, so that every pattern runs with no index and
+// with every (label, k) indexed, with its parts in source and in permuted
 // order, and without and with one node variable pre-bound through
 // Options.Bindings (to a node, or to NULL). Each run's row multiset must
 // equal the reference's, and its EXPLAIN must anchor every part that shares
@@ -15,6 +16,7 @@ package cypher
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -27,9 +29,20 @@ import (
 
 var genLabels = []string{"A", "B", "C"}
 
+// genKeys are the values of k, both on nodes and in patterns, as literals:
+// 0, 0.0 and -0.0 are equal, so are 1 and 1.0, and NaN equals nothing.
+var genKeys = []struct {
+	text string
+	v    value.Value
+}{
+	{"0", value.Int(0)}, {"0.0", value.Float(0)}, {"-0.0", value.Float(math.Copysign(0, -1))},
+	{"1", value.Int(1)}, {"1.0", value.Float(1)}, {"1.5", value.Float(1.5)},
+	{"0.0 / 0.0", value.Float(math.NaN())}, {"2", value.Int(2)},
+}
+
 type genGraph struct {
 	labels [][]string
-	k      []int // property k per node; -1 when absent
+	k      []int // index of property k's value in genKeys per node; -1 when absent
 	rels   []struct {
 		from, to int
 		typ      string
@@ -48,7 +61,7 @@ func newGenGraph(rng *rand.Rand) *genGraph {
 		}
 		k := -1
 		if rng.Intn(10) < 7 {
-			k = rng.Intn(3)
+			k = rng.Intn(len(genKeys))
 		}
 		g.labels = append(g.labels, ls)
 		g.k = append(g.k, k)
@@ -80,7 +93,7 @@ func (g *genGraph) store(t *testing.T, indexed bool) (*graph.Store, []value.Valu
 		for i, ls := range g.labels {
 			props := map[string]value.Value{}
 			if g.k[i] >= 0 {
-				props["k"] = value.Int(int64(g.k[i]))
+				props["k"] = genKeys[g.k[i]].v
 			}
 			id, err := tx.CreateNode(ls, props)
 			if err != nil {
@@ -106,7 +119,7 @@ func (g *genGraph) store(t *testing.T, indexed bool) (*graph.Store, []value.Valu
 
 type genNode struct {
 	v, label string
-	k        int // -1: no predicate
+	k        int // index in genKeys; -1: no predicate
 }
 
 type genRel struct {
@@ -133,7 +146,7 @@ func newGenPattern(rng *rand.Rand) []genPart {
 				n.label = genLabels[rng.Intn(3)]
 			}
 			if rng.Intn(10) < 3 {
-				n.k = rng.Intn(3)
+				n.k = rng.Intn(len(genKeys))
 			}
 			if len(p.nodes) > 0 {
 				r := genRel{dir: PatternDirection(rng.Intn(3))}
@@ -160,7 +173,7 @@ func (p genPart) String() string {
 			b.WriteString(":" + n.label)
 		}
 		if n.k >= 0 {
-			fmt.Fprintf(&b, " {k: %d}", n.k)
+			fmt.Fprintf(&b, " {k: %s}", genKeys[n.k].text)
 		}
 		b.WriteString(")")
 		if i < len(p.rels) {
@@ -209,7 +222,7 @@ func genVars(parts []genPart) (nodeVars, all []string) {
 // reference enumerates every assignment of the parts' positions to graph
 // elements, in source order and with no planning, under openCypher's
 // relationship isomorphism: node variables join by equality, labels and k
-// predicates hold, and no relationship is used twice in the MATCH. A
+// predicates hold under =, and no relationship is used twice in the MATCH. A
 // self-loop is both outgoing and incoming at its node, and an undirected
 // pattern relationship traverses it once, not once per direction. bound
 // pre-assigns one node variable (-1: bound to NULL, which
@@ -250,7 +263,7 @@ func (g *genGraph) reference(parts []genPart, cols []string, bound map[string]in
 	}
 	place = func(pi, ni, at int) {
 		n := parts[pi].nodes[ni]
-		if n.label != "" && !contains(g.labels[at], n.label) || n.k >= 0 && g.k[at] != n.k {
+		if n.label != "" && !contains(g.labels[at], n.label) || n.k >= 0 && !g.hasK(at, n.k) {
 			return
 		}
 		if n.v != "" {
@@ -291,6 +304,15 @@ func (g *genGraph) reference(parts []genPart, cols []string, bound map[string]in
 	part(0)
 	sort.Strings(rows)
 	return rows
+}
+
+// hasK reports whether node at carries a k = genKeys[k].
+func (g *genGraph) hasK(at, k int) bool {
+	if g.k[at] < 0 {
+		return false
+	}
+	eq, known := value.Equal(genKeys[g.k[at]].v, genKeys[k].v)
+	return known && eq
 }
 
 func contains(ss []string, s string) bool {

@@ -204,15 +204,8 @@ func (p *parser) parseClause() (Clause, error) {
 		return nil, p.errHere("expected clause keyword, found %s", t)
 	}
 	switch strings.ToUpper(t.text) {
-	case "MATCH":
-		p.advance()
-		return p.parseMatch(false)
-	case "OPTIONAL":
-		p.advance()
-		if err := p.expectKeyword("MATCH"); err != nil {
-			return nil, err
-		}
-		return p.parseMatch(true)
+	case "MATCH", "OPTIONAL":
+		return p.parseMatch()
 	case "UNWIND":
 		p.advance()
 		return p.parseUnwind()
@@ -265,18 +258,23 @@ func (p *parser) parseClause() (Clause, error) {
 	}
 }
 
-func (p *parser) parseMatch(optional bool) (Clause, error) {
-	pats, err := p.parsePatternList()
-	if err != nil {
+// parseMatch parses [OPTIONAL] MATCH patterns [WHERE expr].
+func (p *parser) parseMatch() (Clause, error) {
+	start := p.cur().pos
+	m := &MatchClause{Optional: p.acceptKeyword("OPTIONAL")}
+	if err := p.expectKeyword("MATCH"); err != nil {
 		return nil, err
 	}
-	m := &MatchClause{Optional: optional, Patterns: pats}
+	var err error
+	if m.Patterns, err = p.parsePatternList(); err != nil {
+		return nil, err
+	}
 	if p.acceptKeyword("WHERE") {
-		m.Where, err = p.parseExpr()
-		if err != nil {
+		if m.Where, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
 	}
+	m.text = p.src[start:min(p.cur().pos, len(p.src))]
 	return m, nil
 }
 

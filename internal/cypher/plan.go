@@ -761,47 +761,45 @@ func (p *projPlan) project(ex *executor, rows []row) ([]row, error) {
 		return out, nil
 	}
 
-	// Aggregating projection: group by the aggregate-free items.
+	// Aggregating projection: group by the aggregate-free items, under
+	// equivalence (value.Key).
 	type group struct {
-		rep  row // representative input row
-		keys map[int]value.Value
-		aggs map[*FuncCall]aggregator
+		rep  row           // representative input row
+		keys []value.Value // parallel to p.keyItems
+		aggs []aggregator  // parallel to p.aggCalls
 	}
-	groups := make(map[string]*group)
-	var order []string
-
+	newGroup := func(rep row, keys []value.Value) *group {
+		g := &group{rep: rep, keys: keys, aggs: make([]aggregator, len(p.aggCalls))}
+		for ci, call := range p.aggCalls {
+			g.aggs[ci] = newAggregator(call)
+		}
+		return g
+	}
+	groups := make(map[value.Key]*group)
+	var order []*group
+	keyVals := make([]value.Value, len(p.keyItems))
 	for _, r := range rows {
-		keyVals := make(map[int]value.Value, len(p.keyItems))
-		hk := ""
-		for _, i := range p.keyItems {
+		for j, i := range p.keyItems {
 			v, err := p.itemFns[i](ex.ctx, r)
 			if err != nil {
 				return nil, err
 			}
-			keyVals[i] = v
-			k := v.HashKey()
-			hk += fmt.Sprintf("%d:%s;", len(k), k)
+			keyVals[j] = v
 		}
-		g, ok := groups[hk]
+		k := value.TupleKey(keyVals)
+		g, ok := groups[k]
 		if !ok {
-			g = &group{rep: r, keys: keyVals, aggs: make(map[*FuncCall]aggregator)}
-			for _, call := range p.aggCalls {
-				g.aggs[call] = newAggregator(call)
-			}
-			groups[hk] = g
-			order = append(order, hk)
+			g = newGroup(r, slices.Clone(keyVals))
+			groups[k] = g
+			order = append(order, g)
 		}
-		for ci, call := range p.aggCalls {
-			agg := g.aggs[call]
-			if p.aggArgs[ci] == nil {
-				if err := agg.add(value.Bool(true)); err != nil {
+		for ci, agg := range g.aggs {
+			v := value.Bool(true) // count(*) counts every row
+			if p.aggArgs[ci] != nil {
+				var err error
+				if v, err = p.aggArgs[ci](ex.ctx, r); err != nil {
 					return nil, err
 				}
-				continue
-			}
-			v, err := p.aggArgs[ci](ex.ctx, r)
-			if err != nil {
-				return nil, err
 			}
 			if err := agg.add(v); err != nil {
 				return nil, err
@@ -811,28 +809,24 @@ func (p *projPlan) project(ex *executor, rows []row) ([]row, error) {
 
 	// With no grouping keys and no input rows, aggregates still produce one
 	// row (count(*) of nothing is 0).
-	if len(groups) == 0 && len(p.keyItems) == 0 {
-		g := &group{rep: row{}, keys: map[int]value.Value{}, aggs: make(map[*FuncCall]aggregator)}
-		for _, call := range p.aggCalls {
-			g.aggs[call] = newAggregator(call)
-		}
-		groups[""] = g
-		order = append(order, "")
+	if len(order) == 0 && len(p.keyItems) == 0 {
+		order = append(order, newGroup(row{}, nil))
 	}
 
-	out := make([]row, 0, len(groups))
-	for _, hk := range order {
-		g := groups[hk]
+	out := make([]row, 0, len(order))
+	for _, g := range order {
 		sub := make(map[*FuncCall]value.Value, len(g.aggs))
-		for call, agg := range g.aggs {
-			sub[call] = agg.result()
+		for ci, agg := range g.aggs {
+			sub[p.aggCalls[ci]] = agg.result()
 		}
 		saved := ex.ctx.aggSub
 		ex.ctx.aggSub = sub
 		nr := make(row, p.nItems)
+		next := 0 // the next key item
 		for i, fn := range p.itemFns {
-			if v, ok := g.keys[i]; ok {
-				nr[i] = v
+			if next < len(p.keyItems) && p.keyItems[next] == i {
+				nr[i] = g.keys[next]
+				next++
 				continue
 			}
 			v, err := fn(ex.ctx, g.rep)
@@ -921,41 +915,25 @@ func evalBound(ctx *evalCtx, fn exprFn, what string) (int64, error) {
 	return n, nil
 }
 
-// dedupePrefix keeps the first row for each distinct prefix of width n.
+// dedupePrefix keeps the first row for each distinct prefix of width n,
+// under equivalence (value.Key).
 func dedupePrefix(rows []row, n int) []row {
-	seen := make(map[string]bool, len(rows))
+	seen := make(map[value.Key]bool, len(rows))
 	out := rows[:0]
 	for _, r := range rows {
-		hk := ""
-		for _, v := range r[:n] {
-			k := v.HashKey()
-			hk += fmt.Sprintf("%d:%s;", len(k), k)
+		if k := value.TupleKey(r[:n]); !seen[k] {
+			seen[k] = true
+			out = append(out, r)
 		}
-		if seen[hk] {
-			continue
-		}
-		seen[hk] = true
-		out = append(out, r)
 	}
 	return out
 }
 
 func dedupeRows(rows []row) []row {
-	seen := make(map[string]bool, len(rows))
-	out := rows[:0]
-	for _, r := range rows {
-		hk := ""
-		for _, v := range r {
-			k := v.HashKey()
-			hk += fmt.Sprintf("%d:%s;", len(k), k)
-		}
-		if seen[hk] {
-			continue
-		}
-		seen[hk] = true
-		out = append(out, r)
+	if len(rows) == 0 {
+		return rows
 	}
-	return out
+	return dedupePrefix(rows, len(rows[0]))
 }
 
 // collectAggregates gathers the aggregate function calls inside an item,

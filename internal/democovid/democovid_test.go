@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/periodic"
 	"repro/internal/trigger"
 )
@@ -217,9 +218,38 @@ func TestVenetoIndependentOfLombardy(t *testing.T) {
 // sequences or ICU patients, and R4 takes the max of the region's R5 counts
 // in the previous Summary; their alerts read a maintained aggregate per
 // region instead of matching the region's history or the period's alerts,
-// and EXPLAIN says so. R1 aggregates nothing.
+// and EXPLAIN says so. R1 aggregates nothing. R4's count part is R5's, kept
+// once: after a commit that bypassed the engine dropped every entry, an ICU
+// admission recounts it once, for R5, and R4 reads R5's entry; with R4's
+// max, that is two recounts and one hit.
 func TestDemoAlertsReadMaintainedCounts(t *testing.T) {
 	kb, _ := demoKB(t)
+	reads := func(result string) float64 {
+		for _, fam := range kb.Metrics().Gather() {
+			if fam.Name != "rkm_trigger_count_reads_total" {
+				continue
+			}
+			for _, s := range fam.Samples {
+				if s.LabelValue == result {
+					return s.Value
+				}
+			}
+		}
+		return 0
+	}
+	if err := kb.Store().Update(func(tx *graph.Tx) error {
+		_, err := tx.CreateNode([]string{"Scratch"}, nil)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	recounts, hits := reads("recount"), reads("hit")
+	if err := AdmitIcuPatient(kb, "MI-hosp-1", "shared-slot"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := [2]float64{reads("recount") - recounts, reads("hit") - hits}, [2]float64{2, 1}; got != want {
+		t.Errorf("one ICU admission after a bypassing commit: %v recounts and %v hits, want %v and %v", got[0], got[1], want[0], want[1])
+	}
 	for _, c := range []struct {
 		rule  string
 		steps []string

@@ -1,12 +1,12 @@
 package graph
 
 import (
-	"encoding/binary"
 	"hash/maphash"
 	"math/bits"
 	"slices"
 
 	"repro/internal/metrics"
+	"repro/internal/value"
 )
 
 // This file is the store's one copy-on-write mechanism. Every mutable part
@@ -119,15 +119,8 @@ func hashOf[K comparable](k K) uint64 {
 		h.WriteByte(0)
 		h.WriteString(k.prop)
 		return h.Sum64()
-	case DerivedKey:
-		var h maphash.Hash
-		h.SetSeed(trieSeed)
-		var b [9]byte
-		b[0] = k.kind
-		binary.LittleEndian.PutUint64(b[1:], uint64(k.n))
-		h.Write(b[:])
-		h.WriteString(k.s)
-		return h.Sum64()
+	case value.Key:
+		return k.Hash(trieSeed)
 	}
 	panic("graph: cowMap key type has no hash")
 }

@@ -156,11 +156,12 @@ func (r *relRec) clone(o *owner) *relRec {
 }
 
 // Posting sets and property indexes. A propIndex maps a property value (by
-// hash key) to the nodes of the indexed label carrying that value.
+// its value.Key, so values equal under = share a posting set) to the nodes
+// of the indexed label carrying that value.
 type (
 	nodeSet   = cowMap[NodeID, struct{}]
 	relSet    = cowMap[RelID, struct{}]
-	propIndex = cowMap[string, *nodeSet]
+	propIndex = cowMap[value.Key, *nodeSet]
 )
 
 // snapshot is one version of the whole store. A snapshot reachable from

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -672,38 +673,50 @@ func ExampleStore_Update() {
 	// Output: 2 1
 }
 
-// TestKeyOfFollowsEquality: two values are one derived key exactly when
-// Cypher's = holds between them — INTEGER 1 and FLOAT 1.0 are one key, a
-// string "1" is another — and a value that = cannot key (NULL, NaN, an
-// infinity, an integer a FLOAT cannot hold exactly, a list) has none.
-func TestKeyOfFollowsEquality(t *testing.T) {
+// TestPropIndexFollowsEquality: an index seek finds exactly the nodes whose
+// property = the value sought — INTEGER 1 and FLOAT 1.0 one posting, a
+// string "1" another, numbers compared exactly beyond 2⁵³ — and a value not
+// equal to itself (NULL, NaN, a list holding NULL) finds nothing, although
+// NaN and such a list are stored and posted.
+func TestPropIndexFollowsEquality(t *testing.T) {
 	vals := []value.Value{
 		value.Int(1), value.Float(1), value.Float(1.5), value.Int(-3), value.Float(-3),
 		value.Int(0), value.Float(math.Copysign(0, -1)), value.Str("1"), value.Str(""),
-		value.Bool(true), value.Bool(false), value.Node(1), value.Node(2),
-		value.Int(1<<53 - 1), value.Float(1<<53 - 1),
+		value.Bool(true), value.Bool(false), value.Int(1<<53 + 1), value.Float(1 << 53),
+		value.Float(math.NaN()), value.Float(math.Inf(1)),
+		value.ListOf([]value.Value{value.Int(1), value.Int(2)}), value.ListOf([]value.Value{value.Float(1), value.Int(2)}),
+		value.ListOf([]value.Value{value.Int(1), value.Null}),
 	}
-	for _, a := range vals {
-		ka, ok := KeyOf(a)
-		if !ok {
-			t.Fatalf("%v has no key", a)
+	s := NewStore()
+	if err := s.CreateIndex("L", "k"); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]NodeID, len(vals))
+	if err := s.Update(func(tx *Tx) error {
+		for i, v := range vals {
+			ids[i] = mustCreateNode(t, tx, []string{"L"}, map[string]value.Value{"k": v})
 		}
-		for _, b := range vals {
-			kb, _ := KeyOf(b)
-			eq, known := value.Equal(a, b)
-			if (ka == kb) != (known && eq) {
-				t.Errorf("%v, %v: one key %v, = says %v", a, b, ka == kb, known && eq)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_ = s.View(func(tx *Tx) error {
+		for _, probe := range append(vals, value.Null) {
+			var want []NodeID
+			for i, v := range vals {
+				if eq, known := value.Equal(v, probe); known && eq {
+					want = append(want, ids[i])
+				}
+			}
+			got, indexed := tx.NodesByProp("L", "k", probe)
+			n, _ := tx.CountByProp("L", "k", probe)
+			slices.Sort(got)
+			if !indexed || len(got) != len(want) || !slices.Equal(got, want) || n != len(want) {
+				t.Errorf("seek %v: %v (count %d), want %v", probe, got, n, want)
 			}
 		}
-	}
-	for _, v := range []value.Value{
-		value.Null, value.Float(math.NaN()), value.Float(math.Inf(1)), value.Int(1 << 53),
-		value.Float(1 << 53), value.Int(math.MinInt64), value.ListOf([]value.Value{value.Int(1)}),
-	} {
-		if k, ok := KeyOf(v); ok {
-			t.Errorf("%v: key %v, want none", v, k)
-		}
-	}
+		return nil
+	})
 }
 
 // TestDerivedEntriesFollowTheirFolds: derived entries survive a commit only
@@ -718,7 +731,7 @@ func TestDerivedEntriesFollowTheirFolds(t *testing.T) {
 		t.Fatal("a write nobody folded: want DerivedBehind")
 	}
 	tx.FoldDerived()
-	k, _ := KeyOf(value.Node(int64(n)))
+	k := value.Node(int64(n)).Key()
 	tx.SetDerived(1, k, DerivedEntry{N: 5})
 	tx.SetDerived(2, k, DerivedEntry{N: 7})
 	if err := tx.Commit(); err != nil {

@@ -55,24 +55,30 @@ func (tx *Tx) HasIndex(label, prop string) bool {
 	return ok
 }
 
-// NodesByProp returns the nodes of the given label whose property equals v,
-// using the property index. The second result is false when no index exists
-// on (label, prop), in which case the caller must fall back to a scan.
-func (tx *Tx) NodesByProp(label, prop string, v value.Value) ([]NodeID, bool) {
+// postings returns the posting set of the nodes of label whose prop = v,
+// from the index on (label, prop): none for a v not equal to itself (NULL,
+// NaN, or a list or map holding one). ok is false when there is no index.
+func (tx *Tx) postings(label, prop string, v value.Value) (set *nodeSet, ok bool) {
 	idx, ok := tx.view.indexes.get(indexKey{label, prop})
-	if !ok {
-		return nil, false
+	if k := v.Key(); ok && k.SelfEqual() {
+		set = idx.at(k)
 	}
-	return idx.at(v.HashKey()).keys(), true
+	return set, ok
+}
+
+// NodesByProp returns the nodes of the given label whose property equals v
+// under =, using the property index. The second result is false when no
+// index exists on (label, prop), in which case the caller must fall back to
+// a scan.
+func (tx *Tx) NodesByProp(label, prop string, v value.Value) ([]NodeID, bool) {
+	set, ok := tx.postings(label, prop, v)
+	return set.keys(), ok
 }
 
 // CountByProp returns the number of nodes of the given label whose property
-// equals v, in O(1) via the property index — the analog of a graph
+// equals v under =, in O(1) via the property index — the analog of a graph
 // database's count store. The second result is false when no index exists.
 func (tx *Tx) CountByProp(label, prop string, v value.Value) (int, bool) {
-	idx, ok := tx.view.indexes.get(indexKey{label, prop})
-	if !ok {
-		return 0, false
-	}
-	return idx.at(v.HashKey()).len(), true
+	set, ok := tx.postings(label, prop, v)
+	return set.len(), ok
 }

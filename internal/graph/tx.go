@@ -3,7 +3,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"time"
@@ -201,9 +200,9 @@ func (sn *snapshot) indexNode(ik indexKey, v value.Value, id NodeID, member bool
 		return
 	}
 	if member {
-		post(idx, sn.by, v.HashKey(), id)
+		post(idx, sn.by, v.Key(), id)
 	} else {
-		unpost(idx, sn.by, v.HashKey(), id)
+		unpost(idx, sn.by, v.Key(), id)
 	}
 }
 
@@ -788,7 +787,7 @@ func (tx *Tx) RelCount() int { return tx.view.rels.len() }
 // read.
 
 // derivedSlots holds a snapshot's derived entries, per slot.
-type derivedSlots = cowMap[int, *cowMap[DerivedKey, DerivedEntry]]
+type derivedSlots = cowMap[int, *cowMap[value.Key, DerivedEntry]]
 
 // DerivedEntry is one kept aggregate: N counts the matches aggregated (the
 // distinct ones, for a count(DISTINCT)), and V is the aggregate's value when
@@ -799,63 +798,8 @@ type DerivedEntry struct {
 	V value.Value
 }
 
-// DerivedKey is the key of a derived entry: a node, or a value under
-// Cypher's =, so that values made one key by KeyOf are exactly those that
-// compare equal.
-type DerivedKey struct {
-	kind byte
-	n    int64 // a node's identifier, an integer, or a fraction's bits
-	s    string
-}
-
-const (
-	keyNode byte = iota + 1
-	keyInt       // an INTEGER, or a FLOAT with an integral value
-	keyFrac      // a FLOAT with a fractional part
-	keyString
-	keyBool
-)
-
-// maxExactInt bounds the integers a FLOAT holds exactly. Inside it, an
-// INTEGER equals a FLOAT exactly when both are one integral value; outside
-// it, = compares rounded values, which no key can follow.
-const maxExactInt = 1 << 53
-
-// KeyOf returns the key of v, or false when v is none that a key can stand
-// for under = : NULL, NaN, an infinity, a number of magnitude 2⁵³ or more,
-// a list, a map, a temporal value or a relationship. INTEGER 1 and FLOAT
-// 1.0 are one key.
-func KeyOf(v value.Value) (DerivedKey, bool) {
-	switch v.Kind() {
-	case value.KindNode:
-		id, _ := v.EntityID()
-		return DerivedKey{kind: keyNode, n: id}, true
-	case value.KindInt:
-		if i, _ := v.AsInt(); i > -maxExactInt && i < maxExactInt {
-			return DerivedKey{kind: keyInt, n: i}, true
-		}
-	case value.KindFloat:
-		f, _ := v.AsFloat()
-		switch {
-		case f > -maxExactInt && f < maxExactInt && f == math.Trunc(f):
-			return DerivedKey{kind: keyInt, n: int64(f)}, true
-		case f > -maxExactInt && f < maxExactInt: // not NaN: a fraction
-			return DerivedKey{kind: keyFrac, n: int64(math.Float64bits(f))}, true
-		}
-	case value.KindString:
-		s, _ := v.AsString()
-		return DerivedKey{kind: keyString, s: s}, true
-	case value.KindBool:
-		if b, _ := v.AsBool(); b {
-			return DerivedKey{kind: keyBool, n: 1}, true
-		}
-		return DerivedKey{kind: keyBool}, true
-	}
-	return DerivedKey{}, false
-}
-
 // Derived returns the entry under (slot, k).
-func (tx *Tx) Derived(slot int, k DerivedKey) (DerivedEntry, bool) {
+func (tx *Tx) Derived(slot int, k value.Key) (DerivedEntry, bool) {
 	return tx.view.derived.at(slot).get(k)
 }
 
@@ -864,14 +808,14 @@ func (tx *Tx) DerivedLen(slot int) int { return tx.view.derived.at(slot).len() }
 
 // SetDerived stores e under (slot, k). It is a no-op in a read-only
 // transaction.
-func (tx *Tx) SetDerived(slot int, k DerivedKey, e DerivedEntry) {
+func (tx *Tx) SetDerived(slot int, k value.Key, e DerivedEntry) {
 	if tx.writable() != nil {
 		return
 	}
 	sn := tx.view
 	m, ok := edit(&sn.derived, sn.by, slot)
 	if !ok {
-		m = &cowMap[DerivedKey, DerivedEntry]{by: sn.by}
+		m = &cowMap[value.Key, DerivedEntry]{by: sn.by}
 		sn.derived.set(sn.by, slot, m)
 	}
 	m.set(sn.by, k, e)
@@ -892,7 +836,7 @@ func (tx *Tx) KeepDerived(slots []int) {
 		return
 	}
 	var drop []int
-	tx.view.derived.each(func(slot int, _ *cowMap[DerivedKey, DerivedEntry]) {
+	tx.view.derived.each(func(slot int, _ *cowMap[value.Key, DerivedEntry]) {
 		if !slices.Contains(slots, slot) {
 			drop = append(drop, slot)
 		}

@@ -223,6 +223,33 @@ func TestExclusiveKey(t *testing.T) {
 	}
 }
 
+// TestExclusiveKeyFollowsEquality: an EXCLUSIVE key compares values by
+// Cypher's =, so {k: 1} collides with {k: 1.0}, and one instant collides
+// with itself in another zone; 1.5 does not collide with 1.
+func TestExclusiveKeyFollowsEquality(t *testing.T) {
+	at := time.Date(2023, 4, 1, 0, 0, 0, 0, time.UTC)
+	for _, c := range []struct {
+		a, b    value.Value
+		collide bool
+	}{
+		{value.Int(1), value.Float(1), true},
+		{value.Float(1), value.Int(1), true},
+		{value.DateTime(at), value.DateTime(at.In(time.FixedZone("CEST", 2*3600))), true},
+		{value.Int(1), value.Float(1.5), false},
+	} {
+		s := boundStore(t, "CREATE GRAPH TYPE T STRICT { (a: L {k ANY}), FOR (x:a) EXCLUSIVE x.k }")
+		for i, v := range []value.Value{c.a, c.b} {
+			err := s.Update(func(tx *graph.Tx) error {
+				_, err := tx.CreateNode([]string{"L"}, map[string]value.Value{"k": v})
+				return err
+			})
+			if collided := err != nil && strings.Contains(err.Error(), "not exclusive"); collided != (c.collide && i == 1) {
+				t.Errorf("{k: %v} next to {k: %v}: %v", v, c.a, err)
+			}
+		}
+	}
+}
+
 func TestSingletonKeyRejectsList(t *testing.T) {
 	s := boundStore(t, "CREATE GRAPH TYPE T STRICT { (a: L {k ANY}), FOR (x:a) SINGLETON x.k }")
 	err := s.Update(func(tx *graph.Tx) error {

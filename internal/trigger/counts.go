@@ -59,7 +59,7 @@ func newAggregate(cp *cypher.AggPart, m EngineMetrics) *aggregate {
 // Aggregate returns the aggregate of key k (of value g): the kept one when
 // tx's entries are up to date and hold k, otherwise a recount — kept, when
 // they are up to date.
-func (a *aggregate) Aggregate(tx *graph.Tx, k graph.DerivedKey, g value.Value) (graph.DerivedEntry, error) {
+func (a *aggregate) Aggregate(tx *graph.Tx, k value.Key, g value.Value) (graph.DerivedEntry, error) {
 	fresh := tx.DerivedCurrent()
 	if fresh {
 		if e, ok := tx.Derived(a.slot, k); ok {
@@ -280,9 +280,9 @@ func (f *folder) fold(tx *graph.Tx, d delta) error {
 				return err
 			}
 			for _, r := range rows {
-				k, ok := graph.KeyOf(r[0])
-				if !ok {
-					continue // no entry is kept under a value no key stands for
+				k := r[0].Key()
+				if !k.SelfEqual() {
+					continue // no read asks for a value that equals nothing
 				}
 				if e, ok := tx.Derived(a.slot, k); ok {
 					tx.SetDerived(a.slot, k, a.part.Merge(e, a.part.Entry(r)))

@@ -2,8 +2,10 @@ package trigger
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -30,21 +32,27 @@ type countWorld struct {
 	n    int
 	aggs []*aggregate
 	// entries counts the maintained entries the checks compared, valued
-	// those among them under a value key.
-	entries, valued int
+	// those among them under a value key, otherKind those read by a region
+	// code of the other numeric kind than its key, and listed those under a
+	// list.
+	entries, valued, otherKind, listed int
 }
 
 // regionCodes are the Region nodes' code and key properties, and the values
 // the checks try as value keys: r1 and r2 key by a number of the other kind
-// than their code.
-var regionCodes = [3][2]value.Value{
+// than their code, r3 by NaN, which equals nothing, and r4 by a list equal
+// to its code element-wise.
+var regionCodes = [5][2]value.Value{
 	{value.Str("r0"), value.Str("r0")},
 	{value.Int(1), value.Float(1)},
 	{value.Float(2), value.Int(2)},
+	{value.Float(math.NaN()), value.Float(math.NaN())},
+	{value.List(value.Int(3), value.Str("x")), value.List(value.Float(3), value.Str("x"))},
 }
 
 var valueKeys = []value.Value{
 	value.Str("r0"), value.Int(1), value.Float(1), value.Int(2), value.Float(2), value.Str("r9"),
+	value.Float(math.NaN()), value.List(value.Int(3), value.Str("x")), value.List(value.Float(3), value.Str("x")),
 }
 
 var countRules = []Rule{{
@@ -108,8 +116,6 @@ func newCountWorld(t *testing.T, seed int64) *countWorld {
 		if err := w.e.Install(r); err != nil {
 			t.Fatal(err)
 		}
-		cr, _ := w.e.lookup(r.Name)
-		w.aggs = append(w.aggs, cr.aggs...)
 		if err := w.te.Install(r); err != nil {
 			t.Fatal(err)
 		}
@@ -118,13 +124,14 @@ func newCountWorld(t *testing.T, seed int64) *countWorld {
 		}
 	}
 	w.te.index = buildDispatch(w.te.rules)
-	if len(w.aggs) != 5 {
-		t.Fatalf("%d aggregates kept, want 5", len(w.aggs))
+	// icu's count part is growth's first: five parts, four slots.
+	if w.aggs = w.e.index.aggs; len(w.aggs) != 4 {
+		t.Fatalf("%d aggregates kept, want 4", len(w.aggs))
 	}
 	w.write(`CREATE (e1:Effect {level: 'critical'}), (e2:Effect {level: 'moderate'}),
 	        (:Variant {name: 'v0'})-[:Contains]->(:Mutation)-[:HasEffect]->(e1),
 	        (:Variant {name: 'v1'})-[:Contains]->(:Mutation)-[:HasEffect]->(e2)`, nil)
-	for r := 0; r < 3; r++ {
+	for r := range regionCodes {
 		w.write(`CREATE (r:Region {name: $r, code: $code, key: $key}),
 		        (:Lab {name: $r + '-a'})-[:LocatedIn]->(r), (:Lab {name: $r + '-b'})-[:LocatedIn]->(r),
 		        (:Hospital {name: $r + '-h'})-[:LocatedIn]->(r)`,
@@ -206,14 +213,22 @@ func (w *countWorld) checkTx(tx *graph.Tx, step string) {
 			}
 		}
 		for _, g := range keys {
-			k, _ := graph.KeyOf(g)
-			kept, ok := tx.Derived(a.slot, k)
+			kept, ok := tx.Derived(a.slot, g.Key())
 			if !ok {
 				continue
+			}
+			if !g.Key().SelfEqual() {
+				w.t.Fatalf("after %q: %s keeps %+v for %v, which equals nothing", step, a.part.ByKey.Query(), kept, g)
 			}
 			w.entries++
 			if a.part.KeyNode != "" {
 				w.valued++
+				if value.SameValue(g, regionCodes[1][0]) || value.SameValue(g, regionCodes[2][0]) {
+					w.otherKind++
+				}
+				if g.Kind() == value.KindList {
+					w.listed++
+				}
 			}
 			rows, err := runBound(tx, a.part.ByKey, a.part.G, g)
 			if err != nil {
@@ -241,8 +256,11 @@ func (w *countWorld) pick(label string) (value.Value, bool) {
 	return value.Int(int64(ids[w.rng.Intn(len(ids))])), true
 }
 
+// region returns a random region's name.
+func (w *countWorld) region() string { return fmt.Sprintf("r%d", w.rng.Intn(len(regionCodes))) }
+
 func (w *countWorld) lab() value.Value {
-	return value.Str(fmt.Sprintf("r%d-%c", w.rng.Intn(3), "ab"[w.rng.Intn(2)]))
+	return value.Str(fmt.Sprintf("%s-%c", w.region(), "ab"[w.rng.Intn(2)]))
 }
 
 // step performs one random operation of the stream.
@@ -266,7 +284,7 @@ func (w *countWorld) step() {
 			p("lab", w.lab(), "id", id, "v", value.Str(fmt.Sprintf("v%d", w.rng.Intn(2)))))
 	case 5, 6: // an ICU admission
 		w.write(`MATCH (h:Hospital {name: $h}) CREATE (:IcuPatient {id: $id})-[:TreatedAt]->(h)`,
-			p("h", value.Str(fmt.Sprintf("r%d-h", w.rng.Intn(3))), "id", id))
+			p("h", value.Str(w.region()+"-h"), "id", id))
 	case 7: // a delete
 		label := []string{"Sequence", "IcuPatient"}[w.rng.Intn(2)]
 		if n, ok := w.pick(label); ok {
@@ -295,7 +313,7 @@ func (w *countWorld) step() {
 		}
 		w.write(`MATCH (r:Region {name: $r}) CREATE (:Lab {name: $lab})-[:LocatedIn]->(r),
 		        (:Hospital {name: $r + '-h'})-[:LocatedIn]->(r)`,
-			p("r", value.Str(fmt.Sprintf("r%d", w.rng.Intn(3))), "lab", lab))
+			p("r", value.Str(w.region()), "lab", lab))
 	case 11: // a deeper hop re-linked: one more region, or a move
 		if n, ok := w.pick("Lab"); ok {
 			q := `MATCH (l), (r:Region {name: $r}) WHERE id(l) = $n CREATE (l)-[:LocatedIn]->(r)`
@@ -303,7 +321,7 @@ func (w *countWorld) step() {
 				q = `MATCH (l)-[old:LocatedIn]->(), (r:Region {name: $r}) WHERE id(l) = $n
 				     DELETE old CREATE (l)-[:LocatedIn]->(r)`
 			}
-			w.write(q, p("n", n, "r", value.Str(fmt.Sprintf("r%d", w.rng.Intn(3)))))
+			w.write(q, p("n", n, "r", value.Str(w.region())))
 		}
 	case 12: // an effect's level flipped
 		if n, ok := w.pick("Effect"); ok {
@@ -333,7 +351,10 @@ func (w *countWorld) step() {
 			}
 			w.write(q, p("n", n, "v", w.icuValue()))
 		}
-	case 20: // Current removed, or given back to the newest Summary
+	case 20: // an ICU admission, which reads the previous period, and then
+		// Current removed, or given back to the newest Summary
+		w.write(`MATCH (h:Hospital {name: $h}) CREATE (:IcuPatient {id: $id})-[:TreatedAt]->(h)`,
+			p("h", value.Str(w.region()+"-h"), "id", id))
 		if w.rng.Intn(2) == 0 {
 			w.write(`MATCH (c:Current) REMOVE c:Current`, nil)
 		} else {
@@ -385,15 +406,20 @@ func (w *countWorld) icuValue() value.Value {
 	return value.Int(int64(w.rng.Intn(20)))
 }
 
-// alerts lists a store's alert payloads in creation order.
-func alerts(t *testing.T, s *graph.Store) [][]value.Value {
+// alerts lists a store's alert payloads in creation order, rendered (a
+// code may be NaN).
+func alerts(t *testing.T, s *graph.Store) []string {
 	tx := s.Begin(graph.ReadOnly)
 	defer tx.Rollback()
 	res, err := cypher.Run(tx, "MATCH (a:Alert) RETURN id(a), a.rule, a.region, a.code, a.n, a.y ORDER BY id(a)", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Rows
+	out := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		out[i] = value.ListOf(r).String()
+	}
+	return out
 }
 
 // TestMaintainedCountsGenerated: over seeded random streams of creates,
@@ -402,19 +428,33 @@ func alerts(t *testing.T, s *graph.Store) [][]value.Value {
 // after its reads, commits that bypass the engine, and R4's: rollovers,
 // deleted and re-valued alerts of the previous period, Current removed and
 // given back, and alerts of other rules and codes created in it, some keyed
-// by a number of the other kind, every aggregate the engine keeps equals a
-// recount by the part's ByKey plan on the same transaction, inside it
-// before commit and after, and the alerts equal those of the same rules run
-// as written.
+// by a number of the other kind, by NaN or by a list, every aggregate the
+// engine keeps equals a recount by the part's ByKey plan on the same
+// transaction, inside it before commit and after, and the alerts equal those
+// of the same rules run as written. icu and growth share their count part's
+// slot; after 300 steps one of them is dropped, and for 100 more the slot
+// serves the other.
 func TestMaintainedCountsGenerated(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		w := newCountWorld(t, seed)
-		for i := 0; i < 300; i++ {
+		shared := w.aggs[2]
+		for i := 0; i < 400; i++ {
+			if i == 300 {
+				dropped := []string{"icu", "growth"}[seed%2]
+				for _, e := range []*Engine{w.e, w.te} {
+					if err := e.Drop(dropped); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if w.aggs = w.e.index.aggs; !slices.Contains(w.aggs, shared) {
+					t.Fatalf("seed %d: dropping %s released the count slot the other rule reads", seed, dropped)
+				}
+			}
 			w.step()
 		}
-		if w.entries < 500 || w.valued < 50 {
-			t.Fatalf("seed %d: the checks compared %d maintained entries, %d under a value key; the stream keeps too few",
-				seed, w.entries, w.valued)
+		if w.entries < 500 || w.valued < 50 || w.otherKind == 0 || w.listed == 0 {
+			t.Fatalf("seed %d: the checks compared %d maintained entries, %d under a value key, %d read by a code of the other kind, %d under a list; the stream keeps too few",
+				seed, w.entries, w.valued, w.otherKind, w.listed)
 		}
 		kept, asWritten := alerts(t, w.s), alerts(t, w.twin)
 		if len(kept) < 100 || !reflect.DeepEqual(kept, asWritten) {
@@ -425,7 +465,8 @@ func TestMaintainedCountsGenerated(t *testing.T) {
 
 // TestDroppedRuleCountsGo: a dropped rule's counts leave the store with the
 // next transaction the engine processes, whether other rules still keep
-// counts or none does.
+// counts or none does, except a count part that a rule still installed
+// shares.
 func TestDroppedRuleCountsGo(t *testing.T) {
 	w := newCountWorld(t, 1)
 	for i := 0; i < 3; i++ {
@@ -445,23 +486,25 @@ func TestDroppedRuleCountsGo(t *testing.T) {
 	if held("icu") == 0 || held("unassigned") == 0 {
 		t.Fatal("the stream left no counts to drop")
 	}
-	if err := w.e.Drop("icu"); err != nil {
-		t.Fatal(err)
+	// icu shares its count part with growth: the slot stays until both go.
+	for _, name := range []string{"icu", "growth"} {
+		if err := w.e.Drop(name); err != nil {
+			t.Fatal(err)
+		}
+		w.writeKept(`CREATE (:Unrelated)`, nil)
+		tx := w.s.Begin(graph.ReadOnly)
+		if held := tx.DerivedLen(icu.slot); (held == 0) != (name == "growth") || tx.DerivedLen(unassigned.slot) == 0 {
+			t.Errorf("after dropping %s: %d entries of icu's count, %d unassigned ones", name, held, tx.DerivedLen(unassigned.slot))
+		}
+		tx.Rollback()
 	}
-	w.writeKept(`CREATE (:Unrelated)`, nil)
-	tx := w.s.Begin(graph.ReadOnly)
-	if tx.DerivedLen(icu.slot) != 0 || tx.DerivedLen(unassigned.slot) == 0 {
-		t.Errorf("after dropping icu: %d icu entries, %d unassigned ones; want none and some",
-			tx.DerivedLen(icu.slot), tx.DerivedLen(unassigned.slot))
-	}
-	tx.Rollback()
 	for _, name := range []string{"unassigned", "critical"} {
 		if err := w.e.Drop(name); err != nil {
 			t.Fatal(err)
 		}
 	}
 	w.writeKept(`CREATE (:Unrelated)`, nil)
-	tx = w.s.Begin(graph.ReadOnly)
+	tx := w.s.Begin(graph.ReadOnly)
 	defer tx.Rollback()
 	if n := tx.DerivedLen(unassigned.slot); n != 0 {
 		t.Errorf("no rule keeps counts, yet %d entries stay", n)

@@ -3,6 +3,7 @@ package trigger
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -199,7 +200,7 @@ func (e *Engine) Install(r Rule) error {
 		if parts := cypher.FindAggParts(cr.alert.Statement(), cr.bindNames()); len(parts) > 0 {
 			srcs := make([]cypher.AggSource, len(parts))
 			for i, cp := range parts {
-				a := newAggregate(cp, e.Metrics)
+				a := e.aggregateFor(cr, cp)
 				cr.aggs, srcs[i] = append(cr.aggs, a), a
 			}
 			cr.alert = cr.alert.Maintained(parts, srcs)
@@ -208,6 +209,19 @@ func (e *Engine) Install(r Rule) error {
 	e.rules[r.Name] = cr
 	e.index = buildDispatch(e.rules)
 	return nil
+}
+
+// aggregateFor returns the aggregate that keeps part cp for rule cr: an
+// installed one whose part has the same text, so that equal parts share one
+// slot, or a new one. A shared slot outlives the rules that drop it until
+// the last one goes (see folder.start).
+func (e *Engine) aggregateFor(cr *Compiled, cp *cypher.AggPart) *aggregate {
+	for _, a := range slices.Concat(e.index.aggs, cr.aggs) {
+		if a.part.Sub == cp.Sub {
+			return a
+		}
+	}
+	return newAggregate(cp, e.Metrics)
 }
 
 // Drop removes a rule.

@@ -407,8 +407,8 @@ func (ev *event) binding() Binding {
 type dispatchIndex struct {
 	byKind   map[EventKind]map[string][]dispatchEntry
 	families int
-	// aggs are the installed rules' maintained aggregates, in installation
-	// order (see folder).
+	// aggs are the installed rules' maintained aggregates, each once, in
+	// installation order (see folder).
 	aggs []*aggregate
 }
 
@@ -443,6 +443,7 @@ func buildDispatch(rules map[string]*Compiled) *dispatchIndex {
 		}
 	}
 	slices.SortFunc(idx.aggs, func(a, b *aggregate) int { return a.slot - b.slot })
+	idx.aggs = slices.Compact(idx.aggs) // rules that share a part share its aggregate
 	return idx
 }
 

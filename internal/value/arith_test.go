@@ -284,7 +284,7 @@ func TestPropHashKeyConsistentWithSameValue(t *testing.T) {
 			List(Int(a), Str(s1)), List(Int(b), Str(s2))}
 		for _, x := range vals {
 			for _, y := range vals {
-				if SameValue(x, y) != (x.HashKey() == y.HashKey()) {
+				if SameValue(x, y) != (x.Key() == y.Key()) {
 					return false
 				}
 			}

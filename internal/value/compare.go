@@ -1,17 +1,24 @@
 package value
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // Equal implements Cypher value equality with ternary logic: comparing NULL
-// with anything yields NULL (unknown). INTEGER and FLOAT compare numerically
-// across kinds. Lists compare element-wise, maps key-wise. Entity references
-// compare by kind and identifier. The result is reported as (equal, known).
+// with anything yields NULL (unknown). INTEGER and FLOAT compare exactly as
+// numbers across kinds, never through a rounding conversion, so = is
+// transitive; NaN equals nothing. Lists compare element-wise, maps key-wise.
+// Entity references compare by kind and identifier. The result is reported
+// as (equal, known).
 func Equal(a, b Value) (eq bool, known bool) {
 	if a.kind == KindNull || b.kind == KindNull {
 		return false, false
 	}
 	if a.IsNumber() && b.IsNumber() {
-		return numericEqual(a, b), true
+		// f is 0 in an INTEGER, so f != f holds for NaN alone.
+		return a.f == a.f && b.f == b.f && compareNumeric(a, b) == 0, true
 	}
 	if a.kind != b.kind {
 		return false, true
@@ -74,61 +81,27 @@ func Equal(a, b Value) (eq bool, known bool) {
 	}
 }
 
-func numericEqual(a, b Value) bool {
-	if a.kind == KindInt && b.kind == KindInt {
-		return a.i == b.i
-	}
-	af, _ := a.NumberAsFloat()
-	bf, _ := b.NumberAsFloat()
-	return af == bf
-}
+// SameValue reports whether a and b are equivalent (Key) and of the same
+// kinds, their elements' included: unlike Key, INTEGER 1 is not FLOAT 1.0.
+// Tests use it to pin a result's kind.
+func SameValue(a, b Value) bool { return a.Key() == b.Key() && sameKinds(a, b) }
 
-// SameValue reports strict sameness usable for grouping keys and DISTINCT:
-// unlike Equal, NULL is the same as NULL, and NaN is the same as NaN.
-func SameValue(a, b Value) bool {
-	if a.kind == KindNull && b.kind == KindNull {
-		return true
-	}
-	if a.IsNumber() && b.IsNumber() {
-		af, _ := a.NumberAsFloat()
-		bf, _ := b.NumberAsFloat()
-		if math.IsNaN(af) && math.IsNaN(bf) {
-			return a.kind == b.kind
-		}
-		if a.kind != b.kind {
-			return false
-		}
-		return numericEqual(a, b)
-	}
+// sameKinds reports whether equivalent a and b are of the same kinds.
+func sameKinds(a, b Value) bool {
 	if a.kind != b.kind {
 		return false
 	}
-	switch a.kind {
-	case KindList:
-		if len(a.list) != len(b.list) {
+	for i := range a.list {
+		if !sameKinds(a.list[i], b.list[i]) {
 			return false
 		}
-		for i := range a.list {
-			if !SameValue(a.list[i], b.list[i]) {
-				return false
-			}
-		}
-		return true
-	case KindMap:
-		if len(a.m) != len(b.m) {
-			return false
-		}
-		for k, av := range a.m {
-			bv, ok := b.m[k]
-			if !ok || !SameValue(av, bv) {
-				return false
-			}
-		}
-		return true
-	default:
-		eq, known := Equal(a, b)
-		return known && eq
 	}
+	for k, av := range a.m {
+		if !sameKinds(av, b.m[k]) {
+			return false
+		}
+	}
+	return true
 }
 
 // kindOrder assigns each kind a rank for the cross-kind total order used by
@@ -260,21 +233,18 @@ func Compare(a, b Value) int {
 	}
 }
 
+// compareNumeric orders two numbers exactly, INTEGER against FLOAT too;
+// NaN sorts after every other number.
 func compareNumeric(a, b Value) int {
-	if a.kind == KindInt && b.kind == KindInt {
-		switch {
-		case a.i < b.i:
-			return -1
-		case a.i > b.i:
-			return 1
-		default:
-			return 0
-		}
+	switch {
+	case a.kind == KindInt && b.kind == KindInt:
+		return cmp.Compare(a.i, b.i)
+	case a.kind == KindInt:
+		return cmpIntFloat(a.i, b.f)
+	case b.kind == KindInt:
+		return -cmpIntFloat(b.i, a.f)
 	}
-	af, _ := a.NumberAsFloat()
-	bf, _ := b.NumberAsFloat()
-	// NaN sorts after all other numbers for determinism.
-	an, bn := math.IsNaN(af), math.IsNaN(bf)
+	an, bn := a.f != a.f, b.f != b.f
 	switch {
 	case an && bn:
 		return 0
@@ -282,13 +252,25 @@ func compareNumeric(a, b Value) int {
 		return 1
 	case bn:
 		return -1
-	case af < bf:
-		return -1
-	case af > bf:
-		return 1
-	default:
-		return 0
 	}
+	return cmp.Compare(a.f, b.f)
+}
+
+// cmpIntFloat compares i with f without rounding i to a float64.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case f != f:
+		return -1
+	case f >= 0x1p63:
+		return -1
+	case f < -0x1p63:
+		return 1
+	}
+	t := math.Trunc(f) // within int64, so int64(t) is exact
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmp.Compare(t, f)
 }
 
 func sortedKeys(m map[string]Value) []string {
@@ -296,11 +278,7 @@ func sortedKeys(m map[string]Value) []string {
 	for k := range m {
 		ks = append(ks, k)
 	}
-	for i := 1; i < len(ks); i++ {
-		for j := i; j > 0 && ks[j] < ks[j-1]; j-- {
-			ks[j], ks[j-1] = ks[j-1], ks[j]
-		}
-	}
+	slices.Sort(ks)
 	return ks
 }
 
@@ -323,84 +301,4 @@ func Less3(a, b Value) (less bool, known bool) {
 	default:
 		return false, false
 	}
-}
-
-// HashKey returns a string that is identical for values that are SameValue,
-// usable as a Go map key for grouping and DISTINCT.
-func (v Value) HashKey() string {
-	switch v.kind {
-	case KindNull:
-		return "\x00"
-	case KindBool:
-		if v.b {
-			return "\x01t"
-		}
-		return "\x01f"
-	case KindInt:
-		return "\x02" + itoa(v.i)
-	case KindFloat:
-		f := v.f
-		if f == 0 {
-			f = 0 // normalize -0.0 so it groups with +0.0
-		}
-		return "\x03" + ftoa(f)
-	case KindString:
-		return "\x04" + v.s
-	case KindDateTime:
-		return "\x05" + itoa(v.t.UnixNano()) + v.t.Location().String()
-	case KindDuration:
-		return "\x06" + itoa(v.i)
-	case KindNode:
-		return "\x07" + itoa(v.i)
-	case KindRelationship:
-		return "\x08" + itoa(v.i)
-	case KindList:
-		out := "\x09"
-		for _, e := range v.list {
-			k := e.HashKey()
-			out += itoa(int64(len(k))) + ":" + k
-		}
-		return out
-	case KindMap:
-		out := "\x0a"
-		for _, k := range sortedKeys(v.m) {
-			vk := v.m[k].HashKey()
-			out += itoa(int64(len(k))) + ":" + k + itoa(int64(len(vk))) + ":" + vk
-		}
-		return out
-	default:
-		return "\x0b"
-	}
-}
-
-func itoa(i int64) string {
-	if i == 0 {
-		return "0"
-	}
-	neg := i < 0
-	var buf [24]byte
-	pos := len(buf)
-	u := uint64(i)
-	if neg {
-		u = uint64(-i)
-	}
-	for u > 0 {
-		pos--
-		buf[pos] = byte('0' + u%10)
-		u /= 10
-	}
-	if neg {
-		pos--
-		buf[pos] = '-'
-	}
-	return string(buf[pos:])
-}
-
-func ftoa(f float64) string {
-	bits := math.Float64bits(f)
-	var buf [16]byte
-	for i := 0; i < 16; i++ {
-		buf[i] = "0123456789abcdef"[(bits>>(60-4*i))&0xf]
-	}
-	return string(buf[:])
 }

@@ -311,19 +311,22 @@ func TestLess3(t *testing.T) {
 	}
 }
 
+// TestHashKeyDistinguishes: values of different kinds, or of one kind and
+// different contents, have different keys. An integral FLOAT keys as its
+// INTEGER (1.0 ≡ 1), so the FLOAT here is a fractional one.
 func TestHashKeyDistinguishes(t *testing.T) {
 	vals := []Value{
-		Null, Bool(true), Bool(false), Int(0), Int(1), Float(0), Float(1),
+		Null, Bool(true), Bool(false), Int(0), Int(1), Float(0.5),
 		Str(""), Str("0"), Node(0), Relationship(0),
 		List(), List(Int(1)), List(Str("1")),
 		Map(map[string]Value{}), Map(map[string]Value{"a": Int(1)}),
 		Duration(0), DateTime(time.Unix(0, 0)),
 	}
-	seen := map[string]Value{}
+	seen := map[Key]Value{}
 	for _, v := range vals {
-		k := v.HashKey()
+		k := v.Key()
 		if prev, dup := seen[k]; dup {
-			t.Errorf("hash collision between %s and %s", prev, v)
+			t.Errorf("key collision between %s and %s", prev, v)
 		}
 		seen[k] = v
 	}
@@ -332,8 +335,8 @@ func TestHashKeyDistinguishes(t *testing.T) {
 func TestHashKeyStable(t *testing.T) {
 	a := Map(map[string]Value{"x": Int(1), "y": List(Str("a"), Null)})
 	b := Map(map[string]Value{"y": List(Str("a"), Null), "x": Int(1)})
-	if a.HashKey() != b.HashKey() {
-		t.Error("hash key should not depend on map iteration order")
+	if a.Key() != b.Key() {
+		t.Error("a map's key should not depend on its iteration order")
 	}
 }
 
@@ -343,7 +346,7 @@ func TestHashKeyNegativeZero(t *testing.T) {
 	if !SameValue(pos, neg) {
 		t.Fatal("+0.0 and -0.0 are the same value")
 	}
-	if pos.HashKey() != neg.HashKey() {
-		t.Error("+0.0 and -0.0 must hash identically")
+	if pos.Key() != neg.Key() || neg.Key() != Int(0).Key() {
+		t.Error("+0.0, -0.0 and 0 must have one key")
 	}
 }
